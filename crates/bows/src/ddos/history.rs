@@ -112,62 +112,6 @@ impl WarpHistory {
         self.insert(rec);
     }
 
-    /// Serialize the dynamic detector state — records newest-first, the
-    /// match pointer, confirmation countdown, and spinning flag (checkpoint
-    /// support). Hash scheme and register geometry are construction-time.
-    pub fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.usize(self.records.len());
-        for r in &self.records {
-            w.u16(r.path);
-            w.u16(r.vals[0]);
-            w.u16(r.vals[1]);
-        }
-        w.usize(self.match_pointer);
-        match self.remaining {
-            Some(n) => {
-                w.bool(true);
-                w.u32(n);
-            }
-            None => w.bool(false),
-        }
-        w.bool(self.spinning);
-    }
-
-    /// Restore state written by [`WarpHistory::save_snap`] into a history
-    /// with the same construction parameters.
-    ///
-    /// # Errors
-    ///
-    /// [`simt_snap::SnapshotError`] on truncated/corrupt bytes or a record
-    /// count exceeding this history's register length.
-    pub fn load_snap(
-        &mut self,
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<(), simt_snap::SnapshotError> {
-        let n = r.len(6)?;
-        if n > self.capacity {
-            return Err(simt_snap::SnapshotError::malformed(format!(
-                "warp history holds {n} records, registers hold {}",
-                self.capacity
-            )));
-        }
-        let mut records = VecDeque::with_capacity(self.capacity);
-        for _ in 0..n {
-            records.push_back(Record {
-                path: r.u16()?,
-                vals: [r.u16()?, r.u16()?],
-            });
-        }
-        let match_pointer = r.usize()?;
-        let remaining = if r.bool()? { Some(r.u32()?) } else { None };
-        let spinning = r.bool()?;
-        self.records = records;
-        self.match_pointer = match_pointer;
-        self.remaining = remaining;
-        self.spinning = spinning;
-        Ok(())
-    }
-
     fn insert(&mut self, rec: Record) {
         match self.remaining {
             Some(rem) => {
@@ -221,9 +165,53 @@ impl WarpHistory {
     }
 }
 
+simt_snap::snap_struct!(Record { path: u16, vals: [u16; 2] });
+
+// The dynamic detector state — records newest-first, the match pointer,
+// confirmation countdown, and spinning flag. Hash scheme and register
+// geometry are construction-time.
+simt_snap::snap_struct!(state WarpHistory {
+    records: VecDeque<Record>,
+    match_pointer: usize,
+    remaining: Option<u32>,
+    spinning: bool,
+} check |h: &WarpHistory| {
+    if h.records.len() <= h.capacity {
+        Ok(())
+    } else {
+        Err(simt_snap::SnapshotError::malformed(format!(
+            "warp history holds {} records, registers hold {}",
+            h.records.len(),
+            h.capacity
+        )))
+    }
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws_and_capacity_check() {
+        simt_snap::assert_snap_laws(&Record { path: 1, vals: [2, 3] });
+        let mut h = hist(8);
+        for i in 0..5 {
+            h.observe(10 + (i % 2), [i as u32, 0]);
+        }
+        let mut w = simt_snap::SnapWriter::new();
+        h.save_fields(&mut w);
+        let body = w.into_bytes();
+        let mut back = hist(8);
+        back.load_fields(&mut simt_snap::SnapReader::new(&body)).unwrap();
+        assert_eq!(back.records, h.records);
+        assert_eq!(
+            (back.match_pointer, back.remaining, back.spinning),
+            (h.match_pointer, h.remaining, h.spinning)
+        );
+        let err = hist(2).load_fields(&mut simt_snap::SnapReader::new(&body)).unwrap_err();
+        assert!(err.to_string().contains("registers hold 2"), "{err}");
+    }
 
     fn hist(l: usize) -> WarpHistory {
         WarpHistory::new(HashKind::Xor, 8, 8, l)

@@ -16,6 +16,7 @@ pub use history::{Record, WarpHistory};
 pub use sibpt::{SibEntry, SibPt};
 
 use simt_core::SpinDetector;
+use simt_snap::Snap;
 
 /// DDOS design parameters (the knobs of Table I).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,16 +206,13 @@ impl SpinDetector for Ddos {
     }
 
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {
-        w.usize(self.hists.len());
+        self.hists.len().save(w);
         for h in &self.hists {
-            h.save_snap(w);
+            h.save_fields(w);
         }
-        w.usize(self.spinning.len());
-        for &s in &self.spinning {
-            w.bool(s);
-        }
-        self.sibpt.save_snap(w);
-        w.usize(self.owner);
+        self.spinning.save(w);
+        self.sibpt.save_fields(w);
+        self.owner.save(w);
     }
 
     fn load_state(
@@ -222,7 +220,7 @@ impl SpinDetector for Ddos {
         r: &mut simt_snap::SnapReader<'_>,
     ) -> Result<(), simt_snap::SnapshotError> {
         use simt_snap::SnapshotError;
-        let nh = r.len(4)?;
+        let nh = usize::load(r)?;
         if nh != self.hists.len() {
             return Err(SnapshotError::malformed(format!(
                 "ddos: snapshot has {nh} history sets, this unit has {}",
@@ -230,20 +228,19 @@ impl SpinDetector for Ddos {
             )));
         }
         for h in &mut self.hists {
-            h.load_snap(r)?;
+            h.load_fields(r)?;
         }
-        let ns = r.len(1)?;
-        if ns != self.spinning.len() {
+        let spinning = Vec::<bool>::load(r)?;
+        if spinning.len() != self.spinning.len() {
             return Err(SnapshotError::malformed(format!(
-                "ddos: snapshot tracks {ns} warps, this unit has {}",
+                "ddos: snapshot tracks {} warps, this unit has {}",
+                spinning.len(),
                 self.spinning.len()
             )));
         }
-        for s in &mut self.spinning {
-            *s = r.bool()?;
-        }
-        self.sibpt.load_snap(r)?;
-        let owner = r.usize()?;
+        self.spinning = spinning;
+        self.sibpt.load_fields(r)?;
+        let owner = usize::load(r)?;
         if owner >= self.num_warps.max(1) {
             return Err(SnapshotError::malformed(format!(
                 "ddos: owner {owner} out of range for {} warps",

@@ -92,59 +92,48 @@ impl SibPt {
     pub fn occupancy(&self) -> usize {
         self.entries.len()
     }
-
-    /// Serialize entries verbatim — slot order matters: lookup, decrement,
-    /// and `swap_remove` eviction all walk the table in insertion order, so
-    /// a resumed table must be position-identical (checkpoint support).
-    pub fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.usize(self.entries.len());
-        for e in &self.entries {
-            w.usize(e.pc);
-            w.u32(e.confidence);
-            match e.confirmed_at {
-                Some(c) => {
-                    w.bool(true);
-                    w.u64(c);
-                }
-                None => w.bool(false),
-            }
-        }
-    }
-
-    /// Restore a table written by [`SibPt::save_snap`] into a table with
-    /// the same capacity and threshold.
-    ///
-    /// # Errors
-    ///
-    /// [`simt_snap::SnapshotError`] on truncated/corrupt bytes or an entry
-    /// count exceeding this table's capacity.
-    pub fn load_snap(
-        &mut self,
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<(), simt_snap::SnapshotError> {
-        let n = r.len(13)?;
-        if n > self.capacity {
-            return Err(simt_snap::SnapshotError::malformed(format!(
-                "SIB-PT holds {n} entries, capacity is {}",
-                self.capacity
-            )));
-        }
-        let mut entries = Vec::with_capacity(self.capacity);
-        for _ in 0..n {
-            entries.push(SibEntry {
-                pc: r.usize()?,
-                confidence: r.u32()?,
-                confirmed_at: if r.bool()? { Some(r.u64()?) } else { None },
-            });
-        }
-        self.entries = entries;
-        Ok(())
-    }
 }
+
+simt_snap::snap_struct!(SibEntry { pc: usize, confidence: u32, confirmed_at: Option<u64> });
+
+// Entries verbatim — slot order matters: lookup, decrement, and
+// `swap_remove` eviction all walk the table in insertion order, so a
+// resumed table must be position-identical. Capacity and threshold are
+// construction-time.
+simt_snap::snap_struct!(state SibPt { entries: Vec<SibEntry> } check |t: &SibPt| {
+    if t.entries.len() <= t.capacity {
+        Ok(())
+    } else {
+        Err(simt_snap::SnapshotError::malformed(format!(
+            "SIB-PT holds {} entries, capacity is {}",
+            t.entries.len(),
+            t.capacity
+        )))
+    }
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws_and_capacity_check() {
+        simt_snap::assert_snap_laws(&SibEntry { pc: 0, confidence: 0, confirmed_at: None });
+        simt_snap::assert_snap_laws(&SibEntry { pc: 9, confidence: 4, confirmed_at: Some(103) });
+        let mut t = SibPt::new(4, 2);
+        for pc in [9, 9, 11, 13] {
+            t.observe_spinning(pc, 100);
+        }
+        let mut w = simt_snap::SnapWriter::new();
+        t.save_fields(&mut w);
+        let body = w.into_bytes();
+        let mut back = SibPt::new(4, 2);
+        back.load_fields(&mut simt_snap::SnapReader::new(&body)).unwrap();
+        assert_eq!(back.entries, t.entries);
+        let err = SibPt::new(2, 2).load_fields(&mut simt_snap::SnapReader::new(&body)).unwrap_err();
+        assert!(err.to_string().contains("capacity is 2"), "{err}");
+    }
 
     #[test]
     fn confirms_at_threshold() {

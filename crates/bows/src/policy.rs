@@ -15,6 +15,7 @@
 //! The delay limit is fixed or adapted per Figure 5 (see [`DelayMode`]).
 
 use simt_core::{IssueInfo, SchedCtx, SchedulerPolicy};
+use simt_snap::Snap;
 use std::collections::VecDeque;
 
 /// Adaptive back-off delay-limit controller parameters (paper Figure 5 and
@@ -341,34 +342,11 @@ impl SchedulerPolicy for Bows {
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {
         // The wrapped baseline's state rides along as a length-prefixed
         // blob, mirroring how the SM frames each unit.
-        let mut inner = simt_snap::SnapWriter::new();
-        self.inner.save_state(&mut inner);
-        w.bytes(&inner.into_bytes());
-        w.usize(self.warps.len());
-        for s in &self.warps {
-            w.bool(s.backed_off);
-            w.u64(s.delay_zero_at);
-        }
-        w.usize(self.queue.len());
-        for &warp in &self.queue {
-            w.usize(warp);
-        }
-        w.u64(self.delay_limit);
-        match &self.adaptive {
-            Some(a) => {
-                w.bool(true);
-                w.u64(a.window_total);
-                w.u64(a.window_sib);
-                match a.prev_ratio {
-                    Some(p) => {
-                        w.bool(true);
-                        w.f64(p);
-                    }
-                    None => w.bool(false),
-                }
-                w.u64(a.next_update);
-            }
-            None => w.bool(false),
+        w.nested(|w| self.inner.save_state(w));
+        self.save_fields(w);
+        self.adaptive.is_some().save(w);
+        if let Some(a) = &self.adaptive {
+            a.save_fields(w);
         }
     }
 
@@ -376,55 +354,83 @@ impl SchedulerPolicy for Bows {
         &mut self,
         r: &mut simt_snap::SnapReader<'_>,
     ) -> Result<(), simt_snap::SnapshotError> {
-        use simt_snap::SnapshotError;
-        let blob = r.bytes()?.to_vec();
-        let mut ir = simt_snap::SnapReader::new(&blob);
-        self.inner.load_state(&mut ir)?;
-        ir.expect_exhausted()?;
-        let nw = r.len(9)?;
-        let mut warps = Vec::with_capacity(nw);
-        for _ in 0..nw {
-            warps.push(BowsWarp {
-                backed_off: r.bool()?,
-                delay_zero_at: r.u64()?,
-            });
-        }
-        let nq = r.len(8)?;
-        let mut queue = VecDeque::with_capacity(nq);
-        for _ in 0..nq {
-            let warp = r.usize()?;
-            if warp >= nw {
-                return Err(SnapshotError::malformed(format!(
-                    "bows: backed-off queue names warp {warp} of {nw}"
-                )));
-            }
-            queue.push_back(warp);
-        }
-        let delay_limit = r.u64()?;
-        let has_adaptive = r.bool()?;
-        if has_adaptive != self.adaptive.is_some() {
-            return Err(SnapshotError::malformed(
+        r.nested(|r| self.inner.load_state(r))?;
+        self.load_fields(r)?;
+        if bool::load(r)? != self.adaptive.is_some() {
+            return Err(simt_snap::SnapshotError::malformed(
                 "bows: snapshot delay mode (fixed/adaptive) does not match this unit",
             ));
         }
         if let Some(a) = &mut self.adaptive {
-            a.window_total = r.u64()?;
-            a.window_sib = r.u64()?;
-            a.prev_ratio = if r.bool()? { Some(r.f64()?) } else { None };
-            a.next_update = r.u64()?;
+            a.load_fields(r)?;
         }
-        self.warps = warps;
-        self.queue = queue;
-        self.delay_limit = delay_limit;
         Ok(())
     }
 }
+
+simt_snap::snap_struct!(BowsWarp { backed_off: bool, delay_zero_at: u64 });
+
+// The Figure 5 window counters; the controller parameters are
+// construction-time.
+simt_snap::snap_struct!(state Adaptive {
+    window_total: u64,
+    window_sib: u64,
+    prev_ratio: Option<f64>,
+    next_update: u64,
+});
+
+// Per-warp back-off state, the back-off FIFO, and the current delay limit.
+// The wrapped policy, the adaptive controller and the ablation switches
+// are framed separately or construction-time.
+simt_snap::snap_struct!(state Bows {
+    warps: Vec<BowsWarp>,
+    queue: VecDeque<usize>,
+    delay_limit: u64,
+} check |b: &Bows| {
+    match b.queue.iter().find(|&&warp| warp >= b.warps.len()) {
+        Some(warp) => Err(simt_snap::SnapshotError::malformed(format!(
+            "bows: backed-off queue names warp {warp} of {}",
+            b.warps.len()
+        ))),
+        None => Ok(()),
+    }
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use simt_core::sched::Lrr;
     use simt_core::WarpMeta;
+
+    #[test]
+    fn snap_laws_and_queue_check() {
+        simt_snap::assert_snap_laws(&BowsWarp::default());
+        simt_snap::assert_snap_laws(&BowsWarp { backed_off: true, delay_zero_at: 99 });
+        let m = meta(4);
+        let c = ctx(0, &m);
+        let mut b = bows(DelayMode::Adaptive(AdaptiveConfig::default()));
+        b.on_sib(&c, 3);
+        let mut w = simt_snap::SnapWriter::new();
+        b.save_state(&mut w);
+        let body = w.into_bytes();
+        let mut back = bows(DelayMode::Adaptive(AdaptiveConfig::default()));
+        back.load_state(&mut simt_snap::SnapReader::new(&body)).unwrap();
+        assert!(back.is_backed_off(3));
+        assert_eq!(back.backoff_queue_position(3), Some(0));
+        // A queue entry naming a warp the table does not hold is corrupt.
+        b.queue.push_back(17);
+        let mut w = simt_snap::SnapWriter::new();
+        b.save_state(&mut w);
+        let err = bows(DelayMode::Adaptive(AdaptiveConfig::default()))
+            .load_state(&mut simt_snap::SnapReader::new(&w.into_bytes()))
+            .unwrap_err();
+        assert!(err.to_string().contains("names warp 17"), "{err}");
+        // A fixed-delay unit refuses an adaptive unit's blob.
+        let err = bows(DelayMode::Fixed(500))
+            .load_state(&mut simt_snap::SnapReader::new(&body))
+            .unwrap_err();
+        assert!(err.to_string().contains("delay mode"), "{err}");
+    }
 
     fn meta(n: usize) -> Vec<WarpMeta> {
         (0..n)

@@ -1,6 +1,5 @@
 //! Tracked-performance report: runs one tiny-scale pass per figure group
-//! (the same code paths the criterion benches cover, without needing the
-//! registry) and writes `BENCH_<label>.json` — wall time per group plus
+//! and writes `BENCH_<label>.json` — wall time per group plus
 //! simulated-cycles-per-second throughput. With `--check <baseline>`, the
 //! fresh run is compared against a committed baseline: any simulated-cycle
 //! drift fails (the simulator is deterministic), wall-time drift only
@@ -253,7 +252,7 @@ fn main() {
             wall_ms = wall_ms.min(rep_ms);
         }
         eprintln!("{name}: {wall_ms:.1}ms, {cycles} cycles");
-        groups.push(bench::report::GroupResult {
+        groups.push(experiments::report::GroupResult {
             name: name.to_string(),
             wall_ms,
             cycles,
@@ -263,7 +262,7 @@ fn main() {
     if cli.profile {
         print_profiles(&profiles);
     }
-    let report = bench::report::BenchReport {
+    let report = experiments::report::BenchReport {
         label: cli.label,
         scale: "tiny".to_string(),
         jobs,
@@ -273,7 +272,7 @@ fn main() {
     if let Some(baseline_path) = cli.check {
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| usage_error(&format!("cannot read `{baseline_path}`: {e}")));
-        let mut baseline = bench::report::BenchReport::from_json(&text)
+        let mut baseline = experiments::report::BenchReport::from_json(&text)
             .unwrap_or_else(|e| usage_error(&format!("bad baseline `{baseline_path}`: {e}")));
         // `--only` narrows the baseline the same way it narrowed the run,
         // so a partial check compares the groups that ran instead of
@@ -317,31 +316,4 @@ fn main() {
         std::process::exit(1);
     });
     println!("wrote {path}");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The report format round-trips through the bench crate's parser
-    /// (bench is workspace-excluded, so its own #[cfg(test)] suite is not
-    /// reachable offline; this exercises it from a workspace member).
-    #[test]
-    fn report_json_roundtrip_via_bench_crate() {
-        let r = bench::report::BenchReport {
-            label: "x".into(),
-            scale: "tiny".into(),
-            jobs: 1,
-            groups: vec![bench::report::GroupResult {
-                name: GROUPS[0].0.to_string(),
-                wall_ms: 1.5,
-                cycles: 7,
-                cycles_per_sec: 4666.7,
-            }],
-        };
-        let parsed = bench::report::BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(parsed, r);
-        let (failures, warnings) = r.check_against(&parsed);
-        assert!(failures.is_empty() && warnings.is_empty());
-    }
 }

@@ -79,23 +79,16 @@ fn bench_dispatch() {
     let decoded = DecodedKernel::decode(&kernel);
     let n = decoded.insts.len();
     let mut sb = Scoreboard::new();
-    // A live scoreboard so neither hazard path short-circuits on "empty".
+    // A live scoreboard so the hazard check cannot short-circuit on "empty".
     sb.reserve_reg(simt_isa::Reg(6));
     sb.reserve_pred(simt_isa::Pred(1));
 
     println!("dispatch ({} insts, {} steps):", n, ITERS);
-    // Identical pc trace for both variants.
+    // Identical pc trace for every row.
     let pcs: Vec<usize> = {
         let mut rng = Lcg(0x5eed);
         (0..ITERS).map(|_| rng.next() as usize % n).collect()
     };
-    time("enum has_hazard", || {
-        let mut acc = 0u64;
-        for &pc in &pcs {
-            acc = acc.wrapping_add(sb.has_hazard(&kernel.insts[pc]) as u64);
-        }
-        acc
-    });
     time("decoded has_hazard_masks", || {
         let mut acc = 0u64;
         for &pc in &pcs {
@@ -147,7 +140,7 @@ fn bench_tag_maps() {
         let mut tags: Vec<u64> = Vec::new();
         let mut acc = 0u64;
         for _ in 0..ITERS {
-            if tags.len() < 24 || rng.next() % 2 == 0 {
+            if tags.len() < 24 || rng.next().is_multiple_of(2) {
                 m.insert(next_tag, next_tag ^ 0xabcd);
                 tags.push(next_tag);
                 next_tag += 1;
@@ -169,7 +162,7 @@ fn bench_tag_maps() {
         let mut tags: Vec<u64> = Vec::new();
         let mut acc = 0u64;
         for _ in 0..ITERS {
-            if tags.len() < 24 || rng.next() % 2 == 0 {
+            if tags.len() < 24 || rng.next().is_multiple_of(2) {
                 let t = m.insert(next_tag ^ 0xabcd);
                 tags.push(t);
                 next_tag += 1;
@@ -193,7 +186,7 @@ fn bench_line_maps() {
         let mut rng = Lcg(0x10c);
         (0..ITERS)
             .map(|_| {
-                let line = if rng.next() % 4 == 0 {
+                let line = if rng.next().is_multiple_of(4) {
                     rng.next() % 4096
                 } else {
                     rng.next() % 32

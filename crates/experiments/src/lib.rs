@@ -22,6 +22,7 @@ pub mod fuzz;
 pub mod grid;
 pub mod mutants;
 pub mod oracle;
+pub mod report;
 
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
 use simt_core::{BasePolicy, Engine, GpuConfig, ProfileReport, SimError};

@@ -1,9 +1,9 @@
 //! The `BENCH_<label>.json` tracked-performance report.
 //!
 //! A report records, per figure group, the wall time of a tiny-scale run
-//! and the simulated-cycles-per-second throughput. Serialization is a
-//! hand-rolled JSON subset (objects, arrays, strings, numbers) so the
-//! format needs no registry crates and stays readable to external tools.
+//! and the simulated-cycles-per-second throughput, as JSON parsed and
+//! rendered by the service's [`Json`] type (one group per line, so
+//! committed reports diff cleanly).
 //!
 //! Comparison semantics (see [`BenchReport::check_against`]): simulated
 //! cycle counts are deterministic, so any cycle drift against the baseline
@@ -11,12 +11,13 @@
 //! machine. Wall time varies with hardware and load, so timing drift only
 //! produces warnings.
 
+use simt_serve::json::{json_string, Json};
 use std::fmt::Write as _;
 
 /// One figure group's measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupResult {
-    /// Group name (mirrors the criterion group, e.g. `fig9_bows_vs_baseline`).
+    /// Group name (e.g. `fig9_bows_vs_baseline`).
     pub name: String,
     /// Wall-clock milliseconds for the whole group.
     pub wall_ms: f64,
@@ -50,7 +51,8 @@ impl BenchReport {
         format!("BENCH_{}.json", self.label)
     }
 
-    /// Render as pretty-printed JSON.
+    /// Render as JSON, one group per line. Wall time keeps microsecond
+    /// and throughput tenth-of-a-cycle resolution.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
@@ -59,14 +61,13 @@ impl BenchReport {
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
         s.push_str("  \"groups\": [\n");
         for (i, g) in self.groups.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"name\": {}, \"wall_ms\": {:.3}, \"cycles\": {}, \"cycles_per_sec\": {:.1}}}",
-                json_string(&g.name),
-                g.wall_ms,
-                g.cycles,
-                g.cycles_per_sec
-            );
+            let group = Json::Obj(vec![
+                ("name".to_string(), Json::Str(g.name.clone())),
+                ("wall_ms".to_string(), Json::Num((g.wall_ms * 1e3).round() / 1e3)),
+                ("cycles".to_string(), Json::UInt(g.cycles)),
+                ("cycles_per_sec".to_string(), Json::Num((g.cycles_per_sec * 10.0).round() / 10.0)),
+            ]);
+            let _ = write!(s, "    {}", group.render());
             s.push_str(if i + 1 < self.groups.len() { ",\n" } else { "\n" });
         }
         s.push_str("  ]\n}\n");
@@ -81,21 +82,19 @@ impl BenchReport {
     /// Returns a message describing the first syntax or schema problem.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
         let v = Json::parse(text)?;
-        let obj = v.as_object("top level")?;
         let mut groups = Vec::new();
-        for (i, g) in Json::get(obj, "groups")?.as_array("groups")?.iter().enumerate() {
-            let g = g.as_object(&format!("groups[{i}]"))?;
+        for g in v.get("groups")?.as_array("groups")? {
             groups.push(GroupResult {
-                name: Json::get(g, "name")?.as_string("name")?,
-                wall_ms: Json::get(g, "wall_ms")?.as_number("wall_ms")?,
-                cycles: Json::get(g, "cycles")?.as_number("cycles")? as u64,
-                cycles_per_sec: Json::get(g, "cycles_per_sec")?.as_number("cycles_per_sec")?,
+                name: g.get("name")?.as_str("name")?.to_string(),
+                wall_ms: number(g.get("wall_ms")?, "wall_ms")?,
+                cycles: g.get("cycles")?.as_u64("cycles")?,
+                cycles_per_sec: number(g.get("cycles_per_sec")?, "cycles_per_sec")?,
             });
         }
         Ok(BenchReport {
-            label: Json::get(obj, "label")?.as_string("label")?,
-            scale: Json::get(obj, "scale")?.as_string("scale")?,
-            jobs: Json::get(obj, "jobs")?.as_number("jobs")? as usize,
+            label: v.get("label")?.as_str("label")?.to_string(),
+            scale: v.get("scale")?.as_str("scale")?.to_string(),
+            jobs: v.get("jobs")?.as_u64("jobs")? as usize,
             groups,
         })
     }
@@ -199,232 +198,14 @@ impl BenchReport {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Any JSON number as `f64` (integers included: `60` is a valid wall time).
+fn number(v: &Json, what: &str) -> Result<f64, String> {
+    match v {
+        Json::Num(n) => Ok(*n),
+        Json::UInt(n) => Ok(*n as f64),
+        Json::Int(n) => Ok(*n as f64),
+        _ => Err(format!("{what}: expected number")),
     }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value, just enough for the report schema.
-#[derive(Debug, Clone)]
-enum Json {
-    Null,
-    // The value is only ever matched structurally by the report schema.
-    Bool(#[allow(dead_code)] bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key `{key}`"))
-    }
-
-    fn as_object(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-
-    fn as_string(&self, what: &str) -> Result<String, String> {
-        match self {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-
-    fn as_number(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("{what}: expected number")),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => parse_number(b, pos),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(out));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
-        out.push((key, val));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(out));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(out));
-    }
-    loop {
-        out.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(out));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")?;
-                        let s = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let n = u32::from_str_radix(s, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(n).ok_or("bad \\u escape")?);
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape `\\{}`", other as char)),
-                }
-            }
-            c => {
-                // Re-decode multi-byte UTF-8 sequences from the source.
-                if c < 0x80 {
-                    out.push(c as char);
-                } else {
-                    let start = *pos - 1;
-                    let mut end = *pos;
-                    while end < b.len() && (b[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&b[start..end]).map_err(|e| e.to_string())?;
-                    out.push_str(s);
-                    *pos = end;
-                }
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    s.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number `{s}` at byte {start}"))
 }
 
 #[cfg(test)]
@@ -496,6 +277,22 @@ mod tests {
         let (failures, warnings) = cur.check_wall(&base, 3.0);
         assert!(failures.is_empty(), "{failures:?}");
         assert!(warnings.is_empty(), "within tolerance is silent: {warnings:?}");
+    }
+
+    /// Every committed report parses, so `bench_report --check` keeps
+    /// working against files written before the format moved here.
+    #[test]
+    fn committed_reports_parse() {
+        for (text, label, groups) in [
+            (include_str!("../../../BENCH_baseline.json"), "baseline", 5),
+            (include_str!("../../../BENCH_skip.json"), "skip", 5),
+            (include_str!("../../../BENCH_hotpath.json"), "hotpath", 5),
+            (include_str!("../../../BENCH_parallel.json"), "parallel", 5),
+        ] {
+            let r = BenchReport::from_json(text).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!((r.label.as_str(), r.scale.as_str(), r.groups.len()), (label, "tiny", groups));
+            assert_eq!(BenchReport::from_json(&r.to_json()).unwrap(), r, "{label}");
+        }
     }
 
     #[test]

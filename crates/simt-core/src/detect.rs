@@ -1,6 +1,7 @@
 //! Spin-detection interface (implemented by DDOS in the `bows` crate) and
 //! two baseline implementations.
 
+use simt_snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 use std::collections::HashMap;
 
 /// A per-SM spin detector: observes `setp` executions and branches, and
@@ -169,38 +170,23 @@ impl BranchLog {
                 .or_insert(t);
         }
     }
+}
 
-    /// Serialize timelines in sorted-PC order (checkpoint support).
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        let mut pcs: Vec<usize> = self.timelines.keys().copied().collect();
-        pcs.sort_unstable();
-        w.usize(pcs.len());
-        for pc in pcs {
-            let t = self.timelines[&pc];
-            w.usize(pc);
-            w.u64(t.first);
-            w.u64(t.last);
-            w.u64(t.count);
-        }
+simt_snap::snap_struct!(BranchTimeline { first: u64, last: u64, count: u64 });
+
+/// Timelines in sorted-PC order: the map's own iteration order is
+/// process-dependent and must not reach the wire.
+impl Snap for BranchLog {
+    const MIN_BYTES: usize = Vec::<(usize, BranchTimeline)>::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        let mut timelines: Vec<(usize, BranchTimeline)> = self.iter().collect();
+        timelines.sort_unstable_by_key(|&(pc, _)| pc);
+        timelines.save(w);
     }
 
-    /// Restore a log written by [`BranchLog::save_snap`].
-    pub(crate) fn load_snap(
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<BranchLog, simt_snap::SnapshotError> {
-        let n = r.len(32)?;
-        let mut timelines = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let pc = r.usize()?;
-            timelines.insert(
-                pc,
-                BranchTimeline {
-                    first: r.u64()?,
-                    last: r.u64()?,
-                    count: r.u64()?,
-                },
-            );
-        }
+    fn load(r: &mut SnapReader<'_>) -> Result<BranchLog, SnapshotError> {
+        let timelines = Vec::<(usize, BranchTimeline)>::load(r)?.into_iter().collect();
         Ok(BranchLog { timelines })
     }
 }
@@ -208,6 +194,25 @@ impl BranchLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn branch_log_snapshots_in_pc_order() {
+        use simt_snap::assert_snap_laws;
+        assert_snap_laws(&BranchLog::default());
+        let mut log = BranchLog::default();
+        for pc in [40, 7, 19, 3] {
+            log.record(pc, pc as u64 * 10);
+        }
+        let bytes = assert_snap_laws(&log);
+        // Length, then (pc, first, last, count) per entry: pcs ascend.
+        let pcs: Vec<u64> = (0..4)
+            .map(|i| u64::from_le_bytes(bytes[8 + i * 32..16 + i * 32].try_into().unwrap()))
+            .collect();
+        assert_eq!(pcs, [3, 7, 19, 40]);
+        let back = BranchLog::load(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.get(19), log.get(19));
+    }
 
     #[test]
     fn static_detector_matches_annotations() {

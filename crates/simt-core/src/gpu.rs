@@ -8,6 +8,7 @@ use crate::watchdog::{HangClass, HangReport, ProgressScan};
 use crate::{EnergyBreakdown, EnergyModel, Engine, GpuConfig, SimStats};
 use simt_isa::Kernel;
 use simt_mem::{MemStats, MemorySystem};
+use simt_snap::{Snap, SnapshotError};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -841,8 +842,11 @@ impl Gpu {
             stats.add(&ch.stats);
         }
         stats.cycles = now;
-        let mut mem_stats = *self.mem.stats();
-        mem_stats = delta(&mem_stats, &mem_before);
+        let mem_stats = self
+            .mem
+            .stats()
+            .delta(&mem_before)
+            .expect("memory counters only grow (a resumed baseline is checked at restore)");
         let energy =
             self.energy_model
                 .evaluate(&stats, &mem_stats, self.cfg.num_sms, self.cfg.core_clock_mhz);
@@ -919,6 +923,66 @@ struct RunState {
     mem_before: MemStats,
 }
 
+simt_snap::snap_struct!(RunState {
+    now: u64,
+    pending: VecDeque<usize>,
+    age_counter: u64,
+    stats: SimStats,
+    idle_since: u64,
+    remaining: usize,
+    livelock_since: Option<u64>,
+    locks_at_scan: u64,
+    mem_before: MemStats,
+});
+
+impl RunState {
+    /// Validate restored run-loop locals against the rest of the restored
+    /// machine: the memory system's counters, the CTAs resident on the SMs,
+    /// and the launch. The run loop subtracts these values from `now` and
+    /// from the live counters every cycle; an inconsistent set must be
+    /// rejected here, not overflow there.
+    fn check(
+        &self,
+        mem: &MemStats,
+        resident_ctas: usize,
+        grid_ctas: usize,
+    ) -> Result<(), SnapshotError> {
+        let bad = |what: String| Err(SnapshotError::malformed(what));
+        if self.pending.len() > grid_ctas {
+            return bad(format!(
+                "{} pending CTAs for a {grid_ctas}-CTA grid",
+                self.pending.len()
+            ));
+        }
+        if let Some(cta) = self.pending.iter().find(|&&cta| cta >= grid_ctas) {
+            return bad(format!("pending CTA {cta} outside the {grid_ctas}-CTA grid"));
+        }
+        if self.remaining > grid_ctas || self.remaining != self.pending.len() + resident_ctas {
+            return bad(format!(
+                "{} CTAs remaining, but {} pending + {resident_ctas} resident of {grid_ctas}",
+                self.remaining,
+                self.pending.len()
+            ));
+        }
+        if self.idle_since > self.now {
+            return bad(format!("idle since cycle {} at cycle {}", self.idle_since, self.now));
+        }
+        if let Some(since) = self.livelock_since.filter(|&since| since > self.now) {
+            return bad(format!("livelock since cycle {since} at cycle {}", self.now));
+        }
+        if self.locks_at_scan > mem.lock_success {
+            return bad(format!(
+                "{} lock acquisitions at the last scan, {} in total",
+                self.locks_at_scan, mem.lock_success
+            ));
+        }
+        if mem.delta(&self.mem_before).is_none() {
+            return bad("launch-time memory counters exceed the restored ones".to_string());
+        }
+        Ok(())
+    }
+}
+
 /// Stable identity of (config, kernel, launch): a snapshot resumes only
 /// into the run that produced it. `sm_threads` is zeroed first because
 /// snapshots are worker-count-invariant by construction — per-chunk stats
@@ -970,24 +1034,7 @@ fn snapshot_body(
     w.u64(fingerprint);
     w.str(names.0);
     w.str(names.1);
-    w.u64(state.now);
-    w.usize(state.pending.len());
-    for &cta in &state.pending {
-        w.usize(cta);
-    }
-    w.u64(state.age_counter);
-    state.stats.save_snap(&mut w);
-    w.u64(state.idle_since);
-    w.usize(state.remaining);
-    match state.livelock_since {
-        Some(c) => {
-            w.bool(true);
-            w.u64(c);
-        }
-        None => w.bool(false),
-    }
-    w.u64(state.locks_at_scan);
-    state.mem_before.save_snap(&mut w);
+    state.save(&mut w);
     w.usize(num_sms);
     for id in 0..num_sms {
         sm_at(chunks, threads, id).save_snap(&mut w);
@@ -998,8 +1045,9 @@ fn snapshot_body(
 
 /// Parse and restore a snapshot body into freshly constructed chunks and
 /// the device memory system. Identity (fingerprint, scheduler, detector)
-/// is checked before anything mutates; the memory system is restored last
-/// and atomically, so on any error the GPU's device memory is untouched.
+/// is checked before anything mutates; the memory system is decoded on the
+/// side and swapped in last, after every check has passed, so on any error
+/// the GPU's device memory is untouched.
 #[allow(clippy::too_many_arguments)]
 fn restore_snapshot(
     body: &[u8],
@@ -1010,8 +1058,7 @@ fn restore_snapshot(
     mem: &mut MemorySystem,
     kernel: &Kernel,
     launch: &LaunchSpec,
-) -> Result<RunState, simt_snap::SnapshotError> {
-    use simt_snap::SnapshotError;
+) -> Result<RunState, SnapshotError> {
     let num_sms: usize = chunks.iter().map(|c| c.sms.len()).sum();
     let mut r = simt_snap::SnapReader::new(body);
     let fp = r.u64()?;
@@ -1042,54 +1089,24 @@ fn restore_snapshot(
         shared_words: kernel.shared_words as usize,
         grid_ctas: launch.grid_ctas,
     };
-    let now = r.u64()?;
-    let npending = r.len(8)?;
-    if npending > launch.grid_ctas {
-        return Err(SnapshotError::malformed(format!(
-            "{npending} pending CTAs for a {}-CTA grid",
-            launch.grid_ctas
-        )));
-    }
-    let mut pending = VecDeque::with_capacity(npending);
-    for _ in 0..npending {
-        let cta = r.usize()?;
-        if cta >= launch.grid_ctas {
-            return Err(SnapshotError::malformed(format!(
-                "pending CTA {cta} outside the {}-CTA grid",
-                launch.grid_ctas
-            )));
-        }
-        pending.push_back(cta);
-    }
-    let age_counter = r.u64()?;
-    let stats = SimStats::load_snap(&mut r)?;
-    let idle_since = r.u64()?;
-    let remaining = r.usize()?;
-    let livelock_since = if r.bool()? { Some(r.u64()?) } else { None };
-    let locks_at_scan = r.u64()?;
-    let mem_before = MemStats::load_snap(&mut r)?;
-    let nsms = r.len(64)?;
+    let state = RunState::load(&mut r)?;
+    let nsms = usize::load(&mut r)?;
     if nsms != num_sms {
         return Err(SnapshotError::malformed(format!(
             "snapshot has {nsms} SMs, this machine has {num_sms}"
         )));
     }
+    let mut resident_ctas = 0;
     for id in 0..num_sms {
-        sm_at_mut(chunks, threads, id).load_snap(&mut r, &limits)?;
+        let sm = sm_at_mut(chunks, threads, id);
+        sm.load_snap(&mut r, &limits)?;
+        resident_ctas += sm.resident_ctas();
     }
-    mem.load_snap(&mut r)?;
+    let restored_mem = mem.load_snap(&mut r)?;
     r.expect_exhausted()?;
-    Ok(RunState {
-        now,
-        pending,
-        age_counter,
-        stats,
-        idle_since,
-        remaining,
-        livelock_since,
-        locks_at_scan,
-        mem_before,
-    })
+    state.check(restored_mem.stats(), resident_ctas, launch.grid_ctas)?;
+    *mem = restored_mem;
+    Ok(state)
 }
 
 /// One worker's share of the machine: its SMs (strided by SM id) plus its
@@ -1349,26 +1366,6 @@ fn dispatch_pending(
     }
 }
 
-fn delta(after: &MemStats, before: &MemStats) -> MemStats {
-    MemStats {
-        l1_accesses: after.l1_accesses - before.l1_accesses,
-        l1_hits: after.l1_hits - before.l1_hits,
-        l1_misses: after.l1_misses - before.l1_misses,
-        l2_accesses: after.l2_accesses - before.l2_accesses,
-        l2_hits: after.l2_hits - before.l2_hits,
-        l2_misses: after.l2_misses - before.l2_misses,
-        dram_reads: after.dram_reads - before.dram_reads,
-        dram_writes: after.dram_writes - before.dram_writes,
-        atomic_transactions: after.atomic_transactions - before.atomic_transactions,
-        atomic_lane_ops: after.atomic_lane_ops - before.atomic_lane_ops,
-        total_transactions: after.total_transactions - before.total_transactions,
-        sync_transactions: after.sync_transactions - before.sync_transactions,
-        lock_success: after.lock_success - before.lock_success,
-        lock_intra_fail: after.lock_intra_fail - before.lock_intra_fail,
-        lock_inter_fail: after.lock_inter_fail - before.lock_inter_fail,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1396,6 +1393,21 @@ mod tests {
             "#,
         )
         .unwrap()
+    }
+
+    /// A fresh GPU with the three `vec_add` buffers allocated and the two
+    /// inputs filled; returns the output base and the kernel parameters.
+    fn vec_add_gpu(cfg: GpuConfig) -> (Gpu, u64, Vec<u32>) {
+        let mut gpu = Gpu::new(cfg);
+        let n = 1024u64;
+        let a = gpu.mem_mut().gmem_mut().alloc(n);
+        let b = gpu.mem_mut().gmem_mut().alloc(n);
+        let out = gpu.mem_mut().gmem_mut().alloc(n);
+        for i in 0..n {
+            gpu.mem_mut().gmem_mut().write_u32(a + i * 4, i as u32);
+            gpu.mem_mut().gmem_mut().write_u32(b + i * 4, 2 * i as u32);
+        }
+        (gpu, out, vec![a as u32, b as u32, out as u32])
     }
 
     #[test]
@@ -1833,19 +1845,7 @@ mod tests {
     /// captured snapshot reproduces the plain run's report and memory.
     #[test]
     fn checkpoint_resume_is_bit_identical() {
-        let setup = |cfg: GpuConfig| {
-            let mut gpu = Gpu::new(cfg);
-            let n = 1024u64;
-            let a = gpu.mem_mut().gmem_mut().alloc(n);
-            let b = gpu.mem_mut().gmem_mut().alloc(n);
-            let out = gpu.mem_mut().gmem_mut().alloc(n);
-            for i in 0..n {
-                gpu.mem_mut().gmem_mut().write_u32(a + i * 4, i as u32);
-                gpu.mem_mut().gmem_mut().write_u32(b + i * 4, 2 * i as u32);
-            }
-            let params = vec![a as u32, b as u32, out as u32];
-            (gpu, out, params)
-        };
+        let setup = vec_add_gpu;
         let kernel = vec_add_kernel();
         let mut cfg = GpuConfig::test_tiny();
         cfg.num_sms = 2;
@@ -1944,6 +1944,131 @@ mod tests {
                 assert!(what.contains("mismatch"), "unhelpful message: {what}");
             }
             other => panic!("expected Snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn run_state_snap_laws() {
+        let minimal = RunState {
+            now: 0,
+            pending: VecDeque::new(),
+            age_counter: 0,
+            stats: SimStats::default(),
+            idle_since: 0,
+            remaining: 0,
+            livelock_since: None,
+            locks_at_scan: 0,
+            mem_before: MemStats::default(),
+        };
+        simt_snap::assert_snap_laws(&minimal);
+        simt_snap::assert_snap_laws(&RunState {
+            pending: VecDeque::from([4, 5]),
+            livelock_since: Some(64),
+            ..minimal
+        });
+    }
+
+    /// A checksum-valid body whose run-loop locals are inconsistent with
+    /// the rest of the machine must be refused at restore: the run loop
+    /// computes `now - idle_since`, `now - livelock_since`, `lock_success -
+    /// locks_at_scan`, `mem - mem_before` and `remaining - finished`, so
+    /// accepting such values is an overflow panic in debug builds and a
+    /// silent wrap in release. One hand-crafted body per rejected case.
+    #[test]
+    fn inconsistent_run_state_is_rejected_at_restore() {
+        let kernel = vec_add_kernel();
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.num_sms = 2;
+        let (mut gpu, _, params) = vec_add_gpu(cfg.clone());
+        let launch = LaunchSpec {
+            grid_ctas: 8,
+            threads_per_cta: 128,
+            params,
+        };
+        let rotate = cfg.gto_rotate_period;
+        let policy = move || BasePolicy::Gto.build(rotate);
+        let detector = |_: &Kernel| -> Box<dyn SpinDetector> { Box::new(NullDetector) };
+        let mut bodies: Vec<Vec<u8>> = Vec::new();
+        let mut sink = |_: u64, body: &[u8]| bodies.push(body.to_vec());
+        gpu.run_with_checkpoints(
+            &kernel,
+            &launch,
+            &policy,
+            &detector,
+            Some(CheckpointCtl {
+                every: 64,
+                sink: &mut sink,
+                resume: None,
+            }),
+        )
+        .unwrap();
+        let body = bodies[bodies.len() / 2].clone();
+
+        // Re-encode `body` with its RunState passed through `corrupt`.
+        let with_state = |corrupt: &dyn Fn(&mut RunState)| {
+            let mut r = simt_snap::SnapReader::new(&body);
+            r.u64().unwrap();
+            r.str().unwrap();
+            r.str().unwrap();
+            let head = body.len() - r.remaining();
+            let mut state = RunState::load(&mut r).unwrap();
+            let tail = body.len() - r.remaining();
+            corrupt(&mut state);
+            let mut w = simt_snap::SnapWriter::new();
+            state.save(&mut w);
+            [&body[..head], &w.into_bytes(), &body[tail..]].concat()
+        };
+        let resume = |bad: &[u8]| {
+            let (mut victim, _, _) = vec_add_gpu(cfg.clone());
+            let before = victim.mem().gmem().image().to_vec();
+            let mut nosink = |_: u64, _: &[u8]| {};
+            let result = victim.run_with_checkpoints(
+                &kernel,
+                &launch,
+                &policy,
+                &detector,
+                Some(CheckpointCtl {
+                    every: 0,
+                    sink: &mut nosink,
+                    resume: Some(bad),
+                }),
+            );
+            if result.is_err() {
+                assert_eq!(victim.mem().gmem().image(), &before[..], "rejection touched memory");
+            }
+            result
+        };
+        resume(&with_state(&|_| {})).expect("the unmodified re-encoding resumes");
+
+        type Corrupt<'a> = &'a dyn Fn(&mut RunState);
+        let cases: [(&str, Corrupt<'_>); 8] = [
+            ("idle since", &|s| s.idle_since = s.now + 1),
+            ("livelock since", &|s| s.livelock_since = Some(s.now + 1)),
+            ("lock acquisitions", &|s| s.locks_at_scan = u64::MAX),
+            ("memory counters", &|s| s.mem_before.dram_reads = u64::MAX),
+            ("remaining", &|s| s.remaining += 1),
+            ("remaining", &|s| s.remaining = 0),
+            ("remaining", &|s| {
+                // Consistent with pending + resident, but more than the grid.
+                s.pending.extend([0, 1, 2, 3, 4, 5, 6, 7]);
+                s.remaining += 8;
+            }),
+            ("pending CTA", &|s| {
+                if let Some(cta) = s.pending.front_mut() {
+                    *cta = 8;
+                } else {
+                    s.pending.push_back(8);
+                    s.remaining += 1;
+                }
+            }),
+        ];
+        for (what, corrupt) in cases {
+            match resume(&with_state(corrupt)) {
+                Err(SimError::Snapshot { what: msg }) => {
+                    assert!(msg.contains(what), "{what}: unhelpful message: {msg}");
+                }
+                other => panic!("{what}: expected Snapshot error, got {other:?}"),
+            }
         }
     }
 

@@ -5,6 +5,7 @@
 //! issue. Policies implement [`SchedulerPolicy`]; the BOWS wrapper in the
 //! `bows` crate composes over any of them.
 
+use simt_snap::Snap;
 
 /// Per-warp metadata visible to schedulers.
 #[derive(Debug, Clone, Copy, Default)]
@@ -20,6 +21,8 @@ pub struct WarpMeta {
     /// not draining a fence, issue port free).
     pub eligible: bool,
 }
+
+simt_snap::snap_struct!(WarpMeta { resident: bool, done: bool, age_key: u64, eligible: bool });
 
 /// What a scheduler learns about the instruction its warp just issued.
 #[derive(Debug, Clone, Copy, Default)]
@@ -221,17 +224,19 @@ impl SchedulerPolicy for Lrr {
     fn on_idle_span(&mut self, _ctx: &SchedCtx<'_>, _unit_warps: &[usize], _span: u64) {}
 
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {
-        w.usize(self.last);
+        self.save(w);
     }
 
     fn load_state(
         &mut self,
         r: &mut simt_snap::SnapReader<'_>,
     ) -> Result<(), simt_snap::SnapshotError> {
-        self.last = r.usize()?;
+        *self = Lrr::load(r)?;
         Ok(())
     }
 }
+
+simt_snap::snap_struct!(Lrr { last: usize });
 
 /// Greedy-then-oldest. Strict GTO can livelock under busy-wait
 /// synchronization (the paper observed this on HT and ATM), so age priority
@@ -303,27 +308,23 @@ impl SchedulerPolicy for Gto {
     fn on_idle_span(&mut self, _ctx: &SchedCtx<'_>, _unit_warps: &[usize], _span: u64) {}
 
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {
-        // The rank cache is a pure function of (resident_version, now) and
-        // refreshes lazily, so only the greedy pointer persists.
-        match self.last_issued {
-            Some(warp) => {
-                w.bool(true);
-                w.usize(warp);
-            }
-            None => w.bool(false),
-        }
+        self.save_fields(w);
     }
 
     fn load_state(
         &mut self,
         r: &mut simt_snap::SnapReader<'_>,
     ) -> Result<(), simt_snap::SnapshotError> {
-        self.last_issued = if r.bool()? { Some(r.usize()?) } else { None };
+        self.load_fields(r)?;
         self.cache_key = (u64::MAX, u64::MAX);
         self.ranks.clear();
         Ok(())
     }
 }
+
+// The rank cache is a pure function of (resident_version, now) and
+// refreshes lazily, so only the greedy pointer persists.
+simt_snap::snap_struct!(state Gto { last_issued: Option<usize> });
 
 #[derive(Debug, Clone, Copy, Default)]
 struct CawaWarp {
@@ -435,37 +436,36 @@ impl SchedulerPolicy for Cawa {
     }
 
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {
-        w.usize(self.warps.len());
-        for cw in &self.warps {
-            w.f64(cw.n_inst);
-            w.u64(cw.issued);
-            w.u64(cw.cycles);
-            w.u64(cw.stalls);
-        }
+        self.save(w);
     }
 
     fn load_state(
         &mut self,
         r: &mut simt_snap::SnapReader<'_>,
     ) -> Result<(), simt_snap::SnapshotError> {
-        let n = r.len(32)?;
-        let mut warps = Vec::with_capacity(n);
-        for _ in 0..n {
-            warps.push(CawaWarp {
-                n_inst: r.f64()?,
-                issued: r.u64()?,
-                cycles: r.u64()?,
-                stalls: r.u64()?,
-            });
-        }
-        self.warps = warps;
+        *self = Cawa::load(r)?;
         Ok(())
     }
 }
 
+simt_snap::snap_struct!(CawaWarp { n_inst: f64, issued: u64, cycles: u64, stalls: u64 });
+simt_snap::snap_struct!(Cawa { warps: Vec<CawaWarp> });
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws() {
+        use simt_snap::assert_snap_laws;
+        assert_snap_laws(&WarpMeta::default());
+        assert_snap_laws(&Lrr::new());
+        assert_snap_laws(&Cawa::new());
+        let mut cawa = Cawa::new();
+        cawa.on_warp_launch(2, 100);
+        assert_snap_laws(&cawa);
+    }
 
     fn meta(n: usize) -> Vec<WarpMeta> {
         (0..n)

@@ -1,6 +1,6 @@
 //! Per-warp scoreboard tracking in-flight register writes.
 
-use simt_isa::{Inst, Pred, Reg};
+use simt_isa::{Pred, Reg};
 
 /// Dependency scoreboard for one warp: registers and predicates with
 /// outstanding writes. An instruction may not issue while any of its source
@@ -35,36 +35,10 @@ impl Scoreboard {
         self.preds & (1 << p.0) != 0
     }
 
-    /// Would `inst` have a hazard right now?
-    pub fn has_hazard(&self, inst: &Inst) -> bool {
-        for r in inst.src_regs() {
-            if self.reg_pending(r) {
-                return true;
-            }
-        }
-        if let Some(d) = inst.dst {
-            if self.reg_pending(d) {
-                return true;
-            }
-        }
-        for p in inst
-            .psrcs
-            .iter()
-            .copied()
-            .chain(inst.guard.map(|(p, _)| p))
-            .chain(inst.pdst)
-        {
-            if self.pred_pending(p) {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Mask-based hazard check against a pre-decoded instruction's
-    /// read/write sets: four ANDs and one predicate AND, no allocation.
-    /// Equivalent to [`Scoreboard::has_hazard`] on the instruction the
-    /// masks were decoded from.
+    /// read/write sets (`DecodedInst::reg_mask` / `pred_mask`): would the
+    /// instruction have a hazard right now? Four ANDs and one predicate
+    /// AND, no allocation.
     #[inline]
     pub fn has_hazard_masks(&self, regs: &[u64; 4], preds: u8) -> bool {
         ((self.regs[0] & regs[0])
@@ -86,17 +60,6 @@ impl Scoreboard {
     #[inline]
     pub fn reserve_pred(&mut self, p: Pred) {
         self.preds |= 1 << p.0;
-    }
-
-    /// Reserve the destinations of `inst` at issue.
-    pub fn reserve(&mut self, inst: &Inst) {
-        if let Some(d) = inst.dst {
-            let (w, b) = Self::reg_bit(d);
-            self.regs[w] |= b;
-        }
-        if let Some(p) = inst.pdst {
-            self.preds |= 1 << p.0;
-        }
     }
 
     /// Release a register at writeback.
@@ -132,69 +95,79 @@ impl Scoreboard {
     pub fn pending_preds(&self) -> Vec<u8> {
         (0..8).filter(|p| self.preds & (1 << p) != 0).collect()
     }
-
-    /// Serialize the outstanding-write bitmasks (checkpoint support).
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        for word in self.regs {
-            w.u64(word);
-        }
-        w.u8(self.preds);
-    }
-
-    /// Restore bitmasks written by [`Scoreboard::save_snap`].
-    pub(crate) fn load_snap(
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<Scoreboard, simt_snap::SnapshotError> {
-        Ok(Scoreboard {
-            regs: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-            preds: r.u8()?,
-        })
-    }
 }
+
+simt_snap::snap_struct!(Scoreboard { regs: [u64; 4], preds: u8 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simt_isa::{CmpOp, Op, Ty};
+    use simt_isa::{CmpOp, DecodedKernel, Inst, Kernel, Op, Ty};
+
+    /// The live issue-side pair, as `Sm` drives it: the hazard check reads
+    /// the masks a launch decodes for `inst`, and the destinations are
+    /// reserved one by one.
+    fn has_hazard(sb: &Scoreboard, inst: &Inst) -> bool {
+        let kernel = Kernel::from_insts(
+            "probe",
+            vec![inst.clone(), Inst::new(Op::Exit)],
+            Default::default(),
+            u8::MAX,
+            0,
+            0,
+        )
+        .expect("probe kernel is valid");
+        let d = &DecodedKernel::decode(&kernel).insts[0];
+        sb.has_hazard_masks(&d.reg_mask, d.pred_mask)
+    }
+
+    fn reserve(sb: &mut Scoreboard, inst: &Inst) {
+        if let Some(d) = inst.dst {
+            sb.reserve_reg(d);
+        }
+        if let Some(p) = inst.pdst {
+            sb.reserve_pred(p);
+        }
+    }
 
     #[test]
     fn raw_hazard() {
         let mut sb = Scoreboard::new();
         let producer = Inst::mov(Reg(5), 1);
-        sb.reserve(&producer);
+        reserve(&mut sb, &producer);
         let consumer = Inst::binary(Op::Add(Ty::S32), Reg(6), Reg(5), 1);
-        assert!(sb.has_hazard(&consumer));
+        assert!(has_hazard(&sb, &consumer));
         sb.release_reg(Reg(5));
-        assert!(!sb.has_hazard(&consumer));
+        assert!(!has_hazard(&sb, &consumer));
         assert!(sb.is_clear());
     }
 
     #[test]
     fn waw_hazard() {
         let mut sb = Scoreboard::new();
-        sb.reserve(&Inst::mov(Reg(5), 1));
-        assert!(sb.has_hazard(&Inst::mov(Reg(5), 2)));
-        assert!(!sb.has_hazard(&Inst::mov(Reg(6), 2)));
+        reserve(&mut sb, &Inst::mov(Reg(5), 1));
+        assert!(has_hazard(&sb, &Inst::mov(Reg(5), 2)));
+        assert!(!has_hazard(&sb, &Inst::mov(Reg(6), 2)));
     }
 
     #[test]
     fn pred_hazards_including_guard() {
         let mut sb = Scoreboard::new();
         let setp = Inst::setp(CmpOp::Eq, Ty::S32, Pred(2), Reg(0), 0);
-        sb.reserve(&setp);
+        reserve(&mut sb, &setp);
         assert!(sb.pred_pending(Pred(2)));
         // A branch guarded by p2 must wait.
         let mut bra = Inst::bra(0);
         bra.guard = Some((Pred(2), true));
-        assert!(sb.has_hazard(&bra));
+        assert!(has_hazard(&sb, &bra));
         sb.release_pred(Pred(2));
-        assert!(!sb.has_hazard(&bra));
+        assert!(!has_hazard(&sb, &bra));
     }
 
     #[test]
     fn high_register_indices() {
         let mut sb = Scoreboard::new();
-        sb.reserve(&Inst::mov(Reg(200), 1));
+        reserve(&mut sb, &Inst::mov(Reg(200), 1));
         assert!(sb.reg_pending(Reg(200)));
         assert!(!sb.reg_pending(Reg(199)));
         sb.release_reg(Reg(200));
@@ -204,8 +177,8 @@ mod tests {
     #[test]
     fn addr_base_is_a_source() {
         let mut sb = Scoreboard::new();
-        sb.reserve(&Inst::mov(Reg(3), 1));
+        reserve(&mut sb, &Inst::mov(Reg(3), 1));
         let ld = Inst::ld(simt_isa::Space::Global, Reg(4), simt_isa::MemAddr::new(Reg(3), 0));
-        assert!(sb.has_hazard(&ld));
+        assert!(has_hazard(&sb, &ld));
     }
 }

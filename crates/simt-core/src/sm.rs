@@ -10,6 +10,7 @@ use simt_isa::{DecodedInst, DecodedKernel, ExecClass, Kernel, OpClass, Operand, 
 use simt_mem::{
     LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind, RequestStage, TagSlab,
 };
+use simt_snap::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Writeback-wheel capacity; must exceed every ALU latency.
 const WHEEL: usize = 64;
@@ -45,8 +46,6 @@ struct WbEntry {
     warp: usize,
     reg: Option<Reg>,
     pred: Option<simt_isa::Pred>,
-    /// Clear the warp's fence wait if memory drained (unused for ALU).
-    _pad: (),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -983,7 +982,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -1003,7 +1001,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -1026,7 +1023,6 @@ impl Sm {
                     warp: w_idx,
                     reg: None,
                     pred: Some(pdst),
-                    _pad: (),
                 });
                 if let Some(srcs) = profiled {
                     self.detector.on_setp(now, w_idx, pc, srcs);
@@ -1051,7 +1047,6 @@ impl Sm {
                     warp: w_idx,
                     reg: None,
                     pred: Some(pdst),
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -1104,7 +1099,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -1144,7 +1138,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -1168,7 +1161,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -1435,6 +1427,11 @@ impl Sm {
         self.ctas_resident > 0
     }
 
+    /// Occupied CTA slots.
+    pub fn resident_ctas(&self) -> usize {
+        self.ctas_resident
+    }
+
     /// Whether this cycle staged any global-memory work — lets the merge
     /// loop skip the [`Sm::replay_stage`] call for idle SMs.
     pub fn has_staged(&self) -> bool {
@@ -1453,396 +1450,174 @@ impl Sm {
     /// # Panics
     ///
     /// Panics if called mid-cycle (staged memory ops not yet replayed).
-    pub fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
+    pub fn save_snap(&self, w: &mut SnapWriter) {
         assert!(
             self.staged.is_empty() && self.stage.is_empty(),
             "checkpoint taken mid-cycle: staged ops not replayed"
         );
-        w.usize(self.warps.len());
-        for warp in &self.warps {
-            warp.save_snap(w);
-        }
-        w.usize(self.ctas.len());
-        for cta in &self.ctas {
-            match cta {
-                Some(c) => {
-                    w.bool(true);
-                    c.save_snap(w);
-                }
-                None => w.bool(false),
-            }
-        }
+        self.warps.save(w);
+        self.ctas.save(w);
         // Policy/detector state goes in nested length-prefixed blobs so a
         // unit that misreads its own encoding cannot desynchronize the rest
         // of the snapshot.
         w.usize(self.units.len());
         for unit in &self.units {
-            let mut inner = simt_snap::SnapWriter::new();
-            unit.save_state(&mut inner);
-            w.bytes(&inner.into_bytes());
+            w.nested(|w| unit.save_state(w));
         }
-        {
-            let mut inner = simt_snap::SnapWriter::new();
-            self.detector.save_state(&mut inner);
-            w.bytes(&inner.into_bytes());
-        }
-        self.branch_log.save_snap(w);
-        // The slab serializes its slot layout verbatim (generations and
-        // free-list order included): iteration is deterministic by
-        // construction, so there is no sort-before-write pass, and resumed
-        // runs assign future tags bit-identically.
-        self.pending.save_snap(w, |w, p| {
-            w.usize(p.warp);
-            w.u32(p.remaining);
-            match p.kind {
-                PendKind::Load { dst } => {
-                    w.u8(0);
-                    w.u8(dst.0);
-                }
-                PendKind::Store => w.u8(1),
-                PendKind::Atomic { dst } => {
-                    w.u8(2);
-                    w.u8(dst.0);
-                }
-            }
-        });
-        w.usize(self.wheel.len());
-        for slot in &self.wheel {
-            w.usize(slot.len());
-            for e in slot {
-                w.usize(e.warp);
-                match e.reg {
-                    Some(r) => {
-                        w.bool(true);
-                        w.u8(r.0);
-                    }
-                    None => w.bool(false),
-                }
-                match e.pred {
-                    Some(p) => {
-                        w.bool(true);
-                        w.u8(p.0);
-                    }
-                    None => w.bool(false),
-                }
-            }
-        }
-        w.usize(self.progress.len());
-        for p in &self.progress {
-            p.save_snap(w);
-        }
-        w.u64(self.resident_version);
-        w.usize(self.regs_in_use);
-        w.usize(self.shared_in_use);
-        w.usize(self.meta.len());
-        for m in &self.meta {
-            w.bool(m.resident);
-            w.bool(m.done);
-            w.u64(m.age_key);
-            w.bool(m.eligible);
-        }
-        w.usize(self.captured.len());
-        for c in &self.captured {
-            w.usize(c.cta_id);
-            w.usize(c.threads);
-            w.usize(c.regs_per_thread);
-            w.usize(c.regs.len());
-            for &v in &c.regs {
-                w.u32(v);
-            }
-            w.usize(c.preds.len());
-            for &v in &c.preds {
-                w.u8(v);
-            }
-            w.usize(c.shared.len());
-            for &v in &c.shared {
-                w.u32(v);
-            }
-        }
+        w.nested(|w| self.detector.save_state(w));
+        self.save_fields(w);
     }
 
     /// Restore state written by [`Sm::save_snap`] into this freshly
     /// constructed SM (same config, same policy/detector kinds).
     ///
-    /// Validates every structural count against this SM's construction and
-    /// every restored index against `limits` before mutating, and restores
-    /// member-by-member; on error the SM must be discarded (the caller
-    /// rebuilds the whole chunk set).
+    /// Decodes straight into the SM — scheduler units and detector included,
+    /// as their blobs are reached — then validates every table length
+    /// against this SM's construction and every restored index against
+    /// `limits`. On error the SM is partly restored and must be discarded
+    /// (the caller rebuilds the whole chunk set).
     pub fn load_snap(
         &mut self,
-        r: &mut simt_snap::SnapReader<'_>,
+        r: &mut SnapReader<'_>,
         limits: &SnapLimits,
-    ) -> Result<(), simt_snap::SnapshotError> {
-        use simt_snap::SnapshotError;
-        let nwarps = r.len(12)?;
-        if nwarps != self.warps.len() {
-            return Err(SnapshotError::malformed(format!(
-                "sm {}: snapshot has {nwarps} warp slots, config has {}",
-                self.id,
-                self.warps.len()
-            )));
+    ) -> Result<(), SnapshotError> {
+        let id = self.id;
+        let bad = |what: String| Err(SnapshotError::malformed(format!("sm {id}: {what}")));
+        let (nwarps, nctas, nunits) = (self.warps.len(), self.ctas.len(), self.units.len());
+        self.warps = Snap::load(r)?;
+        self.ctas = Snap::load(r)?;
+        let units_in_snapshot = usize::load(r)?;
+        if units_in_snapshot != nunits {
+            return bad(format!(
+                "snapshot has {units_in_snapshot} scheduler units, config has {nunits}"
+            ));
         }
-        let mut warps = Vec::with_capacity(nwarps);
-        for _ in 0..nwarps {
-            warps.push(Warp::load_snap(r)?);
+        for unit in &mut self.units {
+            r.nested(|r| unit.load_state(r))?;
         }
-        let nctas = r.len(1)?;
-        if nctas != self.ctas.len() {
-            return Err(SnapshotError::malformed(format!(
-                "sm {}: snapshot has {nctas} CTA slots, config has {}",
-                self.id,
-                self.ctas.len()
-            )));
-        }
-        let mut ctas = Vec::with_capacity(nctas);
-        for _ in 0..nctas {
-            ctas.push(if r.bool()? {
-                Some(Cta::load_snap(r)?)
-            } else {
-                None
-            });
-        }
-        let nunits = r.len(8)?;
-        if nunits != self.units.len() {
-            return Err(SnapshotError::malformed(format!(
-                "sm {}: snapshot has {nunits} scheduler units, config has {}",
-                self.id,
-                self.units.len()
-            )));
-        }
-        let mut unit_blobs = Vec::with_capacity(nunits);
-        for _ in 0..nunits {
-            unit_blobs.push(r.bytes()?.to_vec());
-        }
-        let detector_blob = r.bytes()?.to_vec();
-        let branch_log = BranchLog::load_snap(r)?;
-        let sm_id = self.id;
-        let pending = TagSlab::load_snap(r, |r| {
-            let warp = r.usize()?;
-            if warp >= nwarps {
-                return Err(SnapshotError::malformed(format!(
-                    "sm {sm_id}: pending entry names warp {warp} of {nwarps}"
-                )));
+        r.nested(|r| self.detector.load_state(r))?;
+        self.load_fields(r)?;
+
+        // Shape: every per-slot table must have the length this SM's
+        // config builds.
+        for (what, got, want) in [
+            ("warp slots", self.warps.len(), nwarps),
+            ("CTA slots", self.ctas.len(), nctas),
+            ("writeback wheel slots", self.wheel.len(), WHEEL),
+            ("progress entries", self.progress.len(), nwarps),
+            ("meta entries", self.meta.len(), nwarps),
+        ] {
+            if got != want {
+                return bad(format!("snapshot has {got} {what}, config has {want}"));
             }
-            let remaining = r.u32()?;
-            let kind = match r.u8()? {
-                0 => PendKind::Load { dst: Reg(r.u8()?) },
-                1 => PendKind::Store,
-                2 => PendKind::Atomic { dst: Reg(r.u8()?) },
-                k => {
-                    return Err(SnapshotError::malformed(format!(
-                        "sm {sm_id}: unknown pending-mem kind {k}"
-                    )))
-                }
-            };
-            if let PendKind::Load { dst } | PendKind::Atomic { dst } = kind {
-                if dst.index() >= limits.regs_per_thread {
-                    return Err(SnapshotError::malformed(format!(
-                        "sm {sm_id}: pending entry writes r{} of {} kernel registers",
-                        dst.0, limits.regs_per_thread
-                    )));
-                }
-            }
-            Ok(PendingMem {
-                warp,
-                remaining,
-                kind,
-            })
-        })?;
-        let nwheel = r.len(8)?;
-        if nwheel != WHEEL {
-            return Err(SnapshotError::malformed(format!(
-                "sm {}: snapshot wheel has {nwheel} slots, expected {WHEEL}",
-                self.id
-            )));
-        }
-        let mut wheel: Vec<Vec<WbEntry>> = Vec::with_capacity(WHEEL);
-        for _ in 0..WHEEL {
-            let n = r.len(4)?;
-            let mut slot = Vec::with_capacity(n);
-            for _ in 0..n {
-                let warp = r.usize()?;
-                if warp >= nwarps {
-                    return Err(SnapshotError::malformed(format!(
-                        "sm {}: writeback entry names warp {warp} of {nwarps}",
-                        self.id
-                    )));
-                }
-                let reg = if r.bool()? { Some(Reg(r.u8()?)) } else { None };
-                if reg.is_some_and(|rg| rg.index() >= limits.regs_per_thread) {
-                    return Err(SnapshotError::malformed(format!(
-                        "sm {}: writeback register out of kernel range",
-                        self.id
-                    )));
-                }
-                let pred = if r.bool()? {
-                    Some(simt_isa::Pred(r.u8()?))
-                } else {
-                    None
-                };
-                if pred.is_some_and(|p| p.0 >= 8) {
-                    return Err(SnapshotError::malformed(format!(
-                        "sm {}: writeback predicate p{} out of range",
-                        self.id,
-                        pred.unwrap().0
-                    )));
-                }
-                slot.push(WbEntry {
-                    warp,
-                    reg,
-                    pred,
-                    _pad: (),
-                });
-            }
-            wheel.push(slot);
-        }
-        let nprogress = r.len(48)?;
-        if nprogress != nwarps {
-            return Err(SnapshotError::malformed(format!(
-                "sm {}: {nprogress} progress entries for {nwarps} warps",
-                self.id
-            )));
-        }
-        let mut progress = Vec::with_capacity(nprogress);
-        for _ in 0..nprogress {
-            progress.push(WarpProgress::load_snap(r)?);
-        }
-        let resident_version = r.u64()?;
-        let regs_in_use = r.usize()?;
-        let shared_in_use = r.usize()?;
-        let nmeta = r.len(11)?;
-        if nmeta != nwarps {
-            return Err(SnapshotError::malformed(format!(
-                "sm {}: {nmeta} meta entries for {nwarps} warps",
-                self.id
-            )));
-        }
-        let mut meta = Vec::with_capacity(nmeta);
-        for _ in 0..nmeta {
-            meta.push(WarpMeta {
-                resident: r.bool()?,
-                done: r.bool()?,
-                age_key: r.u64()?,
-                eligible: r.bool()?,
-            });
-        }
-        let ncaptured = r.len(28)?;
-        let mut captured = Vec::with_capacity(ncaptured);
-        for _ in 0..ncaptured {
-            let cta_id = r.usize()?;
-            let threads = r.usize()?;
-            let regs_per_thread = r.usize()?;
-            let nregs = r.len(4)?;
-            let mut regs = Vec::with_capacity(nregs);
-            for _ in 0..nregs {
-                regs.push(r.u32()?);
-            }
-            let npreds = r.len(1)?;
-            let mut preds = Vec::with_capacity(npreds);
-            for _ in 0..npreds {
-                preds.push(r.u8()?);
-            }
-            let nshared = r.len(4)?;
-            let mut shared = Vec::with_capacity(nshared);
-            for _ in 0..nshared {
-                shared.push(r.u32()?);
-            }
-            captured.push(crate::warp::CtaState {
-                cta_id,
-                threads,
-                regs_per_thread,
-                regs,
-                preds,
-                shared,
-            });
         }
         // Semantic bounds. Parsing proved the bytes are well-formed; these
         // checks prove the *values* can run: every index the cycle loop
-        // will touch — program counters, CTA slots, lane→thread mappings —
-        // is validated against the kernel and launch before anything
-        // mutates. A snapshot that reaches the machine with a damaged body
-        // (its envelope checksum bypassed or its bytes flipped in memory)
-        // must die here with a structured error, not panic mid-cycle.
-        for (i, warp) in warps.iter().enumerate() {
+        // will touch — warp slots, registers, program counters, CTA slots,
+        // lane→thread mappings — is validated against the kernel and launch
+        // before a single cycle runs. A snapshot that reaches the machine
+        // with a damaged body (its envelope checksum bypassed or its bytes
+        // flipped in memory) must die here with a structured error, not
+        // panic mid-cycle.
+        for (_, p) in self.pending.iter() {
+            if p.warp >= nwarps {
+                return bad(format!("pending entry names warp {} of {nwarps}", p.warp));
+            }
+            if let PendKind::Load { dst } | PendKind::Atomic { dst } = p.kind {
+                if dst.index() >= limits.regs_per_thread {
+                    return bad(format!(
+                        "pending entry writes r{} of {} kernel registers",
+                        dst.0, limits.regs_per_thread
+                    ));
+                }
+            }
+        }
+        for e in self.wheel.iter().flatten() {
+            if e.warp >= nwarps {
+                return bad(format!("writeback entry names warp {} of {nwarps}", e.warp));
+            }
+            if e.reg.is_some_and(|rg| rg.index() >= limits.regs_per_thread) {
+                return bad("writeback register out of kernel range".to_string());
+            }
+            if let Some(p) = e.pred.filter(|p| p.0 >= 8) {
+                return bad(format!("writeback predicate p{} out of range", p.0));
+            }
+        }
+        for (i, warp) in self.warps.iter().enumerate() {
             for e in warp.stack.entries() {
                 if e.pc >= limits.insts
                     || (e.rpc != simt_isa::RECONV_EXIT && e.rpc >= limits.insts)
                 {
-                    return Err(SnapshotError::malformed(format!(
-                        "sm {}: warp {i} stack pc {} / rpc {} outside the \
-                         kernel's {} instructions",
-                        self.id, e.pc, e.rpc, limits.insts
-                    )));
+                    return bad(format!(
+                        "warp {i} stack pc {} / rpc {} outside the kernel's {} instructions",
+                        e.pc, e.rpc, limits.insts
+                    ));
                 }
             }
             if warp.resident {
-                let Some(Some(cta)) = ctas.get(warp.cta_slot) else {
-                    return Err(SnapshotError::malformed(format!(
-                        "sm {}: resident warp {i} names empty CTA slot {}",
-                        self.id, warp.cta_slot
-                    )));
+                let Some(Some(cta)) = self.ctas.get(warp.cta_slot) else {
+                    return bad(format!(
+                        "resident warp {i} names empty CTA slot {}",
+                        warp.cta_slot
+                    ));
                 };
                 if warp.warp_in_cta >= cta.num_warps {
-                    return Err(SnapshotError::malformed(format!(
-                        "sm {}: warp {i} is warp {} of a {}-warp CTA",
-                        self.id, warp.warp_in_cta, cta.num_warps
-                    )));
+                    return bad(format!(
+                        "warp {i} is warp {} of a {}-warp CTA",
+                        warp.warp_in_cta, cta.num_warps
+                    ));
                 }
                 for e in warp.stack.entries() {
                     let top_lane = (31 - e.mask.leading_zeros()) as usize;
                     if e.mask != 0 && warp.thread_of(top_lane) >= cta.threads {
-                        return Err(SnapshotError::malformed(format!(
-                            "sm {}: warp {i} mask {:#010x} activates a lane \
-                             past the CTA's {} threads",
-                            self.id, e.mask, cta.threads
-                        )));
+                        return bad(format!(
+                            "warp {i} mask {:#010x} activates a lane past the CTA's {} threads",
+                            e.mask, cta.threads
+                        ));
                     }
                 }
             }
         }
-        for cta in ctas.iter().flatten() {
+        for cta in self.ctas.iter().flatten() {
             if cta.id >= limits.grid_ctas
                 || cta.threads != limits.threads_per_cta
                 || cta.regs_per_thread != limits.regs_per_thread
                 || cta.shared.len() != limits.shared_words
             {
-                return Err(SnapshotError::malformed(format!(
-                    "sm {}: CTA {} geometry does not match the launch",
-                    self.id, cta.id
-                )));
+                return bad(format!("CTA {} geometry does not match the launch", cta.id));
             }
         }
-        // All bytes parsed and bounded; now restore. The per-unit and
-        // detector blobs go last so their own load errors still leave
-        // counts consistent — the caller discards the SM on any error
-        // either way.
-        self.warps = warps;
-        self.ctas = ctas;
-        self.ctas_resident = self.ctas.iter().filter(|c| c.is_some()).count();
-        self.branch_log = branch_log;
-        self.pending = pending;
-        self.wheel = wheel;
+        // Derived members are never serialized: recount, and force the
+        // first post-restore cycle to rebuild the live lists from the
+        // restored warps.
+        self.ctas_resident = self.ctas.iter().flatten().count();
         self.wheel_len = self.wheel.iter().map(Vec::len).sum();
-        self.progress = progress;
-        self.resident_version = resident_version;
-        // The live lists are a derived cache, never serialized; force the
-        // first post-restore cycle to rebuild them from the restored warps.
-        self.live_version = resident_version.wrapping_add(1);
-        self.regs_in_use = regs_in_use;
-        self.shared_in_use = shared_in_use;
-        self.meta = meta;
-        self.captured = captured;
-        for (unit, blob) in self.units.iter_mut().zip(&unit_blobs) {
-            let mut ir = simt_snap::SnapReader::new(blob);
-            unit.load_state(&mut ir)?;
-            ir.expect_exhausted()?;
-        }
-        let mut ir = simt_snap::SnapReader::new(&detector_blob);
-        self.detector.load_state(&mut ir)?;
-        ir.expect_exhausted()?;
+        self.live_version = self.resident_version.wrapping_add(1);
         Ok(())
     }
 }
+
+// Everything after the unit and detector blobs, in wire order. The slab
+// serializes its slot layout verbatim (generations and free-list order
+// included), so resumed runs assign future tags bit-identically.
+snap_struct!(state Sm {
+    branch_log: BranchLog,
+    pending: TagSlab<PendingMem>,
+    wheel: Vec<Vec<WbEntry>>,
+    progress: Vec<WarpProgress>,
+    resident_version: u64,
+    regs_in_use: usize,
+    shared_in_use: usize,
+    meta: Vec<WarpMeta>,
+    captured: Vec<crate::warp::CtaState>,
+});
+snap_struct!(WbEntry { warp: usize, reg: Option<Reg>, pred: Option<simt_isa::Pred> });
+snap_enum!(PendKind, "pending-mem kind" {
+    0 => Load { dst: Reg },
+    1 => Store {},
+    2 => Atomic { dst: Reg },
+});
+snap_struct!(PendingMem { warp: usize, remaining: u32, kind: PendKind });
 
 /// Values needed to evaluate special registers.
 struct SpecialCtx {
@@ -1910,6 +1685,23 @@ impl Iterator for BitIter {
 mod tests {
     use super::*;
     use simt_isa::{alu_fn, Op, Ty};
+
+
+    #[test]
+    fn snap_laws() {
+        use simt_snap::assert_snap_laws;
+        assert_snap_laws(&WbEntry { warp: 0, reg: None, pred: None });
+        assert_snap_laws(&WbEntry { warp: 3, reg: Some(Reg(9)), pred: Some(simt_isa::Pred(2)) });
+        for kind in [PendKind::Store, PendKind::Load { dst: Reg(1) }, PendKind::Atomic { dst: Reg(2) }] {
+            assert_snap_laws(&PendingMem { warp: 1, remaining: 2, kind });
+        }
+        let mut pending = TagSlab::new();
+        assert_snap_laws(&pending);
+        let tag = pending.insert(PendingMem { warp: 0, remaining: 1, kind: PendKind::Store });
+        pending.insert(PendingMem { warp: 1, remaining: 4, kind: PendKind::Load { dst: Reg(5) } });
+        pending.remove(tag);
+        assert_snap_laws(&pending);
+    }
 
     #[test]
     fn bit_iter_yields_lanes() {

@@ -146,37 +146,25 @@ impl SimtStack {
     pub fn entries(&self) -> &[StackEntry] {
         &self.entries
     }
-
-    /// Serialize every stack entry, bottom to top (checkpoint support).
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.usize(self.entries.len());
-        for e in &self.entries {
-            w.usize(e.pc);
-            w.usize(e.rpc);
-            w.u32(e.mask);
-        }
-    }
-
-    /// Restore a stack written by [`SimtStack::save_snap`].
-    pub(crate) fn load_snap(
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<SimtStack, simt_snap::SnapshotError> {
-        let n = r.len(20)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(StackEntry {
-                pc: r.usize()?,
-                rpc: r.usize()?,
-                mask: r.u32()?,
-            });
-        }
-        Ok(SimtStack { entries })
-    }
 }
+
+simt_snap::snap_struct!(StackEntry { pc: usize, rpc: usize, mask: u32 });
+// Every entry, bottom to top.
+simt_snap::snap_struct!(SimtStack { entries: Vec<StackEntry> });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws() {
+        let mut s = SimtStack::new(0xf, 0);
+        s.branch(0x3, 10, 1, 20);
+        simt_snap::assert_snap_laws(&s);
+        s.exit_threads(0xf);
+        simt_snap::assert_snap_laws(&s); // empty: the smallest stack
+    }
 
     const FULL: u32 = u32::MAX;
 

@@ -1,56 +1,57 @@
 //! Core-side simulation statistics (the raw material of every figure).
 
-
-/// Counters accumulated during a kernel run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SimStats {
-    /// Cycles simulated for this kernel.
-    pub cycles: u64,
-    /// Warp instructions issued.
-    pub issued_inst: u64,
-    /// Sum over issued instructions of executing lanes (guard-passing active
-    /// lanes) — the numerator of SIMD efficiency and the paper's "dynamic
-    /// instruction" count at thread granularity.
-    pub thread_inst: u64,
-    /// Of `thread_inst`, lanes executing instructions annotated `!sync`
-    /// (synchronization overhead, Figure 1c).
-    pub sync_thread_inst: u64,
-    /// Warp instructions that were detected spin-inducing branches at issue.
-    pub sib_inst: u64,
-    /// Lanes leaving a `!wait` loop (wait branch not taken).
-    pub wait_exit_success: u64,
-    /// Lanes staying in a `!wait` loop (wait branch taken).
-    pub wait_exit_fail: u64,
-    /// Per-cycle samples: resident warps that were in the backed-off state
-    /// (only nonzero under BOWS).
-    pub backed_off_warp_samples: u64,
-    /// Per-cycle samples: resident (not yet finished) warps.
-    pub resident_warp_samples: u64,
-    /// Cycles in which at least one instruction issued on some SM.
-    pub busy_cycles: u64,
-    /// Barrier instructions executed (warp granularity).
-    pub barriers: u64,
-    /// Atomic instructions issued (warp granularity).
-    pub atomic_inst: u64,
-    /// Loads issued (warp granularity).
-    pub load_inst: u64,
-    /// Stores issued (warp granularity).
-    pub store_inst: u64,
-    /// CTAs completed.
-    pub ctas_completed: u64,
-    /// Warp-cycles stalled at a CTA barrier.
-    pub stall_barrier: u64,
-    /// Warp-cycles draining a memory fence.
-    pub stall_membar: u64,
-    /// Warp-cycles blocked on a scoreboard hazard (ALU latency or an
-    /// outstanding load/atomic result).
-    pub stall_data: u64,
-    /// Warp-cycles held by BOWS's pending back-off delay.
-    pub stall_backoff: u64,
-    /// Warp-cycles eligible but losing issue arbitration to another warp.
-    pub stall_arbitration: u64,
-    /// Warp-cycles in which the warp issued.
-    pub issued_cycles: u64,
+simt_snap::snap_counters! {
+    /// Counters accumulated during a kernel run.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct SimStats {
+        /// Cycles simulated for this kernel.
+        pub cycles: u64,
+        /// Warp instructions issued.
+        pub issued_inst: u64,
+        /// Sum over issued instructions of executing lanes (guard-passing active
+        /// lanes) — the numerator of SIMD efficiency and the paper's "dynamic
+        /// instruction" count at thread granularity.
+        pub thread_inst: u64,
+        /// Of `thread_inst`, lanes executing instructions annotated `!sync`
+        /// (synchronization overhead, Figure 1c).
+        pub sync_thread_inst: u64,
+        /// Warp instructions that were detected spin-inducing branches at issue.
+        pub sib_inst: u64,
+        /// Lanes leaving a `!wait` loop (wait branch not taken).
+        pub wait_exit_success: u64,
+        /// Lanes staying in a `!wait` loop (wait branch taken).
+        pub wait_exit_fail: u64,
+        /// Per-cycle samples: resident warps that were in the backed-off state
+        /// (only nonzero under BOWS).
+        pub backed_off_warp_samples: u64,
+        /// Per-cycle samples: resident (not yet finished) warps.
+        pub resident_warp_samples: u64,
+        /// Cycles in which at least one instruction issued on some SM.
+        pub busy_cycles: u64,
+        /// Barrier instructions executed (warp granularity).
+        pub barriers: u64,
+        /// Atomic instructions issued (warp granularity).
+        pub atomic_inst: u64,
+        /// Loads issued (warp granularity).
+        pub load_inst: u64,
+        /// Stores issued (warp granularity).
+        pub store_inst: u64,
+        /// CTAs completed.
+        pub ctas_completed: u64,
+        /// Warp-cycles stalled at a CTA barrier.
+        pub stall_barrier: u64,
+        /// Warp-cycles draining a memory fence.
+        pub stall_membar: u64,
+        /// Warp-cycles blocked on a scoreboard hazard (ALU latency or an
+        /// outstanding load/atomic result).
+        pub stall_data: u64,
+        /// Warp-cycles held by BOWS's pending back-off delay.
+        pub stall_backoff: u64,
+        /// Warp-cycles eligible but losing issue arbitration to another warp.
+        pub stall_arbitration: u64,
+        /// Warp-cycles in which the warp issued.
+        pub issued_cycles: u64,
+    }
 }
 
 impl SimStats {
@@ -98,94 +99,19 @@ impl SimStats {
             self.stall_arbitration as f64 / denom,
         ]
     }
-
-    /// Serialize every counter in declaration order (checkpoint support).
-    pub fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        for v in [
-            self.cycles,
-            self.issued_inst,
-            self.thread_inst,
-            self.sync_thread_inst,
-            self.sib_inst,
-            self.wait_exit_success,
-            self.wait_exit_fail,
-            self.backed_off_warp_samples,
-            self.resident_warp_samples,
-            self.busy_cycles,
-            self.barriers,
-            self.atomic_inst,
-            self.load_inst,
-            self.store_inst,
-            self.ctas_completed,
-            self.stall_barrier,
-            self.stall_membar,
-            self.stall_data,
-            self.stall_backoff,
-            self.stall_arbitration,
-            self.issued_cycles,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Restore counters written by [`SimStats::save_snap`].
-    pub fn load_snap(
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<SimStats, simt_snap::SnapshotError> {
-        Ok(SimStats {
-            cycles: r.u64()?,
-            issued_inst: r.u64()?,
-            thread_inst: r.u64()?,
-            sync_thread_inst: r.u64()?,
-            sib_inst: r.u64()?,
-            wait_exit_success: r.u64()?,
-            wait_exit_fail: r.u64()?,
-            backed_off_warp_samples: r.u64()?,
-            resident_warp_samples: r.u64()?,
-            busy_cycles: r.u64()?,
-            barriers: r.u64()?,
-            atomic_inst: r.u64()?,
-            load_inst: r.u64()?,
-            store_inst: r.u64()?,
-            ctas_completed: r.u64()?,
-            stall_barrier: r.u64()?,
-            stall_membar: r.u64()?,
-            stall_data: r.u64()?,
-            stall_backoff: r.u64()?,
-            stall_arbitration: r.u64()?,
-            issued_cycles: r.u64()?,
-        })
-    }
-
-    /// Element-wise accumulate (across kernels in one experiment).
-    pub fn add(&mut self, o: &SimStats) {
-        self.cycles += o.cycles;
-        self.issued_inst += o.issued_inst;
-        self.thread_inst += o.thread_inst;
-        self.sync_thread_inst += o.sync_thread_inst;
-        self.sib_inst += o.sib_inst;
-        self.wait_exit_success += o.wait_exit_success;
-        self.wait_exit_fail += o.wait_exit_fail;
-        self.backed_off_warp_samples += o.backed_off_warp_samples;
-        self.resident_warp_samples += o.resident_warp_samples;
-        self.busy_cycles += o.busy_cycles;
-        self.barriers += o.barriers;
-        self.atomic_inst += o.atomic_inst;
-        self.load_inst += o.load_inst;
-        self.store_inst += o.store_inst;
-        self.ctas_completed += o.ctas_completed;
-        self.stall_barrier += o.stall_barrier;
-        self.stall_membar += o.stall_membar;
-        self.stall_data += o.stall_data;
-        self.stall_backoff += o.stall_backoff;
-        self.stall_arbitration += o.stall_arbitration;
-        self.issued_cycles += o.issued_cycles;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws() {
+        use simt_snap::Snap;
+        simt_snap::assert_snap_laws(&SimStats::default());
+        assert_eq!(SimStats::MIN_BYTES, 21 * 8);
+    }
 
     #[test]
     fn simd_efficiency_math() {

@@ -89,86 +89,45 @@ impl Cta {
             shared: self.shared,
         }
     }
-
-    /// Serialize the full CTA — geometry, barrier bookkeeping, and all
-    /// architectural state (checkpoint support).
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.usize(self.id);
-        w.usize(self.threads);
-        w.usize(self.regs_per_thread);
-        w.usize(self.num_warps);
-        w.usize(self.warps_done);
-        w.usize(self.barrier_arrived);
-        w.usize(self.regs.len());
-        for &v in &self.regs {
-            w.u32(v);
-        }
-        w.usize(self.preds.len());
-        for &v in &self.preds {
-            w.u8(v);
-        }
-        w.usize(self.shared.len());
-        for &v in &self.shared {
-            w.u32(v);
-        }
-    }
-
-    /// Restore a CTA written by [`Cta::save_snap`].
-    pub(crate) fn load_snap(
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<Cta, simt_snap::SnapshotError> {
-        let id = r.usize()?;
-        let threads = r.usize()?;
-        let regs_per_thread = r.usize()?;
-        let num_warps = r.usize()?;
-        let warps_done = r.usize()?;
-        let barrier_arrived = r.usize()?;
-        if num_warps != threads.div_ceil(32) || warps_done > num_warps || barrier_arrived > num_warps
-        {
-            return Err(simt_snap::SnapshotError::malformed(format!(
-                "cta {id}: inconsistent warp bookkeeping \
-                 ({num_warps} warps for {threads} threads, \
-                 {warps_done} done, {barrier_arrived} at barrier)"
-            )));
-        }
-        let nregs = r.len(4)?;
-        if nregs != threads.saturating_mul(regs_per_thread) {
-            return Err(simt_snap::SnapshotError::malformed(format!(
-                "cta {id}: {nregs} regs for {threads} threads x {regs_per_thread}"
-            )));
-        }
-        let mut regs = Vec::with_capacity(nregs);
-        for _ in 0..nregs {
-            regs.push(r.u32()?);
-        }
-        let npreds = r.len(1)?;
-        if npreds != threads {
-            return Err(simt_snap::SnapshotError::malformed(format!(
-                "cta {id}: {npreds} predicate bytes for {threads} threads"
-            )));
-        }
-        let mut preds = Vec::with_capacity(npreds);
-        for _ in 0..npreds {
-            preds.push(r.u8()?);
-        }
-        let nshared = r.len(4)?;
-        let mut shared = Vec::with_capacity(nshared);
-        for _ in 0..nshared {
-            shared.push(r.u32()?);
-        }
-        Ok(Cta {
-            id,
-            threads,
-            regs_per_thread,
-            num_warps,
-            warps_done,
-            barrier_arrived,
-            regs,
-            preds,
-            shared,
-        })
-    }
 }
+
+// Geometry, barrier bookkeeping, and all architectural state. Geometry is
+// stored, not derived, so a snapshot whose counts disagree is corrupt.
+simt_snap::snap_struct!(Cta {
+    id: usize,
+    threads: usize,
+    regs_per_thread: usize,
+    num_warps: usize,
+    warps_done: usize,
+    barrier_arrived: usize,
+    regs: Vec<u32>,
+    preds: Vec<u8>,
+    shared: Vec<u32>,
+} check |c: &Cta| {
+    use simt_snap::SnapshotError;
+    let Cta { id, threads, regs_per_thread, num_warps, warps_done, barrier_arrived, .. } = *c;
+    if num_warps != threads.div_ceil(32) || warps_done > num_warps || barrier_arrived > num_warps
+    {
+        return Err(SnapshotError::malformed(format!(
+            "cta {id}: inconsistent warp bookkeeping \
+             ({num_warps} warps for {threads} threads, \
+             {warps_done} done, {barrier_arrived} at barrier)"
+        )));
+    }
+    if c.regs.len() != threads.saturating_mul(regs_per_thread) {
+        return Err(SnapshotError::malformed(format!(
+            "cta {id}: {} regs for {threads} threads x {regs_per_thread}",
+            c.regs.len()
+        )));
+    }
+    if c.preds.len() != threads {
+        return Err(SnapshotError::malformed(format!(
+            "cta {id}: {} predicate bytes for {threads} threads",
+            c.preds.len()
+        )));
+    }
+    Ok(())
+});
 
 /// Architectural state of one CTA at retirement: what the differential
 /// oracle compares against the reference interpreter.
@@ -194,6 +153,15 @@ impl CtaState {
         self.regs[thread * self.regs_per_thread + r]
     }
 }
+
+simt_snap::snap_struct!(CtaState {
+    cta_id: usize,
+    threads: usize,
+    regs_per_thread: usize,
+    regs: Vec<u32>,
+    preds: Vec<u8>,
+    shared: Vec<u32>,
+});
 
 /// One warp slot on an SM.
 #[derive(Debug, Clone)]
@@ -262,45 +230,58 @@ impl Warp {
     pub fn thread_of(&self, lane: usize) -> usize {
         self.warp_in_cta * 32 + lane
     }
-
-    /// Serialize the full warp slot (checkpoint support).
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.bool(self.resident);
-        w.bool(self.done);
-        w.usize(self.cta_slot);
-        w.usize(self.warp_in_cta);
-        self.stack.save_snap(w);
-        self.sb.save_snap(w);
-        w.u64(self.next_issue);
-        w.u32(self.outstanding_mem);
-        w.bool(self.waiting_membar);
-        w.bool(self.at_barrier);
-        w.u64(self.age_key);
-    }
-
-    /// Restore a slot written by [`Warp::save_snap`].
-    pub(crate) fn load_snap(
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<Warp, simt_snap::SnapshotError> {
-        Ok(Warp {
-            resident: r.bool()?,
-            done: r.bool()?,
-            cta_slot: r.usize()?,
-            warp_in_cta: r.usize()?,
-            stack: SimtStack::load_snap(r)?,
-            sb: Scoreboard::load_snap(r)?,
-            next_issue: r.u64()?,
-            outstanding_mem: r.u32()?,
-            waiting_membar: r.bool()?,
-            at_barrier: r.bool()?,
-            age_key: r.u64()?,
-        })
-    }
 }
+
+simt_snap::snap_struct!(Warp {
+    resident: bool,
+    done: bool,
+    cta_slot: usize,
+    warp_in_cta: usize,
+    stack: SimtStack,
+    sb: Scoreboard,
+    next_issue: u64,
+    outstanding_mem: u32,
+    waiting_membar: bool,
+    at_barrier: bool,
+    age_key: u64,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws() {
+        use simt_snap::assert_snap_laws;
+        assert_snap_laws(&Cta::new(0, 0, 0, 0));
+        assert_snap_laws(&Cta::new(3, 100, 4, 16));
+        assert_snap_laws(&Cta::new(3, 100, 4, 16).into_state());
+        assert_snap_laws(&Cta::new(0, 0, 0, 0).into_state());
+        let mut w = Warp::vacant();
+        w.launch(2, 1, 0xffff_ffff, 7);
+        assert_snap_laws(&w);
+        w.stack.exit_threads(u32::MAX); // empty stack: the smallest warp
+        assert_snap_laws(&w);
+    }
+
+    #[test]
+    fn cta_with_inconsistent_bookkeeping_is_rejected() {
+        use simt_snap::{encode, Snap, SnapReader};
+        type Corrupt = fn(&mut Cta);
+        let cases: [(&str, Corrupt); 4] = [
+            ("inconsistent warp bookkeeping", |c| c.num_warps += 1),
+            ("inconsistent warp bookkeeping", |c| c.warps_done = c.num_warps + 1),
+            ("regs for", |c| c.regs.push(0)),
+            ("predicate bytes", |c| c.preds.push(0)),
+        ];
+        for (what, corrupt) in cases {
+            let mut cta = Cta::new(3, 100, 4, 16);
+            corrupt(&mut cta);
+            let err = Cta::load(&mut SnapReader::new(&encode(&cta))).unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
+    }
 
     #[test]
     fn cta_register_isolation() {

@@ -118,33 +118,18 @@ impl WarpProgress {
             now.saturating_sub(self.last_issue)
         }
     }
-
-    /// Serialize the full progress record (checkpoint support). The
-    /// private loop-tracking fields ride along: hang classification after
-    /// a resume must match the uninterrupted run bit for bit.
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.u64(self.last_issue);
-        w.u64(self.last_pc_change);
-        w.usize(self.last_pc);
-        w.u64(self.spin_iters);
-        w.usize(self.loop_head);
-        w.usize(self.loop_tail);
-    }
-
-    /// Restore a record written by [`WarpProgress::save_snap`].
-    pub(crate) fn load_snap(
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<WarpProgress, simt_snap::SnapshotError> {
-        Ok(WarpProgress {
-            last_issue: r.u64()?,
-            last_pc_change: r.u64()?,
-            last_pc: r.usize()?,
-            spin_iters: r.u64()?,
-            loop_head: r.usize()?,
-            loop_tail: r.usize()?,
-        })
-    }
 }
+
+// The private loop-tracking fields ride along: hang classification after a
+// resume must match the uninterrupted run bit for bit.
+simt_snap::snap_struct!(WarpProgress {
+    last_issue: u64,
+    last_pc_change: u64,
+    last_pc: usize,
+    spin_iters: u64,
+    loop_head: usize,
+    loop_tail: usize,
+});
 
 /// Why the simulation was declared hung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,6 +319,12 @@ pub struct ProgressScan {
 mod tests {
     use super::*;
     use crate::sched::IssueInfo;
+
+
+    #[test]
+    fn snap_laws() {
+        simt_snap::assert_snap_laws(&WarpProgress::default());
+    }
 
     fn branch(pc: usize, distance: usize) -> IssueInfo {
         IssueInfo {

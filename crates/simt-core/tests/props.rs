@@ -6,7 +6,7 @@
 
 use simt_core::sched::{BasePolicy, SchedCtx, WarpMeta};
 use simt_core::{Scoreboard, SimtStack};
-use simt_isa::{Inst, Op, Reg, Ty};
+use simt_isa::{DecodedKernel, Inst, Kernel, Op, Reg, Ty};
 
 /// Deterministic splitmix64 generator for test-case construction.
 struct Rng(u64);
@@ -116,9 +116,18 @@ fn simt_stack_exit_monotone() {
 }
 
 /// Scoreboard: after any reserve/release interleaving, pending state
-/// matches a reference set.
+/// matches a reference set. Driven through the live issue path: the probe
+/// is lowered by `DecodedKernel::decode` and checked by mask, destinations
+/// are reserved with `reserve_reg`.
 #[test]
 fn scoreboard_matches_reference() {
+    // One `add r31, r<reg>, 1` probe per register, decoded as a launch would.
+    let probes: Vec<Inst> = (0u8..32)
+        .map(|reg| Inst::binary(Op::Add(Ty::S32), Reg(31), Reg(reg), 1))
+        .chain([Inst::new(Op::Exit)])
+        .collect();
+    let kernel = Kernel::from_insts("probes", probes, Default::default(), 32, 0, 0).unwrap();
+    let decoded = DecodedKernel::decode(&kernel);
     for seed in 0..32 {
         let mut rng = Rng::new(seed);
         let mut sb = Scoreboard::new();
@@ -127,7 +136,7 @@ fn scoreboard_matches_reference() {
         for _ in 0..nops {
             let reg = rng.range(0, 32) as u8;
             if rng.flag() {
-                sb.reserve(&Inst::mov(Reg(reg), 0));
+                sb.reserve_reg(Reg(reg));
                 model.insert(reg);
             } else {
                 sb.release_reg(Reg(reg));
@@ -136,9 +145,9 @@ fn scoreboard_matches_reference() {
             for r in 0u8..32 {
                 assert_eq!(sb.reg_pending(Reg(r)), model.contains(&r), "seed {seed}");
             }
-            let probe = Inst::binary(Op::Add(Ty::S32), Reg(31), Reg(reg), 1);
+            let probe = &decoded.insts[reg as usize];
             assert_eq!(
-                sb.has_hazard(&probe),
+                sb.has_hazard_masks(&probe.reg_mask, probe.pred_mask),
                 model.contains(&reg) || model.contains(&31),
                 "seed {seed}"
             );

@@ -128,6 +128,17 @@ pub enum AtomOp {
     Or,
 }
 
+// In-flight atomic requests ride in checkpoints.
+simt_snap::snap_enum!(AtomOp, "atomic op" {
+    0 => Cas {},
+    1 => Exch {},
+    2 => Add {},
+    3 => Max {},
+    4 => Min {},
+    5 => And {},
+    6 => Or {},
+});
+
 impl AtomOp {
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -360,6 +371,15 @@ impl Op {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn atom_op_snap_tags_are_pinned() {
+        use AtomOp::*;
+        for (tag, op) in [Cas, Exch, Add, Max, Min, And, Or].into_iter().enumerate() {
+            assert_eq!(simt_snap::assert_snap_laws(&op), [tag as u8]);
+        }
+    }
 
     #[test]
     fn cmp_eval_signed_vs_unsigned() {

@@ -17,6 +17,10 @@ impl Reg {
     }
 }
 
+// Checkpoints carry register names (pending writebacks, in-flight loads).
+simt_snap::snap_struct!(Reg { 0: u8 });
+simt_snap::snap_struct!(Pred { 0: u8 });
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "r{}", self.0)
@@ -111,6 +115,13 @@ impl fmt::Display for Special {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws() {
+        simt_snap::assert_snap_laws(&Reg(200));
+        simt_snap::assert_snap_laws(&Pred(7));
+    }
 
     #[test]
     fn special_mnemonic_roundtrip() {

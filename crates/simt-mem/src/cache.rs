@@ -1,6 +1,7 @@
 //! A set-associative cache with true-LRU replacement.
 
 use crate::{line_of, Addr, LINE_BYTES};
+use simt_snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,47 +156,77 @@ impl Cache {
         self.lines.iter().filter(|e| e.valid).count()
     }
 
-    /// Serialize directory state (tags, validity, LRU clock) for a
-    /// checkpoint. Geometry (`sets`/`ways`) comes from construction and is
-    /// written only to be cross-checked on restore.
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.usize(self.sets);
-        w.usize(self.ways);
-        w.u64(self.tick);
+    /// Reject a decoded directory whose geometry differs from the cache
+    /// this machine's config builds.
+    pub(crate) fn check_geometry(&self, configured: &Cache) -> Result<(), SnapshotError> {
+        if (self.sets, self.ways) == (configured.sets, configured.ways) {
+            Ok(())
+        } else {
+            Err(SnapshotError::malformed(format!(
+                "cache geometry mismatch: snapshot {}x{}, config {}x{}",
+                self.sets, self.ways, configured.sets, configured.ways
+            )))
+        }
+    }
+}
+
+simt_snap::snap_struct!(Way { tag: u64, valid: bool, last_use: u64 });
+
+/// Geometry, LRU clock, then every way in set-major order. The way count is
+/// `sets * ways`, not a length prefix, so this is written out by hand; the
+/// owner compares the decoded geometry against its configured cache.
+impl Snap for Cache {
+    const MIN_BYTES: usize = 24;
+
+    fn save(&self, w: &mut SnapWriter) {
+        (self.sets, self.ways).save(w);
+        self.tick.save(w);
         for e in &self.lines {
-            w.u64(e.tag);
-            w.bool(e.valid);
-            w.u64(e.last_use);
+            e.save(w);
         }
     }
 
-    /// Restore directory state written by [`Cache::save_snap`] into a
-    /// cache of identical geometry.
-    pub(crate) fn load_snap(
-        &mut self,
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<(), simt_snap::SnapshotError> {
-        let sets = r.usize()?;
-        let ways = r.usize()?;
-        if sets != self.sets || ways != self.ways {
-            return Err(simt_snap::SnapshotError::malformed(format!(
-                "cache geometry mismatch: snapshot {sets}x{ways}, config {}x{}",
-                self.sets, self.ways
-            )));
+    fn load(r: &mut SnapReader<'_>) -> Result<Cache, SnapshotError> {
+        let (sets, ways) = Snap::load(r)?;
+        let tick = Snap::load(r)?;
+        let n = usize::checked_mul(sets, ways)
+            .filter(|&n| n <= r.remaining() / Way::MIN_BYTES)
+            .ok_or_else(|| {
+                SnapshotError::malformed(format!(
+                    "cache geometry {sets}x{ways} exceeds remaining input"
+                ))
+            })?;
+        let mut lines = Vec::with_capacity(n);
+        for _ in 0..n {
+            lines.push(Way::load(r)?);
         }
-        self.tick = r.u64()?;
-        for e in &mut self.lines {
-            e.tag = r.u64()?;
-            e.valid = r.bool()?;
-            e.last_use = r.u64()?;
-        }
-        Ok(())
+        Ok(Cache { sets, ways, lines, tick })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws_and_geometry_checks() {
+        use simt_snap::assert_snap_laws;
+        let mut c = Cache::new(1024, 2);
+        c.fill(0);
+        c.access(0);
+        let mut bytes = assert_snap_laws(&c);
+        // The smallest directory the wire can describe: 0 sets x 0 ways.
+        assert_snap_laws(&Cache { sets: 0, ways: 0, lines: Vec::new(), tick: 0 });
+        let back = Cache::load(&mut SnapReader::new(&bytes)).unwrap();
+        back.check_geometry(&c).unwrap();
+        assert!(back.check_geometry(&Cache::new(2048, 2)).is_err());
+        // A hostile set count must fail the remaining-bytes cap, not
+        // allocate (or overflow `sets * ways`).
+        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = Cache::load(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(err.to_string().contains("exceeds remaining input"), "{err}");
+    }
 
     #[test]
     fn hit_after_fill() {

@@ -19,6 +19,8 @@
 //! **zero** random numbers and injects nothing: baseline simulations are
 //! bit-identical to a build without the chaos layer.
 
+use simt_snap::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 /// Probability scale: knobs are expressed in parts-per-million.
 const PPM: u64 = 1_000_000;
 
@@ -237,45 +239,67 @@ impl ChaosEngine {
         self.enabled && self.cfg.mshr_squeeze_ppm != 0
     }
 
-    /// Serialize the RNG stream position and injection counters. The
-    /// config (and therefore `enabled`) comes from construction — resuming
-    /// under a different chaos config would silently change the fault
-    /// schedule, so the seed is written for a cross-check.
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.u64(self.cfg.seed);
-        w.u64(self.state);
-        w.u64(self.stats.latency_injections);
-        w.u64(self.stats.extra_latency_cycles);
-        w.u64(self.stats.nacks);
-        w.u64(self.stats.atomic_delays);
-        w.u64(self.stats.mshr_squeezes);
+    /// Serialize the stream identity, position and injection counters.
+    pub(crate) fn save(&self, w: &mut SnapWriter) {
+        self.cfg.seed.save(w);
+        self.save_fields(w);
     }
 
-    /// Restore the stream position written by [`ChaosEngine::save_snap`].
-    pub(crate) fn load_snap(
-        &mut self,
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<(), simt_snap::SnapshotError> {
-        let seed = r.u64()?;
+    /// Restore the stream written by [`ChaosEngine::save`]. The config (and
+    /// therefore `enabled`) comes from construction — resuming under a
+    /// different chaos config would silently change the fault schedule, so
+    /// the seed on the wire is cross-checked first.
+    pub(crate) fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        let seed = u64::load(r)?;
         if seed != self.cfg.seed {
-            return Err(simt_snap::SnapshotError::malformed(format!(
+            return Err(SnapshotError::malformed(format!(
                 "chaos seed mismatch: snapshot {seed}, config {}",
                 self.cfg.seed
             )));
         }
-        self.state = r.u64()?;
-        self.stats.latency_injections = r.u64()?;
-        self.stats.extra_latency_cycles = r.u64()?;
-        self.stats.nacks = r.u64()?;
-        self.stats.atomic_delays = r.u64()?;
-        self.stats.mshr_squeezes = r.u64()?;
-        Ok(())
+        self.load_fields(r)
     }
 }
+
+simt_snap::snap_struct!(ChaosStats {
+    latency_injections: u64,
+    extra_latency_cycles: u64,
+    nacks: u64,
+    atomic_delays: u64,
+    mshr_squeezes: u64,
+});
+
+simt_snap::snap_struct!(state ChaosEngine { state: u64, stats: ChaosStats });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn stream_round_trips_and_seed_is_cross_checked() {
+        simt_snap::assert_snap_laws(&ChaosStats::default());
+        let cfg = ChaosConfig::with_level(42, 3);
+        let mut a = ChaosEngine::new(cfg.clone());
+        for _ in 0..100 {
+            a.extra_request_latency();
+            a.nack_delay(0);
+        }
+        let mut w = SnapWriter::new();
+        a.save(&mut w);
+        let body = w.into_bytes();
+        let mut b = ChaosEngine::new(cfg);
+        b.restore(&mut SnapReader::new(&body)).unwrap();
+        assert_eq!((b.state, b.stats), (a.state, a.stats));
+        assert_eq!(a.extra_request_latency(), b.extra_request_latency());
+        let mut other = ChaosEngine::new(ChaosConfig::with_level(43, 3));
+        let err = other.restore(&mut SnapReader::new(&body)).unwrap_err();
+        assert!(err.to_string().contains("chaos seed mismatch"), "{err}");
+        for cut in 0..body.len() {
+            let mut c = ChaosEngine::new(ChaosConfig::with_level(42, 3));
+            assert!(c.restore(&mut SnapReader::new(&body[..cut])).is_err(), "prefix {cut}");
+        }
+    }
 
     #[test]
     fn off_engine_never_injects_or_draws() {

@@ -193,41 +193,39 @@ impl GlobalMem {
         }
         None
     }
-
-    /// Serialize the full memory image and allocation cursor.
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.u64(self.next);
-        w.usize(self.data.len());
-        for &word in &self.data {
-            w.u32(word);
-        }
-    }
-
-    /// Restore an image written by [`GlobalMem::save_snap`].
-    pub(crate) fn load_snap(
-        &mut self,
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<(), simt_snap::SnapshotError> {
-        self.next = r.u64()?;
-        let n = r.len(4)?;
-        if n as u64 * 4 != self.next {
-            return Err(simt_snap::SnapshotError::malformed(format!(
-                "global memory image is {n} words but allocation cursor is {:#x} bytes",
-                self.next
-            )));
-        }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(r.u32()?);
-        }
-        self.data = data;
-        Ok(())
-    }
 }
+
+// The allocation cursor and the full image. The cursor is redundant with
+// the image length; a snapshot in which they disagree is corrupt.
+simt_snap::snap_struct!(GlobalMem { next: Addr, data: Vec<u32> } check |m: &GlobalMem| {
+    if m.data.len() as u64 * 4 == m.next {
+        Ok(())
+    } else {
+        Err(simt_snap::SnapshotError::malformed(format!(
+            "global memory image is {} words but allocation cursor is {:#x} bytes",
+            m.data.len(),
+            m.next
+        )))
+    }
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws_and_cursor_check() {
+        use simt_snap::{assert_snap_laws, Snap, SnapReader};
+        assert_snap_laws(&GlobalMem::new());
+        let mut m = GlobalMem::new();
+        let a = m.alloc(3);
+        m.write_u32(a + 4, 7);
+        let mut bytes = assert_snap_laws(&m);
+        bytes[0] ^= 0x80; // cursor no longer matches the image length
+        let err = GlobalMem::load(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(err.to_string().contains("allocation cursor"), "{err}");
+    }
 
     #[test]
     fn alloc_is_line_aligned_and_disjoint() {

@@ -1,6 +1,7 @@
 //! Miss-status holding registers: merge concurrent misses to the same line.
 
 use crate::Addr;
+use simt_snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// MSHR file for one cache. Each entry tracks an in-flight line fill and the
 /// opaque request tags waiting on it.
@@ -70,56 +71,68 @@ impl Mshr {
         self.entries.len()
     }
 
-    /// Serialize in-flight entries in their live (allocation) order; waiter
-    /// lists keep their arrival order verbatim (fills release waiters in
-    /// that order).
-    pub(crate) fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        w.usize(self.entries.len());
-        for (line, waiters) in &self.entries {
-            w.u64(*line);
-            w.usize(waiters.len());
-            for &tag in waiters {
-                w.u64(tag);
-            }
-        }
-    }
-
-    /// Restore entries written by [`Mshr::save_snap`]; capacity comes from
-    /// construction and bounds the restored entry count.
-    pub(crate) fn load_snap(
-        &mut self,
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<(), simt_snap::SnapshotError> {
-        let n = r.len(16)?;
-        if n > self.capacity {
-            return Err(simt_snap::SnapshotError::malformed(format!(
-                "mshr snapshot has {n} entries, capacity {}",
-                self.capacity
+    /// Give a decoded file (see the [`Snap`] impl) its configured capacity,
+    /// which must cover what the snapshot says was in flight.
+    pub(crate) fn restore_capacity(&mut self, capacity: usize) -> Result<(), SnapshotError> {
+        let n = self.entries.len();
+        if n > capacity {
+            return Err(SnapshotError::malformed(format!(
+                "mshr snapshot has {n} entries, capacity {capacity}"
             )));
         }
-        let mut entries: Vec<(Addr, Vec<u64>)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let line = r.u64()?;
-            let m = r.len(8)?;
-            let mut waiters = Vec::with_capacity(m);
-            for _ in 0..m {
-                waiters.push(r.u64()?);
+        for (i, (line, _)) in self.entries.iter().enumerate() {
+            if self.entries[..i].iter().any(|(l, _)| l == line) {
+                return Err(SnapshotError::malformed(format!("duplicate mshr line {line:#x}")));
             }
-            if entries.iter().any(|(l, _)| *l == line) {
-                return Err(simt_snap::SnapshotError::malformed(format!(
-                    "duplicate mshr line {line:#x}"
-                )));
-            }
-            entries.push((line, waiters));
         }
-        self.entries = entries;
+        self.capacity = capacity;
         Ok(())
+    }
+}
+
+/// In-flight entries in their live (allocation) order; waiter lists keep
+/// their arrival order verbatim (fills release waiters in that order).
+/// Capacity is configuration, not state, and is not on the wire: a decoded
+/// file is exactly full until [`Mshr::restore_capacity`] re-sizes it.
+impl Snap for Mshr {
+    const MIN_BYTES: usize = Vec::<(Addr, Vec<u64>)>::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        self.entries.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Mshr, SnapshotError> {
+        let entries: Vec<(Addr, Vec<u64>)> = Snap::load(r)?;
+        Ok(Mshr { capacity: entries.len(), entries })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+
+    #[test]
+    fn snap_laws_and_capacity_restore() {
+        use simt_snap::assert_snap_laws;
+        assert_snap_laws(&Mshr::new(4));
+        let mut m = Mshr::new(4);
+        m.record(0x100, 1);
+        m.record(0x100, 2);
+        m.record(0x200, 3);
+        let bytes = assert_snap_laws(&m);
+        let decode = || Mshr::load(&mut SnapReader::new(&bytes)).unwrap();
+        let mut back = decode();
+        assert!(!back.has_space(), "a decoded file is exactly full");
+        back.restore_capacity(4).unwrap();
+        assert!(back.has_space());
+        assert_eq!(back.fill(0x100), vec![1, 2]);
+        let err = decode().restore_capacity(1).unwrap_err();
+        assert!(err.to_string().contains("capacity 1"), "{err}");
+        let mut dup = Mshr { entries: vec![(0x80, vec![1]), (0x80, vec![2])], capacity: 2 };
+        let err = dup.restore_capacity(2).unwrap_err();
+        assert!(err.to_string().contains("duplicate mshr line"), "{err}");
+    }
 
     #[test]
     fn merge_and_release() {

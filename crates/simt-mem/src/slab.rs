@@ -16,7 +16,7 @@
 //!   as lock owners and parked lock-acquire queues, replacing
 //!   `HashMap<Addr, _>` without per-access SipHash.
 
-use simt_snap::{SnapReader, SnapWriter, SnapshotError};
+use simt_snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Generational slab issuing `u64` tags: low 32 bits slot index, high 32
 /// bits the slot's generation at insert. A tag stays valid until its entry
@@ -109,63 +109,39 @@ impl<T> TagSlab<T> {
                 .map(|v| (((*g as u64) << 32) | i as u64, v))
         })
     }
+}
 
-    /// Serialize the slab verbatim — slot layout, generations and free-list
-    /// order all survive, so tags issued before the snapshot stay valid
-    /// after restore and future tag assignment is bit-identical.
-    pub fn save_snap(&self, w: &mut SnapWriter, mut save: impl FnMut(&mut SnapWriter, &T)) {
-        w.usize(self.slots.len());
-        for (generation, occ) in &self.slots {
-            w.u32(*generation);
-            match occ {
-                Some(v) => {
-                    w.bool(true);
-                    save(w, v);
-                }
-                None => w.bool(false),
-            }
-        }
-        w.usize(self.free.len());
-        for &slot in &self.free {
-            w.u32(slot);
-        }
+/// The slab verbatim — slot layout, generations and free-list order all
+/// survive, so tags issued before the snapshot stay valid after restore and
+/// future tag assignment is bit-identical. Decoding validates the
+/// structural invariants (the free list covers exactly the vacant slots, no
+/// duplicates) so a corrupted snapshot fails structured instead of
+/// corrupting tag assignment.
+impl<T: Snap> Snap for TagSlab<T> {
+    const MIN_BYTES: usize = 16;
+
+    fn save(&self, w: &mut SnapWriter) {
+        self.slots.save(w);
+        self.free.save(w);
     }
 
-    /// Restore a slab written by [`TagSlab::save_snap`], validating the
-    /// structural invariants (free list covers exactly the vacant slots, no
-    /// duplicates) so a corrupted snapshot fails structured instead of
-    /// corrupting tag assignment.
-    pub fn load_snap(
-        r: &mut SnapReader<'_>,
-        mut load: impl FnMut(&mut SnapReader<'_>) -> Result<T, SnapshotError>,
-    ) -> Result<TagSlab<T>, SnapshotError> {
-        let nslots = r.len(5)?;
-        let mut slots = Vec::with_capacity(nslots);
-        let mut len = 0usize;
-        for _ in 0..nslots {
-            let generation = r.u32()?;
-            let occ = if r.bool()? {
-                len += 1;
-                Some(load(r)?)
-            } else {
-                None
-            };
-            slots.push((generation, occ));
-        }
-        let nfree = r.len(4)?;
-        if nfree != nslots - len {
+    fn load(r: &mut SnapReader<'_>) -> Result<TagSlab<T>, SnapshotError> {
+        let slots: Vec<(u32, Option<T>)> = Snap::load(r)?;
+        let free: Vec<u32> = Snap::load(r)?;
+        let len = slots.iter().filter(|(_, occ)| occ.is_some()).count();
+        if free.len() != slots.len() - len {
             return Err(SnapshotError::malformed(format!(
-                "tag slab free list has {nfree} entries for {} vacant slots",
-                nslots - len
+                "tag slab free list has {} entries for {} vacant slots",
+                free.len(),
+                slots.len() - len
             )));
         }
-        let mut free = Vec::with_capacity(nfree);
-        let mut seen = vec![false; nslots];
-        for _ in 0..nfree {
-            let slot = r.u32()?;
+        let mut seen = vec![false; slots.len()];
+        for &slot in &free {
             let Some((_, occ)) = slots.get(slot as usize) else {
                 return Err(SnapshotError::malformed(format!(
-                    "tag slab free list names slot {slot} of {nslots}"
+                    "tag slab free list names slot {slot} of {}",
+                    slots.len()
                 )));
             };
             if occ.is_some() || seen[slot as usize] {
@@ -174,7 +150,6 @@ impl<T> TagSlab<T> {
                 )));
             }
             seen[slot as usize] = true;
-            free.push(slot);
         }
         Ok(TagSlab { slots, free, len })
     }
@@ -336,35 +311,26 @@ impl<V> ProbeMap<V> {
             }
         }
     }
+}
 
-    /// Serialize the table verbatim — capacity and slot positions included —
-    /// so a restored map probes, grows and iterates exactly like the saved
-    /// one.
-    pub fn save_snap(&self, w: &mut SnapWriter, mut save: impl FnMut(&mut SnapWriter, &V)) {
-        w.usize(self.slots.len());
-        w.usize(self.len);
+/// The table verbatim — capacity and slot positions included — so a
+/// restored map probes, grows and iterates exactly like the saved one. The
+/// wire carries capacity, live count, then every slot; decoding validates
+/// shape (power-of-two capacity, load bound) and the probe invariant (every
+/// stored key is reachable from its home slot) so a corrupted snapshot
+/// cannot produce a map that loses entries.
+impl<V: Snap> Snap for ProbeMap<V> {
+    const MIN_BYTES: usize = 16;
+
+    fn save(&self, w: &mut SnapWriter) {
+        (self.slots.len(), self.len).save(w);
         for slot in &self.slots {
-            match slot {
-                Some((k, v)) => {
-                    w.bool(true);
-                    w.u64(*k);
-                    save(w, v);
-                }
-                None => w.bool(false),
-            }
+            slot.save(w);
         }
     }
 
-    /// Restore a table written by [`ProbeMap::save_snap`], validating shape
-    /// (power-of-two capacity, load bound) and the probe invariant (every
-    /// stored key is reachable from its home slot) so a corrupted snapshot
-    /// cannot produce a map that loses entries.
-    pub fn load_snap(
-        r: &mut SnapReader<'_>,
-        mut load: impl FnMut(&mut SnapReader<'_>) -> Result<V, SnapshotError>,
-    ) -> Result<ProbeMap<V>, SnapshotError> {
-        let cap = r.len(1)?;
-        let len = r.usize()?;
+    fn load(r: &mut SnapReader<'_>) -> Result<ProbeMap<V>, SnapshotError> {
+        let (cap, len) = <(usize, usize)>::load(r)?;
         if cap == 0 {
             if len != 0 {
                 return Err(SnapshotError::malformed(
@@ -373,22 +339,20 @@ impl<V> ProbeMap<V> {
             }
             return Ok(ProbeMap::new());
         }
-        if !cap.is_power_of_two() || cap < PROBE_MIN_CAP || len * 4 > cap * 3 {
+        if !cap.is_power_of_two()
+            || cap < PROBE_MIN_CAP
+            || cap > r.remaining() / Option::<(u64, V)>::MIN_BYTES
+            || len > cap / 4 * 3
+        {
             return Err(SnapshotError::malformed(format!(
                 "probe map shape invalid: {len} entries in capacity {cap}"
             )));
         }
-        let mut slots = Vec::with_capacity(cap);
-        let mut occupied = 0usize;
+        let mut slots: Vec<Option<(u64, V)>> = Vec::with_capacity(cap);
         for _ in 0..cap {
-            if r.bool()? {
-                occupied += 1;
-                let k = r.u64()?;
-                slots.push(Some((k, load(r)?)));
-            } else {
-                slots.push(None);
-            }
+            slots.push(Snap::load(r)?);
         }
+        let occupied = slots.iter().flatten().count();
         if occupied != len {
             return Err(SnapshotError::malformed(format!(
                 "probe map has {occupied} occupied slots, header says {len}"

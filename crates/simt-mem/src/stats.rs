@@ -1,44 +1,45 @@
 //! Memory-system statistics (feed Figures 1d, 13b and the energy model).
 
-
-/// Counters accumulated by [`crate::MemorySystem`].
-///
-/// "Transactions" are coalesced 128-byte requests, the unit the paper's
-/// Figure 1d / 13b report. Requests annotated as synchronization code are
-/// counted separately so overhead breakdowns can be reported.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Transactions presented to an L1 (loads + stores, not atomics).
-    pub l1_accesses: u64,
-    /// L1 hits.
-    pub l1_hits: u64,
-    /// L1 misses (including merges into pending MSHRs).
-    pub l1_misses: u64,
-    /// Transactions serviced by L2 partitions (all kinds).
-    pub l2_accesses: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// DRAM line reads.
-    pub dram_reads: u64,
-    /// DRAM line writes.
-    pub dram_writes: u64,
-    /// Atomic transactions serviced (warp-level, coalesced per line).
-    pub atomic_transactions: u64,
-    /// Individual lane atomic operations applied.
-    pub atomic_lane_ops: u64,
-    /// Total memory transactions (L1-level loads/stores + atomics),
-    /// the paper's "number of memory transactions".
-    pub total_transactions: u64,
-    /// Of `total_transactions`, those tagged as synchronization code.
-    pub sync_transactions: u64,
-    /// Lane-level lock acquires that succeeded (CAS saw the free value).
-    pub lock_success: u64,
-    /// Failed acquires where the lock was held by the *same* warp.
-    pub lock_intra_fail: u64,
-    /// Failed acquires where the lock was held by a *different* warp.
-    pub lock_inter_fail: u64,
+simt_snap::snap_counters! {
+    /// Counters accumulated by [`crate::MemorySystem`].
+    ///
+    /// "Transactions" are coalesced 128-byte requests, the unit the paper's
+    /// Figure 1d / 13b report. Requests annotated as synchronization code are
+    /// counted separately so overhead breakdowns can be reported.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MemStats {
+        /// Transactions presented to an L1 (loads + stores, not atomics).
+        pub l1_accesses: u64,
+        /// L1 hits.
+        pub l1_hits: u64,
+        /// L1 misses (including merges into pending MSHRs).
+        pub l1_misses: u64,
+        /// Transactions serviced by L2 partitions (all kinds).
+        pub l2_accesses: u64,
+        /// L2 hits.
+        pub l2_hits: u64,
+        /// L2 misses.
+        pub l2_misses: u64,
+        /// DRAM line reads.
+        pub dram_reads: u64,
+        /// DRAM line writes.
+        pub dram_writes: u64,
+        /// Atomic transactions serviced (warp-level, coalesced per line).
+        pub atomic_transactions: u64,
+        /// Individual lane atomic operations applied.
+        pub atomic_lane_ops: u64,
+        /// Total memory transactions (L1-level loads/stores + atomics),
+        /// the paper's "number of memory transactions".
+        pub total_transactions: u64,
+        /// Of `total_transactions`, those tagged as synchronization code.
+        pub sync_transactions: u64,
+        /// Lane-level lock acquires that succeeded (CAS saw the free value).
+        pub lock_success: u64,
+        /// Failed acquires where the lock was held by the *same* warp.
+        pub lock_intra_fail: u64,
+        /// Failed acquires where the lock was held by a *different* warp.
+        pub lock_inter_fail: u64,
+    }
 }
 
 impl MemStats {
@@ -59,77 +60,19 @@ impl MemStats {
             self.sync_transactions as f64 / self.total_transactions as f64
         }
     }
-
-    /// Element-wise sum (for aggregating across runs).
-    pub fn add(&mut self, o: &MemStats) {
-        self.l1_accesses += o.l1_accesses;
-        self.l1_hits += o.l1_hits;
-        self.l1_misses += o.l1_misses;
-        self.l2_accesses += o.l2_accesses;
-        self.l2_hits += o.l2_hits;
-        self.l2_misses += o.l2_misses;
-        self.dram_reads += o.dram_reads;
-        self.dram_writes += o.dram_writes;
-        self.atomic_transactions += o.atomic_transactions;
-        self.atomic_lane_ops += o.atomic_lane_ops;
-        self.total_transactions += o.total_transactions;
-        self.sync_transactions += o.sync_transactions;
-        self.lock_success += o.lock_success;
-        self.lock_intra_fail += o.lock_intra_fail;
-        self.lock_inter_fail += o.lock_inter_fail;
-    }
-
-    /// Serialize every counter (checkpoint support). Public because the
-    /// GPU loop also checkpoints its own `MemStats` deltas.
-    pub fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        for v in [
-            self.l1_accesses,
-            self.l1_hits,
-            self.l1_misses,
-            self.l2_accesses,
-            self.l2_hits,
-            self.l2_misses,
-            self.dram_reads,
-            self.dram_writes,
-            self.atomic_transactions,
-            self.atomic_lane_ops,
-            self.total_transactions,
-            self.sync_transactions,
-            self.lock_success,
-            self.lock_intra_fail,
-            self.lock_inter_fail,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Restore counters written by [`MemStats::save_snap`].
-    pub fn load_snap(
-        r: &mut simt_snap::SnapReader<'_>,
-    ) -> Result<MemStats, simt_snap::SnapshotError> {
-        Ok(MemStats {
-            l1_accesses: r.u64()?,
-            l1_hits: r.u64()?,
-            l1_misses: r.u64()?,
-            l2_accesses: r.u64()?,
-            l2_hits: r.u64()?,
-            l2_misses: r.u64()?,
-            dram_reads: r.u64()?,
-            dram_writes: r.u64()?,
-            atomic_transactions: r.u64()?,
-            atomic_lane_ops: r.u64()?,
-            total_transactions: r.u64()?,
-            sync_transactions: r.u64()?,
-            lock_success: r.u64()?,
-            lock_intra_fail: r.u64()?,
-            lock_inter_fail: r.u64()?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simt_snap::Snap;
+
+
+    #[test]
+    fn snap_laws() {
+        simt_snap::assert_snap_laws(&MemStats::default());
+        assert_eq!(MemStats::MIN_BYTES, 15 * 8);
+    }
 
     #[test]
     fn rates() {

@@ -161,12 +161,20 @@ pub struct MemCompletion {
     pub atomic_results: Vec<(u8, u32)>,
 }
 
+/// One slot of the event-body table.
 #[derive(Debug)]
 enum Event {
+    /// Vacant slot (on the free list).
+    Free,
     /// A line fill arrives at an SM's L1.
     L1Fill { sm: usize, line: Addr },
-    /// A request completes back at its SM.
-    Complete(MemCompletion),
+    /// A request completes back at its SM; the fields of the
+    /// [`MemCompletion`] it will deliver.
+    Complete {
+        sm: usize,
+        tag: u64,
+        atomic_results: Vec<(u8, u32)>,
+    },
 }
 
 #[derive(Debug)]
@@ -212,7 +220,7 @@ pub struct MemorySystem {
     l1s: Vec<L1>,
     parts: Vec<Partition>,
     events: BinaryHeap<Reverse<(u64, u64)>>,
-    event_bodies: Vec<Option<Event>>,
+    event_bodies: Vec<Event>,
     free_slots: Vec<usize>,
     seq: u64,
     stats: MemStats,
@@ -383,11 +391,11 @@ impl MemorySystem {
     fn schedule(&mut self, at: u64, ev: Event) {
         let slot = match self.free_slots.pop() {
             Some(s) => {
-                self.event_bodies[s] = Some(ev);
+                self.event_bodies[s] = ev;
                 s
             }
             None => {
-                self.event_bodies.push(Some(ev));
+                self.event_bodies.push(ev);
                 self.event_bodies.len() - 1
             }
         };
@@ -535,11 +543,11 @@ impl MemorySystem {
                     let done = now + self.cfg.l1_hit_latency;
                     self.schedule(
                         done,
-                        Event::Complete(MemCompletion {
+                        Event::Complete {
                             sm,
                             tag: req.tag,
                             atomic_results: Vec::new(),
-                        }),
+                        },
                     );
                 } else {
                     self.stats.l1_misses += 1;
@@ -669,11 +677,11 @@ impl MemorySystem {
                 let done = now + self.cfg.l2_hit_latency;
                 self.schedule(
                     done,
-                    Event::Complete(MemCompletion {
+                    Event::Complete {
                         sm: preq.sm,
                         tag: preq.req.tag,
                         atomic_results: Vec::new(),
-                    }),
+                    },
                 );
                 self.parts[p].dramq.push_back((now, None));
             }
@@ -707,11 +715,11 @@ impl MemorySystem {
                 } else {
                     self.schedule(
                         back,
-                        Event::Complete(MemCompletion {
+                        Event::Complete {
                             sm: preq.sm,
                             tag: preq.req.tag,
                             atomic_results: Vec::new(),
-                        }),
+                        },
                     );
                 }
             }
@@ -793,11 +801,11 @@ impl MemorySystem {
                 let back = back + self.chaos.atomic_delay();
                 self.schedule(
                     back,
-                    Event::Complete(MemCompletion {
+                    Event::Complete {
                         sm: preq.sm,
                         tag: preq.req.tag,
                         atomic_results: results,
-                    }),
+                    },
                 );
             }
             // Stores complete at service; a store reaching here is a
@@ -806,11 +814,11 @@ impl MemorySystem {
                 debug_assert!(false, "stores complete at service");
                 self.schedule(
                     back,
-                    Event::Complete(MemCompletion {
+                    Event::Complete {
                         sm: preq.sm,
                         tag: preq.req.tag,
                         atomic_results: Vec::new(),
-                    }),
+                    },
                 );
             }
         }
@@ -823,15 +831,20 @@ impl MemorySystem {
             }
             self.events.pop();
             let slot = (key & 0xffff_ffff) as usize;
-            // A dead slot would mean double-scheduling; skip rather than
-            // abort (debug builds still flag it).
-            let Some(ev) = self.event_bodies.get_mut(slot).and_then(Option::take) else {
-                debug_assert!(false, "event slot {slot} not live");
-                continue;
+            let ev = match self.event_bodies.get_mut(slot) {
+                Some(body) => std::mem::replace(body, Event::Free),
+                None => Event::Free,
             };
-            self.free_slots.push(slot);
             match ev {
-                Event::Complete(c) => out.push(c),
+                // A dead slot would mean double-scheduling; skip rather
+                // than abort (debug builds still flag it).
+                Event::Free => {
+                    debug_assert!(false, "event slot {slot} not live");
+                    continue;
+                }
+                Event::Complete { sm, tag, atomic_results } => {
+                    out.push(MemCompletion { sm, tag, atomic_results })
+                }
                 Event::L1Fill { sm, line } => {
                     let l1 = &mut self.l1s[sm];
                     l1.cache.fill(line);
@@ -844,6 +857,7 @@ impl MemorySystem {
                     }
                 }
             }
+            self.free_slots.push(slot);
         }
     }
 }
@@ -851,342 +865,200 @@ impl MemorySystem {
 // ---------------------------------------------------------------------------
 // Checkpoint serialization.
 //
-// Everything below encodes the memory system's complete dynamic state —
-// functional memory, cache directories, MSHRs, every queued request, the
-// event heap, lock/parking bookkeeping, stats, and the chaos RNG stream —
-// so a restored system is bit-indistinguishable from one that never
-// stopped. Hash maps are written in sorted-key order; queue contents keep
-// their order verbatim; the event heap is written as sorted (time, key)
-// pairs plus the slot-addressed bodies and the free-slot stack (LIFO order
-// matters: slot reuse feeds the `seq`-keyed heap ordering).
+// The field lists below are the wire format of the memory system's
+// complete dynamic state — functional memory, cache directories, MSHRs,
+// every queued request, the event heap, lock/parking bookkeeping, stats,
+// and the chaos RNG stream — so a restored system is bit-indistinguishable
+// from one that never stopped. Queue contents keep their order verbatim;
+// the event heap is written as sorted (time, key) pairs plus the
+// slot-addressed bodies and the free-slot stack (LIFO order matters: slot
+// reuse feeds the `seq`-keyed heap ordering).
 // ---------------------------------------------------------------------------
 
-use simt_snap::{SnapReader, SnapWriter, SnapshotError};
+use simt_snap::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
-fn save_req(w: &mut SnapWriter, req: &MemRequest) {
-    match &req.kind {
-        ReqKind::Load { bypass_l1 } => {
-            w.u8(0);
-            w.bool(*bypass_l1);
-        }
-        ReqKind::Store => w.u8(1),
-        ReqKind::Atomic { ops } => {
-            w.u8(2);
-            w.usize(ops.len());
-            for op in ops {
-                w.u8(op.lane);
-                w.u64(op.addr);
-                w.u8(match op.op {
-                    AtomOp::Cas => 0,
-                    AtomOp::Exch => 1,
-                    AtomOp::Add => 2,
-                    AtomOp::Max => 3,
-                    AtomOp::Min => 4,
-                    AtomOp::And => 5,
-                    AtomOp::Or => 6,
-                });
-                w.u32(op.a);
-                w.u32(op.b);
-                w.u8(match op.role {
-                    LockRole::None => 0,
-                    LockRole::Acquire => 1,
-                    LockRole::Release => 2,
-                });
-                w.u64(op.holder);
-            }
-        }
-    }
-    w.u64(req.line);
-    w.u64(req.tag);
-    w.bool(req.sync);
-    w.bool(req.sole);
-}
+snap_enum!(LockRole, "lock role" { 0 => None {}, 1 => Acquire {}, 2 => Release {} });
+snap_struct!(LaneAtomic {
+    lane: u8,
+    addr: Addr,
+    op: AtomOp,
+    a: u32,
+    b: u32,
+    role: LockRole,
+    holder: u64,
+});
+snap_enum!(ReqKind, "request kind" {
+    0 => Load { bypass_l1: bool },
+    1 => Store {},
+    2 => Atomic { ops: Vec<LaneAtomic> },
+});
+snap_struct!(MemRequest { kind: ReqKind, line: Addr, tag: u64, sync: bool, sole: bool });
+snap_struct!(PartReq { sm: usize, req: MemRequest, l1_fill: bool, retries: u32 });
+snap_enum!(Event, "event body" {
+    0 => Free {},
+    1 => L1Fill { sm: usize, line: Addr },
+    2 => Complete { sm: usize, tag: u64, atomic_results: Vec<(u8, u32)> },
+});
+snap_struct!(L1 { cache: Cache, mshr: Mshr, inq: VecDeque<(u64, MemRequest)> });
+snap_struct!(Partition {
+    cache: Cache,
+    inq: VecDeque<(u64, PartReq)>,
+    dramq: VecDeque<(u64, Option<PartReq>)>,
+    dram_next_free: u64,
+    port_free: u64,
+});
 
-fn load_req(
-    r: &mut SnapReader<'_>,
-    gmem: &crate::GlobalMem,
-) -> Result<MemRequest, SnapshotError> {
-    let kind = match r.u8()? {
-        0 => ReqKind::Load { bypass_l1: r.bool()? },
-        1 => ReqKind::Store,
-        2 => {
-            let n = r.len(24)?;
-            let mut ops = Vec::with_capacity(n);
-            for _ in 0..n {
-                let lane = r.u8()?;
-                let addr = r.u64()?;
-                let op = match r.u8()? {
-                    0 => AtomOp::Cas,
-                    1 => AtomOp::Exch,
-                    2 => AtomOp::Add,
-                    3 => AtomOp::Max,
-                    4 => AtomOp::Min,
-                    5 => AtomOp::And,
-                    6 => AtomOp::Or,
-                    b => return Err(SnapshotError::malformed(format!("atomic op byte {b}"))),
-                };
-                let a = r.u32()?;
-                let b = r.u32()?;
-                let role = match r.u8()? {
-                    0 => LockRole::None,
-                    1 => LockRole::Acquire,
-                    2 => LockRole::Release,
-                    b => return Err(SnapshotError::malformed(format!("lock role byte {b}"))),
-                };
-                let holder = r.u64()?;
-                // Atomics execute against global memory with unchecked
-                // accesses (a live run can only produce valid addresses),
-                // so a restored address must be re-validated here or a
-                // corrupted snapshot would panic mid-simulation later.
-                if gmem.check_addr(addr).is_err() {
-                    return Err(SnapshotError::malformed(format!(
-                        "atomic address {addr:#x} outside restored memory"
-                    )));
-                }
-                ops.push(LaneAtomic { lane, addr, op, a, b, role, holder });
-            }
-            ReqKind::Atomic { ops }
-        }
-        b => return Err(SnapshotError::malformed(format!("request kind byte {b}"))),
-    };
-    Ok(MemRequest {
-        kind,
-        line: r.u64()?,
-        tag: r.u64()?,
-        sync: r.bool()?,
-        sole: r.bool()?,
-    })
-}
-
-fn save_partreq(w: &mut SnapWriter, p: &PartReq) {
-    w.usize(p.sm);
-    save_req(w, &p.req);
-    w.bool(p.l1_fill);
-    w.u32(p.retries);
-}
-
-fn load_partreq(
-    r: &mut SnapReader<'_>,
-    num_sms: usize,
-    gmem: &crate::GlobalMem,
-) -> Result<PartReq, SnapshotError> {
-    let sm = r.usize()?;
-    if sm >= num_sms {
-        return Err(SnapshotError::malformed(format!("partition request sm {sm}")));
-    }
-    let req = load_req(r, gmem)?;
-    Ok(PartReq { sm, req, l1_fill: r.bool()?, retries: r.u32()? })
-}
+// Everything between the event heap and the chaos stream, in wire order.
+// Probe tables serialize their layout verbatim (slot order is the iteration
+// order), so a restored table is bit-identical.
+snap_struct!(state MemorySystem {
+    event_bodies: Vec<Event>,
+    free_slots: Vec<usize>,
+    seq: u64,
+    stats: MemStats,
+    lock_owners: ProbeMap<u64>,
+    parked: ProbeMap<VecDeque<PartReq>>,
+    blocking_locks: bool,
+});
 
 impl MemorySystem {
     /// Serialize complete dynamic state for a checkpoint.
     pub fn save_snap(&self, w: &mut SnapWriter) {
-        self.gmem.save_snap(w);
-        w.usize(self.l1s.len());
-        for l1 in &self.l1s {
-            l1.cache.save_snap(w);
-            l1.mshr.save_snap(w);
-            w.usize(l1.inq.len());
-            for (at, req) in &l1.inq {
-                w.u64(*at);
-                save_req(w, req);
-            }
-        }
-        w.usize(self.parts.len());
-        for p in &self.parts {
-            p.cache.save_snap(w);
-            w.usize(p.inq.len());
-            for (at, preq) in &p.inq {
-                w.u64(*at);
-                save_partreq(w, preq);
-            }
-            w.usize(p.dramq.len());
-            for (at, opt) in &p.dramq {
-                w.u64(*at);
-                match opt {
-                    Some(preq) => {
-                        w.bool(true);
-                        save_partreq(w, preq);
-                    }
-                    None => w.bool(false),
-                }
-            }
-            w.u64(p.dram_next_free);
-            w.u64(p.port_free);
-        }
+        self.gmem.save(w);
+        self.l1s.save(w);
+        self.parts.save(w);
         // Event heap: unique (time, seq|slot) keys make pop order a pure
         // function of the key set, so a sorted encoding restores exactly.
         let mut keys: Vec<(u64, u64)> = self.events.iter().map(|&Reverse(k)| k).collect();
         keys.sort_unstable();
-        w.usize(keys.len());
-        for (at, key) in keys {
-            w.u64(at);
-            w.u64(key);
-        }
-        w.usize(self.event_bodies.len());
-        for body in &self.event_bodies {
-            match body {
-                None => w.u8(0),
-                Some(Event::L1Fill { sm, line }) => {
-                    w.u8(1);
-                    w.usize(*sm);
-                    w.u64(*line);
-                }
-                Some(Event::Complete(c)) => {
-                    w.u8(2);
-                    w.usize(c.sm);
-                    w.u64(c.tag);
-                    w.usize(c.atomic_results.len());
-                    for (lane, old) in &c.atomic_results {
-                        w.u8(*lane);
-                        w.u32(*old);
-                    }
-                }
-            }
-        }
-        w.usize(self.free_slots.len());
-        for &slot in &self.free_slots {
-            w.usize(slot);
-        }
-        w.u64(self.seq);
-        self.stats.save_snap(w);
-        // Probe tables serialize their layout verbatim (slot order is the
-        // iteration order), so no sort-before-write pass is needed and a
-        // restored table is bit-identical to the saved one.
-        self.lock_owners.save_snap(w, |w, &owner| w.u64(owner));
-        self.parked.save_snap(w, |w, q| {
-            w.usize(q.len());
-            for preq in q {
-                save_partreq(w, preq);
-            }
-        });
-        w.bool(self.blocking_locks);
-        self.chaos.save_snap(w);
+        keys.save(w);
+        self.save_fields(w);
+        self.chaos.save(w);
     }
 
-    /// Restore state written by [`MemorySystem::save_snap`].
-    ///
-    /// Decodes into a freshly constructed system (same config, same SM
-    /// count) and replaces `self` only on success, so a malformed body can
-    /// never leave partially mutated state behind.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    /// Decode state written by [`MemorySystem::save_snap`] into a freshly
+    /// constructed system with this one's config and SM count, validate it
+    /// against that config, and return it. `self` is never touched, so a
+    /// malformed body cannot leave partially mutated state behind; the
+    /// caller swaps the result in once everything else about the snapshot
+    /// has checked out.
+    pub fn load_snap(&self, r: &mut SnapReader<'_>) -> Result<MemorySystem, SnapshotError> {
         let num_sms = self.l1s.len();
         let mut fresh = MemorySystem::new(self.cfg.clone(), num_sms);
-        fresh.blocking_locks = self.blocking_locks;
-        fresh.gmem.load_snap(r)?;
-        let nl1 = r.len(1)?;
-        if nl1 != num_sms {
-            return Err(SnapshotError::malformed(format!(
-                "snapshot has {nl1} L1s, config has {num_sms}"
-            )));
-        }
+        fresh.gmem = Snap::load(r)?;
+        fresh.l1s = Snap::load(r)?;
+        fresh.parts = Snap::load(r)?;
+        let keys: Vec<(u64, u64)> = Snap::load(r)?;
+        fresh.load_fields(r)?;
+        fresh.chaos.restore(r)?;
+
+        // The bytes are well-formed; now prove the values can run. Every
+        // SM index must exist, every structure must have the shape the
+        // config builds, and the event tables must agree with each other.
         let gmem = &fresh.gmem;
-        for l1 in &mut fresh.l1s {
-            l1.cache.load_snap(r)?;
-            l1.mshr.load_snap(r)?;
-            let n = r.len(8)?;
-            for _ in 0..n {
-                let at = r.u64()?;
-                l1.inq.push_back((at, load_req(r, gmem)?));
+        // Atomics execute against global memory with unchecked accesses (a
+        // live run can only produce valid addresses), so a restored address
+        // must be re-validated here or a corrupted snapshot would panic
+        // mid-simulation later.
+        let check_req = |req: &MemRequest| match &req.kind {
+            ReqKind::Atomic { ops } => ops.iter().try_for_each(|op| {
+                gmem.check_addr(op.addr).map_err(|_| {
+                    SnapshotError::malformed(format!(
+                        "atomic address {:#x} outside restored memory",
+                        op.addr
+                    ))
+                })
+            }),
+            _ => Ok(()),
+        };
+        let check_preq = |p: &PartReq| {
+            if p.sm >= num_sms {
+                return Err(SnapshotError::malformed(format!("partition request sm {}", p.sm)));
+            }
+            check_req(&p.req)
+        };
+        for (what, got, want) in [
+            ("L1s", fresh.l1s.len(), num_sms),
+            ("partitions", fresh.parts.len(), self.parts.len()),
+        ] {
+            if got != want {
+                return Err(SnapshotError::malformed(format!(
+                    "snapshot has {got} {what}, config has {want}"
+                )));
             }
         }
-        let nparts = r.len(1)?;
-        if nparts != fresh.parts.len() {
-            return Err(SnapshotError::malformed(format!(
-                "snapshot has {nparts} partitions, config has {}",
-                fresh.parts.len()
-            )));
+        for (l1, configured) in fresh.l1s.iter_mut().zip(&self.l1s) {
+            l1.cache.check_geometry(&configured.cache)?;
+            l1.mshr.restore_capacity(self.cfg.l1_mshrs)?;
+            l1.inq.iter().try_for_each(|(_, req)| check_req(req))?;
         }
-        for p in &mut fresh.parts {
-            p.cache.load_snap(r)?;
-            let n = r.len(8)?;
-            for _ in 0..n {
-                let at = r.u64()?;
-                p.inq.push_back((at, load_partreq(r, num_sms, gmem)?));
-            }
-            let n = r.len(8)?;
-            for _ in 0..n {
-                let at = r.u64()?;
-                let preq =
-                    if r.bool()? { Some(load_partreq(r, num_sms, gmem)?) } else { None };
-                p.dramq.push_back((at, preq));
-            }
-            p.dram_next_free = r.u64()?;
-            p.port_free = r.u64()?;
+        for (p, configured) in fresh.parts.iter().zip(&self.parts) {
+            p.cache.check_geometry(&configured.cache)?;
+            p.inq.iter().try_for_each(|(_, p)| check_preq(p))?;
+            p.dramq.iter().filter_map(|(_, p)| p.as_ref()).try_for_each(check_preq)?;
         }
-        let nev = r.len(16)?;
-        let mut keys = Vec::with_capacity(nev);
-        for _ in 0..nev {
-            let at = r.u64()?;
-            let key = r.u64()?;
-            keys.push((at, key));
-        }
-        let nbodies = r.len(1)?;
-        for _ in 0..nbodies {
-            fresh.event_bodies.push(match r.u8()? {
-                0 => None,
-                1 => {
-                    let sm = r.usize()?;
-                    if sm >= num_sms {
-                        return Err(SnapshotError::malformed(format!("fill event sm {sm}")));
-                    }
-                    Some(Event::L1Fill { sm, line: r.u64()? })
+        fresh.parked.values().flatten().try_for_each(check_preq)?;
+        for body in &fresh.event_bodies {
+            if let Event::L1Fill { sm, .. } | Event::Complete { sm, .. } = body {
+                if *sm >= num_sms {
+                    return Err(SnapshotError::malformed(format!("event for sm {sm}")));
                 }
-                2 => {
-                    let sm = r.usize()?;
-                    if sm >= num_sms {
-                        return Err(SnapshotError::malformed(format!("completion sm {sm}")));
-                    }
-                    let tag = r.u64()?;
-                    let n = r.len(5)?;
-                    let mut atomic_results = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let lane = r.u8()?;
-                        atomic_results.push((lane, r.u32()?));
-                    }
-                    Some(Event::Complete(MemCompletion { sm, tag, atomic_results }))
-                }
-                b => return Err(SnapshotError::malformed(format!("event body byte {b}"))),
-            });
+            }
         }
-        for &(at, key) in &keys {
+        let vacant = |slot: usize| matches!(fresh.event_bodies.get(slot), Some(Event::Free));
+        for &(_, key) in &keys {
             let slot = (key & 0xffff_ffff) as usize;
-            if !fresh.event_bodies.get(slot).is_some_and(Option::is_some) {
+            if slot >= fresh.event_bodies.len() || vacant(slot) {
                 return Err(SnapshotError::malformed(format!(
                     "event key {key:#x} (slot {slot}) has no live body"
                 )));
             }
-            fresh.events.push(Reverse((at, key)));
         }
-        let nfree = r.len(8)?;
-        for _ in 0..nfree {
-            let slot = r.usize()?;
-            if slot >= fresh.event_bodies.len() || fresh.event_bodies[slot].is_some() {
-                return Err(SnapshotError::malformed(format!("free slot {slot} is live")));
-            }
-            fresh.free_slots.push(slot);
+        if let Some(&slot) = fresh.free_slots.iter().find(|&&slot| !vacant(slot)) {
+            return Err(SnapshotError::malformed(format!("free slot {slot} is live")));
         }
-        fresh.seq = r.u64()?;
-        fresh.stats = MemStats::load_snap(r)?;
-        fresh.lock_owners = ProbeMap::load_snap(r, |r| r.u64())?;
-        fresh.parked = ProbeMap::load_snap(r, |r| {
-            let n = r.len(8)?;
-            let mut q = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                q.push_back(load_partreq(r, num_sms, &fresh.gmem)?);
-            }
-            Ok(q)
-        })?;
-        fresh.blocking_locks = r.bool()?;
-        fresh.chaos.load_snap(r)?;
-        *self = fresh;
-        Ok(())
+        fresh.events = keys.into_iter().map(Reverse).collect();
+        Ok(fresh)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snap_laws_for_every_wire_type() {
+        use simt_snap::assert_snap_laws as laws;
+        let mut op = LaneAtomic::new(3, 0x80, AtomOp::Cas, 0, 1);
+        op.role = LockRole::Acquire;
+        let release = LaneAtomic { role: LockRole::Release, ..LaneAtomic::new(0, 0, AtomOp::Or, 0, 0) };
+        let reqs = [
+            MemRequest::new(ReqKind::Store, 0, 0),
+            MemRequest::new(ReqKind::Load { bypass_l1: true }, 0x100, 1),
+            MemRequest::new(ReqKind::Atomic { ops: vec![op, release] }, 0x80, 9).sync(),
+        ];
+        let preq = |i: usize| PartReq { sm: 1, req: reqs[i].clone(), l1_fill: true, retries: 2 };
+        reqs.iter().for_each(|req| drop(laws(req)));
+        laws(&preq(0));
+        laws(&Event::Free);
+        laws(&Event::L1Fill { sm: 1, line: 0x80 });
+        laws(&Event::Complete { sm: 0, tag: 7, atomic_results: vec![(3, 1)] });
+        let mut l1 = L1 {
+            cache: Cache::new(256, 2),
+            mshr: Mshr::new(2),
+            inq: VecDeque::new(),
+        };
+        laws(&l1);
+        l1.mshr.record(0x80, 1);
+        l1.inq.push_back((5, reqs[1].clone()));
+        laws(&l1);
+        let mut part = MemorySystem::new(MemConfig::default(), 1).parts.remove(0);
+        part.cache = Cache::new(256, 2);
+        laws(&part);
+        part.inq.push_back((5, preq(2)));
+        part.dramq.extend([(6, None), (7, Some(preq(1)))]);
+        laws(&part);
+    }
 
     fn run_until(mem: &mut MemorySystem, mut now: u64, horizon: u64) -> (u64, Vec<MemCompletion>) {
         let mut all = Vec::new();
@@ -1769,7 +1641,7 @@ mod tests {
         let body = w.into_bytes();
         let mut c = build();
         let mut r = SnapReader::new(&body);
-        c.load_snap(&mut r).expect("round trip");
+        c = c.load_snap(&mut r).expect("round trip");
         r.expect_exhausted().expect("full consumption");
         b_done.extend(finish(&mut c, 200));
 
@@ -1787,7 +1659,7 @@ mod tests {
         let mut c2 = build();
         let body2 = w2.into_bytes();
         let mut r2 = SnapReader::new(&body2);
-        c2.load_snap(&mut r2).unwrap();
+        c2 = c2.load_snap(&mut r2).unwrap();
         let mut w3 = SnapWriter::new();
         c2.save_snap(&mut w3);
         let mut w4 = SnapWriter::new();

@@ -9,7 +9,7 @@
 //! framework so the suite builds and runs fully offline.
 
 use simt_mem::{ProbeMap, TagSlab};
-use simt_snap::{SnapReader, SnapWriter};
+use simt_snap::{Snap, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
 
 /// Deterministic splitmix64 generator for test-case construction.
@@ -120,12 +120,10 @@ fn tag_slab_iteration_deterministic() {
 fn tag_slab_snapshot_round_trip() {
     for seed in 100..116 {
         let (mut slab, model) = churned_slab(seed, 500);
-        let mut w = SnapWriter::new();
-        slab.save_snap(&mut w, |w, v| w.u64(*v));
-        let bytes = w.into_bytes();
+        let bytes = simt_snap::assert_snap_laws(&slab);
 
         let mut r = SnapReader::new(&bytes);
-        let mut restored: TagSlab<u64> = TagSlab::load_snap(&mut r, |r| r.u64()).unwrap();
+        let mut restored: TagSlab<u64> = TagSlab::load(&mut r).unwrap();
         r.expect_exhausted().unwrap();
 
         assert_eq!(restored.len(), slab.len());
@@ -138,7 +136,7 @@ fn tag_slab_snapshot_round_trip() {
 
         // Re-serializing the restored slab reproduces the bytes exactly.
         let mut w2 = SnapWriter::new();
-        restored.save_snap(&mut w2, |w, v| w.u64(*v));
+        restored.save(&mut w2);
         assert_eq!(w2.into_bytes(), bytes, "seed {seed}: snapshot not verbatim");
 
         // Tag assignment after restore matches the original trajectory.
@@ -219,12 +217,10 @@ fn probe_map_iteration_deterministic() {
 fn probe_map_snapshot_round_trip() {
     for seed in 200..216 {
         let (map, model) = churned_probe(seed, 600);
-        let mut w = SnapWriter::new();
-        map.save_snap(&mut w, |w, v| w.u64(*v));
-        let bytes = w.into_bytes();
+        let bytes = simt_snap::assert_snap_laws(&map);
 
         let mut r = SnapReader::new(&bytes);
-        let mut restored: ProbeMap<u64> = ProbeMap::load_snap(&mut r, |r| r.u64()).unwrap();
+        let mut restored: ProbeMap<u64> = ProbeMap::load(&mut r).unwrap();
         r.expect_exhausted().unwrap();
 
         assert_eq!(restored.len(), map.len());
@@ -236,7 +232,7 @@ fn probe_map_snapshot_round_trip() {
         }
 
         let mut w2 = SnapWriter::new();
-        restored.save_snap(&mut w2, |w, v| w.u64(*v));
+        restored.save(&mut w2);
         assert_eq!(w2.into_bytes(), bytes, "seed {seed}: snapshot not verbatim");
 
         // The restored table keeps probing correctly under further churn.
@@ -249,11 +245,10 @@ fn probe_map_snapshot_round_trip() {
 #[test]
 fn probe_map_empty_round_trip() {
     let map: ProbeMap<u64> = ProbeMap::new();
-    let mut w = SnapWriter::new();
-    map.save_snap(&mut w, |w, v| w.u64(*v));
-    let bytes = w.into_bytes();
+    let bytes = simt_snap::assert_snap_laws(&map);
+    simt_snap::assert_snap_laws(&TagSlab::<u64>::new());
     let mut r = SnapReader::new(&bytes);
-    let restored: ProbeMap<u64> = ProbeMap::load_snap(&mut r, |r| r.u64()).unwrap();
+    let restored: ProbeMap<u64> = ProbeMap::load(&mut r).unwrap();
     assert!(restored.is_empty());
     assert_eq!(restored.iter().count(), 0);
 }

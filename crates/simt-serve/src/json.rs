@@ -1,8 +1,7 @@
 //! Hand-rolled JSON: a small value type, a strict parser, a renderer, and
 //! the serializers for the simulator's report/error structures.
 //!
-//! The workspace builds offline, so there is no serde; this mirrors the
-//! parser in `crates/bench/src/report.rs` but keeps integers exact:
+//! The workspace builds offline, so there is no serde. Integers stay exact:
 //! numbers without a fraction or exponent parse into [`Json::UInt`] /
 //! [`Json::Int`] and render back digit-for-digit. That matters here —
 //! response bodies are content-addressed and compared byte-for-byte by the

@@ -22,6 +22,14 @@
 //! [`atomic_write`] implements the write-side protocol: temp file in the
 //! target directory, `fsync`, rename over the destination. A crash at any
 //! point leaves either the old complete file or the new complete file.
+//!
+//! What goes *inside* a body is defined once, by the [`Snap`] trait and the
+//! field-list macros in [`codec`]: every type that persists lists its
+//! fields in one place and both directions are generated from that list.
+
+pub mod codec;
+
+pub use codec::{assert_snap_laws, encode, min_of, Snap};
 
 use std::fmt;
 use std::fs;
@@ -197,6 +205,14 @@ impl SnapWriter {
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+
+    /// Append whatever `f` writes as one length-prefixed blob, so a reader
+    /// that misjudges the nested encoding cannot desynchronize what follows.
+    pub fn nested(&mut self, f: impl FnOnce(&mut SnapWriter)) {
+        let mut inner = SnapWriter::new();
+        f(&mut inner);
+        self.bytes(&inner.buf);
+    }
 }
 
 /// Bounds-checked little-endian field reader over a decoded body.
@@ -312,6 +328,18 @@ impl<'a> SnapReader<'a> {
         let b = self.bytes()?;
         String::from_utf8(b.to_vec())
             .map_err(|_| SnapshotError::malformed("string is not UTF-8"))
+    }
+
+    /// Read a blob written by [`SnapWriter::nested`]: `f` decodes from a
+    /// reader confined to the blob and must consume it exactly.
+    pub fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut SnapReader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let mut inner = SnapReader::new(self.bytes()?);
+        let v = f(&mut inner)?;
+        inner.expect_exhausted()?;
+        Ok(v)
     }
 }
 
