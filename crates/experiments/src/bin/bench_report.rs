@@ -89,7 +89,7 @@ const GROUPS: &[Group] = &[
     ("pascal_sync_suite", group_pascal),
 ];
 
-const USAGE: &str = "usage: bench_report [--label <name>] [--out <dir>] [--check <baseline.json>] [--check-wall [<ratio>]] [--reps <n>] [--only <substr>] [--jobs <n>] [--engine cycle|skip] [--sm-threads <n>] [--profile]";
+const USAGE: &str = "usage: bench_report [--label <name>] [--out <dir>] [--check <baseline.json>] [--check-wall [<ratio>]] [--reps <n>] [--only <substr>] [--jobs <n>] [--engine cycle|skip] [--profile]";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}\n{USAGE}");
@@ -168,17 +168,9 @@ fn parse_cli() -> Cli {
             // Simulated cycles are engine-independent (the equivalence
             // suite enforces it); the flag exists here to measure the
             // wall-time delta between the two engines on identical work.
-            "--engine" => match args.next().as_deref() {
-                Some("cycle") => experiments::set_engine(Some(Engine::Cycle)),
-                Some("skip") => experiments::set_engine(Some(Engine::Skip)),
-                _ => usage_error("--engine requires `cycle` or `skip`"),
-            },
-            // Simulated cycles are also sm-thread-count-independent (the
-            // determinism suite enforces it); the flag measures how in-run
-            // SM parallelism trades against grid-level parallelism.
-            "--sm-threads" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => experiments::set_sm_threads(Some(n)),
-                _ => usage_error("--sm-threads requires a positive integer"),
+            "--engine" => match args.next().and_then(|v| v.parse::<Engine>().ok()) {
+                Some(e) => experiments::set_engine(Some(e)),
+                None => usage_error("--engine requires `cycle` or `skip`"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");

@@ -6,10 +6,7 @@
 //!   for smoke-testing the harness itself),
 //! * `--csv` — emit machine-readable CSV after the human-readable table,
 //! * `--jobs <n>` — worker threads for the simulation grid (default:
-//!   `BOWS_JOBS` or the machine's available parallelism),
-//! * `--sm-threads <n>` — SM worker threads *inside* each simulation
-//!   (default: `BOWS_SM_THREADS` or serial, budgeted against `--jobs` so
-//!   the two levels of parallelism don't multiply past the machine).
+//!   `BOWS_JOBS` or the machine's available parallelism).
 //!
 //! Results are printed as the same rows/series the paper's figures plot.
 //! Every grid of independent (workload × config) cells runs through
@@ -27,7 +24,7 @@ pub mod report;
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
 use simt_core::{BasePolicy, Engine, GpuConfig, ProfileReport, SimError};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Mutex;
 use workloads::{run_workload, Scale, Workload, WorkloadResult};
 
@@ -64,25 +61,6 @@ pub fn apply_engine(cfg: &mut GpuConfig) {
     }
 }
 
-/// Process-global `--sm-threads` override (mirrors [`set_engine`]):
-/// in-run SM worker count, applied at the [`run`] chokepoint. 0 = unset.
-static SM_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Set (or clear) the process-global SM worker-count override. An
-/// explicit override is used as given (each run still clamps it to its
-/// `num_sms`), bypassing the grid budget.
-pub fn set_sm_threads(n: Option<usize>) {
-    SM_THREADS_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The SM worker count selected by `--sm-threads`, if any.
-pub fn sm_threads_override() -> Option<usize> {
-    match SM_THREADS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
 /// Process-global `--profile` switch (mirrors [`set_engine`]): when on,
 /// every configuration [`run`] builds has `GpuConfig::profile` set and
 /// each finished run's phase breakdown is folded into a global
@@ -113,33 +91,6 @@ pub fn take_profile_totals() -> Option<ProfileReport> {
 fn fold_profile(p: &ProfileReport) {
     let mut g = PROFILE_TOTALS.lock().expect("profile totals poisoned");
     g.get_or_insert_with(ProfileReport::default).add(p);
-}
-
-/// Resolve the `sm_threads` value [`run`] will hand to a cell's
-/// `GpuConfig`:
-///
-/// 1. an explicit `--sm-threads` override wins, unbudgeted — the user
-///    asked for exactly that shape;
-/// 2. a value set programmatically on the config (`sm_threads > 0`) is
-///    honored as-is — tests sweep it deliberately;
-/// 3. an ambient `BOWS_SM_THREADS` default is budgeted against the grid:
-///    the grid already runs `--jobs` cells concurrently, so each cell
-///    gets at most `max(1, cores / jobs)` SM workers. Without the budget
-///    the two knobs would multiply into `jobs × sm_threads` runnable
-///    threads and oversubscription would slow every cell down.
-pub fn cell_sm_threads(cfg: &GpuConfig) -> usize {
-    if let Some(n) = sm_threads_override() {
-        return n;
-    }
-    if cfg.sm_threads > 0 {
-        return cfg.sm_threads;
-    }
-    let ambient = cfg.effective_sm_threads();
-    if ambient <= 1 {
-        return cfg.sm_threads;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    ambient.min((cores / grid::jobs().max(1)).max(1))
 }
 
 /// Scheduling configuration under test: a baseline policy, optionally
@@ -203,12 +154,10 @@ pub fn run(
 ) -> Result<WorkloadResult, SimError> {
     let override_storage;
     let engine = engine_override().unwrap_or(cfg.engine);
-    let sm_threads = cell_sm_threads(cfg);
     let profile = profile_enabled() || cfg.profile;
-    let cfg = if engine != cfg.engine || sm_threads != cfg.sm_threads || profile != cfg.profile {
+    let cfg = if engine != cfg.engine || profile != cfg.profile {
         override_storage = GpuConfig {
             engine,
-            sm_threads,
             profile,
             ..cfg.clone()
         };
@@ -253,7 +202,7 @@ pub struct Opts {
 }
 
 const USAGE: &str = "flags: --scale tiny|small|full   --csv   --jobs <n>   \
-     --engine cycle|skip   --sm-threads <n>   --profile";
+     --engine cycle|skip   --profile";
 
 /// Print `msg` and the usage line to stderr, then exit with status 2.
 /// Experiment sweeps must fail loudly on a malformed invocation — silently
@@ -293,12 +242,9 @@ impl Opts {
                     let Some(v) = args.next() else {
                         usage_error("--engine requires a value (cycle|skip)");
                     };
-                    match v.as_str() {
-                        "cycle" => set_engine(Some(Engine::Cycle)),
-                        "skip" => set_engine(Some(Engine::Skip)),
-                        other => usage_error(&format!(
-                            "unknown engine `{other}` (cycle|skip)"
-                        )),
+                    match v.parse::<Engine>() {
+                        Ok(e) => set_engine(Some(e)),
+                        Err(()) => usage_error(&format!("unknown engine `{v}` (cycle|skip)")),
                     }
                 }
                 "--jobs" => {
@@ -308,15 +254,6 @@ impl Opts {
                     match v.parse::<usize>() {
                         Ok(n) if n >= 1 => grid::set_jobs(n),
                         _ => usage_error(&format!("invalid --jobs value `{v}`")),
-                    }
-                }
-                "--sm-threads" => {
-                    let Some(v) = args.next() else {
-                        usage_error("--sm-threads requires a value");
-                    };
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => set_sm_threads(Some(n)),
-                        _ => usage_error(&format!("invalid --sm-threads value `{v}`")),
                     }
                 }
                 "--profile" => set_profile(true),

@@ -46,6 +46,27 @@ pub enum Engine {
     Skip,
 }
 
+impl Engine {
+    /// Short lowercase name (`cycle` | `skip`), the inverse of `FromStr`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Cycle => "cycle",
+            Engine::Skip => "skip",
+        }
+    }
+}
+
+impl std::str::FromStr for Engine {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Engine, ()> {
+        [Engine::Cycle, Engine::Skip]
+            .into_iter()
+            .find(|e| e.name() == s)
+            .ok_or(())
+    }
+}
+
 /// Top-level GPU configuration.
 ///
 /// Presets follow the paper's Table II: [`GpuConfig::gtx480`] (Fermi) and
@@ -104,11 +125,11 @@ pub struct GpuConfig {
     /// Main-loop time-advance strategy (see [`Engine`]).
     pub engine: Engine,
     /// Worker threads cycling SMs inside a single simulation. `0` (the
-    /// default everywhere) resolves from the `BOWS_SM_THREADS` environment
-    /// variable, falling back to `1` (serial). Any value is clamped to
-    /// `[1, num_sms]` at run time. Results are bit-identical at every
-    /// thread count (see `tests/determinism.rs`); the knob trades host
-    /// cores for wall time only.
+    /// default everywhere) and `1` both mean serial; larger values are
+    /// clamped to `num_sms` at run time. Results are bit-identical at
+    /// every thread count (see `tests/determinism.rs`); the knob trades
+    /// host cores for wall time only, and has yet to earn them (DESIGN.md,
+    /// "Parallel execution model", has the measurements).
     pub sm_threads: usize,
 }
 
@@ -197,19 +218,20 @@ impl GpuConfig {
         self.max_threads_per_sm / self.warp_size
     }
 
-    /// Resolve [`GpuConfig::sm_threads`]: an explicit nonzero value wins;
-    /// `0` falls back to the `BOWS_SM_THREADS` environment variable, then
-    /// to `1` (serial). The result is always at least 1; `Gpu::run`
-    /// additionally clamps it to `num_sms`.
-    pub fn effective_sm_threads(&self) -> usize {
-        if self.sm_threads > 0 {
-            return self.sm_threads;
+    /// The preset named `tiny` | `gtx480` | `gtx1080ti`.
+    pub fn preset(name: &str) -> Option<GpuConfig> {
+        match name {
+            "tiny" => Some(GpuConfig::test_tiny()),
+            "gtx480" => Some(GpuConfig::gtx480()),
+            "gtx1080ti" => Some(GpuConfig::gtx1080ti()),
+            _ => None,
         }
-        std::env::var("BOWS_SM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
+    }
+
+    /// SM worker threads a run uses: [`GpuConfig::sm_threads`] with `0`
+    /// and `1` both serial, clamped to `num_sms`.
+    pub(crate) fn sm_workers(&self) -> usize {
+        self.sm_threads.clamp(1, self.num_sms.max(1))
     }
 
     /// Structural sanity checks that `Gpu::run` performs before building
@@ -297,14 +319,25 @@ mod tests {
         }
     }
 
-    /// Explicit values win over the environment and floor at serial.
+    /// 0 and 1 are serial, 99 clamps to `num_sms`.
     #[test]
-    fn sm_threads_resolution() {
-        let mut cfg = GpuConfig::test_tiny();
-        cfg.sm_threads = 3;
-        assert_eq!(cfg.effective_sm_threads(), 3);
-        // With sm_threads = 0 the result is env-dependent but never 0.
-        cfg.sm_threads = 0;
-        assert!(cfg.effective_sm_threads() >= 1);
+    fn sm_workers_floor_and_clamp() {
+        let mut cfg = GpuConfig::gtx480();
+        for (sm_threads, workers) in [(0, 1), (1, 1), (4, 4), (99, 15)] {
+            cfg.sm_threads = sm_threads;
+            assert_eq!(cfg.sm_workers(), workers, "sm_threads = {sm_threads}");
+        }
+    }
+
+    #[test]
+    fn names_parse_back() {
+        for e in [Engine::Cycle, Engine::Skip] {
+            assert_eq!(e.name().parse(), Ok(e));
+        }
+        assert!("warp".parse::<Engine>().is_err());
+        for name in ["tiny", "gtx480", "gtx1080ti"] {
+            assert!(GpuConfig::preset(name).is_some(), "{name}");
+        }
+        assert_eq!(GpuConfig::preset("h100"), None);
     }
 }

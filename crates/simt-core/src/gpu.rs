@@ -3,7 +3,8 @@
 use crate::cancel::{CancelCause, CancelToken};
 use crate::detect::{BranchLog, NullDetector, SpinDetector, StaticSibDetector};
 use crate::sched::{BasePolicy, SchedulerPolicy};
-use crate::sm::{LaunchCtx, Sm, SnapLimits};
+use crate::pool::SmPool;
+use crate::sm::{LaunchCtx, Sm, SmProf, SnapLimits};
 use crate::watchdog::{HangClass, HangReport, ProgressScan};
 use crate::{EnergyBreakdown, EnergyModel, Engine, GpuConfig, SimStats};
 use simt_isa::Kernel;
@@ -11,8 +12,7 @@ use simt_mem::{MemStats, MemorySystem};
 use simt_snap::{Snap, SnapshotError};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::time::Instant;
 
 /// Cycles between forward-progress scans. A power of two well below any
 /// sensible `watchdog_cycles`, so scan cost stays negligible while hang
@@ -354,12 +354,12 @@ impl Gpu {
 
     /// Run a kernel to completion.
     ///
-    /// SMs are cycled by [`GpuConfig::effective_sm_threads`] worker
-    /// threads (1 = serial, the default). Every thread count produces
-    /// bit-identical results: SMs never touch shared state while cycling —
-    /// each stages its global-memory work on itself — and the staged work
-    /// is replayed into the memory system in fixed SM-id order afterwards,
-    /// reproducing serial execution's access order exactly.
+    /// SMs are cycled by [`GpuConfig::sm_threads`] worker threads (0 or
+    /// 1 = serial, the default). Every thread count produces bit-identical
+    /// results: SMs never touch shared state while cycling — each stages
+    /// its global-memory work on itself — and the staged work is replayed
+    /// into the memory system in fixed SM-id order afterwards, reproducing
+    /// serial execution's access order exactly.
     ///
     /// # Errors
     ///
@@ -405,7 +405,7 @@ impl Gpu {
         launch: &LaunchSpec,
         policy_factory: &PolicyFactory<'_>,
         detector_factory: &DetectorFactory<'_>,
-        mut ctl: Option<CheckpointCtl<'_>>,
+        ctl: Option<CheckpointCtl<'_>>,
     ) -> Result<KernelReport, SimError> {
         self.cfg
             .validate()
@@ -440,26 +440,16 @@ impl Gpu {
             });
         }
 
-        let num_sms = self.cfg.num_sms;
-        let threads = self.cfg.effective_sm_threads().clamp(1, num_sms);
-
-        // SMs live in per-worker chunks for the whole run; chunk `w` owns
-        // SMs `w, w+threads, w+2*threads, ...` (ascending). The striding is
-        // deliberate: CTAs dispatch round-robin from SM 0, so at low
-        // occupancy contiguous chunking would cluster every busy SM onto
-        // the first workers. `sm_at`/`sm_at_mut` recover id-order access.
-        let mut chunks: Vec<Chunk> = (0..threads).map(|_| Chunk::default()).collect();
-        for id in 0..num_sms {
-            let units = (0..self.cfg.schedulers_per_sm)
-                .map(|_| policy_factory())
-                .collect();
-            chunks[id % threads]
-                .sms
-                .push(Sm::new(id, &self.cfg, units, detector_factory(kernel)));
-        }
-        let scheduler_name = chunks[0].sms[0].units()[0].name();
-        let detector_name = chunks[0].sms[0].detector.name().to_string();
-
+        let sms: Vec<Sm> = (0..self.cfg.num_sms)
+            .map(|id| {
+                let units = (0..self.cfg.schedulers_per_sm)
+                    .map(|_| policy_factory())
+                    .collect();
+                Sm::new(id, &self.cfg, units, detector_factory(kernel))
+            })
+            .collect();
+        let scheduler = sms[0].units()[0].name();
+        let detector = sms[0].detector.name().to_string();
         // Snapshot identity: (config minus thread count) + kernel + launch.
         // Computed only when checkpointing is in play.
         let fingerprint = if ctl.is_some() {
@@ -467,444 +457,434 @@ impl Gpu {
         } else {
             0
         };
-
-        let rs = if let Some(body) = ctl.as_ref().and_then(|c| c.resume) {
-            // Resume replaces the initial dispatch wholesale: warp slots,
-            // CTA residency, the pending-CTA queue, and every run-loop
-            // local come from the snapshot. Device memory is restored last
-            // and atomically, so a failed resume leaves the GPU usable.
-            restore_snapshot(
-                body,
+        let Gpu {
+            cfg,
+            mem,
+            energy_model,
+            cancel,
+        } = self;
+        SmPool::scoped(sms, cfg.sm_workers(), &lctx, |pool| {
+            let mut run = Run {
+                rs: RunState::new(launch.grid_ctas, *mem.stats()),
+                cfg,
+                mem,
+                cancel: cancel.as_ref(),
+                pool,
+                lctx: &lctx,
                 fingerprint,
-                (scheduler_name.as_str(), detector_name.as_str()),
-                &mut chunks,
-                threads,
-                &mut self.mem,
-                kernel,
-                launch,
-            )
-            .map_err(|e| SimError::Snapshot {
-                what: e.to_string(),
-            })?
-        } else {
-            // Initial CTA dispatch: round-robin over SMs while anything fits.
-            let mut pending: VecDeque<usize> = (0..launch.grid_ctas).collect();
-            let mut age_counter = 0u64;
-            dispatch_pending(&mut chunks, threads, &mut pending, &lctx, &mut age_counter);
-            if pending.len() == launch.grid_ctas {
-                return Err(SimError::LaunchTooLarge {
-                    reason: "no CTA could be dispatched".to_string(),
-                });
+                scheduler,
+                detector,
+                started: cfg.profile.then(Instant::now),
+                prof: ProfileReport::default(),
+            };
+            if let Some(body) = ctl.as_ref().and_then(|c| c.resume) {
+                // Resume replaces the initial dispatch wholesale: warp
+                // slots, CTA residency, the pending-CTA queue, and every
+                // run-loop local come from the snapshot.
+                run.restore(body).map_err(|e| SimError::Snapshot {
+                    what: e.to_string(),
+                })?;
+            } else {
+                // Initial CTA dispatch: round-robin while anything fits.
+                run.dispatch_pending();
+                if run.rs.pending.len() == launch.grid_ctas {
+                    return Err(SimError::LaunchTooLarge {
+                        reason: "no CTA could be dispatched".to_string(),
+                    });
+                }
             }
-            let mem_before = *self.mem.stats();
-            RunState {
-                now: 0,
-                pending,
-                age_counter,
-                // Run-level statistics. Per-SM counters accrue into each
-                // chunk's own `SimStats` (workers cannot share one) and are
-                // merged at the end — every field is a sum, so the merge is
-                // order-independent.
-                stats: SimStats::default(),
-                idle_since: 0,
-                remaining: launch.grid_ctas,
-                // Spin-livelock persistence: the first cycle at which every
-                // live warp was spinning-or-blocked with zero lock progress,
-                // or `None` while the machine is making progress.
-                livelock_since: None,
-                locks_at_scan: mem_before.lock_success,
-                mem_before,
-            }
+            run.drive(ctl)?;
+            Ok(run.finish(energy_model))
+        })
+    }
+}
+
+/// One kernel launch in flight: the machine (SMs behind the pool, device
+/// memory) and the run loop's own state. The run loop and its helpers are
+/// written as serial code over "the SMs"; which host threads cycle them is
+/// the [`SmPool`]'s business.
+struct Run<'a, 'p> {
+    cfg: &'a GpuConfig,
+    mem: &'a mut MemorySystem,
+    cancel: Option<&'a CancelToken>,
+    pool: &'a mut SmPool<'p>,
+    lctx: &'a LaunchCtx<'a>,
+    rs: RunState,
+    /// Snapshot identity (0 when checkpointing is off).
+    fingerprint: u64,
+    /// Scheduler name (from unit 0 of SM 0).
+    scheduler: String,
+    /// Detector name.
+    detector: String,
+    /// Coordinator-side phase timers. `profile` is false by default and
+    /// [`Run::timer`] makes the off path a single untaken branch per
+    /// phase — no timestamps, no accumulation.
+    started: Option<Instant>,
+    prof: ProfileReport,
+}
+
+/// Close a phase opened by [`Run::timer`].
+fn lap(t: Option<Instant>, acc: &mut u64) {
+    if let Some(t) = t {
+        *acc += t.elapsed().as_nanos() as u64;
+    }
+}
+
+impl Run<'_, '_> {
+    /// Open a profiled phase (`None` unless profiling).
+    fn timer(&self) -> Option<Instant> {
+        self.started.map(|_| Instant::now())
+    }
+
+    /// The run loop: one iteration per simulated cycle, until the grid
+    /// retires. `Engine::Cycle` is this loop with the fast-forward block
+    /// off.
+    fn drive(&mut self, ctl: Option<CheckpointCtl<'_>>) -> Result<(), SimError> {
+        let start_cycle = self.rs.now;
+        let skip = self.cfg.engine == Engine::Skip;
+        let (every, mut sink) = match ctl {
+            Some(c) => (c.every, Some(c.sink)),
+            None => (0, None),
         };
-        let start_cycle = rs.now;
-        let RunState {
-            now: _,
-            mut pending,
-            mut age_counter,
-            mut stats,
-            mut idle_since,
-            mut remaining,
-            mut livelock_since,
-            mut locks_at_scan,
-            mem_before,
-        } = rs;
         // Reusable completion sink: the cycle loop never allocates for the
         // common zero-or-few-completions case.
         let mut completions = Vec::new();
-        let skip = self.cfg.engine == Engine::Skip;
-        // Coordinator-side phase timers. `profile` is false by default and
-        // the `.then(Instant::now)` pattern makes the off path a single
-        // untaken branch per phase — no timestamps, no accumulation.
-        let profile = self.cfg.profile;
-        let run_start = profile.then(std::time::Instant::now);
-        let mut prof_mem_ns = 0u64;
-        let mut prof_merge_ns = 0u64;
-        let mut prof_skip_ns = 0u64;
-
-        // Worker handoff slots (none when serial). Workers spin between
-        // rounds — a blocking handoff would cost a park/unpark round trip
-        // per simulated cycle, dwarfing the cycle itself.
-        let slots: Vec<Slot> = (1..threads).map(|_| Slot::default()).collect();
-        let final_cycle: Result<u64, SimError> = std::thread::scope(|scope| {
-            // Unblocks (and thereby joins) every worker on any exit path,
-            // including panics — workers otherwise spin forever and the
-            // scope never closes.
-            let _guard = ShutdownGuard(&slots);
-            for slot in &slots {
-                let lctx = &lctx;
-                scope.spawn(move || worker(slot, lctx));
-            }
-            let mut round = 0u64;
-            let mut now = start_cycle;
-            while remaining > 0 {
-                // Checkpoint boundary: the machine is between cycles (no
-                // staged work, no outstanding rounds), so the snapshot is
-                // simply "about to simulate cycle `now`". Per-chunk stats
-                // are folded into the run accumulator first — the fold is a
-                // sum the end-of-run merge would have performed anyway, so
-                // totals are unchanged — making the body independent of the
-                // worker count.
-                if let Some(c) = ctl.as_mut() {
-                    if c.every > 0 && now > start_cycle && now.is_multiple_of(c.every) {
-                        for ch in &mut chunks {
-                            stats.add(&ch.stats);
-                            ch.stats = SimStats::default();
-                        }
-                        let state = RunState {
-                            now,
-                            pending: pending.clone(),
-                            age_counter,
-                            stats: stats.clone(),
-                            idle_since,
-                            remaining,
-                            livelock_since,
-                            locks_at_scan,
-                            mem_before,
-                        };
-                        let body = snapshot_body(
-                            fingerprint,
-                            (scheduler_name.as_str(), detector_name.as_str()),
-                            &state,
-                            &chunks,
-                            threads,
-                            &self.mem,
-                        );
-                        (c.sink)(now, &body);
-                    }
-                }
-                // Memory completions first so unblocked warps can issue
-                // today. Chunks are always resident on this thread between
-                // rounds, so completions, dispatch, scans, and replay all
-                // see every SM.
-                let t = profile.then(std::time::Instant::now);
-                completions.clear();
-                self.mem.cycle_into(now, &mut completions);
-                for c in completions.drain(..) {
-                    let sm = c.sm;
-                    sm_at_mut(&mut chunks, threads, sm).on_mem_complete(c)?;
-                }
-                if let Some(t) = t {
-                    prof_mem_ns += t.elapsed().as_nanos() as u64;
-                }
-                round += 1;
-                run_round(
-                    &slots,
-                    &mut chunks,
-                    Job::Cycle {
-                        now,
-                        want_ready: skip,
-                    },
-                    &lctx,
-                    round,
-                );
-                let mut issued_any = false;
-                let mut finished = 0u32;
-                let mut cycle_err: Option<(usize, SimError)> = None;
-                for ch in &mut chunks {
-                    issued_any |= ch.issued > 0;
-                    finished += ch.finished;
-                    if let Some((id, _)) = &ch.err {
-                        let id = *id;
-                        if cycle_err.as_ref().is_none_or(|(best, _)| id < *best) {
-                            cycle_err = ch.err.take();
-                        }
-                        ch.err = None;
-                    }
-                }
-                // Deterministic merge: replay every SM's staged global-
-                // memory work in fixed SM-id order. On a cycle error the
-                // replay stops at the erroring SM (serial execution would
-                // never have cycled the ones after it), and a replay fault
-                // from an earlier SM takes precedence — serial execution
-                // would have hit it first.
-                let limit = cycle_err.as_ref().map_or(num_sms, |(id, _)| id + 1);
-                let t = profile.then(std::time::Instant::now);
-                for id in 0..limit {
-                    let sm = sm_at_mut(&mut chunks, threads, id);
-                    // Replaying an empty stage is a no-op; skip the call so
-                    // idle SMs cost nothing in the merge.
-                    if sm.has_staged() {
-                        sm.replay_stage(&mut self.mem, now)?;
-                    }
-                }
-                if let Some(t) = t {
-                    prof_merge_ns += t.elapsed().as_nanos() as u64;
-                }
-                if let Some((_, e)) = cycle_err {
-                    return Err(e);
-                }
-                if finished > 0 {
-                    remaining -= finished as usize;
-                    // Refill SMs that just freed resources.
-                    dispatch_pending(&mut chunks, threads, &mut pending, &lctx, &mut age_counter);
-                }
-                if issued_any {
-                    stats.busy_cycles += 1;
-                    idle_since = now + 1;
-                } else if self.mem.quiescent() && now - idle_since >= self.cfg.watchdog_cycles {
-                    // Nothing can ever issue again: classic SIMT deadlock.
-                    return Err(hang_error(
-                        &self.mem,
-                        HangClass::GlobalDeadlock,
-                        now,
-                        &chunks,
-                        threads,
-                        &scheduler_name,
-                    ));
-                }
-
-                // Cooperative cancellation, polled on the same cadence as the
-                // forward-progress scan (Skip-engine horizons are clamped to
-                // SCAN_PERIOD boundaries, so dead spans cannot outrun it).
-                if now.is_multiple_of(SCAN_PERIOD) && now > 0 {
-                    if let Some(cause) = self.cancel.as_ref().and_then(CancelToken::fired) {
-                        return Err(SimError::Cancelled { cycle: now, cause });
-                    }
-                }
-
-                // Periodic forward-progress scan: catches hangs where warps
-                // keep issuing (spin livelock) or where one warp silently
-                // starves while the rest of the machine stays busy.
-                if now.is_multiple_of(SCAN_PERIOD) && now > 0 && remaining > 0 {
-                    let mut agg = ProgressScan::default();
-                    let mut starved: Option<(usize, usize)> = None;
-                    let mut backoff_starved: Option<(usize, usize)> = None;
-                    for id in 0..num_sms {
-                        let s = sm_at(&chunks, threads, id).scan_progress(
-                            now,
-                            self.cfg.watchdog_cycles,
-                            self.cfg.backoff_starvation_cycles,
-                        );
-                        agg.live += s.live;
-                        agg.spinning += s.spinning;
-                        agg.spinning_or_blocked += s.spinning_or_blocked;
-                        // The winner is the explicit lexicographic minimum
-                        // `(sm, warp)` pair, so hang attribution cannot
-                        // depend on the order SMs happened to be visited.
-                        if let Some(w) = s.backoff_starved {
-                            let cand = (id, w);
-                            if backoff_starved.is_none_or(|b| cand < b) {
-                                backoff_starved = Some(cand);
-                            }
-                        }
-                        if let Some(w) = s.starved {
-                            let cand = (id, w);
-                            if starved.is_none_or(|b| cand < b) {
-                                starved = Some(cand);
-                            }
-                        }
-                    }
-                    let locks_now = self.mem.stats().lock_success;
-                    let lock_delta = locks_now - locks_at_scan;
-                    locks_at_scan = locks_now;
-                    if let Some((sm, warp)) = backoff_starved {
-                        let class = HangClass::BackoffStarvation { sm, warp };
-                        return Err(hang_error(
-                            &self.mem,
-                            class,
-                            now,
-                            &chunks,
-                            threads,
-                            &scheduler_name,
-                        ));
-                    }
-                    if let Some((sm, warp)) = starved {
-                        let class = HangClass::Starvation { sm, warp };
-                        return Err(hang_error(
-                            &self.mem,
-                            class,
-                            now,
-                            &chunks,
-                            threads,
-                            &scheduler_name,
-                        ));
-                    }
-                    let stalled = agg.live > 0
-                        && agg.spinning > 0
-                        && agg.spinning_or_blocked == agg.live
-                        && lock_delta == 0;
-                    if stalled {
-                        let since = *livelock_since.get_or_insert(now);
-                        if now - since >= self.cfg.watchdog_cycles {
-                            let class = HangClass::SpinLivelock;
-                            return Err(hang_error(
-                                &self.mem,
-                                class,
-                                now,
-                                &chunks,
-                                threads,
-                                &scheduler_name,
-                            ));
-                        }
-                    } else {
-                        livelock_since = None;
-                    }
-                }
-
-                // Event-horizon fast-forward. A cycle in which no unit issued
-                // and no CTA retired leaves the whole machine in a state that
-                // cannot change until (a) the memory system delivers or serves
-                // something, or (b) an SM's own timers fire (writeback wheel,
-                // BOWS back-off expiry, adaptive-window update). Jump straight
-                // to that horizon, bulk-accruing the skipped cycles' stall
-                // statistics. Clamps keep every externally observable
-                // transition on its cycle-engine schedule: forward-progress
-                // scans stay on SCAN_PERIOD boundaries, GTO age rotation is
-                // observed at each rotation edge, the global-deadlock watchdog
-                // fires at exactly `idle_since + watchdog_cycles`, and the
-                // cycle limit trips at exactly `max_cycles`.
-                let mut next = now + 1;
-                if skip && !issued_any && finished == 0 {
-                    let t = profile.then(std::time::Instant::now);
-                    let mut horizon = u64::MAX;
-                    if let Some(t) = self.mem.next_event(now) {
-                        horizon = horizon.min(t);
-                    }
-                    // Each chunk min-reduced its own SMs' `next_ready_cycle`
-                    // during the cycle round (the per-SM scan is as costly
-                    // as the cycle itself, so it parallelizes with it);
-                    // folding the chunk minima equals the serial fold.
-                    for ch in &chunks {
-                        if let Some(t) = ch.ready {
-                            horizon = horizon.min(t);
-                        }
-                    }
-                    horizon = horizon.min((now / SCAN_PERIOD + 1) * SCAN_PERIOD);
-                    let rotate = self.cfg.gto_rotate_period.max(1);
-                    horizon = horizon.min((now / rotate + 1) * rotate);
-                    // Checkpoint boundaries are kept as explicit cycles.
-                    // Safe by the engine-equivalence invariant: a span is
-                    // only skippable when every cycle in it changes nothing,
-                    // so landing on the boundary and continuing is
-                    // bit-identical to jumping over it.
-                    if let Some(c) = &ctl {
-                        // checked_div: None when checkpointing is off
-                        // (every == 0), so no boundary clamps the horizon.
-                        if let Some(q) = now.checked_div(c.every) {
-                            horizon = horizon.min((q + 1) * c.every);
-                        }
-                    }
-                    if self.mem.quiescent() {
-                        // Quiescence cannot end inside a dead span, so the
-                        // deadlock deadline is a hard horizon bound.
-                        horizon = horizon.min(idle_since + self.cfg.watchdog_cycles);
-                    }
-                    if self.cfg.max_cycles > 0 {
-                        horizon = horizon.min(self.cfg.max_cycles);
-                    }
-                    if horizon > next {
-                        let span = horizon - next;
-                        round += 1;
-                        run_round(&slots, &mut chunks, Job::Skip { now, span }, &lctx, round);
-                        next = horizon;
-                    }
-                    if let Some(t) = t {
-                        prof_skip_ns += t.elapsed().as_nanos() as u64;
-                    }
-                }
-                now = next;
-                if self.cfg.max_cycles > 0 && now >= self.cfg.max_cycles {
-                    return Err(hang_error(
-                        &self.mem,
-                        HangClass::CycleLimit,
-                        now,
-                        &chunks,
-                        threads,
-                        &scheduler_name,
-                    ));
+        while self.rs.remaining > 0 {
+            let now = self.rs.now;
+            // Checkpoint boundary: the machine is between cycles (no
+            // staged work, no round in flight), so the snapshot is simply
+            // "about to simulate cycle `now`". Per-worker stats are folded
+            // into the run accumulator first — a sum the end-of-run fold
+            // would have performed anyway — which makes the body
+            // independent of the worker count.
+            if let Some(sink) = &mut sink {
+                if every > 0 && now > start_cycle && now.is_multiple_of(every) {
+                    self.pool.fold_stats(&mut self.rs.stats);
+                    sink(now, &self.snapshot_body());
                 }
             }
-            Ok(now)
-        });
-        let now = final_cycle?;
-
-        for ch in &chunks {
-            stats.add(&ch.stats);
+            // Memory completions first so unblocked warps can issue today.
+            let t = self.timer();
+            self.mem.cycle_into(now, &mut completions);
+            for c in completions.drain(..) {
+                self.pool.sm_mut(c.sm).on_mem_complete(c)?;
+            }
+            lap(t, &mut self.prof.mem_cycle_ns);
+            let round = self.pool.cycle(now, skip);
+            // Deterministic merge: replay every SM's staged global-memory
+            // work in fixed SM-id order. On a cycle error the replay stops
+            // at the erroring SM (serial execution would never have cycled
+            // the ones after it), and a replay fault from an earlier SM
+            // takes precedence — serial execution would have hit it first.
+            let limit = round.err.as_ref().map_or(self.pool.len(), |(id, _)| id + 1);
+            let t = self.timer();
+            for id in 0..limit {
+                let sm = self.pool.sm_mut(id);
+                // Replaying an empty stage is a no-op; skip the call so
+                // idle SMs cost nothing in the merge.
+                if sm.has_staged() {
+                    sm.replay_stage(self.mem, now)?;
+                }
+            }
+            lap(t, &mut self.prof.merge_ns);
+            if let Some((_, e)) = round.err {
+                return Err(e);
+            }
+            if round.finished > 0 {
+                self.rs.remaining -= round.finished as usize;
+                // Refill SMs that just freed resources.
+                self.dispatch_pending();
+            }
+            if round.issued {
+                self.rs.stats.busy_cycles += 1;
+                self.rs.idle_since = now + 1;
+            } else if self.mem.quiescent()
+                && now - self.rs.idle_since >= self.cfg.watchdog_cycles
+            {
+                // Nothing can ever issue again: classic SIMT deadlock.
+                return Err(self.hang(HangClass::GlobalDeadlock));
+            }
+            if now.is_multiple_of(SCAN_PERIOD) && now > 0 {
+                // Cooperative cancellation, polled on the same cadence as
+                // the forward-progress scan (Skip-engine horizons are
+                // clamped to SCAN_PERIOD boundaries, so dead spans cannot
+                // outrun it).
+                if let Some(cause) = self.cancel.and_then(CancelToken::fired) {
+                    return Err(SimError::Cancelled { cycle: now, cause });
+                }
+                if self.rs.remaining > 0 {
+                    if let Some(class) = self.scan_progress() {
+                        return Err(self.hang(class));
+                    }
+                }
+            }
+            // A dead cycle — no unit issued, no CTA retired — leaves the
+            // whole machine unable to change before the event horizon;
+            // jump straight there, bulk-accruing the skipped cycles' stall
+            // statistics.
+            let mut next = now + 1;
+            if skip && !round.issued && round.finished == 0 {
+                let t = self.timer();
+                let horizon = self.skip_horizon(round.ready, every);
+                if horizon > next {
+                    self.pool.skip(now, horizon - next);
+                    next = horizon;
+                }
+                lap(t, &mut self.prof.skip_horizon_ns);
+            }
+            self.rs.now = next;
+            if self.cfg.max_cycles > 0 && next >= self.cfg.max_cycles {
+                return Err(self.hang(HangClass::CycleLimit));
+            }
         }
-        stats.cycles = now;
-        let mem_stats = self
+        Ok(())
+    }
+
+    /// Round-robin CTA dispatch: repeatedly offer the oldest pending CTA
+    /// to each SM in turn (ascending SM id) until a full pass launches
+    /// nothing (used both for the initial dispatch and for refills after a
+    /// CTA retires). Refill order — and with it every age key — is the
+    /// same however the pool cycles the SMs.
+    fn dispatch_pending(&mut self) {
+        let rs = &mut self.rs;
+        let mut made_progress = true;
+        while made_progress && !rs.pending.is_empty() {
+            made_progress = false;
+            for id in 0..self.pool.len() {
+                let Some(&cta) = rs.pending.front() else { break };
+                if self.pool.sm_mut(id).try_launch_cta(cta, self.lctx, &mut rs.age_counter) {
+                    rs.pending.pop_front();
+                    made_progress = true;
+                }
+            }
+        }
+    }
+
+    /// Periodic forward-progress scan: catches hangs where warps keep
+    /// issuing (spin livelock) or where one warp silently starves while
+    /// the rest of the machine stays busy. Returns the hang it diagnoses.
+    fn scan_progress(&mut self) -> Option<HangClass> {
+        let now = self.rs.now;
+        let mut agg = ProgressScan::default();
+        let mut starved: Option<(usize, usize)> = None;
+        let mut backoff_starved: Option<(usize, usize)> = None;
+        for (id, sm) in self.pool.sms().enumerate() {
+            let s = sm.scan_progress(
+                now,
+                self.cfg.watchdog_cycles,
+                self.cfg.backoff_starvation_cycles,
+            );
+            agg.live += s.live;
+            agg.spinning += s.spinning;
+            agg.spinning_or_blocked += s.spinning_or_blocked;
+            // SMs are visited in ascending id, so the first hit is the
+            // lexicographic minimum `(sm, warp)` pair: hang attribution
+            // cannot depend on how the pool cycles the SMs.
+            backoff_starved = backoff_starved.or(s.backoff_starved.map(|w| (id, w)));
+            starved = starved.or(s.starved.map(|w| (id, w)));
+        }
+        let locks_now = self.mem.stats().lock_success;
+        let lock_delta = locks_now - self.rs.locks_at_scan;
+        self.rs.locks_at_scan = locks_now;
+        if let Some((sm, warp)) = backoff_starved {
+            return Some(HangClass::BackoffStarvation { sm, warp });
+        }
+        if let Some((sm, warp)) = starved {
+            return Some(HangClass::Starvation { sm, warp });
+        }
+        let stalled = agg.live > 0
+            && agg.spinning > 0
+            && agg.spinning_or_blocked == agg.live
+            && lock_delta == 0;
+        if !stalled {
+            self.rs.livelock_since = None;
+            return None;
+        }
+        let since = *self.rs.livelock_since.get_or_insert(now);
+        (now - since >= self.cfg.watchdog_cycles).then_some(HangClass::SpinLivelock)
+    }
+
+    /// Event horizon after a dead cycle at `rs.now`: the earliest later
+    /// cycle at which the machine can change state — (a) the memory system
+    /// delivers or serves something, or (b) an SM's own timers fire
+    /// (writeback wheel, BOWS back-off expiry, adaptive-window update;
+    /// `sm_ready`, from the dead round). Clamps keep every externally
+    /// observable transition on its cycle-engine schedule:
+    /// forward-progress scans stay on SCAN_PERIOD boundaries, GTO age
+    /// rotation is observed at each rotation edge, the global-deadlock
+    /// watchdog fires at exactly `idle_since + watchdog_cycles`, and the
+    /// cycle limit trips at exactly `max_cycles`.
+    fn skip_horizon(&self, sm_ready: Option<u64>, checkpoint_every: u64) -> u64 {
+        let now = self.rs.now;
+        let next_multiple = |period: u64| (now / period + 1) * period;
+        let mut horizon = next_multiple(SCAN_PERIOD)
+            .min(next_multiple(self.cfg.gto_rotate_period.max(1)))
+            .min(self.mem.next_event(now).unwrap_or(u64::MAX))
+            .min(sm_ready.unwrap_or(u64::MAX));
+        // Checkpoint boundaries are kept as explicit cycles. Safe by the
+        // engine-equivalence invariant: a span is only skippable when
+        // every cycle in it changes nothing, so landing on the boundary
+        // and continuing is bit-identical to jumping over it.
+        if checkpoint_every > 0 {
+            horizon = horizon.min(next_multiple(checkpoint_every));
+        }
+        if self.mem.quiescent() {
+            // Quiescence cannot end inside a dead span, so the deadlock
+            // deadline is a hard horizon bound.
+            horizon = horizon.min(self.rs.idle_since + self.cfg.watchdog_cycles);
+        }
+        if self.cfg.max_cycles > 0 {
+            horizon = horizon.min(self.cfg.max_cycles);
+        }
+        horizon
+    }
+
+    /// A classified hang error at the current cycle, with a full
+    /// warp-state snapshot (warps in SM-id order).
+    fn hang(&self, class: HangClass) -> SimError {
+        let cycle = self.rs.now;
+        let mstats = self.mem.stats();
+        let report = Box::new(HangReport {
+            class,
+            cycle,
+            scheduler: self.scheduler.clone(),
+            warps: self.pool.sms().flat_map(|sm| sm.snapshots(cycle)).collect(),
+            mem_in_flight: self.mem.in_flight(),
+            lock_success: mstats.lock_success,
+            lock_fails: mstats.lock_intra_fail + mstats.lock_inter_fail,
+        });
+        match class {
+            HangClass::CycleLimit => SimError::CycleLimit { cycle, report },
+            _ => SimError::Deadlock { cycle, report },
+        }
+    }
+
+    /// Assemble the report of a run whose grid has retired.
+    fn finish(mut self, energy_model: &EnergyModel) -> KernelReport {
+        let cycles = self.rs.now;
+        self.pool.fold_stats(&mut self.rs.stats);
+        let mut sim = self.rs.stats;
+        sim.cycles = cycles;
+        let mem = self
             .mem
             .stats()
-            .delta(&mem_before)
+            .delta(&self.rs.mem_before)
             .expect("memory counters only grow (a resumed baseline is checked at restore)");
         let energy =
-            self.energy_model
-                .evaluate(&stats, &mem_stats, self.cfg.num_sms, self.cfg.core_clock_mhz);
+            energy_model.evaluate(&sim, &mem, self.cfg.num_sms, self.cfg.core_clock_mhz);
         let mut branch_log = BranchLog::default();
-        let mut confirmed: Vec<(usize, u64)> = Vec::new();
-        for id in 0..num_sms {
-            let sm = sm_at(&chunks, threads, id);
+        let mut confirmed_sibs: Vec<(usize, u64)> = Vec::new();
+        let mut sm_prof = SmProf::default();
+        for sm in self.pool.sms() {
             branch_log.merge(&sm.branch_log);
             for (pc, cycle) in sm.detector.confirmed_sibs() {
-                match confirmed.iter_mut().find(|(p, _)| *p == pc) {
+                match confirmed_sibs.iter_mut().find(|(p, _)| *p == pc) {
                     Some((_, c)) => *c = (*c).min(cycle),
-                    None => confirmed.push((pc, cycle)),
+                    None => confirmed_sibs.push((pc, cycle)),
                 }
             }
+            sm_prof.fetch_ns += sm.prof.fetch_ns;
+            sm_prof.issue_ns += sm.prof.issue_ns;
+            sm_prof.execute_ns += sm.prof.execute_ns;
         }
-        confirmed.sort_unstable();
-        let final_state = if self.cfg.capture_final_state {
-            let mut ctas: Vec<crate::warp::CtaState> = (0..num_sms)
-                .flat_map(|id| std::mem::take(&mut sm_at_mut(&mut chunks, threads, id).captured))
+        confirmed_sibs.sort_unstable();
+        let final_state = self.cfg.capture_final_state.then(|| {
+            let mut ctas: Vec<crate::warp::CtaState> = (0..self.pool.len())
+                .flat_map(|id| std::mem::take(&mut self.pool.sm_mut(id).captured))
                 .collect();
             ctas.sort_by_key(|c| c.cta_id);
-            Some(ctas)
-        } else {
-            None
-        };
-        let profile_report = run_start.map(|start| {
-            let mut p = ProfileReport {
-                mem_cycle_ns: prof_mem_ns,
-                merge_ns: prof_merge_ns,
-                skip_horizon_ns: prof_skip_ns,
-                total_ns: start.elapsed().as_nanos() as u64,
-                ..ProfileReport::default()
-            };
-            let mut issue_incl = 0u64;
-            for id in 0..num_sms {
-                let sm = sm_at(&chunks, threads, id);
-                p.fetch_ns += sm.prof.fetch_ns;
-                issue_incl += sm.prof.issue_ns;
-                p.execute_ns += sm.prof.execute_ns;
-            }
+            ctas
+        });
+        let profile = self.started.map(|start| ProfileReport {
+            fetch_ns: sm_prof.fetch_ns,
             // The SM's issue timer brackets the whole scheduler loop;
             // carve the nested execute time out so phases don't overlap.
-            p.issue_ns = issue_incl.saturating_sub(p.execute_ns);
-            p
+            issue_ns: sm_prof.issue_ns.saturating_sub(sm_prof.execute_ns),
+            execute_ns: sm_prof.execute_ns,
+            total_ns: start.elapsed().as_nanos() as u64,
+            ..self.prof
         });
-        Ok(KernelReport {
-            cycles: now,
-            sim: stats,
-            mem: mem_stats,
+        KernelReport {
+            cycles,
+            sim,
+            mem,
             energy,
-            confirmed_sibs: confirmed,
+            confirmed_sibs,
             branch_log,
-            scheduler: scheduler_name,
-            detector: detector_name,
-            time_ms: self.cfg.cycles_to_ms(now),
+            scheduler: self.scheduler,
+            detector: self.detector,
+            time_ms: self.cfg.cycles_to_ms(cycles),
             final_state,
-            profile: profile_report,
-        })
+            profile,
+        }
+    }
+
+    /// Serialize the whole machine into a snapshot body: identity header,
+    /// run-loop locals, SMs in id order, memory system last.
+    fn snapshot_body(&self) -> Vec<u8> {
+        let mut w = simt_snap::SnapWriter::new();
+        w.u64(self.fingerprint);
+        w.str(&self.scheduler);
+        w.str(&self.detector);
+        self.rs.save(&mut w);
+        w.usize(self.pool.len());
+        for sm in self.pool.sms() {
+            sm.save_snap(&mut w);
+        }
+        self.mem.save_snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// Parse a snapshot body and restore it into the freshly constructed
+    /// SMs, the run-loop state and the device memory system. Identity
+    /// (fingerprint, scheduler, detector) is checked before anything
+    /// mutates; the memory system is decoded on the side and swapped in
+    /// last, after every check has passed, so on any error the GPU's
+    /// device memory is untouched.
+    fn restore(&mut self, body: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = simt_snap::SnapReader::new(body);
+        if r.u64()? != self.fingerprint {
+            return Err(SnapshotError::malformed(
+                "fingerprint mismatch: snapshot was taken under a different \
+                 GPU config, kernel, or launch",
+            ));
+        }
+        for (what, ours) in [("scheduler", &self.scheduler), ("detector", &self.detector)] {
+            let theirs = r.str()?;
+            if theirs != *ours {
+                return Err(SnapshotError::malformed(format!(
+                    "{what} mismatch: snapshot has {theirs:?}, this run has {ours:?}"
+                )));
+            }
+        }
+        let kernel = self.lctx.kernel;
+        let limits = SnapLimits {
+            insts: kernel.insts.len(),
+            regs_per_thread: kernel.num_regs as usize,
+            threads_per_cta: self.lctx.threads_per_cta,
+            shared_words: kernel.shared_words as usize,
+            grid_ctas: self.lctx.grid_ctas,
+        };
+        let state = RunState::load(&mut r)?;
+        let nsms = usize::load(&mut r)?;
+        if nsms != self.pool.len() {
+            return Err(SnapshotError::malformed(format!(
+                "snapshot has {nsms} SMs, this machine has {}",
+                self.pool.len()
+            )));
+        }
+        let mut resident_ctas = 0;
+        for id in 0..nsms {
+            let sm = self.pool.sm_mut(id);
+            sm.load_snap(&mut r, &limits)?;
+            resident_ctas += sm.resident_ctas();
+        }
+        let restored_mem = self.mem.load_snap(&mut r)?;
+        r.expect_exhausted()?;
+        state.check(restored_mem.stats(), resident_ctas, self.lctx.grid_ctas)?;
+        *self.mem = restored_mem;
+        self.rs = state;
+        Ok(())
     }
 }
 
@@ -936,6 +916,27 @@ simt_snap::snap_struct!(RunState {
 });
 
 impl RunState {
+    /// The state of a launch before its initial dispatch: every CTA
+    /// pending, cycle 0.
+    fn new(grid_ctas: usize, mem_before: MemStats) -> RunState {
+        RunState {
+            now: 0,
+            pending: (0..grid_ctas).collect(),
+            age_counter: 0,
+            // Run-level statistics. Per-SM counters accrue inside the pool
+            // and are folded in at checkpoints and at the end.
+            stats: SimStats::default(),
+            idle_since: 0,
+            remaining: grid_ctas,
+            // Spin-livelock persistence: the first cycle at which every
+            // live warp was spinning-or-blocked with zero lock progress,
+            // or `None` while the machine is making progress.
+            livelock_since: None,
+            locks_at_scan: mem_before.lock_success,
+            mem_before,
+        }
+    }
+
     /// Validate restored run-loop locals against the rest of the restored
     /// machine: the memory system's counters, the CTAs resident on the SMs,
     /// and the launch. The run loop subtracts these values from `now` and
@@ -985,7 +986,7 @@ impl RunState {
 
 /// Stable identity of (config, kernel, launch): a snapshot resumes only
 /// into the run that produced it. `sm_threads` is zeroed first because
-/// snapshots are worker-count-invariant by construction — per-chunk stats
+/// snapshots are worker-count-invariant by construction — per-worker stats
 /// are folded before serializing and SMs are written in id order — so a
 /// snapshot taken at one thread count restores at any other.
 fn snapshot_fingerprint(cfg: &GpuConfig, kernel: &Kernel, launch: &LaunchSpec) -> u64 {
@@ -1017,353 +1018,6 @@ fn snapshot_fingerprint(cfg: &GpuConfig, kernel: &Kernel, launch: &LaunchSpec) -
         )
         .as_bytes(),
     )
-}
-
-/// Serialize the whole machine into a snapshot body: identity header,
-/// run-loop locals, SMs in id order, memory system last.
-fn snapshot_body(
-    fingerprint: u64,
-    names: (&str, &str),
-    state: &RunState,
-    chunks: &[Chunk],
-    threads: usize,
-    mem: &MemorySystem,
-) -> Vec<u8> {
-    let num_sms: usize = chunks.iter().map(|c| c.sms.len()).sum();
-    let mut w = simt_snap::SnapWriter::new();
-    w.u64(fingerprint);
-    w.str(names.0);
-    w.str(names.1);
-    state.save(&mut w);
-    w.usize(num_sms);
-    for id in 0..num_sms {
-        sm_at(chunks, threads, id).save_snap(&mut w);
-    }
-    mem.save_snap(&mut w);
-    w.into_bytes()
-}
-
-/// Parse and restore a snapshot body into freshly constructed chunks and
-/// the device memory system. Identity (fingerprint, scheduler, detector)
-/// is checked before anything mutates; the memory system is decoded on the
-/// side and swapped in last, after every check has passed, so on any error
-/// the GPU's device memory is untouched.
-#[allow(clippy::too_many_arguments)]
-fn restore_snapshot(
-    body: &[u8],
-    fingerprint: u64,
-    names: (&str, &str),
-    chunks: &mut [Chunk],
-    threads: usize,
-    mem: &mut MemorySystem,
-    kernel: &Kernel,
-    launch: &LaunchSpec,
-) -> Result<RunState, SnapshotError> {
-    let num_sms: usize = chunks.iter().map(|c| c.sms.len()).sum();
-    let mut r = simt_snap::SnapReader::new(body);
-    let fp = r.u64()?;
-    if fp != fingerprint {
-        return Err(SnapshotError::malformed(
-            "fingerprint mismatch: snapshot was taken under a different \
-             GPU config, kernel, or launch",
-        ));
-    }
-    let sched = r.str()?;
-    if sched != names.0 {
-        return Err(SnapshotError::malformed(format!(
-            "scheduler mismatch: snapshot has {sched:?}, this run has {:?}",
-            names.0
-        )));
-    }
-    let det = r.str()?;
-    if det != names.1 {
-        return Err(SnapshotError::malformed(format!(
-            "detector mismatch: snapshot has {det:?}, this run has {:?}",
-            names.1
-        )));
-    }
-    let limits = SnapLimits {
-        insts: kernel.insts.len(),
-        regs_per_thread: kernel.num_regs as usize,
-        threads_per_cta: launch.threads_per_cta,
-        shared_words: kernel.shared_words as usize,
-        grid_ctas: launch.grid_ctas,
-    };
-    let state = RunState::load(&mut r)?;
-    let nsms = usize::load(&mut r)?;
-    if nsms != num_sms {
-        return Err(SnapshotError::malformed(format!(
-            "snapshot has {nsms} SMs, this machine has {num_sms}"
-        )));
-    }
-    let mut resident_ctas = 0;
-    for id in 0..num_sms {
-        let sm = sm_at_mut(chunks, threads, id);
-        sm.load_snap(&mut r, &limits)?;
-        resident_ctas += sm.resident_ctas();
-    }
-    let restored_mem = mem.load_snap(&mut r)?;
-    r.expect_exhausted()?;
-    state.check(restored_mem.stats(), resident_ctas, launch.grid_ctas)?;
-    *mem = restored_mem;
-    Ok(state)
-}
-
-/// One worker's share of the machine: its SMs (strided by SM id) plus its
-/// private statistics accumulator and the per-round outputs of
-/// [`run_job`].
-#[derive(Default)]
-struct Chunk {
-    /// SMs with ids `w, w+threads, w+2*threads, ...`, ascending.
-    sms: Vec<Sm>,
-    /// Per-chunk statistics, accumulated across the whole run and merged
-    /// into the run total at the end (all fields are order-independent
-    /// sums).
-    stats: SimStats,
-    /// Warp instructions issued across the chunk this round.
-    issued: u32,
-    /// CTAs retired across the chunk this round.
-    finished: u32,
-    /// First (lowest-SM-id) cycle error in the chunk this round.
-    err: Option<(usize, SimError)>,
-    /// Chunk-local minimum of [`Sm::next_ready_cycle`], computed only when
-    /// the chunk issued and finished nothing (valid exactly when the whole
-    /// machine had a dead cycle — no chunk issued — which is the only time
-    /// the fast-forward horizon reads it).
-    ready: Option<u64>,
-}
-
-/// One round's work order for a chunk.
-#[derive(Clone, Copy)]
-enum Job {
-    /// Cycle every SM with work at `now`; when `want_ready`, also
-    /// min-reduce `next_ready_cycle` if the chunk stayed quiet.
-    Cycle { now: u64, want_ready: bool },
-    /// Bulk-apply a dead span (`fast_forward`) to every SM with work.
-    Skip { now: u64, span: u64 },
-}
-
-/// Spin-based handoff cell between the coordinator and one worker.
-///
-/// Ownership of the chunk ping-pongs through `cell`, sequenced by the two
-/// monotonic round counters: the coordinator stores the chunk and bumps
-/// `go`; the worker processes and bumps `done`. Only one side touches the
-/// cell at a time, so the mutex is always uncontended — it exists to keep
-/// the handoff in safe code.
-#[derive(Default)]
-struct Slot {
-    cell: Mutex<Option<(Job, Chunk)>>,
-    go: AtomicU64,
-    done: AtomicU64,
-}
-
-/// Unblocks workers on scope exit (normal, error, or panic) by publishing
-/// the shutdown round.
-struct ShutdownGuard<'a>(&'a [Slot]);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        for s in self.0 {
-            s.go.store(u64::MAX, Ordering::Release);
-        }
-    }
-}
-
-/// Wait until `a >= target`. Spin briefly — on a multi-core host the
-/// other side publishes within a few hundred nanoseconds — then fall back
-/// to `yield_now`. The spin budget is deliberately small: when the host
-/// is oversubscribed (more simulation threads than cores), the other side
-/// cannot run until this thread yields, and a long spin would serialize
-/// every handoff behind a burned scheduler quantum.
-fn spin_until_at_least(a: &AtomicU64, target: u64) -> u64 {
-    let mut spins = 0u32;
-    loop {
-        let v = a.load(Ordering::Acquire);
-        if v >= target {
-            return v;
-        }
-        spins = spins.wrapping_add(1);
-        if spins < 256 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Worker thread body: take each round's job, run it, hand the chunk
-/// back, acknowledging the round number the coordinator published (the
-/// coordinator skips a worker on rounds when its chunk is idle, so the
-/// sequence a worker sees is increasing but not contiguous).
-fn worker(slot: &Slot, lctx: &LaunchCtx<'_>) {
-    let mut last = 0u64;
-    loop {
-        let round = spin_until_at_least(&slot.go, last + 1);
-        if round == u64::MAX {
-            return;
-        }
-        let (job, mut chunk) = slot
-            .cell
-            .lock()
-            .expect("handoff cell poisoned")
-            .take()
-            .expect("round published without a job");
-        run_job(job, &mut chunk, lctx);
-        *slot.cell.lock().expect("handoff cell poisoned") = Some((job, chunk));
-        slot.done.store(round, Ordering::Release);
-        last = round;
-    }
-}
-
-/// Run one round: hand chunks 1.. to the workers, process chunk 0 on the
-/// coordinator thread, then collect every chunk back. With one thread
-/// (serial) this degenerates to an inline `run_job` on the single chunk.
-fn run_round(slots: &[Slot], chunks: &mut [Chunk], job: Job, lctx: &LaunchCtx<'_>, round: u64) {
-    // A chunk whose SMs are all drained has nothing to do; processing it
-    // inline (a cheap `has_work` sweep that resets its round outputs)
-    // avoids paying a handoff for it. Common in the tail of a run, when
-    // only a few SMs still hold CTAs. A handed-off chunk is recognizable
-    // afterwards by its taken (empty) `sms` — every real chunk owns at
-    // least one SM because `threads <= num_sms`.
-    for (w, slot) in slots.iter().enumerate() {
-        if !chunks[w + 1].sms.iter().any(Sm::has_work) {
-            continue;
-        }
-        let chunk = std::mem::take(&mut chunks[w + 1]);
-        *slot.cell.lock().expect("handoff cell poisoned") = Some((job, chunk));
-        slot.go.store(round, Ordering::Release);
-    }
-    for chunk in chunks.iter_mut() {
-        if !chunk.sms.is_empty() {
-            run_job(job, chunk, lctx);
-        }
-    }
-    for (w, slot) in slots.iter().enumerate() {
-        if !chunks[w + 1].sms.is_empty() {
-            continue;
-        }
-        spin_until_at_least(&slot.done, round);
-        let (_, chunk) = slot
-            .cell
-            .lock()
-            .expect("handoff cell poisoned")
-            .take()
-            .expect("worker returned no chunk");
-        chunks[w + 1] = chunk;
-    }
-}
-
-/// Execute one round's job on one chunk (on a worker or the coordinator).
-fn run_job(job: Job, chunk: &mut Chunk, lctx: &LaunchCtx<'_>) {
-    match job {
-        Job::Cycle { now, want_ready } => {
-            chunk.issued = 0;
-            chunk.finished = 0;
-            chunk.ready = None;
-            debug_assert!(chunk.err.is_none());
-            for sm in &mut chunk.sms {
-                if !sm.has_work() {
-                    continue;
-                }
-                match sm.cycle(now, lctx, &mut chunk.stats) {
-                    Ok(r) => {
-                        chunk.issued += r.issued;
-                        chunk.finished += r.ctas_finished;
-                    }
-                    Err(e) => {
-                        // Stop at the first error, as the serial loop would:
-                        // later SMs in the chunk must not stage anything.
-                        chunk.err = Some((sm.id, e));
-                        break;
-                    }
-                }
-            }
-            if want_ready && chunk.issued == 0 && chunk.finished == 0 && chunk.err.is_none() {
-                let mut ready: Option<u64> = None;
-                for sm in &chunk.sms {
-                    if sm.has_work() {
-                        if let Some(t) = sm.next_ready_cycle(now) {
-                            ready = Some(ready.map_or(t, |r| r.min(t)));
-                        }
-                    }
-                }
-                chunk.ready = ready;
-            }
-        }
-        Job::Skip { now, span } => {
-            for sm in &mut chunk.sms {
-                if sm.has_work() {
-                    sm.fast_forward(now, span, &mut chunk.stats);
-                }
-            }
-        }
-    }
-}
-
-/// The SM with id `id` (chunks stride SMs round-robin by worker).
-fn sm_at(chunks: &[Chunk], threads: usize, id: usize) -> &Sm {
-    &chunks[id % threads].sms[id / threads]
-}
-
-/// The SM with id `id`, mutable.
-fn sm_at_mut(chunks: &mut [Chunk], threads: usize, id: usize) -> &mut Sm {
-    &mut chunks[id % threads].sms[id / threads]
-}
-
-/// Build a classified hang error with a full warp-state snapshot (warps
-/// in SM-id order, regardless of chunking).
-fn hang_error(
-    mem: &MemorySystem,
-    class: HangClass,
-    cycle: u64,
-    chunks: &[Chunk],
-    threads: usize,
-    scheduler: &str,
-) -> SimError {
-    let num_sms: usize = chunks.iter().map(|c| c.sms.len()).sum();
-    let mstats = mem.stats();
-    let report = Box::new(HangReport {
-        class,
-        cycle,
-        scheduler: scheduler.to_string(),
-        warps: (0..num_sms)
-            .flat_map(|id| sm_at(chunks, threads, id).snapshots(cycle))
-            .collect(),
-        mem_in_flight: mem.in_flight(),
-        lock_success: mstats.lock_success,
-        lock_fails: mstats.lock_intra_fail + mstats.lock_inter_fail,
-    });
-    match class {
-        HangClass::CycleLimit => SimError::CycleLimit { cycle, report },
-        _ => SimError::Deadlock { cycle, report },
-    }
-}
-
-/// Round-robin CTA dispatch: repeatedly offer the oldest pending CTA to
-/// each SM in turn (ascending SM id) until a full pass launches nothing
-/// (used both for the initial dispatch and for refills after a CTA
-/// retires). Runs only on the coordinator thread with every chunk
-/// resident, so refill order — and with it every age key — is identical
-/// at any `sm_threads`.
-fn dispatch_pending(
-    chunks: &mut [Chunk],
-    threads: usize,
-    pending: &mut VecDeque<usize>,
-    lctx: &LaunchCtx<'_>,
-    age_counter: &mut u64,
-) {
-    let num_sms: usize = chunks.iter().map(|c| c.sms.len()).sum();
-    let mut made_progress = true;
-    while made_progress && !pending.is_empty() {
-        made_progress = false;
-        for id in 0..num_sms {
-            let Some(&cta) = pending.front() else { break };
-            if sm_at_mut(chunks, threads, id).try_launch_cta(cta, lctx, age_counter) {
-                pending.pop_front();
-                made_progress = true;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1949,23 +1603,11 @@ mod tests {
 
     #[test]
     fn run_state_snap_laws() {
-        let minimal = RunState {
-            now: 0,
-            pending: VecDeque::new(),
-            age_counter: 0,
-            stats: SimStats::default(),
-            idle_since: 0,
-            remaining: 0,
-            livelock_since: None,
-            locks_at_scan: 0,
-            mem_before: MemStats::default(),
-        };
-        simt_snap::assert_snap_laws(&minimal);
-        simt_snap::assert_snap_laws(&RunState {
-            pending: VecDeque::from([4, 5]),
-            livelock_since: Some(64),
-            ..minimal
-        });
+        simt_snap::assert_snap_laws(&RunState::new(0, MemStats::default()));
+        let mut mid_run = RunState::new(6, MemStats::default());
+        mid_run.pending.drain(..4);
+        mid_run.livelock_since = Some(64);
+        simt_snap::assert_snap_laws(&mid_run);
     }
 
     /// A checksum-valid body whose run-loop locals are inconsistent with

@@ -47,6 +47,7 @@ mod config;
 pub mod detect;
 mod energy;
 mod gpu;
+mod pool;
 pub mod sched;
 mod scoreboard;
 mod sm;

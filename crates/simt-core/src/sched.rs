@@ -183,6 +183,18 @@ impl BasePolicy {
     }
 }
 
+impl std::str::FromStr for BasePolicy {
+    type Err = ();
+
+    /// Parse a [`BasePolicy::name`] (`lrr` | `gto` | `cawa`).
+    fn from_str(s: &str) -> Result<BasePolicy, ()> {
+        [BasePolicy::Lrr, BasePolicy::Gto, BasePolicy::Cawa]
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or(())
+    }
+}
+
 /// Loose round-robin: cycle through warp slots, starting after the slot that
 /// issued most recently.
 #[derive(Debug, Clone)]

@@ -40,6 +40,6 @@ pub use chaos::ServiceChaos;
 pub use http::HttpServer;
 pub use json::Json;
 pub use pool::{install_quiet_panic_hook, JobResult, PoolConfig};
-pub use request::{run_request, run_request_with, RunOutcome, SimRequest};
+pub use request::{run_request, RunOutcome, SimRequest};
 pub use service::{Response, ServeConfig, Service};
 pub use store::{DurableStore, RecoveryStats, StoredEntry};

@@ -149,16 +149,14 @@ impl SimRequest {
             Some(v) => v.as_str("gpu")?.to_string(),
             None => "tiny".to_string(),
         };
-        if !matches!(gpu.as_str(), "tiny" | "gtx480" | "gtx1080ti") {
+        if GpuConfig::preset(&gpu).is_none() {
             return Err("gpu: expected tiny | gtx480 | gtx1080ti".into());
         }
         let sched = match j.opt("sched")? {
-            Some(v) => match v.as_str("sched")? {
-                "lrr" => BasePolicy::Lrr,
-                "gto" => BasePolicy::Gto,
-                "cawa" => BasePolicy::Cawa,
-                _ => return Err("sched: expected lrr | gto | cawa".into()),
-            },
+            Some(v) => v
+                .as_str("sched")?
+                .parse()
+                .map_err(|()| "sched: expected lrr | gto | cawa")?,
             None => BasePolicy::Gto,
         };
         let bows = match j.opt("bows")? {
@@ -174,11 +172,11 @@ impl SimRequest {
         };
         let engine = match j.opt("engine")? {
             None => None,
-            Some(v) => Some(match v.as_str("engine")? {
-                "cycle" => Engine::Cycle,
-                "skip" => Engine::Skip,
-                _ => return Err("engine: expected cycle | skip".into()),
-            }),
+            Some(v) => Some(
+                v.as_str("engine")?
+                    .parse()
+                    .map_err(|()| "engine: expected cycle | skip")?,
+            ),
         };
         let timeout_cycles = match j.opt("timeout_cycles")? {
             Some(v) => Some(v.as_u64("timeout_cycles")?),
@@ -210,8 +208,19 @@ impl SimRequest {
                 if words > MAX_DUMP_WORDS {
                     return Err(format!("dumps[].words: more than {MAX_DUMP_WORDS}"));
                 }
-                if slot >= params.len() {
-                    return Err(format!("dumps[]: slot {slot} has no parameter"));
+                // Checked here so a request that cannot be answered is a
+                // 400 at the door, not an out-of-bounds read after the run.
+                let have = match params.get(slot) {
+                    None => return Err(format!("dumps[]: slot {slot} has no parameter")),
+                    Some(ParamSpec::Scalar(_)) => {
+                        return Err(format!("dumps[]: slot {slot} is a scalar, not a buffer"));
+                    }
+                    Some(&ParamSpec::Buffer { words, .. }) => words,
+                };
+                if words > have {
+                    return Err(format!(
+                        "dumps[]: {words} words from slot {slot}, a {have}-word buffer"
+                    ));
                 }
                 dumps.push((slot, words));
             }
@@ -272,12 +281,7 @@ impl SimRequest {
                 }
             }
         }
-        let _ = write!(c, "];gpu={};sched=", self.gpu);
-        c.push_str(match self.sched {
-            BasePolicy::Lrr => "lrr",
-            BasePolicy::Gto => "gto",
-            BasePolicy::Cawa => "cawa",
-        });
+        let _ = write!(c, "];gpu={};sched={}", self.gpu, self.sched.name());
         match self.bows {
             None => c.push_str(";bows=-"),
             Some(DelayMode::Fixed(cycles)) => {
@@ -286,15 +290,13 @@ impl SimRequest {
             Some(DelayMode::Adaptive(_)) => c.push_str(";bows=a"),
         }
         let _ = write!(c, ";ddos={}", self.ddos as u8);
-        c.push_str(match self.engine {
-            None => ";engine=-",
-            Some(Engine::Cycle) => ";engine=cycle",
-            Some(Engine::Skip) => ";engine=skip",
-        });
         let _ = write!(
             c,
-            ";tc={:?};cs={:?};cl={:?};dumps=[",
-            self.timeout_cycles, self.chaos_seed, self.chaos_level
+            ";engine={};tc={:?};cs={:?};cl={:?};dumps=[",
+            self.engine.map_or("-", Engine::name),
+            self.timeout_cycles,
+            self.chaos_seed,
+            self.chaos_level
         );
         for &(slot, words) in &self.dumps {
             let _ = write!(c, "{slot}:{words},");
@@ -309,18 +311,12 @@ impl SimRequest {
     /// it on every hit; a crafted key collision degrades to a miss, never
     /// to serving another request's body.
     pub fn cache_key(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.bytes(self.canonical().as_bytes());
-        h.finish()
+        simt_snap::fnv1a(self.canonical().as_bytes())
     }
 
     /// The effective [`GpuConfig`] after preset + overrides.
     pub fn gpu_config(&self) -> GpuConfig {
-        let mut cfg = match self.gpu.as_str() {
-            "gtx480" => GpuConfig::gtx480(),
-            "gtx1080ti" => GpuConfig::gtx1080ti(),
-            _ => GpuConfig::test_tiny(),
-        };
+        let mut cfg = GpuConfig::preset(&self.gpu).expect("preset name validated at parse");
         if self.chaos_seed.is_some() || self.chaos_level.is_some() {
             let seed = self.chaos_seed.unwrap_or(1);
             let level = self.chaos_level.unwrap_or(1);
@@ -355,23 +351,10 @@ pub enum RunOutcome {
 /// right bytes" is checkable by construction. The optional `cancel` token
 /// bounds wall time.
 pub fn run_request(req: &SimRequest, cancel: Option<CancelToken>) -> RunOutcome {
-    run_request_with(req, cancel, 0)
+    run_request_resumable(req, cancel, 0, None)
 }
 
-/// [`run_request`] with an explicit in-run SM worker count (`0` = the
-/// config default: `BOWS_SM_THREADS`, else serial).
-///
-/// `sm_threads` is deliberately *not* part of [`SimRequest`] — simulation
-/// results are bit-identical at every worker count (enforced by the
-/// determinism suite), so it is host capacity policy, not request
-/// identity, and must not fragment the response cache. The pool sets it
-/// from [`crate::PoolConfig::sm_threads`]; the loadgen oracle runs
-/// serial and still expects byte-equal bodies.
-pub fn run_request_with(req: &SimRequest, cancel: Option<CancelToken>, sm_threads: usize) -> RunOutcome {
-    run_request_resumable(req, cancel, sm_threads, 0, None)
-}
-
-/// [`run_request_with`] plus mid-run checkpointing into `slot` every
+/// [`run_request`] plus mid-run checkpointing into `slot` every
 /// `checkpoint_every` cycles (0 = off), resuming from whatever checkpoint
 /// the slot already holds. The supervised pool passes one slot across all
 /// attempts of a job; a checkpoint the simulator rejects on resume
@@ -381,7 +364,6 @@ pub fn run_request_with(req: &SimRequest, cancel: Option<CancelToken>, sm_thread
 pub fn run_request_resumable(
     req: &SimRequest,
     cancel: Option<CancelToken>,
-    sm_threads: usize,
     checkpoint_every: u64,
     slot: Option<&CheckpointSlot>,
 ) -> RunOutcome {
@@ -391,7 +373,7 @@ pub fn run_request_resumable(
             .as_ref()
             .map(|(_, b)| b.clone())
     });
-    match attempt_once(req, cancel.clone(), sm_threads, checkpoint_every, slot, resume.as_deref()) {
+    match attempt_once(req, cancel.clone(), checkpoint_every, slot, resume.as_deref()) {
         Ok(out) => out,
         Err(()) => {
             // The checkpoint was rejected. Forget it (structured
@@ -400,7 +382,7 @@ pub fn run_request_resumable(
             if let Some(s) = slot {
                 *s.lock().unwrap_or_else(|p| p.into_inner()) = None;
             }
-            attempt_once(req, cancel, sm_threads, checkpoint_every, slot, None)
+            attempt_once(req, cancel, checkpoint_every, slot, None)
                 .unwrap_or(RunOutcome::Cancelled)
         }
     }
@@ -411,7 +393,6 @@ pub fn run_request_resumable(
 fn attempt_once(
     req: &SimRequest,
     cancel: Option<CancelToken>,
-    sm_threads: usize,
     checkpoint_every: u64,
     slot: Option<&CheckpointSlot>,
     resume: Option<&[u8]>,
@@ -438,9 +419,7 @@ fn attempt_once(
             return Ok(RunOutcome::SimError(body));
         }
     };
-    let mut cfg = req.gpu_config();
-    cfg.sm_threads = sm_threads;
-    let mut gpu = Gpu::new(cfg);
+    let mut gpu = Gpu::new(req.gpu_config());
     if let Some(c) = cancel {
         gpu.set_cancel_token(c);
     }
@@ -515,50 +494,9 @@ fn attempt_once(
     })
 }
 
-/// FNV-1a, 64-bit: the same checksum family the cache uses.
-pub struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub fn new() -> Fnv {
-        Fnv(Self::OFFSET)
-    }
-
-    pub fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= x as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    pub fn str(&mut self, s: &str) {
-        // Length-prefix so "ab"+"c" and "a"+"bc" hash differently.
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv::new()
-    }
-}
-
 /// Checksum of a response body, stored beside each cache entry.
 pub fn body_checksum(body: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(body.as_bytes());
-    h.finish()
+    simt_snap::fnv1a(body.as_bytes())
 }
 
 #[cfg(test)]
@@ -608,6 +546,30 @@ mod tests {
             SimRequest::from_json("{\"kernel\":\"x\",\"dumps\":[[3,4]]}").is_err(),
             "dump slot must reference a parameter"
         );
+    }
+
+    /// A dump must name a buffer at least as long as the dump: a request
+    /// the run cannot answer is refused before admission, not after the
+    /// simulation by an out-of-bounds read in the worker.
+    #[test]
+    fn rejects_dumps_the_run_cannot_answer() {
+        let with = |params: &str, dumps: &str| {
+            SimRequest::from_json(&format!(
+                "{{\"kernel\":\"x\",\"params\":{params},\"dumps\":{dumps}}}"
+            ))
+        };
+        let longer = with("[{\"buf\":1}]", "[[0,4096]]").unwrap_err();
+        assert!(longer.contains("1-word buffer"), "{longer}");
+        let scalar = with("[{\"buf\":8},7]", "[[1,1]]").unwrap_err();
+        assert!(scalar.contains("scalar"), "{scalar}");
+        assert_eq!(with("[{\"buf\":8},7]", "[[0,8]]").unwrap().dumps, vec![(0, 8)]);
+    }
+
+    /// Keys and checksums sit in `DurableStore` logs written by earlier
+    /// builds, so the hash must stay FNV-1a/64 (standard test vector).
+    #[test]
+    fn checksum_is_fnv1a_64() {
+        assert_eq!(body_checksum("a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]
@@ -694,12 +656,12 @@ mod tests {
     #[test]
     fn resumed_run_returns_byte_identical_body() {
         let r = SimRequest::from_json(&lock_body()).unwrap();
-        let fresh = expect_ok(run_request_with(&r, None, 0));
+        let fresh = expect_ok(run_request(&r, None));
 
         // Fill the slot by running with checkpointing armed; the slot
         // keeps the newest snapshot the run produced.
         let slot: CheckpointSlot = Mutex::new(None);
-        let ckpt = expect_ok(run_request_resumable(&r, None, 0, 64, Some(&slot)));
+        let ckpt = expect_ok(run_request_resumable(&r, None, 64, Some(&slot)));
         assert_eq!(fresh, ckpt, "checkpointing must not perturb the run");
         assert!(
             checkpoint_hash(&slot) != 0,
@@ -707,7 +669,7 @@ mod tests {
         );
 
         // Resume from that snapshot: same bytes out.
-        let resumed = expect_ok(run_request_resumable(&r, None, 0, 64, Some(&slot)));
+        let resumed = expect_ok(run_request_resumable(&r, None, 64, Some(&slot)));
         assert_eq!(fresh, resumed, "resumed body must be byte-identical");
     }
 
@@ -718,12 +680,12 @@ mod tests {
         // replays from cycle 0 — correct bytes, no error surfaced.
         let lock = SimRequest::from_json(&lock_body()).unwrap();
         let slot: CheckpointSlot = Mutex::new(None);
-        expect_ok(run_request_resumable(&lock, None, 0, 64, Some(&slot)));
+        expect_ok(run_request_resumable(&lock, None, 64, Some(&slot)));
         assert!(checkpoint_hash(&slot) != 0);
 
         let vec = SimRequest::from_json(&sample_body()).unwrap();
-        let fresh = expect_ok(run_request_with(&vec, None, 0));
-        let recovered = expect_ok(run_request_resumable(&vec, None, 0, 0, Some(&slot)));
+        let fresh = expect_ok(run_request(&vec, None));
+        let recovered = expect_ok(run_request_resumable(&vec, None, 0, Some(&slot)));
         assert_eq!(fresh, recovered, "degraded run must still be correct");
         assert_eq!(
             checkpoint_hash(&slot),
@@ -738,8 +700,8 @@ mod tests {
         // fingerprint) take the same degradation path: discard, replay.
         let vec = SimRequest::from_json(&sample_body()).unwrap();
         let slot: CheckpointSlot = Mutex::new(Some((1, vec![0xAB; 64])));
-        let fresh = expect_ok(run_request_with(&vec, None, 0));
-        let recovered = expect_ok(run_request_resumable(&vec, None, 0, 0, Some(&slot)));
+        let fresh = expect_ok(run_request(&vec, None));
+        let recovered = expect_ok(run_request_resumable(&vec, None, 0, Some(&slot)));
         assert_eq!(fresh, recovered);
         assert_eq!(checkpoint_hash(&slot), 0);
     }

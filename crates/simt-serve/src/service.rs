@@ -574,7 +574,6 @@ mod tests {
                 backoff_cap_ms: 4,
                 attempt_deadline_ms: 10_000,
                 reap_grace_ms: 200,
-                sm_threads: 0,
                 checkpoint_every_cycles: 0,
             },
             cache_entries: 16,
@@ -645,7 +644,6 @@ mod tests {
                 backoff_cap_ms: 4,
                 attempt_deadline_ms: 10_000,
                 reap_grace_ms: 1_000,
-                sm_threads: 0,
                 checkpoint_every_cycles: 0,
             },
             cache_entries: 16,

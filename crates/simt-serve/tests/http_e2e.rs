@@ -40,7 +40,14 @@ fn full_http_round_trip() {
     assert_eq!(warm.body, cold.body);
 
     // Malformed JSON and invalid requests: 400 with a structured error.
-    for bad in ["{not json", "{}", r#"{"kernel":"x","gpu":"h100"}"#] {
+    // The last one used to pass validation, simulate, and panic the worker
+    // reading 4096 words out of a 1-word buffer.
+    for bad in [
+        "{not json",
+        "{}",
+        r#"{"kernel":"x","gpu":"h100"}"#,
+        r#"{"kernel":"x","params":[{"buf":1}],"dumps":[[0,4096]]}"#,
+    ] {
         let resp = client::post(&addr, "/simulate", bad).unwrap();
         assert_eq!(resp.status, 400, "for {bad}");
         let e = Json::parse(&resp.body).unwrap();

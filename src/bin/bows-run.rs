@@ -76,9 +76,10 @@ fn usage() -> ! {
          `cycle` walks every cycle. Bit-identical results either way.\n\
          \n\
          --sm-threads runs the SMs of the simulated GPU on N host worker\n\
-         threads (default: BOWS_SM_THREADS, else 1; clamped to the SM\n\
-         count). Bit-identical results at any value — the knob trades\n\
-         host cores for wall time only.\n\
+         threads (default 1 = serial; clamped to the SM count).\n\
+         Bit-identical results at any value; measured, it is slower\n\
+         than serial on small launches and at best ~1.2x on dense ones\n\
+         (DESIGN.md, \"Parallel execution model\").\n\
          \n\
          --chaos-seed seeds the deterministic memory fault injector\n\
          (same seed => bit-identical run); --chaos-level picks intensity\n\
@@ -159,12 +160,7 @@ fn parse_cli() -> Cli {
                 }
             }
             "--sched" => {
-                cli.sched = match next(&mut args, "--sched").as_str() {
-                    "lrr" => BasePolicy::Lrr,
-                    "gto" => BasePolicy::Gto,
-                    "cawa" => BasePolicy::Cawa,
-                    _ => usage(),
-                }
+                cli.sched = next(&mut args, "--sched").parse().unwrap_or_else(|()| usage());
             }
             "--bows" => {
                 let v = next(&mut args, "--bows");
@@ -176,12 +172,7 @@ fn parse_cli() -> Cli {
             }
             "--no-ddos" => cli.ddos = false,
             "--gpu" => {
-                cli.gpu = match next(&mut args, "--gpu").as_str() {
-                    "gtx480" => GpuConfig::gtx480(),
-                    "gtx1080ti" => GpuConfig::gtx1080ti(),
-                    "tiny" => GpuConfig::test_tiny(),
-                    _ => usage(),
-                }
+                cli.gpu = GpuConfig::preset(&next(&mut args, "--gpu")).unwrap_or_else(|| usage());
             }
             "--dump" => {
                 let v = next(&mut args, "--dump");
@@ -216,11 +207,8 @@ fn parse_cli() -> Cli {
                 cli.timeout_wall_s = Some(s);
             }
             "--engine" => {
-                cli.engine = Some(match next(&mut args, "--engine").as_str() {
-                    "cycle" => Engine::Cycle,
-                    "skip" => Engine::Skip,
-                    _ => usage(),
-                });
+                cli.engine =
+                    Some(next(&mut args, "--engine").parse().unwrap_or_else(|()| usage()));
             }
             "--sm-threads" => {
                 let n: usize =
@@ -260,6 +248,19 @@ fn parse_cli() -> Cli {
     }
     if cli.kernel_path.is_empty() {
         usage();
+    }
+    for &(slot, len) in &cli.dumps {
+        match cli.params.get(slot) {
+            Some(&ParamSpec::Buffer { words, .. }) if len <= words => {}
+            Some(ParamSpec::Buffer { words, .. }) => {
+                eprintln!("--dump {slot}:{len}: parameter {slot} is a {words}-word buffer");
+                usage();
+            }
+            _ => {
+                eprintln!("--dump {slot}:{len}: parameter {slot} is not a buffer");
+                usage();
+            }
+        }
     }
     if cli.checkpoint_every.is_some() && cli.state_dir.is_none() {
         eprintln!("--checkpoint-every needs --state-dir to know where snapshots go");
@@ -566,12 +567,10 @@ fn main() -> ExitCode {
         println!("DDOS        : spin-inducing branches {:?}", report.confirmed_sibs);
     }
     for &(slot, len) in &cli.dumps {
-        match bases.get(slot).copied().flatten() {
-            Some(base) => {
-                let vals = gpu.mem().gmem().read_vec(base, len);
-                println!("param[{slot}][0..{len}] = {vals:?}");
-            }
-            None => eprintln!("--dump {slot}: parameter {slot} is not a buffer"),
+        // `parse_cli` checked that every dumped slot is a large-enough buffer.
+        if let Some(base) = bases[slot] {
+            let vals = gpu.mem().gmem().read_vec(base, len);
+            println!("param[{slot}][0..{len}] = {vals:?}");
         }
     }
     ExitCode::SUCCESS
