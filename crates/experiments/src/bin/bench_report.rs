@@ -184,7 +184,7 @@ fn parse_cli() -> Cli {
 
 /// Render the per-group phase breakdown `--profile` collected: one row
 /// per group, one column per phase, in milliseconds with the share of the
-/// group's attributed time.
+/// group's attributed time, then the share of SM-cycles slept through.
 fn print_profiles(profiles: &[(&str, simt_core::ProfileReport)]) {
     if profiles.is_empty() {
         eprintln!("profile: no phase data collected");
@@ -200,10 +200,11 @@ fn print_profiles(profiles: &[(&str, simt_core::ProfileReport)]) {
             .map(|&(ph, ns)| format!("{ph} {:.1} ({:.0}%)", ms(ns), pct(ns)))
             .collect();
         println!(
-            "  {name}: total {:.1}  {}  other {:.1}",
+            "  {name}: total {:.1}  {}  other {:.1}  sm-cycles slept {:.0}%",
             ms(p.total_ns),
             cells.join("  "),
-            ms(p.other_ns())
+            ms(p.other_ns()),
+            100.0 * p.slept_share()
         );
     }
 }

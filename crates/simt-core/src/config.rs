@@ -35,13 +35,14 @@ impl Default for Latencies {
 /// `tests/engine_equivalence.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Walk every cycle, even when no SM can issue and no memory event is
-    /// due. The legacy loop; kept as the equivalence reference.
+    /// Cycle every SM with work every cycle, even when it cannot issue and
+    /// no memory event is due. The legacy loop; kept as the equivalence
+    /// reference.
     Cycle,
-    /// Event-horizon fast-forward: when a cycle ends with nothing issued,
-    /// jump straight to the earliest future cycle at which any SM or the
-    /// memory system can change state, bulk-accruing the skipped span's
-    /// stall statistics.
+    /// Per-SM sleep: an SM whose cycle issued nothing is not cycled again
+    /// until its own timers or an external input can change its state,
+    /// and bulk-accrues the slept span's stall statistics when it wakes;
+    /// while every SM sleeps the clock jumps to the next memory event.
     #[default]
     Skip,
 }

@@ -178,7 +178,8 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Wall-clock breakdown of where *host* time went during a run, collected
-/// only when [`GpuConfig::profile`] is set. All figures are nanoseconds.
+/// only when [`GpuConfig::profile`] is set. The `_ns` figures are
+/// nanoseconds.
 ///
 /// SM-side phases (`fetch`/`issue`/`execute`) accrue on whichever worker
 /// thread cycles the SM, then sum over SMs — with `sm_threads > 1` they
@@ -200,10 +201,16 @@ pub struct ProfileReport {
     pub mem_cycle_ns: u64,
     /// Deterministic replay of staged global-memory work in SM-id order.
     pub merge_ns: u64,
-    /// Skip-engine horizon computation and bulk dead-span accrual.
+    /// Skip-engine horizon computation for clock jumps. (A sleeping SM's
+    /// bulk accrual runs where it wakes or is settled, untimed.)
     pub skip_horizon_ns: u64,
     /// The whole run loop, launch to grid completion.
     pub total_ns: u64,
+    /// [`Sm::cycle`] calls, summed over SMs. A count, not nanoseconds.
+    pub sm_cycles_run: u64,
+    /// Simulated cycles SMs with work slept through instead (accrued in
+    /// bulk), summed over SMs. A count; always 0 under `Engine::Cycle`.
+    pub sm_cycles_slept: u64,
 }
 
 impl ProfileReport {
@@ -237,6 +244,16 @@ impl ProfileReport {
         self.merge_ns += o.merge_ns;
         self.skip_horizon_ns += o.skip_horizon_ns;
         self.total_ns += o.total_ns;
+        self.sm_cycles_run += o.sm_cycles_run;
+        self.sm_cycles_slept += o.sm_cycles_slept;
+    }
+
+    /// Share of SM-cycles with work that were slept through, not run
+    /// (0 when nothing was simulated). Near 0 on a run whose SMs issue
+    /// almost every cycle — or that ran under `Engine::Cycle`.
+    pub fn slept_share(&self) -> f64 {
+        let all = self.sm_cycles_run + self.sm_cycles_slept;
+        self.sm_cycles_slept as f64 / all.max(1) as f64
     }
 }
 
@@ -537,8 +554,8 @@ impl Run<'_, '_> {
     }
 
     /// The run loop: one iteration per simulated cycle, until the grid
-    /// retires. `Engine::Cycle` is this loop with the fast-forward block
-    /// off.
+    /// retires. `Engine::Cycle` is this loop with SM sleep, and so the
+    /// clock jump, off.
     fn drive(&mut self, ctl: Option<CheckpointCtl<'_>>) -> Result<(), SimError> {
         let start_cycle = self.rs.now;
         let skip = self.cfg.engine == Engine::Skip;
@@ -559,7 +576,7 @@ impl Run<'_, '_> {
             // independent of the worker count.
             if let Some(sink) = &mut sink {
                 if every > 0 && now > start_cycle && now.is_multiple_of(every) {
-                    self.pool.fold_stats(&mut self.rs.stats);
+                    self.pool.fold_stats(now, &mut self.rs.stats);
                     sink(now, &self.snapshot_body());
                 }
             }
@@ -618,18 +635,14 @@ impl Run<'_, '_> {
                     }
                 }
             }
-            // A dead cycle — no unit issued, no CTA retired — leaves the
-            // whole machine unable to change before the event horizon;
-            // jump straight there, bulk-accruing the skipped cycles' stall
-            // statistics.
+            // With every SM that has work asleep, the machine cannot
+            // change before the event horizon: jump the clock straight
+            // there. The sleepers stay asleep, and accrue the span like
+            // any other when they wake or are settled.
             let mut next = now + 1;
-            if skip && !round.issued && round.finished == 0 {
+            if let Some(sm_ready) = round.ready {
                 let t = self.timer();
-                let horizon = self.skip_horizon(round.ready, every);
-                if horizon > next {
-                    self.pool.skip(now, horizon - next);
-                    next = horizon;
-                }
+                next = next.max(self.skip_horizon(sm_ready, every));
                 lap(t, &mut self.prof.skip_horizon_ns);
             }
             self.rs.now = next;
@@ -665,6 +678,7 @@ impl Run<'_, '_> {
     /// the rest of the machine stays busy. Returns the hang it diagnoses.
     fn scan_progress(&mut self) -> Option<HangClass> {
         let now = self.rs.now;
+        self.pool.settle(now);
         let mut agg = ProgressScan::default();
         let mut starved: Option<(usize, usize)> = None;
         let mut backoff_starved: Option<(usize, usize)> = None;
@@ -704,23 +718,21 @@ impl Run<'_, '_> {
         (now - since >= self.cfg.watchdog_cycles).then_some(HangClass::SpinLivelock)
     }
 
-    /// Event horizon after a dead cycle at `rs.now`: the earliest later
-    /// cycle at which the machine can change state — (a) the memory system
-    /// delivers or serves something, or (b) an SM's own timers fire
-    /// (writeback wheel, BOWS back-off expiry, adaptive-window update;
-    /// `sm_ready`, from the dead round). Clamps keep every externally
-    /// observable transition on its cycle-engine schedule:
-    /// forward-progress scans stay on SCAN_PERIOD boundaries, GTO age
-    /// rotation is observed at each rotation edge, the global-deadlock
-    /// watchdog fires at exactly `idle_since + watchdog_cycles`, and the
-    /// cycle limit trips at exactly `max_cycles`.
-    fn skip_horizon(&self, sm_ready: Option<u64>, checkpoint_every: u64) -> u64 {
+    /// Event horizon after a round at `rs.now` that left every SM with
+    /// work asleep: the earliest later cycle at which the machine can
+    /// change state — (a) the memory system delivers or serves something,
+    /// or (b) a sleeper's own timers fire (writeback wheel, BOWS back-off
+    /// expiry, adaptive-window update; `sm_ready`, from the round). Clamps
+    /// keep every externally observable transition on its cycle-engine
+    /// schedule: forward-progress scans stay on SCAN_PERIOD boundaries,
+    /// the global-deadlock watchdog fires at exactly `idle_since +
+    /// watchdog_cycles`, and the cycle limit trips at exactly `max_cycles`.
+    fn skip_horizon(&self, sm_ready: u64, checkpoint_every: u64) -> u64 {
         let now = self.rs.now;
         let next_multiple = |period: u64| (now / period + 1) * period;
         let mut horizon = next_multiple(SCAN_PERIOD)
-            .min(next_multiple(self.cfg.gto_rotate_period.max(1)))
             .min(self.mem.next_event(now).unwrap_or(u64::MAX))
-            .min(sm_ready.unwrap_or(u64::MAX));
+            .min(sm_ready);
         // Checkpoint boundaries are kept as explicit cycles. Safe by the
         // engine-equivalence invariant: a span is only skippable when
         // every cycle in it changes nothing, so landing on the boundary
@@ -741,8 +753,9 @@ impl Run<'_, '_> {
 
     /// A classified hang error at the current cycle, with a full
     /// warp-state snapshot (warps in SM-id order).
-    fn hang(&self, class: HangClass) -> SimError {
+    fn hang(&mut self, class: HangClass) -> SimError {
         let cycle = self.rs.now;
+        self.pool.settle(cycle);
         let mstats = self.mem.stats();
         let report = Box::new(HangReport {
             class,
@@ -762,7 +775,7 @@ impl Run<'_, '_> {
     /// Assemble the report of a run whose grid has retired.
     fn finish(mut self, energy_model: &EnergyModel) -> KernelReport {
         let cycles = self.rs.now;
-        self.pool.fold_stats(&mut self.rs.stats);
+        self.pool.fold_stats(cycles, &mut self.rs.stats);
         let mut sim = self.rs.stats;
         sim.cycles = cycles;
         let mem = self
@@ -786,6 +799,8 @@ impl Run<'_, '_> {
             sm_prof.fetch_ns += sm.prof.fetch_ns;
             sm_prof.issue_ns += sm.prof.issue_ns;
             sm_prof.execute_ns += sm.prof.execute_ns;
+            sm_prof.cycles_run += sm.prof.cycles_run;
+            sm_prof.cycles_slept += sm.prof.cycles_slept;
         }
         confirmed_sibs.sort_unstable();
         let final_state = self.cfg.capture_final_state.then(|| {
@@ -802,6 +817,8 @@ impl Run<'_, '_> {
             issue_ns: sm_prof.issue_ns.saturating_sub(sm_prof.execute_ns),
             execute_ns: sm_prof.execute_ns,
             total_ns: start.elapsed().as_nanos() as u64,
+            sm_cycles_run: sm_prof.cycles_run,
+            sm_cycles_slept: sm_prof.cycles_slept,
             ..self.prof
         });
         KernelReport {

@@ -3,11 +3,11 @@
 //! [`SmPool`] owns the machine's SMs for the length of one kernel run and
 //! presents them to the run loop as "the SMs": id-ordered access
 //! ([`SmPool::sm`], [`SmPool::sm_mut`], [`SmPool::sms`]) and three
-//! whole-machine operations ([`SmPool::cycle`], [`SmPool::skip`],
+//! whole-machine operations ([`SmPool::cycle`], [`SmPool::settle`],
 //! [`SmPool::fold_stats`]). How the SMs are split over worker threads, how
-//! a round is handed off and collected, and how per-worker results are
-//! reduced are private to this file; the run loop in `gpu.rs` never sees a
-//! worker count.
+//! a round is handed off and collected, how per-worker results are
+//! reduced, and which SMs a round actually cycles are private to this
+//! file; the run loop in `gpu.rs` never sees a worker count.
 //!
 //! What the run loop may assume: between two calls every SM is resident on
 //! the calling thread; `cycle` has cycled SMs exactly as a serial
@@ -15,6 +15,13 @@
 //! state while cycling — each stages its global-memory work on itself, and
 //! the caller replays the stages in SM-id order); and the round summary is
 //! the same at every worker count.
+//!
+//! What it must do in return: call [`SmPool::settle`] before reading any
+//! SM's statistics or snapshot state. With `sleep` on, an SM whose cycle
+//! issued nothing and retired nothing is put to sleep ([`Sm::sleep`]) and
+//! not cycled again until its own wake-up cycle or an external input; the
+//! dead cycles in between reach its books only when it wakes or is
+//! settled.
 
 use crate::sm::{LaunchCtx, Sm};
 use crate::{SimError, SimStats};
@@ -32,10 +39,10 @@ pub(crate) struct Round {
     /// execution would have hit first. SMs below that id cycled normally;
     /// the caller must not replay stages above it.
     pub err: Option<(usize, SimError)>,
-    /// Minimum of [`Sm::next_ready_cycle`] over SMs with work. Computed
-    /// only when asked for, and only for a dead round (nothing issued,
-    /// nothing retired, no error) — the only time the fast-forward horizon
-    /// reads it; `None` otherwise.
+    /// `Some` when the round left every SM with work asleep: the earliest
+    /// cycle at which one of them wakes by itself (`u64::MAX` if none
+    /// ever does). Until then only the memory system can change the
+    /// machine. `None` while any SM is awake — always, without `sleep`.
     pub ready: Option<u64>,
 }
 
@@ -124,43 +131,46 @@ impl SmPool<'_> {
         (0..self.num_sms).map(move |id| self.sm(id))
     }
 
-    /// Cycle every SM with work at `now`; with `want_ready`, also
-    /// min-reduce `next_ready_cycle` when the round turns out dead.
-    pub(crate) fn cycle(&mut self, now: u64, want_ready: bool) -> Round {
-        self.run_round(Job::Cycle { now, want_ready });
-        let mut r = Round::default();
+    /// Cycle every SM with work that is awake at `now` or due to wake;
+    /// with `sleep`, put the ones that had a dead cycle to sleep
+    /// (`Engine::Cycle` passes `false` and cycles every SM every cycle).
+    pub(crate) fn cycle(&mut self, now: u64, sleep: bool) -> Round {
+        self.run_round(Job { now, sleep });
+        let mut r = Round {
+            ready: sleep.then_some(u64::MAX),
+            ..Round::default()
+        };
         for ch in &mut self.chunks {
             r.issued |= ch.issued > 0;
             r.finished += ch.finished;
-            // Each chunk min-reduced its own SMs during the round (the
-            // per-SM scan is as costly as the cycle itself, so it
-            // parallelizes with it); folding the chunk minima equals the
-            // serial fold.
-            if let Some(t) = ch.ready {
-                r.ready = Some(r.ready.map_or(t, |m| m.min(t)));
-            }
+            // Each chunk min-reduced its own sleepers during the round;
+            // folding the chunk minima equals the serial fold.
+            r.ready = r.ready.zip(ch.ready).map(|(a, b)| a.min(b));
             if let Some((id, e)) = ch.err.take() {
                 if r.err.as_ref().is_none_or(|(best, _)| id < *best) {
                     r.err = Some((id, e));
                 }
             }
         }
-        // A quiet chunk's minimum says nothing about a machine that moved.
-        if r.issued || r.finished > 0 || r.err.is_some() {
-            r.ready = None;
-        }
         r
     }
 
-    /// Bulk-apply a dead span (`fast_forward`) to every SM with work.
-    pub(crate) fn skip(&mut self, now: u64, span: u64) {
-        self.run_round(Job::Skip { now, span });
+    /// Bring every sleeping SM's books up to the start of cycle `now`
+    /// ([`Sm::settle`]); the sleepers stay asleep.
+    pub(crate) fn settle(&mut self, now: u64) {
+        for ch in &mut self.chunks {
+            for sm in &mut ch.sms {
+                sm.settle(now, &mut ch.stats);
+            }
+        }
     }
 
-    /// Move the per-worker statistics accumulated so far into `into`.
-    /// Every field is an order-independent sum, so folding early (at a
-    /// checkpoint) or late (at the end of the run) gives the same totals.
-    pub(crate) fn fold_stats(&mut self, into: &mut SimStats) {
+    /// Settle at `now`, then move the per-worker statistics accumulated so
+    /// far into `into`. Every field is an order-independent sum, so
+    /// folding early (at a checkpoint) or late (at the end of the run)
+    /// gives the same totals.
+    pub(crate) fn fold_stats(&mut self, now: u64, into: &mut SimStats) {
+        self.settle(now);
         for ch in &mut self.chunks {
             into.add(&std::mem::take(&mut ch.stats));
         }
@@ -174,14 +184,16 @@ impl SmPool<'_> {
         self.round += 1;
         let (round, slots, lctx) = (self.round, self.slots, self.lctx);
         let chunks = &mut self.chunks;
-        // A chunk whose SMs are all drained has nothing to do; processing it
-        // inline (a cheap `has_work` sweep that resets its round outputs)
-        // avoids paying a handoff for it. Common in the tail of a run, when
-        // only a few SMs still hold CTAs. A handed-off chunk is recognizable
-        // afterwards by its taken (empty) `sms` — every real chunk owns at
-        // least one SM because `workers <= num_sms`.
+        // A chunk whose SMs are all drained or asleep has nothing to do;
+        // processing it inline (a cheap sweep that resets its round
+        // outputs) avoids paying a handoff for it. Common in the tail of a
+        // run, when only a few SMs still hold CTAs, and throughout a
+        // busy-wait kernel, whose SMs mostly sleep on the lock's memory
+        // round trip. A handed-off chunk is recognizable afterwards by its
+        // taken (empty) `sms` — every real chunk owns at least one SM
+        // because `workers <= num_sms`.
         for (w, slot) in slots.iter().enumerate() {
-            if !chunks[w + 1].sms.iter().any(Sm::has_work) {
+            if !chunks[w + 1].sms.iter().any(|sm| runs_at(sm, job.now)) {
                 continue;
             }
             let chunk = std::mem::take(&mut chunks[w + 1]);
@@ -225,21 +237,21 @@ struct Chunk {
     finished: u32,
     /// First (lowest-SM-id) cycle error in the chunk this round.
     err: Option<(usize, SimError)>,
-    /// Chunk-local minimum of [`Sm::next_ready_cycle`], computed only when
-    /// the chunk issued and finished nothing (valid exactly when the whole
-    /// machine had a dead cycle — no chunk issued — which is the only time
-    /// the fast-forward horizon reads it).
+    /// [`Round::ready`] for this chunk's SMs alone.
     ready: Option<u64>,
 }
 
-/// One round's work order for a chunk.
+/// One round's work order for a chunk: cycle at `now`, letting dead SMs go
+/// to sleep if `sleep`.
 #[derive(Clone, Copy)]
-enum Job {
-    /// Cycle every SM with work at `now`; when `want_ready`, also
-    /// min-reduce `next_ready_cycle` if the chunk stayed quiet.
-    Cycle { now: u64, want_ready: bool },
-    /// Bulk-apply a dead span (`fast_forward`) to every SM with work.
-    Skip { now: u64, span: u64 },
+struct Job {
+    now: u64,
+    sleep: bool,
+}
+
+/// Does a round at `now` have to cycle `sm`?
+fn runs_at(sm: &Sm, now: u64) -> bool {
+    sm.has_work() && sm.asleep_until(now).is_none()
 }
 
 /// Spin-based handoff cell between the coordinator and one worker.
@@ -316,49 +328,41 @@ fn worker(slot: &Slot, lctx: &LaunchCtx<'_>) {
 
 /// Execute one round's job on one chunk (on a worker or the coordinator).
 fn run_job(job: Job, chunk: &mut Chunk, lctx: &LaunchCtx<'_>) {
-    match job {
-        Job::Cycle { now, want_ready } => {
-            chunk.issued = 0;
-            chunk.finished = 0;
-            chunk.ready = None;
-            debug_assert!(chunk.err.is_none());
-            for sm in &mut chunk.sms {
-                if !sm.has_work() {
-                    continue;
-                }
-                match sm.cycle(now, lctx, &mut chunk.stats) {
-                    Ok(r) => {
-                        chunk.issued += r.issued;
-                        chunk.finished += r.ctas_finished;
-                    }
-                    Err(e) => {
-                        // Stop at the first error, as the serial loop would:
-                        // later SMs in the chunk must not stage anything.
-                        chunk.err = Some((sm.id, e));
-                        break;
-                    }
-                }
-            }
-            if want_ready && chunk.issued == 0 && chunk.finished == 0 && chunk.err.is_none() {
-                let mut ready: Option<u64> = None;
-                for sm in &chunk.sms {
-                    if sm.has_work() {
-                        if let Some(t) = sm.next_ready_cycle(now) {
-                            ready = Some(ready.map_or(t, |r| r.min(t)));
-                        }
-                    }
-                }
-                chunk.ready = ready;
-            }
+    let Job { now, sleep } = job;
+    chunk.issued = 0;
+    chunk.finished = 0;
+    debug_assert!(chunk.err.is_none());
+    let mut ready = Some(u64::MAX);
+    for sm in &mut chunk.sms {
+        if !sm.has_work() {
+            continue;
         }
-        Job::Skip { now, span } => {
-            for sm in &mut chunk.sms {
-                if sm.has_work() {
-                    sm.fast_forward(now, span, &mut chunk.stats);
-                }
+        if let Some(wake_at) = sm.asleep_until(now) {
+            ready = ready.map(|r| r.min(wake_at));
+            continue;
+        }
+        sm.wake(now, &mut chunk.stats);
+        match sm.cycle(now, lctx, &mut chunk.stats) {
+            Ok(r) => {
+                chunk.issued += r.issued;
+                chunk.finished += r.ctas_finished;
+                ready = if sleep && r.issued == 0 && r.ctas_finished == 0 {
+                    let wake_at = sm.sleep(now);
+                    ready.map(|r| r.min(wake_at))
+                } else {
+                    None
+                };
+            }
+            Err(e) => {
+                // Stop at the first error, as the serial loop would:
+                // later SMs in the chunk must not stage anything.
+                chunk.err = Some((sm.id, e));
+                ready = None;
+                break;
             }
         }
     }
+    chunk.ready = ready;
 }
 
 #[cfg(test)]
@@ -388,18 +392,25 @@ mod tests {
             exit
     "#;
 
-    /// Run `f` over a 4-SM machine with one CTA of the fault kernel
-    /// resident on every SM, at the worker count `sm_threads` resolves to.
-    fn with_pool<R>(sm_threads: usize, f: impl FnOnce(&mut SmPool<'_>) -> R) -> R {
+    /// Run `f` over a 4-SM machine with CTA `id` of `src` resident on each
+    /// of the first `ctas` SMs, at the worker count `sm_threads` resolves
+    /// to. `f` also gets the launch context, for launching further CTAs.
+    fn with_pool<R>(
+        sm_threads: usize,
+        src: &str,
+        params: &[u32],
+        ctas: usize,
+        f: impl FnOnce(&mut SmPool<'_>, &LaunchCtx<'_>) -> R,
+    ) -> R {
         let mut cfg = GpuConfig::test_tiny();
         cfg.num_sms = 4;
         cfg.sm_threads = sm_threads;
-        let kernel = assemble(FAULT_ON_SM_1_AND_2).unwrap();
+        let kernel = assemble(src).unwrap();
         let decoded = DecodedKernel::decode(&kernel);
         let lctx = LaunchCtx {
             kernel: &kernel,
             decoded: &decoded,
-            params: &[0],
+            params,
             threads_per_cta: 32,
             grid_ctas: 4,
         };
@@ -410,17 +421,17 @@ mod tests {
                     .map(|_| BasePolicy::Lrr.build(cfg.gto_rotate_period))
                     .collect();
                 let mut sm = Sm::new(id, &cfg, units, Box::new(NullDetector));
-                assert!(sm.try_launch_cta(id, &lctx, &mut age));
+                assert!(id >= ctas || sm.try_launch_cta(id, &lctx, &mut age));
                 sm
             })
             .collect();
-        SmPool::scoped(sms, cfg.sm_workers(), &lctx, f)
+        SmPool::scoped(sms, cfg.sm_workers(), &lctx, |pool| f(pool, &lctx))
     }
 
     /// Cycle the fault kernel until a round errors; return the reported SM
     /// id and which SMs hold staged work afterwards.
     fn run_to_fault(sm_threads: usize) -> (usize, Vec<bool>) {
-        with_pool(sm_threads, |pool| {
+        with_pool(sm_threads, FAULT_ON_SM_1_AND_2, &[0], 4, |pool, _| {
             for now in 0..1000 {
                 let round = pool.cycle(now, false);
                 let staged: Vec<bool> = pool.sms().map(Sm::has_staged).collect();
@@ -454,7 +465,7 @@ mod tests {
     #[test]
     fn sms_are_visited_in_id_order_at_every_worker_count() {
         for sm_threads in [1, 2, 3, 8] {
-            with_pool(sm_threads, |pool| {
+            with_pool(sm_threads, FAULT_ON_SM_1_AND_2, &[0], 4, |pool, _| {
                 assert_eq!(pool.chunks.len(), sm_threads.min(4));
                 assert_eq!(pool.len(), 4);
                 let ids: Vec<usize> = pool.sms().map(|sm| sm.id).collect();
@@ -464,6 +475,129 @@ mod tests {
                     assert_eq!(pool.sm_mut(id).id, id);
                 }
             });
+        }
+    }
+
+    /// One warp per SM: SM 0 counts to 300, SM 1 issues one cold global
+    /// load and waits for it.
+    const SPIN_ON_SM_0_LOAD_ON_SM_1: &str = r#"
+        .kernel spin_or_load
+        .regs 8
+        .params 1
+            ld.param r1, [0]
+            mov r2, %smid
+            setp.eq.u32 p1, r2, 1
+        @p1 bra WAIT
+            mov r3, 0
+        LOOP:
+            add r3, r3, 1
+            setp.lt.u32 p2, r3, 300
+        @p2 bra LOOP
+            exit
+        WAIT:
+            ld.global r4, [r1]
+            add r5, r4, 1
+            exit
+    "#;
+
+    /// What [`run_spin_or_load`] observed.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        /// First cycle with no work left anywhere.
+        cycles: u64,
+        sim: SimStats,
+        mem: simt_mem::MemStats,
+    }
+
+    /// Drive the spin/load kernel to completion with a miniature run loop
+    /// (completions, round, replay; the clock never jumps). With `inject`,
+    /// CTA 2 is launched onto SM 1 after that cycle's round. Also returns
+    /// [`Sm::cycle`] calls per SM.
+    fn run_spin_or_load(
+        sm_threads: usize,
+        sleep: bool,
+        inject: Option<u64>,
+    ) -> (Outcome, Vec<u64>) {
+        let cfg = GpuConfig::test_tiny();
+        let mut mem = simt_mem::MemorySystem::new(cfg.mem.clone(), 4);
+        let buf = mem.gmem_mut().alloc(1) as u32;
+        with_pool(
+            sm_threads,
+            SPIN_ON_SM_0_LOAD_ON_SM_1,
+            &[buf],
+            2,
+            |pool, lctx| {
+                let mut age = 2;
+                let mut done = Vec::new();
+                let mut now = 0;
+                while pool.sms().any(Sm::has_work) {
+                    mem.cycle_into(now, &mut done);
+                    for c in done.drain(..) {
+                        pool.sm_mut(c.sm).on_mem_complete(c).unwrap();
+                    }
+                    let run_before = pool.sm(1).prof.cycles_run;
+                    let round = pool.cycle(now, sleep);
+                    assert!(round.err.is_none());
+                    for id in 0..pool.len() {
+                        pool.sm_mut(id).replay_stage(&mut mem, now).unwrap();
+                    }
+                    if inject == Some(now) {
+                        // By now SM 1 waits on its load, with no timer of its
+                        // own to wake it.
+                        assert_eq!(pool.sm(1).asleep_until(now + 1), sleep.then_some(u64::MAX));
+                        assert!(pool.sm_mut(1).try_launch_cta(2, lctx, &mut age));
+                        assert_eq!(pool.sm(1).asleep_until(now + 1), None);
+                    } else if now > 0 && inject == Some(now - 1) {
+                        // The launch was a wake source: the new warp was seen
+                        // alive on the very next cycle.
+                        assert_eq!(pool.sm(1).prof.cycles_run, run_before + 1);
+                    }
+                    now += 1;
+                    assert!(now < 100_000, "the kernel never finished");
+                }
+                let mut sim = SimStats::default();
+                pool.fold_stats(now, &mut sim);
+                let run = pool.sms().map(|sm| sm.prof.cycles_run).collect();
+                for sm in pool.sms().take(2) {
+                    // Every cycle an SM had work was either run or slept.
+                    assert!(sm.prof.cycles_run + sm.prof.cycles_slept <= now);
+                    assert_eq!(sm.prof.cycles_slept > 0, sleep, "sm {}", sm.id);
+                }
+                let outcome = Outcome {
+                    cycles: now,
+                    sim,
+                    mem: *mem.stats(),
+                };
+                (outcome, run)
+            },
+        )
+    }
+
+    /// While SM 0 keeps issuing, SM 1 — one warp blocked on a cold load —
+    /// is cycled a handful of times (its few instructions, their
+    /// writebacks, the completion), not once per simulated cycle, and the
+    /// books come out as the cycle engine's at every worker count.
+    #[test]
+    fn an_sm_waiting_on_a_load_is_not_cycled() {
+        let (oracle, run) = run_spin_or_load(1, false, None);
+        assert!(run[1] > 200, "the load is long: {run:?}");
+        for sm_threads in [1, 2, 8] {
+            let (got, run) = run_spin_or_load(sm_threads, true, None);
+            assert_eq!(got, oracle, "{sm_threads} threads");
+            assert!(run[1] <= 16, "{sm_threads} threads: {run:?}");
+            assert_eq!(run[2..], [0, 0], "drained SMs are never cycled");
+        }
+    }
+
+    /// A CTA launched onto a sleeping SM wakes it for the next cycle, and
+    /// the span slept before the launch is accrued as the cycle engine
+    /// would have counted it.
+    #[test]
+    fn a_launch_wakes_a_sleeping_sm() {
+        let (oracle, _) = run_spin_or_load(1, false, Some(100));
+        for sm_threads in [1, 2, 8] {
+            let (got, _) = run_spin_or_load(sm_threads, true, Some(100));
+            assert_eq!(got, oracle, "{sm_threads} threads");
         }
     }
 }

@@ -315,8 +315,8 @@ impl SchedulerPolicy for Gto {
     }
 
     // Idle cycles touch no GTO state (the rank cache refreshes lazily in
-    // `pick`, and the fast-forward engine never skips past a rotation
-    // boundary).
+    // `pick`, from the cycle it is called at), so an SM may sleep across
+    // a rotation boundary.
     fn on_idle_span(&mut self, _ctx: &SchedCtx<'_>, _unit_warps: &[usize], _span: u64) {}
 
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {

@@ -136,8 +136,9 @@ pub struct SnapLimits {
     pub grid_ctas: usize,
 }
 
-/// Wall-clock phase accumulators for one SM, populated only when
-/// [`GpuConfig::profile`] is set. `issue_ns` brackets the whole scheduler
+/// Host-side accounting for one SM: wall-clock phase accumulators,
+/// populated only when [`GpuConfig::profile`] is set, and the two cycle
+/// counts, which are always kept. `issue_ns` brackets the whole scheduler
 /// loop *including* nested execute time; the GPU-level aggregation carves
 /// execute back out (see [`crate::ProfileReport`]).
 #[derive(Debug, Default, Clone, Copy)]
@@ -148,6 +149,49 @@ pub struct SmProf {
     pub issue_ns: u64,
     /// Instruction execution proper.
     pub execute_ns: u64,
+    /// Calls to [`Sm::cycle`].
+    pub cycles_run: u64,
+    /// Simulated cycles accrued in bulk while the SM slept instead.
+    pub cycles_slept: u64,
+}
+
+/// What one cycle adds to the per-warp stall and occupancy counters of
+/// [`SimStats`]. [`Sm::cycle`] counts here and posts the totals once; a
+/// dead cycle's tally is also what every following dead cycle would have
+/// counted — each live warp's stall class is frozen while nothing issues,
+/// completes or writes back — so [`Sm::fast_forward`] posts it again,
+/// times the span.
+#[derive(Debug, Default, Clone, Copy)]
+struct StallTally {
+    barrier: u64,
+    membar: u64,
+    data: u64,
+    backoff: u64,
+    resident: u64,
+    backed_off: u64,
+}
+
+impl StallTally {
+    /// Post `cycles` cycles' worth of this tally.
+    fn post(&self, cycles: u64, stats: &mut SimStats) {
+        stats.stall_barrier += self.barrier * cycles;
+        stats.stall_membar += self.membar * cycles;
+        stats.stall_data += self.data * cycles;
+        stats.stall_backoff += self.backoff * cycles;
+        stats.resident_warp_samples += self.resident * cycles;
+        stats.backed_off_warp_samples += self.backed_off * cycles;
+    }
+}
+
+/// An SM the run loop has stopped cycling (see [`Sm::sleep`]).
+#[derive(Debug, Clone, Copy)]
+struct Sleep {
+    /// Last cycle on the SM's books: the dead cycle that put it to sleep,
+    /// moved forward by every [`Sm::settle`].
+    since: u64,
+    /// First cycle at which the SM can change state again, so must be
+    /// cycled; 0 once an external input has arrived.
+    wake_at: u64,
 }
 
 /// Result of one SM cycle.
@@ -225,8 +269,18 @@ pub struct Sm {
     /// Collect per-phase wall time into [`Sm::prof`] (observational only;
     /// never serialized, never consulted by simulation logic).
     profile: bool,
-    /// Phase accumulators, all zero unless profiling is on.
+    /// Phase accumulators (all zero unless profiling is on) and cycle
+    /// counts.
     pub prof: SmProf,
+    /// The last cycle's stall tally (see [`StallTally`]).
+    tally: StallTally,
+    /// A unit had an issuable warp last cycle and its policy issued none.
+    idled_by_choice: bool,
+    /// `Some` while the SM sleeps. Run-loop state, not machine state: a
+    /// sleeping SM whose books are settled is indistinguishable from one
+    /// that was cycled through the same dead cycles, so this is never
+    /// serialized and a restored SM starts awake.
+    sleep: Option<Sleep>,
 }
 
 impl std::fmt::Debug for Sm {
@@ -294,6 +348,9 @@ impl Sm {
             captured: Vec::new(),
             profile: cfg.profile,
             prof: SmProf::default(),
+            tally: StallTally::default(),
+            idled_by_choice: false,
+            sleep: None,
         }
     }
 
@@ -368,6 +425,7 @@ impl Sm {
         }
         *age_counter = base + num_warps as u64;
         self.resident_version += 1;
+        self.rouse();
         true
     }
 
@@ -397,6 +455,7 @@ impl Sm {
     /// [`SimError::InternalInvariant`] on a completion for an unknown tag
     /// or a retired CTA (simulator bugs surfaced as errors, not panics).
     pub fn on_mem_complete(&mut self, c: MemCompletion) -> Result<(), SimError> {
+        self.rouse();
         let Some(entry) = self.pending.get_mut(c.tag) else {
             return Err(invariant(format!(
                 "sm {}: memory completion for unknown tag {}",
@@ -482,7 +541,11 @@ impl Sm {
         lctx: &LaunchCtx<'_>,
         stats: &mut SimStats,
     ) -> Result<SmCycle, SimError> {
+        debug_assert!(self.sleep.is_none(), "cycling a sleeping SM");
         let mut result = SmCycle::default();
+        let mut tally = StallTally::default();
+        self.idled_by_choice = false;
+        self.prof.cycles_run += 1;
         // Phase timer: `profile` is off by default, making this a single
         // untaken branch — the hot path takes no timestamps.
         let t0 = self.profile.then(std::time::Instant::now);
@@ -544,9 +607,9 @@ impl Sm {
             if w.resident && !w.done {
                 self.progress[i].note_alive(now);
                 if w.at_barrier {
-                    stats.stall_barrier += 1;
+                    tally.barrier += 1;
                 } else if w.waiting_membar {
-                    stats.stall_membar += 1;
+                    tally.membar += 1;
                 } else if now >= w.next_issue && !w.stack.is_empty() {
                     let pc = w.stack.pc();
                     // A well-formed kernel ends in an unconditional `exit`,
@@ -562,7 +625,7 @@ impl Sm {
                         )));
                     };
                     if w.sb.has_hazard_masks(&d.reg_mask, d.pred_mask) {
-                        stats.stall_data += 1;
+                        tally.data += 1;
                     } else {
                         m.eligible = true;
                     }
@@ -590,7 +653,7 @@ impl Sm {
                     if self.units[u].can_issue(now, w) {
                         self.eligible_scratch.push(w);
                     } else {
-                        stats.stall_backoff += 1;
+                        tally.backoff += 1;
                     }
                 }
             }
@@ -603,6 +666,7 @@ impl Sm {
                 resident_version: self.resident_version,
             };
             let Some(w) = self.units[u].pick(&ctx, &self.eligible_scratch) else {
+                self.idled_by_choice = true;
                 continue;
             };
             debug_assert!(
@@ -682,13 +746,15 @@ impl Sm {
             self.units[u].end_cycle(&ctx, &self.unit_live[u], issued);
             for &w in &self.unit_live[u] {
                 if self.meta[w].resident && !self.meta[w].done {
-                    stats.resident_warp_samples += 1;
+                    tally.resident += 1;
                     if self.units[u].is_backed_off(w) {
-                        stats.backed_off_warp_samples += 1;
+                        tally.backed_off += 1;
                     }
                 }
             }
         }
+        tally.post(1, stats);
+        self.tally = tally;
         if let Some(t) = t_issue {
             self.prof.issue_ns += t.elapsed().as_nanos() as u64;
         }
@@ -761,97 +827,45 @@ impl Sm {
 
     /// Earliest future cycle (strictly after `now`) at which this SM can
     /// change state *without external input*: a pending writeback drains
-    /// (clearing a scoreboard hazard), a scheduler policy's internal timer
-    /// fires (a BOWS back-off delay or adaptive-window update), or a warp's
-    /// issue port frees. `None` when the SM can only be woken externally
-    /// (memory completions — the GPU loop folds those in separately; a
-    /// barrier or fence likewise releases only via issues or completions
-    /// already counted by these candidates).
+    /// (clearing a scoreboard hazard) or a scheduler policy's internal timer
+    /// fires (a BOWS back-off delay or adaptive-window update). `None` when
+    /// the SM can only be woken externally (memory completions; a barrier
+    /// or fence likewise releases only via issues or completions). A
+    /// warp's issue port is no candidate: `next_issue` is the cycle after
+    /// its last issue, which a dead cycle has already reached.
     ///
-    /// Called by the fast-forward engine immediately after a `cycle(now)`
-    /// in which no unit issued, so `self.meta` holds cycle `now`'s
-    /// eligibility snapshot and stays valid for the whole dead span.
-    pub fn next_ready_cycle(&self, now: u64) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        let mut fold = |t: u64| match next {
-            Some(n) if n <= t => {}
-            _ => next = Some(t),
-        };
+    /// Called by [`Sm::sleep`] immediately after a `cycle(now)` in which no
+    /// unit issued.
+    fn next_ready_cycle(&self, now: u64) -> Option<u64> {
+        if self.idled_by_choice {
+            // An issuable warp the policy nevertheless left idle. No
+            // in-tree policy ever does this (their `pick` on a non-empty
+            // set always issues), but a policy that idles by choice must
+            // be re-consulted every cycle: refuse to sleep.
+            return Some(now + 1);
+        }
         // Writeback wheel: every entry lies within (now, now + WHEEL), and
         // slot `now % WHEEL` was drained this cycle, so the first non-empty
         // slot ahead of `now` is the earliest scoreboard release.
-        if self.wheel_len > 0 {
-            for off in 1..WHEEL as u64 {
-                if !self.wheel[((now + off) as usize) % WHEEL].is_empty() {
-                    fold(now + off);
-                    break;
-                }
-            }
-        }
-        // The live lists are exact here: a dead cycle retires no CTA and
-        // the GPU loop launches none before asking for a horizon, so
-        // `resident_version` has not moved since this cycle's rebuild.
-        for &i in &self.live {
-            let w = &self.warps[i];
-            if !w.resident || w.done {
-                continue;
-            }
-            if w.next_issue > now {
-                // Issue-port backpressure expires by itself. (Unreachable
-                // after a dead cycle — `next_issue = issue cycle + 1` — but
-                // cheap insurance against future pipeline models.)
-                fold(w.next_issue);
-            }
-            if self.meta[i].eligible && self.units[i % self.num_units].can_issue(now, i) {
-                // An issuable warp the policy nevertheless left idle. No
-                // in-tree policy ever does this (their `pick` on a
-                // non-empty set always issues), but a policy that idles by
-                // choice must be re-consulted every cycle: refuse to skip.
-                return Some(now + 1);
-            }
-        }
-        for u in 0..self.num_units {
-            if let Some(t) = self.units[u].next_wakeup(now) {
-                if t > now {
-                    fold(t);
-                }
-            }
-        }
-        next
+        let wheel = if self.wheel_len > 0 {
+            (now + 1..now + WHEEL as u64).find(|&t| !self.wheel[t as usize % WHEEL].is_empty())
+        } else {
+            None
+        };
+        let timers = self.units.iter().filter_map(|u| u.next_wakeup(now));
+        wheel.into_iter().chain(timers).filter(|&t| t > now).min()
     }
 
     /// Bulk-apply `span` dead cycles (`now+1 ..= now+span`, none of which
     /// can issue, complete memory, or drain a writeback), accruing exactly
-    /// the per-cycle statistics [`Sm::cycle`] would have: every live warp's
-    /// stall classification is frozen across the span, as is the Figure 11
-    /// residency/back-off sampling. `self.meta` still holds cycle `now`'s
-    /// snapshot — nothing that feeds it changes during a dead span.
-    pub fn fast_forward(&mut self, now: u64, span: u64, stats: &mut SimStats) {
-        // Same staleness argument as [`Sm::next_ready_cycle`]; crucially,
-        // `refresh_live` must NOT run here — it would wipe the `eligible`
-        // bits of cycle `now`'s metadata snapshot, which the stall
-        // classification below and the policies' idle bookkeeping read.
-        for &i in &self.live {
-            let w = &self.warps[i];
-            if !w.resident || w.done {
-                continue;
-            }
-            if w.at_barrier {
-                stats.stall_barrier += span;
-            } else if w.waiting_membar {
-                stats.stall_membar += span;
-            } else if now >= w.next_issue && !w.stack.is_empty() {
-                if self.meta[i].eligible {
-                    // In a dead cycle every eligible warp was vetoed by
-                    // `can_issue` (otherwise its unit would have issued),
-                    // and the veto holds across the span: the back-off
-                    // expiry is a `next_wakeup` candidate bounding it.
-                    stats.stall_backoff += span;
-                } else {
-                    stats.stall_data += span;
-                }
-            }
-        }
+    /// the per-cycle statistics [`Sm::cycle`] would have: the dead cycle at
+    /// `now` counted them, and they are frozen across the span, as are the
+    /// live lists and `meta` the policies' idle bookkeeping reads. (A CTA
+    /// launched since fills slots outside the lists, and its warps are
+    /// first counted by the cycle that follows the wake; `refresh_live`
+    /// must NOT run here — it would wipe the `eligible` bits of `meta`.)
+    fn fast_forward(&mut self, now: u64, span: u64, stats: &mut SimStats) {
+        self.tally.post(span, stats);
         for u in 0..self.num_units {
             let ctx = SchedCtx {
                 now,
@@ -859,15 +873,65 @@ impl Sm {
                 resident_version: self.resident_version,
             };
             self.units[u].on_idle_span(&ctx, &self.unit_live[u], span);
-            for &w in &self.unit_live[u] {
-                if self.meta[w].resident && !self.meta[w].done {
-                    stats.resident_warp_samples += span;
-                    if self.units[u].is_backed_off(w) {
-                        stats.backed_off_warp_samples += span;
-                    }
-                }
-            }
         }
+    }
+
+    /// Go to sleep after a `cycle(now)` that issued nothing and retired
+    /// nothing: until [`Sm::next_ready_cycle`] or an external input (a
+    /// memory completion, a CTA launch) every cycle of this SM is a dead
+    /// one whose only effect is the statistics [`Sm::fast_forward`]
+    /// accrues in bulk, so the caller may stop cycling it. Returns the
+    /// wake-up cycle.
+    pub fn sleep(&mut self, now: u64) -> u64 {
+        let wake_at = self.next_ready_cycle(now).unwrap_or(u64::MAX);
+        self.sleep = Some(Sleep {
+            since: now,
+            wake_at,
+        });
+        wake_at
+    }
+
+    /// The wake-up cycle of an SM that sleeps through cycle `now`; `None`
+    /// when it is awake or due to be woken.
+    pub fn asleep_until(&self, now: u64) -> Option<u64> {
+        self.sleep.map(|s| s.wake_at).filter(|&t| now < t)
+    }
+
+    /// An external input arrived: cycle the SM at the next opportunity.
+    ///
+    /// The slept span is accrued then, *after* the input has been applied,
+    /// which is sound because [`Sm::fast_forward`] reads nothing either
+    /// input writes — only the sleep-starting cycle's tally, and `meta`
+    /// and the per-unit live lists on the policies' behalf. A completion
+    /// touches a warp's scoreboard, `outstanding_mem` and CTA registers; a
+    /// launch fills warp slots that are outside the frozen live lists and
+    /// resets only their policy and detector state.
+    fn rouse(&mut self) {
+        if let Some(s) = &mut self.sleep {
+            s.wake_at = 0;
+        }
+    }
+
+    /// Bring a sleeping SM's books up to the start of cycle `now` — accrue
+    /// the dead cycles slept so far, through `now - 1` — and leave it
+    /// asleep. Must precede every read of this SM's statistics or
+    /// snapshot state from outside the pool; a no-op on an SM that is
+    /// awake or already settled.
+    pub fn settle(&mut self, now: u64, stats: &mut SimStats) {
+        let Some(s) = &mut self.sleep else { return };
+        let upto = now.saturating_sub(1);
+        if upto > s.since {
+            let (from, span) = (s.since, upto - s.since);
+            s.since = upto;
+            self.prof.cycles_slept += span;
+            self.fast_forward(from, span, stats);
+        }
+    }
+
+    /// Wake up to be cycled at `now`: settle, then end the sleep.
+    pub fn wake(&mut self, now: u64, stats: &mut SimStats) {
+        self.settle(now, stats);
+        self.sleep = None;
     }
 
     /// Functionally execute the instruction at the warp's PC, staging any

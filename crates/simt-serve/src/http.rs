@@ -50,23 +50,22 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let accept_thread = std::thread::spawn(move || {
-            // Non-blocking accept polled every few ms, so the loop can
-            // observe the stop flag without a platform-specific shutdown.
-            let _ = listener.set_nonblocking(true);
+            // Blocking accept: a connection is served the moment it
+            // arrives. [`HttpServer::stop`] sets the flag and then makes a
+            // throwaway connection, so the flag is checked after every
+            // accept returns.
             loop {
+                let accepted = listener.accept();
                 if stop_flag.load(Ordering::Acquire) {
                     return;
                 }
-                match listener.accept() {
+                match accepted {
                     Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
                         let _ = stream.set_nodelay(true);
                         let svc = Arc::clone(&service);
                         std::thread::spawn(move || handle_connection(stream, &svc));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
+                    // E.g. out of file descriptors: back off, don't spin.
                     Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
                 }
             }

@@ -66,14 +66,15 @@ fn usage() -> ! {
          with a mismatched kernel or config exits 2 with a clear error.\n\
          \n\
          --profile collects a host wall-clock breakdown of the run loop\n\
-         (fetch/issue/execute/mem-cycle/merge/skip-horizon), printed\n\
+         (fetch/issue/execute/mem-cycle/merge/skip-horizon) and the\n\
+         share of SM-cycles the skip engine slept through, printed\n\
          after the run report; with --format json the breakdown is also\n\
          emitted as one JSON object. Purely observational: simulated\n\
          results are bit-identical with and without it.\n\
          \n\
          --engine picks the main-loop time-advance strategy: `skip`\n\
-         (default) fast-forwards over cycles in which nothing can issue,\n\
-         `cycle` walks every cycle. Bit-identical results either way.\n\
+         (default) stops cycling an SM while it has nothing to issue,\n\
+         `cycle` cycles every SM every cycle. Bit-identical results either way.\n\
          \n\
          --sm-threads runs the SMs of the simulated GPU on N host worker\n\
          threads (default 1 = serial; clamped to the SM count).\n\
@@ -538,6 +539,13 @@ fn main() -> ExitCode {
             println!("  {name:<12}: {:>10.3} ms ({:>4.1}%)", ms(ns), pct(ns));
         }
         println!("  {:<12}: {:>10.3} ms ({:>4.1}%)", "other", ms(p.other_ns()), pct(p.other_ns()));
+        println!(
+            "  {:<12}: {} run, {} slept ({:.1}% slept)",
+            "sm-cycles",
+            p.sm_cycles_run,
+            p.sm_cycles_slept,
+            100.0 * p.slept_share()
+        );
         if cli.format_json {
             let mut fields: Vec<(String, simt_serve::Json)> = p
                 .phases()
@@ -546,6 +554,8 @@ fn main() -> ExitCode {
                 .collect();
             fields.push(("other_ns".into(), simt_serve::Json::UInt(p.other_ns())));
             fields.push(("total_ns".into(), simt_serve::Json::UInt(p.total_ns)));
+            fields.push(("sm_cycles_run".into(), simt_serve::Json::UInt(p.sm_cycles_run)));
+            fields.push(("sm_cycles_slept".into(), simt_serve::Json::UInt(p.sm_cycles_slept)));
             let doc = simt_serve::Json::Obj(vec![("profile".into(), simt_serve::Json::Obj(fields))]);
             println!("{}", doc.render());
         }

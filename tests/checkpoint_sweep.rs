@@ -45,6 +45,20 @@ fn run_stages(
     snaps: &mut Vec<Vec<u8>>,
     resume: Option<&[u8]>,
 ) -> (Vec<StageOutcome>, Vec<u32>, Gpu, Prepared) {
+    let mut keep = |body: &[u8]| snaps.push(body.to_vec());
+    run_stages_into(cfg, w, bows, snap_stage, every, &mut keep, resume)
+}
+
+/// [`run_stages`], handing each snapshot body to `keep`.
+fn run_stages_into(
+    cfg: &GpuConfig,
+    w: &dyn Workload,
+    bows: bool,
+    snap_stage: Option<usize>,
+    every: u64,
+    keep: &mut dyn FnMut(&[u8]),
+    resume: Option<&[u8]>,
+) -> (Vec<StageOutcome>, Vec<u32>, Gpu, Prepared) {
     let policy = bows::policy_factory(
         bows_sim::core::BasePolicy::Gto,
         bows.then(|| DelayMode::Adaptive(AdaptiveConfig::default())),
@@ -65,7 +79,7 @@ fn run_stages(
     let prepared = w.prepare(&mut gpu);
     let mut outcomes = Vec::new();
     for (i, stage) in prepared.stages.iter().enumerate() {
-        let mut sink = |_at: u64, body: &[u8]| snaps.push(body.to_vec());
+        let mut sink = |_at: u64, body: &[u8]| keep(body);
         let ctl = if snap_stage == Some(i) {
             Some(CheckpointCtl {
                 every: if resume.is_some() { 0 } else { every },
@@ -163,4 +177,44 @@ fn rodinia_suite_resume_invariance_cycle_engine() {
 #[test]
 fn rodinia_suite_resume_invariance_skip_engine() {
     sweep(&rodinia_suite(Scale::Tiny), Engine::Skip, false);
+}
+
+/// Settling a sleeping SM's books is transparent at any cycle: under the
+/// skip engine, HT on four SMs (BOWS-on-GTO, adaptive, live DDOS — its SMs
+/// sleep on the lock's round trip most of the time) checkpointed every
+/// cycle, at an odd period, and just before, on and just after the
+/// forward-progress scan boundary reports what the uncheckpointed run and
+/// the cycle engine report. Each snapshot settles the sleepers and leaves
+/// them asleep; an accrual lost or doubled there, or at a scan-boundary
+/// settle followed by a clock jump, shows up in `SimStats`.
+#[test]
+fn settle_is_transparent_at_any_cycle() {
+    let suite = sync_suite(Scale::Tiny);
+    let ht = suite.iter().find(|w| w.name() == "HT").expect("in suite");
+    let run = |engine: Engine, every: u64| {
+        let mut snapshots = 0u64;
+        let snap_stage = (every > 0).then_some(0);
+        let cfg = config(engine, 1);
+        let (out, image, _, _) = run_stages_into(
+            &cfg,
+            ht.as_ref(),
+            true,
+            snap_stage,
+            every,
+            &mut |_| snapshots += 1,
+            None,
+        );
+        (out, image, snapshots)
+    };
+    let (oracle, oracle_image, _) = run(Engine::Cycle, 0);
+    let cycles = oracle[0].report.cycles;
+    assert!(cycles > 2 * 2049, "HT must cross scan boundaries: {cycles}");
+    for every in [0, 1, 7, 2047, 2048, 2049] {
+        let (out, image, snapshots) = run(Engine::Skip, every);
+        let tag = format!("skip engine, checkpoint every {every}");
+        assert_stages_eq(&tag, &oracle, &out);
+        assert_eq!(oracle_image, image, "memory: {tag}");
+        let boundaries = (cycles - 1).checked_div(every).unwrap_or(0);
+        assert_eq!(snapshots, boundaries, "snapshots: {tag}");
+    }
 }
