@@ -294,6 +294,12 @@ impl SchedulerPolicy for Bows {
         self.state(warp).backed_off
     }
 
+    // Backed-off warps are exactly the FIFO's members (see `next_wakeup`;
+    // restored state is held to it by the snapshot check below).
+    fn backed_off_count(&self) -> usize {
+        self.queue.len()
+    }
+
     fn current_delay_limit(&self) -> u64 {
         self.delay_limit
     }
@@ -387,11 +393,23 @@ simt_snap::snap_struct!(state Bows {
     queue: VecDeque<usize>,
     delay_limit: u64,
 } check |b: &Bows| {
-    match b.queue.iter().find(|&&warp| warp >= b.warps.len()) {
-        Some(warp) => Err(simt_snap::SnapshotError::malformed(format!(
-            "bows: backed-off queue names warp {warp} of {}",
-            b.warps.len()
-        ))),
+    // The FIFO holds each backed-off warp exactly once and nothing else:
+    // `next_wakeup` and `backed_off_count` read the queue in place of the
+    // per-warp flags.
+    let bad = |what: String| Err(simt_snap::SnapshotError::malformed(format!("bows: {what}")));
+    let mut queued = vec![false; b.warps.len()];
+    for &warp in &b.queue {
+        match queued.get_mut(warp) {
+            None => return bad(format!("backed-off queue names warp {warp} of {}", b.warps.len())),
+            Some(seen) if *seen => return bad(format!("backed-off queue names warp {warp} twice")),
+            Some(seen) => *seen = true,
+        }
+    }
+    match b.warps.iter().zip(&queued).position(|(w, &q)| w.backed_off != q) {
+        Some(warp) => bad(format!(
+            "warp {warp} has backed_off = {}, but the backed-off queue says {}",
+            b.warps[warp].backed_off, queued[warp]
+        )),
         None => Ok(()),
     }
 });
@@ -410,6 +428,7 @@ mod tests {
         let c = ctx(0, &m);
         let mut b = bows(DelayMode::Adaptive(AdaptiveConfig::default()));
         b.on_sib(&c, 3);
+        assert_eq!(b.backed_off_count(), 1);
         let mut w = simt_snap::SnapWriter::new();
         b.save_state(&mut w);
         let body = w.into_bytes();
@@ -417,14 +436,31 @@ mod tests {
         back.load_state(&mut simt_snap::SnapReader::new(&body)).unwrap();
         assert!(back.is_backed_off(3));
         assert_eq!(back.backoff_queue_position(3), Some(0));
-        // A queue entry naming a warp the table does not hold is corrupt.
-        b.queue.push_back(17);
-        let mut w = simt_snap::SnapWriter::new();
-        b.save_state(&mut w);
-        let err = bows(DelayMode::Adaptive(AdaptiveConfig::default()))
-            .load_state(&mut simt_snap::SnapReader::new(&w.into_bytes()))
-            .unwrap_err();
-        assert!(err.to_string().contains("names warp 17"), "{err}");
+        // The queue must hold each backed-off warp once and nothing else:
+        // a member the table does not hold, a disagreement with the
+        // per-warp flags either way round, or a repeat is corrupt.
+        type Corrupt = fn(&mut Bows);
+        let cases: [(&str, Corrupt); 4] = [
+            ("names warp 17", |b| b.queue.push_back(17)),
+            ("warp 3 has backed_off = false", |b| {
+                b.warps[3].backed_off = false
+            }),
+            ("warp 1 has backed_off = true", |b| {
+                b.warps[1].backed_off = true
+            }),
+            ("names warp 3 twice", |b| b.queue.push_back(3)),
+        ];
+        for (what, corrupt) in cases {
+            let mut b = bows(DelayMode::Adaptive(AdaptiveConfig::default()));
+            b.on_sib(&c, 3);
+            corrupt(&mut b);
+            let mut w = simt_snap::SnapWriter::new();
+            b.save_state(&mut w);
+            let err = bows(DelayMode::Adaptive(AdaptiveConfig::default()))
+                .load_state(&mut simt_snap::SnapReader::new(&w.into_bytes()))
+                .unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
         // A fixed-delay unit refuses an adaptive unit's blob.
         let err = bows(DelayMode::Fixed(500))
             .load_state(&mut simt_snap::SnapReader::new(&body))

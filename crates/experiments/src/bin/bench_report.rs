@@ -184,7 +184,9 @@ fn parse_cli() -> Cli {
 
 /// Render the per-group phase breakdown `--profile` collected: one row
 /// per group, one column per phase, in milliseconds with the share of the
-/// group's attributed time, then the share of SM-cycles slept through.
+/// group's attributed time, then the share of SM-cycles slept through and
+/// the warps classified per SM-cycle run; under it, what `other` is made
+/// of.
 fn print_profiles(profiles: &[(&str, simt_core::ProfileReport)]) {
     if profiles.is_empty() {
         eprintln!("profile: no phase data collected");
@@ -200,12 +202,19 @@ fn print_profiles(profiles: &[(&str, simt_core::ProfileReport)]) {
             .map(|&(ph, ns)| format!("{ph} {:.1} ({:.0}%)", ms(ns), pct(ns)))
             .collect();
         println!(
-            "  {name}: total {:.1}  {}  other {:.1}  sm-cycles slept {:.0}%",
+            "  {name}: total {:.1}  {}  other {:.1}  sm-cycles slept {:.0}%  classified per SM-cycle {:.2}",
             ms(p.total_ns),
             cells.join("  "),
             ms(p.other_ns()),
-            100.0 * p.slept_share()
+            100.0 * p.slept_share(),
+            p.classified_per_cycle()
         );
+        let other: Vec<String> = p
+            .other_breakdown()
+            .iter()
+            .map(|&(part, ns)| format!("{part} {:.1} ({:.0}%)", ms(ns), pct(ns)))
+            .collect();
+        println!("    other: {}", other.join("  "));
     }
 }
 

@@ -188,8 +188,9 @@ impl std::error::Error for SimError {}
 /// straight wall time on the run-loop thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileReport {
-    /// Writeback wheel drain, CTA retirement, fence clearing, and per-warp
-    /// eligibility (the front of every SM cycle).
+    /// Writeback wheel drain, CTA retirement, and reclassifying the warps
+    /// an event touched since the last cycle — fence clearing and
+    /// eligibility for those alone (the front of every SM cycle).
     pub fetch_ns: u64,
     /// Scheduler-unit arbitration and end-of-cycle policy bookkeeping,
     /// excluding the nested execute time.
@@ -202,15 +203,28 @@ pub struct ProfileReport {
     /// Deterministic replay of staged global-memory work in SM-id order.
     pub merge_ns: u64,
     /// Skip-engine horizon computation for clock jumps. (A sleeping SM's
-    /// bulk accrual runs where it wakes or is settled, untimed.)
+    /// bulk accrual runs where it wakes or is settled: in `other`, under
+    /// the pool walk, a watchdog scan or a checkpoint.)
     pub skip_horizon_ns: u64,
     /// The whole run loop, launch to grid completion.
     pub total_ns: u64,
+    /// Every `SmPool::cycle` round, SM phases included; part of `other`
+    /// (see [`ProfileReport::other_breakdown`]), like the next three.
+    pub pool_ns: u64,
+    /// CTA dispatch: the initial one and every refill.
+    pub dispatch_ns: u64,
+    /// Forward-progress scans, with the settle that precedes each.
+    pub watchdog_ns: u64,
+    /// Checkpoints: the statistics fold and the encoding of the body (not
+    /// the caller's sink).
+    pub checkpoint_ns: u64,
     /// [`Sm::cycle`] calls, summed over SMs. A count, not nanoseconds.
     pub sm_cycles_run: u64,
     /// Simulated cycles SMs with work slept through instead (accrued in
     /// bulk), summed over SMs. A count; always 0 under `Engine::Cycle`.
     pub sm_cycles_slept: u64,
+    /// Warp slots (re)classified, summed over SMs. A count.
+    pub warps_classified: u64,
 }
 
 impl ProfileReport {
@@ -235,6 +249,24 @@ impl ProfileReport {
         self.total_ns.saturating_sub(attributed)
     }
 
+    /// What [`ProfileReport::other_ns`] is made of, as `(label,
+    /// nanoseconds)` rows: the pool walk (the rounds' wall time minus the
+    /// SM phases inside them: waking, settling and putting SMs to sleep),
+    /// CTA dispatch, watchdog scans, checkpoints, and the rest of the run
+    /// loop. The first saturates at zero with `sm_threads > 1`.
+    pub fn other_breakdown(&self) -> [(&'static str, u64); 5] {
+        let sm_phases = self.fetch_ns + self.issue_ns + self.execute_ns;
+        let pool_walk = self.pool_ns.saturating_sub(sm_phases);
+        let timed = pool_walk + self.dispatch_ns + self.watchdog_ns + self.checkpoint_ns;
+        [
+            ("pool-walk", pool_walk),
+            ("dispatch", self.dispatch_ns),
+            ("watchdog", self.watchdog_ns),
+            ("checkpoint", self.checkpoint_ns),
+            ("loop", self.other_ns().saturating_sub(timed)),
+        ]
+    }
+
     /// Fold another report into this one (multi-kernel aggregation).
     pub fn add(&mut self, o: &ProfileReport) {
         self.fetch_ns += o.fetch_ns;
@@ -244,8 +276,13 @@ impl ProfileReport {
         self.merge_ns += o.merge_ns;
         self.skip_horizon_ns += o.skip_horizon_ns;
         self.total_ns += o.total_ns;
+        self.pool_ns += o.pool_ns;
+        self.dispatch_ns += o.dispatch_ns;
+        self.watchdog_ns += o.watchdog_ns;
+        self.checkpoint_ns += o.checkpoint_ns;
         self.sm_cycles_run += o.sm_cycles_run;
         self.sm_cycles_slept += o.sm_cycles_slept;
+        self.warps_classified += o.warps_classified;
     }
 
     /// Share of SM-cycles with work that were slept through, not run
@@ -254,6 +291,13 @@ impl ProfileReport {
     pub fn slept_share(&self) -> f64 {
         let all = self.sm_cycles_run + self.sm_cycles_slept;
         self.sm_cycles_slept as f64 / all.max(1) as f64
+    }
+
+    /// Warp slots classified per [`Sm::cycle`] call (0 when nothing was
+    /// simulated): what a cycle costs beyond its issues, against the live
+    /// warps per SM a rescan would read.
+    pub fn classified_per_cycle(&self) -> f64 {
+        self.warps_classified as f64 / self.sm_cycles_run.max(1) as f64
     }
 }
 
@@ -576,8 +620,11 @@ impl Run<'_, '_> {
             // independent of the worker count.
             if let Some(sink) = &mut sink {
                 if every > 0 && now > start_cycle && now.is_multiple_of(every) {
+                    let t = self.timer();
                     self.pool.fold_stats(now, &mut self.rs.stats);
-                    sink(now, &self.snapshot_body());
+                    let body = self.snapshot_body();
+                    lap(t, &mut self.prof.checkpoint_ns);
+                    sink(now, &body);
                 }
             }
             // Memory completions first so unblocked warps can issue today.
@@ -587,7 +634,9 @@ impl Run<'_, '_> {
                 self.pool.sm_mut(c.sm).on_mem_complete(c)?;
             }
             lap(t, &mut self.prof.mem_cycle_ns);
+            let t = self.timer();
             let round = self.pool.cycle(now, skip);
+            lap(t, &mut self.prof.pool_ns);
             // Deterministic merge: replay every SM's staged global-memory
             // work in fixed SM-id order. On a cycle error the replay stops
             // at the erroring SM (serial execution would never have cycled
@@ -630,7 +679,10 @@ impl Run<'_, '_> {
                     return Err(SimError::Cancelled { cycle: now, cause });
                 }
                 if self.rs.remaining > 0 {
-                    if let Some(class) = self.scan_progress() {
+                    let t = self.timer();
+                    let hung = self.scan_progress();
+                    lap(t, &mut self.prof.watchdog_ns);
+                    if let Some(class) = hung {
                         return Err(self.hang(class));
                     }
                 }
@@ -659,6 +711,7 @@ impl Run<'_, '_> {
     /// CTA retires). Refill order — and with it every age key — is the
     /// same however the pool cycles the SMs.
     fn dispatch_pending(&mut self) {
+        let t = self.timer();
         let rs = &mut self.rs;
         let mut made_progress = true;
         while made_progress && !rs.pending.is_empty() {
@@ -671,6 +724,7 @@ impl Run<'_, '_> {
                 }
             }
         }
+        lap(t, &mut self.prof.dispatch_ns);
     }
 
     /// Periodic forward-progress scan: catches hangs where warps keep
@@ -801,6 +855,7 @@ impl Run<'_, '_> {
             sm_prof.execute_ns += sm.prof.execute_ns;
             sm_prof.cycles_run += sm.prof.cycles_run;
             sm_prof.cycles_slept += sm.prof.cycles_slept;
+            sm_prof.warps_classified += sm.prof.warps_classified;
         }
         confirmed_sibs.sort_unstable();
         let final_state = self.cfg.capture_final_state.then(|| {
@@ -819,6 +874,7 @@ impl Run<'_, '_> {
             total_ns: start.elapsed().as_nanos() as u64,
             sm_cycles_run: sm_prof.cycles_run,
             sm_cycles_slept: sm_prof.cycles_slept,
+            warps_classified: sm_prof.warps_classified,
             ..self.prof
         });
         KernelReport {
@@ -875,14 +931,15 @@ impl Run<'_, '_> {
             }
         }
         let kernel = self.lctx.kernel;
+        let state = RunState::load(&mut r)?;
         let limits = SnapLimits {
             insts: kernel.insts.len(),
             regs_per_thread: kernel.num_regs as usize,
             threads_per_cta: self.lctx.threads_per_cta,
             shared_words: kernel.shared_words as usize,
             grid_ctas: self.lctx.grid_ctas,
+            now: state.now,
         };
-        let state = RunState::load(&mut r)?;
         let nsms = usize::load(&mut r)?;
         if nsms != self.pool.len() {
             return Err(SnapshotError::malformed(format!(
@@ -1700,7 +1757,11 @@ mod tests {
         resume(&with_state(&|_| {})).expect("the unmodified re-encoding resumes");
 
         type Corrupt<'a> = &'a dyn Fn(&mut RunState);
-        let cases: [(&str, Corrupt<'_>); 8] = [
+        let cases: [(&str, Corrupt<'_>); 9] = [
+            // The SMs are checked against the restored clock: a warp whose
+            // issue port frees in the future has a class that changes with
+            // no event, which the SM's event-driven eligibility cannot see.
+            ("issues next at", &|s| (s.now, s.idle_since) = (1, 0)),
             ("idle since", &|s| s.idle_since = s.now + 1),
             ("livelock since", &|s| s.livelock_since = Some(s.now + 1)),
             ("lock acquisitions", &|s| s.locks_at_scan = u64::MAX),

@@ -392,14 +392,15 @@ mod tests {
             exit
     "#;
 
-    /// Run `f` over a 4-SM machine with CTA `id` of `src` resident on each
-    /// of the first `ctas` SMs, at the worker count `sm_threads` resolves
-    /// to. `f` also gets the launch context, for launching further CTAs.
+    /// Run `f` over a 4-SM machine with CTA `id` of `src`, `threads_per_cta`
+    /// wide, resident on each of the first `ctas` SMs, at the worker count
+    /// `sm_threads` resolves to. `f` also gets the launch context, for
+    /// launching further CTAs.
     fn with_pool<R>(
         sm_threads: usize,
         src: &str,
         params: &[u32],
-        ctas: usize,
+        (ctas, threads_per_cta): (usize, usize),
         f: impl FnOnce(&mut SmPool<'_>, &LaunchCtx<'_>) -> R,
     ) -> R {
         let mut cfg = GpuConfig::test_tiny();
@@ -411,7 +412,7 @@ mod tests {
             kernel: &kernel,
             decoded: &decoded,
             params,
-            threads_per_cta: 32,
+            threads_per_cta,
             grid_ctas: 4,
         };
         let mut age = 0;
@@ -431,7 +432,7 @@ mod tests {
     /// Cycle the fault kernel until a round errors; return the reported SM
     /// id and which SMs hold staged work afterwards.
     fn run_to_fault(sm_threads: usize) -> (usize, Vec<bool>) {
-        with_pool(sm_threads, FAULT_ON_SM_1_AND_2, &[0], 4, |pool, _| {
+        with_pool(sm_threads, FAULT_ON_SM_1_AND_2, &[0], (4, 32), |pool, _| {
             for now in 0..1000 {
                 let round = pool.cycle(now, false);
                 let staged: Vec<bool> = pool.sms().map(Sm::has_staged).collect();
@@ -465,7 +466,7 @@ mod tests {
     #[test]
     fn sms_are_visited_in_id_order_at_every_worker_count() {
         for sm_threads in [1, 2, 3, 8] {
-            with_pool(sm_threads, FAULT_ON_SM_1_AND_2, &[0], 4, |pool, _| {
+            with_pool(sm_threads, FAULT_ON_SM_1_AND_2, &[0], (4, 32), |pool, _| {
                 assert_eq!(pool.chunks.len(), sm_threads.min(4));
                 assert_eq!(pool.len(), 4);
                 let ids: Vec<usize> = pool.sms().map(|sm| sm.id).collect();
@@ -509,9 +510,42 @@ mod tests {
         mem: simt_mem::MemStats,
     }
 
-    /// Drive the spin/load kernel to completion with a miniature run loop
-    /// (completions, round, replay; the clock never jumps). With `inject`,
-    /// CTA 2 is launched onto SM 1 after that cycle's round. Also returns
+    /// A miniature run loop (completions, round, replay; the clock never
+    /// jumps) until no SM has work left; `after_round` runs at the end of
+    /// every iteration. Returns the books, settled and folded.
+    fn drive(
+        pool: &mut SmPool<'_>,
+        mem: &mut simt_mem::MemorySystem,
+        sleep: bool,
+        mut after_round: impl FnMut(&mut SmPool<'_>, u64),
+    ) -> Outcome {
+        let mut done = Vec::new();
+        let mut now = 0;
+        while pool.sms().any(Sm::has_work) {
+            mem.cycle_into(now, &mut done);
+            for c in done.drain(..) {
+                pool.sm_mut(c.sm).on_mem_complete(c).unwrap();
+            }
+            let round = pool.cycle(now, sleep);
+            assert!(round.err.is_none());
+            for id in 0..pool.len() {
+                pool.sm_mut(id).replay_stage(mem, now).unwrap();
+            }
+            after_round(pool, now);
+            now += 1;
+            assert!(now < 100_000, "the kernel never finished");
+        }
+        let mut sim = SimStats::default();
+        pool.fold_stats(now, &mut sim);
+        Outcome {
+            cycles: now,
+            sim,
+            mem: *mem.stats(),
+        }
+    }
+
+    /// Drive the spin/load kernel to completion. With `inject`, CTA 2 is
+    /// launched onto SM 1 after that cycle's round. Also returns
     /// [`Sm::cycle`] calls per SM.
     fn run_spin_or_load(
         sm_threads: usize,
@@ -525,22 +559,12 @@ mod tests {
             sm_threads,
             SPIN_ON_SM_0_LOAD_ON_SM_1,
             &[buf],
-            2,
+            (2, 32),
             |pool, lctx| {
                 let mut age = 2;
-                let mut done = Vec::new();
-                let mut now = 0;
-                while pool.sms().any(Sm::has_work) {
-                    mem.cycle_into(now, &mut done);
-                    for c in done.drain(..) {
-                        pool.sm_mut(c.sm).on_mem_complete(c).unwrap();
-                    }
-                    let run_before = pool.sm(1).prof.cycles_run;
-                    let round = pool.cycle(now, sleep);
-                    assert!(round.err.is_none());
-                    for id in 0..pool.len() {
-                        pool.sm_mut(id).replay_stage(&mut mem, now).unwrap();
-                    }
+                // SM 1's cycle count before the current round.
+                let mut run_before = 0;
+                let outcome = drive(pool, &mut mem, sleep, |pool, now| {
                     if inject == Some(now) {
                         // By now SM 1 waits on its load, with no timer of its
                         // own to wake it.
@@ -552,22 +576,14 @@ mod tests {
                         // alive on the very next cycle.
                         assert_eq!(pool.sm(1).prof.cycles_run, run_before + 1);
                     }
-                    now += 1;
-                    assert!(now < 100_000, "the kernel never finished");
-                }
-                let mut sim = SimStats::default();
-                pool.fold_stats(now, &mut sim);
+                    run_before = pool.sm(1).prof.cycles_run;
+                });
                 let run = pool.sms().map(|sm| sm.prof.cycles_run).collect();
                 for sm in pool.sms().take(2) {
                     // Every cycle an SM had work was either run or slept.
-                    assert!(sm.prof.cycles_run + sm.prof.cycles_slept <= now);
+                    assert!(sm.prof.cycles_run + sm.prof.cycles_slept <= outcome.cycles);
                     assert_eq!(sm.prof.cycles_slept > 0, sleep, "sm {}", sm.id);
                 }
-                let outcome = Outcome {
-                    cycles: now,
-                    sim,
-                    mem: *mem.stats(),
-                };
                 (outcome, run)
             },
         )
@@ -598,6 +614,60 @@ mod tests {
         for sm_threads in [1, 2, 8] {
             let (got, _) = run_spin_or_load(sm_threads, true, Some(100));
             assert_eq!(got, oracle, "{sm_threads} threads");
+        }
+    }
+
+    /// One CTA of eight warps: warp 0 counts to 170 (some 500 issues), the
+    /// other seven issue one cold global load each, to a line of their own,
+    /// and wait for it.
+    const ONE_LOOPS_SEVEN_WAIT: &str = r#"
+        .kernel loop_or_wait
+        .regs 8
+        .params 1
+            ld.param r1, [0]
+            mov r2, %warpid
+            setp.eq.u32 p1, r2, 0
+        @p1 bra COUNT
+            shl r3, r2, 7
+            add r1, r1, r3
+            ld.global r4, [r1]
+            add r5, r4, 1
+            exit
+        COUNT:
+            mov r3, 0
+        LOOP:
+            add r3, r3, 1
+            setp.lt.u32 p2, r3, 170
+        @p2 bra LOOP
+            exit
+    "#;
+
+    /// A cycle classifies the warps an event touched, not the live ones:
+    /// with seven of eight warps parked on a load, the count follows the
+    /// instructions issued — a per-cycle rescan would read eight warps
+    /// every cycle — whether or not the SM may sleep, and the books agree.
+    #[test]
+    fn classification_follows_events_not_live_warps() {
+        let run = |sleep: bool| {
+            let cfg = GpuConfig::test_tiny();
+            let mut mem = simt_mem::MemorySystem::new(cfg.mem.clone(), 4);
+            let buf = mem.gmem_mut().alloc(8 * 32) as u32;
+            with_pool(1, ONE_LOOPS_SEVEN_WAIT, &[buf], (1, 256), |pool, _| {
+                let outcome = drive(pool, &mut mem, sleep, |_, _| {});
+                (outcome, pool.sm(0).prof)
+            })
+        };
+        let (oracle, _) = run(false);
+        assert!(oracle.sim.issued_inst > 500, "{:?}", oracle.sim);
+        for sleep in [false, true] {
+            let (got, prof) = run(sleep);
+            assert_eq!(got, oracle, "sleep {sleep}");
+            let bound = 4 * got.sim.issued_inst + 16;
+            assert!(prof.warps_classified <= bound, "sleep {sleep}: {prof:?}");
+            assert!(
+                8 * got.cycles > 2 * bound,
+                "a rescan would not meet the bound: {got:?}"
+            );
         }
     }
 }

@@ -8,7 +8,7 @@
 use simt_snap::Snap;
 
 /// Per-warp metadata visible to schedulers.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarpMeta {
     /// Warp slot holds live threads.
     pub resident: bool,
@@ -95,6 +95,16 @@ pub trait SchedulerPolicy: Send {
     /// Is the warp currently in the backed-off state? (Figure 11.)
     fn is_backed_off(&self, _warp: usize) -> bool {
         false
+    }
+
+    /// How many of this unit's warps are in the backed-off state: the SM
+    /// samples it every cycle (Figure 11), so it asks for the count
+    /// instead of sweeping [`SchedulerPolicy::is_backed_off`] over the
+    /// unit's live warps. The two must agree — a warp leaves the state no
+    /// later than its own `exit` issues — and a policy that overrides one
+    /// overrides both.
+    fn backed_off_count(&self) -> usize {
+        0
     }
 
     /// Current back-off delay limit (Figure 10 instrumentation); 0 for
@@ -584,6 +594,7 @@ mod tests {
             assert_eq!(unit.name(), p.name());
             assert!(unit.can_issue(0, 0));
             assert!(!unit.is_backed_off(0));
+            assert_eq!(unit.backed_off_count(), 0);
             assert_eq!(unit.current_delay_limit(), 0);
         }
     }

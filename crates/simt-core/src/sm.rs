@@ -134,16 +134,20 @@ pub struct SnapLimits {
     pub shared_words: usize,
     /// CTAs in the grid (bounds every CTA id).
     pub grid_ctas: usize,
+    /// The restored run's clock: the cycle about to be simulated (bounds
+    /// every warp's `next_issue`).
+    pub now: u64,
 }
 
 /// Host-side accounting for one SM: wall-clock phase accumulators,
-/// populated only when [`GpuConfig::profile`] is set, and the two cycle
+/// populated only when [`GpuConfig::profile`] is set, and the three
 /// counts, which are always kept. `issue_ns` brackets the whole scheduler
 /// loop *including* nested execute time; the GPU-level aggregation carves
 /// execute back out (see [`crate::ProfileReport`]).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SmProf {
-    /// Writeback drain + CTA retirement + fence/eligibility scan.
+    /// Writeback drain + CTA retirement + reclassifying the warps an event
+    /// touched since the last cycle.
     pub fetch_ns: u64,
     /// Scheduler-unit issue loop + end-of-cycle bookkeeping (incl. execute).
     pub issue_ns: u64,
@@ -153,10 +157,137 @@ pub struct SmProf {
     pub cycles_run: u64,
     /// Simulated cycles accrued in bulk while the SM slept instead.
     pub cycles_slept: u64,
+    /// Warp slots (re)classified by [`Sm::cycle`]: one per marked slot per
+    /// cycle, so it tracks events and issues, not live warps x cycles.
+    pub warps_classified: u64,
+}
+
+/// A warp slot's standing with the issue stage, as of its last
+/// classification ([`classify`] is the one definition).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum StallClass {
+    /// Counted nowhere: the slot is not live, or has nothing to fetch.
+    #[default]
+    None,
+    /// Waiting at the CTA barrier.
+    Barrier,
+    /// Draining a fence.
+    Membar,
+    /// Next instruction has a scoreboard hazard.
+    Data,
+    /// Ready to issue, subject to the policy's own veto.
+    Eligible,
+}
+
+/// The single definition of warp `i`'s stall class and scheduler-visible
+/// metadata at cycle `now`, used by [`Sm::cycle`] for the slots an event
+/// marked and by the debug-build oracle for every slot. Also where a
+/// drained fence is cleared, which makes that the first cycle after the
+/// completion that drained it.
+///
+/// Nothing here depends on `now` passing: a warp's issue port
+/// (`next_issue`, the cycle after its last issue) is free again by the
+/// next cycle, and [`Sm::load_snap`] refuses a snapshot that says
+/// otherwise. A scheme driven by events could not see such a class change.
+fn classify(
+    sm: usize,
+    i: usize,
+    w: &mut Warp,
+    now: u64,
+    lctx: &LaunchCtx<'_>,
+) -> Result<(StallClass, WarpMeta), SimError> {
+    let class = if !w.resident || w.done {
+        StallClass::None
+    } else {
+        if w.waiting_membar && w.outstanding_mem == 0 {
+            w.waiting_membar = false;
+        }
+        debug_assert!(
+            now >= w.next_issue,
+            "warp {i} issues next at {}",
+            w.next_issue
+        );
+        if w.at_barrier {
+            StallClass::Barrier
+        } else if w.waiting_membar {
+            StallClass::Membar
+        } else if w.stack.is_empty() {
+            StallClass::None
+        } else {
+            let pc = w.stack.pc();
+            // A well-formed kernel ends in an unconditional `exit`, but a
+            // guarded exit on the last instruction (or a resumed snapshot
+            // that passed shape validation with a semantically twisted
+            // stack) can run a warp off the end of the program. Fail
+            // structured, not by index.
+            let Some(d) = lctx.decoded.insts.get(pc) else {
+                return Err(invariant(format!(
+                    "sm {sm}: warp {i} pc {pc} past program end ({} insts)",
+                    lctx.decoded.insts.len()
+                )));
+            };
+            if w.sb.has_hazard_masks(&d.reg_mask, d.pred_mask) {
+                StallClass::Data
+            } else {
+                StallClass::Eligible
+            }
+        }
+    };
+    let meta = WarpMeta {
+        resident: w.resident,
+        done: w.done,
+        age_key: w.age_key,
+        eligible: class == StallClass::Eligible,
+    };
+    Ok((class, meta))
+}
+
+/// A set of warp slots as a bitset; iterates in ascending slot order.
+#[derive(Debug, Default)]
+struct SlotSet(Vec<u64>);
+
+impl SlotSet {
+    fn new(slots: usize) -> SlotSet {
+        SlotSet(vec![0; slots.div_ceil(64)])
+    }
+
+    fn insert(&mut self, slot: usize) {
+        self.0[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn set(&mut self, slot: usize, member: bool) {
+        let (word, bit) = (&mut self.0[slot / 64], 1 << (slot % 64));
+        *word = if member { *word | bit } else { *word & !bit };
+    }
+
+    #[cfg(debug_assertions)]
+    fn contains(&self, slot: usize) -> bool {
+        self.0[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(i, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let slot = i * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    slot
+                })
+            })
+        })
+    }
 }
 
 /// What one cycle adds to the per-warp stall and occupancy counters of
-/// [`SimStats`]. [`Sm::cycle`] counts here and posts the totals once; a
+/// [`SimStats`]. `barrier`, `membar`, `data` and `resident` are running
+/// totals over the slots' cached [`StallClass`] and `meta`, moved only
+/// when [`Sm::cycle`] reclassifies a slot; `backoff` and `backed_off` are
+/// counted afresh by each cycle, which then posts the whole tally once. A
 /// dead cycle's tally is also what every following dead cycle would have
 /// counted — each live warp's stall class is frozen while nothing issues,
 /// completes or writes back — so [`Sm::fast_forward`] posts it again,
@@ -172,6 +303,16 @@ struct StallTally {
 }
 
 impl StallTally {
+    /// The running total a slot of `class` is counted in, if any.
+    fn of(&mut self, class: StallClass) -> Option<&mut u64> {
+        match class {
+            StallClass::Barrier => Some(&mut self.barrier),
+            StallClass::Membar => Some(&mut self.membar),
+            StallClass::Data => Some(&mut self.data),
+            StallClass::None | StallClass::Eligible => None,
+        }
+    }
+
     /// Post `cycles` cycles' worth of this tally.
     fn post(&self, cycles: u64, stats: &mut SimStats) {
         stats.stall_barrier += self.barrier * cycles;
@@ -236,19 +377,24 @@ pub struct Sm {
     max_regs: usize,
     max_shared: usize,
     meta: Vec<WarpMeta>,
-    /// Live (resident) warp slots in ascending order — the per-cycle scans
-    /// iterate this instead of every slot, so their cost tracks occupancy
-    /// rather than the SM's slot count. Rebuilt lazily by
-    /// [`Sm::refresh_live`] whenever `resident_version` moves (CTA launch
-    /// or retirement); a warp that merely finishes (`done`) stays listed
-    /// until its CTA retires, guarded by the same `resident && !done`
-    /// checks the full-slot scans used.
-    live: Vec<usize>,
-    /// Per-unit slice of `live` (ascending), passed to the scheduler
-    /// policies in place of the full `unit_warps` list. Behavior-identical:
-    /// every in-tree policy either ignores the list or filters it on
-    /// `meta.resident && !meta.done`, which excludes exactly the slots the
-    /// live list omits.
+    /// Each slot's stall class as of its last classification; with `meta`,
+    /// `ready` and the running totals of `tally`, what [`Sm::cycle`] keeps
+    /// up to date from events instead of rescanning every live warp.
+    class: Vec<StallClass>,
+    /// Slots an event has touched since they were last classified — the
+    /// only ones whose class can have changed. Every site that can move a
+    /// warp's class inserts here; step 3 of [`Sm::cycle`] drains it.
+    marked: SlotSet,
+    /// Per scheduler unit, its slots of class [`StallClass::Eligible`].
+    ready: Vec<SlotSet>,
+    /// Per-unit live (resident, not done) warp slots in ascending order,
+    /// passed to the scheduler policies in place of every slot of the
+    /// unit. Rebuilt lazily by [`Sm::refresh_live`] whenever
+    /// `resident_version` moves (CTA launch or retirement); a warp that
+    /// merely finishes (`done`) stays listed until its CTA retires.
+    /// Behavior-identical: every in-tree policy either ignores the list or
+    /// filters it on `meta.resident && !meta.done`, which excludes exactly
+    /// the slots the live list omits.
     unit_live: Vec<Vec<usize>>,
     /// `resident_version` value the live lists were built against;
     /// initialized out-of-sync to force a build on the first cycle.
@@ -272,7 +418,8 @@ pub struct Sm {
     /// Phase accumulators (all zero unless profiling is on) and cycle
     /// counts.
     pub prof: SmProf,
-    /// The last cycle's stall tally (see [`StallTally`]).
+    /// The last cycle's stall tally, part of it kept running (see
+    /// [`StallTally`]).
     tally: StallTally,
     /// A unit had an issuable warp last cycle and its policy issued none.
     idled_by_choice: bool,
@@ -335,7 +482,11 @@ impl Sm {
             max_regs: cfg.regs_per_sm,
             max_shared: cfg.shared_words_per_sm,
             meta: vec![WarpMeta::default(); cfg.warps_per_sm()],
-            live: Vec::with_capacity(cfg.warps_per_sm()),
+            class: vec![StallClass::None; cfg.warps_per_sm()],
+            marked: SlotSet::new(cfg.warps_per_sm()),
+            ready: (0..cfg.schedulers_per_sm)
+                .map(|_| SlotSet::new(cfg.warps_per_sm()))
+                .collect(),
             unit_live: (0..cfg.schedulers_per_sm)
                 .map(|_| Vec::with_capacity(cfg.warps_per_sm().div_ceil(cfg.schedulers_per_sm)))
                 .collect(),
@@ -352,11 +503,6 @@ impl Sm {
             idled_by_choice: false,
             sleep: None,
         }
-    }
-
-    /// Number of resident, unfinished warps.
-    pub fn resident_warps(&self) -> usize {
-        self.warps.iter().filter(|w| w.resident && !w.done).count()
     }
 
     /// Per-unit scheduler policies (instrumentation access).
@@ -434,10 +580,12 @@ impl Sm {
         self.ctas_resident -= 1;
         self.regs_in_use -= cta.threads * cta.regs_per_thread;
         self.shared_in_use -= cta.shared.len();
-        for w in &mut self.warps {
+        for (i, w) in self.warps.iter_mut().enumerate() {
             if w.resident && w.cta_slot == cta_slot {
                 w.resident = false;
                 w.done = false;
+                // `meta.resident` flips on the retiring cycle itself.
+                self.marked.insert(i);
             }
         }
         self.resident_version += 1;
@@ -489,26 +637,34 @@ impl Sm {
                 PendKind::Load { dst } | PendKind::Atomic { dst } => w.sb.release_reg(dst),
                 PendKind::Store => {}
             }
+            // A hazard may have cleared, a fence may have drained.
+            self.marked.insert(warp);
         }
         Ok(())
     }
 
-    /// Rebuild the live-warp lists if a CTA launched or retired since the
-    /// last build. Slots are pushed in ascending order, so iterating a
-    /// live list visits warps in exactly the order the full-slot scans
-    /// did. The rebuild also re-freezes `meta` for every slot: slots
-    /// leaving the lists keep the metadata a full scan would have kept
-    /// recomputing for them (non-resident or done, never eligible), which
-    /// the scheduler policies and the dead-span sampling rely on.
+    /// Rebuild the per-unit live lists if a CTA launched or retired since
+    /// the last build (or a snapshot was restored), and start the
+    /// event-driven state over from the warps themselves: `meta` is
+    /// re-frozen for every slot — slots outside the lists keep the
+    /// metadata a full scan would have kept recomputing for them
+    /// (non-resident or done, never eligible), which the scheduler
+    /// policies and the dead-span sampling rely on — every class, ready
+    /// set and running total is reset, and every live slot is marked, so
+    /// this cycle's step 3 classifies all of them.
     fn refresh_live(&mut self) {
         if self.live_version == self.resident_version {
             return;
         }
         self.live_version = self.resident_version;
-        self.live.clear();
         for ul in &mut self.unit_live {
             ul.clear();
         }
+        for ready in &mut self.ready {
+            ready.clear();
+        }
+        self.class.fill(StallClass::None);
+        self.tally = StallTally::default();
         for (i, w) in self.warps.iter().enumerate() {
             self.meta[i] = WarpMeta {
                 resident: w.resident,
@@ -517,8 +673,84 @@ impl Sm {
                 eligible: false,
             };
             if w.resident && !w.done {
-                self.live.push(i);
                 self.unit_live[i % self.num_units].push(i);
+                self.marked.insert(i);
+                self.tally.resident += 1;
+            }
+        }
+    }
+
+    /// Bring slot `i`'s cached class, `meta`, ready-set membership and the
+    /// running totals up to date with the warp ([`classify`] says what
+    /// they are). `meta[i]` is rewritten exactly when the per-cycle rescan
+    /// this replaces would have changed it.
+    fn reclassify(&mut self, i: usize, now: u64, lctx: &LaunchCtx<'_>) -> Result<(), SimError> {
+        self.prof.warps_classified += 1;
+        let (class, m) = classify(self.id, i, &mut self.warps[i], now, lctx)?;
+        let was = std::mem::replace(&mut self.class[i], class);
+        if was != class {
+            if let Some(n) = self.tally.of(was) {
+                *n -= 1;
+            }
+            if let Some(n) = self.tally.of(class) {
+                *n += 1;
+            }
+            self.ready[i % self.num_units].set(i, class == StallClass::Eligible);
+        }
+        let live = |m: &WarpMeta| m.resident && !m.done;
+        if live(&m) {
+            self.progress[i].note_alive(now);
+        }
+        // `resident` follows `meta`, not `Warp::done`: a warp issuing
+        // `exit` is still counted on the cycle it issues.
+        self.tally.resident += u64::from(live(&m));
+        self.tally.resident -= u64::from(live(&self.meta[i]));
+        self.meta[i] = m;
+        Ok(())
+    }
+
+    /// Debug-build oracle: the full rescan the marks replace. Classifies
+    /// every slot and checks the cached class, `meta`, ready-set
+    /// membership and running totals against it, so a missed mark fails
+    /// on the first cycle it matters.
+    #[cfg(debug_assertions)]
+    fn assert_rescan_agrees(&mut self, now: u64, lctx: &LaunchCtx<'_>) {
+        let mut want = StallTally::default();
+        for i in 0..self.warps.len() {
+            let (class, m) = classify(self.id, i, &mut self.warps[i], now, lctx)
+                .expect("a warp no event touched cannot start faulting");
+            assert_eq!(self.class[i], class, "sm {} warp {i}: stale class", self.id);
+            assert_eq!(self.meta[i], m, "sm {} warp {i}: stale meta", self.id);
+            for (u, ready) in self.ready.iter().enumerate() {
+                let member = class == StallClass::Eligible && u == i % self.num_units;
+                assert_eq!(
+                    ready.contains(i),
+                    member,
+                    "sm {} warp {i}: ready set {u}",
+                    self.id
+                );
+            }
+            if let Some(n) = want.of(class) {
+                *n += 1;
+            }
+            want.resident += u64::from(m.resident && !m.done);
+        }
+        let totals = |t: &StallTally| (t.barrier, t.membar, t.data, t.resident);
+        assert_eq!(
+            totals(&self.tally),
+            totals(&want),
+            "sm {}: running totals",
+            self.id
+        );
+    }
+
+    /// Release CTA slot `slot`'s barrier: every warp of the CTA leaves it.
+    fn release_barrier(&mut self, slot: usize, stats: &mut SimStats) {
+        stats.barriers += 1;
+        for (i, w) in self.warps.iter_mut().enumerate() {
+            if w.resident && w.cta_slot == slot {
+                w.at_barrier = false;
+                self.marked.insert(i);
             }
         }
     }
@@ -543,7 +775,6 @@ impl Sm {
     ) -> Result<SmCycle, SimError> {
         debug_assert!(self.sleep.is_none(), "cycling a sleeping SM");
         let mut result = SmCycle::default();
-        let mut tally = StallTally::default();
         self.idled_by_choice = false;
         self.prof.cycles_run += 1;
         // Phase timer: `profile` is off by default, making this a single
@@ -568,6 +799,7 @@ impl Sm {
                 if let Some(p) = wb.pred {
                     w.sb.release_pred(p);
                 }
+                self.marked.insert(wb.warp);
             }
             self.wheel[slot] = drained;
         }
@@ -587,74 +819,46 @@ impl Sm {
                 }
             }
         }
-        // 3. Clear drained fences and compute per-warp eligibility. Only
-        // live slots are scanned: every other slot's metadata was frozen
-        // by the last `refresh_live` at exactly the values this loop
-        // would recompute (non-resident or done warps never change state
-        // without bumping `resident_version`).
-        for idx in 0..self.live.len() {
-            let i = self.live[idx];
-            let w = &mut self.warps[i];
-            if w.waiting_membar && w.outstanding_mem == 0 {
-                w.waiting_membar = false;
-            }
-            let mut m = WarpMeta {
-                resident: w.resident,
-                done: w.done,
-                age_key: w.age_key,
-                eligible: false,
-            };
-            if w.resident && !w.done {
-                self.progress[i].note_alive(now);
-                if w.at_barrier {
-                    tally.barrier += 1;
-                } else if w.waiting_membar {
-                    tally.membar += 1;
-                } else if now >= w.next_issue && !w.stack.is_empty() {
-                    let pc = w.stack.pc();
-                    // A well-formed kernel ends in an unconditional `exit`,
-                    // but a guarded exit on the last instruction (or a
-                    // resumed snapshot that passed shape validation with a
-                    // semantically twisted stack) can run a warp off the
-                    // end of the program. Fail structured, not by index.
-                    let Some(d) = lctx.decoded.insts.get(pc) else {
-                        return Err(invariant(format!(
-                            "sm {}: warp {i} pc {pc} past program end ({} insts)",
-                            self.id,
-                            lctx.decoded.insts.len()
-                        )));
-                    };
-                    if w.sb.has_hazard_masks(&d.reg_mask, d.pred_mask) {
-                        tally.data += 1;
-                    } else {
-                        m.eligible = true;
-                    }
-                }
-            }
-            self.meta[i] = m;
-        }
+        // 3. Reclassify the slots an event has marked since the last
+        // cycle, in ascending order: a writeback or memory completion
+        // released a scoreboard bit, the warp itself issued (pc,
+        // scoreboard, barrier, fence and `done` all move there), its
+        // barrier released, its CTA retired, or `refresh_live` started
+        // over. Every other slot's class, `meta` and place in the running
+        // totals are exactly what a rescan would recompute. The set is
+        // swapped out for the walk and handed back empty.
+        let mut marked = std::mem::take(&mut self.marked);
+        let classified = marked
+            .iter()
+            .try_for_each(|i| self.reclassify(i, now, lctx));
+        marked.clear();
+        self.marked = marked;
+        classified?;
+        #[cfg(debug_assertions)]
+        self.assert_rescan_agrees(now, lctx);
         // Phase boundary: everything above is "fetch", the rest "issue".
         let t_issue = t0.map(|t0| {
             let t = std::time::Instant::now();
             self.prof.fetch_ns += (t - t0).as_nanos() as u64;
             t
         });
-        // 3. Issue per scheduler unit. The eligible list and the per-unit
-        // issue record live in reusable scratch buffers — this loop runs
-        // every cycle and must not allocate.
+        // 4. Issue per scheduler unit, from the unit's ready set: ascending
+        // slots, so `pick` sees the order a scan would have built. The
+        // policy's veto is still asked per ready warp — a BOWS delay
+        // expires with no event on the SM's side. The eligible list and
+        // the per-unit issue record live in reusable scratch buffers —
+        // this loop runs every cycle and must not allocate.
+        self.tally.backoff = 0;
         for slot in &mut self.issued_scratch {
             *slot = None;
         }
         for u in 0..self.num_units {
             self.eligible_scratch.clear();
-            for i in 0..self.unit_live[u].len() {
-                let w = self.unit_live[u][i];
-                if self.meta[w].eligible {
-                    if self.units[u].can_issue(now, w) {
-                        self.eligible_scratch.push(w);
-                    } else {
-                        tally.backoff += 1;
-                    }
+            for w in self.ready[u].iter() {
+                if self.units[u].can_issue(now, w) {
+                    self.eligible_scratch.push(w);
+                } else {
+                    self.tally.backoff += 1;
                 }
             }
             if self.eligible_scratch.is_empty() {
@@ -684,6 +888,7 @@ impl Sm {
                 self.execute(w, now, lctx, stats)?
             };
             result.issued += 1;
+            self.marked.insert(w);
             self.issued_scratch[u] = Some(w);
             self.progress[w].on_issue(now, &outcome.info);
             let ctx = SchedCtx {
@@ -707,12 +912,7 @@ impl Sm {
                         )));
                     };
                     cta.barrier_arrived = 0;
-                    stats.barriers += 1;
-                    for wp in &mut self.warps {
-                        if wp.resident && wp.cta_slot == slot {
-                            wp.at_barrier = false;
-                        }
-                    }
+                    self.release_barrier(slot, stats);
                 }
                 Some(CtaEvent::WarpDone(slot)) => {
                     let Some(cta) = self.ctas[slot].as_mut() else {
@@ -724,18 +924,14 @@ impl Sm {
                     // A warp exiting may also release the barrier.
                     if cta.live_warps() > 0 && cta.barrier_arrived >= cta.live_warps() {
                         cta.barrier_arrived = 0;
-                        stats.barriers += 1;
-                        for wp in &mut self.warps {
-                            if wp.resident && wp.cta_slot == slot {
-                                wp.at_barrier = false;
-                            }
-                        }
+                        self.release_barrier(slot, stats);
                     }
                 }
                 None => {}
             }
         }
-        // 4. End-of-cycle policy bookkeeping + Figure 11 sampling.
+        // 5. End-of-cycle policy bookkeeping + Figure 11 sampling.
+        self.tally.backed_off = 0;
         for u in 0..self.num_units {
             let issued = self.issued_scratch[u];
             let ctx = SchedCtx {
@@ -744,17 +940,20 @@ impl Sm {
                 resident_version: self.resident_version,
             };
             self.units[u].end_cycle(&ctx, &self.unit_live[u], issued);
-            for &w in &self.unit_live[u] {
-                if self.meta[w].resident && !self.meta[w].done {
-                    tally.resident += 1;
-                    if self.units[u].is_backed_off(w) {
-                        tally.backed_off += 1;
-                    }
-                }
-            }
+            let backed_off = self.units[u].backed_off_count();
+            debug_assert_eq!(
+                backed_off,
+                self.unit_live[u]
+                    .iter()
+                    .filter(|&&w| self.meta[w].resident && !self.meta[w].done)
+                    .filter(|&&w| self.units[u].is_backed_off(w))
+                    .count(),
+                "sm {} unit {u}: backed-off count against the per-warp sweep",
+                self.id
+            );
+            self.tally.backed_off += backed_off as u64;
         }
-        tally.post(1, stats);
-        self.tally = tally;
+        self.tally.post(1, stats);
         if let Some(t) = t_issue {
             self.prof.issue_ns += t.elapsed().as_nanos() as u64;
         }
@@ -903,9 +1102,11 @@ impl Sm {
     /// which is sound because [`Sm::fast_forward`] reads nothing either
     /// input writes — only the sleep-starting cycle's tally, and `meta`
     /// and the per-unit live lists on the policies' behalf. A completion
-    /// touches a warp's scoreboard, `outstanding_mem` and CTA registers; a
-    /// launch fills warp slots that are outside the frozen live lists and
-    /// resets only their policy and detector state.
+    /// touches a warp's scoreboard, `outstanding_mem` and CTA registers,
+    /// and marks the warp for the next cycle's reclassification (the
+    /// running totals in the tally move only there); a launch fills warp
+    /// slots that are outside the frozen live lists and resets only their
+    /// policy and detector state.
     fn rouse(&mut self) {
         if let Some(s) = &mut self.sleep {
             s.wake_at = 0;
@@ -1022,10 +1223,13 @@ impl Sm {
             ExecClass::Alu(alu) => {
                 let dst = d.dst;
                 if d.uniform {
-                    // Warp-invariant sources: evaluate one lane, broadcast.
-                    let a = val!(&d.srcs[0], 0, 0);
-                    let b = val!(&d.srcs[1], 0, 0);
-                    let c = val!(&d.srcs[2], 0, 0);
+                    // Warp-invariant sources: evaluate one lane — the
+                    // warp's own, `%warpid` differs between warps — and
+                    // broadcast.
+                    let t = warp.thread_of(0);
+                    let a = val!(&d.srcs[0], 0, t);
+                    let b = val!(&d.srcs[1], 0, t);
+                    let c = val!(&d.srcs[2], 0, t);
                     let v = alu(a, b, c);
                     for lane in BitIter(exec) {
                         cta.set_reg(warp.thread_of(lane), dst, v);
@@ -1397,12 +1601,6 @@ impl Sm {
         Ok(outcome)
     }
 
-    /// True once every pending memory op and writeback has drained
-    /// (watchdog support).
-    pub fn quiescent(&self) -> bool {
-        self.pending.is_empty() && self.wheel.iter().all(Vec::is_empty)
-    }
-
     /// Aggregate forward-progress view for the periodic hang scan.
     /// `starvation_bound` is the no-issue age at which an unblocked warp
     /// counts as starved; `backoff_bound` (0 = disabled) is the same for
@@ -1608,6 +1806,15 @@ impl Sm {
             }
         }
         for (i, warp) in self.warps.iter().enumerate() {
+            // A warp's class must not depend on the clock alone: the issue
+            // port is free from the cycle after the last issue, which any
+            // checkpoint boundary has reached (see `classify`).
+            if warp.next_issue > limits.now {
+                return bad(format!(
+                    "warp {i} issues next at cycle {}, past the restored cycle {}",
+                    warp.next_issue, limits.now
+                ));
+            }
             for e in warp.stack.entries() {
                 if e.pc >= limits.insts
                     || (e.rpc != simt_isa::RECONV_EXIT && e.rpc >= limits.insts)
@@ -1651,8 +1858,24 @@ impl Sm {
                 return bad(format!("CTA {} geometry does not match the launch", cta.id));
             }
         }
+        // The Figure 11 sample reads each unit's backed-off count in place
+        // of sweeping its live warps; the two must agree from the start.
+        for (u, unit) in self.units.iter().enumerate() {
+            let live = (u..nwarps)
+                .step_by(nunits)
+                .filter(|&i| self.warps[i].resident && !self.warps[i].done)
+                .filter(|&i| unit.is_backed_off(i))
+                .count();
+            if unit.backed_off_count() != live {
+                return bad(format!(
+                    "scheduler unit {u} holds {} backed-off warps, {live} of them live and its own",
+                    unit.backed_off_count()
+                ));
+            }
+        }
         // Derived members are never serialized: recount, and force the
-        // first post-restore cycle to rebuild the live lists from the
+        // first post-restore cycle to rebuild the live lists — and with
+        // them every stall class, ready set and running total — from the
         // restored warps.
         self.ctas_resident = self.ctas.iter().flatten().count();
         self.wheel_len = self.wheel.iter().map(Vec::len).sum();
@@ -1765,6 +1988,67 @@ mod tests {
         pending.insert(PendingMem { warp: 1, remaining: 4, kind: PendKind::Load { dst: Reg(5) } });
         pending.remove(tag);
         assert_snap_laws(&pending);
+    }
+
+    #[test]
+    fn slot_set_iterates_ascending() {
+        let mut set = SlotSet::new(130);
+        for slot in [129, 3, 64, 63, 3] {
+            set.insert(slot);
+        }
+        set.set(64, false);
+        set.set(7, true);
+        assert_eq!(set.iter().collect::<Vec<_>>(), [3, 7, 63, 129]);
+        set.clear();
+        assert_eq!(set.iter().count(), 0);
+    }
+
+    /// A unit whose backed-off count disagrees with its live backed-off
+    /// warps is refused at restore: the SM samples the count every cycle
+    /// in place of the per-warp sweep.
+    #[test]
+    fn backed_off_count_must_match_the_live_warps_at_restore() {
+        struct Claims(usize);
+        impl SchedulerPolicy for Claims {
+            fn name(&self) -> String {
+                "claims".to_string()
+            }
+            fn pick(&mut self, _: &SchedCtx<'_>, eligible: &[usize]) -> Option<usize> {
+                eligible.first().copied()
+            }
+            fn backed_off_count(&self) -> usize {
+                self.0
+            }
+        }
+        let cfg = GpuConfig::test_tiny();
+        let sm = |claim: usize| {
+            let units = (0..cfg.schedulers_per_sm)
+                .map(|_| Box::new(Claims(claim)) as Box<dyn SchedulerPolicy>)
+                .collect();
+            Sm::new(0, &cfg, units, Box::new(crate::NullDetector))
+        };
+        let mut w = SnapWriter::new();
+        sm(0).save_snap(&mut w);
+        let body = w.into_bytes();
+        let limits = SnapLimits {
+            insts: 1,
+            regs_per_thread: 1,
+            threads_per_cta: 32,
+            shared_words: 0,
+            grid_ctas: 1,
+            now: 0,
+        };
+        sm(0)
+            .load_snap(&mut SnapReader::new(&body), &limits)
+            .unwrap();
+        let err = sm(1)
+            .load_snap(&mut SnapReader::new(&body), &limits)
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("holds 1 backed-off warps, 0 of them"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -66,9 +66,10 @@ fn usage() -> ! {
          with a mismatched kernel or config exits 2 with a clear error.\n\
          \n\
          --profile collects a host wall-clock breakdown of the run loop\n\
-         (fetch/issue/execute/mem-cycle/merge/skip-horizon) and the\n\
-         share of SM-cycles the skip engine slept through, printed\n\
-         after the run report; with --format json the breakdown is also\n\
+         (fetch/issue/execute/mem-cycle/merge/skip-horizon, and what the\n\
+         remaining `other` is made of), the share of SM-cycles the skip\n\
+         engine slept through and the warps classified per SM-cycle run,\n\
+         printed after the run report; with --format json the breakdown is also\n\
          emitted as one JSON object. Purely observational: simulated\n\
          results are bit-identical with and without it.\n\
          \n\
@@ -539,12 +540,16 @@ fn main() -> ExitCode {
             println!("  {name:<12}: {:>10.3} ms ({:>4.1}%)", ms(ns), pct(ns));
         }
         println!("  {:<12}: {:>10.3} ms ({:>4.1}%)", "other", ms(p.other_ns()), pct(p.other_ns()));
+        for (name, ns) in p.other_breakdown() {
+            println!("    {name:<10}: {:>10.3} ms ({:>4.1}%)", ms(ns), pct(ns));
+        }
         println!(
-            "  {:<12}: {} run, {} slept ({:.1}% slept)",
+            "  {:<12}: {} run, {} slept ({:.1}% slept), {:.2} classified per SM-cycle",
             "sm-cycles",
             p.sm_cycles_run,
             p.sm_cycles_slept,
-            100.0 * p.slept_share()
+            100.0 * p.slept_share(),
+            p.classified_per_cycle()
         );
         if cli.format_json {
             let mut fields: Vec<(String, simt_serve::Json)> = p
@@ -553,9 +558,13 @@ fn main() -> ExitCode {
                 .map(|&(name, ns)| (format!("{name}_ns"), simt_serve::Json::UInt(ns)))
                 .collect();
             fields.push(("other_ns".into(), simt_serve::Json::UInt(p.other_ns())));
+            for (name, ns) in p.other_breakdown() {
+                fields.push((format!("other_{name}_ns"), simt_serve::Json::UInt(ns)));
+            }
             fields.push(("total_ns".into(), simt_serve::Json::UInt(p.total_ns)));
             fields.push(("sm_cycles_run".into(), simt_serve::Json::UInt(p.sm_cycles_run)));
             fields.push(("sm_cycles_slept".into(), simt_serve::Json::UInt(p.sm_cycles_slept)));
+            fields.push(("warps_classified".into(), simt_serve::Json::UInt(p.warps_classified)));
             let doc = simt_serve::Json::Obj(vec![("profile".into(), simt_serve::Json::Obj(fields))]);
             println!("{}", doc.render());
         }
