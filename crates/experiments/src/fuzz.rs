@@ -78,12 +78,16 @@ impl Rng {
 
 /// Bump when generation semantics change (invalidates seed reproduction
 /// of previously committed fixtures; the fixture header records it).
-pub const GENERATOR_VERSION: u32 = 2;
+pub const GENERATOR_VERSION: u32 = 3;
 
 /// Register conventions of generated kernels (`.regs 16`):
 /// r1..r3 = out/in/ctr base pointers, r4 = gtid, r5 = out slot base,
 /// r6..r11 = scratch dataflow, r12..r13 = loop counters, r15 = temp.
 const SCRATCH: [u8; 6] = [6, 7, 8, 9, 10, 11];
+/// Predicate conventions: p0 = `If` condition, p1 = `Loop` condition,
+/// p2..p4 = data predicates — set in the prologue, rewritten by `SetP` and
+/// `PLogic` nodes, read by guards and `selp`.
+const DATA_PREDS: [u8; 3] = [2, 3, 4];
 /// Output words per thread (private store slots).
 pub const OUT_STRIDE: u64 = 4;
 /// Read-only input buffer words.
@@ -108,21 +112,50 @@ impl Src {
     }
 }
 
+/// `@p` / `@!p` on a data predicate: the lanes it masks off keep their
+/// destination (or skip their store), which is as deterministic as the
+/// predicate itself.
+type Guard = Option<(u8, bool)>;
+
+fn render_guard(guard: Guard) -> String {
+    match guard {
+        Some((p, true)) => format!("@p{p} "),
+        Some((p, false)) => format!("@!p{p} "),
+        None => String::new(),
+    }
+}
+
 /// One structural node of a generated kernel body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Node {
-    /// `op rd, a, b` (or 3-source `mad`).
+    /// `[@p] op rd, srcs..` — one source for the unary ops, three for `mad`.
     Alu {
+        guard: Guard,
         op: &'static str,
         dst: u8,
-        a: Src,
-        b: Src,
-        c: Option<Src>,
+        srcs: Vec<Src>,
     },
-    /// Load `in[r_idx & 63]` into a scratch register.
-    LoadIn { dst: u8, idx: u8 },
+    /// `selp rd, a, b, p`.
+    Selp { dst: u8, a: Src, b: Src, p: u8 },
+    /// `setp.cmp.s32 pd, r_lhs, rhs` on a data predicate.
+    SetP {
+        cmp: &'static str,
+        pd: u8,
+        lhs: u8,
+        rhs: Src,
+    },
+    /// `pand`/`por pd, pa, pb` or `pnot pd, pa` on data predicates.
+    PLogic {
+        op: &'static str,
+        pd: u8,
+        pa: u8,
+        pb: u8,
+    },
+    /// Load `in[r_idx & 63]` into a scratch register (the guard sits on
+    /// the `ld.global` itself).
+    LoadIn { guard: Guard, dst: u8, idx: u8 },
     /// Store a scratch register to the thread's private out slot.
-    StoreOut { slot: u8, src: u8 },
+    StoreOut { guard: Guard, slot: u8, src: u8 },
     /// Commutative atomic reduction on a shared counter; the returned old
     /// value is immediately zeroed to keep registers deterministic.
     AtomCtr { op: &'static str, ctr: u8, src: u8 },
@@ -166,6 +199,7 @@ impl FuzzKernel {
         }
         // Ensure at least one observable effect.
         body.push(Node::StoreOut {
+            guard: None,
             slot: 0,
             src: rng.pick(&SCRATCH),
         });
@@ -211,6 +245,9 @@ impl FuzzKernel {
             let _ = writeln!(s, "    mov r{r}, {}", seed_rng.below(1 << 16));
         }
         let _ = writeln!(s, "    mov r15, 0");
+        let _ = writeln!(s, "    setp.lt.s32 p2, r7, {}", seed_rng.below(33));
+        let _ = writeln!(s, "    setp.ne.s32 p3, r8, {}", seed_rng.below(48));
+        let _ = writeln!(s, "    setp.gt.s32 p4, r6, {}", seed_rng.below(64));
         let mut label = 0usize;
         render_nodes(&self.body, &mut s, &mut label, 1);
         let _ = writeln!(s, "    exit");
@@ -349,9 +386,21 @@ fn mutate(nodes: &mut Vec<Node>, k: &mut usize, kind: Mutation) -> bool {
     false
 }
 
-const ALU_OPS: [&str; 12] = [
-    "add", "sub", "mul", "and", "or", "xor", "shl", "shr", "min.s32", "max.s32", "div.u32",
-    "add.f32",
+/// Two-source ALU opcodes: every typed binary row of `simt_isa`'s table.
+const ALU_OPS: [&str; 23] = [
+    "add", "sub", "mul", "and", "or", "xor", "shl", "shr", "sra", "min.s32", "max.s32", "min.u32",
+    "max.u32", "div.u32", "div.s32", "rem.u32", "rem.s32", "add.f32", "sub.f32", "mul.f32",
+    "div.f32", "min.f32", "max.f32",
+];
+/// One-source ALU opcodes.
+const UNARY_OPS: [&str; 7] = [
+    "mov",
+    "not",
+    "neg",
+    "neg.f32",
+    "sqrt.f32",
+    "cvt.f32.s32",
+    "cvt.s32.f32",
 ];
 const ATOM_OPS: [&str; 5] = ["add", "min", "max", "and", "or"];
 const CMPS: [&str; 4] = ["eq", "ne", "lt", "gt"];
@@ -364,29 +413,35 @@ fn gen_src(rng: &mut Rng) -> Src {
     }
 }
 
+/// A guard on one in four of the nodes that can carry one.
+fn gen_guard(rng: &mut Rng) -> Guard {
+    rng.chance(1, 4)
+        .then(|| (rng.pick(&DATA_PREDS), rng.chance(1, 2)))
+}
+
 fn gen_node(rng: &mut Rng, depth: u8) -> Node {
     // Leaves get likelier with depth; barriers only at top level.
-    let roll = rng.below(if depth == 0 { 10 } else { 8 });
+    let roll = rng.below(if depth == 0 { 14 } else { 13 });
     match roll {
         0..=2 => Node::Alu {
+            guard: gen_guard(rng),
             op: rng.pick(&ALU_OPS),
             dst: rng.pick(&SCRATCH),
-            a: Src::Reg(rng.pick(&SCRATCH)),
-            b: gen_src(rng),
-            c: None,
+            srcs: vec![Src::Reg(rng.pick(&SCRATCH)), gen_src(rng)],
         },
         3 => Node::Alu {
+            guard: gen_guard(rng),
             op: "mad",
             dst: rng.pick(&SCRATCH),
-            a: Src::Reg(rng.pick(&SCRATCH)),
-            b: gen_src(rng),
-            c: Some(gen_src(rng)),
+            srcs: vec![Src::Reg(rng.pick(&SCRATCH)), gen_src(rng), gen_src(rng)],
         },
         4 => Node::LoadIn {
+            guard: gen_guard(rng),
             dst: rng.pick(&SCRATCH),
             idx: rng.pick(&SCRATCH),
         },
         5 => Node::StoreOut {
+            guard: gen_guard(rng),
             slot: rng.below(OUT_STRIDE) as u8,
             src: rng.pick(&SCRATCH),
         },
@@ -422,13 +477,36 @@ fn gen_node(rng: &mut Rng, depth: u8) -> Node {
                 body: (0..n).map(|_| gen_node(rng, depth + 1)).collect(),
             }
         }
-        9 => Node::Bar,
+        9 => Node::Alu {
+            guard: gen_guard(rng),
+            op: rng.pick(&UNARY_OPS),
+            dst: rng.pick(&SCRATCH),
+            srcs: vec![Src::Reg(rng.pick(&SCRATCH))],
+        },
+        10 => Node::SetP {
+            cmp: rng.pick(&CMPS),
+            pd: rng.pick(&DATA_PREDS),
+            lhs: rng.pick(&SCRATCH),
+            rhs: gen_src(rng),
+        },
+        11 => Node::Selp {
+            dst: rng.pick(&SCRATCH),
+            a: gen_src(rng),
+            b: gen_src(rng),
+            p: rng.pick(&DATA_PREDS),
+        },
+        12 => Node::PLogic {
+            op: rng.pick(&["pand", "por", "pnot"]),
+            pd: rng.pick(&DATA_PREDS),
+            pa: rng.pick(&DATA_PREDS),
+            pb: rng.pick(&DATA_PREDS),
+        },
+        13 => Node::Bar,
         _ => Node::Alu {
+            guard: None,
             op: "add",
             dst: rng.pick(&SCRATCH),
-            a: Src::Reg(rng.pick(&SCRATCH)),
-            b: Src::Imm(1),
-            c: None,
+            srcs: vec![Src::Reg(rng.pick(&SCRATCH)), Src::Imm(1)],
         },
     }
 }
@@ -437,21 +515,44 @@ fn render_nodes(nodes: &[Node], s: &mut String, label: &mut usize, indent: usize
     let pad = "    ".repeat(indent);
     for n in nodes {
         match n {
-            Node::Alu { op, dst, a, b, c } => {
-                let _ = write!(s, "{pad}{op} r{dst}, {}, {}", a.render(), b.render());
-                if let Some(c) = c {
-                    let _ = write!(s, ", {}", c.render());
+            Node::Alu {
+                guard,
+                op,
+                dst,
+                srcs,
+            } => {
+                let _ = write!(s, "{pad}{}{op} r{dst}", render_guard(*guard));
+                for src in srcs {
+                    let _ = write!(s, ", {}", src.render());
                 }
                 s.push('\n');
             }
-            Node::LoadIn { dst, idx } => {
+            Node::Selp { dst, a, b, p } => {
+                let _ = writeln!(s, "{pad}selp r{dst}, {}, {}, p{p}", a.render(), b.render());
+            }
+            Node::SetP { cmp, pd, lhs, rhs } => {
+                let _ = writeln!(s, "{pad}setp.{cmp}.s32 p{pd}, r{lhs}, {}", rhs.render());
+            }
+            Node::PLogic { op, pd, pa, pb } => {
+                let _ = write!(s, "{pad}{op} p{pd}, p{pa}");
+                if *op != "pnot" {
+                    let _ = write!(s, ", p{pb}");
+                }
+                s.push('\n');
+            }
+            Node::LoadIn { guard, dst, idx } => {
                 let _ = writeln!(s, "{pad}and r15, r{idx}, {}", IN_WORDS - 1);
                 let _ = writeln!(s, "{pad}shl r15, r15, 2");
                 let _ = writeln!(s, "{pad}add r15, r15, r2");
-                let _ = writeln!(s, "{pad}ld.global r{dst}, [r15]");
+                let _ = writeln!(s, "{pad}{}ld.global r{dst}, [r15]", render_guard(*guard));
             }
-            Node::StoreOut { slot, src } => {
-                let _ = writeln!(s, "{pad}st.global [r5+{}], r{src}", 4 * slot);
+            Node::StoreOut { guard, slot, src } => {
+                let _ = writeln!(
+                    s,
+                    "{pad}{}st.global [r5+{}], r{src}",
+                    render_guard(*guard),
+                    4 * slot
+                );
             }
             Node::AtomCtr { op, ctr, src } => {
                 let _ = writeln!(s, "{pad}atom.global.{op} r15, [r3+{}], r{src}", 4 * ctr);

@@ -6,7 +6,9 @@ use crate::sched::{IssueInfo, SchedCtx, SchedulerPolicy, WarpMeta};
 use crate::warp::{Cta, Warp};
 use crate::watchdog::{ProgressScan, WarpProgress, WarpSnapshot};
 use crate::{GpuConfig, SimError, SimStats};
-use simt_isa::{DecodedInst, DecodedKernel, ExecClass, Kernel, OpClass, Operand, Reg, Special};
+use simt_isa::{
+    Column, DecodedInst, DecodedKernel, ExecClass, Kernel, OpClass, Operand, Reg, Special,
+};
 use simt_mem::{
     LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind, RequestStage, TagSlab,
 };
@@ -76,33 +78,33 @@ struct PendingMem {
 /// scoreboard-held until the timing request completes, and the request
 /// enqueue itself is timing-only (atomics mutate memory later, at
 /// partition service).
+///
+/// The lane list is held inline — a mask and a full-width address array —
+/// so staging an op allocates nothing.
 #[derive(Debug)]
-enum StagedOp {
-    /// `ld.global`: read each `(thread, addr)` lane and write the value to
-    /// the thread's `dst` register.
-    Load {
-        warp: usize,
-        pc: usize,
-        dst: Reg,
-        lanes: Vec<(usize, u64)>,
-        n_reqs: u32,
-    },
+struct StagedOp {
+    pc: usize,
+    /// Lanes that execute the access.
+    lanes: u32,
+    /// Byte address per lane; meaningful on `lanes` only.
+    addrs: [u64; 32],
+    n_reqs: u32,
+    kind: StagedKind,
+}
+
+#[derive(Debug)]
+enum StagedKind {
+    /// `ld.global`: read each lane's address and write the value to the
+    /// lane's `dst` register.
+    Load { warp: usize, dst: Reg },
     /// `st.global`: lane values were computed at issue from (CTA-private)
     /// registers; the memory writes themselves happen at replay, stopping
     /// at the first faulting lane exactly as at-issue execution would.
-    Store {
-        pc: usize,
-        writes: Vec<(u64, u32)>,
-        n_reqs: u32,
-    },
+    Store { vals: Column },
     /// `atom.global`: per-lane address validation (the lane ops are applied
     /// later inside the partition's atomic unit, which has no error path
     /// back to the warp).
-    Atomic {
-        pc: usize,
-        addrs: Vec<u64>,
-        n_reqs: u32,
-    },
+    Atomic,
 }
 
 /// CTA-level event produced by executing an instruction.
@@ -407,6 +409,10 @@ pub struct Sm {
     staged: Vec<StagedOp>,
     /// Coalesced requests staged this cycle, absorbed in op order.
     stage: RequestStage,
+    /// Per-instruction scratch: the coalescer's transactions and an
+    /// atomic's per-line groups (reused, never freed).
+    txs: Vec<simt_mem::Transaction>,
+    atom_groups: Vec<(u64, Vec<LaneAtomic>)>,
     /// Capture CTA architectural state at retirement (differential oracle).
     capture_state: bool,
     /// Snapshots of retired CTAs, in retirement order (drained by the GPU
@@ -495,6 +501,8 @@ impl Sm {
             eligible_scratch: Vec::with_capacity(cfg.warps_per_sm()),
             staged: Vec::new(),
             stage: RequestStage::new(),
+            txs: Vec::new(),
+            atom_groups: Vec::new(),
             capture_state: cfg.capture_final_state,
             captured: Vec::new(),
             profile: cfg.profile,
@@ -977,50 +985,57 @@ impl Sm {
     /// execution would have (earlier lanes of a faulting store are
     /// already written).
     pub fn replay_stage(&mut self, mem: &mut MemorySystem, now: u64) -> Result<(), SimError> {
+        // Swapped out for the walk and handed back empty, capacity kept.
+        let mut staged = std::mem::take(&mut self.staged);
+        let replayed = staged
+            .iter()
+            .try_for_each(|op| self.replay_op(op, mem, now));
+        staged.clear();
+        self.staged = staged;
+        replayed?;
+        debug_assert!(self.stage.is_empty(), "staged requests left unabsorbed");
+        Ok(())
+    }
+
+    fn replay_op(
+        &mut self,
+        op: &StagedOp,
+        mem: &mut MemorySystem,
+        now: u64,
+    ) -> Result<(), SimError> {
         let sm_id = self.id;
-        for op in self.staged.drain(..) {
-            match op {
-                StagedOp::Load {
-                    warp,
-                    pc,
-                    dst,
-                    lanes,
-                    n_reqs,
-                } => {
-                    let cta_slot = self.warps[warp].cta_slot;
-                    let Some(cta) = self.ctas[cta_slot].as_mut() else {
-                        return Err(invariant(format!(
-                            "sm {sm_id}: staged load for retired CTA slot {cta_slot}"
-                        )));
-                    };
-                    for (t, addr) in lanes {
-                        let v = mem
-                            .gmem()
-                            .try_read_u32(addr)
-                            .map_err(|fault| device_fault(sm_id, pc, fault))?;
-                        cta.set_reg(t, dst, v);
-                    }
-                    mem.absorb(sm_id, &mut self.stage, n_reqs as usize, now);
+        let fault = |fault| device_fault(sm_id, op.pc, fault);
+        match &op.kind {
+            StagedKind::Load { warp, dst } => {
+                let Warp {
+                    cta_slot,
+                    warp_in_cta,
+                    ..
+                } = self.warps[*warp];
+                let Some(cta) = self.ctas[cta_slot].as_mut() else {
+                    return Err(invariant(format!(
+                        "sm {sm_id}: staged load for retired CTA slot {cta_slot}"
+                    )));
+                };
+                let column = cta.column_mut(warp_in_cta, *dst);
+                for lane in BitIter(op.lanes) {
+                    column[lane] = mem.gmem().try_read_u32(op.addrs[lane]).map_err(fault)?;
                 }
-                StagedOp::Store { pc, writes, n_reqs } => {
-                    for (addr, v) in writes {
-                        mem.gmem_mut()
-                            .try_write_u32(addr, v)
-                            .map_err(|fault| device_fault(sm_id, pc, fault))?;
-                    }
-                    mem.absorb(sm_id, &mut self.stage, n_reqs as usize, now);
+            }
+            StagedKind::Store { vals } => {
+                for lane in BitIter(op.lanes) {
+                    mem.gmem_mut()
+                        .try_write_u32(op.addrs[lane], vals[lane])
+                        .map_err(fault)?;
                 }
-                StagedOp::Atomic { pc, addrs, n_reqs } => {
-                    for addr in addrs {
-                        mem.gmem()
-                            .check_addr(addr)
-                            .map_err(|fault| device_fault(sm_id, pc, fault))?;
-                    }
-                    mem.absorb(sm_id, &mut self.stage, n_reqs as usize, now);
+            }
+            StagedKind::Atomic => {
+                for lane in BitIter(op.lanes) {
+                    mem.gmem().check_addr(op.addrs[lane]).map_err(fault)?;
                 }
             }
         }
-        debug_assert!(self.stage.is_empty(), "staged requests left unabsorbed");
+        mem.absorb(sm_id, &mut self.stage, op.n_reqs as usize, now);
         Ok(())
     }
 
@@ -1171,17 +1186,13 @@ impl Sm {
             )));
         };
 
-        // Guard evaluation.
-        let mut exec = active;
-        if let Some((p, want)) = d.guard {
-            let mut m = 0u32;
-            for lane in BitIter(active) {
-                if cta.pred(warp.thread_of(lane), p) == want {
-                    m |= 1 << lane;
-                }
-            }
-            exec = m;
-        }
+        let wic = warp.warp_in_cta;
+        // Guard evaluation: one AND with the predicate's lane mask.
+        let exec = match d.guard {
+            Some((p, true)) => active & cta.pred_mask(wic, p),
+            Some((p, false)) => active & !cta.pred_mask(wic, p),
+            None => active,
+        };
         let lanes = exec.count_ones();
         stats.issued_inst += 1;
         stats.thread_inst += lanes as u64;
@@ -1207,12 +1218,11 @@ impl Sm {
             now,
         };
 
-        macro_rules! val {
-            ($operand:expr, $lane:expr, $thread:expr) => {
-                operand_value($operand, cta, $thread, $lane, &sval, lctx.params)
-            };
-        }
-
+        // Every class below works on whole columns: operand kinds are
+        // resolved once per instruction (`ta`/`tb`/`tc` back the sources
+        // that are not registers), all 32 lanes are evaluated, and `exec`
+        // decides which of them reach the destination.
+        //
         // Decoding unwrapped every class-required operand (dst/pdst/
         // target/addr) relying on `simt_isa::check_operand_shape`, which
         // every kernel passes in `Kernel::validate`/`from_insts` before it
@@ -1222,27 +1232,14 @@ impl Sm {
             // ---- ALU ----
             ExecClass::Alu(alu) => {
                 let dst = d.dst;
-                if d.uniform {
-                    // Warp-invariant sources: evaluate one lane — the
-                    // warp's own, `%warpid` differs between warps — and
-                    // broadcast.
-                    let t = warp.thread_of(0);
-                    let a = val!(&d.srcs[0], 0, t);
-                    let b = val!(&d.srcs[1], 0, t);
-                    let c = val!(&d.srcs[2], 0, t);
-                    let v = alu(a, b, c);
-                    for lane in BitIter(exec) {
-                        cta.set_reg(warp.thread_of(lane), dst, v);
-                    }
-                } else {
-                    for lane in BitIter(exec) {
-                        let t = warp.thread_of(lane);
-                        let a = val!(&d.srcs[0], lane, t);
-                        let b = val!(&d.srcs[1], lane, t);
-                        let c = val!(&d.srcs[2], lane, t);
-                        cta.set_reg(t, dst, alu(a, b, c));
-                    }
-                }
+                let [mut ta, mut tb, mut tc, mut out] = [[0u32; 32]; 4];
+                alu(
+                    operand_column(d.srcs[0], cta, wic, &sval, &mut ta),
+                    operand_column(d.srcs[1], cta, wic, &sval, &mut tb),
+                    operand_column(d.srcs[2], cta, wic, &sval, &mut tc),
+                    &mut out,
+                );
+                blend(cta.column_mut(wic, dst), &out, exec);
                 warp.sb.reserve_reg(dst);
                 let lat = latency(d.op_class);
                 self.wheel_len += 1;
@@ -1255,14 +1252,14 @@ impl Sm {
             }
             ExecClass::Selp => {
                 let dst = d.dst;
-                let p = d.psrc0;
-                for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    let a = val!(&d.srcs[0], lane, t);
-                    let b = val!(&d.srcs[1], lane, t);
-                    let v = if cta.pred(t, p) { a } else { b };
-                    cta.set_reg(t, dst, v);
-                }
+                let [mut ta, mut tb] = [[0u32; 32]; 2];
+                let mut out = *operand_column(d.srcs[1], cta, wic, &sval, &mut tb);
+                blend(
+                    &mut out,
+                    operand_column(d.srcs[0], cta, wic, &sval, &mut ta),
+                    cta.pred_mask(wic, d.psrc0),
+                );
+                blend(cta.column_mut(wic, dst), &out, exec);
                 warp.sb.reserve_reg(dst);
                 self.wheel_len += 1;
                 self.wheel[((now + lat_int) as usize) % WHEEL].push(WbEntry {
@@ -1272,18 +1269,18 @@ impl Sm {
                 });
                 warp.stack.advance(pc + 1);
             }
-            ExecClass::Setp(cmp, ty) => {
+            ExecClass::Setp(cmp) => {
                 let pdst = d.pdst;
-                let mut profiled: Option<[u32; 2]> = None;
-                for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    let a = val!(&d.srcs[0], lane, t);
-                    let b = val!(&d.srcs[1], lane, t);
-                    if profiled.is_none() {
-                        profiled = Some([a, b]);
-                    }
-                    cta.set_pred(t, pdst, cmp.eval(ty, a, b));
-                }
+                let [mut ta, mut tb] = [[0u32; 32]; 2];
+                let a = operand_column(d.srcs[0], cta, wic, &sval, &mut ta);
+                let b = operand_column(d.srcs[1], cta, wic, &sval, &mut tb);
+                let bits = cmp(a, b);
+                // DDOS profiles the first executing lane's two sources.
+                let profiled = (exec != 0).then(|| {
+                    let lane = exec.trailing_zeros() as usize;
+                    [a[lane], b[lane]]
+                });
+                cta.set_pred_mask(wic, pdst, exec, bits);
                 warp.sb.reserve_pred(pdst);
                 let lat = latency(d.op_class);
                 self.wheel_len += 1;
@@ -1299,16 +1296,13 @@ impl Sm {
             }
             ExecClass::PAnd | ExecClass::POr | ExecClass::PNot => {
                 let pdst = d.pdst;
-                for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    let a = cta.pred(t, d.psrc0);
-                    let v = match d.class {
-                        ExecClass::PAnd => a && cta.pred(t, d.psrc1),
-                        ExecClass::POr => a || cta.pred(t, d.psrc1),
-                        _ => !a,
-                    };
-                    cta.set_pred(t, pdst, v);
-                }
+                let a = cta.pred_mask(wic, d.psrc0);
+                let bits = match d.class {
+                    ExecClass::PAnd => a & cta.pred_mask(wic, d.psrc1),
+                    ExecClass::POr => a | cta.pred_mask(wic, d.psrc1),
+                    _ => !a,
+                };
+                cta.set_pred_mask(wic, pdst, exec, bits);
                 warp.sb.reserve_pred(pdst);
                 self.wheel_len += 1;
                 self.wheel[((now + lat_int) as usize) % WHEEL].push(WbEntry {
@@ -1357,10 +1351,7 @@ impl Sm {
             ExecClass::Nop => warp.stack.advance(pc + 1),
             ExecClass::Clock => {
                 let dst = d.dst;
-                for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    cta.set_reg(t, dst, now as u32);
-                }
+                blend(cta.column_mut(wic, dst), &[now as u32; 32], exec);
                 warp.sb.reserve_reg(dst);
                 self.wheel_len += 1;
                 self.wheel[((now + lat_int) as usize) % WHEEL].push(WbEntry {
@@ -1387,10 +1378,10 @@ impl Sm {
             // ---- Memory ----
             ExecClass::LdParam => {
                 let dst = d.dst;
+                let addrs = addr_column(d, cta, wic);
+                let mut out = [0u32; 32];
                 for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    let addr = dec_addr(d, cta, t);
-                    let slot = (addr / 4) as usize;
+                    let slot = (addrs[lane] / 4) as usize;
                     let Some(&v) = lctx.params.get(slot) else {
                         return Err(invariant(format!(
                             "sm {sm_id} pc {pc}: ld.param slot {slot} out of \
@@ -1398,8 +1389,9 @@ impl Sm {
                             lctx.params.len()
                         )));
                     };
-                    cta.set_reg(t, dst, v);
+                    out[lane] = v;
                 }
+                blend(cta.column_mut(wic, dst), &out, exec);
                 warp.sb.reserve_reg(dst);
                 self.wheel_len += 1;
                 self.wheel[((now + lat_int) as usize) % WHEEL].push(WbEntry {
@@ -1411,9 +1403,10 @@ impl Sm {
             }
             ExecClass::LdShared => {
                 let dst = d.dst;
+                let addrs = addr_column(d, cta, wic);
+                let mut out = [0u32; 32];
                 for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    let addr = dec_addr(d, cta, t);
+                    let addr = addrs[lane];
                     let Some(&v) = cta.shared.get((addr / 4) as usize) else {
                         return Err(invariant(format!(
                             "sm {sm_id} pc {pc}: ld.shared at byte {addr} past \
@@ -1421,8 +1414,9 @@ impl Sm {
                             cta.shared.len()
                         )));
                     };
-                    cta.set_reg(t, dst, v);
+                    out[lane] = v;
                 }
+                blend(cta.column_mut(wic, dst), &out, exec);
                 warp.sb.reserve_reg(dst);
                 self.wheel_len += 1;
                 self.wheel[((now + lat_shared) as usize) % WHEEL].push(WbEntry {
@@ -1435,45 +1429,32 @@ impl Sm {
             ExecClass::LdGlobal { bypass_l1 } => {
                 let dst = d.dst;
                 stats.load_inst += 1;
-                let mut accesses = Vec::with_capacity(lanes as usize);
-                let mut stage_lanes = Vec::with_capacity(lanes as usize);
-                for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    let addr = dec_addr(d, cta, t);
-                    stage_lanes.push((t, addr));
-                    accesses.push(simt_mem::LaneAccess {
-                        lane: lane as u8,
-                        addr,
+                if exec != 0 {
+                    let addrs = addr_column(d, cta, wic);
+                    warp.sb.reserve_reg(dst);
+                    simt_mem::Coalescer::coalesce_into(exec, &addrs, &mut self.txs);
+                    let n_reqs = self.txs.len() as u32;
+                    let tag = self.pending.insert(PendingMem {
+                        warp: w_idx,
+                        remaining: n_reqs,
+                        kind: PendKind::Load { dst },
+                    });
+                    warp.outstanding_mem += 1;
+                    for tx in &self.txs {
+                        let mut req = MemRequest::new(ReqKind::Load { bypass_l1 }, tx.line, tag);
+                        if d.sync {
+                            req = req.sync();
+                        }
+                        self.stage.push(req);
+                    }
+                    self.staged.push(StagedOp {
+                        pc,
+                        lanes: exec,
+                        addrs,
+                        n_reqs,
+                        kind: StagedKind::Load { warp: w_idx, dst },
                     });
                 }
-                if accesses.is_empty() {
-                    warp.stack.advance(pc + 1);
-                    return Ok(outcome);
-                }
-                warp.sb.reserve_reg(dst);
-                let txs = simt_mem::Coalescer::coalesce(&accesses);
-                let tag = self.pending.insert(PendingMem {
-                    warp: w_idx,
-                    remaining: txs.len() as u32,
-                    kind: PendKind::Load { dst },
-                });
-                warp.outstanding_mem += 1;
-                let mut n_reqs = 0u32;
-                for tx in txs {
-                    let mut req = MemRequest::new(ReqKind::Load { bypass_l1 }, tx.line, tag);
-                    if d.sync {
-                        req = req.sync();
-                    }
-                    self.stage.push(req);
-                    n_reqs += 1;
-                }
-                self.staged.push(StagedOp::Load {
-                    warp: w_idx,
-                    pc,
-                    dst,
-                    lanes: stage_lanes,
-                    n_reqs,
-                });
                 warp.stack.advance(pc + 1);
             }
             ExecClass::StParam => {
@@ -1482,11 +1463,13 @@ impl Sm {
                 )));
             }
             ExecClass::StShared => {
-                outcome.info.writes_mem = true;
+                // A store no lane executes is not progress anyone can see.
+                outcome.info.writes_mem = exec != 0;
+                let addrs = addr_column(d, cta, wic);
+                let mut ta = [0u32; 32];
+                let vals = *operand_column(d.srcs[0], cta, wic, &sval, &mut ta);
                 for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    let addr = dec_addr(d, cta, t);
-                    let v = val!(&d.srcs[0], lane, t);
+                    let addr = addrs[lane];
                     let words = cta.shared.len();
                     let Some(s) = cta.shared.get_mut((addr / 4) as usize) else {
                         return Err(invariant(format!(
@@ -1494,44 +1477,40 @@ impl Sm {
                              the CTA's {words} shared words"
                         )));
                     };
-                    *s = v;
+                    *s = vals[lane];
                 }
                 // Shared stores complete in-pipeline; no scoreboard.
                 warp.stack.advance(pc + 1);
             }
             ExecClass::StGlobal => {
-                outcome.info.writes_mem = true;
+                outcome.info.writes_mem = exec != 0;
                 stats.store_inst += 1;
-                let mut accesses = Vec::with_capacity(lanes as usize);
-                let mut writes = Vec::with_capacity(lanes as usize);
-                for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    let addr = dec_addr(d, cta, t);
-                    let v = val!(&d.srcs[0], lane, t);
-                    writes.push((addr, v));
-                    accesses.push(simt_mem::LaneAccess {
-                        lane: lane as u8,
-                        addr,
-                    });
-                }
-                if !accesses.is_empty() {
-                    let txs = simt_mem::Coalescer::coalesce(&accesses);
+                if exec != 0 {
+                    let addrs = addr_column(d, cta, wic);
+                    let mut ta = [0u32; 32];
+                    let vals = *operand_column(d.srcs[0], cta, wic, &sval, &mut ta);
+                    simt_mem::Coalescer::coalesce_into(exec, &addrs, &mut self.txs);
+                    let n_reqs = self.txs.len() as u32;
                     let tag = self.pending.insert(PendingMem {
                         warp: w_idx,
-                        remaining: txs.len() as u32,
+                        remaining: n_reqs,
                         kind: PendKind::Store,
                     });
                     warp.outstanding_mem += 1;
-                    let mut n_reqs = 0u32;
-                    for tx in txs {
+                    for tx in &self.txs {
                         let mut req = MemRequest::new(ReqKind::Store, tx.line, tag);
                         if d.sync {
                             req = req.sync();
                         }
                         self.stage.push(req);
-                        n_reqs += 1;
                     }
-                    self.staged.push(StagedOp::Store { pc, writes, n_reqs });
+                    self.staged.push(StagedOp {
+                        pc,
+                        lanes: exec,
+                        addrs,
+                        n_reqs,
+                        kind: StagedKind::Store { vals },
+                    });
                 }
                 warp.stack.advance(pc + 1);
             }
@@ -1546,53 +1525,59 @@ impl Sm {
                     LockRole::None
                 };
                 let holder = ((self.id as u64) << 32) | w_idx as u64;
-                // Group lane ops by line, preserving lane order. Address
-                // validation is staged for replay: the lane ops are applied
-                // later inside the partition's atomic unit, which has no
-                // error path back to the warp.
-                let mut groups: Vec<(u64, Vec<LaneAtomic>)> = Vec::new();
-                let mut addrs = Vec::with_capacity(lanes as usize);
-                for lane in BitIter(exec) {
-                    let t = warp.thread_of(lane);
-                    let addr = dec_addr(d, cta, t);
-                    addrs.push(addr);
-                    let a = val!(&d.srcs[0], lane, t);
-                    let b = val!(&d.srcs[1], lane, t);
-                    let op = LaneAtomic {
-                        lane: lane as u8,
-                        addr,
-                        op: aop,
-                        a,
-                        b,
-                        role,
-                        holder,
-                    };
-                    let line = simt_mem::line_of(addr);
-                    match groups.iter_mut().find(|(l, _)| *l == line) {
-                        Some((_, v)) => v.push(op),
-                        None => groups.push((line, vec![op])),
+                if exec != 0 {
+                    let addrs = addr_column(d, cta, wic);
+                    let [mut ta, mut tb] = [[0u32; 32]; 2];
+                    let a = operand_column(d.srcs[0], cta, wic, &sval, &mut ta);
+                    let b = operand_column(d.srcs[1], cta, wic, &sval, &mut tb);
+                    // Group lane ops by line, preserving lane order, in the
+                    // SM's reused buffer; only each group's `ops` — which
+                    // moves into its request — is allocated. Address
+                    // validation is staged for replay: the lane ops are
+                    // applied later inside the partition's atomic unit,
+                    // which has no error path back to the warp.
+                    let groups = &mut self.atom_groups;
+                    for lane in BitIter(exec) {
+                        let addr = addrs[lane];
+                        let op = LaneAtomic {
+                            lane: lane as u8,
+                            addr,
+                            op: aop,
+                            a: a[lane],
+                            b: b[lane],
+                            role,
+                            holder,
+                        };
+                        let line = simt_mem::line_of(addr);
+                        match groups.iter_mut().find(|(l, _)| *l == line) {
+                            Some((_, v)) => v.push(op),
+                            None => groups.push((line, vec![op])),
+                        }
                     }
-                }
-                if !groups.is_empty() {
                     warp.sb.reserve_reg(dst);
+                    let n_reqs = groups.len() as u32;
                     let tag = self.pending.insert(PendingMem {
                         warp: w_idx,
-                        remaining: groups.len() as u32,
+                        remaining: n_reqs,
                         kind: PendKind::Atomic { dst },
                     });
                     warp.outstanding_mem += 1;
-                    let sole = groups.len() == 1;
-                    let mut n_reqs = 0u32;
-                    for (line, ops) in groups {
+                    let sole = n_reqs == 1;
+                    for (line, ops) in groups.drain(..) {
                         let mut req = MemRequest::new(ReqKind::Atomic { ops }, line, tag);
                         req.sole = sole;
                         if d.sync {
                             req = req.sync();
                         }
                         self.stage.push(req);
-                        n_reqs += 1;
                     }
-                    self.staged.push(StagedOp::Atomic { pc, addrs, n_reqs });
+                    self.staged.push(StagedOp {
+                        pc,
+                        lanes: exec,
+                        addrs,
+                        n_reqs,
+                        kind: StagedKind::Atomic,
+                    });
                 }
                 warp.stack.advance(pc + 1);
             }
@@ -1929,26 +1914,51 @@ fn special_value(s: Special, thread: usize, lane: usize, ctx: &SpecialCtx) -> u3
     }
 }
 
-fn operand_value(
-    op: &Operand,
-    cta: &Cta,
-    thread: usize,
-    lane: usize,
+/// `op` across the lanes of warp `wic` of `cta`, its kind resolved once: a
+/// register is its own column, borrowed; an immediate or a special register
+/// is written to `tmp` for all 32 lanes.
+#[inline]
+fn operand_column<'a>(
+    op: Operand,
+    cta: &'a Cta,
+    wic: usize,
     ctx: &SpecialCtx,
-    _params: &[u32],
-) -> u32 {
+    tmp: &'a mut Column,
+) -> &'a Column {
     match op {
-        Operand::Reg(r) => cta.reg(thread, *r),
-        Operand::Imm(v) => *v,
-        Operand::Special(s) => special_value(*s, thread, lane, ctx),
+        Operand::Reg(r) => return cta.column(wic, r),
+        Operand::Imm(v) => *tmp = [v; 32],
+        Operand::Special(s) => *tmp = special_column(s, wic, ctx),
+    }
+    tmp
+}
+
+/// Special register `s` for each lane of warp `wic`. Kept out of line:
+/// kernels read specials in their first few instructions and rarely after.
+#[inline(never)]
+fn special_column(s: Special, wic: usize, ctx: &SpecialCtx) -> Column {
+    std::array::from_fn(|lane| special_value(s, wic * 32 + lane, lane, ctx))
+}
+
+/// Effective byte address of a decoded memory operand, per lane of warp
+/// `wic`.
+fn addr_column(d: &DecodedInst, cta: &Cta, wic: usize) -> [u64; 32] {
+    let off = d.addr_off as i64;
+    match d.addr_base {
+        Some(r) => cta.column(wic, r).map(|base| (base as i64 + off) as u64),
+        None => [off as u64; 32],
     }
 }
 
-/// Effective byte address of a decoded memory operand for `thread`.
+/// Write `src` to the lanes of `dst` in `exec`; the others keep their value.
+/// Branch-free — each lane's bit is widened to a word mask — so the cost is
+/// the same for a full, an empty and a ragged `exec`.
 #[inline]
-fn dec_addr(d: &DecodedInst, cta: &Cta, thread: usize) -> u64 {
-    let base = d.addr_base.map(|r| cta.reg(thread, r)).unwrap_or(0) as i64;
-    (base + d.addr_off as i64) as u64
+fn blend(dst: &mut Column, src: &Column, exec: u32) {
+    for lane in 0..32 {
+        let take = 0u32.wrapping_sub(exec >> lane & 1);
+        dst[lane] = (dst[lane] & !take) | (src[lane] & take);
+    }
 }
 
 /// Iterator over set bits of a u32 (lane indices).
@@ -1971,7 +1981,7 @@ impl Iterator for BitIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simt_isa::{alu_fn, Op, Ty};
+    use simt_isa::{alu_column_fn, Op, Ty};
 
 
     #[test]
@@ -2051,6 +2061,115 @@ mod tests {
         );
     }
 
+    /// Every class that writes a register or a predicate leaves the lanes
+    /// outside `exec` exactly as they were — for an empty, a one-lane, a
+    /// sparse and a full guard, on a CTA whose last warp is partial (its
+    /// padding lanes are checked by `Cta::rows` as the state is captured).
+    #[test]
+    fn lanes_outside_exec_keep_their_registers_and_predicates() {
+        use crate::{BasePolicy, Gpu, LaunchSpec};
+        #[derive(Clone, Copy)]
+        enum R5 {
+            Is(fn(u32, u32) -> u32),
+            Clock,
+        }
+        type P1 = fn(u32) -> bool;
+        // Before the guarded instruction, thread `t` (lane `l`) holds
+        // r2 = t, r7 = l, r3 = 4t, r4 = &buf[t], r5 = 0x1000 + t,
+        // p1 = l < 5, p2 = l >= 3, buf[t] = shared[t] = 7t + 1, and
+        // p7 = bit l of the mask under test. Each case: the instruction,
+        // then r5 and p1 of a lane that executes it.
+        let kept = (R5::Is(|t, _| 0x1000 + t), (|l| l < 5) as P1);
+        let cases: [(&str, R5, P1); 13] = [
+            ("add r5, r5, 1", R5::Is(|t, _| 0x1001 + t), kept.1),
+            ("mov r5, %laneid", R5::Is(|_, l| l), kept.1),
+            ("mad r5, r2, 3, r7", R5::Is(|t, l| 3 * t + l), kept.1),
+            (
+                "selp r5, r2, r7, p2",
+                R5::Is(|t, l| if l >= 3 { t } else { l }),
+                kept.1,
+            ),
+            ("setp.ge.s32 p1, r7, 2", kept.0, |l| l >= 2),
+            ("pand p1, p1, p2", kept.0, |l| (3..5).contains(&l)),
+            ("por p1, p1, p2", kept.0, |_| true),
+            ("pnot p1, p2", kept.0, |l| l < 3),
+            ("clock r5", R5::Clock, kept.1),
+            ("ld.param r5, [8]", R5::Is(|_, _| 0xabcd), kept.1),
+            ("ld.shared r5, [r3]", R5::Is(|t, _| 7 * t + 1), kept.1),
+            ("ld.global r5, [r4]", R5::Is(|t, _| 7 * t + 1), kept.1),
+            (
+                "atom.global.add r5, [r4], 1",
+                R5::Is(|t, _| 7 * t + 1),
+                kept.1,
+            ),
+        ];
+        for (inst, r5, p1) in cases {
+            let kernel = simt_isa::asm::assemble(&format!(
+                r#"
+                .kernel lanes
+                .regs 8
+                .params 3
+                .shared 40
+                    ld.param r1, [0]
+                    ld.param r6, [4]
+                    mov r2, %tid
+                    mov r7, %laneid
+                    shr r3, r6, r7
+                    and r3, r3, 1
+                    setp.ne.s32 p7, r3, 0
+                    setp.lt.s32 p1, r7, 5
+                    setp.ge.s32 p2, r7, 3
+                    shl r3, r2, 2
+                    add r4, r3, r1
+                    mad r5, r2, 7, 1
+                    st.shared [r3], r5
+                    add r5, r2, 0x1000
+                @p7 {inst}
+                    exit
+                "#
+            ))
+            .unwrap();
+            for mask in [0, 1 << 3, 0x8000_0429, u32::MAX] {
+                let mut gpu = Gpu::new(GpuConfig {
+                    capture_final_state: true,
+                    ..GpuConfig::test_tiny()
+                });
+                let buf = gpu.mem_mut().gmem_mut().alloc(40);
+                for t in 0..40 {
+                    gpu.mem_mut()
+                        .gmem_mut()
+                        .write_u32(buf + t * 4, 7 * t as u32 + 1);
+                }
+                let launch = LaunchSpec {
+                    grid_ctas: 1,
+                    threads_per_cta: 40,
+                    params: vec![buf as u32, mask, 0xabcd],
+                };
+                let report = gpu.run_baseline(&kernel, &launch, BasePolicy::Gto).unwrap();
+                let state = &report.final_state.as_ref().expect("capture is on")[0];
+                for t in 0..40u32 {
+                    let l = t % 32;
+                    let executes = mask >> l & 1 != 0;
+                    let what = format!("`{inst}` mask {mask:#x} thread {t}");
+                    let got = state.reg(t as usize, 5);
+                    match if executes { r5 } else { kept.0 } {
+                        R5::Is(want) => assert_eq!(got, want(t, l), "r5 after {what}"),
+                        R5::Clock => assert!(
+                            got > 0 && u64::from(got) < report.cycles,
+                            "r5 = {got} after {what}"
+                        ),
+                    }
+                    let want = if executes { p1(l) } else { (kept.1)(l) };
+                    assert_eq!(
+                        state.preds[t as usize] >> 1 & 1 != 0,
+                        want,
+                        "p1 after {what}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn bit_iter_yields_lanes() {
         let v: Vec<usize> = BitIter(0b1010_0001).collect();
@@ -2059,10 +2178,13 @@ mod tests {
         assert_eq!(BitIter(u32::MAX).count(), 32);
     }
 
-    // The executor's ALU semantics now come from `simt_isa::alu_fn`; these
-    // stay as regression coverage at the point of use.
+    // The executor's ALU semantics come from `simt_isa`'s table; these stay
+    // as known-answer coverage of the column evaluators it calls.
     fn alu_eval(op: Op, a: u32, b: u32, c: u32) -> u32 {
-        alu_fn(op)(a, b, c)
+        let mut out = [0; 32];
+        alu_column_fn(op)(&[a; 32], &[b; 32], &[c; 32], &mut out);
+        assert_eq!(out, [out[0]; 32], "{op:?}: equal inputs, equal lanes");
+        out[0]
     }
 
     #[test]

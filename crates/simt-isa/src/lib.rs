@@ -48,7 +48,10 @@ mod op;
 mod reg;
 
 pub use asm::{AsmError, RawKernel};
-pub use decoded::{alu_fn, AluFn, DecodedInst, DecodedKernel, ExecClass};
+pub use decoded::{
+    alu_column_fn, cmp_column_fn, AluColumnFn, CmpColumnFn, Column, DecodedInst, DecodedKernel,
+    ExecClass,
+};
 pub use inst::{Annot, Inst, MemAddr, Operand};
 pub use kernel::{Kernel, KernelError, RECONV_EXIT};
 pub use op::{AtomOp, CmpOp, Op, OpClass, Space, Ty};

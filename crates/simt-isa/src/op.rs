@@ -67,6 +67,7 @@ impl CmpOp {
     }
 
     /// Evaluate over two 32-bit words under the given type interpretation.
+    #[inline]
     pub fn eval(self, ty: Ty, a: u32, b: u32) -> bool {
         match ty {
             Ty::S32 => {

@@ -2,15 +2,6 @@
 
 use crate::{line_of, Addr};
 
-/// One lane's memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneAccess {
-    /// Lane index within the warp (0..32).
-    pub lane: u8,
-    /// Byte address accessed.
-    pub addr: Addr,
-}
-
 /// A coalesced 128-byte transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transaction {
@@ -34,20 +25,25 @@ impl Transaction {
 pub struct Coalescer;
 
 impl Coalescer {
-    /// Coalesce a warp's accesses into per-line transactions.
-    pub fn coalesce(accesses: &[LaneAccess]) -> Vec<Transaction> {
-        let mut out: Vec<Transaction> = Vec::new();
-        for a in accesses {
-            let line = line_of(a.addr);
+    /// Coalesce a warp's accesses — `addrs[lane]` for each lane in `lanes`
+    /// — into per-line transactions, replacing the contents of `out` (a
+    /// buffer the caller reuses, so the per-instruction path allocates
+    /// nothing once it has grown).
+    pub fn coalesce_into(lanes: u32, addrs: &[Addr; 32], out: &mut Vec<Transaction>) {
+        out.clear();
+        for (lane, &addr) in addrs.iter().enumerate() {
+            if lanes >> lane & 1 == 0 {
+                continue;
+            }
+            let line = line_of(addr);
             match out.iter_mut().find(|t| t.line == line) {
-                Some(t) => t.lane_mask |= 1u32 << a.lane,
+                Some(t) => t.lane_mask |= 1u32 << lane,
                 None => out.push(Transaction {
                     line,
-                    lane_mask: 1u32 << a.lane,
+                    lane_mask: 1u32 << lane,
                 }),
             }
         }
-        out
     }
 }
 
@@ -56,14 +52,21 @@ mod tests {
     use super::*;
     use crate::LINE_BYTES;
 
-    fn acc(lane: u8, addr: Addr) -> LaneAccess {
-        LaneAccess { lane, addr }
+    /// Coalesce `lanes` of a warp whose lane `l` accesses `addr(l)`.
+    fn coalesce(lanes: u32, addr: impl Fn(u64) -> Addr) -> Vec<Transaction> {
+        let addrs = std::array::from_fn(|l| addr(l as u64));
+        // Stale contents must not survive into the result.
+        let mut out = vec![Transaction {
+            line: 0xdead_0000,
+            lane_mask: 1,
+        }];
+        Coalescer::coalesce_into(lanes, &addrs, &mut out);
+        out
     }
 
     #[test]
     fn unit_stride_coalesces_to_one_line() {
-        let accesses: Vec<_> = (0..32).map(|l| acc(l, 0x1000 + l as u64 * 4)).collect();
-        let txs = Coalescer::coalesce(&accesses);
+        let txs = coalesce(u32::MAX, |l| 0x1000 + l * 4);
         assert_eq!(txs.len(), 1);
         assert_eq!(txs[0].line, 0x1000);
         assert_eq!(txs[0].lane_mask, u32::MAX);
@@ -73,10 +76,7 @@ mod tests {
     #[test]
     fn strided_accesses_fan_out() {
         // 128-byte stride: every lane its own line.
-        let accesses: Vec<_> = (0..32)
-            .map(|l| acc(l, l as u64 * LINE_BYTES))
-            .collect();
-        let txs = Coalescer::coalesce(&accesses);
+        let txs = coalesce(u32::MAX, |l| l * LINE_BYTES);
         assert_eq!(txs.len(), 32);
         for (i, t) in txs.iter().enumerate() {
             assert_eq!(t.lanes(), 1);
@@ -87,8 +87,7 @@ mod tests {
     #[test]
     fn same_address_merges() {
         // All lanes hit the same mutex word (the lock-acquire pattern).
-        let accesses: Vec<_> = (0..32).map(|l| acc(l, 0x2000)).collect();
-        let txs = Coalescer::coalesce(&accesses);
+        let txs = coalesce(u32::MAX, |_| 0x2000);
         assert_eq!(txs.len(), 1);
         assert_eq!(txs[0].lane_mask, u32::MAX);
     }
@@ -96,19 +95,27 @@ mod tests {
     #[test]
     fn misaligned_straddle_hits_two_lines() {
         // Lane 0 at line end, lane 1 in next line.
-        let txs = Coalescer::coalesce(&[acc(0, LINE_BYTES - 4), acc(1, LINE_BYTES)]);
+        let txs = coalesce(0b11, |l| LINE_BYTES - 4 + l * 4);
         assert_eq!(txs.len(), 2);
     }
 
     #[test]
     fn empty_input() {
-        assert!(Coalescer::coalesce(&[]).is_empty());
+        assert!(coalesce(0, |l| l * 4).is_empty());
+    }
+
+    #[test]
+    fn inactive_lanes_are_not_accessed() {
+        // Lanes 1 and 4 only; the others' addresses (one line each) are
+        // whatever the register column held.
+        let txs = coalesce(0b1_0010, |l| l * LINE_BYTES);
+        let lines: Vec<_> = txs.iter().map(|t| (t.line, t.lane_mask)).collect();
+        assert_eq!(lines, [(LINE_BYTES, 1 << 1), (4 * LINE_BYTES, 1 << 4)]);
     }
 
     #[test]
     fn lane_union_covers_all_inputs() {
-        let accesses: Vec<_> = (0..32).map(|l| acc(l, (l as u64 % 3) * LINE_BYTES)).collect();
-        let txs = Coalescer::coalesce(&accesses);
+        let txs = coalesce(u32::MAX, |l| (l % 3) * LINE_BYTES);
         let union: u32 = txs.iter().fold(0, |m, t| m | t.lane_mask);
         assert_eq!(union, u32::MAX);
         // Masks are disjoint (each access is word-sized, one line each).

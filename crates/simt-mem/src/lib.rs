@@ -52,7 +52,7 @@ mod system;
 
 pub use cache::{AccessOutcome, Cache};
 pub use chaos::{ChaosConfig, ChaosEngine, ChaosStats};
-pub use coalescer::{Coalescer, LaneAccess, Transaction};
+pub use coalescer::{Coalescer, Transaction};
 pub use config::MemConfig;
 pub use gmem::{GlobalMem, MemFault};
 pub use mshr::Mshr;

@@ -6,8 +6,8 @@
 //! framework so the suite builds and runs fully offline.
 
 use simt_mem::{
-    line_of, AccessOutcome, Cache, Coalescer, LaneAccess, MemConfig, MemRequest, MemorySystem,
-    Mshr, ReqKind, LINE_BYTES,
+    line_of, AccessOutcome, Cache, Coalescer, MemConfig, MemRequest, MemorySystem, Mshr, ReqKind,
+    LINE_BYTES,
 };
 
 /// Deterministic splitmix64 generator for test-case construction.
@@ -85,19 +85,17 @@ fn cache_matches_reference_lru() {
 fn coalescer_partitions_lanes() {
     for seed in 0..128 {
         let mut rng = Rng::new(seed);
-        let nlanes = rng.range(1, 32) as usize;
-        let accesses: Vec<LaneAccess> = (0..nlanes)
-            .map(|l| LaneAccess {
-                lane: l as u8,
-                addr: rng.range(0, 1 << 16),
-            })
-            .collect();
-        let txs = Coalescer::coalesce(&accesses);
-        // Each lane appears in exactly one transaction.
+        // A random (possibly sparse) lane mask; every lane has an address,
+        // only the masked ones are accessed.
+        let lanes = (rng.next() as u32) | 1 << rng.range(0, 32);
+        let addrs: [u64; 32] = std::array::from_fn(|_| rng.range(0, 1 << 16));
+        let mut txs = Vec::new();
+        Coalescer::coalesce_into(lanes, &addrs, &mut txs);
+        // Each accessed lane appears in exactly one transaction, no other does.
         let union: u32 = txs.iter().fold(0, |m, t| m | t.lane_mask);
         let total: u32 = txs.iter().map(|t| t.lane_mask.count_ones()).sum();
-        assert_eq!(union.count_ones(), accesses.len() as u32, "seed {seed}");
-        assert_eq!(total, accesses.len() as u32, "seed {seed}");
+        assert_eq!(union, lanes, "seed {seed}");
+        assert_eq!(total, lanes.count_ones(), "seed {seed}");
         // Transactions have distinct, line-aligned addresses containing
         // their lanes' addresses.
         for (i, t) in txs.iter().enumerate() {
@@ -106,10 +104,10 @@ fn coalescer_partitions_lanes() {
                 assert_ne!(t.line, u.line);
             }
         }
-        for a in &accesses {
-            let line = line_of(a.addr);
+        for lane in (0..32).filter(|l| lanes >> l & 1 != 0) {
+            let line = line_of(addrs[lane]);
             let t = txs.iter().find(|t| t.line == line).expect("line present");
-            assert!(t.lane_mask & (1 << a.lane) != 0);
+            assert!(t.lane_mask & (1 << lane) != 0);
         }
     }
 }

@@ -218,6 +218,76 @@ fn never_released_lock_deadlocks_within_watchdog_window() {
     }
 }
 
+/// A store whose guard masks off every lane is not externally visible
+/// progress: a warp waiting in `ld; setp; @p st.global; @!done bra` on a flag
+/// nobody sets is spinning, and the watchdog says so. The same loop with
+/// one lane really storing each time round is a producer loop and is never
+/// called a spin — it runs into the cycle limit instead.
+#[test]
+fn fully_predicated_off_store_does_not_hide_a_spin() {
+    let kernel = assemble(
+        r#"
+        .kernel wait_flag
+        .regs 8
+        .params 3
+            ld.param r1, [0]
+            ld.param r2, [4]
+            ld.param r4, [8]
+            mov r5, %laneid
+            setp.lt.s32 p2, r5, r4
+        LOOP:
+            ld.global.volatile r3, [r1]
+            setp.ne.s32 p1, r3, 0
+        @p2 st.global [r2], r3
+        @!p1 bra LOOP
+            exit
+        "#,
+    )
+    .unwrap();
+    let run = |storing_lanes: u32, max_cycles: u64| {
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.watchdog_cycles = 10_000;
+        cfg.max_cycles = max_cycles;
+        let mut gpu = Gpu::new(cfg);
+        let flag = gpu.mem_mut().gmem_mut().alloc(1); // stays 0 forever
+        let out = gpu.mem_mut().gmem_mut().alloc(1);
+        let launch = LaunchSpec {
+            grid_ctas: 1,
+            threads_per_cta: 40,
+            params: vec![flag as u32, out as u32, storing_lanes],
+        };
+        gpu.run_baseline(&kernel, &launch, BasePolicy::Gto)
+            .unwrap_err()
+    };
+
+    let SimError::Deadlock { cycle, report } = run(0, 2_000_000) else {
+        panic!("no lane stores: expected a classified hang");
+    };
+    assert_eq!(report.class, HangClass::SpinLivelock);
+    assert!(
+        cycle < 200_000,
+        "diagnosed within the watchdog window (cycle {cycle})"
+    );
+    assert_eq!(
+        report.spinning_warps().count(),
+        2,
+        "both warps of the 40-thread CTA"
+    );
+
+    let SimError::CycleLimit { report, .. } = run(1, 100_000) else {
+        panic!("lane 0 stores every iteration: only the cycle limit ends this");
+    };
+    assert_eq!(report.warps.len(), 2);
+    for w in &report.warps {
+        // 1 between the backward branch and the store that resets it.
+        assert!(
+            w.spin_iters <= 1,
+            "warp {}: a loop with a live store is productive",
+            w.warp
+        );
+    }
+}
+
 /// A mistuned BOWS back-off (delay far beyond any useful bound) starves the
 /// backed-off warps outright. With the starvation guard armed, the
 /// watchdog pins the blame on BOWS instead of reporting a generic hang.

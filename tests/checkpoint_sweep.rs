@@ -493,3 +493,51 @@ fn eligibility_events_are_seen_at_their_edges() {
     );
     assert!(report.sim.stall_backoff > 0 && report.sim.backed_off_warp_samples > 0);
 }
+
+/// The column register file goes through the row-major wire format at every
+/// checkpoint: 40-thread CTAs (a full warp and a partial one) whose
+/// registers and predicates are written under guards, so that at most
+/// boundaries some lanes of a column hold new values and some old ones.
+#[test]
+fn guarded_writes_on_a_partial_warp_survive_every_boundary() {
+    let report = check_probe(
+        &Probe {
+            name: "guarded register and predicate writes, 40 threads",
+            src: r#"
+                .kernel guarded_lanes
+                .regs 8
+                .params 1
+                    ld.param r1, [0]
+                    mov r2, %gtid
+                    shl r3, r2, 2
+                    add r1, r1, r3
+                    mov r4, %laneid
+                    and r5, r4, 1
+                    setp.eq.u32 p1, r5, 0
+                    setp.lt.u32 p2, r4, 5
+                    mov r6, 7
+                @p1 add r6, r6, r2
+                @!p1 mad r6, r4, 3, r6
+                @p2 setp.gt.u32 p1, r4, 2
+                    pand p3, p1, p2
+                @p3 pnot p2, p2
+                    selp r7, r6, r4, p2
+                    st.global [r1], r7
+                    membar
+                @p1 ld.global r5, [r1]
+                @p1 add r5, r5, 1
+                @!p3 st.global [r1], r5
+                @p3 st.global [r1], r6
+                    exit
+            "#,
+            ctas: 3,
+            tpc: 40,
+            bufs: &[120],
+        },
+        None,
+    );
+    assert_eq!(report.sim.ctas_completed, 3);
+    // 22 instructions a warp, guards or not; fewer than 32 lanes each.
+    assert_eq!(report.sim.issued_inst, 3 * 2 * 22);
+    assert!(report.sim.thread_inst < 3 * 40 * 22);
+}
