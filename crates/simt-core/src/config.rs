@@ -119,18 +119,14 @@ pub struct GpuConfig {
     /// oracle; off by default so measurement runs pay nothing for it.
     pub capture_final_state: bool,
     /// Collect wall-clock phase timings (fetch/issue/execute/mem-cycle/
-    /// merge/skip-horizon) into [`crate::KernelReport::profile`]. Purely
+    /// skip-horizon) into [`crate::KernelReport::profile`]. Purely
     /// observational: never touches simulated state, excluded from the
     /// snapshot fingerprint, and when off the run loop takes no timestamps.
     pub profile: bool,
     /// Main-loop time-advance strategy (see [`Engine`]).
     pub engine: Engine,
-    /// Worker threads cycling SMs inside a single simulation. `0` (the
-    /// default everywhere) and `1` both mean serial; larger values are
-    /// clamped to `num_sms` at run time. Results are bit-identical at
-    /// every thread count (see `tests/determinism.rs`); the knob trades
-    /// host cores for wall time only, and has yet to earn them (DESIGN.md,
-    /// "Parallel execution model", has the measurements).
+    /// Read by nothing (the run loop is serial); declared only because
+    /// `benchmark/` still assigns it — ROADMAP has the follow-up that drops it.
     pub sm_threads: usize,
 }
 
@@ -229,12 +225,6 @@ impl GpuConfig {
         }
     }
 
-    /// SM worker threads a run uses: [`GpuConfig::sm_threads`] with `0`
-    /// and `1` both serial, clamped to `num_sms`.
-    pub(crate) fn sm_workers(&self) -> usize {
-        self.sm_threads.clamp(1, self.num_sms.max(1))
-    }
-
     /// Structural sanity checks that `Gpu::run` performs before building
     /// any hardware state. A zero in any of these fields would otherwise
     /// panic deep inside the run loop (`sms[0]`, `units()[0]`, or a
@@ -317,16 +307,6 @@ mod tests {
             break_cfg(&mut cfg);
             let err = cfg.validate().expect_err(field);
             assert!(err.contains(field), "`{err}` should name `{field}`");
-        }
-    }
-
-    /// 0 and 1 are serial, 99 clamps to `num_sms`.
-    #[test]
-    fn sm_workers_floor_and_clamp() {
-        let mut cfg = GpuConfig::gtx480();
-        for (sm_threads, workers) in [(0, 1), (1, 1), (4, 4), (99, 15)] {
-            cfg.sm_threads = sm_threads;
-            assert_eq!(cfg.sm_workers(), workers, "sm_threads = {sm_threads}");
         }
     }
 

@@ -62,10 +62,7 @@ pub struct SchedCtx<'a> {
 ///
 /// Implementations are single-unit: they only ever see warp slots belonging
 /// to their unit in `eligible`/`unit_warps`.
-///
-/// `Send` because an [`crate::Sm`] (which owns its scheduler units) may be
-/// cycled on a worker thread under `sm_threads > 1`.
-pub trait SchedulerPolicy: Send {
+pub trait SchedulerPolicy {
     /// Policy name for reports (e.g. `"gto"`, `"bows(gto)"`).
     fn name(&self) -> String;
 

@@ -9,9 +9,7 @@ use crate::{GpuConfig, SimError, SimStats};
 use simt_isa::{
     Column, DecodedInst, DecodedKernel, ExecClass, Kernel, OpClass, Operand, Reg, Special,
 };
-use simt_mem::{
-    LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind, RequestStage, TagSlab,
-};
+use simt_mem::{LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind, TagSlab};
 use simt_snap::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Writeback-wheel capacity; must exceed every ALU latency.
@@ -20,11 +18,6 @@ const WHEEL: usize = 64;
 /// Shorthand for reporting a broken internal invariant instead of panicking.
 fn invariant(what: String) -> SimError {
     SimError::InternalInvariant { what }
-}
-
-/// A kernel-driven wild access, surfaced as a typed error (never a panic).
-fn device_fault(sm: usize, pc: usize, fault: simt_mem::MemFault) -> SimError {
-    SimError::DeviceFault { sm, pc, fault }
 }
 
 /// Immutable launch context shared by all SMs during a kernel run.
@@ -62,49 +55,6 @@ struct PendingMem {
     warp: usize,
     remaining: u32,
     kind: PendKind,
-}
-
-/// A global-memory touch point staged during [`Sm::cycle`] and applied by
-/// [`Sm::replay_stage`].
-///
-/// [`Sm::cycle`] has no access to the shared [`MemorySystem`] (it may be
-/// running on a worker thread), so every functional global-memory effect —
-/// a load's reads, a store's writes, an atomic's address validation — is
-/// recorded here in issue order, together with the number of coalesced
-/// requests the op pushed into the SM's [`RequestStage`]. Replaying the
-/// stages in SM-id order reproduces serial execution's global-memory
-/// access order exactly: registers are CTA-private (no SM ever reads
-/// another SM's registers), a load's destination register is
-/// scoreboard-held until the timing request completes, and the request
-/// enqueue itself is timing-only (atomics mutate memory later, at
-/// partition service).
-///
-/// The lane list is held inline — a mask and a full-width address array —
-/// so staging an op allocates nothing.
-#[derive(Debug)]
-struct StagedOp {
-    pc: usize,
-    /// Lanes that execute the access.
-    lanes: u32,
-    /// Byte address per lane; meaningful on `lanes` only.
-    addrs: [u64; 32],
-    n_reqs: u32,
-    kind: StagedKind,
-}
-
-#[derive(Debug)]
-enum StagedKind {
-    /// `ld.global`: read each lane's address and write the value to the
-    /// lane's `dst` register.
-    Load { warp: usize, dst: Reg },
-    /// `st.global`: lane values were computed at issue from (CTA-private)
-    /// registers; the memory writes themselves happen at replay, stopping
-    /// at the first faulting lane exactly as at-issue execution would.
-    Store { vals: Column },
-    /// `atom.global`: per-lane address validation (the lane ops are applied
-    /// later inside the partition's atomic unit, which has no error path
-    /// back to the warp).
-    Atomic,
 }
 
 /// CTA-level event produced by executing an instruction.
@@ -405,10 +355,6 @@ pub struct Sm {
     issued_scratch: Vec<Option<usize>>,
     /// Per-unit scratch for the eligible-warp list (reused, never freed).
     eligible_scratch: Vec<usize>,
-    /// Global-memory ops staged this cycle, drained by [`Sm::replay_stage`].
-    staged: Vec<StagedOp>,
-    /// Coalesced requests staged this cycle, absorbed in op order.
-    stage: RequestStage,
     /// Per-instruction scratch: the coalescer's transactions and an
     /// atomic's per-line groups (reused, never freed).
     txs: Vec<simt_mem::Transaction>,
@@ -499,8 +445,6 @@ impl Sm {
             live_version: u64::MAX,
             issued_scratch: vec![None; cfg.schedulers_per_sm],
             eligible_scratch: Vec::with_capacity(cfg.warps_per_sm()),
-            staged: Vec::new(),
-            stage: RequestStage::new(),
             txs: Vec::new(),
             atom_groups: Vec::new(),
             capture_state: cfg.capture_final_state,
@@ -763,22 +707,21 @@ impl Sm {
         }
     }
 
-    /// Advance one cycle: writebacks, then one issue attempt per unit.
-    ///
-    /// Touches no shared state: global-memory effects are staged on the SM
-    /// (see [`StagedOp`]) and applied by the caller via
-    /// [`Sm::replay_stage`] in SM-id order — which is what makes cycling
-    /// SMs on worker threads bit-identical to serial execution.
+    /// Advance one cycle: writebacks, then one issue attempt per unit. A
+    /// global load, store or atomic touches `mem` as it issues.
     ///
     /// # Errors
     ///
     /// [`SimError::InternalInvariant`] when execution hits a state the
     /// kernel should have made impossible (out-of-range parameter or
-    /// shared-memory access, a store to param space, a retired CTA).
+    /// shared-memory access, a store to param space, a retired CTA);
+    /// [`SimError::DeviceFault`] on a wild global access. Either stops the
+    /// cycle at the faulting instruction: later units issue nothing.
     pub fn cycle(
         &mut self,
         now: u64,
         lctx: &LaunchCtx<'_>,
+        mem: &mut MemorySystem,
         stats: &mut SimStats,
     ) -> Result<SmCycle, SimError> {
         debug_assert!(self.sleep.is_none(), "cycling a sleeping SM");
@@ -889,11 +832,11 @@ impl Sm {
             stats.stall_arbitration += (self.eligible_scratch.len() - 1) as u64;
             let outcome = if self.profile {
                 let t = std::time::Instant::now();
-                let o = self.execute(w, now, lctx, stats)?;
+                let o = self.execute(w, now, lctx, mem, stats)?;
                 self.prof.execute_ns += t.elapsed().as_nanos() as u64;
                 o
             } else {
-                self.execute(w, now, lctx, stats)?
+                self.execute(w, now, lctx, mem, stats)?
             };
             result.issued += 1;
             self.marked.insert(w);
@@ -966,77 +909,6 @@ impl Sm {
             self.prof.issue_ns += t.elapsed().as_nanos() as u64;
         }
         Ok(result)
-    }
-
-    /// Apply this SM's staged global-memory work to the shared memory
-    /// system, in issue order: for each staged op, perform its functional
-    /// part (a load's reads + register writes, a store's writes, an
-    /// atomic's address validation), then absorb the op's coalesced
-    /// requests. The GPU loop calls this in fixed SM-id order after every
-    /// cycle round, so memory observes exactly the access order serial
-    /// execution would have produced — including chaos-engine RNG draws,
-    /// which happen per absorbed request.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::DeviceFault`] on a wild access, from the first faulting
-    /// lane in issue order; that op's requests (and everything staged
-    /// after it) are dropped, leaving global memory exactly as at-issue
-    /// execution would have (earlier lanes of a faulting store are
-    /// already written).
-    pub fn replay_stage(&mut self, mem: &mut MemorySystem, now: u64) -> Result<(), SimError> {
-        // Swapped out for the walk and handed back empty, capacity kept.
-        let mut staged = std::mem::take(&mut self.staged);
-        let replayed = staged
-            .iter()
-            .try_for_each(|op| self.replay_op(op, mem, now));
-        staged.clear();
-        self.staged = staged;
-        replayed?;
-        debug_assert!(self.stage.is_empty(), "staged requests left unabsorbed");
-        Ok(())
-    }
-
-    fn replay_op(
-        &mut self,
-        op: &StagedOp,
-        mem: &mut MemorySystem,
-        now: u64,
-    ) -> Result<(), SimError> {
-        let sm_id = self.id;
-        let fault = |fault| device_fault(sm_id, op.pc, fault);
-        match &op.kind {
-            StagedKind::Load { warp, dst } => {
-                let Warp {
-                    cta_slot,
-                    warp_in_cta,
-                    ..
-                } = self.warps[*warp];
-                let Some(cta) = self.ctas[cta_slot].as_mut() else {
-                    return Err(invariant(format!(
-                        "sm {sm_id}: staged load for retired CTA slot {cta_slot}"
-                    )));
-                };
-                let column = cta.column_mut(warp_in_cta, *dst);
-                for lane in BitIter(op.lanes) {
-                    column[lane] = mem.gmem().try_read_u32(op.addrs[lane]).map_err(fault)?;
-                }
-            }
-            StagedKind::Store { vals } => {
-                for lane in BitIter(op.lanes) {
-                    mem.gmem_mut()
-                        .try_write_u32(op.addrs[lane], vals[lane])
-                        .map_err(fault)?;
-                }
-            }
-            StagedKind::Atomic => {
-                for lane in BitIter(op.lanes) {
-                    mem.gmem().check_addr(op.addrs[lane]).map_err(fault)?;
-                }
-            }
-        }
-        mem.absorb(sm_id, &mut self.stage, op.n_reqs as usize, now);
-        Ok(())
     }
 
     /// Earliest future cycle (strictly after `now`) at which this SM can
@@ -1150,13 +1022,18 @@ impl Sm {
         self.sleep = None;
     }
 
-    /// Functionally execute the instruction at the warp's PC, staging any
-    /// global-memory effects for [`Sm::replay_stage`].
+    /// Functionally execute the instruction at the warp's PC. A global
+    /// access reads, writes or validates its lanes in lane order, stopping
+    /// at the first faulting one (the lanes before it are done, none of
+    /// the instruction's requests is submitted), then submits its
+    /// coalesced requests to `mem`. A load may write its destination now
+    /// because the scoreboard holds it until the last request completes.
     fn execute(
         &mut self,
         w_idx: usize,
         now: u64,
         lctx: &LaunchCtx<'_>,
+        mem: &mut MemorySystem,
         stats: &mut SimStats,
     ) -> Result<ExecOutcome, SimError> {
         let (lat_int, lat_fp, lat_sfu, lat_shared) =
@@ -1180,6 +1057,9 @@ impl Sm {
         let active = warp.stack.active_mask();
         let cta_slot = warp.cta_slot;
         let sm_id = self.id;
+        // A kernel-driven wild access, surfaced as a typed error (never a
+        // panic).
+        let wild = move |fault| SimError::DeviceFault { sm: sm_id, pc, fault };
         let Some(cta) = self.ctas[cta_slot].as_mut() else {
             return Err(invariant(format!(
                 "sm {sm_id}: issuing warp {w_idx} belongs to retired CTA slot {cta_slot}"
@@ -1431,12 +1311,15 @@ impl Sm {
                 stats.load_inst += 1;
                 if exec != 0 {
                     let addrs = addr_column(d, cta, wic);
+                    let column = cta.column_mut(wic, dst);
+                    for lane in BitIter(exec) {
+                        column[lane] = mem.gmem().try_read_u32(addrs[lane]).map_err(wild)?;
+                    }
                     warp.sb.reserve_reg(dst);
                     simt_mem::Coalescer::coalesce_into(exec, &addrs, &mut self.txs);
-                    let n_reqs = self.txs.len() as u32;
                     let tag = self.pending.insert(PendingMem {
                         warp: w_idx,
-                        remaining: n_reqs,
+                        remaining: self.txs.len() as u32,
                         kind: PendKind::Load { dst },
                     });
                     warp.outstanding_mem += 1;
@@ -1445,15 +1328,8 @@ impl Sm {
                         if d.sync {
                             req = req.sync();
                         }
-                        self.stage.push(req);
+                        mem.enqueue(sm_id, req, now);
                     }
-                    self.staged.push(StagedOp {
-                        pc,
-                        lanes: exec,
-                        addrs,
-                        n_reqs,
-                        kind: StagedKind::Load { warp: w_idx, dst },
-                    });
                 }
                 warp.stack.advance(pc + 1);
             }
@@ -1488,12 +1364,16 @@ impl Sm {
                 if exec != 0 {
                     let addrs = addr_column(d, cta, wic);
                     let mut ta = [0u32; 32];
-                    let vals = *operand_column(d.srcs[0], cta, wic, &sval, &mut ta);
+                    let vals = operand_column(d.srcs[0], cta, wic, &sval, &mut ta);
+                    for lane in BitIter(exec) {
+                        mem.gmem_mut()
+                            .try_write_u32(addrs[lane], vals[lane])
+                            .map_err(wild)?;
+                    }
                     simt_mem::Coalescer::coalesce_into(exec, &addrs, &mut self.txs);
-                    let n_reqs = self.txs.len() as u32;
                     let tag = self.pending.insert(PendingMem {
                         warp: w_idx,
-                        remaining: n_reqs,
+                        remaining: self.txs.len() as u32,
                         kind: PendKind::Store,
                     });
                     warp.outstanding_mem += 1;
@@ -1502,15 +1382,8 @@ impl Sm {
                         if d.sync {
                             req = req.sync();
                         }
-                        self.stage.push(req);
+                        mem.enqueue(sm_id, req, now);
                     }
-                    self.staged.push(StagedOp {
-                        pc,
-                        lanes: exec,
-                        addrs,
-                        n_reqs,
-                        kind: StagedKind::Store { vals },
-                    });
                 }
                 warp.stack.advance(pc + 1);
             }
@@ -1530,12 +1403,15 @@ impl Sm {
                     let [mut ta, mut tb] = [[0u32; 32]; 2];
                     let a = operand_column(d.srcs[0], cta, wic, &sval, &mut ta);
                     let b = operand_column(d.srcs[1], cta, wic, &sval, &mut tb);
-                    // Group lane ops by line, preserving lane order, in the
-                    // SM's reused buffer; only each group's `ops` — which
-                    // moves into its request — is allocated. Address
-                    // validation is staged for replay: the lane ops are
+                    // Addresses are validated here: the lane ops are
                     // applied later inside the partition's atomic unit,
                     // which has no error path back to the warp.
+                    for lane in BitIter(exec) {
+                        mem.gmem().check_addr(addrs[lane]).map_err(wild)?;
+                    }
+                    // Group lane ops by line, preserving lane order, in the
+                    // SM's reused buffer; only each group's `ops` — which
+                    // moves into its request — is allocated.
                     let groups = &mut self.atom_groups;
                     for lane in BitIter(exec) {
                         let addr = addrs[lane];
@@ -1569,15 +1445,8 @@ impl Sm {
                         if d.sync {
                             req = req.sync();
                         }
-                        self.stage.push(req);
+                        mem.enqueue(sm_id, req, now);
                     }
-                    self.staged.push(StagedOp {
-                        pc,
-                        lanes: exec,
-                        addrs,
-                        n_reqs,
-                        kind: StagedKind::Atomic,
-                    });
                 }
                 warp.stack.advance(pc + 1);
             }
@@ -1679,29 +1548,13 @@ impl Sm {
         self.ctas_resident
     }
 
-    /// Whether this cycle staged any global-memory work — lets the merge
-    /// loop skip the [`Sm::replay_stage`] call for idle SMs.
-    pub fn has_staged(&self) -> bool {
-        !self.staged.is_empty()
-    }
-
     /// Serialize the SM's full dynamic state at a checkpoint boundary (top
     /// of a run-loop iteration, before any cycle work).
     ///
     /// Construction-derived members (latencies, capacities, `unit_warps`
     /// striding, scratch buffers) are rebuilt from the config on restore and
-    /// not written. `staged`/`stage` must be empty at the boundary — every
-    /// cycle drains them through [`Sm::replay_stage`] before the loop
-    /// re-enters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called mid-cycle (staged memory ops not yet replayed).
+    /// not written.
     pub fn save_snap(&self, w: &mut SnapWriter) {
-        assert!(
-            self.staged.is_empty() && self.stage.is_empty(),
-            "checkpoint taken mid-cycle: staged ops not replayed"
-        );
         self.warps.save(w);
         self.ctas.save(w);
         // Policy/detector state goes in nested length-prefixed blobs so a
@@ -1722,7 +1575,7 @@ impl Sm {
     /// as their blobs are reached — then validates every table length
     /// against this SM's construction and every restored index against
     /// `limits`. On error the SM is partly restored and must be discarded
-    /// (the caller rebuilds the whole chunk set).
+    /// (the caller rebuilds every SM).
     pub fn load_snap(
         &mut self,
         r: &mut SnapReader<'_>,

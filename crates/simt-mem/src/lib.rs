@@ -17,9 +17,9 @@
 //! * a DRAM channel model (fixed latency plus a bandwidth-limiting minimum
 //!   service interval).
 //!
-//! The top-level type is [`MemorySystem`]: SMs enqueue [`MemRequest`]s and
-//! call [`MemorySystem::cycle`] once per core cycle, collecting
-//! [`MemCompletion`]s that unblock warps.
+//! The top-level type is [`MemorySystem`]: SMs enqueue [`MemRequest`]s, and
+//! the run loop calls [`MemorySystem::cycle_into`] once per core cycle,
+//! collecting the [`MemCompletion`]s that unblock warps in a sink it reuses.
 //!
 //! # Example
 //!
@@ -34,7 +34,7 @@
 //! mem.enqueue(0, MemRequest::new(ReqKind::Load { bypass_l1: false }, buf, 0xbeef), 0);
 //! let mut done = Vec::new();
 //! for cycle in 0..10_000 {
-//!     done.extend(mem.cycle(cycle));
+//!     mem.cycle_into(cycle, &mut done);
 //!     if !done.is_empty() { break; }
 //! }
 //! assert_eq!(done[0].tag, 0xbeef);
@@ -58,9 +58,7 @@ pub use gmem::{GlobalMem, MemFault};
 pub use mshr::Mshr;
 pub use slab::{ProbeMap, TagSlab};
 pub use stats::MemStats;
-pub use system::{
-    LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind, RequestStage,
-};
+pub use system::{LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind};
 
 /// Cache line size in bytes (both L1 and L2), as in the paper's Table II.
 pub const LINE_BYTES: u64 = 128;

@@ -111,45 +111,6 @@ impl MemRequest {
     }
 }
 
-/// Per-SM staging buffer of coalesced requests awaiting absorption.
-///
-/// An SM cycling on a worker thread has no access to the shared
-/// [`MemorySystem`]; it pushes each request it would have enqueued here,
-/// in issue order. The coordinator later replays the stages in SM-id
-/// order via [`MemorySystem::absorb`], reproducing the serial enqueue
-/// order exactly.
-#[derive(Debug, Default)]
-pub struct RequestStage {
-    q: VecDeque<MemRequest>,
-}
-
-impl RequestStage {
-    /// An empty stage.
-    pub fn new() -> RequestStage {
-        RequestStage::default()
-    }
-
-    /// Stage one request (FIFO).
-    pub fn push(&mut self, req: MemRequest) {
-        self.q.push_back(req);
-    }
-
-    /// Take the oldest staged request.
-    pub fn pop(&mut self) -> Option<MemRequest> {
-        self.q.pop_front()
-    }
-
-    /// Number of staged requests.
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-}
-
 /// Completion of a [`MemRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemCompletion {
@@ -212,7 +173,7 @@ struct Partition {
 /// The device memory system shared by all SMs.
 ///
 /// Drive it by calling [`MemorySystem::enqueue`] when warps issue memory
-/// instructions and [`MemorySystem::cycle`] once per core cycle.
+/// instructions and [`MemorySystem::cycle_into`] once per core cycle.
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: MemConfig,
@@ -448,33 +409,6 @@ impl MemorySystem {
                 self.l1s[sm].inq.push_back((cycle, req));
             }
         }
-    }
-
-    /// Drain up to `n` staged requests from `stage` (front first) into the
-    /// hierarchy as if each had been [`MemorySystem::enqueue`]d directly
-    /// by `sm` at `cycle`.
-    ///
-    /// This is the deterministic merge point for parallel SM execution:
-    /// each SM fills its own [`RequestStage`] while cycling on a worker
-    /// thread, and the coordinator absorbs the stages in fixed SM-id
-    /// order, so the hierarchy observes the exact request order serial
-    /// execution would have produced.
-    pub fn absorb(&mut self, sm: usize, stage: &mut RequestStage, n: usize, cycle: u64) {
-        for _ in 0..n {
-            let Some(req) = stage.pop() else { break };
-            self.enqueue(sm, req, cycle);
-        }
-    }
-
-    /// Advance one cycle; returns completions that fire this cycle.
-    ///
-    /// Convenience wrapper over [`MemorySystem::cycle_into`] that allocates
-    /// a fresh vector per call; cycle-loop callers should hold a reusable
-    /// sink and call `cycle_into` instead.
-    pub fn cycle(&mut self, now: u64) -> Vec<MemCompletion> {
-        let mut out = Vec::new();
-        self.cycle_into(now, &mut out);
-        out
     }
 
     /// Advance one cycle, appending completions that fire this cycle to
@@ -1060,10 +994,17 @@ mod tests {
         laws(&part);
     }
 
+    /// Advance `mem` one cycle; the completions that fire in it.
+    fn cycle(mem: &mut MemorySystem, now: u64) -> Vec<MemCompletion> {
+        let mut done = Vec::new();
+        mem.cycle_into(now, &mut done);
+        done
+    }
+
     fn run_until(mem: &mut MemorySystem, mut now: u64, horizon: u64) -> (u64, Vec<MemCompletion>) {
         let mut all = Vec::new();
         while now < horizon {
-            let done = mem.cycle(now);
+            let done = cycle(mem, now);
             if !done.is_empty() {
                 return (now, done);
             }
@@ -1078,39 +1019,6 @@ mod tests {
         let base = mem.gmem_mut().alloc(1024);
         assert_eq!(base, 0);
         mem
-    }
-
-    /// A staged request stream absorbed in order behaves exactly like
-    /// direct enqueues: same completion stream, same statistics. `absorb`
-    /// takes only the asked-for prefix and tolerates over-asking.
-    #[test]
-    fn staged_requests_absorb_like_direct_enqueues() {
-        let reqs = |tags: std::ops::Range<u64>| {
-            tags.map(|t| MemRequest::new(ReqKind::Load { bypass_l1: false }, t * 4, t))
-                .collect::<Vec<_>>()
-        };
-        let mut direct = new_mem();
-        for r in reqs(1..4) {
-            direct.enqueue(0, r, 0);
-        }
-        let mut staged = new_mem();
-        let mut stage = RequestStage::new();
-        for r in reqs(1..4) {
-            stage.push(r);
-        }
-        assert_eq!(stage.len(), 3);
-        staged.absorb(0, &mut stage, 2, 0);
-        assert_eq!(stage.len(), 1, "absorb consumes exactly the prefix");
-        staged.absorb(0, &mut stage, 5, 0);
-        assert!(stage.is_empty(), "over-asking drains and stops");
-        let (t_direct, done_direct) = run_until(&mut direct, 0, 100_000);
-        let (t_staged, done_staged) = run_until(&mut staged, 0, 100_000);
-        assert_eq!(t_direct, t_staged);
-        assert_eq!(done_direct.len(), done_staged.len());
-        for (a, b) in done_direct.iter().zip(&done_staged) {
-            assert_eq!((a.sm, a.tag), (b.sm, b.tag));
-        }
-        assert_eq!(direct.stats(), staged.stats());
     }
 
     #[test]
@@ -1143,48 +1051,33 @@ mod tests {
         assert_eq!(mem.stats().l1_misses, 1);
     }
 
-    /// `cycle` and `cycle_into` (the allocation-free path with quiescence
-    /// skips) must produce identical completion streams, and `cycle_into`
-    /// must append to — never clear — the caller's sink.
+    /// `cycle_into` appends to — never clears — the caller's sink.
     #[test]
-    fn cycle_into_matches_cycle_and_appends() {
-        let mut a = new_mem();
-        let mut b = new_mem();
-        for mem in [&mut a, &mut b] {
-            for (i, addr) in [0u64, 8, 256, 512].iter().enumerate() {
-                mem.enqueue(
-                    i % 2,
-                    MemRequest::new(ReqKind::Load { bypass_l1: false }, *addr, i as u64 + 1),
-                    0,
-                );
-            }
+    fn cycle_into_appends_to_the_sink() {
+        let mut mem = new_mem();
+        for (i, addr) in [0u64, 8, 256, 512].iter().enumerate() {
+            mem.enqueue(
+                i % 2,
+                MemRequest::new(ReqKind::Load { bypass_l1: false }, *addr, i as u64 + 1),
+                0,
+            );
         }
-        let mut via_cycle = Vec::new();
-        let mut via_into = vec![(
-            MemCompletion {
-                sm: 9,
-                tag: 999,
-                atomic_results: Vec::new(),
-            },
-            0u64,
-        )];
-        let mut sink = Vec::new();
+        let mut sink = vec![MemCompletion {
+            sm: 9,
+            tag: 999,
+            atomic_results: Vec::new(),
+        }];
         for now in 0..100_000u64 {
-            via_cycle.extend(a.cycle(now).into_iter().map(|c| ((c.sm, c.tag), now)));
-            b.cycle_into(now, &mut sink);
-            via_into.extend(sink.drain(..).map(|c| (c, now)));
-            if via_cycle.len() == 4 && via_into.len() == 5 {
+            mem.cycle_into(now, &mut sink);
+            if sink.len() == 5 {
                 break;
             }
         }
-        assert_eq!(via_into[0].0.tag, 999, "sink contents are appended to, not cleared");
-        let into_stream: Vec<((usize, u64), u64)> = via_into[1..]
-            .iter()
-            .map(|(c, now)| ((c.sm, c.tag), *now))
-            .collect();
-        assert_eq!(via_cycle, into_stream);
-        assert_eq!(via_cycle.len(), 4, "all requests completed");
-        assert!(a.quiescent() && b.quiescent());
+        assert_eq!(sink[0].tag, 999, "sink contents are appended to, not cleared");
+        let mut tags: Vec<u64> = sink[1..].iter().map(|c| c.tag).collect();
+        tags.sort_unstable();
+        assert_eq!(tags, [1, 2, 3, 4], "all requests completed");
+        assert!(mem.quiescent());
     }
 
     #[test]
@@ -1203,7 +1096,7 @@ mod tests {
         let mut now = 0;
         let mut tags = Vec::new();
         while tags.len() < 2 && now < 100_000 {
-            tags.extend(mem.cycle(now).into_iter().map(|c| c.tag));
+            tags.extend(cycle(&mut mem, now).into_iter().map(|c| c.tag));
             now += 1;
         }
         assert_eq!(tags, vec![1, 2], "both complete on the single fill");
@@ -1260,7 +1153,7 @@ mod tests {
         let mut now = 0;
         let mut got = Vec::new();
         while got.len() < 2 && now < 100_000 {
-            got.extend(mem.cycle(now));
+            got.extend(cycle(&mut mem, now));
             now += 1;
         }
         let winners: Vec<_> = got
@@ -1280,7 +1173,7 @@ mod tests {
         // Drain the fire-and-forget DRAM write.
         let mut now = 0;
         while !mem.quiescent() && now < 100_000 {
-            mem.cycle(now);
+            cycle(&mut mem, now);
             now += 1;
         }
         assert_eq!(mem.stats().dram_writes, 1);
@@ -1306,7 +1199,7 @@ mod tests {
         let mut now = 0;
         let mut times = Vec::new();
         while times.len() < 16 && now < 1_000_000 {
-            for c in mem.cycle(now) {
+            for c in cycle(&mut mem, now) {
                 times.push((now, c.tag));
             }
             now += 1;
@@ -1349,7 +1242,7 @@ mod tests {
         let run = |mem: &mut MemorySystem, start: u64| -> u64 {
             let mut now = start;
             while now < start + 100_000 {
-                if !mem.cycle(now).is_empty() {
+                if !cycle(mem, now).is_empty() {
                     return now + 1;
                 }
                 now += 1;
@@ -1418,7 +1311,7 @@ mod tests {
         let mut done: Vec<u64> = Vec::new();
         let mut now = 0;
         while done.is_empty() && now < 100_000 {
-            done.extend(mem.cycle(now).into_iter().map(|c| c.tag));
+            done.extend(cycle(&mut mem, now).into_iter().map(|c| c.tag));
             now += 1;
         }
         assert_eq!(done, vec![10], "only the winner completes");
@@ -1426,7 +1319,7 @@ mod tests {
         // Release: warp 2 wakes and completes with the lock.
         mem.enqueue(0, release(1, 11), now);
         while done.len() < 3 && now < 100_000 {
-            done.extend(mem.cycle(now).into_iter().map(|c| c.tag));
+            done.extend(cycle(&mut mem, now).into_iter().map(|c| c.tag));
             now += 1;
         }
         assert_eq!(done, vec![10, 11, 20], "FIFO hand-off to warp 2");
@@ -1435,7 +1328,7 @@ mod tests {
         // Warp 2 releases; warp 3 gets it.
         mem.enqueue(0, release(2, 21), now);
         while done.len() < 5 && now < 200_000 {
-            done.extend(mem.cycle(now).into_iter().map(|c| c.tag));
+            done.extend(cycle(&mut mem, now).into_iter().map(|c| c.tag));
             now += 1;
         }
         assert_eq!(done, vec![10, 11, 20, 21, 30]);
@@ -1453,7 +1346,7 @@ mod tests {
         op.holder = 1;
         mem.enqueue(0, MemRequest::new(ReqKind::Atomic { ops: vec![op] }, 0, 1), 0);
         let mut now = 0;
-        while mem.cycle(now).is_empty() && now < 100_000 {
+        while cycle(&mut mem, now).is_empty() && now < 100_000 {
             now += 1;
         }
         // A second acquire marked non-sole must fail normally (spin), not park.
@@ -1464,7 +1357,7 @@ mod tests {
         mem.enqueue(0, req, now);
         let mut got = Vec::new();
         while got.is_empty() && now < 200_000 {
-            got.extend(mem.cycle(now));
+            got.extend(cycle(&mut mem, now));
             now += 1;
         }
         assert_eq!(got[0].tag, 2, "non-sole request completes with a failure");
@@ -1502,7 +1395,7 @@ mod tests {
             let mut done = Vec::new();
             let mut now = 0;
             while (!mem.quiescent() || done.len() < tags.len()) && now < 500_000 {
-                done.extend(mem.cycle(now).into_iter().map(|c| c.tag));
+                done.extend(cycle(&mut mem, now).into_iter().map(|c| c.tag));
                 now += 1;
             }
             done.sort_unstable();
@@ -1540,7 +1433,7 @@ mod tests {
             let mut now = 0;
             let mut ndone = 0;
             while ndone < 60 && now < 500_000 {
-                for c in mem.cycle(now) {
+                for c in cycle(&mut mem, now) {
                     ndone += 1;
                     let _ = c;
                     last = now;
@@ -1570,7 +1463,7 @@ mod tests {
         assert!(!mem.quiescent());
         let mut now = 0;
         while !mem.quiescent() && now < 100_000 {
-            mem.cycle(now);
+            cycle(&mut mem, now);
             now += 1;
         }
         assert!(mem.quiescent());

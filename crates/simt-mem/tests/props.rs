@@ -163,12 +163,13 @@ fn memory_system_conserves_requests() {
             mem.enqueue(sm, MemRequest::new(kind, addr, tag), 0);
             expected.push(tag);
         }
-        let mut completed: Vec<u64> = Vec::new();
+        let mut done = Vec::new();
         let mut now = 0u64;
-        while (!mem.quiescent() || completed.len() < expected.len()) && now < 200_000 {
-            completed.extend(mem.cycle(now).into_iter().map(|c| c.tag));
+        while (!mem.quiescent() || done.len() < expected.len()) && now < 200_000 {
+            mem.cycle_into(now, &mut done);
             now += 1;
         }
+        let mut completed: Vec<u64> = done.iter().map(|c| c.tag).collect();
         completed.sort_unstable();
         assert_eq!(completed, expected, "seed {seed}");
         assert!(mem.quiescent());

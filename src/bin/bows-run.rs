@@ -31,7 +31,6 @@ struct Cli {
     timeout_cycles: Option<u64>,
     timeout_wall_s: Option<f64>,
     engine: Option<Engine>,
-    sm_threads: Option<usize>,
     lint: bool,
     format_json: bool,
     profile: bool,
@@ -52,7 +51,7 @@ fn usage() -> ! {
          \x20            [--gpu gtx480|gtx1080ti|tiny] [--dump I:LEN]...\n\
          \x20            [--chaos-seed N] [--chaos-level 0..3]\n\
          \x20            [--timeout-cycles N] [--timeout-wall SECS]\n\
-         \x20            [--engine cycle|skip] [--sm-threads N] [--lint]\n\
+         \x20            [--engine cycle|skip] [--lint]\n\
          \x20            [--format human|json] [--profile]\n\
          \x20            [--state-dir DIR] [--checkpoint-every N] [--resume SNAP]\n\
          \n\
@@ -61,12 +60,12 @@ fn usage() -> ! {
          temp-file + fsync + rename; requires --state-dir). --resume\n\
          restarts from such a snapshot file and produces bit-identical\n\
          final stats and memory to the uninterrupted run, on either\n\
-         engine and at any --sm-threads. A snapshot records the kernel,\n\
+         engine. A snapshot records the kernel,\n\
          launch geometry, and GPU config it was taken under; resuming\n\
          with a mismatched kernel or config exits 2 with a clear error.\n\
          \n\
          --profile collects a host wall-clock breakdown of the run loop\n\
-         (fetch/issue/execute/mem-cycle/merge/skip-horizon, and what the\n\
+         (fetch/issue/execute/mem-cycle/skip-horizon, and what the\n\
          remaining `other` is made of), the share of SM-cycles the skip\n\
          engine slept through and the warps classified per SM-cycle run,\n\
          printed after the run report; with --format json the breakdown is also\n\
@@ -76,12 +75,6 @@ fn usage() -> ! {
          --engine picks the main-loop time-advance strategy: `skip`\n\
          (default) stops cycling an SM while it has nothing to issue,\n\
          `cycle` cycles every SM every cycle. Bit-identical results either way.\n\
-         \n\
-         --sm-threads runs the SMs of the simulated GPU on N host worker\n\
-         threads (default 1 = serial; clamped to the SM count).\n\
-         Bit-identical results at any value; measured, it is slower\n\
-         than serial on small launches and at best ~1.2x on dense ones\n\
-         (DESIGN.md, \"Parallel execution model\").\n\
          \n\
          --chaos-seed seeds the deterministic memory fault injector\n\
          (same seed => bit-identical run); --chaos-level picks intensity\n\
@@ -127,7 +120,6 @@ fn parse_cli() -> Cli {
         timeout_cycles: None,
         timeout_wall_s: None,
         engine: None,
-        sm_threads: None,
         lint: false,
         format_json: false,
         profile: false,
@@ -212,14 +204,6 @@ fn parse_cli() -> Cli {
                 cli.engine =
                     Some(next(&mut args, "--engine").parse().unwrap_or_else(|()| usage()));
             }
-            "--sm-threads" => {
-                let n: usize =
-                    next(&mut args, "--sm-threads").parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                cli.sm_threads = Some(n);
-            }
             "--checkpoint-every" => {
                 let n: u64 = next(&mut args, "--checkpoint-every")
                     .parse()
@@ -283,9 +267,6 @@ fn parse_cli() -> Cli {
     }
     if let Some(e) = cli.engine {
         cli.gpu.engine = e;
-    }
-    if let Some(n) = cli.sm_threads {
-        cli.gpu.sm_threads = n;
     }
     // After the loop so it composes with --gpu in any order.
     if cli.profile {

@@ -11,6 +11,10 @@
 //! 2. **Diagnosability** — kernels that genuinely hang (SIMT-induced
 //!    deadlock, a lock nobody releases, a mistuned BOWS back-off) produce a
 //!    classified [`HangReport`] instead of a bare timeout.
+//!
+//! A third section pins which fault a run reports, and what it leaves in
+//! global memory, when several instructions fault in one cycle: the first
+//! in issue order — lower SM id, then lower scheduler unit.
 
 use bows_sim::prelude::*;
 use simt_core::StaticSibDetector;
@@ -403,6 +407,170 @@ fn chaos_changes_timing_never_architectural_results() {
             });
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Fault precedence. The kernels below derive every wild address from the
+// `clock` register, so a `DeviceFault`'s address names the cycle it was
+// computed in: equal errors mean equal cycles.
+// ---------------------------------------------------------------------
+
+/// Base of the wild addresses: word-aligned, past every allocation.
+const WILD: u64 = 0x00f0_0000;
+
+/// Run `src` on a `num_sms`-SM machine over a fresh 64-word buffer whose
+/// address is parameter 0 (`param1` is parameter 1) until it faults, under
+/// both engines; the error and the buffer afterwards, which the engines
+/// must agree on.
+fn fault_of(src: &str, num_sms: usize, launch: (usize, usize), param1: u32) -> (SimError, Vec<u32>) {
+    let kernel = assemble(src).unwrap();
+    let under = |engine: Engine| {
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.num_sms = num_sms;
+        cfg.engine = engine;
+        let mut gpu = Gpu::new(cfg);
+        let buf = gpu.mem_mut().gmem_mut().alloc(64);
+        assert!(gpu.mem().gmem().allocated_bytes() < WILD);
+        let launch = LaunchSpec {
+            grid_ctas: launch.0,
+            threads_per_cta: launch.1,
+            params: vec![buf as u32, param1],
+        };
+        let err = gpu
+            .run_baseline(&kernel, &launch, BasePolicy::Lrr)
+            .expect_err("the kernel faults");
+        (err, gpu.mem().gmem().read_vec(buf, 64))
+    };
+    let cycle = under(Engine::Cycle);
+    assert_eq!(under(Engine::Skip), cycle, "the engines disagree on a fault");
+    cycle
+}
+
+/// The SM, pc and address of a `DeviceFault`.
+fn device_fault(e: &SimError) -> (usize, usize, u64) {
+    match e {
+        SimError::DeviceFault { sm, pc, fault } => {
+            assert!(!fault.unaligned && fault.addr >= WILD, "{fault}");
+            (*sm, *pc, fault.addr)
+        }
+        other => panic!("expected a DeviceFault, got {other}"),
+    }
+}
+
+/// Two SMs run one warp each in lockstep and issue a `st.global` whose
+/// lanes 5.. are wild in the same cycle: the fault names SM 0, its five
+/// lanes before the faulting one are in memory, and nothing of SM 1 is.
+/// With SM 0's store made valid (parameter 1), SM 1 faults at the same
+/// address — the same cycle — after SM 0's whole row went in.
+#[test]
+fn of_two_sms_faulting_in_one_cycle_the_lower_id_is_reported() {
+    let src = r#"
+        .kernel wild_store
+        .regs 10
+        .params 2
+            ld.param r1, [0]
+            ld.param r8, [4]          ; first SM whose store goes wild
+            mov r2, %smid
+            mov r3, %tid
+            shl r4, r3, 2
+            shl r5, r2, 7
+            add r1, r1, r4
+            add r1, r1, r5            ; &buf[32 * smid + tid]
+            clock r6
+            shl r6, r6, 2
+            add r6, r6, 0x00f00000
+            setp.ge.u32 p1, r3, 5
+            setp.ge.u32 p2, r2, r8
+            pand p1, p1, p2
+        @p1 mov r1, r6                ; lanes 5.. of a wild SM
+            add r7, r2, 7
+            st.global [r1], r7
+            exit
+    "#;
+    let (err, buf) = fault_of(src, 2, (2, 32), 0);
+    let (sm, pc, addr) = device_fault(&err);
+    assert_eq!((sm, pc), (0, 16));
+    assert_eq!(buf[..5], [7; 5], "SM 0's lanes before the faulting one");
+    assert_eq!(buf[5..], [0; 59], "no later lane, and nothing of SM 1");
+
+    let (err, buf) = fault_of(src, 2, (2, 32), 1);
+    assert_eq!(device_fault(&err), (1, 16, addr), "SM 1 stored in that same cycle");
+    assert_eq!(buf[..32], [7; 32]);
+    assert_eq!(buf[32..37], [8; 5]);
+    assert_eq!(buf[37..], [0; 27]);
+}
+
+/// One SM, one warp on each of its two scheduler units, in lockstep: in
+/// the same cycle one warp issues a wild `st.global` (a `DeviceFault`)
+/// and the other a `st.shared` past the CTA's allocation (an
+/// `InternalInvariant`). Unit 0 issues first, so its error is the run's,
+/// whichever of the two it is; and a unit-1 store is never issued.
+#[test]
+fn of_two_units_faulting_in_one_cycle_unit_0_is_reported() {
+    let src = r#"
+        .kernel two_faults
+        .regs 10
+        .params 2
+        .shared 1
+            ld.param r1, [0]
+            ld.param r8, [4]          ; the warp that stores to shared
+            mov r2, %warpid
+            mov r3, %tid
+            shl r4, r3, 2
+            add r1, r1, r4            ; &buf[tid]
+            clock r6
+            shl r6, r6, 2
+            add r6, r6, 0x00f00000
+            and r5, r3, 31
+            setp.ge.u32 p1, r5, 5
+        @p1 mov r1, r6                ; lanes 5.. of either warp go wild
+            setp.eq.u32 p2, r2, r8
+        @p2 bra SHARED
+            st.global [r1], r3
+            exit
+        SHARED:
+            st.shared [4096], r3
+            exit
+    "#;
+    let (err, buf) = fault_of(src, 1, (1, 64), 1);
+    let (sm, pc, _) = device_fault(&err);
+    assert_eq!((sm, pc), (0, 14));
+    assert_eq!(buf[..5], [0, 1, 2, 3, 4], "unit 0's lanes before the faulting one");
+    assert_eq!(buf[5..], [0; 59]);
+
+    let (err, buf) = fault_of(src, 1, (1, 64), 0);
+    assert!(
+        matches!(&err, SimError::InternalInvariant { what } if what.contains("pc 16: st.shared")),
+        "{err}"
+    );
+    assert_eq!(buf, [0; 64], "unit 1's store was not issued");
+}
+
+/// A wild `ld.global` and a wild `atom.global` are each reported at their
+/// own pc (parameter 1 picks the one that runs).
+#[test]
+fn wild_loads_and_atomics_report_their_own_pc() {
+    let src = r#"
+        .kernel wild_read
+        .regs 8
+        .params 2
+            ld.param r2, [4]
+            clock r1
+            shl r1, r1, 2
+            add r1, r1, 0x00f00000
+            setp.eq.u32 p1, r2, 0
+        @p1 bra ATOM
+            ld.global r3, [r1]
+            exit
+        ATOM:
+            atom.global.add r3, [r1], 1
+            exit
+    "#;
+    let (load, _) = fault_of(src, 1, (1, 32), 1);
+    let (atom, _) = fault_of(src, 1, (1, 32), 0);
+    let (_, load_pc, addr) = device_fault(&load);
+    assert_eq!(load_pc, 6);
+    assert_eq!(device_fault(&atom), (0, 8, addr));
 }
 
 /// A sync-free helper kernel: every thread bumps its own word 100 times,

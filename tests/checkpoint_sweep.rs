@@ -1,7 +1,7 @@
 //! Checkpoint/resume invariance across the full 22-kernel corpus.
 //!
-//! For every workload, under both engines and every SM worker count, the
-//! three-run pattern must hold stage by stage:
+//! For every workload, under both engines, the three-run pattern must hold
+//! stage by stage:
 //!
 //! 1. **reference** — an uninterrupted run;
 //! 2. **checkpointing** — the same run taking periodic snapshots must be
@@ -26,11 +26,10 @@ struct StageOutcome {
     report: KernelReport,
 }
 
-fn config(engine: Engine, sm_threads: usize) -> GpuConfig {
+fn config(engine: Engine) -> GpuConfig {
     let mut cfg = GpuConfig::test_tiny();
     cfg.num_sms = 4;
     cfg.engine = engine;
-    cfg.sm_threads = sm_threads;
     cfg
 }
 
@@ -112,14 +111,12 @@ fn assert_stages_eq(tag: &str, a: &[StageOutcome], b: &[StageOutcome]) {
     }
 }
 
-/// The full three-run pattern for one workload under one (engine,
-/// sm_threads) cell.
+/// The full three-run pattern for one workload under one engine.
 fn check_workload(cfg: &GpuConfig, w: &dyn Workload, bows: bool) {
     let tag = format!(
-        "{} ({:?}, {} sm-threads{})",
+        "{} ({:?}{})",
         w.name(),
         cfg.engine,
-        cfg.sm_threads,
         if bows { ", bows" } else { "" }
     );
 
@@ -158,9 +155,7 @@ fn check_workload(cfg: &GpuConfig, w: &dyn Workload, bows: bool) {
 
 fn sweep(suite: &[Box<dyn Workload>], engine: Engine, bows: bool) {
     for w in suite {
-        for sm_threads in [1usize, 2, 8] {
-            check_workload(&config(engine, sm_threads), w.as_ref(), bows);
-        }
+        check_workload(&config(engine), w.as_ref(), bows);
     }
 }
 
@@ -199,7 +194,7 @@ fn settle_is_transparent_at_any_cycle() {
     let run = |engine: Engine, every: u64| {
         let mut snapshots = 0u64;
         let snap_stage = (every > 0).then_some(0);
-        let cfg = config(engine, 1);
+        let cfg = config(engine);
         let (out, image, _, _) = run_stages_into(
             &cfg,
             ht.as_ref(),
@@ -274,7 +269,7 @@ fn check_probe(probe: &Probe, delay: Option<DelayMode>) -> KernelReport {
         let mut hashes = Vec::new();
         let mut kept = Vec::new();
         let (mut out, image, _, _) = run_stages_into(
-            &config(engine, 1),
+            &config(engine),
             probe,
             delay,
             (every > 0).then_some(0),

@@ -53,39 +53,6 @@ fn parallel_grid_output_is_byte_identical_to_serial() {
     }
 }
 
-/// The in-run SM worker count (`GpuConfig::sm_threads`) must be
-/// observationally invisible: a contended cell on a full 15-SM GTX480 —
-/// CTA refill, cross-SM lock traffic, BOWS back-off, and the adaptive
-/// window all active — produces bit-equal cycles, statistics, and energy
-/// at 1, 2, and 8 workers under both engines. (The 22-kernel corpus gets
-/// the same sweep in `tests/engine_equivalence.rs`; this cell is the
-/// big-machine probe.)
-#[test]
-fn sm_thread_count_is_observationally_invariant() {
-    for engine in [Engine::Cycle, Engine::Skip] {
-        let mut cfg = GpuConfig::gtx480();
-        cfg.engine = engine;
-        cfg.sm_threads = 1;
-        let ht = Hashtable::with_params(256, 2, 8, 64);
-        let sched = SchedConfig::bows_adaptive(BasePolicy::Gto);
-        let reference = experiments::run(&cfg, &ht, sched).expect("serial run");
-        assert!(reference.verified.is_ok(), "{engine:?}");
-        for threads in [2usize, 8] {
-            cfg.sm_threads = threads;
-            let run = experiments::run(&cfg, &ht, sched).expect("parallel run");
-            assert!(run.verified.is_ok(), "{engine:?} at {threads} sm-threads");
-            assert_eq!(run.cycles, reference.cycles, "{engine:?} at {threads} sm-threads");
-            assert_eq!(run.sim, reference.sim, "{engine:?} at {threads} sm-threads");
-            assert_eq!(run.mem, reference.mem, "{engine:?} at {threads} sm-threads");
-            assert_eq!(
-                run.dynamic_j.to_bits(),
-                reference.dynamic_j.to_bits(),
-                "{engine:?} at {threads} sm-threads"
-            );
-        }
-    }
-}
-
 /// Regression guard for the scratch-buffer/completion-sink rework: two
 /// fresh runs of the same contended cell (BOWS exercises the backed-off
 /// queue, the hashtable exercises atomics and the L1/partition skip
