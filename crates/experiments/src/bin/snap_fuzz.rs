@@ -74,9 +74,7 @@ fn run(gpu: &mut Gpu, kernel: &Kernel, launch: &LaunchSpec, ctl: Option<Checkpoi
         kernel,
         launch,
         &|| BasePolicy::Gto.build(50_000),
-        &|k: &Kernel| -> Box<dyn simt_core::SpinDetector> {
-            Box::new(simt_core::StaticSibDetector::new(k.true_sibs.clone()))
-        },
+        &simt_core::static_sib_detector,
         ctl,
     )
 }

@@ -444,7 +444,7 @@ pub fn run_sim_cell(
             if k.true_sibs.is_empty() {
                 Box::new(simt_core::NullDetector)
             } else {
-                Box::new(simt_core::StaticSibDetector::new(k.true_sibs.clone()))
+                simt_core::static_sib_detector(k)
             }
         })
     }

@@ -19,13 +19,11 @@ pub mod fuzz;
 pub mod grid;
 pub mod mutants;
 pub mod oracle;
-pub mod report;
 
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
-use simt_core::{BasePolicy, Engine, GpuConfig, ProfileReport, SimError};
+use simt_core::{BasePolicy, Engine, GpuConfig, SimError};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU8, Ordering};
 use workloads::{run_workload, Scale, Workload, WorkloadResult};
 
 /// Process-global `--engine` override (mirrors [`grid::set_jobs`]): the
@@ -59,38 +57,6 @@ pub fn apply_engine(cfg: &mut GpuConfig) {
     if let Some(e) = engine_override() {
         cfg.engine = e;
     }
-}
-
-/// Process-global `--profile` switch (mirrors [`set_engine`]): when on,
-/// every configuration [`run`] builds has `GpuConfig::profile` set and
-/// each finished run's phase breakdown is folded into a global
-/// accumulator (simulation grids run cells on worker threads, so the fold
-/// must be a shared sink rather than a return value).
-static PROFILE: AtomicBool = AtomicBool::new(false);
-
-/// Accumulated phase breakdown of every profiled run since the last
-/// [`take_profile_totals`], over all grid workers.
-static PROFILE_TOTALS: Mutex<Option<ProfileReport>> = Mutex::new(None);
-
-/// Turn process-global profiling on or off.
-pub fn set_profile(on: bool) {
-    PROFILE.store(on, Ordering::Relaxed);
-}
-
-/// True when `--profile` is in effect.
-pub fn profile_enabled() -> bool {
-    PROFILE.load(Ordering::Relaxed)
-}
-
-/// Drain the accumulated phase totals (`None` when no profiled run has
-/// finished since the last drain).
-pub fn take_profile_totals() -> Option<ProfileReport> {
-    PROFILE_TOTALS.lock().expect("profile totals poisoned").take()
-}
-
-fn fold_profile(p: &ProfileReport) {
-    let mut g = PROFILE_TOTALS.lock().expect("profile totals poisoned");
-    g.get_or_insert_with(ProfileReport::default).add(p);
 }
 
 /// Scheduling configuration under test: a baseline policy, optionally
@@ -154,11 +120,9 @@ pub fn run(
 ) -> Result<WorkloadResult, SimError> {
     let override_storage;
     let engine = engine_override().unwrap_or(cfg.engine);
-    let profile = profile_enabled() || cfg.profile;
-    let cfg = if engine != cfg.engine || profile != cfg.profile {
+    let cfg = if engine != cfg.engine {
         override_storage = GpuConfig {
             engine,
-            profile,
             ..cfg.clone()
         };
         &override_storage
@@ -180,13 +144,6 @@ pub fn run(
             sched.label()
         );
     }
-    if profile {
-        for s in &res.stages {
-            if let Some(p) = &s.report.profile {
-                fold_profile(p);
-            }
-        }
-    }
     Ok(res)
 }
 
@@ -202,7 +159,7 @@ pub struct Opts {
 }
 
 const USAGE: &str = "flags: --scale tiny|small|full   --csv   --jobs <n>   \
-     --engine cycle|skip   --profile";
+     --engine cycle|skip";
 
 /// Print `msg` and the usage line to stderr, then exit with status 2.
 /// Experiment sweeps must fail loudly on a malformed invocation — silently
@@ -256,7 +213,6 @@ impl Opts {
                         _ => usage_error(&format!("invalid --jobs value `{v}`")),
                     }
                 }
-                "--profile" => set_profile(true),
                 "--help" | "-h" => {
                     println!("{USAGE}");
                     std::process::exit(0);

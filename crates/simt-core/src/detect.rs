@@ -86,6 +86,13 @@ impl SpinDetector for StaticSibDetector {
     }
 }
 
+/// The [`StaticSibDetector`] of a kernel's `!sib` annotations — the
+/// detector factory of every run that takes the programmer's word for its
+/// spin branches instead of detecting them.
+pub fn static_sib_detector(k: &simt_isa::Kernel) -> Box<dyn SpinDetector> {
+    Box::new(StaticSibDetector::new(k.true_sibs.clone()))
+}
+
 /// Detector that never classifies anything (baseline schedulers without
 /// BOWS use this).
 #[derive(Debug, Clone, Default)]

@@ -1,7 +1,7 @@
 //! GPU top level: CTA dispatch, the main cycle loop, run reports.
 
 use crate::cancel::{CancelCause, CancelToken};
-use crate::detect::{BranchLog, NullDetector, SpinDetector, StaticSibDetector};
+use crate::detect::{static_sib_detector, BranchLog, NullDetector, SpinDetector};
 use crate::sched::{BasePolicy, SchedulerPolicy};
 use crate::pool::SmPool;
 use crate::sm::{LaunchCtx, Sm, SmProf, SnapLimits};
@@ -401,7 +401,7 @@ impl Gpu {
                 if k.true_sibs.is_empty() {
                     Box::new(NullDetector)
                 } else {
-                    Box::new(StaticSibDetector::new(k.true_sibs.clone()))
+                    static_sib_detector(k)
                 }
             },
         )
@@ -1528,7 +1528,7 @@ mod tests {
                     if k.true_sibs.is_empty() {
                         Box::new(NullDetector)
                     } else {
-                        Box::new(StaticSibDetector::new(k.true_sibs.clone()))
+                        static_sib_detector(k)
                     }
                 },
                 Some(CheckpointCtl {
@@ -1557,7 +1557,7 @@ mod tests {
                     if k.true_sibs.is_empty() {
                         Box::new(NullDetector)
                     } else {
-                        Box::new(StaticSibDetector::new(k.true_sibs.clone()))
+                        static_sib_detector(k)
                     }
                 },
                 Some(CheckpointCtl {

@@ -58,7 +58,9 @@ mod watchdog;
 
 pub use cancel::{CancelCause, CancelToken};
 pub use config::{Engine, GpuConfig, Latencies};
-pub use detect::{BranchLog, BranchTimeline, NullDetector, SpinDetector, StaticSibDetector};
+pub use detect::{
+    static_sib_detector, BranchLog, BranchTimeline, NullDetector, SpinDetector, StaticSibDetector,
+};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use gpu::{
     CheckpointCtl, DetectorFactory, Gpu, KernelReport, LaunchSpec, PolicyFactory, ProfileReport,

@@ -18,6 +18,7 @@
 //! (16 KiB of headers, 1 MiB of body), so a slow or hostile client costs
 //! one blocked thread, not the service.
 
+use crate::json::error_body;
 use crate::request::SimRequest;
 use crate::service::{Response, Service};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -199,23 +200,12 @@ fn write_response(
     let _ = stream.flush();
 }
 
-fn error_json(kind: &str, message: &str) -> String {
-    crate::json::Json::Obj(vec![(
-        "error".into(),
-        crate::json::Json::Obj(vec![
-            ("kind".into(), crate::json::Json::Str(kind.into())),
-            ("message".into(), crate::json::Json::Str(message.into())),
-        ]),
-    )])
-    .render()
-}
-
 fn handle_connection(mut stream: TcpStream, service: &Service) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(30)));
     let request = match read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
-            write_response(&mut stream, 400, &error_json("bad_request", &e), &[]);
+            write_response(&mut stream, 400, &error_body("bad_request", &e), &[]);
             return;
         }
     };
@@ -224,7 +214,7 @@ fn handle_connection(mut stream: TcpStream, service: &Service) {
             let req = match SimRequest::from_json(&request.body) {
                 Ok(r) => r,
                 Err(e) => {
-                    write_response(&mut stream, 400, &error_json("bad_request", &e), &[]);
+                    write_response(&mut stream, 400, &error_body("bad_request", &e), &[]);
                     return;
                 }
             };
@@ -261,12 +251,12 @@ fn handle_connection(mut stream: TcpStream, service: &Service) {
             write_response(
                 &mut stream,
                 405,
-                &error_json("method_not_allowed", "wrong method for this path"),
+                &error_body("method_not_allowed", "wrong method for this path"),
                 &[],
             );
         }
         _ => {
-            write_response(&mut stream, 404, &error_json("not_found", "no such route"), &[]);
+            write_response(&mut stream, 404, &error_body("not_found", "no such route"), &[]);
         }
     }
 }

@@ -322,7 +322,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 // ---------------------------------------------------------------------------
 // Serializers for the simulator's structures (shared by the service, the
-// load generator, and `bows-run --timeout-wall`).
+// load generator, and `bows-run --format json`).
 // ---------------------------------------------------------------------------
 
 use simt_core::{HangReport, KernelReport, SimError, SimStats, WarpSnapshot};
@@ -425,6 +425,20 @@ pub fn sim_error_json(e: &SimError) -> Json {
         fields.push(("hang", hang_report_json(report)));
     }
     obj(fields)
+}
+
+/// The one error envelope: `{"error":{"kind":..,"message":..}}`, rendered.
+/// Every error body the service writes that is not a [`SimError`] — HTTP
+/// rejections, admission refusals, worker loss, assembly errors — is this.
+pub fn error_body(kind: &str, message: &str) -> String {
+    obj(vec![(
+        "error",
+        obj(vec![
+            ("kind", Json::Str(kind.into())),
+            ("message", Json::Str(message.into())),
+        ]),
+    )])
+    .render()
 }
 
 /// A lint [`Witness`](simt_analyze::Witness) as a tagged JSON object: the

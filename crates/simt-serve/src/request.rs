@@ -7,7 +7,7 @@
 //! a single output byte must feed the key; the cache-soundness tests in
 //! `tests/cache_key.rs` hold this to account.
 
-use crate::json::{kernel_report_json, sim_error_json, Json};
+use crate::json::{error_body, kernel_report_json, sim_error_json, Json};
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
 use simt_core::{BasePolicy, CancelToken, CheckpointCtl, Engine, Gpu, GpuConfig, LaunchSpec, SimError};
 use simt_mem::ChaosConfig;
@@ -408,15 +408,7 @@ fn attempt_once(
     let kernel = match simt_isa::asm::assemble(&req.kernel) {
         Ok(k) => k,
         Err(e) => {
-            let body = Json::Obj(vec![(
-                "error".into(),
-                Json::Obj(vec![
-                    ("kind".into(), Json::Str("asm_error".into())),
-                    ("message".into(), Json::Str(e.to_string())),
-                ]),
-            )])
-            .render();
-            return Ok(RunOutcome::SimError(body));
+            return Ok(RunOutcome::SimError(error_body("asm_error", &e.to_string())));
         }
     };
     let mut gpu = Gpu::new(req.gpu_config());
@@ -470,10 +462,7 @@ fn attempt_once(
         let det = bows::ddos_factory(DdosConfig::default(), warps);
         gpu.run_with_checkpoints(&kernel, &launch, &policy, &det, ctl)
     } else {
-        let det = |k: &simt_isa::Kernel| -> Box<dyn simt_core::SpinDetector> {
-            Box::new(simt_core::StaticSibDetector::new(k.true_sibs.clone()))
-        };
-        gpu.run_with_checkpoints(&kernel, &launch, &policy, &det, ctl)
+        gpu.run_with_checkpoints(&kernel, &launch, &policy, &simt_core::static_sib_detector, ctl)
     };
     Ok(match result {
         Ok(report) => {

@@ -17,7 +17,7 @@
 use crate::admission::{Admission, AdmissionConfig, Refusal};
 use crate::cache::{Lookup, ResultCache};
 use crate::chaos::{ServiceChaos, StoreFault};
-use crate::json::Json;
+use crate::json::{error_body, Json};
 use crate::pool::{execute_supervised, JobResult, PoolConfig, PoolCounters};
 use crate::request::SimRequest;
 use crate::store::DurableStore;
@@ -409,17 +409,6 @@ fn lint_reject_body(insts: &[simt_isa::Inst], diags: &[simt_analyze::Diagnostic]
                 "diagnostics".into(),
                 crate::json::diagnostics_json(insts, diags),
             ),
-        ]),
-    )])
-    .render()
-}
-
-fn error_body(kind: &str, message: &str) -> String {
-    Json::Obj(vec![(
-        "error".into(),
-        Json::Obj(vec![
-            ("kind".into(), Json::Str(kind.into())),
-            ("message".into(), Json::Str(message.into())),
         ]),
     )])
     .render()

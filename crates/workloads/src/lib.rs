@@ -332,7 +332,7 @@ pub fn run_baseline(
             if k.true_sibs.is_empty() {
                 Box::new(simt_core::NullDetector)
             } else {
-                Box::new(simt_core::StaticSibDetector::new(k.true_sibs.clone()))
+                simt_core::static_sib_detector(k)
             }
         },
     )

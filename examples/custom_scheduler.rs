@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &cfg,
         &atm,
         &|| Box::new(XorShift::new()),
-        &|k| Box::new(simt_core::StaticSibDetector::new(k.true_sibs.clone())),
+        &simt_core::static_sib_detector,
     )?;
     custom.verified.as_ref().map_err(|e| e.clone())?;
     rows.push(("xorshift".into(), custom.cycles, custom.sim.thread_inst));

@@ -4,8 +4,7 @@
 # Usage: ./run_experiments.sh [--scale tiny|small|full] [--jobs <n>]
 #
 # The binary list is derived from crates/experiments/src/bin/*.rs so it
-# cannot drift from the actual regenerators (bench_report is the tracked
-# performance harness, not a figure, and is skipped). Exits non-zero on a
+# cannot drift from the actual regenerators. Exits non-zero on a
 # malformed invocation, a build failure, or any failing experiment
 # (failures are listed at the end; the remaining experiments still run).
 set -euo pipefail
@@ -41,11 +40,11 @@ done
 bins=()
 for src in crates/experiments/src/bin/*.rs; do
     bin=$(basename "$src" .rs)
-    # bench_report is the tracked-performance harness, crash_drill and
-    # snap_fuzz are the CI crash-recovery/fuzz drills (seeded, no --scale),
-    # and hotpath_bench is a wall-clock microbenchmark (nondeterministic
-    # output that would churn results/); none of them regenerate a figure.
-    [[ $bin == bench_report || $bin == crash_drill || $bin == snap_fuzz || $bin == hotpath_bench ]] && continue
+    # crash_drill and snap_fuzz are the CI crash-recovery/fuzz drills
+    # (seeded, no --scale), and hotpath_bench is a wall-clock microbenchmark
+    # (nondeterministic output that would churn results/); none of them
+    # regenerate a figure.
+    [[ $bin == crash_drill || $bin == snap_fuzz || $bin == hotpath_bench ]] && continue
     bins+=("$bin")
 done
 ((${#bins[@]} >= 17)) || { echo "error: expected >=17 experiment binaries, found ${#bins[@]}" >&2; exit 1; }

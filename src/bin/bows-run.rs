@@ -11,9 +11,13 @@
 //!   initialized device buffer and pass its base address.
 //!
 //! `--dump <i>:<len>` prints the first `len` words of the buffer passed in
-//! parameter slot `i` after the run.
+//! parameter slot `i` after the run. `--format json` prints, instead of the
+//! report, the one-line body `simt_serve::run_request` returns for the
+//! same launch.
 
 use bows_sim::prelude::*;
+use simt_serve::json::{error_body, kernel_report_json, sim_error_json};
+use simt_serve::Json;
 use std::process::ExitCode;
 
 struct Cli {
@@ -68,8 +72,8 @@ fn usage() -> ! {
          (fetch/issue/execute/mem-cycle/skip-horizon, and what the\n\
          remaining `other` is made of), the share of SM-cycles the skip\n\
          engine slept through and the warps classified per SM-cycle run,\n\
-         printed after the run report; with --format json the breakdown is also\n\
-         emitted as one JSON object. Purely observational: simulated\n\
+         printed after the run report; with --format json the breakdown is\n\
+         one JSON object on a second line. Purely observational: simulated\n\
          results are bit-identical with and without it.\n\
          \n\
          --engine picks the main-loop time-advance strategy: `skip`\n\
@@ -98,7 +102,13 @@ fn usage() -> ! {
          --format json emits the diagnostics as one structured JSON\n\
          object (severity, lint name, pc/line span, machine-readable\n\
          witness) — the same payload the service's pre-admission lint\n\
-         returns in its 422 bodies."
+         returns in its 422 bodies.\n\
+         \n\
+         --format json on a run prints one JSON line on stdout instead\n\
+         of the report: the body the simulation service answers the same\n\
+         launch with — the kernel report and --dump words on success,\n\
+         {{\"error\":{{\"kind\",\"message\",..}}}} on a failed simulation (exit\n\
+         statuses are the same in both formats)."
     );
     std::process::exit(2);
 }
@@ -293,7 +303,7 @@ fn lint_file(path: &str, src: &str, as_json: bool) -> ExitCode {
     };
     let analysis = simt_analyze::analyze_insts(&raw.insts);
     if as_json {
-        use simt_serve::json::{diagnostics_json, Json};
+        use simt_serve::json::diagnostics_json;
         let doc = Json::Obj(vec![
             ("kernel".into(), Json::Str(raw.name.clone())),
             ("instructions".into(), Json::UInt(raw.insts.len() as u64)),
@@ -353,6 +363,24 @@ fn read_snapshot(path: &str) -> Result<Vec<u8>, String> {
     bows_sim::snap::decode_envelope(&bytes).map(<[u8]>::to_vec).map_err(|e| format!("{path}: {e}"))
 }
 
+/// `--profile --format json`: the phase breakdown as one JSON object.
+fn profile_json(p: &simt_core::ProfileReport) -> Json {
+    let mut fields: Vec<(String, Json)> = p
+        .phases()
+        .iter()
+        .map(|&(name, ns)| (format!("{name}_ns"), Json::UInt(ns)))
+        .collect();
+    fields.push(("other_ns".into(), Json::UInt(p.other_ns())));
+    for (name, ns) in p.other_breakdown() {
+        fields.push((format!("other_{name}_ns"), Json::UInt(ns)));
+    }
+    fields.push(("total_ns".into(), Json::UInt(p.total_ns)));
+    fields.push(("sm_cycles_run".into(), Json::UInt(p.sm_cycles_run)));
+    fields.push(("sm_cycles_slept".into(), Json::UInt(p.sm_cycles_slept)));
+    fields.push(("warps_classified".into(), Json::UInt(p.warps_classified)));
+    Json::Obj(vec![("profile".into(), Json::Obj(fields))])
+}
+
 fn main() -> ExitCode {
     let cli = parse_cli();
     let src = match std::fs::read_to_string(&cli.kernel_path) {
@@ -368,7 +396,11 @@ fn main() -> ExitCode {
     let kernel = match assemble(&src) {
         Ok(k) => k,
         Err(e) => {
-            eprintln!("{}: {e}", cli.kernel_path);
+            if cli.format_json {
+                println!("{}", error_body("asm_error", &e.to_string()));
+            } else {
+                eprintln!("{}: {e}", cli.kernel_path);
+            }
             return ExitCode::FAILURE;
         }
     };
@@ -452,10 +484,7 @@ fn main() -> ExitCode {
             let det = bows_sim::bows::ddos_factory(DdosConfig::default(), warps);
             gpu.run_with_checkpoints(&kernel, &launch, &policy, &det, ctl)
         } else {
-            let det = |k: &simt_isa::Kernel| -> Box<dyn simt_core::SpinDetector> {
-                Box::new(simt_core::StaticSibDetector::new(k.true_sibs.clone()))
-            };
-            gpu.run_with_checkpoints(&kernel, &launch, &policy, &det, ctl)
+            gpu.run_with_checkpoints(&kernel, &launch, &policy, &simt_core::static_sib_detector, ctl)
         };
         match result {
             Ok(r) => r,
@@ -466,12 +495,11 @@ fn main() -> ExitCode {
                 // from "kernel is broken". When checkpointing was on, the
                 // last completed snapshot rides along so the caller can
                 // pick the run back up with --resume.
-                let mut fields = vec![("error".into(), simt_serve::json::sim_error_json(&e))];
+                let mut fields = vec![("error".into(), sim_error_json(&e))];
                 if let Some(p) = &last_ckpt {
-                    fields.push(("checkpoint".into(), simt_serve::Json::Str(p.display().to_string())));
+                    fields.push(("checkpoint".into(), Json::Str(p.display().to_string())));
                 }
-                let body = simt_serve::Json::Obj(fields);
-                println!("{}", body.render());
+                println!("{}", Json::Obj(fields).render());
                 return ExitCode::from(3);
             }
             Err(e @ SimError::Snapshot { .. }) => {
@@ -483,14 +511,32 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
             Err(e) => {
-                eprintln!("simulation failed: {e}");
-                if let Some(report) = e.hang_report() {
-                    eprintln!("{report}");
+                if cli.format_json {
+                    println!("{}", Json::Obj(vec![("error".into(), sim_error_json(&e))]).render());
+                } else {
+                    eprintln!("simulation failed: {e}");
+                    if let Some(report) = e.hang_report() {
+                        eprintln!("{report}");
+                    }
                 }
                 return ExitCode::FAILURE;
             }
         }
     };
+    // `parse_cli` checked that every dumped slot is a large-enough buffer.
+    let dumps: Vec<(usize, Vec<u32>)> = cli
+        .dumps
+        .iter()
+        .filter_map(|&(slot, len)| Some((slot, gpu.mem().gmem().read_vec(bases[slot]?, len))))
+        .collect();
+    if cli.format_json {
+        // The bytes `simt_serve::run_request` answers the same launch with.
+        println!("{}", kernel_report_json(&report, &dumps).render());
+        if let Some(p) = &report.profile {
+            println!("{}", profile_json(p).render());
+        }
+        return ExitCode::SUCCESS;
+    }
 
     println!("kernel      : {} ({} instructions)", kernel.name, kernel.static_len());
     println!("gpu         : {}", gpu.cfg.name);
@@ -532,23 +578,6 @@ fn main() -> ExitCode {
             100.0 * p.slept_share(),
             p.classified_per_cycle()
         );
-        if cli.format_json {
-            let mut fields: Vec<(String, simt_serve::Json)> = p
-                .phases()
-                .iter()
-                .map(|&(name, ns)| (format!("{name}_ns"), simt_serve::Json::UInt(ns)))
-                .collect();
-            fields.push(("other_ns".into(), simt_serve::Json::UInt(p.other_ns())));
-            for (name, ns) in p.other_breakdown() {
-                fields.push((format!("other_{name}_ns"), simt_serve::Json::UInt(ns)));
-            }
-            fields.push(("total_ns".into(), simt_serve::Json::UInt(p.total_ns)));
-            fields.push(("sm_cycles_run".into(), simt_serve::Json::UInt(p.sm_cycles_run)));
-            fields.push(("sm_cycles_slept".into(), simt_serve::Json::UInt(p.sm_cycles_slept)));
-            fields.push(("warps_classified".into(), simt_serve::Json::UInt(p.warps_classified)));
-            let doc = simt_serve::Json::Obj(vec![("profile".into(), simt_serve::Json::Obj(fields))]);
-            println!("{}", doc.render());
-        }
     }
     if gpu.cfg.mem.chaos.enabled() {
         let c = gpu.mem().chaos_stats();
@@ -566,12 +595,8 @@ fn main() -> ExitCode {
     if !report.confirmed_sibs.is_empty() {
         println!("DDOS        : spin-inducing branches {:?}", report.confirmed_sibs);
     }
-    for &(slot, len) in &cli.dumps {
-        // `parse_cli` checked that every dumped slot is a large-enough buffer.
-        if let Some(base) = bases[slot] {
-            let vals = gpu.mem().gmem().read_vec(base, len);
-            println!("param[{slot}][0..{len}] = {vals:?}");
-        }
+    for (slot, vals) in &dumps {
+        println!("param[{slot}][0..{}] = {vals:?}", vals.len());
     }
     ExitCode::SUCCESS
 }

@@ -17,7 +17,6 @@
 //! in issue order — lower SM id, then lower scheduler unit.
 
 use bows_sim::prelude::*;
-use simt_core::StaticSibDetector;
 use simt_isa::Kernel;
 
 /// The chaos seeds every robustness test sweeps. Three distinct streams is
@@ -327,9 +326,7 @@ fn mistuned_backoff_is_classified_as_backoff_starvation() {
     let policy =
         bows_sim::bows::policy_factory(BasePolicy::Gto, Some(DelayMode::Fixed(1_000_000)), rotate);
     let err = gpu
-        .run(&kernel, &launch, &policy, &|k: &Kernel| {
-            Box::new(StaticSibDetector::new(k.true_sibs.clone()))
-        })
+        .run(&kernel, &launch, &policy, &simt_core::static_sib_detector)
         .unwrap_err();
     let SimError::Deadlock { report, .. } = err else {
         panic!("expected a classified deadlock, got {err:?}");

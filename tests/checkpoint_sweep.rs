@@ -75,7 +75,7 @@ fn run_stages_into(
             if k.true_sibs.is_empty() {
                 Box::new(bows_sim::core::NullDetector)
             } else {
-                Box::new(bows_sim::core::StaticSibDetector::new(k.true_sibs.clone()))
+                bows_sim::core::static_sib_detector(k)
             }
         })
     };

@@ -6,11 +6,11 @@
 //! run, because results are reassembled in submission order and each cell
 //! simulates on its own `Gpu`. The hot-loop contract: reused scratch
 //! buffers and completion sinks carry no state between cycles or runs, so
-//! repeated runs of the same cell are bit-equal.
+//! repeated runs of the same cell are bit-equal. And the pin: the total
+//! simulated cycles of the five figure groups are constants of this file.
 
 use bows_sim::prelude::*;
 use experiments::{grid, SchedConfig};
-use workloads::sync::Hashtable;
 
 /// Serial (1 worker) vs parallel (2 and 8 workers) harness output for a
 /// real figure (Fig. 9 perf/energy over the sync suite) and a real table
@@ -73,5 +73,73 @@ fn repeated_runs_are_bit_equal() {
         assert_eq!(a.mem.lock_inter_fail, b.mem.lock_inter_fail, "{engine:?}");
         assert_eq!(a.mem.l1_hits, b.mem.l1_hits, "{engine:?}");
         assert_eq!(a.dynamic_j.to_bits(), b.dynamic_j.to_bits(), "{engine:?}");
+    }
+}
+
+/// Total simulated cycles of every (workload × sched) cell of a suite.
+fn suite_cycles(cfg: &GpuConfig, suite: &[Box<dyn Workload>], scheds: &[SchedConfig]) -> u64 {
+    experiments::run_suite_grid(cfg, suite, scheds)
+        .iter()
+        .flatten()
+        .map(|r| r.cycles)
+        .sum()
+}
+
+/// One tiny-scale pass per figure group of the paper's evaluation — Fig. 2
+/// baselines, Fig. 9 BOWS vs GTO, Fig. 14 MODULO false detections, the
+/// Fig. 16 contention sweep, the Pascal suite — as total simulated cycles.
+fn figure_group_cycles(engine: Engine, profile: bool) -> [u64; 5] {
+    let with = |mut cfg: GpuConfig| {
+        cfg.engine = engine;
+        cfg.profile = profile;
+        cfg
+    };
+    let fermi = with(GpuConfig::gtx480());
+    let gto = SchedConfig::baseline(BasePolicy::Gto);
+    let bows = SchedConfig::bows_adaptive(BasePolicy::Gto);
+
+    let baselines = [BasePolicy::Lrr, BasePolicy::Gto, BasePolicy::Cawa].map(SchedConfig::baseline);
+    let fig2 = suite_cycles(&fermi, &sync_suite(Scale::Tiny), &baselines);
+
+    let fig9 = suite_cycles(&fermi, &sync_suite(Scale::Tiny), &[gto, bows]);
+
+    let mut modulo = SchedConfig::bows(BasePolicy::Gto, DelayMode::Fixed(1000));
+    modulo.ddos.hash = HashKind::Modulo;
+    let fig14 = suite_cycles(&fermi, &rodinia_suite(Scale::Tiny), &[gto, modulo]);
+
+    let cells: Vec<(u32, u8)> = [32u32, 128, 512]
+        .iter()
+        .flat_map(|&b| (0u8..3).map(move |k| (b, k)))
+        .collect();
+    let fig16 = grid::parallel_map(&cells, |_, &(buckets, kind)| {
+        let ht = Hashtable::with_params(1024, 1, buckets, 128);
+        let res = match kind {
+            0 => experiments::run(&fermi, &ht, gto),
+            1 => experiments::run(&fermi, &ht, bows),
+            _ => experiments::run(&fermi, &ht.with_mode(HtMode::IdealNoLock), gto),
+        };
+        res.expect("fig16 cell").cycles
+    })
+    .iter()
+    .sum();
+
+    let pascal = suite_cycles(&with(GpuConfig::gtx1080ti()), &sync_suite(Scale::Tiny), &[gto]);
+
+    [fig2, fig9, fig14, fig16, pascal]
+}
+
+/// The simulator is deterministic, so the five figure-group totals move
+/// only when simulated behaviour moves: any drift fails, under either
+/// engine and with the phase profiler on (it must observe, not perturb).
+/// A change that means to move them updates the constants and says why.
+#[test]
+fn figure_group_cycle_totals_are_pinned() {
+    const PINNED: [u64; 5] = [703_492, 504_467, 50_710, 71_131, 194_969];
+    for (engine, profile) in [(Engine::Cycle, false), (Engine::Skip, false), (Engine::Skip, true)] {
+        assert_eq!(
+            figure_group_cycles(engine, profile),
+            PINNED,
+            "fig2 / fig9 / fig14 / fig16 / pascal totals drifted ({engine:?}, profile {profile})"
+        );
     }
 }

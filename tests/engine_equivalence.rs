@@ -55,7 +55,7 @@ fn captured(cfg: &GpuConfig, w: &dyn Workload, cell: Cell) -> CapturedRun {
             if k.true_sibs.is_empty() {
                 Box::new(simt_core::NullDetector)
             } else {
-                Box::new(simt_core::StaticSibDetector::new(k.true_sibs.clone()))
+                simt_core::static_sib_detector(k)
             }
         })
     };

@@ -15,8 +15,8 @@
 
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
 use bows_sim::core::{
-    BasePolicy, CheckpointCtl, DetectorFactory, Gpu, GpuConfig, NullDetector, SpinDetector,
-    StaticSibDetector,
+    static_sib_detector, BasePolicy, CheckpointCtl, DetectorFactory, Gpu, GpuConfig, NullDetector,
+    SpinDetector,
 };
 use bows_sim::isa::Kernel;
 use bows_sim::mem::ChaosConfig;
@@ -57,7 +57,7 @@ fn layout_hashes(
             if k.true_sibs.is_empty() {
                 Box::new(NullDetector)
             } else {
-                Box::new(StaticSibDetector::new(k.true_sibs.clone()))
+                static_sib_detector(k)
             }
         })
     };
