@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let opts = Opts::parse();
-    let cfg = GpuConfig::test_tiny();
+    let cfg = opts.config(GpuConfig::test_tiny());
     let mut kernels = 0usize;
     let mut failures = 0usize;
     let mut suite = workloads::sync_suite(opts.scale);

@@ -35,7 +35,7 @@ fn pcs(v: &[usize]) -> String {
 
 fn main() -> ExitCode {
     let opts = Opts::parse();
-    let cfg = GpuConfig::gtx480();
+    let cfg = opts.config(GpuConfig::gtx480());
     let mut suite = workloads::sync_suite(opts.scale);
     suite.extend(workloads::rodinia_suite(opts.scale));
     let stages = oracle_stages(&cfg, &suite);

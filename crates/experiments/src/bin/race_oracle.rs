@@ -89,7 +89,7 @@ impl Leg {
 /// and dynamically.
 fn corpus_precision(opts: &Opts) -> Leg {
     let mut leg = Leg::new("corpus-precision");
-    let cfg = GpuConfig::test_tiny();
+    let cfg = opts.config(GpuConfig::test_tiny());
     let mut suite = workloads::sync_suite(opts.scale);
     suite.extend(workloads::rodinia_suite(opts.scale));
     for w in &suite {

@@ -19,7 +19,6 @@
 use crate::{grid, SchedConfig};
 use bows::HashKind;
 use simt_core::{BasePolicy, GpuConfig, SimError};
-use simt_isa::Kernel;
 use simt_mem::ChaosConfig;
 use simt_ref::{run_ref, RefCta, RefError, RefLaunch, Writer};
 use std::collections::HashMap;
@@ -440,13 +439,7 @@ pub fn run_sim_cell(
     if sched.bows.is_some() || sched.force_ddos {
         run_workload_captured(&cfg, workload, &policy, &bows::ddos_factory(sched.ddos, warps))
     } else {
-        run_workload_captured(&cfg, workload, &policy, &|k: &Kernel| {
-            if k.true_sibs.is_empty() {
-                Box::new(simt_core::NullDetector)
-            } else {
-                simt_core::static_sib_detector(k)
-            }
-        })
+        run_workload_captured(&cfg, workload, &policy, &simt_core::baseline_detector)
     }
 }
 

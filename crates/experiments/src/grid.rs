@@ -1,6 +1,6 @@
 //! Deterministic parallel grid runner for the experiment binaries.
 //!
-//! Every figure/table binary iterates a grid of independent simulation
+//! Every figure or table iterates a grid of independent simulation
 //! cells — (workload × scheduler config), (bucket count × variant), and so
 //! on. Each cell builds its own [`simt_core::Gpu`], so cells share nothing
 //! and can run on a thread pool. Results are reassembled in **submission

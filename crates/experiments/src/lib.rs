@@ -1,12 +1,14 @@
-//! Shared harness for the per-figure/per-table experiment binaries.
+//! Shared harness for the `paper` binary (one render function per figure
+//! or table, [`paper::FIGURES`]) and the CI gates beside it.
 //!
-//! Every binary accepts:
+//! Every binary that parses [`Opts`] accepts:
 //!
 //! * `--scale tiny|small|full` — problem sizes (default `small`; `tiny` is
 //!   for smoke-testing the harness itself),
 //! * `--csv` — emit machine-readable CSV after the human-readable table,
 //! * `--jobs <n>` — worker threads for the simulation grid (default:
-//!   `BOWS_JOBS` or the machine's available parallelism).
+//!   `BOWS_JOBS` or the machine's available parallelism),
+//! * `--engine cycle|skip` — the simulator's main-loop engine.
 //!
 //! Results are printed as the same rows/series the paper's figures plot.
 //! Every grid of independent (workload × config) cells runs through
@@ -19,49 +21,19 @@ pub mod fuzz;
 pub mod grid;
 pub mod mutants;
 pub mod oracle;
+pub mod paper;
+mod table1;
+
+pub use paper::perf_energy_table;
 
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
 use simt_core::{BasePolicy, Engine, GpuConfig, SimError};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU8, Ordering};
 use workloads::{run_workload, Scale, Workload, WorkloadResult};
-
-/// Process-global `--engine` override (mirrors [`grid::set_jobs`]): the
-/// experiment binaries build their `GpuConfig`s internally per figure, so
-/// the flag is applied at the single [`run`] chokepoint rather than
-/// threaded through every signature. 0 = unset, 1 = cycle, 2 = skip.
-static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Set (or clear) the process-global engine override.
-pub fn set_engine(engine: Option<Engine>) {
-    let v = match engine {
-        None => 0,
-        Some(Engine::Cycle) => 1,
-        Some(Engine::Skip) => 2,
-    };
-    ENGINE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The engine selected by `--engine`, if any.
-pub fn engine_override() -> Option<Engine> {
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(Engine::Cycle),
-        2 => Some(Engine::Skip),
-        _ => None,
-    }
-}
-
-/// Apply the `--engine` override to a configuration in place (no-op when
-/// the flag was not given). For callers that bypass [`run`].
-pub fn apply_engine(cfg: &mut GpuConfig) {
-    if let Some(e) = engine_override() {
-        cfg.engine = e;
-    }
-}
 
 /// Scheduling configuration under test: a baseline policy, optionally
 /// wrapped in BOWS.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
     /// The baseline policy.
     pub base: BasePolicy,
@@ -118,17 +90,6 @@ pub fn run(
     w: &dyn Workload,
     sched: SchedConfig,
 ) -> Result<WorkloadResult, SimError> {
-    let override_storage;
-    let engine = engine_override().unwrap_or(cfg.engine);
-    let cfg = if engine != cfg.engine {
-        override_storage = GpuConfig {
-            engine,
-            ..cfg.clone()
-        };
-        &override_storage
-    } else {
-        cfg
-    };
     let rotate = cfg.gto_rotate_period;
     let warps = cfg.warps_per_sm();
     let policy = bows::policy_factory(sched.base, sched.bows, rotate);
@@ -156,16 +117,18 @@ pub struct Opts {
     pub csv: bool,
     /// Grid worker threads (also set globally via [`grid::set_jobs`]).
     pub jobs: usize,
+    /// `--engine`, if given; [`Opts::config`] applies it.
+    pub engine: Option<Engine>,
 }
 
 const USAGE: &str = "flags: --scale tiny|small|full   --csv   --jobs <n>   \
      --engine cycle|skip";
 
-/// Print `msg` and the usage line to stderr, then exit with status 2.
+/// Print `msg` and the usage text to stderr, then exit with status 2.
 /// Experiment sweeps must fail loudly on a malformed invocation — silently
 /// running at default settings would poison committed results.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
+fn usage_error(usage: &str, msg: &str) -> ! {
+    eprintln!("error: {msg}\n{usage}");
     std::process::exit(2);
 }
 
@@ -176,65 +139,83 @@ impl Opts {
     /// unknown flag, an unknown scale, or a flag missing its value; exits 0
     /// on `--help`.
     pub fn parse() -> Opts {
-        let mut scale = Scale::Small;
-        let mut csv = false;
+        Opts::parse_with(USAGE, |a, _| Err(format!("unknown flag `{a}` (try --help)")))
+    }
+
+    /// [`Opts::parse`] for a binary with arguments of its own: `extra` is
+    /// offered every argument the common flags do not claim, with the rest
+    /// of the command line to take a value from, and its error is a usage
+    /// error like any other.
+    pub fn parse_with(
+        usage: &str,
+        mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<(), String>,
+    ) -> Opts {
+        let mut opts = Opts::at_scale(Scale::Small);
         let mut args = std::env::args().skip(1);
+        let value = |args: &mut dyn Iterator<Item = String>, flag: &str, of: &str| {
+            args.next()
+                .unwrap_or_else(|| usage_error(usage, &format!("{flag} requires a value ({of})")))
+        };
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--scale" => {
-                    let Some(v) = args.next() else {
-                        usage_error("--scale requires a value (tiny|small|full)");
-                    };
-                    scale = match v.as_str() {
+                    opts.scale = match value(&mut args, "--scale", "tiny|small|full").as_str() {
                         "tiny" => Scale::Tiny,
                         "small" => Scale::Small,
                         "full" => Scale::Full,
-                        other => usage_error(&format!(
-                            "unknown scale `{other}` (tiny|small|full)"
-                        )),
+                        other => usage_error(
+                            usage,
+                            &format!("unknown scale `{other}` (tiny|small|full)"),
+                        ),
                     };
                 }
-                "--csv" => csv = true,
+                "--csv" => opts.csv = true,
                 "--engine" => {
-                    let Some(v) = args.next() else {
-                        usage_error("--engine requires a value (cycle|skip)");
-                    };
-                    match v.parse::<Engine>() {
-                        Ok(e) => set_engine(Some(e)),
-                        Err(()) => usage_error(&format!("unknown engine `{v}` (cycle|skip)")),
-                    }
+                    let v = value(&mut args, "--engine", "cycle|skip");
+                    opts.engine = Some(v.parse().unwrap_or_else(|()| {
+                        usage_error(usage, &format!("unknown engine `{v}` (cycle|skip)"))
+                    }));
                 }
                 "--jobs" => {
-                    let Some(v) = args.next() else {
-                        usage_error("--jobs requires a value");
-                    };
+                    let v = value(&mut args, "--jobs", "a worker count");
                     match v.parse::<usize>() {
                         Ok(n) if n >= 1 => grid::set_jobs(n),
-                        _ => usage_error(&format!("invalid --jobs value `{v}`")),
+                        _ => usage_error(usage, &format!("invalid --jobs value `{v}`")),
                     }
                 }
                 "--help" | "-h" => {
-                    println!("{USAGE}");
+                    println!("{usage}");
                     std::process::exit(0);
                 }
-                other => usage_error(&format!("unknown flag `{other}` (try --help)")),
+                other => {
+                    if let Err(msg) = extra(other, &mut args) {
+                        usage_error(usage, &msg);
+                    }
+                }
             }
         }
-        Opts {
-            scale,
-            csv,
-            jobs: grid::jobs(),
-        }
+        opts.jobs = grid::jobs();
+        opts
     }
 
     /// Options for library/test use at a given scale (CSV off, current
-    /// global worker count).
+    /// global worker count, no engine choice).
     pub fn at_scale(scale: Scale) -> Opts {
         Opts {
             scale,
             csv: false,
             jobs: grid::jobs(),
+            engine: None,
         }
+    }
+
+    /// `cfg` with the `--engine` choice applied: every `GpuConfig` a binary
+    /// simulates on goes through here, and [`run`] honours `cfg.engine`.
+    pub fn config(&self, mut cfg: GpuConfig) -> GpuConfig {
+        if let Some(e) = self.engine {
+            cfg.engine = e;
+        }
+        cfg
     }
 }
 
@@ -299,12 +280,18 @@ impl Table {
         out
     }
 
-    /// Print text, and CSV when requested.
-    pub fn emit(&self, opts: &Opts) {
-        println!("{}", self.text());
-        if opts.csv {
-            println!("CSV:\n{}", self.csv());
+    /// Text, and CSV when requested, each followed by a blank line.
+    pub fn render(&self, csv: bool) -> String {
+        let mut out = self.text() + "\n";
+        if csv {
+            let _ = writeln!(out, "CSV:\n{}", self.csv());
         }
+        out
+    }
+
+    /// Print [`Table::render`].
+    pub fn emit(&self, opts: &Opts) {
+        print!("{}", self.render(opts.csv));
     }
 }
 
@@ -418,107 +405,6 @@ pub fn run_suite_grid(
         .collect()
 }
 
-/// Shared body of Figures 9 (Fermi) and 15 (Pascal), as a renderable
-/// table: normalized execution time and dynamic energy for
-/// {LRR, GTO, CAWA} with and without BOWS, normalized to LRR,
-/// geometric-mean row at the end.
-pub fn perf_energy_table(cfg: &GpuConfig, scale: Scale) -> Table {
-    let configs: Vec<SchedConfig> = [BasePolicy::Lrr, BasePolicy::Gto, BasePolicy::Cawa]
-        .into_iter()
-        .flat_map(|b| [SchedConfig::baseline(b), SchedConfig::bows_adaptive(b)])
-        .collect();
-    let labels: Vec<String> = configs.iter().map(SchedConfig::label).collect();
-    let mut header: Vec<&str> = vec!["kernel", "metric"];
-    header.extend(labels.iter().map(String::as_str));
-    let mut t = Table::new(&header);
-    let mut geo_time = vec![0.0f64; configs.len()];
-    let mut geo_energy = vec![0.0f64; configs.len()];
-    let mut n = 0usize;
-    let suite = workloads::sync_suite(scale);
-    for results in run_suite_grid(cfg, &suite, &configs) {
-        let base_cycles = results[0].cycles.max(1) as f64;
-        let base_energy = results[0].dynamic_j.max(1e-18);
-        let times: Vec<f64> = results.iter().map(|r| r.cycles as f64 / base_cycles).collect();
-        let energies: Vec<f64> = results.iter().map(|r| r.dynamic_j / base_energy).collect();
-        for (i, (&tv, &ev)) in times.iter().zip(&energies).enumerate() {
-            geo_time[i] += tv.ln();
-            geo_energy[i] += ev.ln();
-        }
-        n += 1;
-        let mut row = vec![results[0].name.clone(), "time".to_string()];
-        row.extend(times.iter().map(|&x| r3(x)));
-        t.row(row);
-        let mut row = vec![results[0].name.clone(), "energy".to_string()];
-        row.extend(energies.iter().map(|&x| r3(x)));
-        t.row(row);
-    }
-    let mut row = vec!["Gmean".to_string(), "time".to_string()];
-    row.extend(geo_time.iter().map(|&x| r3((x / n as f64).exp())));
-    t.row(row);
-    let mut row = vec!["Gmean".to_string(), "energy".to_string()];
-    row.extend(geo_energy.iter().map(|&x| r3((x / n as f64).exp())));
-    t.row(row);
-    t
-}
-
-/// Print the Figure 9/15 body with its caption.
-pub fn perf_energy_figure(cfg: &GpuConfig, opts: &Opts, figure: &str) {
-    println!(
-        "{figure}: normalized execution time and dynamic energy on {} \
-         (normalized to LRR; lower is better)\n",
-        cfg.name
-    );
-    perf_energy_table(cfg, opts.scale).emit(opts);
-}
-
-/// The Figure 10–13 sweep: GTO baseline plus BOWS at fixed delays and
-/// adaptive. Returns `(labels, per-workload results)`.
-pub fn delay_sweep(
-    cfg: &GpuConfig,
-    scale: Scale,
-) -> (Vec<String>, Vec<(String, Vec<WorkloadResult>)>) {
-    let configs: Vec<SchedConfig> = std::iter::once(SchedConfig::baseline(BasePolicy::Gto))
-        .chain(
-            [0u64, 500, 1000, 3000, 5000]
-                .into_iter()
-                .map(|d| SchedConfig::bows(BasePolicy::Gto, DelayMode::Fixed(d))),
-        )
-        .chain(std::iter::once(SchedConfig::bows_adaptive(BasePolicy::Gto)))
-        .collect();
-    let labels: Vec<String> = configs.iter().map(SchedConfig::label).collect();
-    let suite = workloads::sync_suite(scale);
-    let cells: Vec<(usize, usize)> = (0..suite.len())
-        .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
-        .collect();
-    let flat = grid::parallel_map(&cells, |_, &(w, c)| {
-        let t0 = std::time::Instant::now();
-        let r = run(cfg, suite[w].as_ref(), configs[c]).unwrap_or_else(|e| {
-            panic!("{} under {}: {e}", suite[w].name(), labels[c])
-        });
-        // Progress goes to stderr; completion order (and thus line order)
-        // varies with the worker count, the results do not.
-        eprintln!(
-            "  [{} / {}] {} cycles, {:.1}s wall",
-            suite[w].name(),
-            labels[c],
-            r.cycles,
-            t0.elapsed().as_secs_f64()
-        );
-        r
-    });
-    let mut flat = flat.into_iter();
-    let out = suite
-        .iter()
-        .map(|w| {
-            (
-                w.name().to_string(),
-                configs.iter().map(|_| flat.next().expect("cell")).collect(),
-            )
-        })
-        .collect();
-    (labels, out)
-}
-
 /// Table III (implementation cost of DDOS and BOWS) as a string, one
 /// section per GPU configuration. Pure configuration arithmetic — no
 /// simulation — but the per-config sections still go through the grid so
@@ -614,6 +500,20 @@ mod tests {
             SchedConfig::bows_adaptive(BasePolicy::Cawa).label(),
             "cawa+bows(adaptive)"
         );
+    }
+
+    #[test]
+    fn config_applies_the_engine_choice_and_nothing_else() {
+        let mut opts = Opts::at_scale(Scale::Tiny);
+        assert_eq!(opts.config(GpuConfig::gtx480()), GpuConfig::gtx480());
+        for engine in [Engine::Cycle, Engine::Skip] {
+            opts.engine = Some(engine);
+            let expected = GpuConfig {
+                engine,
+                ..GpuConfig::gtx1080ti()
+            };
+            assert_eq!(opts.config(GpuConfig::gtx1080ti()), expected);
+        }
     }
 
     #[test]

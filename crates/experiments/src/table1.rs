@@ -7,8 +7,9 @@
 //! All DDOS variants observe the *same* execution passively (a fan-out
 //! detector), so the whole table costs one simulation per workload.
 
+use crate::paper::Paper;
+use crate::{grid, pct, r3, Table};
 use bows::{Ddos, DdosConfig, HashKind};
-use experiments::{grid, pct, r3, Opts, Table};
 use simt_core::{BasePolicy, Gpu, GpuConfig, SpinDetector};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -166,14 +167,11 @@ struct Acc {
     dpr_false_n: usize,
 }
 
-fn main() {
-    let opts = Opts::parse();
-    let cfg = GpuConfig::gtx480();
+/// Table I, as `paper table1` prints it.
+pub(crate) fn render(p: &mut Paper) -> String {
+    let opts = &p.opts;
+    let cfg = opts.config(GpuConfig::gtx480());
     let vars = variants();
-    println!(
-        "Table I: DDOS sensitivity ({} configurations observed passively)\n",
-        vars.len()
-    );
 
     let mut acc = vec![Acc::default(); vars.len()];
     let mut workload_list: Vec<(Box<dyn Workload>, bool)> = Vec::new();
@@ -279,10 +277,12 @@ fn main() {
             r3(div(a.dpr_false_sum, a.dpr_false_n)),
         ]);
     }
-    t.emit(&opts);
-    println!(
-        "Paper reference: XOR m=k=8 reaches TSDR=100% with FSDR=0%; MODULO\n\
+    format!(
+        "Table I: DDOS sensitivity ({} configurations observed passively)\n\n{}\
+         Paper reference: XOR m=k=8 reaches TSDR=100% with FSDR=0%; MODULO\n\
          hashing false-detects (MS/HL); l<=2 detects nothing; larger t\n\
-         lowers FSDR but lengthens the detection phase."
-    );
+         lowers FSDR but lengthens the detection phase.\n",
+        vars.len(),
+        t.render(opts.csv)
+    )
 }

@@ -93,6 +93,17 @@ pub fn static_sib_detector(k: &simt_isa::Kernel) -> Box<dyn SpinDetector> {
     Box::new(StaticSibDetector::new(k.true_sibs.clone()))
 }
 
+/// The detector of a run without DDOS: [`NullDetector`] for a kernel with
+/// no `!sib` annotation, else its [`static_sib_detector`]. Reports carry
+/// the detector's name (`none` / `static`), so the choice is one function.
+pub fn baseline_detector(k: &simt_isa::Kernel) -> Box<dyn SpinDetector> {
+    if k.true_sibs.is_empty() {
+        Box::new(NullDetector)
+    } else {
+        static_sib_detector(k)
+    }
+}
+
 /// Detector that never classifies anything (baseline schedulers without
 /// BOWS use this).
 #[derive(Debug, Clone, Default)]

@@ -1,7 +1,7 @@
 //! GPU top level: CTA dispatch, the main cycle loop, run reports.
 
 use crate::cancel::{CancelCause, CancelToken};
-use crate::detect::{static_sib_detector, BranchLog, NullDetector, SpinDetector};
+use crate::detect::{baseline_detector, BranchLog, SpinDetector};
 use crate::sched::{BasePolicy, SchedulerPolicy};
 use crate::pool::SmPool;
 use crate::sm::{LaunchCtx, Sm, SmProf, SnapLimits};
@@ -397,13 +397,7 @@ impl Gpu {
             kernel,
             launch,
             &move || policy.build(rotate),
-            &|k: &Kernel| {
-                if k.true_sibs.is_empty() {
-                    Box::new(NullDetector)
-                } else {
-                    static_sib_detector(k)
-                }
-            },
+            &baseline_detector,
         )
     }
 
@@ -1060,6 +1054,7 @@ fn snapshot_fingerprint(cfg: &GpuConfig, kernel: &Kernel, launch: &LaunchSpec) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NullDetector;
     use simt_isa::asm::assemble;
 
     fn vec_add_kernel() -> Kernel {
@@ -1524,13 +1519,7 @@ mod tests {
                 &kernel,
                 &launch,
                 &move || BasePolicy::Gto.build(rotate),
-                &|k: &Kernel| {
-                    if k.true_sibs.is_empty() {
-                        Box::new(NullDetector)
-                    } else {
-                        static_sib_detector(k)
-                    }
-                },
+                &baseline_detector,
                 Some(CheckpointCtl {
                     every: 64,
                     sink: &mut sink,
@@ -1553,13 +1542,7 @@ mod tests {
                 &kernel,
                 &launch,
                 &move || BasePolicy::Gto.build(rotate),
-                &|k: &Kernel| {
-                    if k.true_sibs.is_empty() {
-                        Box::new(NullDetector)
-                    } else {
-                        static_sib_detector(k)
-                    }
-                },
+                &baseline_detector,
                 Some(CheckpointCtl {
                     every: 0,
                     sink: &mut sink2,

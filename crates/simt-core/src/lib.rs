@@ -59,7 +59,8 @@ mod watchdog;
 pub use cancel::{CancelCause, CancelToken};
 pub use config::{Engine, GpuConfig, Latencies};
 pub use detect::{
-    static_sib_detector, BranchLog, BranchTimeline, NullDetector, SpinDetector, StaticSibDetector,
+    baseline_detector, static_sib_detector, BranchLog, BranchTimeline, NullDetector, SpinDetector,
+    StaticSibDetector,
 };
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use gpu::{

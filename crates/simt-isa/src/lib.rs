@@ -10,7 +10,6 @@
 //!   points (immediate post-dominators) precomputed for the SIMT stack,
 //! * [`asm::assemble`] — a line-oriented assembler for a PTX-flavoured text
 //!   syntax (this is how the workloads in the reproduction are written),
-//! * [`builder::KernelBuilder`] — a programmatic alternative to the assembler,
 //! * [`cfg`] — basic-block construction and immediate-post-dominator analysis.
 //!
 //! # Example
@@ -39,7 +38,6 @@
 //! ```
 
 pub mod asm;
-pub mod builder;
 pub mod cfg;
 mod decoded;
 mod inst;

@@ -5,8 +5,7 @@
 //! framework so the suite builds and runs fully offline.
 
 use simt_isa::asm::assemble;
-use simt_isa::builder::KernelBuilder;
-use simt_isa::{CmpOp, Inst, Op, Pred, Reg, Ty, RECONV_EXIT};
+use simt_isa::RECONV_EXIT;
 
 /// Deterministic splitmix64 generator for test-case construction.
 struct Rng(u64);
@@ -39,34 +38,29 @@ impl Rng {
 /// or a fall-through; always ends with exit.
 fn arb_kernel(rng: &mut Rng) -> simt_isa::Kernel {
     let nblocks = rng.range(2, 8);
-    let mut b = KernelBuilder::new("prop");
-    b.regs(8);
+    let mut text = String::from(".kernel prop\n.regs 8\n.params 8\n");
     for i in 0..nblocks {
-        b.label(format!("L{i}"));
+        text += &format!("L{i}:\n");
         let nops = rng.range(1, 4);
         for j in 0..nops {
-            let dst = Reg((j % 4) as u8);
-            let inst = match rng.range(0, 5) {
-                0 => Inst::mov(dst, 1),
-                1 => Inst::binary(Op::Add(Ty::S32), dst, Reg(1), 2),
-                2 => Inst::binary(Op::Xor, dst, Reg(2), Reg(3)),
-                3 => Inst::setp(CmpOp::Lt, Ty::S32, Pred(0), Reg(0), 5),
-                _ => Inst::binary(Op::Shl, dst, Reg(0), 1),
+            let dst = j % 4;
+            text += &match rng.range(0, 5) {
+                0 => format!("    mov r{dst}, 1\n"),
+                1 => format!("    add r{dst}, r1, 2\n"),
+                2 => format!("    xor r{dst}, r2, r3\n"),
+                3 => "    setp.lt p0, r0, 5\n".to_string(),
+                _ => format!("    shl r{dst}, r0, 1\n"),
             };
-            b.push(inst);
         }
         // Branch to a random block; guarded branches fall through.
         let target = rng.range(0, nblocks);
-        let r = b.bra_to(format!("L{target}"));
-        if rng.flag() {
-            r.guard(Pred(0), true);
-        }
+        let guard = if rng.flag() { "@p0 " } else { "" };
+        text += &format!("    {guard}bra L{target}\n");
     }
-    b.label(format!("L{nblocks}"));
-    b.push(Inst::new(Op::Exit));
     // Note: blocks may branch anywhere, including skipping the exit; the
     // final exit keeps validation happy.
-    b.build().expect("structured kernel builds")
+    text += &format!("L{nblocks}:\n    exit\n");
+    assemble(&text).expect("structured kernel assembles")
 }
 
 /// Disassembling and reassembling preserves the instruction stream.

@@ -9,7 +9,11 @@
 
 use crate::json::{error_body, kernel_report_json, sim_error_json, Json};
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
-use simt_core::{BasePolicy, CancelToken, CheckpointCtl, Engine, Gpu, GpuConfig, LaunchSpec, SimError};
+use simt_core::{
+    BasePolicy, CancelToken, CheckpointCtl, Engine, Gpu, GpuConfig, KernelReport, LaunchSpec,
+    SimError,
+};
+use simt_isa::{AsmError, Kernel};
 use simt_mem::ChaosConfig;
 use std::sync::Mutex;
 
@@ -84,6 +88,19 @@ pub const MAX_CTAS: usize = 4096;
 pub const MAX_PARAMS: usize = 32;
 pub const MAX_BUFFER_WORDS: u64 = 1 << 22;
 pub const MAX_DUMP_WORDS: u64 = 4096;
+
+/// Can a run with these parameters answer a dump of `words` words from
+/// parameter `slot`? The message names what is wrong with the pair.
+pub fn check_dump(params: &[ParamSpec], slot: usize, words: u64) -> Result<(), String> {
+    match params.get(slot) {
+        None => Err(format!("slot {slot} has no parameter")),
+        Some(ParamSpec::Scalar(_)) => Err(format!("slot {slot} is a scalar, not a buffer")),
+        Some(&ParamSpec::Buffer { words: have, .. }) if words > have => {
+            Err(format!("{words} words from slot {slot}, a {have}-word buffer"))
+        }
+        Some(ParamSpec::Buffer { .. }) => Ok(()),
+    }
+}
 
 impl SimRequest {
     /// Parse and validate a request body.
@@ -210,18 +227,7 @@ impl SimRequest {
                 }
                 // Checked here so a request that cannot be answered is a
                 // 400 at the door, not an out-of-bounds read after the run.
-                let have = match params.get(slot) {
-                    None => return Err(format!("dumps[]: slot {slot} has no parameter")),
-                    Some(ParamSpec::Scalar(_)) => {
-                        return Err(format!("dumps[]: slot {slot} is a scalar, not a buffer"));
-                    }
-                    Some(&ParamSpec::Buffer { words, .. }) => words,
-                };
-                if words > have {
-                    return Err(format!(
-                        "dumps[]: {words} words from slot {slot}, a {have}-word buffer"
-                    ));
-                }
+                check_dump(&params, slot, words).map_err(|e| format!("dumps[]: {e}"))?;
                 dumps.push((slot, words));
             }
         }
@@ -405,13 +411,72 @@ fn attempt_once(
             return Ok(RunOutcome::Cancelled);
         }
     }
-    let kernel = match simt_isa::asm::assemble(&req.kernel) {
-        Ok(k) => k,
-        Err(e) => {
-            return Ok(RunOutcome::SimError(error_body("asm_error", &e.to_string())));
+    let mut sink = |_cycle: u64, body: &[u8]| {
+        if let Some(s) = slot {
+            *s.lock().unwrap_or_else(|p| p.into_inner()) =
+                Some((simt_snap::fnv1a(body), body.to_vec()));
         }
     };
-    let mut gpu = Gpu::new(req.gpu_config());
+    let ctl = (checkpoint_every > 0 || resume.is_some()).then_some(CheckpointCtl {
+        every: checkpoint_every,
+        sink: &mut sink,
+        resume,
+    });
+    Ok(match launch(req, false, cancel, ctl) {
+        Ok(run) => RunOutcome::Ok(kernel_report_json(&run.report, &run.dumps).render()),
+        Err(LaunchError::Asm(e)) => RunOutcome::SimError(error_body("asm_error", &e.to_string())),
+        Err(LaunchError::Sim(SimError::Snapshot { .. })) if resume.is_some() => return Err(()),
+        Err(LaunchError::Sim(SimError::Cancelled { .. })) => RunOutcome::Cancelled,
+        Err(LaunchError::Sim(e)) => {
+            let body = Json::Obj(vec![("error".into(), sim_error_json(&e))]).render();
+            RunOutcome::SimError(body)
+        }
+    })
+}
+
+/// What a finished [`launch`] leaves: the assembled kernel, the GPU after
+/// the run, the run's report and the words of each requested dump.
+pub struct Launched {
+    /// The request's kernel, assembled.
+    pub kernel: Kernel,
+    /// The GPU as the run left it (memory, chaos counters, its config).
+    pub gpu: Gpu,
+    /// The run's report.
+    pub report: KernelReport,
+    /// `(param slot, words)` per requested dump, in request order.
+    pub dumps: Vec<(usize, Vec<u32>)>,
+}
+
+/// Why a [`launch`] has no report.
+#[derive(Debug)]
+pub enum LaunchError {
+    /// The kernel text does not assemble.
+    Asm(AsmError),
+    /// The simulation failed, was cancelled, or refused its resume snapshot.
+    Sim(SimError),
+}
+
+/// Assemble and run `req` on a fresh GPU: allocate and fill its buffers,
+/// build the scheduler and detector it names, run (checkpointing through
+/// `ctl`, bounded by `cancel`) and read the dumps back. The one launch path
+/// of the service workers and `bows-run`, so both report the same bytes.
+/// `profile` turns the host-time profiler on (`bows-run --profile`); it
+/// changes nothing simulated.
+///
+/// # Errors
+///
+/// An assembly error or whatever [`Gpu::run_with_checkpoints`] returns.
+pub fn launch(
+    req: &SimRequest,
+    profile: bool,
+    cancel: Option<CancelToken>,
+    ctl: Option<CheckpointCtl<'_>>,
+) -> Result<Launched, LaunchError> {
+    let kernel = simt_isa::asm::assemble(&req.kernel).map_err(LaunchError::Asm)?;
+    let mut gpu = Gpu::new(GpuConfig {
+        profile,
+        ..req.gpu_config()
+    });
     if let Some(c) = cancel {
         gpu.set_cancel_token(c);
     }
@@ -443,43 +508,27 @@ fn attempt_once(
     let rotate = gpu.cfg.gto_rotate_period;
     let warps = gpu.cfg.warps_per_sm();
     let policy = bows::policy_factory(req.sched, req.bows, rotate);
-    let mut sink = |_cycle: u64, body: &[u8]| {
-        if let Some(s) = slot {
-            *s.lock().unwrap_or_else(|p| p.into_inner()) =
-                Some((simt_snap::fnv1a(body), body.to_vec()));
-        }
-    };
-    let ctl = if checkpoint_every > 0 || resume.is_some() {
-        Some(CheckpointCtl {
-            every: checkpoint_every,
-            sink: &mut sink,
-            resume,
-        })
-    } else {
-        None
-    };
     let result = if req.ddos {
         let det = bows::ddos_factory(DdosConfig::default(), warps);
         gpu.run_with_checkpoints(&kernel, &launch, &policy, &det, ctl)
     } else {
         gpu.run_with_checkpoints(&kernel, &launch, &policy, &simt_core::static_sib_detector, ctl)
     };
-    Ok(match result {
-        Ok(report) => {
-            let mut dumps = Vec::new();
-            for &(slot, words) in &req.dumps {
-                if let Some(Some(base)) = bases.get(slot) {
-                    dumps.push((slot, gpu.mem().gmem().read_vec(*base, words)));
-                }
-            }
-            RunOutcome::Ok(kernel_report_json(&report, &dumps).render())
-        }
-        Err(SimError::Snapshot { .. }) if resume.is_some() => return Err(()),
-        Err(SimError::Cancelled { .. }) => RunOutcome::Cancelled,
-        Err(e) => {
-            let body = Json::Obj(vec![("error".into(), sim_error_json(&e))]).render();
-            RunOutcome::SimError(body)
-        }
+    let report = result.map_err(LaunchError::Sim)?;
+    // A dump names a large-enough buffer: `check_dump` at the door.
+    let dumps = req
+        .dumps
+        .iter()
+        .filter_map(|&(slot, words)| {
+            let base = (*bases.get(slot)?)?;
+            Some((slot, gpu.mem().gmem().read_vec(base, words)))
+        })
+        .collect();
+    Ok(Launched {
+        kernel,
+        gpu,
+        report,
+        dumps,
     })
 }
 

@@ -328,13 +328,7 @@ pub fn run_baseline(
         cfg,
         workload,
         &move || policy.build(rotate),
-        &|k: &Kernel| {
-            if k.true_sibs.is_empty() {
-                Box::new(simt_core::NullDetector)
-            } else {
-                simt_core::static_sib_detector(k)
-            }
-        },
+        &simt_core::baseline_detector,
     )
 }
 

@@ -1,12 +1,14 @@
 #!/bin/bash
-# Regenerate every table and figure. Results land in results/<name>.txt.
+# Regenerate every table and figure, then run the five checking gates.
+# Results land in results/<name>.txt.
 #
 # Usage: ./run_experiments.sh [--scale tiny|small|full] [--jobs <n>]
 #
-# The binary list is derived from crates/experiments/src/bin/*.rs so it
-# cannot drift from the actual regenerators. Exits non-zero on a
-# malformed invocation, a build failure, or any failing experiment
-# (failures are listed at the end; the remaining experiments still run).
+# One `paper --out results` process renders every figure and table (the
+# figures that read the same runs share them; `paper <name>` renders one);
+# `oracle`, `lint_corpus`, `race_oracle`, `differ` and `fuzz` follow. Exits
+# non-zero on a malformed invocation, a build failure, or any failing step
+# (failures are listed at the end; the remaining steps still run).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -37,25 +39,18 @@ while (($#)); do
     esac
 done
 
-bins=()
-for src in crates/experiments/src/bin/*.rs; do
-    bin=$(basename "$src" .rs)
-    # crash_drill and snap_fuzz are the CI crash-recovery/fuzz drills
-    # (seeded, no --scale), and hotpath_bench is a wall-clock microbenchmark
-    # (nondeterministic output that would churn results/); none of them
-    # regenerate a figure.
-    [[ $bin == crash_drill || $bin == snap_fuzz || $bin == hotpath_bench ]] && continue
-    bins+=("$bin")
-done
-((${#bins[@]} >= 17)) || { echo "error: expected >=17 experiment binaries, found ${#bins[@]}" >&2; exit 1; }
-
 cargo build --release -p experiments
 mkdir -p results
 failed=()
-for bin in "${bins[@]}"; do
+for bin in paper oracle lint_corpus race_oracle differ fuzz; do
     echo "=== $bin ($(date +%H:%M:%S)) ==="
     start=$SECONDS
-    if target/release/"$bin" --scale "$SCALE" "${JOBS[@]}" > results/"$bin".txt 2> results/"$bin".err; then
+    args=(--scale "$SCALE" "${JOBS[@]}")
+    out=results/$bin.txt
+    # paper writes results/<figure>.txt itself (and times each figure on
+    # stderr); a gate's report is its stdout.
+    [[ $bin == paper ]] && { args+=(--out results); out=/dev/null; }
+    if target/release/"$bin" "${args[@]}" > "$out" 2> results/"$bin".err; then
         echo "    ok in $((SECONDS-start))s"
     else
         echo "    $bin FAILED (see results/$bin.err)"

@@ -17,35 +17,22 @@
 
 use bows_sim::prelude::*;
 use simt_serve::json::{error_body, kernel_report_json, sim_error_json};
-use simt_serve::Json;
+use simt_serve::request::{check_dump, launch, LaunchError, ParamSpec};
+use simt_serve::{Json, SimRequest};
 use std::process::ExitCode;
 
 struct Cli {
     kernel_path: String,
-    ctas: usize,
-    tpc: usize,
-    params: Vec<ParamSpec>,
-    sched: BasePolicy,
-    bows: Option<DelayMode>,
-    ddos: bool,
-    gpu: GpuConfig,
-    dumps: Vec<(usize, u64)>,
-    chaos_seed: Option<u64>,
-    chaos_level: Option<u8>,
-    timeout_cycles: Option<u64>,
+    /// The launch as the service would be asked for it (`kernel` is filled
+    /// in from the file); the service's size caps do not apply here.
+    req: SimRequest,
     timeout_wall_s: Option<f64>,
-    engine: Option<Engine>,
     lint: bool,
     format_json: bool,
     profile: bool,
     checkpoint_every: Option<u64>,
     resume: Option<String>,
     state_dir: Option<std::path::PathBuf>,
-}
-
-enum ParamSpec {
-    Scalar(u32),
-    Buffer { words: u64, fill: u32 },
 }
 
 fn usage() -> ! {
@@ -117,19 +104,24 @@ fn parse_cli() -> Cli {
     let mut args = std::env::args().skip(1);
     let mut cli = Cli {
         kernel_path: String::new(),
-        ctas: 1,
-        tpc: 128,
-        params: Vec::new(),
-        sched: BasePolicy::Gto,
-        bows: None,
-        ddos: true,
-        gpu: GpuConfig::gtx480(),
-        dumps: Vec::new(),
-        chaos_seed: None,
-        chaos_level: None,
-        timeout_cycles: None,
+        req: SimRequest {
+            kernel: String::new(),
+            ctas: 1,
+            tpc: 128,
+            params: Vec::new(),
+            gpu: "gtx480".into(),
+            sched: BasePolicy::Gto,
+            bows: None,
+            ddos: true,
+            engine: None,
+            timeout_cycles: None,
+            chaos_seed: None,
+            chaos_level: None,
+            dumps: Vec::new(),
+            tenant: "anon".into(),
+            priority: 1,
+        },
         timeout_wall_s: None,
-        engine: None,
         lint: false,
         format_json: false,
         profile: false,
@@ -143,10 +135,11 @@ fn parse_cli() -> Cli {
             usage()
         })
     };
+    let req = &mut cli.req;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--ctas" => cli.ctas = next(&mut args, "--ctas").parse().unwrap_or_else(|_| usage()),
-            "--tpc" => cli.tpc = next(&mut args, "--tpc").parse().unwrap_or_else(|_| usage()),
+            "--ctas" => req.ctas = next(&mut args, "--ctas").parse().unwrap_or_else(|_| usage()),
+            "--tpc" => req.tpc = next(&mut args, "--tpc").parse().unwrap_or_else(|_| usage()),
             "--param" => {
                 let v = next(&mut args, "--param");
                 if let Some(spec) = v.strip_prefix("buf:") {
@@ -157,37 +150,40 @@ fn parse_cli() -> Cli {
                         ),
                         None => (spec.parse().unwrap_or_else(|_| usage()), 0),
                     };
-                    cli.params.push(ParamSpec::Buffer { words, fill });
+                    req.params.push(ParamSpec::Buffer { words, fill });
                 } else {
-                    cli.params
+                    req.params
                         .push(ParamSpec::Scalar(v.parse().unwrap_or_else(|_| usage())));
                 }
             }
             "--sched" => {
-                cli.sched = next(&mut args, "--sched").parse().unwrap_or_else(|()| usage());
+                req.sched = next(&mut args, "--sched").parse().unwrap_or_else(|()| usage());
             }
             "--bows" => {
                 let v = next(&mut args, "--bows");
-                cli.bows = Some(if v == "adaptive" {
+                req.bows = Some(if v == "adaptive" {
                     DelayMode::Adaptive(AdaptiveConfig::default())
                 } else {
                     DelayMode::Fixed(v.parse().unwrap_or_else(|_| usage()))
                 });
             }
-            "--no-ddos" => cli.ddos = false,
+            "--no-ddos" => req.ddos = false,
             "--gpu" => {
-                cli.gpu = GpuConfig::preset(&next(&mut args, "--gpu")).unwrap_or_else(|| usage());
+                req.gpu = next(&mut args, "--gpu");
+                if GpuConfig::preset(&req.gpu).is_none() {
+                    usage();
+                }
             }
             "--dump" => {
                 let v = next(&mut args, "--dump");
                 let (i, len) = v.split_once(':').unwrap_or_else(|| usage());
-                cli.dumps.push((
+                req.dumps.push((
                     i.parse().unwrap_or_else(|_| usage()),
                     len.parse().unwrap_or_else(|_| usage()),
                 ));
             }
             "--chaos-seed" => {
-                cli.chaos_seed =
+                req.chaos_seed =
                     Some(next(&mut args, "--chaos-seed").parse().unwrap_or_else(|_| usage()));
             }
             "--chaos-level" => {
@@ -195,10 +191,10 @@ fn parse_cli() -> Cli {
                 if lvl > 3 {
                     usage();
                 }
-                cli.chaos_level = Some(lvl);
+                req.chaos_level = Some(lvl);
             }
             "--timeout-cycles" => {
-                cli.timeout_cycles = Some(
+                req.timeout_cycles = Some(
                     next(&mut args, "--timeout-cycles").parse().unwrap_or_else(|_| usage()),
                 );
             }
@@ -211,7 +207,7 @@ fn parse_cli() -> Cli {
                 cli.timeout_wall_s = Some(s);
             }
             "--engine" => {
-                cli.engine =
+                req.engine =
                     Some(next(&mut args, "--engine").parse().unwrap_or_else(|()| usage()));
             }
             "--checkpoint-every" => {
@@ -245,17 +241,10 @@ fn parse_cli() -> Cli {
     if cli.kernel_path.is_empty() {
         usage();
     }
-    for &(slot, len) in &cli.dumps {
-        match cli.params.get(slot) {
-            Some(&ParamSpec::Buffer { words, .. }) if len <= words => {}
-            Some(ParamSpec::Buffer { words, .. }) => {
-                eprintln!("--dump {slot}:{len}: parameter {slot} is a {words}-word buffer");
-                usage();
-            }
-            _ => {
-                eprintln!("--dump {slot}:{len}: parameter {slot} is not a buffer");
-                usage();
-            }
+    for &(slot, len) in &cli.req.dumps {
+        if let Err(e) = check_dump(&cli.req.params, slot, len) {
+            eprintln!("--dump {slot}:{len}: {e}");
+            usage();
         }
     }
     if cli.checkpoint_every.is_some() && cli.state_dir.is_none() {
@@ -265,22 +254,6 @@ fn parse_cli() -> Cli {
     if cli.lint && (cli.checkpoint_every.is_some() || cli.resume.is_some()) {
         eprintln!("--lint does not simulate, so --checkpoint-every/--resume make no sense with it");
         usage();
-    }
-    // Applied after the loop so the flags compose with --gpu in any order.
-    if cli.chaos_seed.is_some() || cli.chaos_level.is_some() {
-        let seed = cli.chaos_seed.unwrap_or(1);
-        let level = cli.chaos_level.unwrap_or(1);
-        cli.gpu.mem.chaos = ChaosConfig::with_level(seed, level);
-    }
-    if let Some(t) = cli.timeout_cycles {
-        cli.gpu.max_cycles = t;
-    }
-    if let Some(e) = cli.engine {
-        cli.gpu.engine = e;
-    }
-    // After the loop so it composes with --gpu in any order.
-    if cli.profile {
-        cli.gpu.profile = true;
     }
     cli
 }
@@ -382,8 +355,8 @@ fn profile_json(p: &simt_core::ProfileReport) -> Json {
 }
 
 fn main() -> ExitCode {
-    let cli = parse_cli();
-    let src = match std::fs::read_to_string(&cli.kernel_path) {
+    let mut cli = parse_cli();
+    cli.req.kernel = match std::fs::read_to_string(&cli.kernel_path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot read {}: {e}", cli.kernel_path);
@@ -391,50 +364,8 @@ fn main() -> ExitCode {
         }
     };
     if cli.lint {
-        return lint_file(&cli.kernel_path, &src, cli.format_json);
+        return lint_file(&cli.kernel_path, &cli.req.kernel, cli.format_json);
     }
-    let kernel = match assemble(&src) {
-        Ok(k) => k,
-        Err(e) => {
-            if cli.format_json {
-                println!("{}", error_body("asm_error", &e.to_string()));
-            } else {
-                eprintln!("{}: {e}", cli.kernel_path);
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut gpu = Gpu::new(cli.gpu.clone());
-    if let Some(secs) = cli.timeout_wall_s {
-        gpu.set_cancel_token(simt_core::CancelToken::with_deadline(
-            std::time::Duration::from_secs_f64(secs),
-        ));
-    }
-    let mut params = Vec::new();
-    let mut bases: Vec<Option<u64>> = Vec::new();
-    for p in &cli.params {
-        match *p {
-            ParamSpec::Scalar(v) => {
-                params.push(v);
-                bases.push(None);
-            }
-            ParamSpec::Buffer { words, fill } => {
-                let base = gpu.mem_mut().gmem_mut().alloc(words);
-                if fill != 0 {
-                    for i in 0..words {
-                        gpu.mem_mut().gmem_mut().write_u32(base + i * 4, fill);
-                    }
-                }
-                params.push(base as u32);
-                bases.push(Some(base));
-            }
-        }
-    }
-    let launch = LaunchSpec {
-        grid_ctas: cli.ctas,
-        threads_per_cta: cli.tpc,
-        params,
-    };
     let resume_body = match cli.resume.as_deref() {
         Some(path) => match read_snapshot(path) {
             Ok(b) => Some(b),
@@ -452,85 +383,75 @@ fn main() -> ExitCode {
         }
     }
     let mut last_ckpt: Option<std::path::PathBuf> = None;
-    let report = {
-        let cfg = &gpu.cfg;
-        let rotate = cfg.gto_rotate_period;
-        let warps = cfg.warps_per_sm();
-        let policy = bows_sim::bows::policy_factory(cli.sched, cli.bows, rotate);
-        let every = cli.checkpoint_every.unwrap_or(0);
-        let state_dir = cli.state_dir.clone();
-        let mut sink = |cycle: u64, body: &[u8]| {
-            let Some(dir) = &state_dir else { return };
-            let path = dir.join(format!("ckpt-{cycle:012}.bsnp"));
-            let bytes = bows_sim::snap::encode_envelope(body);
-            match bows_sim::snap::atomic_write(&path, &bytes) {
-                // Only a fully written, fsynced, renamed file counts as
-                // "the last checkpoint" — a failed write leaves the
-                // previous one in charge.
-                Ok(()) => last_ckpt = Some(path),
-                Err(e) => eprintln!("warning: checkpoint at cycle {cycle} not written: {e}"),
-            }
-        };
-        let ctl = if every > 0 || resume_body.is_some() {
-            Some(CheckpointCtl {
-                every,
-                sink: &mut sink,
-                resume: resume_body.as_deref(),
-            })
-        } else {
-            None
-        };
-        let result = if cli.ddos {
-            let det = bows_sim::bows::ddos_factory(DdosConfig::default(), warps);
-            gpu.run_with_checkpoints(&kernel, &launch, &policy, &det, ctl)
-        } else {
-            gpu.run_with_checkpoints(&kernel, &launch, &policy, &simt_core::static_sib_detector, ctl)
-        };
-        match result {
-            Ok(r) => r,
-            Err(e @ SimError::Cancelled { .. }) => {
-                // Structured, machine-readable timeout on stdout (the same
-                // shape the simulation service returns) and a distinct
-                // exit status, so wrappers can tell "out of wall time"
-                // from "kernel is broken". When checkpointing was on, the
-                // last completed snapshot rides along so the caller can
-                // pick the run back up with --resume.
-                let mut fields = vec![("error".into(), sim_error_json(&e))];
-                if let Some(p) = &last_ckpt {
-                    fields.push(("checkpoint".into(), Json::Str(p.display().to_string())));
-                }
-                println!("{}", Json::Obj(fields).render());
-                return ExitCode::from(3);
-            }
-            Err(e @ SimError::Snapshot { .. }) => {
-                // The snapshot didn't match this invocation (different
-                // kernel, launch geometry, or GPU config) or was corrupt
-                // past the envelope. Like a flag conflict: the command
-                // line is wrong, not the simulator.
-                eprintln!("cannot resume: {e}");
-                return ExitCode::from(2);
-            }
-            Err(e) => {
-                if cli.format_json {
-                    println!("{}", Json::Obj(vec![("error".into(), sim_error_json(&e))]).render());
-                } else {
-                    eprintln!("simulation failed: {e}");
-                    if let Some(report) = e.hang_report() {
-                        eprintln!("{report}");
-                    }
-                }
-                return ExitCode::FAILURE;
-            }
+    let every = cli.checkpoint_every.unwrap_or(0);
+    let mut sink = |cycle: u64, body: &[u8]| {
+        let Some(dir) = &cli.state_dir else { return };
+        let path = dir.join(format!("ckpt-{cycle:012}.bsnp"));
+        let bytes = bows_sim::snap::encode_envelope(body);
+        match bows_sim::snap::atomic_write(&path, &bytes) {
+            // Only a fully written, fsynced, renamed file counts as
+            // "the last checkpoint" — a failed write leaves the
+            // previous one in charge.
+            Ok(()) => last_ckpt = Some(path),
+            Err(e) => eprintln!("warning: checkpoint at cycle {cycle} not written: {e}"),
         }
     };
-    // `parse_cli` checked that every dumped slot is a large-enough buffer.
-    let dumps: Vec<(usize, Vec<u32>)> = cli
-        .dumps
-        .iter()
-        .filter_map(|&(slot, len)| Some((slot, gpu.mem().gmem().read_vec(bases[slot]?, len))))
-        .collect();
+    let ctl = (every > 0 || resume_body.is_some()).then_some(CheckpointCtl {
+        every,
+        sink: &mut sink,
+        resume: resume_body.as_deref(),
+    });
+    let cancel = cli.timeout_wall_s.map(|secs| {
+        simt_core::CancelToken::with_deadline(std::time::Duration::from_secs_f64(secs))
+    });
+    // The launch path of `simt_serve::run_request`, so `--format json`
+    // prints the bytes the service answers the same launch with.
+    let run = match launch(&cli.req, cli.profile, cancel, ctl) {
+        Ok(run) => run,
+        Err(LaunchError::Asm(e)) => {
+            if cli.format_json {
+                println!("{}", error_body("asm_error", &e.to_string()));
+            } else {
+                eprintln!("{}: {e}", cli.kernel_path);
+            }
+            return ExitCode::FAILURE;
+        }
+        Err(LaunchError::Sim(e @ SimError::Cancelled { .. })) => {
+            // Structured, machine-readable timeout on stdout (the same
+            // shape the simulation service returns) and a distinct
+            // exit status, so wrappers can tell "out of wall time"
+            // from "kernel is broken". When checkpointing was on, the
+            // last completed snapshot rides along so the caller can
+            // pick the run back up with --resume.
+            let mut fields = vec![("error".into(), sim_error_json(&e))];
+            if let Some(p) = &last_ckpt {
+                fields.push(("checkpoint".into(), Json::Str(p.display().to_string())));
+            }
+            println!("{}", Json::Obj(fields).render());
+            return ExitCode::from(3);
+        }
+        Err(LaunchError::Sim(e @ SimError::Snapshot { .. })) => {
+            // The snapshot didn't match this invocation (different
+            // kernel, launch geometry, or GPU config) or was corrupt
+            // past the envelope. Like a flag conflict: the command
+            // line is wrong, not the simulator.
+            eprintln!("cannot resume: {e}");
+            return ExitCode::from(2);
+        }
+        Err(LaunchError::Sim(e)) => {
+            if cli.format_json {
+                println!("{}", Json::Obj(vec![("error".into(), sim_error_json(&e))]).render());
+            } else {
+                eprintln!("simulation failed: {e}");
+                if let Some(report) = e.hang_report() {
+                    eprintln!("{report}");
+                }
+            }
+            return ExitCode::FAILURE;
+        }
+    };
+    let (kernel, gpu, report, dumps) = (run.kernel, run.gpu, run.report, run.dumps);
     if cli.format_json {
-        // The bytes `simt_serve::run_request` answers the same launch with.
         println!("{}", kernel_report_json(&report, &dumps).render());
         if let Some(p) = &report.profile {
             println!("{}", profile_json(p).render());

@@ -71,13 +71,7 @@ fn run_stages_into(
     let detector: Box<bows_sim::core::DetectorFactory<'static>> = if bows {
         bows::ddos_factory(DdosConfig::default(), cfg.warps_per_sm())
     } else {
-        Box::new(|k: &bows_sim::isa::Kernel| -> Box<dyn bows_sim::core::SpinDetector> {
-            if k.true_sibs.is_empty() {
-                Box::new(bows_sim::core::NullDetector)
-            } else {
-                bows_sim::core::static_sib_detector(k)
-            }
-        })
+        Box::new(bows_sim::core::baseline_detector)
     };
     let mut gpu = Gpu::new(cfg.clone());
     let prepared = w.prepare(&mut gpu);

@@ -12,7 +12,6 @@
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
 use simt_core::{BasePolicy, Engine, GpuConfig, Gpu, HangClass, HangReport, LaunchSpec, SimError};
 use simt_isa::asm::assemble;
-use simt_isa::Kernel;
 use simt_mem::ChaosConfig;
 use workloads::{rodinia_suite, run_workload_captured, sync_suite, CapturedRun, Scale, Workload};
 
@@ -51,13 +50,7 @@ fn captured(cfg: &GpuConfig, w: &dyn Workload, cell: Cell) -> CapturedRun {
             &bows::ddos_factory(DdosConfig::default(), cfg.warps_per_sm()),
         )
     } else {
-        run_workload_captured(cfg, w, &policy, &|k: &Kernel| {
-            if k.true_sibs.is_empty() {
-                Box::new(simt_core::NullDetector)
-            } else {
-                simt_core::static_sib_detector(k)
-            }
-        })
+        run_workload_captured(cfg, w, &policy, &simt_core::baseline_detector)
     };
     res.unwrap_or_else(|e| panic!("{} under {}: {e:?}", w.name(), cell.label()))
 }

@@ -15,10 +15,8 @@
 
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
 use bows_sim::core::{
-    static_sib_detector, BasePolicy, CheckpointCtl, DetectorFactory, Gpu, GpuConfig, NullDetector,
-    SpinDetector,
+    baseline_detector, BasePolicy, CheckpointCtl, DetectorFactory, Gpu, GpuConfig,
 };
-use bows_sim::isa::Kernel;
 use bows_sim::mem::ChaosConfig;
 use bows_sim::snap::fnv1a;
 use bows_sim::workloads::{rodinia_suite, sync_suite, Scale, Workload};
@@ -53,13 +51,7 @@ fn layout_hashes(
     let detector: Box<DetectorFactory<'static>> = if bows {
         bows::ddos_factory(DdosConfig::default(), cfg.warps_per_sm())
     } else {
-        Box::new(|k: &Kernel| -> Box<dyn SpinDetector> {
-            if k.true_sibs.is_empty() {
-                Box::new(NullDetector)
-            } else {
-                static_sib_detector(k)
-            }
-        })
+        Box::new(baseline_detector)
     };
     let mut gpu = Gpu::new(cfg.clone());
     let prepared = w.prepare(&mut gpu);
