@@ -14,7 +14,7 @@
 //!
 //! The delay limit is fixed or adapted per Figure 5 (see [`DelayMode`]).
 
-use simt_core::{IssueInfo, SchedCtx, SchedulerPolicy};
+use simt_core::{IssueInfo, SchedCtx, SchedulerPolicy, WarpSet};
 use simt_snap::Snap;
 use std::collections::VecDeque;
 
@@ -156,6 +156,8 @@ pub struct Bows {
     warps: Vec<BowsWarp>,
     /// FIFO of backed-off warps (issue order when nothing else is ready).
     queue: VecDeque<usize>,
+    /// The FIFO's members as a set (derived; rebuilt at restore).
+    backed: WarpSet,
     delay_limit: u64,
     adaptive: Option<Adaptive>,
     components: BowsComponents,
@@ -191,6 +193,7 @@ impl Bows {
             inner,
             warps: Vec::new(),
             queue: VecDeque::new(),
+            backed: WarpSet::EMPTY,
             delay_limit,
             adaptive,
             components,
@@ -217,29 +220,21 @@ impl SchedulerPolicy for Bows {
         self.ensure(warp);
         self.warps[warp] = BowsWarp::default();
         self.queue.retain(|&w| w != warp);
+        self.backed.remove(warp);
         self.inner.on_warp_launch(warp, static_inst);
     }
 
-    fn pick(&mut self, ctx: &SchedCtx<'_>, eligible: &[usize]) -> Option<usize> {
+    fn pick(&mut self, ctx: &SchedCtx<'_>, eligible: WarpSet) -> Option<usize> {
         if !self.components.deprioritize {
             return self.inner.pick(ctx, eligible);
         }
         // Normal warps first; backed-off warps only when nothing else is
-        // ready, in FIFO back-off order. With nothing backed off (the
-        // common case) the eligible set passes through unchanged, so the
-        // per-pick filtered copy is only built while a back-off is live.
-        if self.queue.is_empty() {
-            return self.inner.pick(ctx, eligible);
-        }
-        let normal: Vec<usize> = eligible
-            .iter()
-            .copied()
-            .filter(|&w| !self.state(w).backed_off)
-            .collect();
+        // ready, in FIFO back-off order.
+        let normal = eligible - self.backed;
         if !normal.is_empty() {
-            return self.inner.pick(ctx, &normal);
+            return self.inner.pick(ctx, normal);
         }
-        self.queue.iter().copied().find(|w| eligible.contains(w))
+        self.queue.iter().copied().find(|&w| eligible.contains(w))
     }
 
     fn on_issue(&mut self, ctx: &SchedCtx<'_>, warp: usize, info: &IssueInfo) {
@@ -249,6 +244,7 @@ impl SchedulerPolicy for Bows {
             // pending back-off delay register is loaded.
             self.warps[warp].backed_off = false;
             self.queue.retain(|&w| w != warp);
+            self.backed.remove(warp);
             self.warps[warp].delay_zero_at = ctx.now + self.delay_limit;
         }
         if let Some(a) = &mut self.adaptive {
@@ -265,11 +261,12 @@ impl SchedulerPolicy for Bows {
         if !self.warps[warp].backed_off {
             self.warps[warp].backed_off = true;
             self.queue.push_back(warp);
+            self.backed.insert(warp);
         }
         self.inner.on_sib(ctx, warp);
     }
 
-    fn end_cycle(&mut self, ctx: &SchedCtx<'_>, unit_warps: &[usize], issued: Option<usize>) {
+    fn end_cycle(&mut self, ctx: &SchedCtx<'_>, live: WarpSet, issued: Option<usize>) {
         if let Some(a) = &mut self.adaptive {
             if ctx.now >= a.next_update {
                 a.next_update = ctx.now + a.cfg.window;
@@ -279,25 +276,26 @@ impl SchedulerPolicy for Bows {
                 };
             }
         }
-        self.inner.end_cycle(ctx, unit_warps, issued);
+        self.inner.end_cycle(ctx, live, issued);
     }
 
-    fn can_issue(&self, now: u64, warp: usize) -> bool {
-        let s = self.state(warp);
-        // A backed-off warp (it just executed a SIB) may not start another
-        // spin iteration until its pending delay has drained.
-        let throttled = self.components.throttle && s.backed_off && now < s.delay_zero_at;
-        !throttled && self.inner.can_issue(now, warp)
+    // A backed-off warp (it just executed a SIB) may not start another
+    // spin iteration until its pending delay has drained. Backed-off warps
+    // are exactly the FIFO's members (see `next_wakeup`).
+    fn vetoed(&self, now: u64) -> WarpSet {
+        let mut vetoed = self.inner.vetoed(now);
+        if self.components.throttle {
+            for &warp in &self.queue {
+                if now < self.state(warp).delay_zero_at {
+                    vetoed.insert(warp);
+                }
+            }
+        }
+        vetoed
     }
 
-    fn is_backed_off(&self, warp: usize) -> bool {
-        self.state(warp).backed_off
-    }
-
-    // Backed-off warps are exactly the FIFO's members (see `next_wakeup`;
-    // restored state is held to it by the snapshot check below).
-    fn backed_off_count(&self) -> usize {
-        self.queue.len()
+    fn backed_off(&self) -> WarpSet {
+        self.backed
     }
 
     fn current_delay_limit(&self) -> u64 {
@@ -329,7 +327,7 @@ impl SchedulerPolicy for Bows {
             for &warp in &self.queue {
                 let s = self.state(warp);
                 if s.backed_off && s.delay_zero_at > now {
-                    // The can_issue veto flips off at delay_zero_at.
+                    // The veto flips off at delay_zero_at.
                     fold(s.delay_zero_at);
                 }
             }
@@ -337,12 +335,12 @@ impl SchedulerPolicy for Bows {
         next
     }
 
-    fn on_idle_span(&mut self, ctx: &SchedCtx<'_>, unit_warps: &[usize], span: u64) {
+    fn on_idle_span(&mut self, ctx: &SchedCtx<'_>, live: WarpSet, span: u64) {
         // No BOWS state advances during a dead span: window counters move
         // only on issue, and the adaptive update cannot fire inside a span
         // (next_update is a wakeup candidate above). Only the inner policy
         // gets its idle bookkeeping.
-        self.inner.on_idle_span(ctx, unit_warps, span);
+        self.inner.on_idle_span(ctx, live, span);
     }
 
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {
@@ -362,6 +360,16 @@ impl SchedulerPolicy for Bows {
     ) -> Result<(), simt_snap::SnapshotError> {
         r.nested(|r| self.inner.load_state(r))?;
         self.load_fields(r)?;
+        self.backed = WarpSet::EMPTY;
+        for &warp in &self.queue {
+            if warp >= WarpSet::CAPACITY {
+                return Err(simt_snap::SnapshotError::malformed(format!(
+                    "bows: backed-off queue names warp {warp}, past the {}-slot cap",
+                    WarpSet::CAPACITY
+                )));
+            }
+            self.backed.insert(warp);
+        }
         if bool::load(r)? != self.adaptive.is_some() {
             return Err(simt_snap::SnapshotError::malformed(
                 "bows: snapshot delay mode (fixed/adaptive) does not match this unit",
@@ -394,8 +402,8 @@ simt_snap::snap_struct!(state Bows {
     delay_limit: u64,
 } check |b: &Bows| {
     // The FIFO holds each backed-off warp exactly once and nothing else:
-    // `next_wakeup` and `backed_off_count` read the queue in place of the
-    // per-warp flags.
+    // `vetoed`, `next_wakeup` and the backed-off set read the queue in
+    // place of the per-warp flags.
     let bad = |what: String| Err(simt_snap::SnapshotError::malformed(format!("bows: {what}")));
     let mut queued = vec![false; b.warps.len()];
     for &warp in &b.queue {
@@ -420,6 +428,10 @@ mod tests {
     use simt_core::sched::Lrr;
     use simt_core::WarpMeta;
 
+    fn set(slots: &[usize]) -> WarpSet {
+        slots.iter().copied().collect()
+    }
+
     #[test]
     fn snap_laws_and_queue_check() {
         simt_snap::assert_snap_laws(&BowsWarp::default());
@@ -428,20 +440,25 @@ mod tests {
         let c = ctx(0, &m);
         let mut b = bows(DelayMode::Adaptive(AdaptiveConfig::default()));
         b.on_sib(&c, 3);
-        assert_eq!(b.backed_off_count(), 1);
+        assert_eq!(b.backed_off().len(), 1);
         let mut w = simt_snap::SnapWriter::new();
         b.save_state(&mut w);
         let body = w.into_bytes();
         let mut back = bows(DelayMode::Adaptive(AdaptiveConfig::default()));
         back.load_state(&mut simt_snap::SnapReader::new(&body)).unwrap();
-        assert!(back.is_backed_off(3));
+        assert!(back.backed_off().contains(3));
         assert_eq!(back.backoff_queue_position(3), Some(0));
         // The queue must hold each backed-off warp once and nothing else:
         // a member the table does not hold, a disagreement with the
         // per-warp flags either way round, or a repeat is corrupt.
         type Corrupt = fn(&mut Bows);
-        let cases: [(&str, Corrupt); 4] = [
+        let cases: [(&str, Corrupt); 5] = [
             ("names warp 17", |b| b.queue.push_back(17)),
+            ("names warp 65, past the 64-slot cap", |b| {
+                b.warps.resize(70, BowsWarp::default());
+                b.warps[65].backed_off = true;
+                b.queue.push_back(65);
+            }),
             ("warp 3 has backed_off = false", |b| {
                 b.warps[3].backed_off = false
             }),
@@ -502,14 +519,14 @@ mod tests {
         let c = ctx(0, &m);
         let mut b = bows(DelayMode::Fixed(0));
         b.on_sib(&c, 1);
-        assert!(b.is_backed_off(1));
+        assert!(b.backed_off().contains(1));
         // Warp 1 loses to any normal warp...
-        assert_eq!(b.pick(&c, &[1, 2]), Some(2));
+        assert_eq!(b.pick(&c, set(&[1, 2])), Some(2));
         // ...but issues when it is the only one ready.
-        assert_eq!(b.pick(&c, &[1]), Some(1));
+        assert_eq!(b.pick(&c, set(&[1])), Some(1));
         // Issuing clears the backed-off state.
         b.on_issue(&c, 1, &IssueInfo::default());
-        assert!(!b.is_backed_off(1));
+        assert!(!b.backed_off().contains(1));
     }
 
     #[test]
@@ -521,9 +538,9 @@ mod tests {
         b.on_sib(&c, 1);
         b.on_sib(&c, 5);
         // All backed off; FIFO picks 3 first.
-        assert_eq!(b.pick(&c, &[1, 3, 5]), Some(3));
+        assert_eq!(b.pick(&c, set(&[1, 3, 5])), Some(3));
         b.on_issue(&c, 3, &IssueInfo::default());
-        assert_eq!(b.pick(&c, &[1, 5]), Some(1));
+        assert_eq!(b.pick(&c, set(&[1, 5])), Some(1));
     }
 
     #[test]
@@ -535,14 +552,17 @@ mod tests {
         let c0 = ctx(0, &m);
         b.on_sib(&c0, 0);
         let c5 = ctx(5, &m);
-        assert!(b.can_issue(5, 0), "first post-SIB issue is not delay-gated");
+        assert!(
+            !b.vetoed(5).contains(0),
+            "first post-SIB issue is not delay-gated"
+        );
         b.on_issue(&c5, 0, &IssueInfo::default());
         // It executes the SIB again at t=20 (critical section shorter than
         // the limit): backed off AND delay-gated until 105.
         let c20 = ctx(20, &m);
         b.on_sib(&c20, 0);
-        assert!(!b.can_issue(50, 0));
-        assert!(b.can_issue(105, 0));
+        assert!(b.vetoed(50).contains(0));
+        assert!(!b.vetoed(105).contains(0));
     }
 
     #[test]
@@ -555,7 +575,7 @@ mod tests {
         // SIB executed again at t=100 (> 31): no delay gating at all — the
         // Figure 4 case where the critical section exceeds the limit.
         b.on_sib(&ctx(100, &m), 0);
-        assert!(b.can_issue(100, 0));
+        assert!(!b.vetoed(100).contains(0));
     }
 
     #[test]
@@ -587,7 +607,7 @@ mod tests {
                 );
                 now += 1;
                 let c = ctx(now, &m);
-                b.end_cycle(&c, &[0, 1], Some(0));
+                b.end_cycle(&c, set(&[0, 1]), Some(0));
             }
         }
         assert_eq!(b.current_delay_limit(), 600, "clamped at max");
@@ -607,7 +627,7 @@ mod tests {
             b.on_issue(&c, 0, &IssueInfo::default());
             now += 1;
             let c = ctx(now, &m);
-            b.end_cycle(&c, &[0, 1], Some(0));
+            b.end_cycle(&c, set(&[0, 1]), Some(0));
         }
         assert_eq!(
             b.current_delay_limit(),
@@ -657,9 +677,9 @@ mod tests {
         b.on_sib(&ctx(2, &m), 0);
         // Throttling disabled: despite the 5000-cycle limit, the warp may
         // issue immediately (it is still deprioritized though).
-        assert!(b.can_issue(3, 0));
-        assert!(b.is_backed_off(0));
-        assert_eq!(b.pick(&ctx(3, &m), &[0, 1]), Some(1));
+        assert!(!b.vetoed(3).contains(0));
+        assert!(b.backed_off().contains(0));
+        assert_eq!(b.pick(&ctx(3, &m), set(&[0, 1])), Some(1));
     }
 
     #[test]
@@ -677,12 +697,44 @@ mod tests {
         b.on_sib(&c, 0);
         // Deprioritization disabled: the inner policy sees everyone.
         // (LRR starting fresh picks warp 0 first.)
-        assert_eq!(b.pick(&c, &[0, 1]), Some(0));
+        assert_eq!(b.pick(&c, set(&[0, 1])), Some(0));
         // But the delay still gates post-SIB issue after a round trip.
         b.on_issue(&ctx(1, &m), 0, &IssueInfo::default());
         b.on_sib(&ctx(2, &m), 0);
-        assert!(!b.can_issue(50, 0));
-        assert!(b.can_issue(101, 0));
+        assert!(b.vetoed(50).contains(0));
+        assert!(!b.vetoed(101).contains(0));
+    }
+
+    /// Normal warps first, then the back-off FIFO in its own order (not
+    /// slot order); `vetoed` is exactly the backed-off warps whose delay
+    /// is still pending.
+    #[test]
+    fn normal_warps_first_then_the_fifo_and_vetoed_is_the_throttled_set() {
+        let m = meta(64);
+        let mut b = bows(DelayMode::Fixed(100));
+        let c = ctx(0, &m);
+        for w in [40, 2, 63] {
+            b.on_sib(&c, w);
+        }
+        assert_eq!(b.backed_off(), set(&[2, 40, 63]));
+        assert_eq!(b.pick(&c, set(&[2, 9, 40])), Some(9), "the one normal warp");
+        assert_eq!(b.pick(&c, set(&[2, 40, 63])), Some(40), "FIFO head");
+        assert_eq!(b.pick(&c, set(&[2, 63])), Some(2));
+        // Nothing issued since backing off: no delay pending yet.
+        assert_eq!(b.vetoed(0), WarpSet::EMPTY);
+        // Warp 40 issues at 10 (delay until 110) and spins again at 20;
+        // warp 63 issues at 10 and spins again at 150, after its delay.
+        b.on_issue(&ctx(10, &m), 40, &IssueInfo::default());
+        b.on_issue(&ctx(10, &m), 63, &IssueInfo::default());
+        b.on_sib(&ctx(20, &m), 40);
+        assert_eq!(b.vetoed(20), set(&[40]));
+        assert_eq!(b.vetoed(109), set(&[40]));
+        assert_eq!(b.vetoed(110), WarpSet::EMPTY);
+        b.on_sib(&ctx(150, &m), 63);
+        assert_eq!(b.vetoed(150), WarpSet::EMPTY);
+        assert_eq!(b.backed_off(), set(&[2, 40, 63]));
+        let c150 = ctx(150, &m);
+        assert_eq!(b.pick(&c150, set(&[2, 40, 63])), Some(2), "FIFO: 2, 40, 63");
     }
 
     #[test]
@@ -691,10 +743,10 @@ mod tests {
         let c = ctx(0, &m);
         let mut b = bows(DelayMode::Fixed(50));
         b.on_sib(&c, 0);
-        assert!(b.is_backed_off(0));
+        assert!(b.backed_off().contains(0));
         b.on_warp_launch(0, 100);
-        assert!(!b.is_backed_off(0));
-        assert!(b.can_issue(0, 0));
-        assert_eq!(b.pick(&c, &[0, 1]), Some(0), "fresh warp is normal");
+        assert!(!b.backed_off().contains(0));
+        assert!(!b.vetoed(0).contains(0));
+        assert_eq!(b.pick(&c, set(&[0, 1])), Some(0), "fresh warp is normal");
     }
 }

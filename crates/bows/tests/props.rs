@@ -7,7 +7,7 @@
 
 use bows::{AdaptiveConfig, Bows, Ddos, DdosConfig, DelayMode, HashKind, WarpHistory};
 use simt_core::sched::{IssueInfo, SchedCtx, WarpMeta};
-use simt_core::{SchedulerPolicy, SpinDetector};
+use simt_core::{SchedulerPolicy, SpinDetector, WarpSet};
 
 /// Deterministic splitmix64 generator for test-case construction.
 struct Rng(u64);
@@ -118,9 +118,10 @@ fn forward_branches_never_confirmed() {
     }
 }
 
-/// BOWS invariants under arbitrary event interleavings: a warp is in the
-/// backed-off queue iff its flag says so; issuing always clears the state;
-/// picks stay within the eligible set.
+/// BOWS invariants under arbitrary event interleavings: issuing always
+/// clears the backed-off state; picks stay within the eligible set and
+/// prefer a normal warp to a backed-off one; only backed-off warps are
+/// vetoed.
 #[test]
 fn bows_state_machine_consistent() {
     for seed in 0..64 {
@@ -142,15 +143,18 @@ fn bows_state_machine_consistent() {
                 0 => b.on_sib(&ctx, warp),
                 1 => {
                     b.on_issue(&ctx, warp, &IssueInfo::default());
-                    assert!(!b.is_backed_off(warp), "issue clears state (seed {seed})");
+                    let backed_off = b.backed_off();
+                    assert!(!backed_off.contains(warp), "issue clears state (seed {seed})");
                 }
                 _ => {
-                    let eligible: Vec<usize> = (0..8).filter(|&w| b.can_issue(now, w)).collect();
+                    let vetoed = b.vetoed(now);
+                    assert_eq!(vetoed - b.backed_off(), WarpSet::EMPTY, "seed {seed}");
+                    let eligible = WarpSet((rng.next() & 0xff) | 1) - vetoed;
                     if !eligible.is_empty() {
-                        let pick = b.pick(&ctx, &eligible);
-                        if let Some(w) = pick {
-                            assert!(eligible.contains(&w), "seed {seed}");
-                        }
+                        let w = b.pick(&ctx, eligible).expect("BOWS always picks");
+                        assert!(eligible.contains(w), "seed {seed}");
+                        let normal = eligible - b.backed_off();
+                        assert!(normal.is_empty() || normal.contains(w), "seed {seed}");
                     }
                 }
             }
@@ -199,7 +203,7 @@ fn adaptive_limit_always_clamped() {
                     meta: &m,
                     resident_version: 1,
                 };
-                b.end_cycle(&ctx, &[0, 1], Some(0));
+                b.end_cycle(&ctx, WarpSet(0b11), Some(0));
                 let limit = b.current_delay_limit();
                 assert!((100..=2000).contains(&limit), "limit {limit} (seed {seed})");
             }

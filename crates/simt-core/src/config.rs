@@ -1,6 +1,7 @@
 //! GPU configuration presets (the paper's Table II).
 
-use simt_mem::MemConfig;
+use crate::WarpSet;
+use simt_mem::{MemConfig, MAX_EVENT_OFFSET};
 
 /// Functional-unit latencies (cycles from issue to register writeback).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,6 +250,24 @@ impl GpuConfig {
         if self.max_ctas_per_sm == 0 {
             return Err("max_ctas_per_sm must be at least 1".to_string());
         }
+        if self.warps_per_sm() > WarpSet::CAPACITY {
+            return Err(format!(
+                "max_threads_per_sm ({}) / warp_size ({}) is {} warp slots per SM; at most {} \
+                 are supported",
+                self.max_threads_per_sm,
+                self.warp_size,
+                self.warps_per_sm(),
+                WarpSet::CAPACITY
+            ));
+        }
+        let offset = self.mem.max_event_offset();
+        if offset > MAX_EVENT_OFFSET {
+            return Err(format!(
+                "a memory response can be due {offset} cycles ahead (the largest of \
+                 l1_hit_latency, l2_hit_latency + icnt_latency and dram_latency + icnt_latency, \
+                 plus the chaos max_atomic_delay); at most {MAX_EVENT_OFFSET} is supported"
+            ));
+        }
         Ok(())
     }
 
@@ -301,6 +320,8 @@ mod tests {
             (|c| c.warp_size = 0, "warp_size"),
             (|c| c.max_threads_per_sm = 16, "max_threads_per_sm"),
             (|c| c.max_ctas_per_sm = 0, "max_ctas_per_sm"),
+            (|c| c.max_threads_per_sm = 65 * 32, "65 warp slots"),
+            (|c| c.mem.dram_latency = 65_536 - 40, "dram_latency"),
         ];
         for (break_cfg, field) in cases {
             let mut cfg = GpuConfig::test_tiny();

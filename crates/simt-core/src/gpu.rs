@@ -910,7 +910,7 @@ impl Run<'_> {
             sm.load_snap(&mut r, &limits)?;
             resident_ctas += sm.resident_ctas();
         }
-        let restored_mem = self.mem.load_snap(&mut r)?;
+        let restored_mem = self.mem.load_snap(&mut r, state.now)?;
         r.expect_exhausted()?;
         state.check(restored_mem.stats(), resident_ctas, self.lctx.grid_ctas)?;
         *self.mem = restored_mem;

@@ -67,7 +67,7 @@ pub use gpu::{
     CheckpointCtl, DetectorFactory, Gpu, KernelReport, LaunchSpec, PolicyFactory, ProfileReport,
     SimError,
 };
-pub use sched::{BasePolicy, IssueInfo, SchedCtx, SchedulerPolicy, WarpMeta};
+pub use sched::{BasePolicy, IssueInfo, SchedCtx, SchedulerPolicy, WarpMeta, WarpSet};
 pub use scoreboard::Scoreboard;
 pub use sm::{LaunchCtx, Sm, SmCycle, SmProf};
 pub use stack::{SimtStack, StackEntry};

@@ -46,6 +46,105 @@ pub struct IssueInfo {
     pub writes_mem: bool,
 }
 
+/// A set of one SM's warp slots, one bit per slot: the issue stage's
+/// per-cycle sets (marked, ready, live, eligible, vetoed, backed off) are
+/// all of this type. An SM has at most [`WarpSet::CAPACITY`] slots —
+/// [`crate::GpuConfig::validate`] refuses more. Iteration is in ascending
+/// slot order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WarpSet(pub u64);
+
+impl WarpSet {
+    /// Warp slots a set can hold (and so an SM can have).
+    pub const CAPACITY: usize = 64;
+
+    /// No slots.
+    pub const EMPTY: WarpSet = WarpSet(0);
+
+    /// Is `slot` a member?
+    pub fn contains(self, slot: usize) -> bool {
+        slot < WarpSet::CAPACITY && self.0 >> slot & 1 != 0
+    }
+
+    /// Add `slot`.
+    pub fn insert(&mut self, slot: usize) {
+        self.0 |= 1 << slot;
+    }
+
+    /// Remove `slot`.
+    pub fn remove(&mut self, slot: usize) {
+        self.0 &= !(1 << slot);
+    }
+
+    /// Add or remove `slot`.
+    pub fn set(&mut self, slot: usize, member: bool) {
+        if member {
+            self.insert(slot);
+        } else {
+            self.remove(slot);
+        }
+    }
+
+    /// Number of members.
+    pub fn len(self) -> usize {
+        // Most sets the SM counts every cycle are empty, and the baseline
+        // x86-64 target has no popcount instruction.
+        if self.0 == 0 {
+            0
+        } else {
+            self.0.count_ones() as usize
+        }
+    }
+
+    /// No members?
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The lowest member.
+    pub fn first(self) -> Option<usize> {
+        (self.0 != 0).then(|| self.0.trailing_zeros() as usize)
+    }
+
+    /// The members at or above `slot`.
+    pub fn at_or_above(self, slot: usize) -> WarpSet {
+        WarpSet(self.0 & u64::MAX.checked_shl(slot as u32).unwrap_or(0))
+    }
+
+    /// Members in ascending slot order.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let slot = WarpSet(bits).first()?;
+            bits &= bits - 1;
+            Some(slot)
+        })
+    }
+}
+
+impl std::ops::BitAnd for WarpSet {
+    type Output = WarpSet;
+    fn bitand(self, rhs: WarpSet) -> WarpSet {
+        WarpSet(self.0 & rhs.0)
+    }
+}
+
+/// Set difference: the members of `self` not in `rhs`.
+impl std::ops::Sub for WarpSet {
+    type Output = WarpSet;
+    fn sub(self, rhs: WarpSet) -> WarpSet {
+        WarpSet(self.0 & !rhs.0)
+    }
+}
+
+impl FromIterator<usize> for WarpSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(slots: I) -> WarpSet {
+        let mut set = WarpSet::EMPTY;
+        slots.into_iter().for_each(|slot| set.insert(slot));
+        set
+    }
+}
+
 /// Scheduling context for one cycle.
 #[derive(Debug)]
 pub struct SchedCtx<'a> {
@@ -60,8 +159,8 @@ pub struct SchedCtx<'a> {
 
 /// A warp-scheduling policy for one scheduler unit.
 ///
-/// Implementations are single-unit: they only ever see warp slots belonging
-/// to their unit in `eligible`/`unit_warps`.
+/// Implementations are single-unit: every [`WarpSet`] they are handed
+/// holds only warp slots of their own unit.
 pub trait SchedulerPolicy {
     /// Policy name for reports (e.g. `"gto"`, `"bows(gto)"`).
     fn name(&self) -> String;
@@ -71,7 +170,7 @@ pub trait SchedulerPolicy {
     fn on_warp_launch(&mut self, _warp: usize, _static_inst: usize) {}
 
     /// Choose one of `eligible` to issue (never empty). `None` idles.
-    fn pick(&mut self, ctx: &SchedCtx<'_>, eligible: &[usize]) -> Option<usize>;
+    fn pick(&mut self, ctx: &SchedCtx<'_>, eligible: WarpSet) -> Option<usize>;
 
     /// The chosen warp issued `info`.
     fn on_issue(&mut self, _ctx: &SchedCtx<'_>, _warp: usize, _info: &IssueInfo) {}
@@ -79,29 +178,25 @@ pub trait SchedulerPolicy {
     /// The warp executed (took) a spin-inducing branch: BOWS's trigger.
     fn on_sib(&mut self, _ctx: &SchedCtx<'_>, _warp: usize) {}
 
-    /// End of cycle bookkeeping. `unit_warps` are this unit's warp slots;
+    /// End of cycle bookkeeping. `live` is this unit's live warp slots;
     /// `issued` is the warp that issued this cycle, if any.
-    fn end_cycle(&mut self, _ctx: &SchedCtx<'_>, _unit_warps: &[usize], _issued: Option<usize>) {}
+    fn end_cycle(&mut self, _ctx: &SchedCtx<'_>, _live: WarpSet, _issued: Option<usize>) {}
 
-    /// Extra per-warp issue veto (BOWS's pending back-off delay). Checked by
-    /// the SM when building the eligible set.
-    fn can_issue(&self, _now: u64, _warp: usize) -> bool {
-        true
+    /// The warps this policy forbids to issue at `now` however ready they
+    /// are (BOWS's pending back-off delay). Asked once per unit per cycle
+    /// in which the unit has a ready warp; the SM issues from its ready
+    /// set minus this one and counts the ready warps it removes as
+    /// back-off stalls.
+    fn vetoed(&self, _now: u64) -> WarpSet {
+        WarpSet::EMPTY
     }
 
-    /// Is the warp currently in the backed-off state? (Figure 11.)
-    fn is_backed_off(&self, _warp: usize) -> bool {
-        false
-    }
-
-    /// How many of this unit's warps are in the backed-off state: the SM
-    /// samples it every cycle (Figure 11), so it asks for the count
-    /// instead of sweeping [`SchedulerPolicy::is_backed_off`] over the
-    /// unit's live warps. The two must agree — a warp leaves the state no
-    /// later than its own `exit` issues — and a policy that overrides one
-    /// overrides both.
-    fn backed_off_count(&self) -> usize {
-        0
+    /// The warps in the backed-off state (Figure 11). The SM samples its
+    /// size every cycle; it must hold only live warps of this unit — a
+    /// warp leaves the state no later than its own `exit` issues — and
+    /// `Sm::load_snap` refuses restored state that says otherwise.
+    fn backed_off(&self) -> WarpSet {
+        WarpSet::EMPTY
     }
 
     /// Current back-off delay limit (Figure 10 instrumentation); 0 for
@@ -133,9 +228,9 @@ pub trait SchedulerPolicy {
     /// dead cycles: warp metadata cannot change while nothing issues).
     /// The default literally loops `end_cycle`, which is always correct;
     /// policies whose idle update is closed-form override it.
-    fn on_idle_span(&mut self, ctx: &SchedCtx<'_>, unit_warps: &[usize], span: u64) {
+    fn on_idle_span(&mut self, ctx: &SchedCtx<'_>, live: WarpSet, span: u64) {
         for _ in 0..span {
-            self.end_cycle(ctx, unit_warps, None);
+            self.end_cycle(ctx, live, None);
         }
     }
 
@@ -230,17 +325,17 @@ impl SchedulerPolicy for Lrr {
         "lrr".to_string()
     }
 
-    fn pick(&mut self, _ctx: &SchedCtx<'_>, eligible: &[usize]) -> Option<usize> {
-        let w = eligible
-            .iter()
-            .copied()
-            .min_by_key(|&w| (w + Lrr::MOD - self.last - 1) % Lrr::MOD)?;
+    // The first eligible slot after the last one issued, wrapping. `last`
+    // starts at `MOD - 1`, one before slot 0 modulo `MOD`.
+    fn pick(&mut self, _ctx: &SchedCtx<'_>, eligible: WarpSet) -> Option<usize> {
+        let next = (self.last + 1) % Lrr::MOD;
+        let w = eligible.at_or_above(next).first().or(eligible.first())?;
         self.last = w;
         Some(w)
     }
 
     // Idle cycles touch no LRR state.
-    fn on_idle_span(&mut self, _ctx: &SchedCtx<'_>, _unit_warps: &[usize], _span: u64) {}
+    fn on_idle_span(&mut self, _ctx: &SchedCtx<'_>, _live: WarpSet, _span: u64) {}
 
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {
         self.save(w);
@@ -264,9 +359,16 @@ simt_snap::snap_struct!(Lrr { last: usize });
 pub struct Gto {
     rotate_period: u64,
     last_issued: Option<usize>,
-    /// Cached (resident_version, rotation) → per-slot rank.
-    cache_key: (u64, u64),
+    /// The rank cache, derived from `(resident_version, rotation)` and
+    /// never serialized: the rotation `now / rotate_period` and the cycles
+    /// `window` it holds for, the key the ranks were built for, the
+    /// per-slot ranks and the resident list they were built from (both
+    /// buffers reused across refreshes).
+    rotation: u64,
+    window: std::ops::Range<u64>,
+    ranked: (u64, u64),
     ranks: Vec<u64>,
+    resident: Vec<(u64, usize)>,
 }
 
 impl Gto {
@@ -274,31 +376,40 @@ impl Gto {
         Gto {
             rotate_period: rotate_period.max(1),
             last_issued: None,
-            cache_key: (u64::MAX, u64::MAX),
+            rotation: 0,
+            window: 0..0,
+            ranked: (u64::MAX, u64::MAX),
             ranks: Vec::new(),
+            resident: Vec::new(),
         }
     }
 
     fn refresh(&mut self, ctx: &SchedCtx<'_>) {
-        let rot = ctx.now / self.rotate_period;
-        let key = (ctx.resident_version, rot);
-        if self.cache_key == key && self.ranks.len() == ctx.meta.len() {
+        if !self.window.contains(&ctx.now) {
+            self.rotation = ctx.now / self.rotate_period;
+            let start = self.rotation * self.rotate_period;
+            self.window = start..start.saturating_add(self.rotate_period);
+        }
+        let key = (ctx.resident_version, self.rotation);
+        if self.ranked == key && self.ranks.len() == ctx.meta.len() {
             return;
         }
-        self.cache_key = key;
+        self.ranked = key;
         // Rank resident warps by age, then rotate the order.
-        let mut resident: Vec<(u64, usize)> = ctx
-            .meta
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.resident && !m.done)
-            .map(|(w, m)| (m.age_key, w))
-            .collect();
-        resident.sort_unstable();
-        let n = resident.len().max(1) as u64;
-        self.ranks = vec![u64::MAX; ctx.meta.len()];
-        for (pos, &(_, w)) in resident.iter().enumerate() {
-            self.ranks[w] = (pos as u64 + rot) % n;
+        self.resident.clear();
+        self.resident.extend(
+            ctx.meta
+                .iter()
+                .enumerate()
+                .filter(|(_, m)| m.resident && !m.done)
+                .map(|(w, m)| (m.age_key, w)),
+        );
+        self.resident.sort_unstable();
+        let n = self.resident.len().max(1) as u64;
+        self.ranks.clear();
+        self.ranks.resize(ctx.meta.len(), u64::MAX);
+        for (pos, &(_, w)) in self.resident.iter().enumerate() {
+            self.ranks[w] = (pos as u64 + self.rotation) % n;
         }
     }
 }
@@ -308,15 +419,15 @@ impl SchedulerPolicy for Gto {
         "gto".to_string()
     }
 
-    fn pick(&mut self, ctx: &SchedCtx<'_>, eligible: &[usize]) -> Option<usize> {
+    fn pick(&mut self, ctx: &SchedCtx<'_>, eligible: WarpSet) -> Option<usize> {
         // Greedy: stick with the last issued warp while it stays eligible.
         if let Some(last) = self.last_issued {
-            if eligible.contains(&last) {
+            if eligible.contains(last) {
                 return Some(last);
             }
         }
         self.refresh(ctx);
-        let w = eligible.iter().copied().min_by_key(|&w| self.ranks[w])?;
+        let w = eligible.iter().min_by_key(|&w| self.ranks[w])?;
         self.last_issued = Some(w);
         Some(w)
     }
@@ -324,7 +435,7 @@ impl SchedulerPolicy for Gto {
     // Idle cycles touch no GTO state (the rank cache refreshes lazily in
     // `pick`, from the cycle it is called at), so an SM may sleep across
     // a rotation boundary.
-    fn on_idle_span(&mut self, _ctx: &SchedCtx<'_>, _unit_warps: &[usize], _span: u64) {}
+    fn on_idle_span(&mut self, _ctx: &SchedCtx<'_>, _live: WarpSet, _span: u64) {}
 
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {
         self.save_fields(w);
@@ -335,8 +446,8 @@ impl SchedulerPolicy for Gto {
         r: &mut simt_snap::SnapReader<'_>,
     ) -> Result<(), simt_snap::SnapshotError> {
         self.load_fields(r)?;
-        self.cache_key = (u64::MAX, u64::MAX);
-        self.ranks.clear();
+        self.window = 0..0;
+        self.ranked = (u64::MAX, u64::MAX);
         Ok(())
     }
 }
@@ -407,15 +518,13 @@ impl SchedulerPolicy for Cawa {
         };
     }
 
-    fn pick(&mut self, _ctx: &SchedCtx<'_>, eligible: &[usize]) -> Option<usize> {
-        eligible
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                self.criticality(a)
-                    .partial_cmp(&self.criticality(b))
-                    .expect("criticality is finite")
-            })
+    // On a tie the highest slot wins (`max_by` keeps the last maximum).
+    fn pick(&mut self, _ctx: &SchedCtx<'_>, eligible: WarpSet) -> Option<usize> {
+        eligible.iter().max_by(|&a, &b| {
+            self.criticality(a)
+                .partial_cmp(&self.criticality(b))
+                .expect("criticality is finite")
+        })
     }
 
     fn on_issue(&mut self, _ctx: &SchedCtx<'_>, warp: usize, info: &IssueInfo) {
@@ -428,8 +537,8 @@ impl SchedulerPolicy for Cawa {
         }
     }
 
-    fn end_cycle(&mut self, ctx: &SchedCtx<'_>, unit_warps: &[usize], issued: Option<usize>) {
-        for &w in unit_warps {
+    fn end_cycle(&mut self, ctx: &SchedCtx<'_>, live: WarpSet, issued: Option<usize>) {
+        for w in live.iter() {
             self.ensure(w);
             let m = ctx.meta[w];
             if m.resident && !m.done {
@@ -443,8 +552,8 @@ impl SchedulerPolicy for Cawa {
 
     // `span` issue-free end_cycles in closed form: every resident live warp
     // ages and stalls once per skipped cycle.
-    fn on_idle_span(&mut self, ctx: &SchedCtx<'_>, unit_warps: &[usize], span: u64) {
-        for &w in unit_warps {
+    fn on_idle_span(&mut self, ctx: &SchedCtx<'_>, live: WarpSet, span: u64) {
+        for w in live.iter() {
             self.ensure(w);
             let m = ctx.meta[w];
             if m.resident && !m.done {
@@ -474,6 +583,26 @@ simt_snap::snap_struct!(Cawa { warps: Vec<CawaWarp> });
 mod tests {
     use super::*;
 
+    fn set(slots: &[usize]) -> WarpSet {
+        slots.iter().copied().collect()
+    }
+
+    #[test]
+    fn warp_set_ops_and_ascending_iteration() {
+        let mut s = set(&[63, 3, 40, 3]);
+        s.set(40, false);
+        s.set(7, true);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [3, 7, 63]);
+        assert_eq!((s.len(), s.first()), (3, Some(3)));
+        assert!(s.contains(63) && !s.contains(40) && !s.contains(64));
+        assert_eq!(s.at_or_above(8), set(&[63]));
+        assert_eq!(s.at_or_above(64), WarpSet::EMPTY);
+        assert_eq!(s & set(&[3, 4]), set(&[3]));
+        assert_eq!(s - set(&[3, 63]), set(&[7]));
+        assert_eq!(WarpSet(u64::MAX).len(), 64);
+        assert_eq!(WarpSet::EMPTY.first(), None);
+        assert_eq!(WarpSet::EMPTY.iter().count(), 0);
+    }
 
     #[test]
     fn snap_laws() {
@@ -510,11 +639,25 @@ mod tests {
         let m = meta(6);
         let c = ctx(0, &m);
         let mut lrr = Lrr::new();
-        let eligible = [0, 2, 4];
-        assert_eq!(lrr.pick(&c, &eligible), Some(0));
-        assert_eq!(lrr.pick(&c, &eligible), Some(2));
-        assert_eq!(lrr.pick(&c, &eligible), Some(4));
-        assert_eq!(lrr.pick(&c, &eligible), Some(0), "wraps");
+        let eligible = set(&[0, 2, 4]);
+        assert_eq!(lrr.pick(&c, eligible), Some(0));
+        assert_eq!(lrr.pick(&c, eligible), Some(2));
+        assert_eq!(lrr.pick(&c, eligible), Some(4));
+        assert_eq!(lrr.pick(&c, eligible), Some(0), "wraps");
+    }
+
+    #[test]
+    fn lrr_starts_at_slot_0_and_wraps_at_slot_63() {
+        let m = meta(64);
+        let c = ctx(0, &m);
+        // The initial `last` is one before slot 0: the lowest slot goes first.
+        let mut lrr = Lrr::new();
+        assert_eq!(lrr.pick(&c, set(&[5, 63])), Some(5));
+        assert_eq!(lrr.pick(&c, set(&[5, 63])), Some(63));
+        // Nothing lies after slot 63: wrap to the lowest eligible slot.
+        assert_eq!(lrr.pick(&c, set(&[0, 63])), Some(0));
+        assert_eq!(lrr.pick(&c, set(&[63])), Some(63));
+        assert_eq!(lrr.pick(&c, set(&[63])), Some(63), "the only slot, again");
     }
 
     #[test]
@@ -523,11 +666,11 @@ mod tests {
         let c = ctx(0, &m);
         let mut gto = Gto::new(50_000);
         // Oldest (lowest age) among eligible first.
-        assert_eq!(gto.pick(&c, &[4, 2]), Some(2));
+        assert_eq!(gto.pick(&c, set(&[4, 2])), Some(2));
         // Greedy: keeps picking 2 while eligible.
-        assert_eq!(gto.pick(&c, &[0, 2, 4]), Some(2));
+        assert_eq!(gto.pick(&c, set(&[0, 2, 4])), Some(2));
         // 2 stalls: falls back to oldest = 0.
-        assert_eq!(gto.pick(&c, &[0, 4]), Some(0));
+        assert_eq!(gto.pick(&c, set(&[0, 4])), Some(0));
     }
 
     #[test]
@@ -535,12 +678,26 @@ mod tests {
         let m = meta(4);
         let mut gto = Gto::new(100);
         let c0 = ctx(0, &m);
-        assert_eq!(gto.pick(&c0, &[0, 1, 2, 3]), Some(0));
+        assert_eq!(gto.pick(&c0, set(&[0, 1, 2, 3])), Some(0));
         // After one rotation period, warp 0's rank is 1; the "oldest" rank 0
         // belongs to warp 3 ((3 + 1) % 4 == 0).
         let mut gto2 = Gto::new(100);
         let c1 = ctx(100, &m);
-        assert_eq!(gto2.pick(&c1, &[0, 1, 2, 3]), Some(3));
+        assert_eq!(gto2.pick(&c1, set(&[0, 1, 2, 3])), Some(3));
+    }
+
+    #[test]
+    fn gto_keeps_its_rotation_inside_the_window_and_moves_past_it() {
+        let m = meta(4);
+        let mut gto = Gto::new(100);
+        assert_eq!(gto.pick(&ctx(0, &m), set(&[1, 2, 3])), Some(1));
+        // Still rotation 0 at cycle 99: ages rank 0 < 1 < 2 < 3.
+        assert_eq!(gto.pick(&ctx(99, &m), set(&[2, 3])), Some(2));
+        // Rotation 1 from cycle 100: warp 3 is ranked first.
+        assert_eq!(gto.pick(&ctx(100, &m), set(&[0, 1, 3])), Some(3));
+        // Rotation 2 from cycle 200: warp 2 first, then warp 3.
+        assert_eq!(gto.pick(&ctx(250, &m), set(&[0, 3])), Some(3), "greedy");
+        assert_eq!(gto.pick(&ctx(250, &m), set(&[0, 1, 2])), Some(2));
     }
 
     #[test]
@@ -564,9 +721,9 @@ mod tests {
                     ..IssueInfo::default()
                 },
             );
-            cawa.end_cycle(&c, &[0, 1], Some(1));
+            cawa.end_cycle(&c, set(&[0, 1]), Some(1));
         }
-        assert_eq!(cawa.pick(&c, &[0, 1]), Some(1));
+        assert_eq!(cawa.pick(&c, set(&[0, 1])), Some(1));
     }
 
     #[test]
@@ -578,10 +735,22 @@ mod tests {
         cawa.on_warp_launch(1, 10);
         // Warp 1 stalls for 100 cycles while warp 0 issues.
         for _ in 0..100 {
-            cawa.end_cycle(&c, &[0, 1], Some(0));
+            cawa.end_cycle(&c, set(&[0, 1]), Some(0));
         }
         assert!(cawa.criticality(1) > cawa.criticality(0));
-        assert_eq!(cawa.pick(&c, &[0, 1]), Some(1));
+        assert_eq!(cawa.pick(&c, set(&[0, 1])), Some(1));
+    }
+
+    #[test]
+    fn cawa_tie_goes_to_the_highest_slot() {
+        let m = meta(64);
+        let c = ctx(0, &m);
+        let mut cawa = Cawa::new();
+        for w in 0..64 {
+            cawa.on_warp_launch(w, 10);
+        }
+        assert_eq!(cawa.pick(&c, set(&[1, 5, 2])), Some(5));
+        assert_eq!(cawa.pick(&c, set(&[0, 63])), Some(63));
     }
 
     #[test]
@@ -589,9 +758,8 @@ mod tests {
         for p in [BasePolicy::Lrr, BasePolicy::Gto, BasePolicy::Cawa] {
             let unit = p.build(50_000);
             assert_eq!(unit.name(), p.name());
-            assert!(unit.can_issue(0, 0));
-            assert!(!unit.is_backed_off(0));
-            assert_eq!(unit.backed_off_count(), 0);
+            assert_eq!(unit.vetoed(0), WarpSet::EMPTY);
+            assert_eq!(unit.backed_off(), WarpSet::EMPTY);
             assert_eq!(unit.current_delay_limit(), 0);
         }
     }

@@ -2,7 +2,7 @@
 //! barriers, memory interfacing and scheduler-unit orchestration.
 
 use crate::detect::{BranchLog, SpinDetector};
-use crate::sched::{IssueInfo, SchedCtx, SchedulerPolicy, WarpMeta};
+use crate::sched::{IssueInfo, SchedCtx, SchedulerPolicy, WarpMeta, WarpSet};
 use crate::warp::{Cta, Warp};
 use crate::watchdog::{ProgressScan, WarpProgress, WarpSnapshot};
 use crate::{GpuConfig, SimError, SimStats};
@@ -194,47 +194,6 @@ fn classify(
     Ok((class, meta))
 }
 
-/// A set of warp slots as a bitset; iterates in ascending slot order.
-#[derive(Debug, Default)]
-struct SlotSet(Vec<u64>);
-
-impl SlotSet {
-    fn new(slots: usize) -> SlotSet {
-        SlotSet(vec![0; slots.div_ceil(64)])
-    }
-
-    fn insert(&mut self, slot: usize) {
-        self.0[slot / 64] |= 1 << (slot % 64);
-    }
-
-    fn set(&mut self, slot: usize, member: bool) {
-        let (word, bit) = (&mut self.0[slot / 64], 1 << (slot % 64));
-        *word = if member { *word | bit } else { *word & !bit };
-    }
-
-    #[cfg(debug_assertions)]
-    fn contains(&self, slot: usize) -> bool {
-        self.0[slot / 64] & (1 << (slot % 64)) != 0
-    }
-
-    fn clear(&mut self) {
-        self.0.fill(0);
-    }
-
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(i, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let slot = i * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    slot
-                })
-            })
-        })
-    }
-}
-
 /// What one cycle adds to the per-warp stall and occupancy counters of
 /// [`SimStats`]. `barrier`, `membar`, `data` and `resident` are running
 /// totals over the slots' cached [`StallClass`] and `meta`, moved only
@@ -336,25 +295,25 @@ pub struct Sm {
     /// Slots an event has touched since they were last classified — the
     /// only ones whose class can have changed. Every site that can move a
     /// warp's class inserts here; step 3 of [`Sm::cycle`] drains it.
-    marked: SlotSet,
-    /// Per scheduler unit, its slots of class [`StallClass::Eligible`].
-    ready: Vec<SlotSet>,
-    /// Per-unit live (resident, not done) warp slots in ascending order,
-    /// passed to the scheduler policies in place of every slot of the
-    /// unit. Rebuilt lazily by [`Sm::refresh_live`] whenever
-    /// `resident_version` moves (CTA launch or retirement); a warp that
-    /// merely finishes (`done`) stays listed until its CTA retires.
-    /// Behavior-identical: every in-tree policy either ignores the list or
-    /// filters it on `meta.resident && !meta.done`, which excludes exactly
-    /// the slots the live list omits.
-    unit_live: Vec<Vec<usize>>,
-    /// `resident_version` value the live lists were built against;
+    marked: WarpSet,
+    /// Slots of class [`StallClass::Eligible`].
+    ready: WarpSet,
+    /// Live (resident, not done) warp slots, handed to the scheduler
+    /// policies (each unit's share) in place of every slot of the unit.
+    /// Rebuilt lazily by [`Sm::refresh_live`] whenever `resident_version`
+    /// moves (CTA launch or retirement); a warp that merely finishes
+    /// (`done`) stays a member until its CTA retires. Behavior-identical:
+    /// every in-tree policy either ignores the set or filters it on
+    /// `meta.resident && !meta.done`, which excludes exactly the slots the
+    /// live set omits.
+    live: WarpSet,
+    /// `resident_version` value the live set was built against;
     /// initialized out-of-sync to force a build on the first cycle.
     live_version: u64,
+    /// Per scheduler unit, the slots it owns (`w % units == u`).
+    unit_slots: Vec<WarpSet>,
     /// Per-cycle scratch: the warp each unit issued (reused, never freed).
     issued_scratch: Vec<Option<usize>>,
-    /// Per-unit scratch for the eligible-warp list (reused, never freed).
-    eligible_scratch: Vec<usize>,
     /// Per-instruction scratch: the coalescer's transactions and an
     /// atomic's per-line groups (reused, never freed).
     txs: Vec<simt_mem::Transaction>,
@@ -405,6 +364,11 @@ impl Sm {
         detector: Box<dyn SpinDetector>,
     ) -> Sm {
         assert_eq!(units.len(), cfg.schedulers_per_sm, "one policy per unit");
+        let nwarps = cfg.warps_per_sm();
+        assert!(
+            nwarps <= WarpSet::CAPACITY,
+            "{nwarps} warp slots exceed a WarpSet"
+        );
         assert!(
             (cfg.lat.int_alu.max(cfg.lat.fp_alu).max(cfg.lat.sfu).max(cfg.lat.shared_mem)
                 as usize)
@@ -418,7 +382,7 @@ impl Sm {
             lat_fp: cfg.lat.fp_alu,
             lat_sfu: cfg.lat.sfu,
             lat_shared: cfg.lat.shared_mem,
-            warps: (0..cfg.warps_per_sm()).map(|_| Warp::vacant()).collect(),
+            warps: (0..nwarps).map(|_| Warp::vacant()).collect(),
             ctas: (0..cfg.max_ctas_per_sm).map(|_| None).collect(),
             units,
             detector,
@@ -427,24 +391,22 @@ impl Sm {
             wheel: (0..WHEEL).map(|_| Vec::new()).collect(),
             wheel_len: 0,
             ctas_resident: 0,
-            progress: vec![WarpProgress::default(); cfg.warps_per_sm()],
+            progress: vec![WarpProgress::default(); nwarps],
             resident_version: 0,
             regs_in_use: 0,
             shared_in_use: 0,
             max_regs: cfg.regs_per_sm,
             max_shared: cfg.shared_words_per_sm,
-            meta: vec![WarpMeta::default(); cfg.warps_per_sm()],
-            class: vec![StallClass::None; cfg.warps_per_sm()],
-            marked: SlotSet::new(cfg.warps_per_sm()),
-            ready: (0..cfg.schedulers_per_sm)
-                .map(|_| SlotSet::new(cfg.warps_per_sm()))
-                .collect(),
-            unit_live: (0..cfg.schedulers_per_sm)
-                .map(|_| Vec::with_capacity(cfg.warps_per_sm().div_ceil(cfg.schedulers_per_sm)))
-                .collect(),
+            meta: vec![WarpMeta::default(); nwarps],
+            class: vec![StallClass::None; nwarps],
+            marked: WarpSet::EMPTY,
+            ready: WarpSet::EMPTY,
+            live: WarpSet::EMPTY,
             live_version: u64::MAX,
+            unit_slots: (0..cfg.schedulers_per_sm)
+                .map(|u| (u..nwarps).step_by(cfg.schedulers_per_sm).collect())
+                .collect(),
             issued_scratch: vec![None; cfg.schedulers_per_sm],
-            eligible_scratch: Vec::with_capacity(cfg.warps_per_sm()),
             txs: Vec::new(),
             atom_groups: Vec::new(),
             capture_state: cfg.capture_final_state,
@@ -595,26 +557,22 @@ impl Sm {
         Ok(())
     }
 
-    /// Rebuild the per-unit live lists if a CTA launched or retired since
-    /// the last build (or a snapshot was restored), and start the
-    /// event-driven state over from the warps themselves: `meta` is
-    /// re-frozen for every slot — slots outside the lists keep the
-    /// metadata a full scan would have kept recomputing for them
-    /// (non-resident or done, never eligible), which the scheduler
-    /// policies and the dead-span sampling rely on — every class, ready
-    /// set and running total is reset, and every live slot is marked, so
-    /// this cycle's step 3 classifies all of them.
+    /// Rebuild the live set if a CTA launched or retired since the last
+    /// build (or a snapshot was restored), and start the event-driven
+    /// state over from the warps themselves: `meta` is re-frozen for every
+    /// slot — slots outside the set keep the metadata a full scan would
+    /// have kept recomputing for them (non-resident or done, never
+    /// eligible), which the scheduler policies and the dead-span sampling
+    /// rely on — every class, the ready set and every running total is
+    /// reset, and every live slot is marked, so this cycle's step 3
+    /// classifies all of them.
     fn refresh_live(&mut self) {
         if self.live_version == self.resident_version {
             return;
         }
         self.live_version = self.resident_version;
-        for ul in &mut self.unit_live {
-            ul.clear();
-        }
-        for ready in &mut self.ready {
-            ready.clear();
-        }
+        self.live = WarpSet::EMPTY;
+        self.ready = WarpSet::EMPTY;
         self.class.fill(StallClass::None);
         self.tally = StallTally::default();
         for (i, w) in self.warps.iter().enumerate() {
@@ -625,7 +583,7 @@ impl Sm {
                 eligible: false,
             };
             if w.resident && !w.done {
-                self.unit_live[i % self.num_units].push(i);
+                self.live.insert(i);
                 self.marked.insert(i);
                 self.tally.resident += 1;
             }
@@ -647,7 +605,7 @@ impl Sm {
             if let Some(n) = self.tally.of(class) {
                 *n += 1;
             }
-            self.ready[i % self.num_units].set(i, class == StallClass::Eligible);
+            self.ready.set(i, class == StallClass::Eligible);
         }
         let live = |m: &WarpMeta| m.resident && !m.done;
         if live(&m) {
@@ -673,15 +631,12 @@ impl Sm {
                 .expect("a warp no event touched cannot start faulting");
             assert_eq!(self.class[i], class, "sm {} warp {i}: stale class", self.id);
             assert_eq!(self.meta[i], m, "sm {} warp {i}: stale meta", self.id);
-            for (u, ready) in self.ready.iter().enumerate() {
-                let member = class == StallClass::Eligible && u == i % self.num_units;
-                assert_eq!(
-                    ready.contains(i),
-                    member,
-                    "sm {} warp {i}: ready set {u}",
-                    self.id
-                );
-            }
+            assert_eq!(
+                self.ready.contains(i),
+                class == StallClass::Eligible,
+                "sm {} warp {i}: ready set",
+                self.id
+            );
             if let Some(n) = want.of(class) {
                 *n += 1;
             }
@@ -731,8 +686,8 @@ impl Sm {
         // Phase timer: `profile` is off by default, making this a single
         // untaken branch — the hot path takes no timestamps.
         let t0 = self.profile.then(std::time::Instant::now);
-        // Catch the live lists up with any launches since the last cycle.
-        // (A retirement in step 2 below leaves them one cycle stale — a
+        // Catch the live set up with any launches since the last cycle.
+        // (A retirement in step 2 below leaves it one cycle stale — a
         // harmless superset, since every consumer re-checks the warp's
         // resident/done flags.)
         self.refresh_live();
@@ -777,14 +732,10 @@ impl Sm {
         // barrier released, its CTA retired, or `refresh_live` started
         // over. Every other slot's class, `meta` and place in the running
         // totals are exactly what a rescan would recompute. The set is
-        // swapped out for the walk and handed back empty.
-        let mut marked = std::mem::take(&mut self.marked);
-        let classified = marked
-            .iter()
-            .try_for_each(|i| self.reclassify(i, now, lctx));
-        marked.clear();
-        self.marked = marked;
-        classified?;
+        // taken for the walk, which leaves it empty.
+        for i in std::mem::take(&mut self.marked).iter() {
+            self.reclassify(i, now, lctx)?;
+        }
         #[cfg(debug_assertions)]
         self.assert_rescan_agrees(now, lctx);
         // Phase boundary: everything above is "fetch", the rest "issue".
@@ -793,26 +744,24 @@ impl Sm {
             self.prof.fetch_ns += (t - t0).as_nanos() as u64;
             t
         });
-        // 4. Issue per scheduler unit, from the unit's ready set: ascending
-        // slots, so `pick` sees the order a scan would have built. The
-        // policy's veto is still asked per ready warp — a BOWS delay
-        // expires with no event on the SM's side. The eligible list and
-        // the per-unit issue record live in reusable scratch buffers —
-        // this loop runs every cycle and must not allocate.
+        // 4. Issue per scheduler unit, from the unit's share of the ready
+        // set minus the policy's veto, which is asked every cycle the unit
+        // has a ready warp — a BOWS delay expires with no event on the
+        // SM's side. The per-unit issue record lives in a reusable scratch
+        // buffer — this loop runs every cycle and must not allocate.
         self.tally.backoff = 0;
         for slot in &mut self.issued_scratch {
             *slot = None;
         }
         for u in 0..self.num_units {
-            self.eligible_scratch.clear();
-            for w in self.ready[u].iter() {
-                if self.units[u].can_issue(now, w) {
-                    self.eligible_scratch.push(w);
-                } else {
-                    self.tally.backoff += 1;
-                }
+            let ready = self.ready & self.unit_slots[u];
+            if ready.is_empty() {
+                continue;
             }
-            if self.eligible_scratch.is_empty() {
+            let vetoed = ready & self.units[u].vetoed(now);
+            self.tally.backoff += vetoed.len() as u64;
+            let eligible = ready - vetoed;
+            if eligible.is_empty() {
                 continue;
             }
             let ctx = SchedCtx {
@@ -820,16 +769,13 @@ impl Sm {
                 meta: &self.meta,
                 resident_version: self.resident_version,
             };
-            let Some(w) = self.units[u].pick(&ctx, &self.eligible_scratch) else {
+            let Some(w) = self.units[u].pick(&ctx, eligible) else {
                 self.idled_by_choice = true;
                 continue;
             };
-            debug_assert!(
-                self.eligible_scratch.contains(&w),
-                "policy picked ineligible warp"
-            );
+            debug_assert!(eligible.contains(w), "policy picked ineligible warp");
             stats.issued_cycles += 1;
-            stats.stall_arbitration += (self.eligible_scratch.len() - 1) as u64;
+            stats.stall_arbitration += (eligible.len() - 1) as u64;
             let outcome = if self.profile {
                 let t = std::time::Instant::now();
                 let o = self.execute(w, now, lctx, mem, stats)?;
@@ -890,19 +836,20 @@ impl Sm {
                 meta: &self.meta,
                 resident_version: self.resident_version,
             };
-            self.units[u].end_cycle(&ctx, &self.unit_live[u], issued);
-            let backed_off = self.units[u].backed_off_count();
+            let live = self.live & self.unit_slots[u];
+            self.units[u].end_cycle(&ctx, live, issued);
+            let backed_off = self.units[u].backed_off();
             debug_assert_eq!(
-                backed_off,
-                self.unit_live[u]
-                    .iter()
-                    .filter(|&&w| self.meta[w].resident && !self.meta[w].done)
-                    .filter(|&&w| self.units[u].is_backed_off(w))
-                    .count(),
-                "sm {} unit {u}: backed-off count against the per-warp sweep",
+                backed_off
+                    - live
+                        .iter()
+                        .filter(|&w| self.meta[w].resident && !self.meta[w].done)
+                        .collect(),
+                WarpSet::EMPTY,
+                "sm {} unit {u}: backed-off warps outside the unit's live ones",
                 self.id
             );
-            self.tally.backed_off += backed_off as u64;
+            self.tally.backed_off += backed_off.len() as u64;
         }
         self.tally.post(1, stats);
         if let Some(t) = t_issue {
@@ -946,8 +893,8 @@ impl Sm {
     /// can issue, complete memory, or drain a writeback), accruing exactly
     /// the per-cycle statistics [`Sm::cycle`] would have: the dead cycle at
     /// `now` counted them, and they are frozen across the span, as are the
-    /// live lists and `meta` the policies' idle bookkeeping reads. (A CTA
-    /// launched since fills slots outside the lists, and its warps are
+    /// live set and `meta` the policies' idle bookkeeping reads. (A CTA
+    /// launched since fills slots outside the set, and its warps are
     /// first counted by the cycle that follows the wake; `refresh_live`
     /// must NOT run here — it would wipe the `eligible` bits of `meta`.)
     fn fast_forward(&mut self, now: u64, span: u64, stats: &mut SimStats) {
@@ -958,7 +905,7 @@ impl Sm {
                 meta: &self.meta,
                 resident_version: self.resident_version,
             };
-            self.units[u].on_idle_span(&ctx, &self.unit_live[u], span);
+            self.units[u].on_idle_span(&ctx, self.live & self.unit_slots[u], span);
         }
     }
 
@@ -988,11 +935,11 @@ impl Sm {
     /// The slept span is accrued then, *after* the input has been applied,
     /// which is sound because [`Sm::fast_forward`] reads nothing either
     /// input writes — only the sleep-starting cycle's tally, and `meta`
-    /// and the per-unit live lists on the policies' behalf. A completion
+    /// and the live set on the policies' behalf. A completion
     /// touches a warp's scoreboard, `outstanding_mem` and CTA registers,
     /// and marks the warp for the next cycle's reclassification (the
     /// running totals in the tally move only there); a launch fills warp
-    /// slots that are outside the frozen live lists and resets only their
+    /// slots that are outside the frozen live set and resets only their
     /// policy and detector state.
     fn rouse(&mut self) {
         if let Some(s) = &mut self.sleep {
@@ -1487,7 +1434,7 @@ impl Sm {
             // state, not of traversal order.
             if backoff_bound > 0
                 && idle >= backoff_bound
-                && self.units[i % self.num_units].is_backed_off(i)
+                && self.units[i % self.num_units].backed_off().contains(i)
                 && scan.backoff_starved.is_none_or(|b| i < b)
             {
                 scan.backoff_starved = Some(i);
@@ -1522,7 +1469,7 @@ impl Sm {
                 outstanding_mem: w.outstanding_mem,
                 at_barrier: w.at_barrier,
                 waiting_membar: w.waiting_membar,
-                backed_off: unit.is_backed_off(i),
+                backed_off: unit.backed_off().contains(i),
                 backoff_queue_position: unit.backoff_queue_position(i),
                 spin_iters: p.spin_iters,
                 idle_cycles: p.idle_for(now),
@@ -1551,7 +1498,7 @@ impl Sm {
     /// Serialize the SM's full dynamic state at a checkpoint boundary (top
     /// of a run-loop iteration, before any cycle work).
     ///
-    /// Construction-derived members (latencies, capacities, `unit_warps`
+    /// Construction-derived members (latencies, capacities, `unit_slots`
     /// striding, scratch buffers) are rebuilt from the config on restore and
     /// not written.
     pub fn save_snap(&self, w: &mut SnapWriter) {
@@ -1696,25 +1643,25 @@ impl Sm {
                 return bad(format!("CTA {} geometry does not match the launch", cta.id));
             }
         }
-        // The Figure 11 sample reads each unit's backed-off count in place
-        // of sweeping its live warps; the two must agree from the start.
+        // The Figure 11 sample is the size of each unit's backed-off set,
+        // which must hold only live warps of the unit from the start.
         for (u, unit) in self.units.iter().enumerate() {
-            let live = (u..nwarps)
+            let live: WarpSet = (u..nwarps)
                 .step_by(nunits)
                 .filter(|&i| self.warps[i].resident && !self.warps[i].done)
-                .filter(|&i| unit.is_backed_off(i))
-                .count();
-            if unit.backed_off_count() != live {
+                .collect();
+            let stray = unit.backed_off() - live;
+            if !stray.is_empty() {
                 return bad(format!(
-                    "scheduler unit {u} holds {} backed-off warps, {live} of them live and its own",
-                    unit.backed_off_count()
+                    "scheduler unit {u} holds backed-off warps {:?} that are not live warps of its own",
+                    stray.iter().collect::<Vec<_>>()
                 ));
             }
         }
         // Derived members are never serialized: recount, and force the
-        // first post-restore cycle to rebuild the live lists — and with
-        // them every stall class, ready set and running total — from the
-        // restored warps.
+        // first post-restore cycle to rebuild the live set — and with it
+        // every stall class, the ready set and every running total — from
+        // the restored warps.
         self.ctas_resident = self.ctas.iter().flatten().count();
         self.wheel_len = self.wheel.iter().map(Vec::len).sum();
         self.live_version = self.resident_version.wrapping_add(1);
@@ -1853,45 +1800,32 @@ mod tests {
         assert_snap_laws(&pending);
     }
 
+    /// A unit that claims a backed-off warp which is not one of its live
+    /// warps is refused at restore: the SM samples the size of the
+    /// backed-off set every cycle as Figure 11's count.
     #[test]
-    fn slot_set_iterates_ascending() {
-        let mut set = SlotSet::new(130);
-        for slot in [129, 3, 64, 63, 3] {
-            set.insert(slot);
-        }
-        set.set(64, false);
-        set.set(7, true);
-        assert_eq!(set.iter().collect::<Vec<_>>(), [3, 7, 63, 129]);
-        set.clear();
-        assert_eq!(set.iter().count(), 0);
-    }
-
-    /// A unit whose backed-off count disagrees with its live backed-off
-    /// warps is refused at restore: the SM samples the count every cycle
-    /// in place of the per-warp sweep.
-    #[test]
-    fn backed_off_count_must_match_the_live_warps_at_restore() {
-        struct Claims(usize);
+    fn backed_off_warps_must_be_live_at_restore() {
+        struct Claims(WarpSet);
         impl SchedulerPolicy for Claims {
             fn name(&self) -> String {
                 "claims".to_string()
             }
-            fn pick(&mut self, _: &SchedCtx<'_>, eligible: &[usize]) -> Option<usize> {
-                eligible.first().copied()
+            fn pick(&mut self, _: &SchedCtx<'_>, eligible: WarpSet) -> Option<usize> {
+                eligible.first()
             }
-            fn backed_off_count(&self) -> usize {
+            fn backed_off(&self) -> WarpSet {
                 self.0
             }
         }
         let cfg = GpuConfig::test_tiny();
-        let sm = |claim: usize| {
+        let sm = |claim: WarpSet| {
             let units = (0..cfg.schedulers_per_sm)
                 .map(|_| Box::new(Claims(claim)) as Box<dyn SchedulerPolicy>)
                 .collect();
             Sm::new(0, &cfg, units, Box::new(crate::NullDetector))
         };
         let mut w = SnapWriter::new();
-        sm(0).save_snap(&mut w);
+        sm(WarpSet::EMPTY).save_snap(&mut w);
         let body = w.into_bytes();
         let limits = SnapLimits {
             insts: 1,
@@ -1901,15 +1835,15 @@ mod tests {
             grid_ctas: 1,
             now: 0,
         };
-        sm(0)
+        sm(WarpSet::EMPTY)
             .load_snap(&mut SnapReader::new(&body), &limits)
             .unwrap();
-        let err = sm(1)
+        let err = sm(WarpSet(0b10))
             .load_snap(&mut SnapReader::new(&body), &limits)
             .unwrap_err();
         assert!(
             err.to_string()
-                .contains("holds 1 backed-off warps, 0 of them"),
+                .contains("holds backed-off warps [1] that are not live"),
             "{err}"
         );
     }

@@ -4,7 +4,7 @@
 //! Uses a local deterministic PRNG rather than an external property-test
 //! framework so the suite builds and runs fully offline.
 
-use simt_core::sched::{BasePolicy, SchedCtx, WarpMeta};
+use simt_core::sched::{BasePolicy, SchedCtx, WarpMeta, WarpSet};
 use simt_core::{Scoreboard, SimtStack};
 use simt_isa::{DecodedKernel, Inst, Kernel, Op, Reg, Ty};
 
@@ -156,40 +156,94 @@ fn scoreboard_matches_reference() {
     }
 }
 
-/// Every baseline policy picks only from the eligible set.
+/// The baseline picks over a `WarpSet` make the choices the list-based
+/// picks they replaced made, modelled here as they were written: LRR the
+/// first slot after the last one modulo 2^16, GTO greedy then the lowest
+/// age rank rotated by `now / period`, CAWA the last maximum. Random
+/// eligible sets over all 64 slots, residency changes and clock jumps
+/// across rotation windows.
 #[test]
-fn policies_pick_within_eligible() {
+fn mask_picks_match_the_list_models() {
+    const MOD: usize = 1 << 16;
     for seed in 0..64 {
         let mut rng = Rng::new(seed);
-        let mut eligible: Vec<usize> = (0..48).filter(|_| rng.flag()).collect();
-        if eligible.is_empty() {
-            eligible.push(rng.range(0, 48) as usize);
+        let period = rng.range(1, 300);
+        let mut lrr = BasePolicy::Lrr.build(period);
+        let mut gto = BasePolicy::Gto.build(period);
+        let mut cawa = BasePolicy::Cawa.build(period);
+        for w in 0..64 {
+            cawa.on_warp_launch(w, 100);
         }
-        let now = rng.range(0, 1_000_000);
-        let meta: Vec<WarpMeta> = (0..48)
-            .map(|i| WarpMeta {
-                resident: true,
-                done: false,
-                age_key: (97 * i as u64) % 48, // scrambled ages
-                eligible: eligible.contains(&i),
-            })
-            .collect();
-        let ctx = SchedCtx {
-            now,
-            meta: &meta,
-            resident_version: 1,
-        };
-        for policy in [BasePolicy::Lrr, BasePolicy::Gto, BasePolicy::Cawa] {
-            let mut p = policy.build(50_000);
-            for w in 0..48 {
-                p.on_warp_launch(w, 100);
+        let (mut lrr_last, mut gto_last) = (MOD - 1, None::<usize>);
+        let mut meta = vec![WarpMeta::default(); 64];
+        let (mut now, mut version) = (0, 0);
+        for step in 0..300 {
+            if step % 37 == 0 {
+                version += 1;
+                for (i, m) in meta.iter_mut().enumerate() {
+                    *m = WarpMeta {
+                        resident: rng.range(0, 4) != 0,
+                        done: rng.range(0, 8) == 0,
+                        age_key: rng.range(0, 1000) * 64 + i as u64,
+                        eligible: false,
+                    };
+                }
             }
-            let pick = p.pick(&ctx, &eligible);
-            assert!(pick.is_some(), "{} must pick (seed {seed})", policy.name());
-            assert!(
-                eligible.contains(&pick.unwrap()),
-                "{} (seed {seed})",
-                policy.name()
+            now += rng.range(0, 2 * period);
+            let live: Vec<usize> = (0..64)
+                .filter(|&w| meta[w].resident && !meta[w].done)
+                .collect();
+            let mut eligible: Vec<usize> = live.iter().copied().filter(|_| rng.flag()).collect();
+            if eligible.is_empty() {
+                match live.first() {
+                    Some(&w) => eligible.push(w),
+                    None => continue,
+                }
+            }
+            let set: WarpSet = eligible.iter().copied().collect();
+            let ctx = SchedCtx {
+                now,
+                meta: &meta,
+                resident_version: version,
+            };
+            let want = *eligible
+                .iter()
+                .min_by_key(|&&w| (w + MOD - lrr_last - 1) % MOD)
+                .unwrap();
+            lrr_last = want;
+            assert_eq!(
+                lrr.pick(&ctx, set),
+                Some(want),
+                "lrr seed {seed} step {step}"
+            );
+
+            let want = match gto_last.filter(|w| eligible.contains(w)) {
+                Some(w) => w,
+                None => {
+                    let mut ages: Vec<(u64, usize)> =
+                        live.iter().map(|&w| (meta[w].age_key, w)).collect();
+                    ages.sort_unstable();
+                    let rank = |w: usize| {
+                        let pos = ages.iter().position(|&(_, v)| v == w).unwrap() as u64;
+                        (pos + now / period) % ages.len() as u64
+                    };
+                    let w = *eligible.iter().min_by_key(|&&w| rank(w)).unwrap();
+                    gto_last = Some(w);
+                    w
+                }
+            };
+            assert_eq!(
+                gto.pick(&ctx, set),
+                Some(want),
+                "gto seed {seed} step {step}"
+            );
+
+            // Every warp launched with the same estimate and nothing issued:
+            // all tie, and the last maximum is the highest slot.
+            assert_eq!(
+                cawa.pick(&ctx, set),
+                eligible.last().copied(),
+                "cawa seed {seed}"
             );
         }
     }

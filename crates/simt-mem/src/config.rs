@@ -40,6 +40,31 @@ pub struct MemConfig {
     pub chaos: ChaosConfig,
 }
 
+/// The furthest ahead of the scheduling cycle a response event may be due
+/// ([`MemConfig::max_event_offset`]); the memory system's response wheel
+/// has one slot per cycle of that horizon. `GpuConfig::validate` refuses a
+/// configuration past it.
+pub const MAX_EVENT_OFFSET: u64 = 65_535;
+
+impl MemConfig {
+    /// How many cycles after the cycle that schedules it a response event
+    /// can be due: the largest of an L1 hit, an L2 hit plus the
+    /// interconnect back, and a DRAM access plus the interconnect back
+    /// (each counted from the cycle the access is served), plus the
+    /// largest chaos delay of an atomic response.
+    pub fn max_event_offset(&self) -> u64 {
+        let chaos = if self.chaos.atomic_delay_ppm == 0 {
+            0
+        } else {
+            self.chaos.max_atomic_delay.max(1)
+        };
+        self.l1_hit_latency
+            .max(self.l2_hit_latency.saturating_add(self.icnt_latency))
+            .max(self.dram_latency.saturating_add(self.icnt_latency))
+            .saturating_add(chaos)
+    }
+}
+
 impl Default for MemConfig {
     fn default() -> MemConfig {
         MemConfig::fermi()
@@ -103,6 +128,22 @@ mod tests {
             assert!(l2.sets() * l2.ways() > 0);
             assert_eq!(cfg.l1_bytes % LINE_BYTES, 0);
         }
+    }
+
+    #[test]
+    fn event_offsets_cover_every_response_path() {
+        let fermi = MemConfig::fermi();
+        assert_eq!(fermi.max_event_offset(), 120 + 40);
+        let chaotic = MemConfig {
+            chaos: crate::ChaosConfig::with_level(1, 3),
+            ..MemConfig::fermi()
+        };
+        assert_eq!(chaotic.max_event_offset(), 160 + 256);
+        let slow_l1 = MemConfig {
+            l1_hit_latency: 500,
+            ..MemConfig::pascal()
+        };
+        assert_eq!(slow_l1.max_event_offset(), 500);
     }
 
     #[test]

@@ -49,16 +49,18 @@ mod mshr;
 mod slab;
 mod stats;
 mod system;
+mod wheel;
 
 pub use cache::{AccessOutcome, Cache};
 pub use chaos::{ChaosConfig, ChaosEngine, ChaosStats};
 pub use coalescer::{Coalescer, Transaction};
-pub use config::MemConfig;
+pub use config::{MemConfig, MAX_EVENT_OFFSET};
 pub use gmem::{GlobalMem, MemFault};
 pub use mshr::Mshr;
 pub use slab::{ProbeMap, TagSlab};
 pub use stats::MemStats;
 pub use system::{LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind};
+pub use wheel::EventWheel;
 
 /// Cache line size in bytes (both L1 and L2), as in the paper's Table II.
 pub const LINE_BYTES: u64 = 128;

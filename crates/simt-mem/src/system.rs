@@ -1,13 +1,13 @@
 //! The cycle-level memory system: per-SM L1s, banked L2 partitions with
 //! atomic units, and DRAM channels.
 
+use crate::wheel::{body_slot, EventWheel};
 use crate::{
     line_of, Addr, AccessOutcome, Cache, ChaosEngine, ChaosStats, GlobalMem, MemConfig, MemStats,
     Mshr, ProbeMap, LINE_BYTES,
 };
 use simt_isa::AtomOp;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Lock-protocol role of an atomic lane operation, for the exact
 /// lock-outcome classification the paper's Figures 2 and 12 report.
@@ -170,6 +170,47 @@ struct Partition {
     port_free: u64,
 }
 
+/// A set of queue indices (L1s or L2 partitions) as a bitset: the queues
+/// with work, so a cycle visits only those, in ascending index.
+#[derive(Debug, Clone)]
+struct BusySet(Vec<u64>);
+
+impl BusySet {
+    fn new(queues: usize) -> BusySet {
+        BusySet(vec![0; queues.div_ceil(64)])
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    #[cfg(debug_assertions)]
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// The lowest member at or above `i`. Read from the live bits, so a
+    /// visit that marks a higher queue busy is followed by that queue's
+    /// visit in the same pass, as a sweep over every queue would have.
+    fn next_from(&self, i: usize) -> Option<usize> {
+        let mut word = i / 64;
+        let mut bits = *self.0.get(word)? & (u64::MAX << (i % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.0.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_from(0), |&i| self.next_from(i + 1))
+    }
+}
+
 /// The device memory system shared by all SMs.
 ///
 /// Drive it by calling [`MemorySystem::enqueue`] when warps issue memory
@@ -180,7 +221,17 @@ pub struct MemorySystem {
     gmem: GlobalMem,
     l1s: Vec<L1>,
     parts: Vec<Partition>,
-    events: BinaryHeap<Reverse<(u64, u64)>>,
+    /// L1s whose input queue is non-empty, and partitions whose input or
+    /// DRAM queue is: set on push, cleared by the visit that finds the
+    /// queues empty (derived; rebuilt at restore).
+    busy_l1s: BusySet,
+    busy_parts: BusySet,
+    /// Lines in flight across every L1's MSHRs (derived; recounted at
+    /// restore), so `quiescent` need not sweep them.
+    mshr_lines: usize,
+    /// Pending response events, due time and key per body in
+    /// `event_bodies`.
+    events: EventWheel,
     event_bodies: Vec<Event>,
     free_slots: Vec<usize>,
     seq: u64,
@@ -219,12 +270,15 @@ impl MemorySystem {
             .collect();
         let chaos = ChaosEngine::new(cfg.chaos.clone());
         MemorySystem {
+            busy_l1s: BusySet::new(num_sms),
+            busy_parts: BusySet::new(cfg.l2_partitions),
+            mshr_lines: 0,
+            events: EventWheel::new(cfg.max_event_offset()),
             cfg,
             chaos,
             gmem: GlobalMem::new(),
             l1s,
             parts,
-            events: BinaryHeap::new(),
             event_bodies: Vec::new(),
             free_slots: Vec::new(),
             seq: 0,
@@ -285,11 +339,12 @@ impl MemorySystem {
     /// True when no request is in flight anywhere (watchdog support).
     pub fn quiescent(&self) -> bool {
         self.events.is_empty()
-            && self.l1s.iter().all(|l| l.inq.is_empty() && l.mshr.in_flight() == 0)
-            && self
-                .parts
-                .iter()
-                .all(|p| p.inq.is_empty() && p.dramq.is_empty())
+            && self.mshr_lines == 0
+            && self.busy_l1s.iter().all(|sm| self.l1s[sm].inq.is_empty())
+            && self.busy_parts.iter().all(|p| {
+                let part = &self.parts[p];
+                part.inq.is_empty() && part.dramq.is_empty()
+            })
     }
 
     /// Earliest future cycle (strictly after `now`) at which this memory
@@ -303,23 +358,26 @@ impl MemorySystem {
     /// anything servable at `now` was already served (or lost port
     /// arbitration and retries next cycle), so every candidate is clamped
     /// to at least `now + 1`. All queues are head-blocking, so only each
-    /// queue's front matters.
+    /// busy queue's front matters.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut fold = |t: u64| match next {
             Some(n) if n <= t => {}
             _ => next = Some(t),
         };
-        if let Some(&Reverse((at, _))) = self.events.peek() {
+        if let Some(at) = self.events.earliest() {
             fold(at.max(now + 1));
         }
         // MSHR-squeeze chaos rolls the RNG on *every* cycle in which an L1
         // has queued work; skipping any such cycle would desynchronize the
         // deterministic chaos stream, so refuse to skip at all.
-        if self.chaos.squeeze_possible() && self.l1s.iter().any(|l| !l.inq.is_empty()) {
+        if self.chaos.squeeze_possible()
+            && self.busy_l1s.iter().any(|sm| !self.l1s[sm].inq.is_empty())
+        {
             return Some(now + 1);
         }
-        for l1 in &self.l1s {
+        for sm in self.busy_l1s.iter() {
+            let l1 = &self.l1s[sm];
             let Some((ready, req)) = l1.inq.front() else {
                 continue;
             };
@@ -329,12 +387,12 @@ impl MemorySystem {
                 && !l1.mshr.has_space()
             {
                 // MSHR-blocked head: it unblocks only through an L1 fill,
-                // which the event heap above already covers.
+                // which the event wheel above already covers.
                 continue;
             }
             fold((*ready).max(now + 1));
         }
-        for p in &self.parts {
+        for p in self.busy_parts.iter().map(|p| &self.parts[p]) {
             if let Some(&(ready, _)) = p.inq.front() {
                 fold(ready.max(p.port_free).max(now + 1));
             }
@@ -361,7 +419,26 @@ impl MemorySystem {
             }
         };
         self.seq += 1;
-        self.events.push(Reverse((at, (self.seq << 32) | slot as u64)));
+        self.events.push(at, (self.seq << 32) | slot as u64);
+    }
+
+    /// Queue `preq` at partition `part`, servable from cycle `at`.
+    fn queue_at(&mut self, part: usize, at: u64, preq: PartReq) {
+        self.parts[part].inq.push_back((at, preq));
+        self.busy_parts.insert(part);
+    }
+
+    /// Send `sm`'s request on to the partition that owns its line, arriving
+    /// after the interconnect from cycle `from`.
+    fn forward(&mut self, sm: usize, req: MemRequest, l1_fill: bool, from: u64) {
+        let part = self.partition_of(req.line);
+        let preq = PartReq {
+            sm,
+            req,
+            l1_fill,
+            retries: 0,
+        };
+        self.queue_at(part, from + self.cfg.icnt_latency, preq);
     }
 
     /// Submit a coalesced request from `sm` at `cycle`.
@@ -380,33 +457,12 @@ impl MemorySystem {
             ReqKind::Atomic { ops } => {
                 self.stats.atomic_transactions += 1;
                 self.stats.atomic_lane_ops += ops.len() as u64;
-                let part = self.partition_of(req.line);
-                let at = cycle + self.cfg.icnt_latency;
-                self.parts[part].inq.push_back((
-                    at,
-                    PartReq {
-                        sm,
-                        req,
-                        l1_fill: false,
-                        retries: 0,
-                    },
-                ));
+                self.forward(sm, req, false, cycle);
             }
-            ReqKind::Load { bypass_l1: true } => {
-                let part = self.partition_of(req.line);
-                let at = cycle + self.cfg.icnt_latency;
-                self.parts[part].inq.push_back((
-                    at,
-                    PartReq {
-                        sm,
-                        req,
-                        l1_fill: false,
-                        retries: 0,
-                    },
-                ));
-            }
+            ReqKind::Load { bypass_l1: true } => self.forward(sm, req, false, cycle),
             _ => {
                 self.l1s[sm].inq.push_back((cycle, req));
+                self.busy_l1s.insert(sm);
             }
         }
     }
@@ -414,25 +470,51 @@ impl MemorySystem {
     /// Advance one cycle, appending completions that fire this cycle to
     /// `out` (which is *not* cleared — the caller owns and recycles it).
     ///
-    /// Quiescent stages are skipped outright: an L1 bank or L2 partition
-    /// with nothing queued costs one branch, so idle cycles of a mostly
+    /// Only busy queues are visited: an L1 bank or L2 partition with
+    /// nothing queued costs nothing, so idle cycles of a mostly
     /// compute-bound kernel do not pay for the memory hierarchy.
+    ///
+    /// The caller must not skip a cycle [`MemorySystem::next_event`] names
+    /// (the run loop never does): the response wheel orders only events
+    /// due within its span of the earliest pending one.
     pub fn cycle_into(&mut self, now: u64, out: &mut Vec<MemCompletion>) {
-        if self.l1s.iter().any(|l| !l.inq.is_empty()) {
-            self.step_l1s(now);
-        }
-        if self
-            .parts
-            .iter()
-            .any(|p| !p.inq.is_empty() || !p.dramq.is_empty())
-        {
-            self.step_partitions(now);
-        }
+        self.step_l1s(now);
+        self.step_partitions(now);
         self.drain_events(now, out);
+        #[cfg(debug_assertions)]
+        self.assert_busy_sets_agree(now);
+    }
+
+    /// Debug-build oracle for the derived state the cycle reads in place
+    /// of full sweeps: every non-empty queue is in its busy set, the MSHR
+    /// total is the sum over the L1s, the wheel's earliest time is the
+    /// minimum pending one, and `quiescent` agrees with the full scan.
+    #[cfg(debug_assertions)]
+    fn assert_busy_sets_agree(&self, now: u64) {
+        for (sm, l1) in self.l1s.iter().enumerate() {
+            let busy = self.busy_l1s.contains(sm);
+            assert!(l1.inq.is_empty() || busy, "L1 {sm} queue not busy");
+        }
+        for (p, part) in self.parts.iter().enumerate() {
+            let empty = part.inq.is_empty() && part.dramq.is_empty();
+            let busy = self.busy_parts.contains(p);
+            assert!(empty || busy, "partition {p} queues not busy");
+        }
+        let mshr_lines: usize = self.l1s.iter().map(|l| l.mshr.in_flight()).sum();
+        assert_eq!(self.mshr_lines, mshr_lines, "MSHR lines in flight");
+        self.events.assert_consistent(now);
+        let l1s_idle = |l: &L1| l.inq.is_empty() && l.mshr.in_flight() == 0;
+        let parts_idle = |p: &Partition| p.inq.is_empty() && p.dramq.is_empty();
+        let full_scan = self.events.is_empty()
+            && self.l1s.iter().all(l1s_idle)
+            && self.parts.iter().all(parts_idle);
+        assert_eq!(self.quiescent(), full_scan, "quiescent, full scan");
     }
 
     fn step_l1s(&mut self, now: u64) {
-        for sm in 0..self.l1s.len() {
+        let mut from = 0;
+        while let Some(sm) = self.busy_l1s.next_from(from) {
+            from = sm + 1;
             // Chaos: transient MSHR-full back-pressure — this L1 serves
             // nothing this cycle (drawn only when work is pending).
             if !self.l1s[sm].inq.is_empty() && self.chaos.mshr_squeeze() {
@@ -463,6 +545,9 @@ impl MemorySystem {
                 self.service_l1(sm, req, now);
                 served += 1;
             }
+            if self.l1s[sm].inq.is_empty() {
+                self.busy_l1s.remove(sm);
+            }
         }
     }
 
@@ -487,17 +572,8 @@ impl MemorySystem {
                     self.stats.l1_misses += 1;
                     let allocated = l1.mshr.record(line, req.tag);
                     if allocated {
-                        let part = self.partition_of(line);
-                        let at = now + self.cfg.icnt_latency;
-                        self.parts[part].inq.push_back((
-                            at,
-                            PartReq {
-                                sm,
-                                req,
-                                l1_fill: true,
-                                retries: 0,
-                            },
-                        ));
+                        self.mshr_lines += 1;
+                        self.forward(sm, req, true, now);
                     }
                 }
             }
@@ -510,39 +586,21 @@ impl MemorySystem {
                 } else {
                     self.stats.l1_misses += 1;
                 }
-                let part = self.partition_of(line);
-                let at = now + self.cfg.icnt_latency;
-                self.parts[part].inq.push_back((
-                    at,
-                    PartReq {
-                        sm,
-                        req,
-                        l1_fill: false,
-                        retries: 0,
-                    },
-                ));
+                self.forward(sm, req, false, now);
             }
             // Atomics bypass the L1 at enqueue; if one ever lands here,
             // recover by routing it to its partition rather than aborting.
             ReqKind::Atomic { .. } => {
                 debug_assert!(false, "atomics bypass L1");
-                let part = self.partition_of(line);
-                let at = now + self.cfg.icnt_latency;
-                self.parts[part].inq.push_back((
-                    at,
-                    PartReq {
-                        sm,
-                        req,
-                        l1_fill: false,
-                        retries: 0,
-                    },
-                ));
+                self.forward(sm, req, false, now);
             }
         }
     }
 
     fn step_partitions(&mut self, now: u64) {
-        for p in 0..self.parts.len() {
+        let mut from = 0;
+        while let Some(p) = self.busy_parts.next_from(from) {
+            from = p + 1;
             // DRAM channel: start at most one service per `dram_interval`.
             while let Some(&(earliest, _)) = self.parts[p].dramq.front() {
                 let part = &mut self.parts[p];
@@ -583,7 +641,7 @@ impl MemorySystem {
                 // nothing.
                 if let Some(delay) = self.chaos.nack_delay(preq.retries) {
                     preq.retries += 1;
-                    self.parts[p].inq.push_back((now + delay, preq));
+                    self.queue_at(p, now + delay, preq);
                     served += 1;
                     continue;
                 }
@@ -592,6 +650,10 @@ impl MemorySystem {
                 }
                 self.service_partition(p, preq, now);
                 served += 1;
+            }
+            let part = &self.parts[p];
+            if part.inq.is_empty() && part.dramq.is_empty() {
+                self.busy_parts.remove(p);
             }
         }
     }
@@ -726,7 +788,7 @@ impl MemorySystem {
                     };
                     if let Some(waiter) = waiter {
                         let part = self.partition_of(waiter.req.line);
-                        self.parts[part].inq.push_back((done, waiter));
+                        self.queue_at(part, done, waiter);
                     }
                 }
                 // Chaos: delay the *response* only — the lane ops above
@@ -759,12 +821,7 @@ impl MemorySystem {
     }
 
     fn drain_events(&mut self, now: u64, out: &mut Vec<MemCompletion>) {
-        while let Some(&Reverse((at, key))) = self.events.peek() {
-            if at > now {
-                break;
-            }
-            self.events.pop();
-            let slot = (key & 0xffff_ffff) as usize;
+        while let Some(slot) = self.events.pop_due(now) {
             let ev = match self.event_bodies.get_mut(slot) {
                 Some(body) => std::mem::replace(body, Event::Free),
                 None => Event::Free,
@@ -782,7 +839,10 @@ impl MemorySystem {
                 Event::L1Fill { sm, line } => {
                     let l1 = &mut self.l1s[sm];
                     l1.cache.fill(line);
-                    for tag in l1.mshr.fill(line) {
+                    let before = l1.mshr.in_flight();
+                    let tags = l1.mshr.fill(line);
+                    self.mshr_lines -= before - l1.mshr.in_flight();
+                    for tag in tags {
                         out.push(MemCompletion {
                             sm,
                             tag,
@@ -801,12 +861,14 @@ impl MemorySystem {
 //
 // The field lists below are the wire format of the memory system's
 // complete dynamic state — functional memory, cache directories, MSHRs,
-// every queued request, the event heap, lock/parking bookkeeping, stats,
-// and the chaos RNG stream — so a restored system is bit-indistinguishable
-// from one that never stopped. Queue contents keep their order verbatim;
-// the event heap is written as sorted (time, key) pairs plus the
-// slot-addressed bodies and the free-slot stack (LIFO order matters: slot
-// reuse feeds the `seq`-keyed heap ordering).
+// every queued request, the pending events, lock/parking bookkeeping,
+// stats, and the chaos RNG stream — so a restored system is
+// bit-indistinguishable from one that never stopped. Queue contents keep
+// their order verbatim; the pending events are written as sorted
+// (time, key) pairs plus the slot-addressed bodies and the free-slot stack
+// (LIFO order matters: slot reuse feeds the `seq`-keyed event order). The
+// busy sets, the MSHR total and the response wheel are derived, and
+// rebuilt at restore.
 // ---------------------------------------------------------------------------
 
 use simt_snap::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
@@ -842,7 +904,7 @@ snap_struct!(Partition {
     port_free: u64,
 });
 
-// Everything between the event heap and the chaos stream, in wire order.
+// Everything between the event keys and the chaos stream, in wire order.
 // Probe tables serialize their layout verbatim (slot order is the iteration
 // order), so a restored table is bit-identical.
 snap_struct!(state MemorySystem {
@@ -861,22 +923,27 @@ impl MemorySystem {
         self.gmem.save(w);
         self.l1s.save(w);
         self.parts.save(w);
-        // Event heap: unique (time, seq|slot) keys make pop order a pure
-        // function of the key set, so a sorted encoding restores exactly.
-        let mut keys: Vec<(u64, u64)> = self.events.iter().map(|&Reverse(k)| k).collect();
-        keys.sort_unstable();
-        keys.save(w);
+        // Pending events: unique (time, seq|slot) keys make pop order a
+        // pure function of the key set, so a sorted encoding restores
+        // exactly.
+        self.events.sorted_keys().save(w);
         self.save_fields(w);
         self.chaos.save(w);
     }
 
     /// Decode state written by [`MemorySystem::save_snap`] into a freshly
     /// constructed system with this one's config and SM count, validate it
-    /// against that config, and return it. `self` is never touched, so a
-    /// malformed body cannot leave partially mutated state behind; the
+    /// against that config and against `now`, the cycle the restored run
+    /// simulates next (every pending event is due from it on, within the
+    /// response wheel's span), and return it. `self` is never touched, so
+    /// a malformed body cannot leave partially mutated state behind; the
     /// caller swaps the result in once everything else about the snapshot
     /// has checked out.
-    pub fn load_snap(&self, r: &mut SnapReader<'_>) -> Result<MemorySystem, SnapshotError> {
+    pub fn load_snap(
+        &self,
+        r: &mut SnapReader<'_>,
+        now: u64,
+    ) -> Result<MemorySystem, SnapshotError> {
         let num_sms = self.l1s.len();
         let mut fresh = MemorySystem::new(self.cfg.clone(), num_sms);
         fresh.gmem = Snap::load(r)?;
@@ -939,19 +1006,56 @@ impl MemorySystem {
                 }
             }
         }
+        // Each body slot is scheduled, or free, at most once: the wheel
+        // threads its FIFOs through the slots.
         let vacant = |slot: usize| matches!(fresh.event_bodies.get(slot), Some(Event::Free));
+        let mut named = vec![false; fresh.event_bodies.len()];
         for &(_, key) in &keys {
-            let slot = (key & 0xffff_ffff) as usize;
+            let slot = body_slot(key);
             if slot >= fresh.event_bodies.len() || vacant(slot) {
                 return Err(SnapshotError::malformed(format!(
                     "event key {key:#x} (slot {slot}) has no live body"
                 )));
             }
+            if std::mem::replace(&mut named[slot], true) {
+                return Err(SnapshotError::malformed(format!(
+                    "event slot {slot} is scheduled twice"
+                )));
+            }
         }
-        if let Some(&slot) = fresh.free_slots.iter().find(|&&slot| !vacant(slot)) {
-            return Err(SnapshotError::malformed(format!("free slot {slot} is live")));
+        for &slot in &fresh.free_slots {
+            if !vacant(slot) {
+                return Err(SnapshotError::malformed(format!(
+                    "free slot {slot} is live"
+                )));
+            }
+            if std::mem::replace(&mut named[slot], true) {
+                return Err(SnapshotError::malformed(format!(
+                    "free slot {slot} is listed twice"
+                )));
+            }
         }
-        fresh.events = keys.into_iter().map(Reverse).collect();
+        let slots = fresh.events.slots() as u64;
+        if let Some(&(at, _)) = keys.iter().find(|&&(at, _)| at < now || at - now >= slots) {
+            return Err(SnapshotError::malformed(format!(
+                "an event due at cycle {at} is outside the {slots}-slot response wheel from \
+                 the restored cycle {now}"
+            )));
+        }
+        for (at, key) in keys {
+            fresh.events.push(at, key);
+        }
+        for (sm, l1) in fresh.l1s.iter().enumerate() {
+            if !l1.inq.is_empty() {
+                fresh.busy_l1s.insert(sm);
+            }
+            fresh.mshr_lines += l1.mshr.in_flight();
+        }
+        for (p, part) in fresh.parts.iter().enumerate() {
+            if !part.inq.is_empty() || !part.dramq.is_empty() {
+                fresh.busy_parts.insert(p);
+            }
+        }
         Ok(fresh)
     }
 }
@@ -1534,7 +1638,7 @@ mod tests {
         let body = w.into_bytes();
         let mut c = build();
         let mut r = SnapReader::new(&body);
-        c = c.load_snap(&mut r).expect("round trip");
+        c = c.load_snap(&mut r, 200).expect("round trip");
         r.expect_exhausted().expect("full consumption");
         b_done.extend(finish(&mut c, 200));
 
@@ -1552,7 +1656,7 @@ mod tests {
         let mut c2 = build();
         let body2 = w2.into_bytes();
         let mut r2 = SnapReader::new(&body2);
-        c2 = c2.load_snap(&mut r2).unwrap();
+        c2 = c2.load_snap(&mut r2, 200).unwrap();
         let mut w3 = SnapWriter::new();
         c2.save_snap(&mut w3);
         let mut w4 = SnapWriter::new();

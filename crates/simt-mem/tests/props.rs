@@ -1,14 +1,17 @@
 //! Property-style tests for the memory hierarchy: cache bounds and LRU
 //! equivalence against a reference model, coalescer invariants, MSHR
-//! bookkeeping, and end-to-end request conservation.
+//! bookkeeping, end-to-end request conservation, and the response wheel
+//! against a reference priority queue.
 //!
 //! Uses a local deterministic PRNG rather than an external property-test
 //! framework so the suite builds and runs fully offline.
 
 use simt_mem::{
-    line_of, AccessOutcome, Cache, Coalescer, MemConfig, MemRequest, MemorySystem, Mshr, ReqKind,
-    LINE_BYTES,
+    line_of, AccessOutcome, Cache, ChaosConfig, Coalescer, EventWheel, LaneAtomic, LockRole,
+    MemCompletion, MemConfig, MemRequest, MemorySystem, Mshr, ReqKind, LINE_BYTES,
 };
+use simt_snap::{SnapReader, SnapWriter, SnapshotError};
+use std::collections::BTreeSet;
 
 /// Deterministic splitmix64 generator for test-case construction.
 struct Rng(u64);
@@ -173,5 +176,240 @@ fn memory_system_conserves_requests() {
         completed.sort_unstable();
         assert_eq!(completed, expected, "seed {seed}");
         assert!(mem.quiescent());
+    }
+}
+
+/// The response wheel pops what a min-heap of `(time, key)` pairs — the
+/// structure it replaced, modelled by an ordered set — would pop, in the
+/// same order: event times up to the largest offset a chaotic config
+/// allows, many of them on one of the fixed latencies so equal times
+/// collide, `seq` wrapping in half the seeds, the clock jumping to the
+/// next event as the Skip engine does, `earliest` (what `next_event`
+/// reads) checked after every step, and a mid-flight rebuild from the
+/// sorted key list a snapshot writes.
+#[test]
+fn event_wheel_matches_a_reference_priority_queue() {
+    let cfg = MemConfig {
+        chaos: ChaosConfig::with_level(7, 3),
+        ..MemConfig::fermi()
+    };
+    let max = cfg.max_event_offset();
+    let fixed = [
+        cfg.l1_hit_latency,
+        cfg.l2_hit_latency + cfg.icnt_latency,
+        cfg.dram_latency + cfg.icnt_latency,
+    ];
+    for seed in 0..48 {
+        let mut rng = Rng::new(seed);
+        let mut wheel = EventWheel::new(max);
+        let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut free: Vec<u64> = (0..96).rev().collect();
+        let mut seq: u64 = if seed % 2 == 0 { 0 } else { (1 << 32) - 40 };
+        let mut now = rng.range(0, 1 << 40);
+        for step in 0..1500 {
+            for _ in 0..rng.range(0, 4) {
+                let Some(slot) = free.pop() else { break };
+                let offset = match rng.range(0, 3) {
+                    0 => rng.range(0, max + 1),
+                    1 => fixed[rng.range(0, 3) as usize],
+                    // An atomic response with chaos jitter on top.
+                    _ => fixed[2] + rng.range(1, cfg.chaos.max_atomic_delay + 1),
+                };
+                seq += 1;
+                let key = (seq << 32) | slot;
+                wheel.push(now + offset, key);
+                model.insert((now + offset, key));
+            }
+            while let Some(slot) = wheel.pop_due(now) {
+                let (at, key) = model.pop_first().expect("model has the event");
+                assert!(at <= now, "seed {seed} step {step}: popped early");
+                assert_eq!(slot as u64, key & 0xffff_ffff, "seed {seed} step {step}");
+                free.push(slot as u64);
+            }
+            assert!(
+                model.first().is_none_or(|&(at, _)| at > now),
+                "seed {seed}: left due"
+            );
+            assert_eq!(wheel.len(), model.len());
+            let earliest = model.first().map(|&(at, _)| at);
+            assert_eq!(wheel.earliest(), earliest, "seed {seed} step {step}");
+            if step == 700 {
+                let keys = wheel.sorted_keys();
+                assert_eq!(keys, model.iter().copied().collect::<Vec<_>>());
+                let mut restored = EventWheel::new(max);
+                keys.iter().for_each(|&(at, key)| restored.push(at, key));
+                assert_eq!(restored.sorted_keys(), keys);
+                wheel = restored;
+            }
+            now = match (rng.range(0, 2), earliest) {
+                (0, Some(at)) => at.max(now + 1),
+                _ => now + 1,
+            };
+        }
+    }
+}
+
+/// A request script: `(cycle, sm, request)` in cycle order.
+fn script(rng: &mut Rng, n: u64) -> Vec<(u64, usize, MemRequest)> {
+    let mut at = 0;
+    (0..n)
+        .map(|tag| {
+            at += rng.range(0, 6);
+            let addr = rng.range(0, 48) * LINE_BYTES + rng.range(0, 32) * 4;
+            let kind = match rng.range(0, 5) {
+                0 => ReqKind::Load { bypass_l1: false },
+                1 => ReqKind::Load { bypass_l1: true },
+                2 => ReqKind::Store,
+                _ => {
+                    let mut op = LaneAtomic::new(0, addr, simt_isa::AtomOp::Cas, 0, 1);
+                    op.role = [LockRole::Acquire, LockRole::Release][rng.range(0, 2) as usize];
+                    op.holder = rng.range(0, 4);
+                    ReqKind::Atomic { ops: vec![op] }
+                }
+            };
+            (
+                at,
+                rng.range(0, 2) as usize,
+                MemRequest::new(kind, addr, tag),
+            )
+        })
+        .collect()
+}
+
+/// Drive `mem` through `script` from cycle `now` (the first `*next`
+/// requests already issued) until it reaches cycle `stop` or the script is
+/// done and the system quiescent. With `skip`, cycles nothing can happen
+/// in are jumped over as the Skip engine does, through `next_event`.
+/// Returns the completions with their cycles and the cycle reached.
+fn drive(
+    mem: &mut MemorySystem,
+    script: &[(u64, usize, MemRequest)],
+    next: &mut usize,
+    mut now: u64,
+    stop: u64,
+    skip: bool,
+) -> (Vec<(u64, MemCompletion)>, u64) {
+    let mut trace = Vec::new();
+    let mut done = Vec::new();
+    while now < stop && (*next < script.len() || !mem.quiescent()) {
+        while let Some((_, sm, req)) = script.get(*next).filter(|r| r.0 == now) {
+            mem.enqueue(*sm, req.clone(), now);
+            *next += 1;
+        }
+        mem.cycle_into(now, &mut done);
+        trace.extend(done.drain(..).map(|c| (now, c)));
+        now = if skip {
+            let request = script.get(*next).map_or(u64::MAX, |r| r.0);
+            mem.next_event(now)
+                .unwrap_or(u64::MAX)
+                .min(request)
+                .max(now + 1)
+        } else {
+            now + 1
+        };
+    }
+    (trace, now)
+}
+
+fn body(mem: &MemorySystem) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    mem.save_snap(&mut w);
+    w.into_bytes()
+}
+
+/// The memory system stepped every cycle, and stepped only at the cycles
+/// `next_event` names, snapshotted mid-flight and restored: the same
+/// completions at the same cycles, byte-identical snapshot bodies at the
+/// restore point and at the end, and the same statistics — chaos off, on,
+/// and with MSHR squeezes (which forbid jumps), blocking locks on for odd
+/// seeds.
+#[test]
+fn skip_jumps_and_a_mid_flight_restore_match_every_cycle() {
+    for seed in 0..24 {
+        let mut rng = Rng::new(seed);
+        let cfg = MemConfig {
+            chaos: ChaosConfig::with_level(seed, (seed % 4) as u8),
+            ..MemConfig::fermi()
+        };
+        let build = || {
+            let mut mem = MemorySystem::new(cfg.clone(), 2);
+            mem.gmem_mut().alloc(48 * LINE_BYTES);
+            mem.set_blocking_locks(seed % 2 == 1);
+            mem
+        };
+        let script = script(&mut rng, 120);
+        let split = rng.range(50, 400);
+
+        let (mut every, mut jumping) = (build(), build());
+        let (mut i_every, mut i_jump) = (0, 0);
+        let (mut want, at) = drive(&mut jumping, &script, &mut i_jump, 0, split, true);
+        let (head, reached) = drive(&mut every, &script, &mut i_every, 0, at, false);
+        assert_eq!(head, want, "seed {seed}: completions before the snapshot");
+        assert_eq!(i_every, i_jump);
+        let saved = body(&jumping);
+        assert_eq!(saved, body(&every), "seed {seed}: snapshot at cycle {at}");
+
+        let mut r = SnapReader::new(&saved);
+        let mut restored = build().load_snap(&mut r, at).expect("restores");
+        r.expect_exhausted().unwrap();
+        assert_eq!(body(&restored), saved, "seed {seed}: restored body");
+        let (tail, _) = drive(&mut restored, &script, &mut i_jump, at, u64::MAX, true);
+        want.extend(tail);
+        let (rest, _) = drive(&mut every, &script, &mut i_every, reached, u64::MAX, false);
+        let mut got = head;
+        got.extend(rest);
+        assert_eq!(got, want, "seed {seed}: completions");
+        assert_eq!(every.stats(), restored.stats(), "seed {seed}");
+        assert_eq!(every.chaos_stats(), restored.chaos_stats(), "seed {seed}");
+        assert_eq!(body(&every), body(&restored), "seed {seed}: final bodies");
+    }
+}
+
+/// A snapshot whose pending events lie further ahead of the restored cycle
+/// than the restoring system's response wheel has slots, or before it, is
+/// refused: the wheel could not order them.
+#[test]
+fn events_outside_the_wheel_are_refused() {
+    let slow = MemConfig {
+        dram_latency: 1000,
+        ..MemConfig::fermi()
+    };
+    let mut mem = MemorySystem::new(slow, 1);
+    mem.gmem_mut().alloc(4 * LINE_BYTES);
+    // A store completes 80 cycles after the partition serves it; a
+    // volatile load's DRAM access a thousand cycles later than that.
+    mem.enqueue(0, MemRequest::new(ReqKind::Store, 0, 1), 0);
+    mem.enqueue(
+        0,
+        MemRequest::new(ReqKind::Load { bypass_l1: true }, LINE_BYTES, 2),
+        0,
+    );
+    let mut done = Vec::new();
+    for now in 0..60 {
+        mem.cycle_into(now, &mut done);
+    }
+    assert!(done.is_empty());
+    let saved = body(&mem);
+    let fits = MemorySystem::new(
+        MemConfig {
+            dram_latency: 1000,
+            ..MemConfig::fermi()
+        },
+        1,
+    );
+    fits.load_snap(&mut SnapReader::new(&saved), 60)
+        .expect("a wheel as wide as the run's");
+    let fermi = MemorySystem::new(MemConfig::fermi(), 1);
+    for (now, what) in [
+        (60, "256-slot response wheel from the restored cycle 60"),
+        (90, "due at cycle 80"),
+    ] {
+        match fits
+            .load_snap(&mut SnapReader::new(&saved), now)
+            .and(fermi.load_snap(&mut SnapReader::new(&saved), now))
+        {
+            Err(SnapshotError::Malformed { what: got }) => assert!(got.contains(what), "{got}"),
+            other => panic!("expected a malformed snapshot, got {other:?}"),
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use bows_sim::prelude::*;
-use simt_core::{IssueInfo, SchedCtx, SchedulerPolicy};
+use simt_core::{IssueInfo, SchedCtx, SchedulerPolicy, WarpSet};
 
 /// A deliberately naive policy: xorshift over eligible warps. Useful as a
 /// "no intelligence" control when evaluating scheduling effects.
@@ -27,11 +27,15 @@ impl SchedulerPolicy for XorShift {
         "xorshift".to_string()
     }
 
-    fn pick(&mut self, _ctx: &SchedCtx<'_>, eligible: &[usize]) -> Option<usize> {
+    // `eligible` is a bitmask of this unit's ready warp slots; iterating it
+    // yields slots in ascending order.
+    fn pick(&mut self, _ctx: &SchedCtx<'_>, eligible: WarpSet) -> Option<usize> {
         self.state ^= self.state << 13;
         self.state ^= self.state >> 7;
         self.state ^= self.state << 17;
-        eligible.get((self.state % eligible.len() as u64) as usize).copied()
+        eligible
+            .iter()
+            .nth((self.state % eligible.len() as u64) as usize)
     }
 
     fn on_issue(&mut self, _ctx: &SchedCtx<'_>, _warp: usize, _info: &IssueInfo) {}
