@@ -654,6 +654,31 @@ pub struct FuzzCase {
     pub reports: Vec<DivergenceReport>,
 }
 
+impl FuzzCase {
+    /// The case as a committable fixture: the generated source with
+    /// `expect agree` rewritten to the observed divergence kind and the
+    /// seed-derived chaos cell (if any) made explicit.
+    pub fn fixture_source(&self) -> String {
+        let kind = self
+            .reports
+            .first()
+            .map_or("agree", |r| r.divergence.kind());
+        let mut out = String::new();
+        for line in self.kernel.source().lines() {
+            if line.trim() == ";; differ: expect agree" {
+                if let Some((seed, level)) = self.kernel.cell().chaos {
+                    out.push_str(&format!(";; differ: chaos {seed} {level}\n"));
+                }
+                out.push_str(&format!(";; differ: expect {kind}\n"));
+            } else {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        out
+    }
+}
+
 /// Generate, filter, and differentially check the kernel for `seed`.
 /// Returns `None` if the generated kernel fails the static lint filter
 /// (counted by the caller; by construction this should not happen).

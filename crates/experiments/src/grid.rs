@@ -9,7 +9,7 @@
 //!
 //! The worker count is resolved once per process, in priority order:
 //!
-//! 1. `--jobs <n>` (parsed by [`crate::Opts::parse`]),
+//! 1. `--jobs <n>` (parsed by [`crate::Opts::parse_with`]),
 //! 2. the `BOWS_JOBS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 

@@ -1,7 +1,8 @@
 //! Shared harness for the `paper` binary (one render function per figure
-//! or table, [`paper::FIGURES`]) and the CI gates beside it.
+//! or table, [`paper::FIGURES`]) and the `check` binary beside it (one gate
+//! per checkable claim, [`check::GATES`]).
 //!
-//! Every binary that parses [`Opts`] accepts:
+//! Both binaries parse [`Opts`], which accepts:
 //!
 //! * `--scale tiny|small|full` — problem sizes (default `small`; `tiny` is
 //!   for smoke-testing the harness itself),
@@ -15,6 +16,7 @@
 //! [`grid::parallel_map`], which reassembles results in submission order so
 //! output is byte-identical to a serial run at any `--jobs` value.
 
+pub mod check;
 pub mod differ;
 pub mod fixture;
 pub mod fuzz;
@@ -121,31 +123,22 @@ pub struct Opts {
     pub engine: Option<Engine>,
 }
 
-const USAGE: &str = "flags: --scale tiny|small|full   --csv   --jobs <n>   \
-     --engine cycle|skip";
-
 /// Print `msg` and the usage text to stderr, then exit with status 2.
 /// Experiment sweeps must fail loudly on a malformed invocation — silently
 /// running at default settings would poison committed results.
-fn usage_error(usage: &str, msg: &str) -> ! {
+pub fn usage_error(usage: &str, msg: &str) -> ! {
     eprintln!("error: {msg}\n{usage}");
     std::process::exit(2);
 }
 
 impl Opts {
-    /// Parse from `std::env::args`.
+    /// Parse from `std::env::args`: the common flags here, every other
+    /// argument offered to `extra` with the rest of the command line to take
+    /// a value from.
     ///
-    /// Exits with status 2 (after printing the usage line to stderr) on an
-    /// unknown flag, an unknown scale, or a flag missing its value; exits 0
-    /// on `--help`.
-    pub fn parse() -> Opts {
-        Opts::parse_with(USAGE, |a, _| Err(format!("unknown flag `{a}` (try --help)")))
-    }
-
-    /// [`Opts::parse`] for a binary with arguments of its own: `extra` is
-    /// offered every argument the common flags do not claim, with the rest
-    /// of the command line to take a value from, and its error is a usage
-    /// error like any other.
+    /// Exits with status 2 (after printing `usage` to stderr) on an unknown
+    /// scale or engine, a flag missing its value, `--jobs 0`, or an error
+    /// from `extra`; exits 0 on `--help`.
     pub fn parse_with(
         usage: &str,
         mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<(), String>,
@@ -287,11 +280,6 @@ impl Table {
             let _ = writeln!(out, "CSV:\n{}", self.csv());
         }
         out
-    }
-
-    /// Print [`Table::render`].
-    pub fn emit(&self, opts: &Opts) {
-        print!("{}", self.render(opts.csv));
     }
 }
 

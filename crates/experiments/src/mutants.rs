@@ -19,15 +19,12 @@
 //!   races with the consumer loads (expected lint: `data-race`; the
 //!   happens-before checker observes the race dynamically).
 //!
-//! Every mutant carries its expected diagnostic name, so the recall corpus
-//! is self-annotating: `race_oracle` asserts the static analyzer reports
-//! exactly the planted defect and nothing on the base.
+//! Every mutant carries its expected diagnostic, so the recall corpus is
+//! self-annotating: the `race_oracle` gate asserts the static analyzer
+//! reports exactly the planted defect and nothing on the base.
 
 use crate::fuzz::Rng;
-
-/// Bump when the generated shape changes: committed expectations keyed by
-/// seed are only comparable within one version.
-pub const MUTANT_VERSION: u32 = 1;
+use simt_analyze::LintKind;
 
 /// The three planted defect classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +53,11 @@ impl Mutation {
     }
 
     /// The lint the static analyzer must report on the mutant.
-    pub fn expected_lint(self) -> &'static str {
+    pub fn expected_lint(self) -> LintKind {
         match self {
-            Mutation::DropRelease => "missing-release",
-            Mutation::SwapAcquireOrder => "lock-cycle",
-            Mutation::HoistStore => "data-race",
+            Mutation::DropRelease => LintKind::MissingRelease,
+            Mutation::SwapAcquireOrder => LintKind::LockCycle,
+            Mutation::HoistStore => LintKind::RaceUnlocked,
         }
     }
 
@@ -214,12 +211,12 @@ mod tests {
     use simt_analyze::analyze_insts;
     use simt_isa::asm::assemble;
 
-    fn lint_names(src: &str) -> Vec<(&'static str, simt_analyze::Severity)> {
+    fn lints(src: &str) -> Vec<(LintKind, simt_analyze::Severity)> {
         let k = assemble(src).expect("mutant assembles");
         analyze_insts(&k.insts)
             .diagnostics
             .into_iter()
-            .map(|d| (d.kind.name(), d.severity))
+            .map(|d| (d.kind, d.severity))
             .collect()
     }
 
@@ -227,7 +224,7 @@ mod tests {
     fn base_kernels_lint_clean() {
         for seed in 0..8 {
             let m = sync_mutant(seed, Mutation::DropRelease);
-            let diags = lint_names(&m.base);
+            let diags = lints(&m.base);
             assert!(diags.is_empty(), "seed {seed}: {diags:?}\n{}", m.base);
         }
     }
@@ -237,10 +234,10 @@ mod tests {
         for seed in 0..8 {
             for mu in Mutation::ALL {
                 let m = sync_mutant(seed, mu);
-                let diags = lint_names(&m.mutated);
+                let diags = lints(&m.mutated);
                 assert!(
                     diags.contains(&(mu.expected_lint(), simt_analyze::Severity::Error)),
-                    "seed {seed} {}: expected {} in {diags:?}\n{}",
+                    "seed {seed} {}: expected {:?} in {diags:?}\n{}",
                     mu.name(),
                     mu.expected_lint(),
                     m.mutated
@@ -256,16 +253,16 @@ mod tests {
         for seed in 0..4 {
             for mu in Mutation::ALL {
                 let m = sync_mutant(seed, mu);
-                for (name, _) in lint_names(&m.mutated) {
+                for (kind, _) in lints(&m.mutated) {
                     assert!(
-                        name == mu.expected_lint()
+                        kind == mu.expected_lint()
                             // A dropped release inside a retry loop also
                             // reads as a spin that can't progress and as a
                             // re-acquire of a held lock on the back edge —
                             // both are the same planted defect.
                             || (mu == Mutation::DropRelease
-                                && (name == "simt-deadlock" || name == "lock-cycle")),
-                        "seed {seed} {}: stray lint {name}",
+                                && matches!(kind, LintKind::SimtDeadlock | LintKind::LockCycle)),
+                        "seed {seed} {}: stray lint {kind:?}",
                         mu.name()
                     );
                 }

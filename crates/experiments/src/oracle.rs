@@ -59,20 +59,6 @@ impl OracleStage {
     pub fn modulo_false(&self) -> Vec<usize> {
         diff(&self.modulo_confirmed, &self.static_sibs)
     }
-
-    /// Statically-classified spin branches that executed but were not
-    /// confirmed by XOR DDOS. Informational: the static oracle proves a
-    /// branch *can* spin; at small scales it may execute without ever
-    /// actually spinning long enough to reach DDOS's confidence threshold.
-    pub fn xor_missed(&self) -> Vec<usize> {
-        let exec_static: Vec<usize> = self
-            .static_sibs
-            .iter()
-            .copied()
-            .filter(|pc| self.executed.contains(pc))
-            .collect();
-        diff(&exec_static, &self.xor_confirmed)
-    }
 }
 
 fn diff(a: &[usize], b: &[usize]) -> Vec<usize> {

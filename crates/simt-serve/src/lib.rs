@@ -19,7 +19,8 @@
 //!   worker slowness, cache corruption) for closed-loop resilience drills;
 //! * [`service`] — the transport-independent core tying those together;
 //! * [`http`] — a std-only HTTP/1.1 adapter (`bows-serve`) plus the tiny
-//!   client the `loadgen` SLO harness uses;
+//!   client the `check` binary's service drills (`serve`, `serve_chaos`,
+//!   `crash_drill`) use;
 //! * [`json`] — the hand-rolled JSON layer (no external deps) with the
 //!   serializers for [`simt_core::SimStats`], [`simt_mem::MemStats`],
 //!   [`simt_core::HangReport`] and [`simt_core::SimError`].

@@ -1,14 +1,15 @@
 #!/bin/bash
-# Regenerate every table and figure, then run the five checking gates.
+# Regenerate every table and figure, then run four checking gates.
 # Results land in results/<name>.txt.
 #
 # Usage: ./run_experiments.sh [--scale tiny|small|full] [--jobs <n>]
 #
 # One `paper --out results` process renders every figure and table (the
 # figures that read the same runs share them; `paper <name>` renders one);
-# `oracle`, `lint_corpus`, `race_oracle`, `differ` and `fuzz` follow. Exits
-# non-zero on a malformed invocation, a build failure, or any failing step
-# (failures are listed at the end; the remaining steps still run).
+# one `check --out results` process then runs the `oracle`, `race_oracle`,
+# `differ` and `fuzz` gates. Exits non-zero on a malformed invocation, a
+# build failure, or a failing step (failures are listed at the end; the
+# second step runs either way).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -42,21 +43,23 @@ done
 cargo build --release -p experiments
 mkdir -p results
 failed=()
-for bin in paper oracle lint_corpus race_oracle differ fuzz; do
+# step BIN ARGS...: one binary writing results/<name>.txt itself; its
+# stderr (each entry's time, and each gate's verdict) goes to
+# results/BIN.err.
+step() {
+    local bin=$1 start=$SECONDS
+    shift
     echo "=== $bin ($(date +%H:%M:%S)) ==="
-    start=$SECONDS
-    args=(--scale "$SCALE" "${JOBS[@]}")
-    out=results/$bin.txt
-    # paper writes results/<figure>.txt itself (and times each figure on
-    # stderr); a gate's report is its stdout.
-    [[ $bin == paper ]] && { args+=(--out results); out=/dev/null; }
-    if target/release/"$bin" "${args[@]}" > "$out" 2> results/"$bin".err; then
+    if target/release/"$bin" --scale "$SCALE" "${JOBS[@]}" --out results "$@" \
+        2> results/"$bin".err; then
         echo "    ok in $((SECONDS-start))s"
     else
         echo "    $bin FAILED (see results/$bin.err)"
         failed+=("$bin")
     fi
-done
+}
+step paper
+step check oracle race_oracle differ fuzz
 if ((${#failed[@]})); then
     echo "FAILED: ${failed[*]}"
     exit 1
