@@ -20,8 +20,8 @@ use std::time::Instant;
 fn main() -> ExitCode {
     let names: Vec<&str> = GATES.iter().map(|&(name, _)| name).collect();
     let usage = format!(
-        "usage: check [--scale tiny|small|full] [--csv] [--jobs <n>] [--engine cycle|skip]\n\
-         \x20            [--out DIR] [--seed N] [--matrix small|full] [--emit DIR] [GATE...]\n\
+        "usage: check [--scale tiny|small|full] [--csv] [--jobs <n>] [--out DIR] [--seed N]\n\
+         \x20            [--matrix small|full] [--emit DIR] [GATE...]\n\
          gates: {} (all when none is given)\n\
          --out writes DIR/<gate>.txt instead of stdout; --seed is the first seed of fuzz\n\
          and snap_fuzz and the drill seed of crash_drill, serve and serve_chaos; --matrix\n\

@@ -18,8 +18,7 @@ use std::time::Instant;
 fn main() -> ExitCode {
     let names: Vec<&str> = FIGURES.iter().map(|&(name, _)| name).collect();
     let usage = format!(
-        "usage: paper [--scale tiny|small|full] [--csv] [--jobs <n>] [--engine cycle|skip]\n\
-         \x20            [--out DIR] [NAME...]\n\
+        "usage: paper [--scale tiny|small|full] [--csv] [--jobs <n>] [--out DIR] [NAME...]\n\
          names: {} (all when none is given)\n\
          --out writes DIR/<name>.txt instead of stdout",
         names.join(" ")

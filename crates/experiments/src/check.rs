@@ -96,7 +96,7 @@ pub const GATES: &[(&str, Gate)] = &[
 
 /// What the gates share: the command line and the workload corpus.
 pub struct Check {
-    /// Scale, CSV and engine choice.
+    /// Scale and CSV choice.
     pub opts: Opts,
     /// `--seed`: the first seed of `fuzz` and `snap_fuzz`, the drill seed
     /// of `crash_drill`, `serve` and `serve_chaos`; each has its own
@@ -161,7 +161,7 @@ fn pcs(v: &[usize]) -> String {
 /// once with MODULO history hashing, and the confirmations are joined per
 /// kernel against the `!sib` annotations and the static classification.
 fn oracle(c: &mut Check) -> Verdict {
-    let cfg = c.opts.config(GpuConfig::gtx480());
+    let cfg = GpuConfig::gtx480();
     let stages = oracle_stages(&cfg, &c.corpus);
     let mut report = format!(
         "oracle: static spin-loop classification vs DDOS confirmations \
@@ -408,7 +408,7 @@ fn static_verdict(m: &SyncMutant) -> (bool, Option<String>) {
 fn race_oracle(c: &mut Check) -> Verdict {
     let mut report =
         "race_oracle: static race/deadlock verdicts vs happens-before observations\n\n".to_string();
-    let cfg = c.opts.config(GpuConfig::test_tiny());
+    let cfg = GpuConfig::test_tiny();
     let mut precision = Leg::new("corpus-precision");
     let per_workload = grid::parallel_map(&c.corpus, |_, w| corpus_precision(&cfg, w.as_ref()));
     for (ok, what) in per_workload.into_iter().flatten() {
@@ -524,10 +524,10 @@ const FIXTURES: &str = "tests/fixtures/differential";
 /// hash × chaos} cells, then re-judges every committed fixture against its
 /// `expect` directive.
 fn differ(c: &mut Check) -> Verdict {
-    let cfg = c.opts.config(match c.opts.scale {
+    let cfg = match c.opts.scale {
         Scale::Tiny => GpuConfig::test_tiny(),
         _ => GpuConfig::gtx480(),
-    });
+    };
     let cells = matrix(c.full_matrix);
     let mut report = format!(
         "differ: {} workloads x {} cells on {} (fuel {DEFAULT_FUEL})\n",
@@ -557,7 +557,7 @@ fn differ(c: &mut Check) -> Verdict {
     paths.sort();
     // Fixtures encode residency-limit expectations against the test_tiny
     // machine; they do not scale with --scale.
-    let tiny = c.opts.config(GpuConfig::test_tiny());
+    let tiny = GpuConfig::test_tiny();
     let mut t = Table::new(&["fixture", "expect", "observed", "status"]);
     let mut failed = 0usize;
     for path in &paths {
@@ -618,7 +618,7 @@ fn fuzz(c: &mut Check) -> Verdict {
 /// checked. Each diverging kernel is shrunk to a minimal reproducer,
 /// written to `--emit DIR` as a fixture when one is given.
 pub fn fuzz_seeds(c: &Check, seeds: Range<u64>) -> Verdict {
-    let cfg = c.opts.config(GpuConfig::test_tiny());
+    let cfg = GpuConfig::test_tiny();
     let mut report = format!(
         "fuzz: seeds {}..{} on {} (fuel {DEFAULT_FUEL})\n",
         seeds.start, seeds.end, cfg.name
@@ -740,13 +740,13 @@ fn snap_fuzz(c: &mut Check) -> Verdict {
         Scale::Small => 1_000,
         Scale::Full => 5_000,
     };
-    snap_fuzz_cases(c, c.seed.unwrap_or(1), count)
+    snap_fuzz_cases(c.seed.unwrap_or(1), count)
 }
 
 /// `snap_fuzz` over `count` cases from `seed`: fails on any violation, and
 /// when no case ran.
-pub fn snap_fuzz_cases(c: &Check, seed: u64, count: u64) -> Verdict {
-    let cfg = c.opts.config(GpuConfig::test_tiny());
+pub fn snap_fuzz_cases(seed: u64, count: u64) -> Verdict {
+    let cfg = GpuConfig::test_tiny();
     let kernel = assemble(LOCK_KERNEL).expect("drill kernel assembles");
     let mut bodies: Vec<Vec<u8>> = Vec::new();
     let mut sink = |_c: u64, b: &[u8]| bodies.push(b.to_vec());

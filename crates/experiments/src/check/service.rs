@@ -7,7 +7,6 @@
 
 use super::{Check, Verdict, HANG_KERNEL, LOCK_KERNEL, VEC_KERNEL};
 use crate::grid;
-use simt_core::Engine;
 use simt_serve::chaos::splitmix64;
 use simt_serve::http::client::{self, HttpResponse};
 use simt_serve::json::{json_string, Json};
@@ -20,15 +19,9 @@ use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// `"engine":"<name>",` when `--engine` chose one, so a drill's requests
-/// run on it; empty otherwise.
-fn engine_field(engine: Option<Engine>) -> String {
-    engine.map_or_else(String::new, |e| format!("\"engine\":\"{}\",", e.name()))
-}
 
 /// Distinct requests the kill drill submits.
 const DRILL_REQUESTS: usize = 12;
@@ -72,13 +65,12 @@ impl Drop for Drill {
 /// The kill drill's requests and their oracle bodies: vector increments,
 /// and every 4th a contended spin lock under adaptive BOWS — long enough
 /// to be mid-run when the SIGKILL lands.
-fn drill_corpus(engine: Option<Engine>) -> Vec<(String, String)> {
-    let engine = engine_field(engine);
+fn drill_corpus() -> Vec<(String, String)> {
     let ids: Vec<usize> = (0..DRILL_REQUESTS).collect();
     grid::parallel_map(&ids, |_, &i| {
         let body = if i % 4 == 3 {
             format!(
-                "{{\"kernel\":{},\"ctas\":2,\"tpc\":32,\"bows\":\"adaptive\",{engine}\
+                "{{\"kernel\":{},\"ctas\":2,\"tpc\":32,\"bows\":\"adaptive\",\
                  \"params\":[{{\"buf\":1,\"fill\":0}},{{\"buf\":{},\"fill\":0}}],\
                  \"dumps\":[[1,1]]}}",
                 json_string(LOCK_KERNEL),
@@ -86,7 +78,7 @@ fn drill_corpus(engine: Option<Engine>) -> Vec<(String, String)> {
             )
         } else {
             format!(
-                "{{\"kernel\":{},\"tpc\":32,{engine}\"params\":[{{\"buf\":32,\"fill\":{}}}],\
+                "{{\"kernel\":{},\"tpc\":32,\"params\":[{{\"buf\":32,\"fill\":{}}}],\
                  \"dumps\":[[0,4]]}}",
                 json_string(VEC_KERNEL),
                 i + 1
@@ -307,7 +299,7 @@ pub(super) fn crash_drill(c: &mut Check) -> Verdict {
         seed,
         serve_bin,
         state_dir,
-        corpus: drill_corpus(c.opts.engine),
+        corpus: drill_corpus(),
         violations: Vec::new(),
         kills: 0,
     };
@@ -332,6 +324,11 @@ pub(super) fn crash_drill(c: &mut Check) -> Verdict {
 const MIX: usize = 120;
 /// Closed-loop clients racing through the burst.
 const CLIENTS: usize = 12;
+/// Queued plus in-flight requests per tenant.
+const TENANT_QUOTA: usize = 2;
+/// Cold requests one tenant offers at the same moment as the burst opens:
+/// well past its quota, so the quota must shed some of them.
+const FLOOD: usize = 4 * TENANT_QUOTA;
 /// The p99 latency bound on a shed: shedding that queues first is not
 /// shedding.
 const SHED_P99_MS: u64 = 1_000;
@@ -361,17 +358,25 @@ pub struct Item {
     pub key: Option<u64>,
 }
 
+impl Item {
+    /// `body`, expected to get `expect`, with its cache key.
+    fn new(body: String, expect: Expect) -> Item {
+        let key = (expect != Expect::BadRequest)
+            .then(|| SimRequest::from_json(&body).expect("generated body must parse"))
+            .map(|r| r.cache_key());
+        Item { body, expect, key }
+    }
+}
+
 /// The expected status class and body per cache key.
 pub type Oracle = HashMap<u64, (Expect, String)>;
 
 /// The seeded serve mix: vector kernels in a few variants (so the burst
 /// hits the cache), spin locks, guaranteed hangs, assembler errors and
 /// malformed JSON, spread over three tenants and priorities.
-fn build_mix(seed: u64, engine: Option<Engine>) -> Vec<Item> {
+fn build_mix(seed: u64) -> Vec<Item> {
     let tenants = ["acme", "blue", "cern"];
-    let engines = ["cycle", "skip"];
     let bows = ["", "\"bows\":\"adaptive\",", "\"bows\":24,"];
-    let pinned = engine_field(engine);
     (0..MIX as u64)
         .map(|i| {
             let r = splitmix64(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -382,19 +387,18 @@ fn build_mix(seed: u64, engine: Option<Engine>) -> Vec<Item> {
                 0..=54 => (
                     format!(
                         "{{\"kernel\":{},\"ctas\":{},\"tpc\":32,\
-                         \"params\":[{{\"buf\":128,\"fill\":{}}}],\"engine\":\"{}\",{}\
+                         \"params\":[{{\"buf\":128,\"fill\":{}}}],{}\
                          \"dumps\":[[0,8]],{tail}",
                         json_string(VEC_KERNEL),
                         1 + (r >> 12) as usize % 2,
                         1 + (r >> 8) as u32 % 4,
-                        engine.map_or(engines[(r >> 16) as usize % 2], Engine::name),
                         bows[(r >> 20) as usize % 3],
                     ),
                     Expect::Ok,
                 ),
                 55..=69 => (
                     format!(
-                        "{{\"kernel\":{},\"ctas\":2,\"tpc\":32,{pinned}\
+                        "{{\"kernel\":{},\"ctas\":2,\"tpc\":32,\
                          \"params\":[{{\"buf\":1}},{{\"buf\":1}}],\"bows\":\"adaptive\",\
                          \"dumps\":[[1,1]],{tail}",
                         json_string(LOCK_KERNEL)
@@ -403,32 +407,46 @@ fn build_mix(seed: u64, engine: Option<Engine>) -> Vec<Item> {
                 ),
                 70..=79 => (
                     format!(
-                        "{{\"kernel\":{},\"tpc\":32,{pinned}\"params\":[{{\"buf\":1}}],\
+                        "{{\"kernel\":{},\"tpc\":32,\"params\":[{{\"buf\":1}}],\
                          \"timeout_cycles\":120000,{tail}",
                         json_string(HANG_KERNEL)
                     ),
                     Expect::SimErr,
                 ),
                 80..=89 => (
-                    format!("{{\"kernel\":\"this is not assembly\",{pinned}{tail}"),
+                    format!("{{\"kernel\":\"this is not assembly\",{tail}"),
                     Expect::SimErr,
                 ),
                 _ => ("{\"kernel\": 42,".to_string(), Expect::BadRequest),
             };
-            let key = (expect != Expect::BadRequest)
-                .then(|| SimRequest::from_json(&body).expect("generated body must parse"))
-                .map(|r| r.cache_key());
-            Item { body, expect, key }
+            Item::new(body, expect)
         })
         .collect()
 }
 
-/// The expected body of every distinct request in the mix, from the same
+/// The flood the burst opens with: [`FLOOD`] spin-lock requests from one
+/// tenant, distinct from each other and from the mix, so none is cached and
+/// at most `tenant_quota` of them can be admitted at once.
+fn build_flood() -> Vec<Item> {
+    (1..=FLOOD)
+        .map(|fill| {
+            let body = format!(
+                "{{\"kernel\":{},\"ctas\":2,\"tpc\":32,\
+                 \"params\":[{{\"buf\":1}},{{\"buf\":1,\"fill\":{fill}}}],\
+                 \"dumps\":[[1,1]],\"tenant\":\"flood\"}}",
+                json_string(LOCK_KERNEL)
+            );
+            Item::new(body, Expect::Ok)
+        })
+        .collect()
+}
+
+/// The expected body of every distinct request in `items`, from the same
 /// execution function the service workers run — locally, chaos-free.
-fn build_oracle(items: &[Item]) -> Oracle {
+fn build_oracle<'a>(items: impl IntoIterator<Item = &'a Item>) -> Oracle {
     let mut seen = HashSet::new();
     let unique: Vec<&Item> = items
-        .iter()
+        .into_iter()
         .filter(|item| item.key.is_some_and(|k| seen.insert(k)))
         .collect();
     let expected = grid::parallel_map(&unique, |_, item| {
@@ -699,8 +717,8 @@ pub(super) fn serve_chaos(c: &mut Check) -> Verdict {
 
 /// Boots the service in-process and drives the seeded mix through its
 /// HTTP front end: a warmup pass over each distinct request, a burst of
-/// [`CLIENTS`] closed-loop clients sized to exceed the shedding threshold,
-/// a cooldown, and a graceful drain.
+/// [`CLIENTS`] closed-loop clients opened by a one-tenant [`FLOOD`] of cold
+/// requests past the tenant quota, a cooldown, and a graceful drain.
 fn drive(c: &Check, chaos_on: bool) -> Verdict {
     let seed = c.seed.unwrap_or(42);
     let chaos = if chaos_on {
@@ -724,7 +742,7 @@ fn drive(c: &Check, chaos_on: bool) -> Verdict {
         workers: 2,
         admission: AdmissionConfig {
             queue_cap: 6,
-            tenant_quota: 2,
+            tenant_quota: TENANT_QUOTA,
             ..AdmissionConfig::default()
         },
         pool: PoolConfig {
@@ -742,9 +760,13 @@ fn drive(c: &Check, chaos_on: bool) -> Verdict {
     let service = Arc::new(Service::start(cfg));
     let server = HttpServer::serve("127.0.0.1:0", Arc::clone(&service)).expect("bind");
     let addr = server.addr().to_string();
-    eprintln!("serve: {addr}, seed {seed}, {MIX} requests x {CLIENTS} clients, chaos {chaos_on}");
-    let items = build_mix(seed, c.opts.engine);
-    let oracle = build_oracle(&items);
+    eprintln!(
+        "serve: {addr}, seed {seed}, {MIX} requests x {CLIENTS} clients + {FLOOD} flood, \
+         chaos {chaos_on}"
+    );
+    let items = build_mix(seed);
+    let flood = build_flood();
+    let oracle = build_oracle(items.iter().chain(&flood));
     let mut run = ServeRun::default();
 
     // Warmup: one sequential pass over each distinct request, so the burst
@@ -758,10 +780,23 @@ fn drive(c: &Check, chaos_on: bool) -> Verdict {
     }
     run.warm_ok = run.tally.ok;
 
-    // Burst: the clients race through the whole mix.
+    // Burst: the clients race through the whole mix. Every 200 of the mix
+    // is a cache hit by now and never reaches admission, so the flood —
+    // cold requests from one tenant, released at once — is what meets the
+    // tenant quota.
     let cursor = AtomicUsize::new(0);
     let tally = Mutex::new(std::mem::take(&mut run.tally));
+    let release = Barrier::new(FLOOD);
     std::thread::scope(|s| {
+        for item in &flood {
+            let (release, tally, oracle, addr) = (&release, &tally, &oracle, &addr);
+            s.spawn(move || {
+                release.wait();
+                let answer = post(addr, item);
+                let mut tally = tally.lock().expect("no client panics holding the tally");
+                tally.note(item, answer, oracle, "flood");
+            });
+        }
         for _ in 0..CLIENTS {
             s.spawn(|| {
                 while let Some(item) = items.get(cursor.fetch_add(1, Ordering::Relaxed)) {

@@ -301,9 +301,9 @@ impl Workload for Fixture {
         "fixture"
     }
 
-    // As in the fuzzer, `is_sync` doubles as "registers are
-    // schedule-dependent": a fixture that declares `regs` promises
-    // deterministic per-thread state.
+    // `is_sync` doubles as "registers are schedule-dependent" for the
+    // differ: a fixture that declares `regs` (every fuzz kernel does)
+    // promises deterministic per-thread state.
     fn is_sync(&self) -> bool {
         !self.compare_regs
     }

@@ -26,14 +26,12 @@
 //! Everything is deterministic in the root seed: generation, the
 //! simulator configuration drawn per kernel, and shrinking order.
 
-use crate::differ::{check_cell, DifferCell, DivergenceReport, CHAOS_POINTS};
+use crate::differ::{check_cell, run_reference, DifferCell, DivergenceReport, CHAOS_POINTS};
+use crate::fixture::Fixture;
 use crate::SchedConfig;
 use simt_analyze::analyze_insts;
-use simt_core::{BasePolicy, Gpu, GpuConfig, LaunchSpec};
-use simt_isa::asm::assemble;
-use simt_isa::Kernel;
+use simt_core::{BasePolicy, GpuConfig};
 use std::fmt::Write as _;
-use workloads::{Lcg, Prepared, Stage, Workload};
 
 /// SplitMix64: a tiny, high-quality deterministic PRNG for generation
 /// decisions (the committed fixtures depend on this stream: change it and
@@ -211,8 +209,10 @@ impl FuzzKernel {
         }
     }
 
-    /// Render assembler source (committable as a fixture; the header
-    /// records the seed for reproduction).
+    /// Render assembler source: a fixture whose `;; differ:` header
+    /// allocates out, LCG-seeded in and ctr, in that order, and records the
+    /// seed for reproduction. It is what the fuzzer checks and what
+    /// `--emit` commits.
     pub fn source(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, ";; fuzz seed {} v{}", self.seed, GENERATOR_VERSION);
@@ -252,16 +252,6 @@ impl FuzzKernel {
         render_nodes(&self.body, &mut s, &mut label, 1);
         let _ = writeln!(s, "    exit");
         s
-    }
-
-    /// Assemble the rendered source.
-    ///
-    /// # Errors
-    ///
-    /// Returns the assembler's message — generation should never produce
-    /// one; a failure here is itself a generator bug worth surfacing.
-    pub fn assemble(&self) -> Result<Kernel, String> {
-        assemble(&self.source()).map_err(|e| e.to_string())
     }
 
     /// The seed-derived simulator cell this kernel is checked under.
@@ -593,59 +583,6 @@ fn render_nodes(nodes: &[Node], s: &mut String, label: &mut usize, indent: usize
     }
 }
 
-/// The fuzz harness's [`Workload`] wrapper around one generated (or
-/// fixture) kernel: allocates the out/in/ctr buffers, seeds the read-only
-/// input from the kernel's LCG stream, and declares exact equivalence.
-pub struct AdhocKernel {
-    /// The kernel under test.
-    pub kernel: Kernel,
-    /// CTAs in the grid.
-    pub ctas: usize,
-    /// Threads per CTA.
-    pub tpc: usize,
-    /// LCG seed for the input buffer.
-    pub input_seed: u32,
-    /// Compare per-thread registers too (off for kernels with
-    /// schedule-dependent register state).
-    pub compare_regs: bool,
-}
-
-impl Workload for AdhocKernel {
-    fn name(&self) -> &'static str {
-        "fuzz"
-    }
-
-    // `is_sync` doubles as "registers are schedule-dependent" for the
-    // differ; generated kernels keep registers deterministic.
-    fn is_sync(&self) -> bool {
-        !self.compare_regs
-    }
-
-    fn prepare(&self, gpu: &mut Gpu) -> Prepared {
-        let g = gpu.mem_mut().gmem_mut();
-        let out = g.alloc(self.ctas as u64 * self.tpc as u64 * OUT_STRIDE);
-        let inp = g.alloc(IN_WORDS);
-        let mut lcg = Lcg::new(self.input_seed);
-        for i in 0..IN_WORDS {
-            g.write_u32(inp + i * 4, lcg.next_u32());
-        }
-        let ctr = g.alloc(CTR_WORDS);
-        Prepared::exact(
-            vec![Stage {
-                kernel: self.kernel.clone(),
-                launch: LaunchSpec {
-                    grid_ctas: self.ctas,
-                    threads_per_cta: self.tpc,
-                    params: vec![out as u32, inp as u32, ctr as u32],
-                },
-            }],
-            // No host-side model: the reference interpreter *is* the
-            // expected result, so per-engine verification is vacuous.
-            |_gpu| Ok(()),
-        )
-    }
-}
-
 /// Outcome of fuzzing one seed.
 pub struct FuzzCase {
     /// The generated kernel.
@@ -689,23 +626,15 @@ pub fn run_seed(base_cfg: &GpuConfig, seed: u64, fuel: u64) -> Option<FuzzCase> 
 }
 
 /// Differentially check one structured kernel (shared by fuzzing and
-/// shrinking). `None` = rejected by the lint filter or unassemblable.
+/// shrinking): its source, parsed as a fixture, under its seeded cell.
+/// `None` = rejected by the lint filter or unassemblable.
 fn check_kernel(base_cfg: &GpuConfig, fk: &FuzzKernel, fuel: u64) -> Option<FuzzCase> {
-    let kernel = fk.assemble().ok()?;
-    let analysis = analyze_insts(&kernel.insts);
-    if analysis.has_errors() {
+    let w = Fixture::parse("fuzz", &fk.source()).ok()?;
+    if analyze_insts(&w.kernel.insts).has_errors() {
         return None;
     }
-    let w = AdhocKernel {
-        kernel,
-        ctas: fk.ctas,
-        tpc: fk.tpc,
-        input_seed: fk.seed as u32,
-        compare_regs: true,
-    };
-    let cell = fk.cell();
-    let reference = crate::differ::run_reference(base_cfg, &w, fuel);
-    let mut reports = check_cell(base_cfg, &w, &cell, &reference);
+    let reference = run_reference(base_cfg, &w, fuel);
+    let mut reports = check_cell(base_cfg, &w, &fk.cell(), &reference);
     for r in &mut reports {
         r.workload = format!("fuzz[seed={}]", fk.seed);
     }
@@ -756,8 +685,9 @@ mod tests {
             let a = FuzzKernel::generate(seed);
             let b = FuzzKernel::generate(seed);
             assert_eq!(a.source(), b.source(), "seed {seed}");
-            let k = a.assemble().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            assert!(!analyze_insts(&k.insts).has_errors(), "seed {seed}");
+            let f = Fixture::parse("fuzz", &a.source()).unwrap_or_else(|e| panic!("{e}"));
+            assert!(f.compare_regs, "seed {seed}");
+            assert!(!analyze_insts(&f.kernel.insts).has_errors(), "seed {seed}");
         }
     }
 

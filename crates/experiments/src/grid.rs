@@ -7,11 +7,9 @@
 //! order**, which makes the rendered tables and CSV byte-identical to a
 //! serial run at any thread count.
 //!
-//! The worker count is resolved once per process, in priority order:
-//!
-//! 1. `--jobs <n>` (parsed by [`crate::Opts::parse_with`]),
-//! 2. the `BOWS_JOBS` environment variable,
-//! 3. [`std::thread::available_parallelism`].
+//! The worker count is `--jobs <n>` (parsed by [`crate::Opts::parse_with`])
+//! or else [`std::thread::available_parallelism`], resolved once per
+//! process.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -28,13 +26,7 @@ pub fn set_jobs(n: usize) {
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::Relaxed) {
         0 => {
-            let n = std::env::var("BOWS_JOBS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map_or(1, usize::from)
-                });
+            let n = std::thread::available_parallelism().map_or(1, usize::from);
             JOBS.store(n, Ordering::Relaxed);
             n
         }

@@ -7,9 +7,8 @@
 //! * `--scale tiny|small|full` — problem sizes (default `small`; `tiny` is
 //!   for smoke-testing the harness itself),
 //! * `--csv` — emit machine-readable CSV after the human-readable table,
-//! * `--jobs <n>` — worker threads for the simulation grid (default:
-//!   `BOWS_JOBS` or the machine's available parallelism),
-//! * `--engine cycle|skip` — the simulator's main-loop engine.
+//! * `--jobs <n>` — worker threads for the simulation grid (default: the
+//!   machine's available parallelism).
 //!
 //! Results are printed as the same rows/series the paper's figures plot.
 //! Every grid of independent (workload × config) cells runs through
@@ -29,7 +28,7 @@ mod table1;
 pub use paper::perf_energy_table;
 
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
-use simt_core::{BasePolicy, Engine, GpuConfig, SimError};
+use simt_core::{BasePolicy, GpuConfig, SimError};
 use std::fmt::Write as _;
 use workloads::{run_workload, Scale, Workload, WorkloadResult};
 
@@ -119,8 +118,6 @@ pub struct Opts {
     pub csv: bool,
     /// Grid worker threads (also set globally via [`grid::set_jobs`]).
     pub jobs: usize,
-    /// `--engine`, if given; [`Opts::config`] applies it.
-    pub engine: Option<Engine>,
 }
 
 /// Print `msg` and the usage text to stderr, then exit with status 2.
@@ -137,7 +134,7 @@ impl Opts {
     /// a value from.
     ///
     /// Exits with status 2 (after printing `usage` to stderr) on an unknown
-    /// scale or engine, a flag missing its value, `--jobs 0`, or an error
+    /// scale, a flag missing its value, `--jobs 0`, or an error
     /// from `extra`; exits 0 on `--help`.
     pub fn parse_with(
         usage: &str,
@@ -163,12 +160,6 @@ impl Opts {
                     };
                 }
                 "--csv" => opts.csv = true,
-                "--engine" => {
-                    let v = value(&mut args, "--engine", "cycle|skip");
-                    opts.engine = Some(v.parse().unwrap_or_else(|()| {
-                        usage_error(usage, &format!("unknown engine `{v}` (cycle|skip)"))
-                    }));
-                }
                 "--jobs" => {
                     let v = value(&mut args, "--jobs", "a worker count");
                     match v.parse::<usize>() {
@@ -192,23 +183,13 @@ impl Opts {
     }
 
     /// Options for library/test use at a given scale (CSV off, current
-    /// global worker count, no engine choice).
+    /// global worker count).
     pub fn at_scale(scale: Scale) -> Opts {
         Opts {
             scale,
             csv: false,
             jobs: grid::jobs(),
-            engine: None,
         }
-    }
-
-    /// `cfg` with the `--engine` choice applied: every `GpuConfig` a binary
-    /// simulates on goes through here, and [`run`] honours `cfg.engine`.
-    pub fn config(&self, mut cfg: GpuConfig) -> GpuConfig {
-        if let Some(e) = self.engine {
-            cfg.engine = e;
-        }
-        cfg
     }
 }
 
@@ -488,20 +469,6 @@ mod tests {
             SchedConfig::bows_adaptive(BasePolicy::Cawa).label(),
             "cawa+bows(adaptive)"
         );
-    }
-
-    #[test]
-    fn config_applies_the_engine_choice_and_nothing_else() {
-        let mut opts = Opts::at_scale(Scale::Tiny);
-        assert_eq!(opts.config(GpuConfig::gtx480()), GpuConfig::gtx480());
-        for engine in [Engine::Cycle, Engine::Skip] {
-            opts.engine = Some(engine);
-            let expected = GpuConfig {
-                engine,
-                ..GpuConfig::gtx1080ti()
-            };
-            assert_eq!(opts.config(GpuConfig::gtx1080ti()), expected);
-        }
     }
 
     #[test]

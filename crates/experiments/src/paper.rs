@@ -77,7 +77,7 @@ impl SuiteGrid {
 /// What the render functions share: the command line and the one grid more
 /// than one of them reads.
 pub struct Paper {
-    /// Scale, CSV and engine choice.
+    /// Scale and CSV choice.
     pub opts: Opts,
     /// The sync suite on the GTX480 (Figures 2, 9, 10–13, stall breakdown).
     pub fermi_sync: SuiteGrid,
@@ -86,7 +86,7 @@ pub struct Paper {
 impl Paper {
     /// A paper with nothing simulated yet.
     pub fn new(opts: Opts) -> Paper {
-        let fermi_sync = SuiteGrid::new(fermi(&opts), sync_suite(opts.scale));
+        let fermi_sync = SuiteGrid::new(GpuConfig::gtx480(), sync_suite(opts.scale));
         Paper { opts, fermi_sync }
     }
 }
@@ -113,14 +113,6 @@ pub const FIGURES: &[(&str, Render)] = &[
     ("ablation", ablation),
     ("blocking", blocking),
 ];
-
-fn fermi(opts: &Opts) -> GpuConfig {
-    opts.config(GpuConfig::gtx480())
-}
-
-fn pascal(opts: &Opts) -> GpuConfig {
-    opts.config(GpuConfig::gtx1080ti())
-}
 
 const GTO: BasePolicy = BasePolicy::Gto;
 
@@ -238,7 +230,7 @@ fn fig1(p: &mut Paper) -> String {
     let scale = p.opts.scale;
     let (threads, per_thread, _) = ht_scale(scale);
     let insertions = threads * per_thread;
-    let (fermi, pascal) = (fermi(&p.opts), pascal(&p.opts));
+    let (fermi, pascal) = (GpuConfig::gtx480(), GpuConfig::gtx1080ti());
     // Per bucket count: Fermi multi-warp (reused for Fig 1e's "multi"
     // column), Pascal multi-warp, and the single-warp run. The serial CPU
     // reference stays on this thread: it is a wall-clock timing
@@ -340,7 +332,7 @@ fn fig2(p: &mut Paper) -> String {
 fn fig3(p: &mut Paper) -> String {
     let scale = p.opts.scale;
     // The paper measured this on a Pascal GTX1080.
-    let cfg = pascal(&p.opts);
+    let cfg = GpuConfig::gtx1080ti();
     let buckets_sweep: &[u32] = match scale {
         Scale::Tiny => &[32, 512],
         _ => &[128, 512, 2048],
@@ -446,7 +438,7 @@ fn fig9(p: &mut Paper) -> String {
 /// inputs under-subscribe Pascal (about a quarter of the warps per
 /// scheduler compared to Fermi).
 fn fig15(p: &mut Paper) -> String {
-    let mut grid = SuiteGrid::new(pascal(&p.opts), sync_suite(p.opts.scale));
+    let mut grid = SuiteGrid::new(GpuConfig::gtx1080ti(), sync_suite(p.opts.scale));
     perf_energy_figure(&mut grid, p.opts.csv, "Figure 15")
 }
 
@@ -589,7 +581,7 @@ fn fig14(p: &mut Paper) -> String {
     }));
     scheds.push(SchedConfig::bows(GTO, DelayMode::Fixed(5000)));
     let mut slowdowns = Vec::new();
-    for results in run_suite_grid(&fermi(&p.opts), &rodinia_suite(p.opts.scale), &scheds) {
+    for results in run_suite_grid(&GpuConfig::gtx480(), &rodinia_suite(p.opts.scale), &scheds) {
         let results: Vec<&WorkloadResult> = results.iter().collect();
         let modulo = &results[1..=delays.len()];
         let detected = modulo
@@ -621,7 +613,7 @@ fn fig14(p: &mut Paper) -> String {
 /// "ideal blocking" proxy (a lock that always succeeds on the first try).
 fn fig16(p: &mut Paper) -> String {
     let scale = p.opts.scale;
-    let cfg = fermi(&p.opts);
+    let cfg = GpuConfig::gtx480();
     let mut t = Table::new(&[
         "buckets",
         "bows_speedup",
@@ -710,7 +702,7 @@ fn stalls(p: &mut Paper) -> String {
 /// 2. **DDOS value history**: path-only detection falsely classifies every
 ///    loop as spinning; the value registers are what make detection sound.
 fn ablation(p: &mut Paper) -> String {
-    let cfg = fermi(&p.opts);
+    let cfg = GpuConfig::gtx480();
     let buckets = match p.opts.scale {
         Scale::Tiny => 32,
         Scale::Small => 256,
@@ -809,7 +801,7 @@ fn ablation(p: &mut Paper) -> String {
 /// remaining gap against a best-case (constraint-free) queue lock.
 fn blocking(p: &mut Paper) -> String {
     let scale = p.opts.scale;
-    let cfg = fermi(&p.opts);
+    let cfg = GpuConfig::gtx480();
     let parking = GpuConfig {
         blocking_locks: true,
         ..cfg.clone()

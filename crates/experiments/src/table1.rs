@@ -170,7 +170,7 @@ struct Acc {
 /// Table I, as `paper table1` prints it.
 pub(crate) fn render(p: &mut Paper) -> String {
     let opts = &p.opts;
-    let cfg = opts.config(GpuConfig::gtx480());
+    let cfg = GpuConfig::gtx480();
     let vars = variants();
 
     let mut acc = vec![Acc::default(); vars.len()];

@@ -190,8 +190,8 @@ fn a_seed_window_gate_that_checked_nothing_fails() {
         empty.report
     );
     assert!(fuzz_seeds(&check, 9..11).pass);
-    assert!(!snap_fuzz_cases(&check, 1, 0).pass);
-    assert!(snap_fuzz_cases(&check, 1, 4).pass);
+    assert!(!snap_fuzz_cases(1, 0).pass);
+    assert!(snap_fuzz_cases(1, 4).pass);
 }
 
 fn check(args: &[&str]) -> Output {
@@ -213,8 +213,10 @@ fn malformed_invocations_exit_2_with_usage() {
         // The seed window would overflow u64.
         vec!["fuzz", "--seed", "18446744073709551615"],
     ];
-    // Every flag of the eight mains `check` replaced, beyond its own eight.
+    // Every flag of the eight mains `check` replaced, beyond its own seven,
+    // and `--engine`: the engine is `GpuConfig::engine`'s alone.
     for deleted in [
+        "--engine",
         "--count",
         "--fuel",
         "--timeout-cycles",
@@ -238,21 +240,4 @@ fn malformed_invocations_exit_2_with_usage() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: check"), "{args:?}: {stderr}");
     }
-}
-
-#[test]
-fn differ_honours_the_engine_flag() {
-    let out = check(&[
-        "differ", "--scale", "tiny", "--matrix", "small", "--engine", "cycle",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(
-        stdout.contains("corpus: engines agree on all 154 runs"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("fixtures: 5 reproduced their expected divergence"),
-        "{stdout}"
-    );
 }

@@ -66,7 +66,12 @@ fn figures_of_one_sweep_simulate_it_once() {
 
 #[test]
 fn malformed_invocations_exit_2_with_usage() {
-    let cases: [&[&str]; 3] = [&["nosuchfig"], &["--scale", "bogus"], &["--profile"]];
+    let cases: [&[&str]; 4] = [
+        &["nosuchfig"],
+        &["--scale", "bogus"],
+        &["--profile"],
+        &["--engine", "cycle"],
+    ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_paper"))
             .args(args)

@@ -48,27 +48,6 @@ pub enum Engine {
     Skip,
 }
 
-impl Engine {
-    /// Short lowercase name (`cycle` | `skip`), the inverse of `FromStr`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Cycle => "cycle",
-            Engine::Skip => "skip",
-        }
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Engine, ()> {
-        [Engine::Cycle, Engine::Skip]
-            .into_iter()
-            .find(|e| e.name() == s)
-            .ok_or(())
-    }
-}
-
 /// Top-level GPU configuration.
 ///
 /// Presets follow the paper's Table II: [`GpuConfig::gtx480`] (Fermi) and
@@ -332,11 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn names_parse_back() {
-        for e in [Engine::Cycle, Engine::Skip] {
-            assert_eq!(e.name().parse(), Ok(e));
-        }
-        assert!("warp".parse::<Engine>().is_err());
+    fn preset_names_resolve() {
         for name in ["tiny", "gtx480", "gtx1080ti"] {
             assert!(GpuConfig::preset(name).is_some(), "{name}");
         }

@@ -5,12 +5,12 @@
 //! ```
 //!
 //! POST a JSON simulation request to `/simulate`; see `crates/simt-serve`
-//! docs for the schema. `--chaos-*` flags arm the *service-level* fault
-//! injector (worker panics / slowness, cache corruption) for resilience
-//! drills — simulated-hardware chaos stays per-request (`chaos_seed` in
-//! the body).
+//! docs for the schema. `--chaos-seed` and the `--chaos-store-*` flags arm
+//! fault injection on the persistence path (torn, short and bit-flipped log
+//! appends) for crash drills — simulated-hardware chaos stays per-request
+//! (`chaos_seed` in the body).
 
-use simt_serve::{install_quiet_panic_hook, HttpServer, ServeConfig, Service, ServiceChaos};
+use simt_serve::{HttpServer, ServeConfig, Service, ServiceChaos};
 use std::sync::Arc;
 
 fn usage() -> ! {
@@ -19,10 +19,8 @@ fn usage() -> ! {
          \x20    [--queue-cap N] [--tenant-quota N] [--max-queue-wait-ms N]\n\
          \x20    [--cache-entries N] [--max-retries N] [--attempt-deadline-ms N]\n\
          \x20    [--state-dir DIR] [--checkpoint-every-cycles N]\n\
-         \x20    [--chaos-seed N] [--chaos-panic-ppm N] [--chaos-slow-ppm N]\n\
-         \x20    [--chaos-slow-ms N] [--chaos-corrupt-ppm N]\n\
-         \x20    [--chaos-store-torn-ppm N] [--chaos-store-short-ppm N]\n\
-         \x20    [--chaos-store-flip-ppm N]\n\
+         \x20    [--chaos-seed N] [--chaos-store-torn-ppm N]\n\
+         \x20    [--chaos-store-short-ppm N] [--chaos-store-flip-ppm N]\n\
          \n\
          --state-dir DIR persists the result cache to an fsync'd append\n\
          log under DIR and replays it on restart (crash-safe: a torn tail\n\
@@ -40,7 +38,6 @@ fn main() {
     let mut addr = "127.0.0.1:8080".to_string();
     let mut cfg = ServeConfig::default();
     let mut chaos = ServiceChaos::off();
-    chaos.slow_ms = 200;
     let mut args = std::env::args().skip(1);
     let next = |args: &mut dyn Iterator<Item = String>, what: &str| -> String {
         args.next().unwrap_or_else(|| {
@@ -74,12 +71,6 @@ fn main() {
                 cfg.pool.checkpoint_every_cycles = num!(&mut args, "--checkpoint-every-cycles");
             }
             "--chaos-seed" => chaos.seed = num!(&mut args, "--chaos-seed"),
-            "--chaos-panic-ppm" => chaos.worker_panic_ppm = num!(&mut args, "--chaos-panic-ppm"),
-            "--chaos-slow-ppm" => chaos.worker_slow_ppm = num!(&mut args, "--chaos-slow-ppm"),
-            "--chaos-slow-ms" => chaos.slow_ms = num!(&mut args, "--chaos-slow-ms"),
-            "--chaos-corrupt-ppm" => {
-                chaos.cache_corrupt_ppm = num!(&mut args, "--chaos-corrupt-ppm");
-            }
             "--chaos-store-torn-ppm" => {
                 chaos.store_torn_ppm = num!(&mut args, "--chaos-store-torn-ppm");
             }
@@ -95,14 +86,9 @@ fn main() {
     }
     cfg.chaos = chaos;
     if chaos.enabled() {
-        install_quiet_panic_hook();
         eprintln!(
-            "service chaos armed: seed {} panic {}ppm slow {}ppm/{}ms corrupt {}ppm",
-            chaos.seed,
-            chaos.worker_panic_ppm,
-            chaos.worker_slow_ppm,
-            chaos.slow_ms,
-            chaos.cache_corrupt_ppm
+            "service chaos armed: seed {} store torn {}ppm short {}ppm flip {}ppm",
+            chaos.seed, chaos.store_torn_ppm, chaos.store_short_ppm, chaos.store_flip_ppm
         );
     }
     let (nworkers, ncache) = (cfg.workers, cfg.cache_entries);

@@ -2,7 +2,7 @@
 //! and the (pure, deterministic) execution function.
 //!
 //! A request fully determines its result: the simulator is bit-exact for a
-//! fixed (kernel, config, seed, engine), so [`SimRequest::cache_key`] can
+//! fixed (kernel, config, seed), so [`SimRequest::cache_key`] can
 //! content-address the rendered response body. Everything that can change
 //! a single output byte must feed the key; the cache-soundness tests in
 //! `tests/cache_key.rs` hold this to account.
@@ -10,8 +10,7 @@
 use crate::json::{error_body, kernel_report_json, sim_error_json, Json};
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
 use simt_core::{
-    BasePolicy, CancelToken, CheckpointCtl, Engine, Gpu, GpuConfig, KernelReport, LaunchSpec,
-    SimError,
+    BasePolicy, CancelToken, CheckpointCtl, Gpu, GpuConfig, KernelReport, LaunchSpec, SimError,
 };
 use simt_isa::{AsmError, Kernel};
 use simt_mem::ChaosConfig;
@@ -65,8 +64,6 @@ pub struct SimRequest {
     pub bows: Option<DelayMode>,
     /// Run the DDOS detector (else the static `!sib` oracle).
     pub ddos: bool,
-    /// Main-loop engine override.
-    pub engine: Option<Engine>,
     /// Simulated-cycle budget override (`GpuConfig::max_cycles`).
     pub timeout_cycles: Option<u64>,
     /// Memory-chaos seed (simulated-hardware faults, not service chaos).
@@ -187,14 +184,6 @@ impl SimRequest {
             Some(v) => v.as_bool("ddos")?,
             None => true,
         };
-        let engine = match j.opt("engine")? {
-            None => None,
-            Some(v) => Some(
-                v.as_str("engine")?
-                    .parse()
-                    .map_err(|()| "engine: expected cycle | skip")?,
-            ),
-        };
         let timeout_cycles = match j.opt("timeout_cycles")? {
             Some(v) => Some(v.as_u64("timeout_cycles")?),
             None => None,
@@ -257,7 +246,6 @@ impl SimRequest {
             sched,
             bows,
             ddos,
-            engine,
             timeout_cycles,
             chaos_seed,
             chaos_level,
@@ -298,8 +286,7 @@ impl SimRequest {
         let _ = write!(c, ";ddos={}", self.ddos as u8);
         let _ = write!(
             c,
-            ";engine={};tc={:?};cs={:?};cl={:?};dumps=[",
-            self.engine.map_or("-", Engine::name),
+            ";tc={:?};cs={:?};cl={:?};dumps=[",
             self.timeout_cycles,
             self.chaos_seed,
             self.chaos_level
@@ -330,9 +317,6 @@ impl SimRequest {
         }
         if let Some(t) = self.timeout_cycles {
             cfg.max_cycles = t;
-        }
-        if let Some(e) = self.engine {
-            cfg.engine = e;
         }
         cfg
     }
@@ -625,7 +609,6 @@ mod tests {
         for mutate in [
             |r: &mut SimRequest| r.ctas = 2,
             |r: &mut SimRequest| r.sched = BasePolicy::Lrr,
-            |r: &mut SimRequest| r.engine = Some(Engine::Cycle),
             |r: &mut SimRequest| r.chaos_seed = Some(7),
             |r: &mut SimRequest| r.kernel.push(' '),
         ] {

@@ -2,25 +2,28 @@
 //! serve bytes that differ from a cold simulation of the same request, and
 //! requests that can produce different results must never share a key.
 //!
-//! The interesting case is the `Engine::Cycle` / `Engine::Skip` pair: the
-//! two engines are bit-identical by construction (the event-horizon
-//! fast-forward invariant), so their *bodies* agree — but their keys must
-//! still differ, because the cache is keyed on the request, not on a
-//! hoped-for equivalence between configurations.
+//! The engine is not part of a request. The two engines are bit-identical
+//! by construction (the event-horizon fast-forward invariant), so a body
+//! that still names one is the same request as a body that does not: an
+//! `"engine"` member is ignored like any other unknown member.
 
 use simt_serve::{ServeConfig, Service, ServiceChaos, SimRequest};
 use std::time::Duration;
 
 const KERNEL: &str = ".kernel inc\n.regs 8\n.params 1\n    ld.param r1, [0]\n    mov r2, %gtid\n    shl r2, r2, 2\n    add r1, r1, r2\n    ld.global r3, [r1]\n    add r3, r3, 1\n    st.global [r1], r3\n    exit\n";
 
-fn request(engine: &str, chaos_seed: Option<u64>) -> SimRequest {
-    let chaos = chaos_seed.map_or(String::new(), |s| format!("\"chaos_seed\":{s},"));
-    let body = format!(
+/// The request body, with `extra` members spliced in before the dumps.
+fn body(extra: &str) -> String {
+    format!(
         "{{\"kernel\":{},\"ctas\":2,\"tpc\":32,\"params\":[{{\"buf\":64,\"fill\":3}}],\
-         \"engine\":\"{engine}\",{chaos}\"dumps\":[[0,8]]}}",
+         {extra}\"dumps\":[[0,8]]}}",
         simt_serve::json::json_string(KERNEL)
-    );
-    SimRequest::from_json(&body).unwrap()
+    )
+}
+
+fn request(chaos_seed: Option<u64>) -> SimRequest {
+    let chaos = chaos_seed.map_or(String::new(), |s| format!("\"chaos_seed\":{s},"));
+    SimRequest::from_json(&body(&chaos)).unwrap()
 }
 
 fn quiet_service() -> Service {
@@ -31,40 +34,22 @@ fn quiet_service() -> Service {
     })
 }
 
-/// Cold and cached responses are byte-identical, for both engines.
+/// A body naming an engine parses to the request without it: same key, and
+/// its second submit is a hit with the cold bytes.
 #[test]
-fn cold_vs_cached_identical_across_engines() {
-    for engine in ["cycle", "skip"] {
-        let svc = quiet_service();
-        let req = request(engine, None);
-        let cold = svc.submit(req.clone());
-        assert_eq!(cold.status, 200, "engine {engine}");
-        assert!(!cold.cached);
-        let warm = svc.submit(req);
-        assert!(warm.cached, "second submit must hit the cache");
-        assert_eq!(
-            cold.body, warm.body,
-            "engine {engine}: cache served different bytes"
-        );
-        assert!(svc.drain(Duration::from_secs(10)));
-    }
-}
-
-/// The two engines simulate to identical bytes (the fast-forward
-/// invariant) yet never share a cache key.
-#[test]
-fn engines_agree_on_bytes_but_not_on_keys() {
-    let cycle = request("cycle", None);
-    let skip = request("skip", None);
-    assert_ne!(cycle.cache_key(), skip.cache_key());
+fn an_engine_member_changes_nothing() {
+    let plain = request(None);
+    let named = SimRequest::from_json(&body("\"engine\":\"cycle\",")).unwrap();
+    assert_eq!(named, plain);
+    assert_eq!(named.cache_key(), plain.cache_key());
 
     let svc = quiet_service();
-    let a = svc.submit(cycle);
-    let b = svc.submit(skip);
-    assert_eq!(a.status, 200);
-    assert_eq!(b.status, 200);
-    assert!(!b.cached, "distinct keys must not collide into a hit");
-    assert_eq!(a.body, b.body, "engines must stay bit-identical");
+    let cold = svc.submit(named.clone());
+    assert_eq!(cold.status, 200);
+    assert!(!cold.cached);
+    let warm = svc.submit(named);
+    assert!(warm.cached, "second submit must hit the cache");
+    assert_eq!(cold.body, warm.body, "cache served different bytes");
     assert!(svc.drain(Duration::from_secs(10)));
 }
 
@@ -72,9 +57,9 @@ fn engines_agree_on_bytes_but_not_on_keys() {
 /// and a warm cache for one seed never answers for another.
 #[test]
 fn chaos_seeds_never_collide() {
-    let s1 = request("skip", Some(1));
-    let s2 = request("skip", Some(2));
-    let clean = request("skip", None);
+    let s1 = request(Some(1));
+    let s2 = request(Some(2));
+    let clean = request(None);
     assert_ne!(s1.cache_key(), s2.cache_key());
     assert_ne!(s1.cache_key(), clean.cache_key());
 

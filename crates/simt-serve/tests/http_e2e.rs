@@ -202,3 +202,25 @@ fn racy_kernels_are_rejected_with_a_structured_422() {
 
     server.stop();
 }
+
+/// Worker panics, slowness and cache corruption are armed in-process (the
+/// `serve_chaos` drill sets `ServiceChaos` itself); `bows-serve` has no
+/// flags for them, so each is refused as an unknown flag. The address
+/// cannot be bound, so a flag that parsed would exit 1, not serve forever.
+#[test]
+fn bows_serve_refuses_the_service_chaos_flags() {
+    for flag in [
+        "--chaos-panic-ppm",
+        "--chaos-slow-ppm",
+        "--chaos-slow-ms",
+        "--chaos-corrupt-ppm",
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bows-serve"))
+            .args(["--addr", "127.0.0.1:no-port", flag, "1000"])
+            .output()
+            .expect("spawn bows-serve");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: bows-serve"), "{flag}: {stderr}");
+    }
+}

@@ -41,8 +41,7 @@ fn usage() -> ! {
          \x20            [--sched lrr|gto|cawa] [--bows <cycles>|adaptive] [--no-ddos]\n\
          \x20            [--gpu gtx480|gtx1080ti|tiny] [--dump I:LEN]...\n\
          \x20            [--chaos-seed N] [--chaos-level 0..3]\n\
-         \x20            [--timeout-cycles N] [--timeout-wall SECS]\n\
-         \x20            [--engine cycle|skip] [--lint]\n\
+         \x20            [--timeout-cycles N] [--timeout-wall SECS] [--lint]\n\
          \x20            [--format human|json] [--profile]\n\
          \x20            [--state-dir DIR] [--checkpoint-every N] [--resume SNAP]\n\
          \n\
@@ -50,10 +49,10 @@ fn usage() -> ! {
          simulation state into --state-dir every N cycles (atomic\n\
          temp-file + fsync + rename; requires --state-dir). --resume\n\
          restarts from such a snapshot file and produces bit-identical\n\
-         final stats and memory to the uninterrupted run, on either\n\
-         engine. A snapshot records the kernel,\n\
-         launch geometry, and GPU config it was taken under; resuming\n\
-         with a mismatched kernel or config exits 2 with a clear error.\n\
+         final stats and memory to the uninterrupted run. A snapshot\n\
+         records the kernel, launch geometry, and GPU config it was\n\
+         taken under; resuming with a mismatched kernel or config exits\n\
+         2 with a clear error.\n\
          \n\
          --profile collects a host wall-clock breakdown of the run loop\n\
          (fetch/issue/execute/mem-cycle/skip-horizon, and what the\n\
@@ -62,10 +61,6 @@ fn usage() -> ! {
          printed after the run report; with --format json the breakdown is\n\
          one JSON object on a second line. Purely observational: simulated\n\
          results are bit-identical with and without it.\n\
-         \n\
-         --engine picks the main-loop time-advance strategy: `skip`\n\
-         (default) stops cycling an SM while it has nothing to issue,\n\
-         `cycle` cycles every SM every cycle. Bit-identical results either way.\n\
          \n\
          --chaos-seed seeds the deterministic memory fault injector\n\
          (same seed => bit-identical run); --chaos-level picks intensity\n\
@@ -113,7 +108,6 @@ fn parse_cli() -> Cli {
             sched: BasePolicy::Gto,
             bows: None,
             ddos: true,
-            engine: None,
             timeout_cycles: None,
             chaos_seed: None,
             chaos_level: None,
@@ -205,10 +199,6 @@ fn parse_cli() -> Cli {
                     usage();
                 }
                 cli.timeout_wall_s = Some(s);
-            }
-            "--engine" => {
-                req.engine =
-                    Some(next(&mut args, "--engine").parse().unwrap_or_else(|()| usage()));
             }
             "--checkpoint-every" => {
                 let n: u64 = next(&mut args, "--checkpoint-every")

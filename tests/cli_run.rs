@@ -47,11 +47,10 @@ const LAUNCH_JSON: &str = "\"ctas\":2,\"tpc\":32,\"params\":[{\"buf\":1},{\"buf\
 
 #[test]
 fn json_report_is_the_service_body() {
-    let cells: [(&[&str], &str); 4] = [
+    let cells: [(&[&str], &str); 3] = [
         (&[], ""),
         (&["--bows", "adaptive"], ",\"bows\":\"adaptive\""),
         (&["--no-ddos"], ",\"ddos\":false"),
-        (&["--engine", "cycle"], ",\"engine\":\"cycle\""),
     ];
     for (flags, fields) in cells {
         let out = bows_run(&[&LAUNCH[..], flags].concat());
@@ -61,6 +60,16 @@ fn json_report_is_the_service_body() {
         assert_eq!(stdout_at(&out, 0), format!("{body}\n"), "{flags:?}");
         assert!(body.contains("\"dumps\":{\"1\":[64]}"), "64 increments under the lock: {body}");
     }
+}
+
+/// The engine is not a launch setting: `--engine` is an unknown flag.
+#[test]
+fn engine_flag_exits_2_with_usage() {
+    let out = bows_run(&["--engine", "cycle"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: bows-run"), "{stderr}");
 }
 
 #[test]
