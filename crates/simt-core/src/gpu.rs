@@ -621,9 +621,7 @@ impl Run<'_> {
             if round.issued {
                 self.rs.stats.busy_cycles += 1;
                 self.rs.idle_since = now + 1;
-            } else if self.mem.quiescent()
-                && now - self.rs.idle_since >= self.cfg.watchdog_cycles
-            {
+            } else if now - self.rs.idle_since >= self.cfg.watchdog_cycles && self.mem.quiescent() {
                 // Nothing can ever issue again: classic SIMT deadlock.
                 return Err(self.hang(HangClass::GlobalDeadlock));
             }
@@ -662,24 +660,12 @@ impl Run<'_> {
         Ok(())
     }
 
-    /// Round-robin CTA dispatch: repeatedly offer the oldest pending CTA
-    /// to each SM in turn (ascending SM id) until a full pass launches
-    /// nothing (used both for the initial dispatch and for refills after a
-    /// CTA retires).
+    /// Launch pending CTAs onto the SMs that fit them ([`SmPool::dispatch`]).
     fn dispatch_pending(&mut self) {
         let t = self.timer();
         let rs = &mut self.rs;
-        let mut made_progress = true;
-        while made_progress && !rs.pending.is_empty() {
-            made_progress = false;
-            for sm in &mut self.pool.sms {
-                let Some(&cta) = rs.pending.front() else { break };
-                if sm.try_launch_cta(cta, self.lctx, &mut rs.age_counter) {
-                    rs.pending.pop_front();
-                    made_progress = true;
-                }
-            }
-        }
+        self.pool
+            .dispatch(&mut rs.pending, self.lctx, &mut rs.age_counter);
         lap(t, &mut self.prof.dispatch_ns);
     }
 
@@ -905,11 +891,7 @@ impl Run<'_> {
                 self.pool.sms.len()
             )));
         }
-        let mut resident_ctas = 0;
-        for sm in &mut self.pool.sms {
-            sm.load_snap(&mut r, &limits)?;
-            resident_ctas += sm.resident_ctas();
-        }
+        let resident_ctas = self.pool.load_snap(&mut r, &limits)?;
         let restored_mem = self.mem.load_snap(&mut r, state.now)?;
         r.expect_exhausted()?;
         state.check(restored_mem.stats(), resident_ctas, self.lctx.grid_ctas)?;

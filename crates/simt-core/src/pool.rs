@@ -1,12 +1,16 @@
 //! The SMs of one kernel run, and which of them a simulated cycle has to
 //! cycle.
 //!
-//! [`SmPool`] owns the machine's SMs in id order (`sms[i].id == i`) and the
-//! statistics they accrue into. The run loop in `gpu.rs` indexes `sms`
-//! directly; the three whole-machine operations live here:
-//! [`SmPool::cycle`], [`SmPool::settle`] and [`SmPool::fold_stats`].
+//! [`SmPool`] owns the machine's SMs in id order (`sms[i].id == i`), the
+//! set of those with work, and the statistics they accrue into. The run
+//! loop in `gpu.rs` indexes `sms` directly to deliver completions and read
+//! state; every operation that can change which SMs have work lives here:
+//! [`SmPool::cycle`] (an SM retires its last CTA), [`SmPool::dispatch`]
+//! (a CTA launches) and [`SmPool::load_snap`] (a restore). The with-work
+//! set is what `cycle` walks, so a round costs the SMs with work, not the
+//! machine.
 //!
-//! `cycle` walks the SMs in ascending id on the calling thread, and an SM
+//! `cycle` walks those SMs in ascending id on the calling thread, and an SM
 //! submits its global-memory work to the memory system as it issues, so
 //! the memory system sees "SM 0's requests, then SM 1's, ..." every cycle
 //! (DESIGN.md, "Why the run loop is serial").
@@ -18,9 +22,11 @@
 //! external input; the dead cycles in between reach its books only when it
 //! wakes or is settled.
 
-use crate::sm::{LaunchCtx, Sm};
+use crate::sm::{LaunchCtx, Sm, SnapLimits};
 use crate::{SimError, SimStats};
 use simt_mem::MemorySystem;
+use simt_snap::{SnapReader, SnapshotError};
+use std::collections::VecDeque;
 
 /// What one [`SmPool::cycle`] round did, reduced over all SMs.
 #[derive(Debug, Default)]
@@ -40,6 +46,9 @@ pub(crate) struct Round {
 pub(crate) struct SmPool {
     /// Every SM, in ascending id order.
     pub sms: Vec<Sm>,
+    /// The ids of the SMs with work ([`Sm::has_work`]), a bit per SM:
+    /// sleepers included, drained SMs not.
+    working: Vec<u64>,
     /// Per-SM counters accrued since the last [`SmPool::fold_stats`].
     stats: SimStats,
 }
@@ -48,9 +57,21 @@ impl SmPool {
     /// A pool holding `sms`, in id order.
     pub(crate) fn new(sms: Vec<Sm>) -> SmPool {
         debug_assert!(sms.iter().enumerate().all(|(id, sm)| sm.id == id));
-        SmPool {
+        let mut pool = SmPool {
+            working: vec![0; sms.len().div_ceil(64)],
             sms,
             stats: SimStats::default(),
+        };
+        pool.rebuild_working();
+        pool
+    }
+
+    fn rebuild_working(&mut self) {
+        self.working.fill(0);
+        for sm in &self.sms {
+            if sm.has_work() {
+                self.working[sm.id / 64] |= 1 << (sm.id % 64);
+            }
         }
     }
 
@@ -74,26 +95,90 @@ impl SmPool {
             ready: sleep.then_some(u64::MAX),
             ..Round::default()
         };
-        for sm in &mut self.sms {
-            if !sm.has_work() {
-                continue;
+        for word in 0..self.working.len() {
+            // No SM gains work inside a round, so a copy of the word is
+            // the walk; an SM that drains clears its own bit.
+            let mut bits = self.working[word];
+            while bits != 0 {
+                let id = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let sm = &mut self.sms[id];
+                if let Some(wake_at) = sm.asleep_until(now) {
+                    round.ready = round.ready.map(|r| r.min(wake_at));
+                    continue;
+                }
+                sm.wake(now, &mut self.stats);
+                let r = sm.cycle(now, lctx, mem, &mut self.stats)?;
+                round.issued |= r.issued > 0;
+                round.finished += r.ctas_finished;
+                round.ready = if sleep && r.issued == 0 && r.ctas_finished == 0 {
+                    let wake_at = sm.sleep(now);
+                    round.ready.map(|r| r.min(wake_at))
+                } else {
+                    None
+                };
+                if r.ctas_finished > 0 && !sm.has_work() {
+                    self.working[word] &= !(1 << (id % 64));
+                }
             }
-            if let Some(wake_at) = sm.asleep_until(now) {
-                round.ready = round.ready.map(|r| r.min(wake_at));
-                continue;
-            }
-            sm.wake(now, &mut self.stats);
-            let r = sm.cycle(now, lctx, mem, &mut self.stats)?;
-            round.issued |= r.issued > 0;
-            round.finished += r.ctas_finished;
-            round.ready = if sleep && r.issued == 0 && r.ctas_finished == 0 {
-                let wake_at = sm.sleep(now);
-                round.ready.map(|r| r.min(wake_at))
-            } else {
-                None
-            };
         }
+        #[cfg(debug_assertions)]
+        self.assert_working_agrees();
         Ok(round)
+    }
+
+    /// Round-robin CTA dispatch: repeatedly offer the oldest pending CTA
+    /// to each SM in turn (ascending id) until a full pass launches
+    /// nothing. The run loop's only way to launch a CTA, for the initial
+    /// dispatch and for refills after a CTA retires.
+    pub(crate) fn dispatch(
+        &mut self,
+        pending: &mut VecDeque<usize>,
+        lctx: &LaunchCtx<'_>,
+        age_counter: &mut u64,
+    ) {
+        let mut made_progress = true;
+        while made_progress && !pending.is_empty() {
+            made_progress = false;
+            for sm in &mut self.sms {
+                let Some(&cta) = pending.front() else { break };
+                if sm.try_launch_cta(cta, lctx, age_counter) {
+                    pending.pop_front();
+                    self.working[sm.id / 64] |= 1 << (sm.id % 64);
+                    made_progress = true;
+                }
+            }
+        }
+    }
+
+    /// Restore every SM from a snapshot body, in id order
+    /// ([`Sm::load_snap`]), and the with-work set from them. Returns the
+    /// CTAs resident across the machine.
+    ///
+    /// # Errors
+    ///
+    /// The first SM's decode error; the pool must then be discarded.
+    pub(crate) fn load_snap(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        limits: &SnapLimits,
+    ) -> Result<usize, SnapshotError> {
+        let mut resident_ctas = 0;
+        for sm in &mut self.sms {
+            sm.load_snap(r, limits)?;
+            resident_ctas += sm.resident_ctas();
+        }
+        self.rebuild_working();
+        Ok(resident_ctas)
+    }
+
+    /// Debug-build oracle: the with-work set is exactly the SMs with work.
+    #[cfg(debug_assertions)]
+    fn assert_working_agrees(&self) {
+        for sm in &self.sms {
+            let walked = self.working[sm.id / 64] >> (sm.id % 64) & 1 != 0;
+            assert_eq!(walked, sm.has_work(), "sm {} in the with-work set", sm.id);
+        }
     }
 
     /// Bring every sleeping SM's books up to the start of cycle `now`
@@ -140,17 +225,16 @@ mod tests {
             exit
     "#;
 
-    /// Run `f` over a 4-SM machine with CTA `id` of `src`, `threads_per_cta`
-    /// wide, resident on each of the first `ctas` SMs. `f` also gets the
-    /// launch context, for cycling and for launching further CTAs.
+    /// Run `f` over a machine of `num_sms` SMs with CTA `i` of `src`,
+    /// `threads_per_cta` wide, resident on SM `placement[i]`. `f` also gets
+    /// the launch context, for cycling and for launching further CTAs.
     fn with_pool<R>(
         src: &str,
         params: &[u32],
-        (ctas, threads_per_cta): (usize, usize),
+        (num_sms, placement, threads_per_cta): (usize, &[usize], usize),
         f: impl FnOnce(&mut SmPool, &LaunchCtx<'_>) -> R,
     ) -> R {
-        let mut cfg = GpuConfig::test_tiny();
-        cfg.num_sms = 4;
+        let cfg = GpuConfig::test_tiny();
         let kernel = assemble(src).unwrap();
         let decoded = DecodedKernel::decode(&kernel);
         let lctx = LaunchCtx {
@@ -158,19 +242,20 @@ mod tests {
             decoded: &decoded,
             params,
             threads_per_cta,
-            grid_ctas: 4,
+            grid_ctas: placement.len() + 1,
         };
         let mut age = 0;
-        let sms = (0..cfg.num_sms)
+        let mut sms: Vec<Sm> = (0..num_sms)
             .map(|id| {
                 let units = (0..cfg.schedulers_per_sm)
                     .map(|_| BasePolicy::Lrr.build(cfg.gto_rotate_period))
                     .collect();
-                let mut sm = Sm::new(id, &cfg, units, Box::new(NullDetector));
-                assert!(id >= ctas || sm.try_launch_cta(id, &lctx, &mut age));
-                sm
+                Sm::new(id, &cfg, units, Box::new(NullDetector))
             })
             .collect();
+        for (cta, &sm) in placement.iter().enumerate() {
+            assert!(sms[sm].try_launch_cta(cta, &lctx, &mut age));
+        }
         f(&mut SmPool::new(sms), &lctx)
     }
 
@@ -184,7 +269,8 @@ mod tests {
         // Non-zero, so that SM 0's store of its own id (0) is visible.
         let buf = mem.gmem_mut().alloc(1);
         mem.gmem_mut().write_u32(buf, 0xdead);
-        with_pool(FAULT_ON_SM_1_AND_2, &[buf as u32], (4, 32), |pool, lctx| {
+        let shape = (4, &[0, 1, 2, 3][..], 32);
+        with_pool(FAULT_ON_SM_1_AND_2, &[buf as u32], shape, |pool, lctx| {
             for now in 0..1000 {
                 let run_before: Vec<u64> = pool.sms.iter().map(|sm| sm.prof.cycles_run).collect();
                 match pool.cycle(now, false, lctx, &mut mem) {
@@ -273,35 +359,59 @@ mod tests {
         }
     }
 
-    /// Drive the spin/load kernel to completion. With `inject`, CTA 2 is
-    /// launched onto SM 1 after that cycle's round. Also returns
+    /// Drive the spin/load kernel, 32 threads a CTA, to completion on four
+    /// SMs, CTA `i` starting on SM `placement[i]`. With `inject`, one more
+    /// CTA is offered through [`SmPool::dispatch`] after that cycle's
+    /// round; the test names the SM it must land on. Also returns
     /// [`Sm::cycle`] calls per SM.
-    fn run_spin_or_load(sleep: bool, inject: Option<u64>) -> (Outcome, Vec<u64>) {
+    fn run_spin_or_load(
+        sleep: bool,
+        placement: &[usize],
+        inject: Option<(u64, usize)>,
+    ) -> (Outcome, Vec<u64>) {
         let cfg = GpuConfig::test_tiny();
         let mut mem = MemorySystem::new(cfg.mem.clone(), 4);
         let buf = mem.gmem_mut().alloc(1) as u32;
-        with_pool(SPIN_ON_SM_0_LOAD_ON_SM_1, &[buf], (2, 32), |pool, lctx| {
-            let mut age = 2;
-            // SM 1's cycle count before the current round.
-            let mut run_before = 0;
+        let shape = (4, placement, 32);
+        with_pool(SPIN_ON_SM_0_LOAD_ON_SM_1, &[buf], shape, |pool, lctx| {
+            let mut age = 1 << 20;
+            // SM cycle counts before the current round.
+            let mut run_before = [0; 4];
             let outcome = drive(pool, lctx, &mut mem, sleep, |pool, now| {
-                if inject == Some(now) {
-                    // By now SM 1 waits on its load, with no timer of its
-                    // own to wake it.
-                    assert_eq!(pool.sms[1].asleep_until(now + 1), sleep.then_some(u64::MAX));
-                    assert!(pool.sms[1].try_launch_cta(2, lctx, &mut age));
-                    assert_eq!(pool.sms[1].asleep_until(now + 1), None);
-                } else if now > 0 && inject == Some(now - 1) {
-                    // The launch was a wake source: the new warp was seen
-                    // alive on the very next cycle.
-                    assert_eq!(pool.sms[1].prof.cycles_run, run_before + 1);
+                match inject {
+                    Some((at, target)) if at == now => {
+                        let sm = &pool.sms[target];
+                        if sm.has_work() {
+                            // By now the target waits on its load, with no
+                            // timer of its own to wake it.
+                            assert_eq!(sm.asleep_until(now + 1), sleep.then_some(u64::MAX));
+                        }
+                        let before = sm.resident_ctas();
+                        let mut pending = VecDeque::from([placement.len()]);
+                        pool.dispatch(&mut pending, lctx, &mut age);
+                        assert!(pending.is_empty());
+                        let sm = &pool.sms[target];
+                        assert_eq!(sm.resident_ctas(), before + 1, "landed on {target}");
+                        assert_eq!(sm.asleep_until(now + 1), None);
+                    }
+                    Some((at, target)) if at + 1 == now => {
+                        // The launch was a wake source: the new warp was
+                        // seen alive on the very next cycle.
+                        let run = pool.sms[target].prof.cycles_run;
+                        assert_eq!(run, run_before[target] + 1, "sm {target}");
+                    }
+                    _ => {}
                 }
-                run_before = pool.sms[1].prof.cycles_run;
+                for (before, sm) in run_before.iter_mut().zip(&pool.sms) {
+                    *before = sm.prof.cycles_run;
+                }
             });
             let run = pool.sms.iter().map(|sm| sm.prof.cycles_run).collect();
-            for sm in &pool.sms[..2] {
+            for sm in pool.sms.iter().filter(|sm| sm.prof.cycles_run > 0) {
                 // Every cycle an SM had work was either run or slept.
                 assert!(sm.prof.cycles_run + sm.prof.cycles_slept <= outcome.cycles);
+            }
+            for sm in &pool.sms[..2] {
                 assert_eq!(sm.prof.cycles_slept > 0, sleep, "sm {}", sm.id);
             }
             (outcome, run)
@@ -314,21 +424,35 @@ mod tests {
     /// books come out as the cycle engine's.
     #[test]
     fn an_sm_waiting_on_a_load_is_not_cycled() {
-        let (oracle, run) = run_spin_or_load(false, None);
+        let (oracle, run) = run_spin_or_load(false, &[0, 1], None);
         assert!(run[1] > 200, "the load is long: {run:?}");
-        let (got, run) = run_spin_or_load(true, None);
+        let (got, run) = run_spin_or_load(true, &[0, 1], None);
         assert_eq!(got, oracle);
         assert!(run[1] <= 16, "{run:?}");
         assert_eq!(run[2..], [0, 0], "drained SMs are never cycled");
     }
 
-    /// A CTA launched onto a sleeping SM wakes it for the next cycle, and
+    /// A CTA dispatched onto a sleeping SM (SM 0's four CTA slots are
+    /// full, so the pool passes it over) wakes it for the next cycle, and
     /// the span slept before the launch is accrued as the cycle engine
     /// would have counted it.
     #[test]
     fn a_launch_wakes_a_sleeping_sm() {
-        let (oracle, _) = run_spin_or_load(false, Some(100));
-        let (got, _) = run_spin_or_load(true, Some(100));
+        let placement = [0, 1, 0, 0, 0];
+        let (oracle, _) = run_spin_or_load(false, &placement, Some((100, 1)));
+        let (got, _) = run_spin_or_load(true, &placement, Some((100, 1)));
+        assert_eq!(got, oracle);
+    }
+
+    /// An SM with no work is outside the walked set; a CTA the pool
+    /// dispatches onto it (SMs 0 and 1 are full) puts it back, and it is
+    /// cycled on the very next cycle, with either engine's books.
+    #[test]
+    fn a_dispatch_onto_an_idle_sm_is_cycled_next_cycle() {
+        let placement = [0, 0, 0, 0, 1, 1, 1, 1];
+        let (oracle, run) = run_spin_or_load(false, &placement, Some((100, 2)));
+        assert!(run[2] > 0 && run[3] == 0, "{run:?}");
+        let (got, _) = run_spin_or_load(true, &placement, Some((100, 2)));
         assert_eq!(got, oracle);
     }
 
@@ -367,7 +491,8 @@ mod tests {
             let cfg = GpuConfig::test_tiny();
             let mut mem = MemorySystem::new(cfg.mem.clone(), 4);
             let buf = mem.gmem_mut().alloc(8 * 32) as u32;
-            with_pool(ONE_LOOPS_SEVEN_WAIT, &[buf], (1, 256), |pool, lctx| {
+            let shape = (4, &[0][..], 256);
+            with_pool(ONE_LOOPS_SEVEN_WAIT, &[buf], shape, |pool, lctx| {
                 let outcome = drive(pool, lctx, &mut mem, sleep, |_, _| {});
                 (outcome, pool.sms[0].prof)
             })
@@ -384,5 +509,29 @@ mod tests {
                 "a rescan would not meet the bound: {got:?}"
             );
         }
+    }
+
+    /// On a 28-SM machine with one CTA, a round walks one SM, and the books
+    /// come out as the cycle engine's (every SM with work cycled every
+    /// cycle); the 27 idle SMs are never cycled.
+    #[test]
+    fn one_busy_sm_of_28_keeps_the_cycle_engines_books() {
+        let run = |sleep: bool| {
+            let cfg = GpuConfig::test_tiny();
+            let mut mem = MemorySystem::new(cfg.mem.clone(), 28);
+            let buf = mem.gmem_mut().alloc(8 * 32) as u32;
+            let shape = (28, &[0][..], 256);
+            with_pool(ONE_LOOPS_SEVEN_WAIT, &[buf], shape, |pool, lctx| {
+                let outcome = drive(pool, lctx, &mut mem, sleep, |pool, _| {
+                    let walked: u32 = pool.working.iter().map(|w| w.count_ones()).sum();
+                    assert!(walked <= 1, "{walked} SMs in the with-work set");
+                });
+                assert!(pool.sms[1..].iter().all(|sm| sm.prof.cycles_run == 0));
+                outcome
+            })
+        };
+        let oracle = run(false);
+        assert!(oracle.sim.issued_inst > 500, "{:?}", oracle.sim);
+        assert_eq!(run(true), oracle);
     }
 }

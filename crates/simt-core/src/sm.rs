@@ -425,7 +425,9 @@ impl Sm {
     }
 
     /// Try to launch CTA `cta_id`; returns false if resources are exhausted.
-    pub fn try_launch_cta(
+    /// Only the pool launches (`SmPool::dispatch`), so that its set of SMs
+    /// with work stays exact.
+    pub(crate) fn try_launch_cta(
         &mut self,
         cta_id: usize,
         lctx: &LaunchCtx<'_>,

@@ -170,8 +170,18 @@ struct Partition {
     port_free: u64,
 }
 
-/// A set of queue indices (L1s or L2 partitions) as a bitset: the queues
-/// with work, so a cycle visits only those, in ascending index.
+impl Partition {
+    /// The first cycle a visit can serve the head-blocking input queue or
+    /// start the DRAM queue's head; `u64::MAX` with both queues empty.
+    fn due(&self) -> u64 {
+        let port = self.inq.front().map(|f| f.0.max(self.port_free));
+        let dram = self.dramq.front().map(|f| f.0.max(self.dram_next_free));
+        port.into_iter().chain(dram).min().unwrap_or(u64::MAX)
+    }
+}
+
+/// A set of L1 indices as a bitset: the L1s with queued work, so a cycle
+/// visits only those, in ascending index.
 #[derive(Debug, Clone)]
 struct BusySet(Vec<u64>);
 
@@ -193,9 +203,7 @@ impl BusySet {
         self.0[i / 64] >> (i % 64) & 1 != 0
     }
 
-    /// The lowest member at or above `i`. Read from the live bits, so a
-    /// visit that marks a higher queue busy is followed by that queue's
-    /// visit in the same pass, as a sweep over every queue would have.
+    /// The lowest member at or above `i`, read from the live bits.
     fn next_from(&self, i: usize) -> Option<usize> {
         let mut word = i / 64;
         let mut bits = *self.0.get(word)? & (u64::MAX << (i % 64));
@@ -204,10 +212,6 @@ impl BusySet {
             bits = *self.0.get(word)?;
         }
         Some(word * 64 + bits.trailing_zeros() as usize)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(self.next_from(0), |&i| self.next_from(i + 1))
     }
 }
 
@@ -221,11 +225,13 @@ pub struct MemorySystem {
     gmem: GlobalMem,
     l1s: Vec<L1>,
     parts: Vec<Partition>,
-    /// L1s whose input queue is non-empty, and partitions whose input or
-    /// DRAM queue is: set on push, cleared by the visit that finds the
-    /// queues empty (derived; rebuilt at restore).
+    /// L1s whose input queue is non-empty: set on push, cleared by the
+    /// visit that empties it (derived; rebuilt at restore).
     busy_l1s: BusySet,
-    busy_parts: BusySet,
+    /// Per partition, [`Partition::due`], and their minimum: set by every
+    /// visit and by `queue_at` (derived; rebuilt at restore).
+    part_due: Vec<u64>,
+    parts_due: u64,
     /// Lines in flight across every L1's MSHRs (derived; recounted at
     /// restore), so `quiescent` need not sweep them.
     mshr_lines: usize,
@@ -271,7 +277,8 @@ impl MemorySystem {
         let chaos = ChaosEngine::new(cfg.chaos.clone());
         MemorySystem {
             busy_l1s: BusySet::new(num_sms),
-            busy_parts: BusySet::new(cfg.l2_partitions),
+            part_due: vec![u64::MAX; cfg.l2_partitions],
+            parts_due: u64::MAX,
             mshr_lines: 0,
             events: EventWheel::new(cfg.max_event_offset()),
             cfg,
@@ -340,11 +347,8 @@ impl MemorySystem {
     pub fn quiescent(&self) -> bool {
         self.events.is_empty()
             && self.mshr_lines == 0
-            && self.busy_l1s.iter().all(|sm| self.l1s[sm].inq.is_empty())
-            && self.busy_parts.iter().all(|p| {
-                let part = &self.parts[p];
-                part.inq.is_empty() && part.dramq.is_empty()
-            })
+            && self.busy_l1s.next_from(0).is_none()
+            && self.parts_due == u64::MAX
     }
 
     /// Earliest future cycle (strictly after `now`) at which this memory
@@ -360,23 +364,17 @@ impl MemorySystem {
     /// to at least `now + 1`. All queues are head-blocking, so only each
     /// busy queue's front matters.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        let mut fold = |t: u64| match next {
-            Some(n) if n <= t => {}
-            _ => next = Some(t),
-        };
-        if let Some(at) = self.events.earliest() {
-            fold(at.max(now + 1));
-        }
         // MSHR-squeeze chaos rolls the RNG on *every* cycle in which an L1
         // has queued work; skipping any such cycle would desynchronize the
         // deterministic chaos stream, so refuse to skip at all.
-        if self.chaos.squeeze_possible()
-            && self.busy_l1s.iter().any(|sm| !self.l1s[sm].inq.is_empty())
-        {
+        if self.chaos.squeeze_possible() && self.busy_l1s.next_from(0).is_some() {
             return Some(now + 1);
         }
-        for sm in self.busy_l1s.iter() {
+        let events = self.events.earliest().unwrap_or(u64::MAX);
+        let mut next = events.min(self.parts_due);
+        let mut from = 0;
+        while let Some(sm) = self.busy_l1s.next_from(from) {
+            from = sm + 1;
             let l1 = &self.l1s[sm];
             let Some((ready, req)) = l1.inq.front() else {
                 continue;
@@ -390,17 +388,9 @@ impl MemorySystem {
                 // which the event wheel above already covers.
                 continue;
             }
-            fold((*ready).max(now + 1));
+            next = next.min(*ready);
         }
-        for p in self.busy_parts.iter().map(|p| &self.parts[p]) {
-            if let Some(&(ready, _)) = p.inq.front() {
-                fold(ready.max(p.port_free).max(now + 1));
-            }
-            if let Some(&(earliest, _)) = p.dramq.front() {
-                fold(earliest.max(p.dram_next_free).max(now + 1));
-            }
-        }
-        next
+        (next != u64::MAX).then(|| next.max(now + 1))
     }
 
     fn partition_of(&self, line: Addr) -> usize {
@@ -424,8 +414,11 @@ impl MemorySystem {
 
     /// Queue `preq` at partition `part`, servable from cycle `at`.
     fn queue_at(&mut self, part: usize, at: u64, preq: PartReq) {
+        // A push can only lower the due cycle, but in the partition being
+        // visited, whose visit ends by recomputing it; a `min` will do.
         self.parts[part].inq.push_back((at, preq));
-        self.busy_parts.insert(part);
+        self.part_due[part] = self.parts[part].due();
+        self.parts_due = self.parts_due.min(self.part_due[part]);
     }
 
     /// Send `sm`'s request on to the partition that owns its line, arriving
@@ -470,9 +463,9 @@ impl MemorySystem {
     /// Advance one cycle, appending completions that fire this cycle to
     /// `out` (which is *not* cleared — the caller owns and recycles it).
     ///
-    /// Only busy queues are visited: an L1 bank or L2 partition with
-    /// nothing queued costs nothing, so idle cycles of a mostly
-    /// compute-bound kernel do not pay for the memory hierarchy.
+    /// Only queues that can move are visited: an idle L1, or an L2
+    /// partition before its due cycle (say, while its atomic unit drains a
+    /// contended CAS), costs nothing.
     ///
     /// The caller must not skip a cycle [`MemorySystem::next_event`] names
     /// (the run loop never does): the response wheel orders only events
@@ -482,24 +475,26 @@ impl MemorySystem {
         self.step_partitions(now);
         self.drain_events(now, out);
         #[cfg(debug_assertions)]
-        self.assert_busy_sets_agree(now);
+        self.assert_derived_state_agrees(now);
     }
 
     /// Debug-build oracle for the derived state the cycle reads in place
-    /// of full sweeps: every non-empty queue is in its busy set, the MSHR
-    /// total is the sum over the L1s, the wheel's earliest time is the
-    /// minimum pending one, and `quiescent` agrees with the full scan.
+    /// of full sweeps: the L1 busy set is exactly the non-empty queues,
+    /// every partition's due cycle is the one its queue fronts give and
+    /// `parts_due` their minimum, the MSHR total is the sum over the L1s,
+    /// the wheel's earliest time is the minimum pending one, and
+    /// `quiescent` and `next_event` agree with full scans.
     #[cfg(debug_assertions)]
-    fn assert_busy_sets_agree(&self, now: u64) {
+    fn assert_derived_state_agrees(&self, now: u64) {
         for (sm, l1) in self.l1s.iter().enumerate() {
             let busy = self.busy_l1s.contains(sm);
-            assert!(l1.inq.is_empty() || busy, "L1 {sm} queue not busy");
+            assert_eq!(!l1.inq.is_empty(), busy, "L1 {sm} busy bit");
         }
         for (p, part) in self.parts.iter().enumerate() {
-            let empty = part.inq.is_empty() && part.dramq.is_empty();
-            let busy = self.busy_parts.contains(p);
-            assert!(empty || busy, "partition {p} queues not busy");
+            assert_eq!(self.part_due[p], part.due(), "partition {p} due cycle");
         }
+        let min_due = self.part_due.iter().copied().min().unwrap_or(u64::MAX);
+        assert_eq!(self.parts_due, min_due, "earliest partition due cycle");
         let mshr_lines: usize = self.l1s.iter().map(|l| l.mshr.in_flight()).sum();
         assert_eq!(self.mshr_lines, mshr_lines, "MSHR lines in flight");
         self.events.assert_consistent(now);
@@ -509,6 +504,47 @@ impl MemorySystem {
             && self.l1s.iter().all(l1s_idle)
             && self.parts.iter().all(parts_idle);
         assert_eq!(self.quiescent(), full_scan, "quiescent, full scan");
+        let full_scan = self.next_event_full_scan(now);
+        assert_eq!(self.next_event(now), full_scan, "next event, full scan");
+    }
+
+    /// [`MemorySystem::next_event`] computed from every queue's front, as
+    /// before partitions kept their due cycles (debug-build oracle).
+    #[cfg(debug_assertions)]
+    fn next_event_full_scan(&self, now: u64) -> Option<u64> {
+        let mut next: Option<u64> = None;
+        let mut fold = |t: u64| match next {
+            Some(n) if n <= t => {}
+            _ => next = Some(t),
+        };
+        if let Some(at) = self.events.earliest() {
+            fold(at.max(now + 1));
+        }
+        if self.chaos.squeeze_possible() && self.l1s.iter().any(|l| !l.inq.is_empty()) {
+            return Some(now + 1);
+        }
+        for l1 in &self.l1s {
+            let Some((ready, req)) = l1.inq.front() else {
+                continue;
+            };
+            if matches!(req.kind, ReqKind::Load { .. })
+                && l1.cache.peek(req.line) == AccessOutcome::Miss
+                && !l1.mshr.pending(req.line)
+                && !l1.mshr.has_space()
+            {
+                continue;
+            }
+            fold((*ready).max(now + 1));
+        }
+        for p in &self.parts {
+            if let Some(&(ready, _)) = p.inq.front() {
+                fold(ready.max(p.port_free).max(now + 1));
+            }
+            if let Some(&(earliest, _)) = p.dramq.front() {
+                fold(earliest.max(p.dram_next_free).max(now + 1));
+            }
+        }
+        next
     }
 
     fn step_l1s(&mut self, now: u64) {
@@ -597,11 +633,19 @@ impl MemorySystem {
         }
     }
 
+    /// Visit, in ascending index, every partition due at `now` (read live,
+    /// as a sweep would see a waiter woken into a higher partition). A
+    /// visit before the due cycle pops nothing and draws no NACK.
     fn step_partitions(&mut self, now: u64) {
-        let mut from = 0;
-        while let Some(p) = self.busy_parts.next_from(from) {
-            from = p + 1;
+        if self.parts_due > now {
+            return;
+        }
+        for p in 0..self.parts.len() {
+            if self.part_due[p] > now {
+                continue;
+            }
             // DRAM channel: start at most one service per `dram_interval`.
+            let mut started = false;
             while let Some(&(earliest, _)) = self.parts[p].dramq.front() {
                 let part = &mut self.parts[p];
                 if earliest > now || part.dram_next_free > now {
@@ -611,6 +655,7 @@ impl MemorySystem {
                 let Some((_, body)) = part.dramq.pop_front() else {
                     break;
                 };
+                started = true;
                 if let Some(preq) = body {
                     let done = now + self.cfg.dram_latency;
                     self.finish_at_partition(p, preq, done);
@@ -651,11 +696,10 @@ impl MemorySystem {
                 self.service_partition(p, preq, now);
                 served += 1;
             }
-            let part = &self.parts[p];
-            if part.inq.is_empty() && part.dramq.is_empty() {
-                self.busy_parts.remove(p);
-            }
+            debug_assert!(started || served > 0, "idle visit to partition {p}");
+            self.part_due[p] = self.parts[p].due();
         }
+        self.parts_due = self.part_due.iter().copied().min().unwrap_or(u64::MAX);
     }
 
     fn service_partition(&mut self, p: usize, preq: PartReq, now: u64) {
@@ -749,7 +793,6 @@ impl MemorySystem {
                 // Serialization point: apply lane ops in order against
                 // functional memory, capturing old values.
                 let mut results = Vec::with_capacity(ops.len());
-                let mut released: Vec<Addr> = Vec::new();
                 for op in &ops {
                     let old = self.gmem.read_u32(op.addr);
                     let new = op.op.apply(old, op.a, op.b);
@@ -767,15 +810,16 @@ impl MemorySystem {
                         }
                         LockRole::Release => {
                             self.lock_owners.remove(op.addr);
-                            released.push(op.addr);
                         }
                         LockRole::None => {}
                     }
                     results.push((op.lane, old));
                 }
-                // Releases wake the oldest parked acquirer (it re-enters
-                // the partition queue and re-arbitrates for the port).
-                for addr in released {
+                // Releases, in lane-op order, wake the oldest parked
+                // acquirer (it re-enters the partition queue and
+                // re-arbitrates for the port).
+                let released = ops.iter().filter(|o| o.role == LockRole::Release);
+                for addr in released.map(|o| o.addr) {
                     let waiter = match self.parked.get_mut(addr) {
                         Some(q) => {
                             let w = q.pop_front();
@@ -867,8 +911,8 @@ impl MemorySystem {
 // their order verbatim; the pending events are written as sorted
 // (time, key) pairs plus the slot-addressed bodies and the free-slot stack
 // (LIFO order matters: slot reuse feeds the `seq`-keyed event order). The
-// busy sets, the MSHR total and the response wheel are derived, and
-// rebuilt at restore.
+// L1 busy set, the partition due cycles, the MSHR total and the response
+// wheel are derived, and rebuilt at restore.
 // ---------------------------------------------------------------------------
 
 use simt_snap::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
@@ -1051,11 +1095,8 @@ impl MemorySystem {
             }
             fresh.mshr_lines += l1.mshr.in_flight();
         }
-        for (p, part) in fresh.parts.iter().enumerate() {
-            if !part.inq.is_empty() || !part.dramq.is_empty() {
-                fresh.busy_parts.insert(p);
-            }
-        }
+        fresh.part_due = fresh.parts.iter().map(Partition::due).collect();
+        fresh.parts_due = fresh.part_due.iter().copied().min().unwrap_or(u64::MAX);
         Ok(fresh)
     }
 }

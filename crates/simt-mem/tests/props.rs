@@ -1,7 +1,8 @@
 //! Property-style tests for the memory hierarchy: cache bounds and LRU
 //! equivalence against a reference model, coalescer invariants, MSHR
-//! bookkeeping, end-to-end request conservation, and the response wheel
-//! against a reference priority queue.
+//! bookkeeping, end-to-end request conservation, the response wheel
+//! against a reference priority queue, and the system stepped only at its
+//! next events against the system stepped every cycle.
 //!
 //! Uses a local deterministic PRNG rather than an external property-test
 //! framework so the suite builds and runs fully offline.
@@ -317,12 +318,48 @@ fn body(mem: &MemorySystem) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// Run `script` on a `build()` stepped every cycle and on one stepped only
+/// at the cycles `next_event` names, the second snapshotted at the first
+/// cycle it reaches from `split` on and restored into a fresh `build()`:
+/// the same completions at the same cycles, byte-identical snapshot
+/// bodies at the restore point and at the end, and the same statistics.
+/// Returns the finished every-cycle system and its completions, with the
+/// cycle of each.
+fn assert_jumps_match_every_cycle(
+    what: &str,
+    build: impl Fn() -> MemorySystem,
+    script: &[(u64, usize, MemRequest)],
+    split: u64,
+) -> (MemorySystem, Vec<(u64, MemCompletion)>) {
+    let (mut every, mut jumping) = (build(), build());
+    let (mut i_every, mut i_jump) = (0, 0);
+    let (mut want, at) = drive(&mut jumping, script, &mut i_jump, 0, split, true);
+    let (head, reached) = drive(&mut every, script, &mut i_every, 0, at, false);
+    assert_eq!(head, want, "{what}: completions before the snapshot");
+    assert_eq!(i_every, i_jump);
+    let saved = body(&jumping);
+    assert_eq!(saved, body(&every), "{what}: snapshot at cycle {at}");
+
+    let mut r = SnapReader::new(&saved);
+    let mut restored = build().load_snap(&mut r, at).expect("restores");
+    r.expect_exhausted().unwrap();
+    assert_eq!(body(&restored), saved, "{what}: restored body");
+    let (tail, _) = drive(&mut restored, script, &mut i_jump, at, u64::MAX, true);
+    want.extend(tail);
+    let (rest, _) = drive(&mut every, script, &mut i_every, reached, u64::MAX, false);
+    let mut got = head;
+    got.extend(rest);
+    assert_eq!(got, want, "{what}: completions");
+    assert_eq!(every.stats(), restored.stats(), "{what}");
+    assert_eq!(every.chaos_stats(), restored.chaos_stats(), "{what}");
+    assert_eq!(body(&every), body(&restored), "{what}: final bodies");
+    (every, got)
+}
+
 /// The memory system stepped every cycle, and stepped only at the cycles
-/// `next_event` names, snapshotted mid-flight and restored: the same
-/// completions at the same cycles, byte-identical snapshot bodies at the
-/// restore point and at the end, and the same statistics — chaos off, on,
-/// and with MSHR squeezes (which forbid jumps), blocking locks on for odd
-/// seeds.
+/// `next_event` names, snapshotted mid-flight and restored, agree — chaos
+/// off, on, and with MSHR squeezes (which forbid jumps), blocking locks on
+/// for odd seeds.
 #[test]
 fn skip_jumps_and_a_mid_flight_restore_match_every_cycle() {
     for seed in 0..24 {
@@ -339,30 +376,97 @@ fn skip_jumps_and_a_mid_flight_restore_match_every_cycle() {
         };
         let script = script(&mut rng, 120);
         let split = rng.range(50, 400);
-
-        let (mut every, mut jumping) = (build(), build());
-        let (mut i_every, mut i_jump) = (0, 0);
-        let (mut want, at) = drive(&mut jumping, &script, &mut i_jump, 0, split, true);
-        let (head, reached) = drive(&mut every, &script, &mut i_every, 0, at, false);
-        assert_eq!(head, want, "seed {seed}: completions before the snapshot");
-        assert_eq!(i_every, i_jump);
-        let saved = body(&jumping);
-        assert_eq!(saved, body(&every), "seed {seed}: snapshot at cycle {at}");
-
-        let mut r = SnapReader::new(&saved);
-        let mut restored = build().load_snap(&mut r, at).expect("restores");
-        r.expect_exhausted().unwrap();
-        assert_eq!(body(&restored), saved, "seed {seed}: restored body");
-        let (tail, _) = drive(&mut restored, &script, &mut i_jump, at, u64::MAX, true);
-        want.extend(tail);
-        let (rest, _) = drive(&mut every, &script, &mut i_every, reached, u64::MAX, false);
-        let mut got = head;
-        got.extend(rest);
-        assert_eq!(got, want, "seed {seed}: completions");
-        assert_eq!(every.stats(), restored.stats(), "seed {seed}");
-        assert_eq!(every.chaos_stats(), restored.chaos_stats(), "seed {seed}");
-        assert_eq!(body(&every), body(&restored), "seed {seed}: final bodies");
+        assert_jumps_match_every_cycle(&format!("seed {seed}"), build, &script, split);
     }
+}
+
+/// The same agreement under the traffic that moves partition due cycles
+/// from outside a visit: chaos NACKs re-queueing requests behind their
+/// partition's head, and blocking-lock waiters a release wakes into
+/// another partition. A lock in partition 3 is taken, two acquirers park
+/// on it, and two releases — atomics whose request lines lie in
+/// partitions 5 and 0 — wake them into a lower and then a higher
+/// partition than the one serving the release; the snapshot is taken
+/// while both wait (each completes only after the release that wakes
+/// it).
+#[test]
+fn woken_waiters_and_nacks_match_every_cycle() {
+    let part_line = |part: u64, k: u64| (6 * k + part) * LINE_BYTES;
+    let lock = part_line(3, 8);
+    let lock_op = |role: LockRole, holder: u64| {
+        let (op, a, b) = match role {
+            LockRole::Release => (simt_isa::AtomOp::Exch, 0, 0),
+            _ => (simt_isa::AtomOp::Cas, 0, 1),
+        };
+        let mut op = LaneAtomic::new(0, lock, op, a, b);
+        op.role = role;
+        op.holder = holder;
+        ReqKind::Atomic { ops: vec![op] }
+    };
+    let mut nacks = 0;
+    for seed in 0..16 {
+        let mut rng = Rng::new(seed);
+        let cfg = MemConfig {
+            chaos: ChaosConfig::with_level(seed, 2),
+            ..MemConfig::fermi()
+        };
+        assert_eq!(cfg.l2_partitions, 6);
+        let build = || {
+            let mut mem = MemorySystem::new(cfg.clone(), 2);
+            mem.gmem_mut().alloc(64 * LINE_BYTES);
+            mem.set_blocking_locks(true);
+            mem
+        };
+        let mut script = script(&mut rng, 120);
+        script.extend([
+            (
+                0,
+                0,
+                MemRequest::new(lock_op(LockRole::Acquire, 1), lock, 1_000),
+            ),
+            (
+                5,
+                1,
+                MemRequest::new(lock_op(LockRole::Acquire, 2), lock, 1_001),
+            ),
+            (
+                6,
+                0,
+                MemRequest::new(lock_op(LockRole::Acquire, 3), lock, 1_002),
+            ),
+            (
+                500,
+                0,
+                MemRequest::new(lock_op(LockRole::Release, 1), part_line(5, 8), 1_003),
+            ),
+            (
+                900,
+                1,
+                MemRequest::new(lock_op(LockRole::Release, 2), part_line(0, 9), 1_004),
+            ),
+        ]);
+        script.sort_by_key(|&(at, ..)| at);
+        let split = rng.range(380, 490);
+        let what = format!("seed {seed}");
+        let (mem, done) = assert_jumps_match_every_cycle(&what, build, &script, split);
+        let mut acquired: Vec<u64> = done
+            .iter()
+            .filter(|(_, c)| (1_000..1_003).contains(&c.tag))
+            .map(|&(at, _)| at)
+            .collect();
+        acquired.sort_unstable();
+        // One acquirer wins outright; the others complete only once the
+        // first release (served from cycle 540) and then the second (from
+        // cycle 940) has woken them.
+        assert_eq!(acquired.len(), 3, "{what}");
+        assert!(
+            acquired[0] < split && acquired[1] > 540 && acquired[2] > 940,
+            "{what}: {acquired:?}"
+        );
+        assert!(mem.stats().lock_success >= 3, "{what}: {:?}", mem.stats());
+        nacks += mem.chaos_stats().nacks;
+    }
+    assert!(nacks > 0, "no request was NACKed");
 }
 
 /// A snapshot whose pending events lie further ahead of the restored cycle
