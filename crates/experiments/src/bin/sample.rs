@@ -19,12 +19,17 @@
 //! [`BUCKETS`]; addresses in shared libraries land under libc or other by
 //! the library's name. The command's stdout is passed through; the table
 //! goes to stdout after it, as markdown, with the sample count on its own
-//! `samples: N` line.
+//! `samples: N` line. A second table follows: the [`TOP`] functions by
+//! share, each sample charged to [`function`] of its chain (a shared
+//! library's samples to the library), which names what a bucket lumps
+//! together — generic code such as `RawVec` growth inlined into a
+//! simulator function, say.
 //!
 //! Exit status: 0, or 1 when the command or the sampling fails; 2 without
 //! a command, or on a target other than x86_64 Linux, where there is no
 //! sampler.
 
+use std::collections::HashMap;
 use std::process::ExitCode;
 
 /// Buckets in precedence order, with the function-name substrings that
@@ -104,6 +109,30 @@ fn bucket<'a>(chain: impl IntoIterator<Item = &'a str>) -> &'static str {
         .unwrap_or(OTHER)
 }
 
+/// Substrings that mark a frame as this workspace's code.
+const WORKSPACE: &[&str] = &["simt_", "bows", "experiments", "workloads"];
+
+/// Rows of the function table.
+const TOP: usize = 15;
+
+/// The function a sample of an inline chain (innermost first) is charged
+/// to: the innermost frame of this workspace, else the innermost frame.
+fn function(chain: &[String]) -> &str {
+    chain
+        .iter()
+        .find(|frame| WORKSPACE.iter().any(|w| frame.contains(w)))
+        .or(chain.first())
+        .map_or("??", String::as_str)
+}
+
+/// The `n` largest of `counts`, largest first, ties by name.
+fn top(counts: &HashMap<String, u64>, n: usize) -> Vec<(&str, u64)> {
+    let mut ranked: Vec<(&str, u64)> = counts.iter().map(|(f, &c)| (f.as_str(), c)).collect();
+    ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    ranked.truncate(n);
+    ranked
+}
+
 /// Parse `addr2line -a -f -i` output: per address, an `0x…` line, then a
 /// function line and a location line per inline frame. Returns the chains
 /// in input order.
@@ -122,16 +151,21 @@ fn parse_chains(out: &str) -> Vec<Vec<String>> {
 }
 
 /// The bucket table for `counts` (one per label, in [`BUCKETS`] order,
-/// then libc and other), shares in percent of `total`.
-fn table(counts: &[(&'static str, u64)], total: u64) -> String {
-    let mut out = format!("samples: {total}\n\n| bucket | share % |\n|---|---|\n");
-    for (label, n) in counts {
-        let share = if total == 0 {
-            0.0
-        } else {
-            100.0 * *n as f64 / total as f64
-        };
-        out.push_str(&format!("| {label} | {share:.1} |\n"));
+/// then libc and other), then the function table for `functions`, shares
+/// in percent of `total`.
+fn table(counts: &[(&str, u64)], functions: &[(&str, u64)], total: u64) -> String {
+    let mut out = format!("samples: {total}\n\n");
+    for (column, rows) in [("bucket", counts), ("function", functions)] {
+        out.push_str(&format!("| {column} | share % |\n|---|---|\n"));
+        for (label, n) in rows {
+            let share = if total == 0 {
+                0.0
+            } else {
+                100.0 * *n as f64 / total as f64
+            };
+            out.push_str(&format!("| {label} | {share:.1} |\n"));
+        }
+        out.push('\n');
     }
     out
 }
@@ -176,7 +210,7 @@ fn run(command: &[String]) -> ExitCode {
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod sampler {
-    use super::{bucket, parse_chains, table, BUCKETS, HZ, LIBC, OTHER};
+    use super::{bucket, function, parse_chains, table, top, BUCKETS, HZ, LIBC, OTHER, TOP};
     use std::collections::HashMap;
     use std::ffi::{c_int, c_long, c_void};
     use std::io::{Read, Write};
@@ -351,24 +385,27 @@ mod sampler {
         };
 
         // Addresses in the executable go to addr2line, once each.
+        // Shared-library samples are charged to the library's file name in
+        // the function table.
         let mut counts: HashMap<&'static str, u64> = HashMap::new();
+        let mut functions: HashMap<String, u64> = HashMap::new();
         let mut in_exe: HashMap<u64, u64> = HashMap::new();
         for &ip in &ips {
-            match maps
+            let mapped = maps
                 .iter()
-                .find(|m| m.exec && (m.start..m.end).contains(&ip))
-            {
-                Some(m) if m.path == exe_path => *in_exe.entry(ip - bias).or_default() += 1,
-                Some(m)
-                    if m.path
-                        .rsplit('/')
-                        .next()
-                        .is_some_and(|f| f.starts_with("libc")) =>
-                {
-                    *counts.entry(LIBC).or_default() += 1
+                .find(|m| m.exec && (m.start..m.end).contains(&ip));
+            let file = mapped
+                .and_then(|m| m.path.rsplit('/').next())
+                .unwrap_or("??");
+            match mapped {
+                Some(m) if m.path == exe_path => {
+                    *in_exe.entry(ip - bias).or_default() += 1;
+                    continue;
                 }
+                Some(_) if file.starts_with("libc") => *counts.entry(LIBC).or_default() += 1,
                 _ => *counts.entry(OTHER).or_default() += 1,
             }
+            *functions.entry(format!("[{file}]")).or_default() += 1;
         }
         let addrs: Vec<u64> = in_exe.keys().copied().collect();
         let mut a2l = Command::new("addr2line")
@@ -397,6 +434,7 @@ mod sampler {
             *counts
                 .entry(bucket(chain.iter().map(String::as_str)))
                 .or_default() += in_exe[addr];
+            *functions.entry(function(chain).to_string()).or_default() += in_exe[addr];
         }
         let rows: Vec<(&'static str, u64)> = BUCKETS
             .iter()
@@ -404,7 +442,10 @@ mod sampler {
             .chain([LIBC, OTHER])
             .map(|label| (label, counts.get(label).copied().unwrap_or(0)))
             .collect();
-        Ok((status, table(&rows, ips.len() as u64)))
+        Ok((
+            status,
+            table(&rows, &top(&functions, TOP), ips.len() as u64),
+        ))
     }
 }
 
@@ -505,9 +546,43 @@ mod tests {
     #[test]
     fn the_table_prints_every_row_and_the_count() {
         let rows = [(BUCKETS[0].0, 1), (LIBC, 3), (OTHER, 0)];
-        let t = table(&rows, 4);
+        let t = table(&rows, &[("[libc.so.6]", 3)], 4);
         assert!(t.starts_with("samples: 4\n"), "{t}");
         assert!(t.contains(&format!("| {} | 25.0 |", BUCKETS[0].0)), "{t}");
         assert!(t.contains(&format!("| {LIBC} | 75.0 |")), "{t}");
+        assert!(
+            t.contains("| function | share % |\n|---|---|\n| [libc.so.6] | 75.0 |"),
+            "{t}"
+        );
+    }
+
+    /// A sample goes to the innermost workspace frame of its chain, so
+    /// generic code inlined into a simulator function is charged to that
+    /// function; a chain with none goes to its innermost frame.
+    #[test]
+    fn functions_are_the_innermost_workspace_frame() {
+        let chain = |frames: &[&str]| frames.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+        let grow = chain(&[
+            "alloc::raw_vec::RawVec<T,A>::grow_one",
+            "simt_core::sm::Sm::execute",
+            "simt_core::sm::Sm::cycle",
+        ]);
+        assert_eq!(function(&grow), "simt_core::sm::Sm::execute");
+        let policy = chain(&["<bows::policy::Bows as simt_core::sched::SchedulerPolicy>::pick"]);
+        assert_eq!(function(&policy), policy[0]);
+        assert_eq!(function(&chain(&["main", "std::rt::lang_start"])), "main");
+        assert_eq!(function(&[]), "??");
+    }
+
+    /// The ranking is by count, largest first, ties by name, cut at `n`.
+    #[test]
+    fn functions_rank_by_share_then_name() {
+        let counts: HashMap<String, u64> = [("b", 5), ("a", 5), ("c", 9), ("d", 1)]
+            .into_iter()
+            .map(|(f, n)| (f.to_string(), n))
+            .collect();
+        assert_eq!(top(&counts, 3), [("c", 9), ("a", 5), ("b", 5)]);
+        assert_eq!(top(&counts, TOP).len(), 4);
+        assert!(top(&HashMap::new(), TOP).is_empty());
     }
 }

@@ -607,7 +607,8 @@ impl Run<'_> {
             let t = self.timer();
             self.mem.cycle_into(now, &mut completions);
             for c in completions.drain(..) {
-                self.pool.sms[c.sm].on_mem_complete(c)?;
+                self.pool.sms[c.sm].on_mem_complete(&c)?;
+                self.mem.recycle(c.atomic_results);
             }
             lap(t, &mut self.prof.mem_cycle_ns);
             let t = self.timer();

@@ -343,7 +343,8 @@ mod tests {
         while pool.sms.iter().any(Sm::has_work) {
             mem.cycle_into(now, &mut done);
             for c in done.drain(..) {
-                pool.sms[c.sm].on_mem_complete(c).unwrap();
+                pool.sms[c.sm].on_mem_complete(&c).unwrap();
+                mem.recycle(c.atomic_results);
             }
             pool.cycle(now, sleep, lctx, mem).unwrap();
             after_round(pool, now);

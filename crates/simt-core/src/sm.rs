@@ -315,9 +315,10 @@ pub struct Sm {
     /// Per-cycle scratch: the warp each unit issued (reused, never freed).
     issued_scratch: Vec<Option<usize>>,
     /// Per-instruction scratch: the coalescer's transactions and an
-    /// atomic's per-line groups (reused, never freed).
+    /// atomic's per-line groups — line, lane count, lane ops — (reused,
+    /// never freed).
     txs: Vec<simt_mem::Transaction>,
-    atom_groups: Vec<(u64, Vec<LaneAtomic>)>,
+    atom_groups: Vec<(u64, usize, Vec<LaneAtomic>)>,
     /// Capture CTA architectural state at retirement (differential oracle).
     capture_state: bool,
     /// Snapshots of retired CTAs, in retirement order (drained by the GPU
@@ -518,7 +519,7 @@ impl Sm {
     ///
     /// [`SimError::InternalInvariant`] on a completion for an unknown tag
     /// or a retired CTA (simulator bugs surfaced as errors, not panics).
-    pub fn on_mem_complete(&mut self, c: MemCompletion) -> Result<(), SimError> {
+    pub fn on_mem_complete(&mut self, c: &MemCompletion) -> Result<(), SimError> {
         self.rouse();
         let Some(entry) = self.pending.get_mut(c.tag) else {
             return Err(invariant(format!(
@@ -542,8 +543,8 @@ impl Sm {
                     self.id
                 )));
             };
-            for (lane, old) in &c.atomic_results {
-                cta.set_reg(warp_in_cta * 32 + *lane as usize, dst, *old);
+            for op in &c.atomic_results {
+                cta.set_reg(warp_in_cta * 32 + op.lane as usize, dst, op.old);
             }
         }
         if finished {
@@ -1358,26 +1359,39 @@ impl Sm {
                     for lane in BitIter(exec) {
                         mem.gmem().check_addr(addrs[lane]).map_err(wild)?;
                     }
-                    // Group lane ops by line, preserving lane order, in the
-                    // SM's reused buffer; only each group's `ops` — which
-                    // moves into its request — is allocated.
+                    // Group lane ops by line, in first-touch line order and
+                    // lane order, in the SM's reused list: count each
+                    // line's lanes, take a buffer of that size from the
+                    // memory system, then fill it. The buffer moves into
+                    // the request and comes back in its completion.
                     let groups = &mut self.atom_groups;
+                    let mut group_of = [0u8; 32];
                     for lane in BitIter(exec) {
-                        let addr = addrs[lane];
-                        let op = LaneAtomic {
+                        let line = simt_mem::line_of(addrs[lane]);
+                        let g = match groups.iter().position(|&(l, ..)| l == line) {
+                            Some(g) => g,
+                            None => {
+                                groups.push((line, 0, Vec::new()));
+                                groups.len() - 1
+                            }
+                        };
+                        groups[g].1 += 1;
+                        group_of[lane] = g as u8;
+                    }
+                    for (_, lanes, ops) in groups.iter_mut() {
+                        *ops = mem.lane_buf(*lanes);
+                    }
+                    for lane in BitIter(exec) {
+                        groups[usize::from(group_of[lane])].2.push(LaneAtomic {
                             lane: lane as u8,
-                            addr,
+                            addr: addrs[lane],
                             op: aop,
                             a: a[lane],
                             b: b[lane],
+                            old: 0,
                             role,
                             holder,
-                        };
-                        let line = simt_mem::line_of(addr);
-                        match groups.iter_mut().find(|(l, _)| *l == line) {
-                            Some((_, v)) => v.push(op),
-                            None => groups.push((line, vec![op])),
-                        }
+                        });
                     }
                     warp.sb.reserve_reg(dst);
                     let n_reqs = groups.len() as u32;
@@ -1388,7 +1402,7 @@ impl Sm {
                     });
                     warp.outstanding_mem += 1;
                     let sole = n_reqs == 1;
-                    for (line, ops) in groups.drain(..) {
+                    for (line, _, ops) in groups.drain(..) {
                         let mut req = MemRequest::new(ReqKind::Atomic { ops }, line, tag);
                         req.sole = sole;
                         if d.sync {

@@ -15,6 +15,9 @@ use simt_snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 pub struct Mshr {
     entries: Vec<(Addr, Vec<u64>)>,
     capacity: usize,
+    /// Emptied waiter lists of filled entries, which new entries reuse
+    /// (derived: never encoded, empty after restore; at most `capacity`).
+    spare: Vec<Vec<u64>>,
 }
 
 impl Mshr {
@@ -23,6 +26,7 @@ impl Mshr {
         Mshr {
             entries: Vec::with_capacity(capacity),
             capacity,
+            spare: Vec::new(),
         }
     }
 
@@ -51,19 +55,24 @@ impl Mshr {
                 self.entries.len() < self.capacity,
                 "MSHR overflow: caller must check has_space()"
             );
-            self.entries.push((line, vec![tag]));
+            let mut waiters = self.spare.pop().unwrap_or_default();
+            waiters.push(tag);
+            self.entries.push((line, waiters));
             true
         }
     }
 
-    /// The fill for `line` arrived: release and return all waiting tags.
-    pub fn fill(&mut self, line: Addr) -> Vec<u64> {
-        match self.entries.iter().position(|(l, _)| *l == line) {
-            // `remove`, not `swap_remove`: later entries keep their relative
-            // (allocation) order, which the snapshot encoding exposes.
-            Some(i) => self.entries.remove(i).1,
-            None => Vec::new(),
-        }
+    /// The fill for `line` arrived: free its entry and pass each waiting
+    /// tag to `release`, in arrival order.
+    pub fn fill(&mut self, line: Addr, release: impl FnMut(u64)) {
+        let Some(i) = self.entries.iter().position(|(l, _)| *l == line) else {
+            return;
+        };
+        // `remove`, not `swap_remove`: later entries keep their relative
+        // (allocation) order, which the snapshot encoding exposes.
+        let (_, mut waiters) = self.entries.remove(i);
+        waiters.drain(..).for_each(release);
+        self.spare.push(waiters);
     }
 
     /// Number of lines currently in flight.
@@ -103,7 +112,7 @@ impl Snap for Mshr {
 
     fn load(r: &mut SnapReader<'_>) -> Result<Mshr, SnapshotError> {
         let entries: Vec<(Addr, Vec<u64>)> = Snap::load(r)?;
-        Ok(Mshr { capacity: entries.len(), entries })
+        Ok(Mshr { capacity: entries.len(), entries, spare: Vec::new() })
     }
 }
 
@@ -111,6 +120,12 @@ impl Snap for Mshr {
 mod tests {
     use super::*;
 
+    /// The tags the fill for `line` releases, in order.
+    fn fill(m: &mut Mshr, line: Addr) -> Vec<u64> {
+        let mut tags = Vec::new();
+        m.fill(line, |tag| tags.push(tag));
+        tags
+    }
 
     #[test]
     fn snap_laws_and_capacity_restore() {
@@ -126,10 +141,11 @@ mod tests {
         assert!(!back.has_space(), "a decoded file is exactly full");
         back.restore_capacity(4).unwrap();
         assert!(back.has_space());
-        assert_eq!(back.fill(0x100), vec![1, 2]);
+        assert_eq!(fill(&mut back, 0x100), [1, 2]);
         let err = decode().restore_capacity(1).unwrap_err();
         assert!(err.to_string().contains("capacity 1"), "{err}");
-        let mut dup = Mshr { entries: vec![(0x80, vec![1]), (0x80, vec![2])], capacity: 2 };
+        let entries = vec![(0x80, vec![1]), (0x80, vec![2])];
+        let mut dup = Mshr { entries, capacity: 2, spare: Vec::new() };
         let err = dup.restore_capacity(2).unwrap_err();
         assert!(err.to_string().contains("duplicate mshr line"), "{err}");
     }
@@ -141,8 +157,7 @@ mod tests {
         assert!(!m.record(0x100, 2), "second merges");
         assert!(m.pending(0x100));
         assert_eq!(m.in_flight(), 1);
-        let tags = m.fill(0x100);
-        assert_eq!(tags, vec![1, 2]);
+        assert_eq!(fill(&mut m, 0x100), [1, 2]);
         assert!(!m.pending(0x100));
     }
 
@@ -154,7 +169,7 @@ mod tests {
         assert!(!m.has_space());
         // Merging into an existing line is still allowed.
         assert!(!m.record(0x000, 3));
-        m.fill(0x000);
+        fill(&mut m, 0x000);
         assert!(m.has_space());
     }
 
@@ -169,7 +184,7 @@ mod tests {
     #[test]
     fn fill_unknown_line_is_empty() {
         let mut m = Mshr::new(1);
-        assert!(m.fill(0x40).is_empty());
+        assert!(fill(&mut m, 0x40).is_empty());
     }
 
     #[test]
@@ -178,8 +193,26 @@ mod tests {
         m.record(0x000, 1);
         m.record(0x080, 2);
         m.record(0x100, 3);
-        m.fill(0x080);
-        assert_eq!(m.fill(0x000), vec![1]);
-        assert_eq!(m.fill(0x100), vec![3]);
+        fill(&mut m, 0x080);
+        assert_eq!(fill(&mut m, 0x000), [1]);
+        assert_eq!(fill(&mut m, 0x100), [3]);
+    }
+
+    /// A filled entry's waiter list is reused by the next allocation, and
+    /// the spares are never encoded.
+    #[test]
+    fn waiter_lists_are_reused() {
+        let mut m = Mshr::new(2);
+        m.record(0x000, 1);
+        m.record(0x000, 2);
+        let list = m.entries[0].1.as_ptr();
+        assert_eq!(fill(&mut m, 0x000), [1, 2]);
+        assert_eq!(m.spare.len(), 1);
+        let bytes = simt_snap::encode(&m);
+        assert_eq!(bytes, simt_snap::encode(&Mshr::new(2)), "spares are not state");
+        m.record(0x080, 3);
+        assert_eq!(m.entries[0].1.as_ptr(), list, "the emptied list is reused");
+        assert!(m.spare.is_empty());
+        assert_eq!(fill(&mut m, 0x080), [3]);
     }
 }

@@ -23,7 +23,8 @@ pub enum LockRole {
     Release,
 }
 
-/// One lane's atomic operation within a warp-level atomic request.
+/// One lane's atomic operation within a warp-level atomic request, and,
+/// once the partition has served it, the value the lane read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneAtomic {
     /// Lane index (0..32).
@@ -36,6 +37,9 @@ pub struct LaneAtomic {
     pub a: u32,
     /// Second operand (CAS new value; unused otherwise).
     pub b: u32,
+    /// The value the lane read at the serialization point; 0 until the
+    /// partition serves the request.
+    pub old: u32,
     /// Lock-protocol role, for outcome statistics.
     pub role: LockRole,
     /// Identity of the issuing warp (`sm << 32 | warp`), used to classify
@@ -52,6 +56,7 @@ impl LaneAtomic {
             op,
             a,
             b,
+            old: 0,
             role: LockRole::None,
             holder: 0,
         }
@@ -112,15 +117,39 @@ impl MemRequest {
 }
 
 /// Completion of a [`MemRequest`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality is what an SM observes: the SM, the tag, and each lane's
+/// `(lane, old)`. The request-side fields of the lane ops are not compared,
+/// and a completion restored from a snapshot does not carry them.
+#[derive(Debug, Clone)]
 pub struct MemCompletion {
     /// SM that issued the request.
     pub sm: usize,
     /// The request's tag.
     pub tag: u64,
-    /// For atomics: `(lane, old value)` per lane op, in lane-op order.
-    pub atomic_results: Vec<(u8, u32)>,
+    /// For atomics: the request's own lane ops, in lane-op order, each
+    /// with the value its lane read in `old`. Hand it back with
+    /// [`MemorySystem::recycle`] once read. Loads and stores carry an
+    /// unallocated `Vec`.
+    pub atomic_results: Vec<LaneAtomic>,
 }
+
+impl PartialEq for MemCompletion {
+    fn eq(&self, other: &MemCompletion) -> bool {
+        fn seen(c: &MemCompletion) -> impl Iterator<Item = (u8, u32)> + '_ {
+            c.atomic_results.iter().map(|op| (op.lane, op.old))
+        }
+        self.sm == other.sm && self.tag == other.tag && seen(self).eq(seen(other))
+    }
+}
+
+impl Eq for MemCompletion {}
+
+/// A response's served lane ops. On the wire they are a length and the
+/// `(lane, old)` pairs an SM reads (the snapshot VERSION 2 layout); the
+/// request-side fields decode as zero.
+#[derive(Debug)]
+struct LaneResults(Vec<LaneAtomic>);
 
 /// One slot of the event-body table.
 #[derive(Debug)]
@@ -134,7 +163,7 @@ enum Event {
     Complete {
         sm: usize,
         tag: u64,
-        atomic_results: Vec<(u8, u32)>,
+        atomic_results: LaneResults,
     },
 }
 
@@ -253,6 +282,34 @@ pub struct MemorySystem {
     blocking_locks: bool,
     parked: ProbeMap<VecDeque<PartReq>>,
     chaos: ChaosEngine,
+    /// Emptied atomic lane buffers handed back by [`MemorySystem::recycle`],
+    /// per capacity class of [`LANE_CLASSES`] (derived: empty at
+    /// construction, never encoded, empty after restore).
+    spare_lanes: [Vec<Vec<LaneAtomic>>; LANE_CLASSES.len()],
+}
+
+/// The capacities spare lane buffers are sorted into and new ones are
+/// allocated at: those `Vec` growth gives a buffer pushed one lane at a
+/// time, so the allocator sees the chunk sizes it always has.
+const LANE_CLASSES: [usize; 5] = [1, 4, 8, 16, 32];
+
+/// Lanes in a warp: the most lane ops one atomic request carries.
+const WARP_LANES: usize = 32;
+
+/// The smallest class that holds `n ≤ 32` lanes.
+fn class_for_lanes(n: usize) -> usize {
+    LANE_CLASSES
+        .iter()
+        .position(|&c| c >= n)
+        .unwrap_or(LANE_CLASSES.len() - 1)
+}
+
+/// The largest class a buffer of `capacity ≥ 1` covers.
+fn class_of_capacity(capacity: usize) -> usize {
+    LANE_CLASSES
+        .iter()
+        .rposition(|&c| c <= capacity)
+        .unwrap_or(0)
 }
 
 impl MemorySystem {
@@ -293,7 +350,30 @@ impl MemorySystem {
             lock_owners: ProbeMap::new(),
             blocking_locks: false,
             parked: ProbeMap::new(),
+            spare_lanes: Default::default(),
         }
+    }
+
+    /// An empty buffer for the lane ops of one atomic request of `n` lanes
+    /// (`1 ≤ n ≤ 32`), with capacity for at least `n`: a recycled one when
+    /// its class has a spare.
+    pub fn lane_buf(&mut self, n: usize) -> Vec<LaneAtomic> {
+        let class = class_for_lanes(n);
+        self.spare_lanes[class]
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(LANE_CLASSES[class]))
+    }
+
+    /// Take back a delivered completion's `atomic_results` for reuse by
+    /// [`MemorySystem::lane_buf`]. A load's or store's unallocated `Vec`
+    /// costs one compare.
+    #[inline]
+    pub fn recycle(&mut self, mut buf: Vec<LaneAtomic>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        buf.clear();
+        self.spare_lanes[class_of_capacity(buf.capacity())].push(buf);
     }
 
     /// Enable idealized queue-based blocking locks (see the field docs).
@@ -506,6 +586,16 @@ impl MemorySystem {
         assert_eq!(self.quiescent(), full_scan, "quiescent, full scan");
         let full_scan = self.next_event_full_scan(now);
         assert_eq!(self.next_event(now), full_scan, "next event, full scan");
+        for (class, spares) in self.spare_lanes.iter().enumerate() {
+            for buf in spares {
+                assert!(buf.is_empty(), "spare lane buffer holds lanes");
+                assert_eq!(
+                    class_of_capacity(buf.capacity()),
+                    class,
+                    "spare lane buffer class"
+                );
+            }
+        }
     }
 
     /// [`MemorySystem::next_event`] computed from every queue's front, as
@@ -601,7 +691,7 @@ impl MemorySystem {
                         Event::Complete {
                             sm,
                             tag: req.tag,
-                            atomic_results: Vec::new(),
+                            atomic_results: LaneResults(Vec::new()),
                         },
                     );
                 } else {
@@ -720,7 +810,7 @@ impl MemorySystem {
                     Event::Complete {
                         sm: preq.sm,
                         tag: preq.req.tag,
-                        atomic_results: Vec::new(),
+                        atomic_results: LaneResults(Vec::new()),
                     },
                 );
                 self.parts[p].dramq.push_back((now, None));
@@ -758,7 +848,7 @@ impl MemorySystem {
                         Event::Complete {
                             sm: preq.sm,
                             tag: preq.req.tag,
-                            atomic_results: Vec::new(),
+                            atomic_results: LaneResults(Vec::new()),
                         },
                     );
                 }
@@ -787,13 +877,12 @@ impl MemorySystem {
                         return;
                     }
                 }
-                let ReqKind::Atomic { ops } = preq.req.kind else {
+                let ReqKind::Atomic { mut ops } = preq.req.kind else {
                     unreachable!()
                 };
                 // Serialization point: apply lane ops in order against
-                // functional memory, capturing old values.
-                let mut results = Vec::with_capacity(ops.len());
-                for op in &ops {
+                // functional memory, each keeping the value it read.
+                for op in &mut ops {
                     let old = self.gmem.read_u32(op.addr);
                     let new = op.op.apply(old, op.a, op.b);
                     self.gmem.write_u32(op.addr, new);
@@ -813,7 +902,7 @@ impl MemorySystem {
                         }
                         LockRole::None => {}
                     }
-                    results.push((op.lane, old));
+                    op.old = old;
                 }
                 // Releases, in lane-op order, wake the oldest parked
                 // acquirer (it re-enters the partition queue and
@@ -844,7 +933,7 @@ impl MemorySystem {
                     Event::Complete {
                         sm: preq.sm,
                         tag: preq.req.tag,
-                        atomic_results: results,
+                        atomic_results: LaneResults(ops),
                     },
                 );
             }
@@ -857,7 +946,7 @@ impl MemorySystem {
                     Event::Complete {
                         sm: preq.sm,
                         tag: preq.req.tag,
-                        atomic_results: Vec::new(),
+                        atomic_results: LaneResults(Vec::new()),
                     },
                 );
             }
@@ -877,22 +966,27 @@ impl MemorySystem {
                     debug_assert!(false, "event slot {slot} not live");
                     continue;
                 }
-                Event::Complete { sm, tag, atomic_results } => {
-                    out.push(MemCompletion { sm, tag, atomic_results })
-                }
+                Event::Complete {
+                    sm,
+                    tag,
+                    atomic_results,
+                } => out.push(MemCompletion {
+                    sm,
+                    tag,
+                    atomic_results: atomic_results.0,
+                }),
                 Event::L1Fill { sm, line } => {
                     let l1 = &mut self.l1s[sm];
                     l1.cache.fill(line);
                     let before = l1.mshr.in_flight();
-                    let tags = l1.mshr.fill(line);
-                    self.mshr_lines -= before - l1.mshr.in_flight();
-                    for tag in tags {
+                    l1.mshr.fill(line, |tag| {
                         out.push(MemCompletion {
                             sm,
                             tag,
                             atomic_results: Vec::new(),
-                        });
-                    }
+                        })
+                    });
+                    self.mshr_lines -= before - l1.mshr.in_flight();
                 }
             }
             self.free_slots.push(slot);
@@ -918,15 +1012,64 @@ impl MemorySystem {
 use simt_snap::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 snap_enum!(LockRole, "lock role" { 0 => None {}, 1 => Acquire {}, 2 => Release {} });
-snap_struct!(LaneAtomic {
-    lane: u8,
-    addr: Addr,
-    op: AtomOp,
-    a: u32,
-    b: u32,
-    role: LockRole,
-    holder: u64,
-});
+
+/// A queued lane op is unserved, so `old` (0 until served) is not on the
+/// wire: seven fields, and `old` decodes as 0.
+impl Snap for LaneAtomic {
+    const MIN_BYTES: usize = u8::MIN_BYTES
+        + Addr::MIN_BYTES
+        + AtomOp::MIN_BYTES
+        + 2 * u32::MIN_BYTES
+        + LockRole::MIN_BYTES
+        + u64::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        self.lane.save(w);
+        self.addr.save(w);
+        self.op.save(w);
+        self.a.save(w);
+        self.b.save(w);
+        self.role.save(w);
+        self.holder.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<LaneAtomic, SnapshotError> {
+        Ok(LaneAtomic {
+            lane: Snap::load(r)?,
+            addr: Snap::load(r)?,
+            op: Snap::load(r)?,
+            a: Snap::load(r)?,
+            b: Snap::load(r)?,
+            old: 0,
+            role: Snap::load(r)?,
+            holder: Snap::load(r)?,
+        })
+    }
+}
+
+impl Snap for LaneResults {
+    const MIN_BYTES: usize = usize::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.0.len());
+        for op in &self.0 {
+            (op.lane, op.old).save(w);
+        }
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<LaneResults, SnapshotError> {
+        let n = r.len(<(u8, u32)>::MIN_BYTES)?;
+        let mut ops = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (lane, old): (u8, u32) = Snap::load(r)?;
+            ops.push(LaneAtomic {
+                old,
+                ..LaneAtomic::new(lane, 0, AtomOp::Cas, 0, 0)
+            });
+        }
+        Ok(LaneResults(ops))
+    }
+}
 snap_enum!(ReqKind, "request kind" {
     0 => Load { bypass_l1: bool },
     1 => Store {},
@@ -937,7 +1080,7 @@ snap_struct!(PartReq { sm: usize, req: MemRequest, l1_fill: bool, retries: u32 }
 snap_enum!(Event, "event body" {
     0 => Free {},
     1 => L1Fill { sm: usize, line: Addr },
-    2 => Complete { sm: usize, tag: u64, atomic_results: Vec<(u8, u32)> },
+    2 => Complete { sm: usize, tag: u64, atomic_results: LaneResults },
 });
 snap_struct!(L1 { cache: Cache, mshr: Mshr, inq: VecDeque<(u64, MemRequest)> });
 snap_struct!(Partition {
@@ -1004,16 +1147,40 @@ impl MemorySystem {
         // Atomics execute against global memory with unchecked accesses (a
         // live run can only produce valid addresses), so a restored address
         // must be re-validated here or a corrupted snapshot would panic
-        // mid-simulation later.
+        // mid-simulation later. Likewise a request has one to 32 lane ops
+        // (the blocking-lock path reads the first) and a response at most
+        // 32 results, each for a lane of the warp (the SM writes the
+        // lane's register).
+        let check_lanes = |what: &str, ops: &[LaneAtomic]| {
+            if ops.len() > WARP_LANES {
+                return Err(SnapshotError::malformed(format!(
+                    "atomic {what} with {} lanes",
+                    ops.len()
+                )));
+            }
+            match ops.iter().find(|op| usize::from(op.lane) >= WARP_LANES) {
+                Some(op) => Err(SnapshotError::malformed(format!(
+                    "atomic {what} for lane {}",
+                    op.lane
+                ))),
+                None => Ok(()),
+            }
+        };
         let check_req = |req: &MemRequest| match &req.kind {
-            ReqKind::Atomic { ops } => ops.iter().try_for_each(|op| {
-                gmem.check_addr(op.addr).map_err(|_| {
-                    SnapshotError::malformed(format!(
-                        "atomic address {:#x} outside restored memory",
-                        op.addr
-                    ))
+            ReqKind::Atomic { ops } => {
+                if ops.is_empty() {
+                    return Err(SnapshotError::malformed("atomic request with 0 lanes"));
+                }
+                check_lanes("request", ops)?;
+                ops.iter().try_for_each(|op| {
+                    gmem.check_addr(op.addr).map_err(|_| {
+                        SnapshotError::malformed(format!(
+                            "atomic address {:#x} outside restored memory",
+                            op.addr
+                        ))
+                    })
                 })
-            }),
+            }
             _ => Ok(()),
         };
         let check_preq = |p: &PartReq| {
@@ -1048,6 +1215,9 @@ impl MemorySystem {
                 if *sm >= num_sms {
                     return Err(SnapshotError::malformed(format!("event for sm {sm}")));
                 }
+            }
+            if let Event::Complete { atomic_results, .. } = body {
+                check_lanes("response", &atomic_results.0)?;
             }
         }
         // Each body slot is scheduled, or free, at most once: the wheel
@@ -1121,7 +1291,12 @@ mod tests {
         laws(&preq(0));
         laws(&Event::Free);
         laws(&Event::L1Fill { sm: 1, line: 0x80 });
-        laws(&Event::Complete { sm: 0, tag: 7, atomic_results: vec![(3, 1)] });
+        let served = LaneResults(vec![LaneAtomic { old: 1, ..op }]);
+        laws(&Event::Complete {
+            sm: 0,
+            tag: 7,
+            atomic_results: served,
+        });
         let mut l1 = L1 {
             cache: Cache::new(256, 2),
             mshr: Mshr::new(2),
@@ -1137,6 +1312,200 @@ mod tests {
         part.inq.push_back((5, preq(2)));
         part.dramq.extend([(6, None), (7, Some(preq(1)))]);
         laws(&part);
+    }
+
+    /// A served lane op fills `LaneAtomic`'s padding, and its `old` is not
+    /// on the wire: a queued request is unserved.
+    #[test]
+    fn lane_atomic_stays_32_bytes_and_old_decodes_as_zero() {
+        assert_eq!(std::mem::size_of::<LaneAtomic>(), 32);
+        let served = LaneAtomic {
+            old: 7,
+            ..LaneAtomic::new(5, 0x40, AtomOp::Add, 1, 0)
+        };
+        let bytes = simt_snap::assert_snap_laws(&served);
+        let back = LaneAtomic::load(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back, LaneAtomic { old: 0, ..served });
+    }
+
+    /// A response's results are on the wire exactly as the
+    /// `Vec<(u8, u32)>` of `(lane, old)` pairs they replaced.
+    #[test]
+    fn response_results_encode_as_lane_old_pairs() {
+        let pairs: Vec<(u8, u32)> = vec![(0, 1), (3, 0), (31, u32::MAX)];
+        let ops = pairs.iter().map(|&(lane, old)| LaneAtomic {
+            old,
+            role: LockRole::Acquire,
+            holder: 9,
+            ..LaneAtomic::new(lane, 0x80, AtomOp::Cas, 0, 1)
+        });
+        let results = LaneResults(ops.collect());
+        assert_eq!(simt_snap::encode(&results), simt_snap::encode(&pairs));
+        simt_snap::assert_snap_laws(&results);
+        assert_eq!(
+            simt_snap::encode(&LaneResults(Vec::new())),
+            simt_snap::encode(&Vec::<(u8, u32)>::new())
+        );
+    }
+
+    /// Completions are equal when an SM could not tell them apart.
+    #[test]
+    fn completion_equality_ignores_request_side_fields() {
+        let op = LaneAtomic {
+            old: 1,
+            ..LaneAtomic::new(2, 0x80, AtomOp::Cas, 0, 1)
+        };
+        let done = |ops: Vec<LaneAtomic>| MemCompletion {
+            sm: 1,
+            tag: 4,
+            atomic_results: ops,
+        };
+        let restored = LaneAtomic {
+            old: 1,
+            ..LaneAtomic::new(2, 0, AtomOp::Add, 9, 9)
+        };
+        assert_eq!(
+            done(vec![op]),
+            done(vec![LaneAtomic {
+                holder: 3,
+                ..restored
+            }])
+        );
+        assert_ne!(done(vec![op]), done(vec![LaneAtomic { old: 0, ..op }]));
+        assert_ne!(done(vec![op]), done(vec![LaneAtomic { lane: 3, ..op }]));
+        assert_ne!(done(vec![op]), done(vec![op, op]));
+        assert_ne!(
+            done(vec![op]),
+            MemCompletion {
+                tag: 5,
+                ..done(vec![op])
+            }
+        );
+        assert_ne!(
+            done(vec![op]),
+            MemCompletion {
+                sm: 0,
+                ..done(vec![op])
+            }
+        );
+    }
+
+    /// `lane_buf` covers every request size; a recycled buffer is handed
+    /// out again, empty, to a request of its class; spares are not state.
+    #[test]
+    fn lane_buffers_are_recycled_by_class() {
+        let mut mem = new_mem();
+        for n in 1..=32 {
+            let buf = mem.lane_buf(n);
+            assert!(buf.is_empty() && buf.capacity() >= n, "{n} lanes");
+        }
+        let fresh_body = {
+            let mut w = SnapWriter::new();
+            mem.save_snap(&mut w);
+            w.into_bytes()
+        };
+        let mut buf = mem.lane_buf(5);
+        buf.push(LaneAtomic::new(0, 0, AtomOp::Add, 1, 0));
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        mem.recycle(buf);
+        mem.recycle(Vec::new());
+        assert_eq!(mem.spare_lanes.iter().map(Vec::len).sum::<usize>(), 1);
+        let mut w = SnapWriter::new();
+        mem.save_snap(&mut w);
+        let body = w.into_bytes();
+        assert_eq!(body, fresh_body, "spares are not encoded");
+        let restored = mem.load_snap(&mut SnapReader::new(&body), 0).unwrap();
+        assert!(
+            restored.spare_lanes.iter().all(Vec::is_empty),
+            "no spares after restore"
+        );
+        assert_eq!(mem.lane_buf(4).capacity(), 4, "another class is untouched");
+        let again = mem.lane_buf(8);
+        assert_eq!(
+            (again.as_ptr(), again.capacity()),
+            (ptr, cap),
+            "the spare is reused"
+        );
+        assert!(again.is_empty());
+        // A restored response's exact-size buffer joins the largest class
+        // it covers.
+        mem.recycle(Vec::with_capacity(6));
+        assert_eq!(mem.spare_lanes[1].len(), 1);
+    }
+
+    /// A checksum-valid body that encodes an atomic request with no lane
+    /// op, or more than a warp's, a response with more than a warp's
+    /// results, or a lane outside the warp, is refused at restore: the
+    /// blocking-lock path reads a request's first op, and the SM writes
+    /// each result into its lane's register. One hand-crafted body per
+    /// case.
+    #[test]
+    fn impossible_atomic_lanes_are_refused_at_restore() {
+        let lanes = |n: u8| (0..n).map(|l| LaneAtomic::new(l, 4 * u64::from(l), AtomOp::Add, 1, 0));
+        let request = |ops: Vec<LaneAtomic>| {
+            let mut mem = new_mem();
+            let req = MemRequest::new(ReqKind::Atomic { ops }, 0, 1);
+            mem.queue_at(
+                0,
+                3,
+                PartReq {
+                    sm: 0,
+                    req,
+                    l1_fill: false,
+                    retries: 0,
+                },
+            );
+            mem
+        };
+        let response = |ops: Vec<LaneAtomic>| {
+            let mut mem = new_mem();
+            mem.schedule(
+                3,
+                Event::Complete {
+                    sm: 0,
+                    tag: 1,
+                    atomic_results: LaneResults(ops),
+                },
+            );
+            mem
+        };
+        let restore = |mem: &MemorySystem| {
+            let mut w = SnapWriter::new();
+            mem.save_snap(&mut w);
+            let body = w.into_bytes();
+            new_mem()
+                .load_snap(&mut SnapReader::new(&body), 0)
+                .map(drop)
+        };
+        let lane_32 = || {
+            lanes(32)
+                .map(|op| LaneAtomic {
+                    lane: op.lane + 1,
+                    ..op
+                })
+                .collect()
+        };
+        restore(&request(lanes(32).collect())).expect("a full warp's request restores");
+        restore(&response(lanes(32).collect())).expect("a full warp's response restores");
+        restore(&response(Vec::new())).expect("a load's response restores");
+        let cases: [(&str, MemorySystem); 5] = [
+            ("atomic request with 0 lanes", request(Vec::new())),
+            ("atomic request with 33 lanes", request(lanes(33).collect())),
+            ("atomic request for lane 32", request(lane_32())),
+            (
+                "atomic response with 33 lanes",
+                response(lanes(33).collect()),
+            ),
+            ("atomic response for lane 32", response(lane_32())),
+        ];
+        for (what, mem) in cases {
+            match restore(&mem) {
+                Err(SnapshotError::Malformed { what: msg }) => {
+                    assert!(msg.contains(what), "{what}: unhelpful message: {msg}")
+                }
+                other => panic!("{what}: expected a Malformed error, got {other:?}"),
+            }
+        }
     }
 
     /// Advance `mem` one cycle; the completions that fire in it.
@@ -1281,7 +1650,8 @@ mod tests {
         ];
         mem.enqueue(0, MemRequest::new(ReqKind::Atomic { ops }, 0, 9), 0);
         let (_, done) = run_until(&mut mem, 0, 100_000);
-        assert_eq!(done[0].atomic_results, vec![(0, 0), (1, 1)]);
+        let seen: Vec<_> = done[0].atomic_results.iter().map(|op| (op.lane, op.old)).collect();
+        assert_eq!(seen, [(0, 0), (1, 1)]);
         assert_eq!(mem.gmem().read_u32(0), 1);
         assert_eq!(mem.stats().atomic_transactions, 1);
         assert_eq!(mem.stats().atomic_lane_ops, 2);
@@ -1303,7 +1673,7 @@ mod tests {
         }
         let winners: Vec<_> = got
             .iter()
-            .filter(|c| c.atomic_results[0].1 == 0)
+            .filter(|c| c.atomic_results[0].old == 0)
             .collect();
         assert_eq!(winners.len(), 1, "exactly one CAS wins the inter-SM race");
         assert_eq!(mem.gmem().read_u32(0), 1);
@@ -1506,7 +1876,7 @@ mod tests {
             now += 1;
         }
         assert_eq!(got[0].tag, 2, "non-sole request completes with a failure");
-        assert_eq!(got[0].atomic_results[0].1, 1, "CAS observed the held lock");
+        assert_eq!(got[0].atomic_results[0].old, 1, "CAS observed the held lock");
         assert_eq!(mem.parked_requests(), 0);
         assert_eq!(mem.stats().lock_inter_fail, 1);
     }

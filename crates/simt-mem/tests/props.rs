@@ -136,7 +136,8 @@ fn mshr_releases_what_was_recorded() {
         }
         let lines: Vec<u64> = model.keys().copied().collect();
         for line in lines {
-            let got = m.fill(line);
+            let mut got = Vec::new();
+            m.fill(line, |tag| got.push(tag));
             assert_eq!(got, model.remove(&line).unwrap(), "seed {seed}");
         }
         assert_eq!(m.in_flight(), 0);
