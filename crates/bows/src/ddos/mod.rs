@@ -126,11 +126,6 @@ impl Ddos {
         self.spinning.get(warp).copied().unwrap_or(false)
     }
 
-    /// SIB-PT occupancy (Table III sizing).
-    pub fn sibpt_occupancy(&self) -> usize {
-        self.sibpt.occupancy()
-    }
-
     fn time_share_owner(&self, now: u64) -> Option<usize> {
         self.cfg
             .time_share_epoch

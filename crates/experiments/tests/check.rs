@@ -11,6 +11,13 @@ use simt_serve::http::client::HttpResponse;
 use std::process::{Command, Output};
 use workloads::Scale;
 
+// The workspace's document checks live in the root `tests/docs.rs`; the
+// flags of `paper` and `check` are checked here, where both binaries are
+// built. `headings` is used by those checks only.
+#[allow(dead_code)]
+#[path = "../../../tests/docs/markdown.rs"]
+mod markdown;
+
 fn tiny() -> Check {
     Check::new(Opts::at_scale(Scale::Tiny))
 }
@@ -239,5 +246,29 @@ fn malformed_invocations_exit_2_with_usage() {
         assert!(out.stdout.is_empty(), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: check"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn flags_the_docs_write_after_paper_or_check_are_in_its_usage() {
+    let bins = [
+        ("paper", env!("CARGO_BIN_EXE_paper")),
+        ("check", env!("CARGO_BIN_EXE_check")),
+    ];
+    for (name, exe) in bins {
+        let out = Command::new(exe).arg("--help").output().expect("spawn");
+        assert!(out.status.success(), "{name} --help");
+        let usage = markdown::flags(&String::from_utf8_lossy(&out.stdout));
+        assert!(usage.contains("--scale"), "{name}: no usage on stdout");
+        for doc in ["README.md", "EXPERIMENTS.md"] {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string() + doc;
+            let text = std::fs::read_to_string(&path).expect(doc);
+            let written = markdown::flags_after(&text, name);
+            let unknown: Vec<&String> = written.difference(&usage).collect();
+            assert!(
+                unknown.is_empty(),
+                "{doc} writes {name} with {unknown:?}, which its usage lacks"
+            );
+        }
     }
 }

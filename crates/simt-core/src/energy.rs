@@ -58,11 +58,6 @@ impl EnergyBreakdown {
     pub fn dynamic_j(&self) -> f64 {
         self.core_j + self.mem_j
     }
-
-    /// Total including static.
-    pub fn total_j(&self) -> f64 {
-        self.dynamic_j() + self.static_j
-    }
 }
 
 impl EnergyModel {

@@ -335,7 +335,6 @@ pub struct Gpu {
     /// The configuration (Table II preset or custom).
     pub cfg: GpuConfig,
     mem: MemorySystem,
-    energy_model: EnergyModel,
     cancel: Option<CancelToken>,
 }
 
@@ -347,7 +346,6 @@ impl Gpu {
         Gpu {
             cfg,
             mem,
-            energy_model: EnergyModel::default(),
             cancel: None,
         }
     }
@@ -360,11 +358,6 @@ impl Gpu {
         self.cancel = Some(token);
     }
 
-    /// Remove any armed cancellation token.
-    pub fn clear_cancel_token(&mut self) {
-        self.cancel = None;
-    }
-
     /// Device memory (host-side setup: allocate buffers, write inputs).
     pub fn mem(&self) -> &MemorySystem {
         &self.mem
@@ -373,11 +366,6 @@ impl Gpu {
     /// Device memory, mutable.
     pub fn mem_mut(&mut self) -> &mut MemorySystem {
         &mut self.mem
-    }
-
-    /// Replace the energy model.
-    pub fn set_energy_model(&mut self, m: EnergyModel) {
-        self.energy_model = m;
     }
 
     /// Run a kernel with a baseline policy and the ground-truth (static)
@@ -500,12 +488,7 @@ impl Gpu {
         } else {
             0
         };
-        let Gpu {
-            cfg,
-            mem,
-            energy_model,
-            cancel,
-        } = self;
+        let Gpu { cfg, mem, cancel } = self;
         let mut run = Run {
             rs: RunState::new(launch.grid_ctas, *mem.stats()),
             cfg,
@@ -536,7 +519,7 @@ impl Gpu {
             }
         }
         run.drive(ctl)?;
-        Ok(run.finish(energy_model))
+        Ok(run.finish())
     }
 }
 
@@ -769,7 +752,7 @@ impl Run<'_> {
     }
 
     /// Assemble the report of a run whose grid has retired.
-    fn finish(mut self, energy_model: &EnergyModel) -> KernelReport {
+    fn finish(mut self) -> KernelReport {
         let cycles = self.rs.now;
         self.pool.fold_stats(cycles, &mut self.rs.stats);
         let mut sim = self.rs.stats;
@@ -779,8 +762,12 @@ impl Run<'_> {
             .stats()
             .delta(&self.rs.mem_before)
             .expect("memory counters only grow (a resumed baseline is checked at restore)");
-        let energy =
-            energy_model.evaluate(&sim, &mem, self.cfg.num_sms, self.cfg.core_clock_mhz);
+        let energy = EnergyModel::default().evaluate(
+            &sim,
+            &mem,
+            self.cfg.num_sms,
+            self.cfg.core_clock_mhz,
+        );
         let mut branch_log = BranchLog::default();
         let mut confirmed_sibs: Vec<(usize, u64)> = Vec::new();
         let mut sm_prof = SmProf::default();

@@ -90,11 +90,6 @@ impl Scoreboard {
         }
         out
     }
-
-    /// Predicate indices with outstanding writes (hang diagnostics).
-    pub fn pending_preds(&self) -> Vec<u8> {
-        (0..8).filter(|p| self.preds & (1 << p) != 0).collect()
-    }
 }
 
 simt_snap::snap_struct!(Scoreboard { regs: [u64; 4], preds: u8 });

@@ -32,16 +32,19 @@ use simt_isa::Kernel;
 use simt_mem::{GlobalMem, MemStats};
 use std::sync::Arc;
 
-/// Relative problem sizing. GPGPU-Sim-scale inputs would take hours per run
-/// in any software simulator; these presets keep contention (threads : locks)
-/// paper-like while bounding runtime.
+/// Relative problem sizing. `Small` saturates the GTX480 and is the scale
+/// of every committed result; `paper --scale full` renders every figure in
+/// about four and a half minutes on a 2-core host. Whether a preset keeps
+/// the paper's contention (threads per lock) is an open hypothesis, not a
+/// property: `Full` doubles threads but quadruples many lock counts, so it
+/// may be a lower-contention point than `Small` (ROADMAP item 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-long unit-test sizes.
     Tiny,
     /// Default experiment sizes (used by the `experiments` binaries).
     Small,
-    /// Larger runs for final numbers.
+    /// Larger inputs; no test, gate or committed result uses them.
     Full,
 }
 
