@@ -1,6 +1,5 @@
 //! The two hashing schemes of DDOS's history registers (Section IV-B).
 
-
 /// Hashing scheme used before inserting into the path/value history
 /// registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

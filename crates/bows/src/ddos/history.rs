@@ -165,7 +165,10 @@ impl WarpHistory {
     }
 }
 
-simt_snap::snap_struct!(Record { path: u16, vals: [u16; 2] });
+simt_snap::snap_struct!(Record {
+    path: u16,
+    vals: [u16; 2]
+});
 
 // The dynamic detector state — records newest-first, the match pointer,
 // confirmation countdown, and spinning flag. Hash scheme and register
@@ -191,10 +194,12 @@ simt_snap::snap_struct!(state WarpHistory {
 mod tests {
     use super::*;
 
-
     #[test]
     fn snap_laws_and_capacity_check() {
-        simt_snap::assert_snap_laws(&Record { path: 1, vals: [2, 3] });
+        simt_snap::assert_snap_laws(&Record {
+            path: 1,
+            vals: [2, 3],
+        });
         let mut h = hist(8);
         for i in 0..5 {
             h.observe(10 + (i % 2), [i as u32, 0]);
@@ -203,13 +208,16 @@ mod tests {
         h.save_fields(&mut w);
         let body = w.into_bytes();
         let mut back = hist(8);
-        back.load_fields(&mut simt_snap::SnapReader::new(&body)).unwrap();
+        back.load_fields(&mut simt_snap::SnapReader::new(&body))
+            .unwrap();
         assert_eq!(back.records, h.records);
         assert_eq!(
             (back.match_pointer, back.remaining, back.spinning),
             (h.match_pointer, h.remaining, h.spinning)
         );
-        let err = hist(2).load_fields(&mut simt_snap::SnapReader::new(&body)).unwrap_err();
+        let err = hist(2)
+            .load_fields(&mut simt_snap::SnapReader::new(&body))
+            .unwrap_err();
         assert!(err.to_string().contains("registers hold 2"), "{err}");
     }
 
@@ -225,7 +233,7 @@ mod tests {
         let mut h = hist(8);
         let a = [1u32, 0]; // %r15 = 1 (lock busy), compared against 0
         let b = [0u32, 0]; // %r21 = 0 (not done)
-        // 1: insert A.
+                           // 1: insert A.
         h.observe(7, a);
         assert_eq!(h.match_pointer(), 0);
         assert!(!h.spinning());

@@ -382,7 +382,10 @@ impl SchedulerPolicy for Bows {
     }
 }
 
-simt_snap::snap_struct!(BowsWarp { backed_off: bool, delay_zero_at: u64 });
+simt_snap::snap_struct!(BowsWarp {
+    backed_off: bool,
+    delay_zero_at: u64
+});
 
 // The Figure 5 window counters; the controller parameters are
 // construction-time.
@@ -435,7 +438,10 @@ mod tests {
     #[test]
     fn snap_laws_and_queue_check() {
         simt_snap::assert_snap_laws(&BowsWarp::default());
-        simt_snap::assert_snap_laws(&BowsWarp { backed_off: true, delay_zero_at: 99 });
+        simt_snap::assert_snap_laws(&BowsWarp {
+            backed_off: true,
+            delay_zero_at: 99,
+        });
         let m = meta(4);
         let c = ctx(0, &m);
         let mut b = bows(DelayMode::Adaptive(AdaptiveConfig::default()));
@@ -445,7 +451,8 @@ mod tests {
         b.save_state(&mut w);
         let body = w.into_bytes();
         let mut back = bows(DelayMode::Adaptive(AdaptiveConfig::default()));
-        back.load_state(&mut simt_snap::SnapReader::new(&body)).unwrap();
+        back.load_state(&mut simt_snap::SnapReader::new(&body))
+            .unwrap();
         assert!(back.backed_off().contains(3));
         assert_eq!(back.backoff_queue_position(3), Some(0));
         // The queue must hold each backed-off warp once and nothing else:
@@ -572,8 +579,8 @@ mod tests {
         let c0 = ctx(0, &m);
         b.on_sib(&c0, 0);
         b.on_issue(&ctx(1, &m), 0, &IssueInfo::default()); // delay zero at 31
-        // SIB executed again at t=100 (> 31): no delay gating at all — the
-        // Figure 4 case where the critical section exceeds the limit.
+                                                           // SIB executed again at t=100 (> 31): no delay gating at all — the
+                                                           // Figure 4 case where the critical section exceeds the limit.
         b.on_sib(&ctx(100, &m), 0);
         assert!(!b.vetoed(100).contains(0));
     }

@@ -77,7 +77,10 @@ fn bows_ddos_checkpoint_resume_is_bit_identical() {
     let (mut gpu_a, counter_a, launch) = setup();
     let rep_a = run_one(&mut gpu_a, &kernel, &launch, None);
     assert_eq!(gpu_a.mem().gmem().read_u32(counter_a), 128);
-    assert!(!rep_a.confirmed_sibs.is_empty(), "DDOS found the spin branch");
+    assert!(
+        !rep_a.confirmed_sibs.is_empty(),
+        "DDOS found the spin branch"
+    );
 
     // Run B: checkpointing every 256 cycles must not perturb the run.
     let mut snaps: Vec<(u64, Vec<u8>)> = Vec::new();
@@ -97,7 +100,10 @@ fn bows_ddos_checkpoint_resume_is_bit_identical() {
     assert_eq!(rep_a.cycles, rep_b.cycles);
     assert_eq!(rep_a.mem, rep_b.mem);
     assert_eq!(gpu_b.mem().gmem().read_u32(counter_b), 128);
-    assert!(snaps.len() >= 2, "lock contention should outlast 512 cycles");
+    assert!(
+        snaps.len() >= 2,
+        "lock contention should outlast 512 cycles"
+    );
 
     // Run C: resume from a middle snapshot; stats and memory must match.
     let mid = &snaps[snaps.len() / 2];

@@ -144,7 +144,10 @@ fn bows_state_machine_consistent() {
                 1 => {
                     b.on_issue(&ctx, warp, &IssueInfo::default());
                     let backed_off = b.backed_off();
-                    assert!(!backed_off.contains(warp), "issue clears state (seed {seed})");
+                    assert!(
+                        !backed_off.contains(warp),
+                        "issue clears state (seed {seed})"
+                    );
                 }
                 _ => {
                     let vetoed = b.vetoed(now);
@@ -177,7 +180,10 @@ fn adaptive_limit_always_clamped() {
             max: 2000,
         };
         let m = meta(2);
-        let mut b = Bows::new(simt_core::BasePolicy::Lrr.build(1), DelayMode::Adaptive(acfg));
+        let mut b = Bows::new(
+            simt_core::BasePolicy::Lrr.build(1),
+            DelayMode::Adaptive(acfg),
+        );
         let mut now = 0u64;
         let windows = rng.range(1, 20);
         for _ in 0..windows {

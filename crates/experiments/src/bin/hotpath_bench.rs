@@ -29,7 +29,10 @@ struct Lcg(u64);
 
 impl Lcg {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         self.0 >> 11
     }
 }
@@ -129,7 +132,10 @@ fn bench_dispatch() {
 }
 
 fn bench_tag_maps() {
-    println!("pending-tag map, {} ops (insert/get_mut/remove churn):", ITERS);
+    println!(
+        "pending-tag map, {} ops (insert/get_mut/remove churn):",
+        ITERS
+    );
     // The Sm::pending pattern: allocate a tag at issue, hit it once per
     // completing request, remove when drained. Working set stays small
     // (tens of in-flight entries), which is exactly where hashing loses.
@@ -180,7 +186,10 @@ fn bench_tag_maps() {
 }
 
 fn bench_line_maps() {
-    println!("line-keyed map, {} ops (lock_owners/parked pattern):", ITERS);
+    println!(
+        "line-keyed map, {} ops (lock_owners/parked pattern):",
+        ITERS
+    );
     // Line addresses: 128-byte aligned, small hot set plus a cold tail.
     let addrs: Vec<u64> = {
         let mut rng = Lcg(0x10c);

@@ -83,7 +83,10 @@ pub fn matrix(full: bool) -> Vec<DifferCell> {
     let mut cells = Vec::new();
     if full {
         for base in bases {
-            for sched in [SchedConfig::baseline(base), SchedConfig::bows_adaptive(base)] {
+            for sched in [
+                SchedConfig::baseline(base),
+                SchedConfig::bows_adaptive(base),
+            ] {
                 cells.push(DifferCell { sched, chaos: None });
                 for chaos in CHAOS_POINTS {
                     cells.push(DifferCell {
@@ -279,10 +282,7 @@ impl fmt::Display for DivergenceReport {
                 sim_val,
                 writer,
             } => {
-                write!(
-                    f,
-                    "memory[{addr:#x}] ref={ref_val:#x} sim={sim_val:#x}"
-                )?;
+                write!(f, "memory[{addr:#x}] ref={ref_val:#x} sim={sim_val:#x}")?;
                 if let Some((stage, w)) = writer {
                     write!(
                         f,
@@ -437,7 +437,12 @@ pub fn run_sim_cell(
     let sched = cell.sched;
     let policy = bows::policy_factory(sched.base, sched.bows, rotate);
     if sched.bows.is_some() || sched.force_ddos {
-        run_workload_captured(&cfg, workload, &policy, &bows::ddos_factory(sched.ddos, warps))
+        run_workload_captured(
+            &cfg,
+            workload,
+            &policy,
+            &bows::ddos_factory(sched.ddos, warps),
+        )
     } else {
         run_workload_captured(&cfg, workload, &policy, &simt_core::baseline_detector)
     }
@@ -458,15 +463,14 @@ pub fn compare(
     compare_regs: bool,
 ) -> Vec<DivergenceReport> {
     let mut reports = Vec::new();
-    let report = |divergence: Divergence, kernel: Option<String>, line: Option<u32>| {
-        DivergenceReport {
+    let report =
+        |divergence: Divergence, kernel: Option<String>, line: Option<u32>| DivergenceReport {
             workload: workload.to_string(),
             config: config.to_string(),
             divergence,
             kernel,
             line,
-        }
-    };
+        };
     match &reference.equivalence {
         Equivalence::Exact => {
             if let Some(addr) = reference.gmem.first_diff(&sim.gmem) {
@@ -507,7 +511,10 @@ fn check_postconds(
     reports: &mut Vec<DivergenceReport>,
 ) {
     for p in posts {
-        for (side, g) in [(Side::Reference, &reference.gmem), (Side::Simulator, &sim.gmem)] {
+        for (side, g) in [
+            (Side::Reference, &reference.gmem),
+            (Side::Simulator, &sim.gmem),
+        ] {
             if let Err(error) = (p.check)(g) {
                 reports.push(DivergenceReport {
                     workload: workload.to_string(),
@@ -551,7 +558,12 @@ fn compare_states(
                 line: None,
             };
             if rc.regs != sc.regs {
-                let i = rc.regs.iter().zip(&sc.regs).position(|(a, b)| a != b).unwrap();
+                let i = rc
+                    .regs
+                    .iter()
+                    .zip(&sc.regs)
+                    .position(|(a, b)| a != b)
+                    .unwrap();
                 reports.push(mk(Divergence::Register {
                     stage,
                     cta: rc.cta_id,
@@ -563,7 +575,12 @@ fn compare_states(
                 return; // first divergence only; later state is noise
             }
             if rc.preds != sc.preds {
-                let i = rc.preds.iter().zip(&sc.preds).position(|(a, b)| a != b).unwrap();
+                let i = rc
+                    .preds
+                    .iter()
+                    .zip(&sc.preds)
+                    .position(|(a, b)| a != b)
+                    .unwrap();
                 reports.push(mk(Divergence::Predicate {
                     stage,
                     cta: rc.cta_id,
@@ -642,7 +659,9 @@ pub fn check_suite(
     // Reference runs are independent of the matrix; compute them in
     // parallel too (indexed, so order is deterministic).
     let idx: Vec<usize> = (0..suite.len()).collect();
-    let refs = grid::parallel_map(&idx, |_, &w| run_reference(base_cfg, suite[w].as_ref(), fuel));
+    let refs = grid::parallel_map(&idx, |_, &w| {
+        run_reference(base_cfg, suite[w].as_ref(), fuel)
+    });
     let pairs: Vec<(usize, usize)> = (0..suite.len())
         .flat_map(|w| (0..cells.len()).map(move |c| (w, c)))
         .collect();
@@ -665,7 +684,9 @@ mod tests {
     fn exact_sync_workload_matches_bytewise() {
         // ST: deterministic final memory even though it synchronizes.
         let w = workloads::sync_suite(Scale::Tiny).remove(1);
-        let r = run_reference(&tiny(), w.as_ref(), DEFAULT_FUEL).map_err(|(e, _)| e).unwrap();
+        let r = run_reference(&tiny(), w.as_ref(), DEFAULT_FUEL)
+            .map_err(|(e, _)| e)
+            .unwrap();
         assert!(matches!(r.equivalence, Equivalence::Exact));
         let cell = DifferCell {
             sched: SchedConfig::baseline(BasePolicy::Gto),
@@ -680,7 +701,9 @@ mod tests {
     fn racy_workload_postconditions_hold_on_both_engines() {
         // HT: chain order is schedule-dependent; postconditions must hold.
         let w = workloads::sync_suite(Scale::Tiny).remove(4);
-        let r = run_reference(&tiny(), w.as_ref(), DEFAULT_FUEL).map_err(|(e, _)| e).unwrap();
+        let r = run_reference(&tiny(), w.as_ref(), DEFAULT_FUEL)
+            .map_err(|(e, _)| e)
+            .unwrap();
         assert!(r.equivalence.postconditions().is_some());
         let cell = DifferCell {
             sched: SchedConfig::bows_adaptive(BasePolicy::Gto),

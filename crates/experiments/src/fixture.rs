@@ -151,7 +151,10 @@ impl Fixture {
         }
         for p in &f.posts {
             if !named(&f, &p.buf) {
-                return Err(format!("{name}: post references undeclared buffer `{}`", p.buf));
+                return Err(format!(
+                    "{name}: post references undeclared buffer `{}`",
+                    p.buf
+                ));
             }
         }
         Ok(f)
@@ -232,7 +235,9 @@ fn parse_directive(f: &mut Fixture, d: &str) -> Result<(), String> {
             Ok(())
         }
         "sms" => {
-            let [n] = toks.as_slice() else { return Err("want `sms <n>`".into()) };
+            let [n] = toks.as_slice() else {
+                return Err("want `sms <n>`".into());
+            };
             f.sms = Some(parse_num(n)? as usize);
             Ok(())
         }
@@ -267,7 +272,9 @@ fn parse_directive(f: &mut Fixture, d: &str) -> Result<(), String> {
             Ok(())
         }
         "expect" => {
-            let [kind] = toks.as_slice() else { return Err("want `expect <kind>`".into()) };
+            let [kind] = toks.as_slice() else {
+                return Err("want `expect <kind>`".into());
+            };
             const KINDS: [&str; 8] = [
                 "agree",
                 "memory",
@@ -393,7 +400,10 @@ impl FixtureOutcome {
             ("agree", Some(r)) => Err(format!("expected agreement, got: {r}")),
             (want, None) => Err(format!("expected a `{want}` divergence, engines agreed")),
             (want, Some(r)) if r.divergence.kind() == want => Ok(()),
-            (want, Some(r)) => Err(format!("expected `{want}`, got `{}`: {r}", r.divergence.kind())),
+            (want, Some(r)) => Err(format!(
+                "expected `{want}`, got `{}`: {r}",
+                r.divergence.kind()
+            )),
         }
     }
 }
@@ -446,8 +456,7 @@ mod tests {
 
     #[test]
     fn parses_and_agrees() {
-        let out = check_fixture(&GpuConfig::test_tiny(), "counter", COUNTER, DEFAULT_FUEL)
-            .unwrap();
+        let out = check_fixture(&GpuConfig::test_tiny(), "counter", COUNTER, DEFAULT_FUEL).unwrap();
         assert!(out.fixture.compare_regs);
         assert_eq!(out.fixture.expect, "agree");
         out.verdict().unwrap();
@@ -480,8 +489,7 @@ mod tests {
     @p0 st.global [r1], r3
     exit
 ";
-        let out =
-            check_fixture(&GpuConfig::test_tiny(), "post", src, DEFAULT_FUEL).unwrap();
+        let out = check_fixture(&GpuConfig::test_tiny(), "post", src, DEFAULT_FUEL).unwrap();
         // flag[0] ends up 5 on both engines; the post wants 9 → both sides
         // report a postcondition failure.
         out.verdict().unwrap();

@@ -166,7 +166,11 @@ enum Node {
         else_: Vec<Node>,
     },
     /// Counted loop, 1..=8 trips, loop counter register by nesting depth.
-    Loop { trips: u32, depth: u8, body: Vec<Node> },
+    Loop {
+        trips: u32,
+        depth: u8,
+        body: Vec<Node>,
+    },
     /// Uniform CTA barrier (top level only).
     Bar,
 }
@@ -216,12 +220,12 @@ impl FuzzKernel {
     pub fn source(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, ";; fuzz seed {} v{}", self.seed, GENERATOR_VERSION);
+        let _ = writeln!(s, ";; differ: launch ctas={} tpc={}", self.ctas, self.tpc);
         let _ = writeln!(
             s,
-            ";; differ: launch ctas={} tpc={}",
-            self.ctas, self.tpc
+            ";; differ: alloc out {}",
+            self.ctas as u64 * self.tpc as u64 * OUT_STRIDE
         );
-        let _ = writeln!(s, ";; differ: alloc out {}", self.ctas as u64 * self.tpc as u64 * OUT_STRIDE);
         let _ = writeln!(s, ";; differ: alloc in {IN_WORDS} lcg {}", self.seed as u32);
         let _ = writeln!(s, ";; differ: alloc ctr {CTR_WORDS}");
         let _ = writeln!(s, ";; differ: param out");
@@ -362,9 +366,7 @@ fn mutate(nodes: &mut Vec<Node>, k: &mut usize, kind: Mutation) -> bool {
         }
         *k -= 1;
         let changed = match &mut nodes[i] {
-            Node::If { then_, else_, .. } => {
-                mutate(then_, k, kind) || mutate(else_, k, kind)
-            }
+            Node::If { then_, else_, .. } => mutate(then_, k, kind) || mutate(else_, k, kind),
             Node::Loop { body, .. } => mutate(body, k, kind),
             _ => false,
         };
@@ -696,11 +698,7 @@ mod tests {
         let cfg = GpuConfig::test_tiny();
         for seed in 0..25 {
             let case = run_seed(&cfg, seed, 1 << 22).expect("filter should pass");
-            assert!(
-                case.reports.is_empty(),
-                "seed {seed}: {}",
-                case.reports[0]
-            );
+            assert!(case.reports.is_empty(), "seed {seed}: {}", case.reports[0]);
         }
     }
 

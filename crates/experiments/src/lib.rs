@@ -363,9 +363,8 @@ pub fn run_suite_grid(
         .flat_map(|w| (0..scheds.len()).map(move |c| (w, c)))
         .collect();
     let flat = grid::parallel_map(&cells, |_, &(w, c)| {
-        run(cfg, suite[w].as_ref(), scheds[c]).unwrap_or_else(|e| {
-            panic!("{} under {}: {e}", suite[w].name(), scheds[c].label())
-        })
+        run(cfg, suite[w].as_ref(), scheds[c])
+            .unwrap_or_else(|e| panic!("{} under {}: {e}", suite[w].name(), scheds[c].label()))
     });
     let mut flat = flat.into_iter();
     suite

@@ -499,7 +499,13 @@ fn fig11(p: &mut Paper) -> String {
 fn fig12(p: &mut Paper) -> String {
     let (labels, results) = delay_sweep(&mut p.fermi_sync);
     let mut t = labelled_table(&["kernel", "outcome"], &labels);
-    let labelled = ["success", "inter_fail", "intra_fail", "wait_ok", "wait_fail"];
+    let labelled = [
+        "success",
+        "inter_fail",
+        "intra_fail",
+        "wait_ok",
+        "wait_fail",
+    ];
     let outcomes = |r: &WorkloadResult| {
         [
             r.mem.lock_success,

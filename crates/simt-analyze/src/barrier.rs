@@ -51,9 +51,7 @@ impl BarrierPhases {
             let guard_div = inst
                 .guard
                 .is_some_and(|(p, _)| u.is_divergent(Var::Pred(p)));
-            let ctrl_div = cd[b]
-                .iter()
-                .any(|&c| u.divergent_branches.contains(c));
+            let ctrl_div = cd[b].iter().any(|&c| u.divergent_branches.contains(c));
             sites.push(BarrierSite {
                 pc,
                 block: b,
@@ -64,9 +62,7 @@ impl BarrierPhases {
             .map(|b| {
                 sites
                     .iter()
-                    .filter(|s| {
-                        !s.divergent && s.block != b && g.dominates(s.block, b)
-                    })
+                    .filter(|s| !s.divergent && s.block != b && g.dominates(s.block, b))
                     .count()
             })
             .collect();

@@ -136,7 +136,10 @@ impl ReachingDefs {
                 }
             }
         }
-        ReachingDefs { block_in, n_insts: n }
+        ReachingDefs {
+            block_in,
+            n_insts: n,
+        }
     }
 
     /// The definitions of `var` reaching the *use* at `pc`: real def pcs,

@@ -185,7 +185,7 @@ pub fn lint(insts: &[Inst]) -> Vec<Diagnostic> {
                          the simulator CFG would silently treat it as fall-through",
                         insts.len()
                     ),
-                witness: None,
+                    witness: None,
                 });
             }
         }
@@ -204,7 +204,7 @@ pub fn lint(insts: &[Inst]) -> Vec<Diagnostic> {
                     "block at pc {}..{} is unreachable from the kernel entry",
                     blk.start, blk.end
                 ),
-            witness: None,
+                witness: None,
             });
         }
     }
@@ -226,7 +226,7 @@ pub fn lint(insts: &[Inst]) -> Vec<Diagnostic> {
                     block: g.block_of(pc),
                     var: Some(v),
                     message: format!("{v} is read but never written on any path to here"),
-                witness: None,
+                    witness: None,
                 });
             }
         }
@@ -236,8 +236,7 @@ pub fn lint(insts: &[Inst]) -> Vec<Diagnostic> {
     // instruction inside the loop body is an escape hatch even when the CFG
     // has no exit edge.
     for l in natural_loops(&g, insts) {
-        let has_escape = !l.exits.is_empty()
-            || l.insts(&g).any(|pc| insts[pc].op == Op::Exit);
+        let has_escape = !l.exits.is_empty() || l.insts(&g).any(|pc| insts[pc].op == Op::Exit);
         let has_side_effect = l
             .insts(&g)
             .any(|pc| matches!(insts[pc].op, Op::St(..) | Op::Atom(_)));
@@ -253,7 +252,7 @@ pub fn lint(insts: &[Inst]) -> Vec<Diagnostic> {
                      every thread entering it hangs",
                     insts[l.branch_pc].target.unwrap_or(0)
                 ),
-            witness: None,
+                witness: None,
             });
         }
     }
@@ -288,7 +287,7 @@ pub fn lint(insts: &[Inst]) -> Vec<Diagnostic> {
                      lanes of one warp can disagree on reaching the barrier",
                     g.blocks[c].end - 1
                 ),
-            witness: None,
+                witness: None,
             });
         }
     }
@@ -314,7 +313,7 @@ pub fn lint(insts: &[Inst]) -> Vec<Diagnostic> {
                      but it is not annotated !sib"
                         .to_string()
                 },
-            witness: None,
+                witness: None,
             });
         }
     }
@@ -383,7 +382,10 @@ mod tests {
             "#,
         );
         assert!(kinds(&d).contains(&LintKind::UndefinedRead), "{d:?}");
-        let f = d.iter().find(|x| x.kind == LintKind::UndefinedRead).unwrap();
+        let f = d
+            .iter()
+            .find(|x| x.kind == LintKind::UndefinedRead)
+            .unwrap();
         assert_eq!(f.severity, Severity::Error);
         assert_eq!(f.pc, 0);
         assert_eq!(f.var, Some(Var::Reg(simt_isa::Reg(2))));
@@ -401,7 +403,10 @@ mod tests {
                 exit
             "#,
         );
-        let f = d.iter().find(|x| x.kind == LintKind::UndefinedRead).unwrap();
+        let f = d
+            .iter()
+            .find(|x| x.kind == LintKind::UndefinedRead)
+            .unwrap();
         assert_eq!(f.var, Some(Var::Pred(simt_isa::Pred(3))));
     }
 

@@ -310,10 +310,14 @@ mod tests {
     use crate::lint::lint;
 
     fn kinds_of(src: &str) -> Vec<LintKind> {
-        lint(&simt_isa::asm::assemble(src).expect("test kernel assembles").insts)
-            .into_iter()
-            .map(|d| d.kind)
-            .collect()
+        lint(
+            &simt_isa::asm::assemble(src)
+                .expect("test kernel assembles")
+                .insts,
+        )
+        .into_iter()
+        .map(|d| d.kind)
+        .collect()
     }
 
     #[test]

@@ -116,9 +116,15 @@ pub fn resolve_reg(
     // A guarded definition is a merge with the fall-through value; only an
     // unconditional def pins the address.
     if inst.guard.is_some() {
-        return Some(Location::Sym { def_pc: d, offset: 0 });
+        return Some(Location::Sym {
+            def_pc: d,
+            offset: 0,
+        });
     }
-    let sym = Location::Sym { def_pc: d, offset: 0 };
+    let sym = Location::Sym {
+        def_pc: d,
+        offset: 0,
+    };
     let resolved = match inst.op {
         Op::Ld(Space::Param, _) => match inst.addr {
             Some(a) if a.base.is_none() => Some(Location::Param {
@@ -134,18 +140,20 @@ pub fn resolve_reg(
         },
         Op::Add(_) | Op::Sub(_) => {
             let (x, y) = (inst.srcs.first().copied(), inst.srcs.get(1).copied());
-            let sign = if matches!(inst.op, Op::Sub(_)) { -1i64 } else { 1 };
+            let sign = if matches!(inst.op, Op::Sub(_)) {
+                -1i64
+            } else {
+                1
+            };
             match (x, y) {
-                (Some(Operand::Reg(r)), Some(c)) => {
-                    const_operand(g, insts, rd, d, c, depth - 1).and_then(|c| {
+                (Some(Operand::Reg(r)), Some(c)) => const_operand(g, insts, rd, d, c, depth - 1)
+                    .and_then(|c| {
                         resolve_reg(g, insts, rd, d, r, depth - 1)
                             .map(|base| base.shift((sign * c) as i32))
-                    })
-                }
+                    }),
                 (Some(c), Some(Operand::Reg(r))) if sign == 1 => {
                     const_operand(g, insts, rd, d, c, depth - 1).and_then(|c| {
-                        resolve_reg(g, insts, rd, d, r, depth - 1)
-                            .map(|base| base.shift(c as i32))
+                        resolve_reg(g, insts, rd, d, r, depth - 1).map(|base| base.shift(c as i32))
                     })
                 }
                 _ => None,
@@ -252,8 +260,8 @@ impl LockAnalysis {
             let annotated = inst.ann.release;
             let exch_zero = matches!(inst.op, Op::Atom(AtomOp::Exch))
                 && inst.srcs.first() == Some(&Operand::Imm(0));
-            let store_zero = matches!(inst.op, Op::St(..))
-                && inst.srcs.first() == Some(&Operand::Imm(0));
+            let store_zero =
+                matches!(inst.op, Op::St(..)) && inst.srcs.first() == Some(&Operand::Imm(0));
             if !(annotated || exch_zero || store_zero) {
                 continue;
             }
@@ -374,18 +382,11 @@ fn is_acquire_shape(inst: &Inst) -> bool {
 /// Identity of the lock word at an acquire/release site. `Sym` identities
 /// are allowed — within one kernel the acquire and release compute the
 /// address from the same definition chain, so they still match.
-fn lock_location(
-    g: &FlowGraph,
-    insts: &[Inst],
-    rd: &ReachingDefs,
-    pc: usize,
-) -> Option<Location> {
+fn lock_location(g: &FlowGraph, insts: &[Inst], rd: &ReachingDefs, pc: usize) -> Option<Location> {
     let a = insts[pc].addr?;
     match a.base {
         None => Some(Location::Abs(a.offset as i64)),
-        Some(base) => {
-            Some(resolve_reg(g, insts, rd, pc, base, RESOLVE_DEPTH)?.shift(a.offset))
-        }
+        Some(base) => Some(resolve_reg(g, insts, rd, pc, base, RESOLVE_DEPTH)?.shift(a.offset)),
     }
 }
 
@@ -434,7 +435,10 @@ fn success_edge(g: &FlowGraph, insts: &[Inst], pc: usize) -> Option<(usize, usiz
     }
     // `success` is the CFG edge taken when rD == 0.
     let success_pred_value = cmp == CmpOp::Eq; // p <=> (rD == 0) for eq
-    let target_block = term.target.filter(|&t| t < insts.len()).map(|t| g.block_of(t))?;
+    let target_block = term
+        .target
+        .filter(|&t| t < insts.len())
+        .map(|t| g.block_of(t))?;
     let fall_block = if end < insts.len() {
         Some(g.block_of(end))
     } else {
@@ -578,7 +582,10 @@ mod tests {
         let rd = ReachingDefs::solve(&g, &insts);
         let la = LockAnalysis::solve(&g, &insts, &rd);
         assert_eq!(la.locks.len(), 1);
-        assert!(!la.locks[0].comparable(), "gtid-derived address is symbolic");
+        assert!(
+            !la.locks[0].comparable(),
+            "gtid-derived address is symbolic"
+        );
         // Acquire and release still pair up: nothing held at exit.
         let exit = insts.iter().position(|i| i.op == Op::Exit).unwrap();
         assert!(la.held_at(&g, exit).is_empty());

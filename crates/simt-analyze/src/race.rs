@@ -20,7 +20,7 @@ use crate::barrier::BarrierPhases;
 use crate::cfgx::FlowGraph;
 use crate::defs::{ReachingDefs, Var};
 use crate::lint::{Diagnostic, LintKind, Severity, Witness};
-use crate::locks::{access_location, LockAnalysis, Location};
+use crate::locks::{access_location, Location, LockAnalysis};
 use crate::uniform::Uniformity;
 use simt_isa::{Inst, Op, Operand, Space};
 
@@ -309,10 +309,7 @@ mod tests {
                 exit
             "#,
         );
-        assert!(
-            !k.iter().any(|(_, s)| *s == Severity::Error),
-            "{k:?}"
-        );
+        assert!(!k.iter().any(|(_, s)| *s == Severity::Error), "{k:?}");
     }
 
     #[test]

@@ -122,8 +122,7 @@ fn classify(
             continue;
         }
         let in_closure = closure_insts.contains(pc);
-        let conditional =
-            insts[pc].guard.is_some() || !g.dominates(g.block_of(pc), l.latch);
+        let conditional = insts[pc].guard.is_some() || !g.dominates(g.block_of(pc), l.latch);
         if !in_closure && !conditional {
             return None;
         }

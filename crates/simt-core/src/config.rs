@@ -285,7 +285,11 @@ mod tests {
 
     #[test]
     fn presets_validate_clean() {
-        for cfg in [GpuConfig::gtx480(), GpuConfig::gtx1080ti(), GpuConfig::test_tiny()] {
+        for cfg in [
+            GpuConfig::gtx480(),
+            GpuConfig::gtx1080ti(),
+            GpuConfig::test_tiny(),
+        ] {
             assert!(cfg.validate().is_ok(), "{}", cfg.name);
         }
     }

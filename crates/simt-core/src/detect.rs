@@ -187,7 +187,11 @@ impl BranchLog {
     }
 }
 
-simt_snap::snap_struct!(BranchTimeline { first: u64, last: u64, count: u64 });
+simt_snap::snap_struct!(BranchTimeline {
+    first: u64,
+    last: u64,
+    count: u64
+});
 
 /// Timelines in sorted-PC order: the map's own iteration order is
 /// process-dependent and must not reach the wire.
@@ -201,7 +205,9 @@ impl Snap for BranchLog {
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<BranchLog, SnapshotError> {
-        let timelines = Vec::<(usize, BranchTimeline)>::load(r)?.into_iter().collect();
+        let timelines = Vec::<(usize, BranchTimeline)>::load(r)?
+            .into_iter()
+            .collect();
         Ok(BranchLog { timelines })
     }
 }
@@ -209,7 +215,6 @@ impl Snap for BranchLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
 
     #[test]
     fn branch_log_snapshots_in_pc_order() {

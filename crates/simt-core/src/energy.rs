@@ -70,9 +70,8 @@ impl EnergyModel {
         core_clock_mhz: u64,
     ) -> EnergyBreakdown {
         let pj = 1e-12;
-        let core_j = (sim.issued_inst as f64 * self.issue_pj
-            + sim.thread_inst as f64 * self.lane_pj)
-            * pj;
+        let core_j =
+            (sim.issued_inst as f64 * self.issue_pj + sim.thread_inst as f64 * self.lane_pj) * pj;
         let mem_j = (mem.l1_accesses as f64 * self.l1_pj
             + mem.l2_accesses as f64 * self.l2_pj
             + (mem.dram_reads + mem.dram_writes) as f64 * self.dram_pj

@@ -288,7 +288,11 @@ mod tests {
                         assert_eq!(mem.in_flight(), 1, "SM 0's request");
                         let run: Vec<u64> = pool.sms.iter().map(|sm| sm.prof.cycles_run).collect();
                         assert_eq!(run[..2], [run_before[0] + 1, run_before[1] + 1]);
-                        assert_eq!(run[2..], run_before[2..], "SMs after the error are not cycled");
+                        assert_eq!(
+                            run[2..],
+                            run_before[2..],
+                            "SMs after the error are not cycled"
+                        );
                         return;
                     }
                 }

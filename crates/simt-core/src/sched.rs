@@ -22,7 +22,12 @@ pub struct WarpMeta {
     pub eligible: bool,
 }
 
-simt_snap::snap_struct!(WarpMeta { resident: bool, done: bool, age_key: u64, eligible: bool });
+simt_snap::snap_struct!(WarpMeta {
+    resident: bool,
+    done: bool,
+    age_key: u64,
+    eligible: bool
+});
 
 /// What a scheduler learns about the instruction its warp just issued.
 #[derive(Debug, Clone, Copy, Default)]
@@ -314,9 +319,7 @@ impl Lrr {
     const MOD: usize = 1 << 16;
 
     pub fn new() -> Lrr {
-        Lrr {
-            last: Lrr::MOD - 1,
-        }
+        Lrr { last: Lrr::MOD - 1 }
     }
 }
 
@@ -576,7 +579,12 @@ impl SchedulerPolicy for Cawa {
     }
 }
 
-simt_snap::snap_struct!(CawaWarp { n_inst: f64, issued: u64, cycles: u64, stalls: u64 });
+simt_snap::snap_struct!(CawaWarp {
+    n_inst: f64,
+    issued: u64,
+    cycles: u64,
+    stalls: u64
+});
 simt_snap::snap_struct!(Cawa { warps: Vec<CawaWarp> });
 
 #[cfg(test)]

@@ -92,7 +92,10 @@ impl Scoreboard {
     }
 }
 
-simt_snap::snap_struct!(Scoreboard { regs: [u64; 4], preds: u8 });
+simt_snap::snap_struct!(Scoreboard {
+    regs: [u64; 4],
+    preds: u8
+});
 
 #[cfg(test)]
 mod tests {
@@ -173,7 +176,11 @@ mod tests {
     fn addr_base_is_a_source() {
         let mut sb = Scoreboard::new();
         reserve(&mut sb, &Inst::mov(Reg(3), 1));
-        let ld = Inst::ld(simt_isa::Space::Global, Reg(4), simt_isa::MemAddr::new(Reg(3), 0));
+        let ld = Inst::ld(
+            simt_isa::Space::Global,
+            Reg(4),
+            simt_isa::MemAddr::new(Reg(3), 0),
+        );
         assert!(has_hazard(&sb, &ld));
     }
 }

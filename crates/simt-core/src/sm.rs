@@ -371,8 +371,11 @@ impl Sm {
             "{nwarps} warp slots exceed a WarpSet"
         );
         assert!(
-            (cfg.lat.int_alu.max(cfg.lat.fp_alu).max(cfg.lat.sfu).max(cfg.lat.shared_mem)
-                as usize)
+            (cfg.lat
+                .int_alu
+                .max(cfg.lat.fp_alu)
+                .max(cfg.lat.sfu)
+                .max(cfg.lat.shared_mem) as usize)
                 < WHEEL,
             "latency exceeds writeback wheel"
         );
@@ -1009,7 +1012,11 @@ impl Sm {
         let sm_id = self.id;
         // A kernel-driven wild access, surfaced as a typed error (never a
         // panic).
-        let wild = move |fault| SimError::DeviceFault { sm: sm_id, pc, fault };
+        let wild = move |fault| SimError::DeviceFault {
+            sm: sm_id,
+            pc,
+            fault,
+        };
         let Some(cta) = self.ctas[cta_slot].as_mut() else {
             return Err(invariant(format!(
                 "sm {sm_id}: issuing warp {w_idx} belongs to retired CTA slot {cta_slot}"
@@ -1617,8 +1624,7 @@ impl Sm {
                 ));
             }
             for e in warp.stack.entries() {
-                if e.pc >= limits.insts
-                    || (e.rpc != simt_isa::RECONV_EXIT && e.rpc >= limits.insts)
+                if e.pc >= limits.insts || (e.rpc != simt_isa::RECONV_EXIT && e.rpc >= limits.insts)
                 {
                     return bad(format!(
                         "warp {i} stack pc {} / rpc {} outside the kernel's {} instructions",
@@ -1705,7 +1711,11 @@ snap_enum!(PendKind, "pending-mem kind" {
     1 => Store {},
     2 => Atomic { dst: Reg },
 });
-snap_struct!(PendingMem { warp: usize, remaining: u32, kind: PendKind });
+snap_struct!(PendingMem {
+    warp: usize,
+    remaining: u32,
+    kind: PendKind
+});
 
 /// Values needed to evaluate special registers.
 struct SpecialCtx {
@@ -1799,19 +1809,42 @@ mod tests {
     use super::*;
     use simt_isa::{alu_column_fn, Op, Ty};
 
-
     #[test]
     fn snap_laws() {
         use simt_snap::assert_snap_laws;
-        assert_snap_laws(&WbEntry { warp: 0, reg: None, pred: None });
-        assert_snap_laws(&WbEntry { warp: 3, reg: Some(Reg(9)), pred: Some(simt_isa::Pred(2)) });
-        for kind in [PendKind::Store, PendKind::Load { dst: Reg(1) }, PendKind::Atomic { dst: Reg(2) }] {
-            assert_snap_laws(&PendingMem { warp: 1, remaining: 2, kind });
+        assert_snap_laws(&WbEntry {
+            warp: 0,
+            reg: None,
+            pred: None,
+        });
+        assert_snap_laws(&WbEntry {
+            warp: 3,
+            reg: Some(Reg(9)),
+            pred: Some(simt_isa::Pred(2)),
+        });
+        for kind in [
+            PendKind::Store,
+            PendKind::Load { dst: Reg(1) },
+            PendKind::Atomic { dst: Reg(2) },
+        ] {
+            assert_snap_laws(&PendingMem {
+                warp: 1,
+                remaining: 2,
+                kind,
+            });
         }
         let mut pending = TagSlab::new();
         assert_snap_laws(&pending);
-        let tag = pending.insert(PendingMem { warp: 0, remaining: 1, kind: PendKind::Store });
-        pending.insert(PendingMem { warp: 1, remaining: 4, kind: PendKind::Load { dst: Reg(5) } });
+        let tag = pending.insert(PendingMem {
+            warp: 0,
+            remaining: 1,
+            kind: PendKind::Store,
+        });
+        pending.insert(PendingMem {
+            warp: 1,
+            remaining: 4,
+            kind: PendKind::Load { dst: Reg(5) },
+        });
         pending.remove(tag);
         assert_snap_laws(&pending);
     }
@@ -2000,7 +2033,10 @@ mod tests {
         assert_eq!(alu_eval(Op::Rem(Ty::S32), 7, 3, 0), 1);
         assert_eq!(alu_eval(Op::Shl, 1, 5, 0), 32);
         assert_eq!(alu_eval(Op::Sra, (-8i32) as u32, 1, 0), (-4i32) as u32);
-        assert_eq!(alu_eval(Op::Min(Ty::S32), (-1i32) as u32, 1, 0), (-1i32) as u32);
+        assert_eq!(
+            alu_eval(Op::Min(Ty::S32), (-1i32) as u32, 1, 0),
+            (-1i32) as u32
+        );
         assert_eq!(alu_eval(Op::Min(Ty::U32), u32::MAX, 1, 0), 1);
     }
 

@@ -148,14 +148,17 @@ impl SimtStack {
     }
 }
 
-simt_snap::snap_struct!(StackEntry { pc: usize, rpc: usize, mask: u32 });
+simt_snap::snap_struct!(StackEntry {
+    pc: usize,
+    rpc: usize,
+    mask: u32
+});
 // Every entry, bottom to top.
 simt_snap::snap_struct!(SimtStack { entries: Vec<StackEntry> });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
 
     #[test]
     fn snap_laws() {

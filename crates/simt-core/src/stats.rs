@@ -105,7 +105,6 @@ impl SimStats {
 mod tests {
     use super::*;
 
-
     #[test]
     fn snap_laws() {
         use simt_snap::Snap;

@@ -380,7 +380,6 @@ simt_snap::snap_struct!(Warp {
 mod tests {
     use super::*;
 
-
     #[test]
     fn snap_laws() {
         use simt_snap::assert_snap_laws;

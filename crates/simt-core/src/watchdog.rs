@@ -320,7 +320,6 @@ mod tests {
     use super::*;
     use crate::sched::IssueInfo;
 
-
     #[test]
     fn snap_laws() {
         simt_snap::assert_snap_laws(&WarpProgress::default());
@@ -340,7 +339,13 @@ mod tests {
     fn spin_counter_grows_on_repeated_backward_branch() {
         let mut p = WarpProgress::default();
         for i in 0..40 {
-            p.on_issue(i, &IssueInfo { pc: 5, ..IssueInfo::default() });
+            p.on_issue(
+                i,
+                &IssueInfo {
+                    pc: 5,
+                    ..IssueInfo::default()
+                },
+            );
             p.on_issue(i, &branch(7, 2));
         }
         assert!(p.spinning());
@@ -372,7 +377,13 @@ mod tests {
             p.on_issue(i, &branch(7, 2));
         }
         assert!(p.spinning());
-        p.on_issue(50, &IssueInfo { pc: 9, ..IssueInfo::default() });
+        p.on_issue(
+            50,
+            &IssueInfo {
+                pc: 9,
+                ..IssueInfo::default()
+            },
+        );
         assert!(!p.spinning());
         assert_eq!(p.spin_iters, 0);
     }
@@ -383,7 +394,10 @@ mod tests {
         for i in 0..100 {
             p.on_issue(i, &branch(500, 400));
         }
-        assert!(!p.spinning(), "a 400-instruction loop is compute, not a spin");
+        assert!(
+            !p.spinning(),
+            "a 400-instruction loop is compute, not a spin"
+        );
         assert_eq!(p.spin_iters, 100, "iterations still counted");
     }
 

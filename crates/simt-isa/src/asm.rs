@@ -153,7 +153,10 @@ pub fn assemble_raw(text: &str) -> Result<RawKernel, AsmError> {
                 "params" => num_params = parse_u32(arg, line_no, ".params")?,
                 "shared" => shared_words = parse_u32(arg, line_no, ".shared")?,
                 other => {
-                    return Err(AsmError::new(line_no, format!("unknown directive .{other}")))
+                    return Err(AsmError::new(
+                        line_no,
+                        format!("unknown directive .{other}"),
+                    ))
                 }
             }
             continue;
@@ -740,10 +743,8 @@ mod tests {
 
     #[test]
     fn comments_everywhere() {
-        let k = assemble(
-            "; top\n.kernel c // name\n.regs 4 # regs\n mov r1, 2 ; set\n exit\n",
-        )
-        .unwrap();
+        let k = assemble("; top\n.kernel c // name\n.regs 4 # regs\n mov r1, 2 ; set\n exit\n")
+            .unwrap();
         assert_eq!(k.insts.len(), 2);
     }
 
@@ -751,8 +752,7 @@ mod tests {
     fn atom_operand_counts() {
         // cas needs 2 value operands, exch 1.
         assert!(assemble(".kernel a\n.regs 4\n atom.global.cas r1, [r2], 0\n exit").is_err());
-        let k =
-            assemble(".kernel a\n.regs 4\n atom.global.exch r1, [r2], 0\n exit").unwrap();
+        let k = assemble(".kernel a\n.regs 4\n atom.global.exch r1, [r2], 0\n exit").unwrap();
         assert_eq!(k.insts[0].srcs.len(), 1);
     }
 

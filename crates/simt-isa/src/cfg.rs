@@ -58,10 +58,9 @@ impl Cfg {
                         leader[pc + 1] = true;
                     }
                 }
-                Op::Exit
-                    if pc + 1 < n => {
-                        leader[pc + 1] = true;
-                    }
+                Op::Exit if pc + 1 < n => {
+                    leader[pc + 1] = true;
+                }
                 _ => {}
             }
         }
@@ -89,8 +88,11 @@ impl Cfg {
             block_of[b.start..b.end].fill(bid);
         }
         // Successors.
-        let by_start: BTreeMap<usize, usize> =
-            blocks.iter().enumerate().map(|(i, b)| (b.start, i)).collect();
+        let by_start: BTreeMap<usize, usize> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (b.start, i))
+            .collect();
         for b in blocks.iter_mut() {
             let last = b.end - 1;
             let inst = &insts[last];

@@ -60,7 +60,9 @@ pub enum ExecClass {
     /// Shared-memory load.
     LdShared,
     /// Global load; `bypass_l1` for volatile accesses.
-    LdGlobal { bypass_l1: bool },
+    LdGlobal {
+        bypass_l1: bool,
+    },
     /// Store to param space is a kernel bug the executor reports.
     StParam,
     StShared,
@@ -156,8 +158,8 @@ impl DecodedKernel {
 fn decode_inst(pc: usize, inst: &Inst, kernel: &Kernel) -> DecodedInst {
     use Op::*;
     let class = match inst.op {
-        Mov | Add(_) | Sub(_) | Mul(_) | Mad(_) | Div(_) | Rem(_) | Min(_) | Max(_) | And
-        | Or | Xor | Not | Neg(_) | Shl | Shr | Sra | Sqrt | CvtI2F | CvtF2I => {
+        Mov | Add(_) | Sub(_) | Mul(_) | Mad(_) | Div(_) | Rem(_) | Min(_) | Max(_) | And | Or
+        | Xor | Not | Neg(_) | Shl | Shr | Sra | Sqrt | CvtI2F | CvtF2I => {
             ExecClass::Alu(alu_column_fn(inst.op))
         }
         Selp => ExecClass::Selp,
@@ -377,7 +379,11 @@ mod tests {
 
     #[test]
     fn branch_direction_and_distance() {
-        let dk = decode_kernel(vec![Inst::mov(Reg(0), 1), Inst::bra(0), Inst::new(Op::Exit)]);
+        let dk = decode_kernel(vec![
+            Inst::mov(Reg(0), 1),
+            Inst::bra(0),
+            Inst::new(Op::Exit),
+        ]);
         let d = &dk.insts[1];
         assert!(d.backward);
         assert_eq!(d.target, 0);
@@ -390,7 +396,11 @@ mod tests {
         assert_eq!(alu_fn(Op::Div(Ty::S32))(7, 0, 0), u32::MAX);
         assert_eq!(alu_fn(Op::Div(Ty::U32))(7, 0, 0), u32::MAX);
         assert_eq!(alu_fn(Op::Rem(Ty::U32))(7, 0, 0), 7);
-        assert_eq!(alu_fn(Op::Shl)(1, 37, 0), 32, "shift count masked to 5 bits");
+        assert_eq!(
+            alu_fn(Op::Shl)(1, 37, 0),
+            32,
+            "shift count masked to 5 bits"
+        );
         let b = |x: f32| x.to_bits();
         assert_eq!(alu_fn(Op::Mad(Ty::F32))(b(2.0), b(3.0), b(1.0)), b(7.0));
     }

@@ -356,13 +356,7 @@ impl Inst {
         i
     }
 
-    pub fn setp(
-        cmp: CmpOp,
-        ty: Ty,
-        p: Pred,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-    ) -> Inst {
+    pub fn setp(cmp: CmpOp, ty: Ty, p: Pred, a: impl Into<Operand>, b: impl Into<Operand>) -> Inst {
         let mut i = Inst::new(Op::Setp(cmp, ty));
         i.pdst = Some(p);
         i.srcs.push(a.into());

@@ -262,8 +262,8 @@ fn check_operand_shape(pc: usize, inst: &Inst) -> Result<(), KernelError> {
             need_dst("unary ALU op missing destination register")?;
             need_srcs(1, "unary ALU op missing its source operand")?;
         }
-        Add(_) | Sub(_) | Mul(_) | Div(_) | Rem(_) | Min(_) | Max(_) | And | Or | Xor
-        | Shl | Shr | Sra => {
+        Add(_) | Sub(_) | Mul(_) | Div(_) | Rem(_) | Min(_) | Max(_) | And | Or | Xor | Shl
+        | Shr | Sra => {
             need_dst("binary ALU op missing destination register")?;
             need_srcs(2, "binary ALU op missing a source operand")?;
         }

@@ -373,7 +373,6 @@ impl Op {
 mod tests {
     use super::*;
 
-
     #[test]
     fn atom_op_snap_tags_are_pinned() {
         use AtomOp::*;

@@ -116,7 +116,6 @@ impl fmt::Display for Special {
 mod tests {
     use super::*;
 
-
     #[test]
     fn snap_laws() {
         simt_snap::assert_snap_laws(&Reg(200));

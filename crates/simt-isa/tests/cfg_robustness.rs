@@ -142,7 +142,9 @@ fn exhaustive_small_programs() {
 fn sampled_larger_programs() {
     let mut state: u64 = 0x243F_6A88_85A3_08D3; // fixed seed
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (state >> 33) as usize
     };
     for _ in 0..2000 {

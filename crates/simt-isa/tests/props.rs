@@ -128,8 +128,8 @@ fn assembler_never_panics() {
     // A character pool biased toward assembler syntax so fuzz inputs reach
     // deep into the parser, plus some non-ASCII noise.
     const POOL: &[char] = &[
-        'a', 'b', 'k', 'r', 'x', '0', '1', '9', ' ', '\n', '\t', ',', '[', ']', '.', '%', '@',
-        '!', '-', '_', ':', ';', '#', 'µ', 'λ', '□',
+        'a', 'b', 'k', 'r', 'x', '0', '1', '9', ' ', '\n', '\t', ',', '[', ']', '.', '%', '@', '!',
+        '-', '_', ':', ';', '#', 'µ', 'λ', '□',
     ];
     for seed in 0..256 {
         let mut rng = Rng::new(seed);

@@ -49,7 +49,10 @@ impl Cache {
             "capacity {size_bytes} not a multiple of ways*line"
         );
         let sets = lines_total as usize / ways;
-        assert!(sets.is_power_of_two(), "set count {sets} must be a power of two");
+        assert!(
+            sets.is_power_of_two(),
+            "set count {sets} must be a power of two"
+        );
         Cache {
             sets,
             ways,
@@ -170,7 +173,11 @@ impl Cache {
     }
 }
 
-simt_snap::snap_struct!(Way { tag: u64, valid: bool, last_use: u64 });
+simt_snap::snap_struct!(Way {
+    tag: u64,
+    valid: bool,
+    last_use: u64
+});
 
 /// Geometry, LRU clock, then every way in set-major order. The way count is
 /// `sets * ways`, not a length prefix, so this is written out by hand; the
@@ -200,14 +207,18 @@ impl Snap for Cache {
         for _ in 0..n {
             lines.push(Way::load(r)?);
         }
-        Ok(Cache { sets, ways, lines, tick })
+        Ok(Cache {
+            sets,
+            ways,
+            lines,
+            tick,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
 
     #[test]
     fn snap_laws_and_geometry_checks() {
@@ -217,7 +228,12 @@ mod tests {
         c.access(0);
         let mut bytes = assert_snap_laws(&c);
         // The smallest directory the wire can describe: 0 sets x 0 ways.
-        assert_snap_laws(&Cache { sets: 0, ways: 0, lines: Vec::new(), tick: 0 });
+        assert_snap_laws(&Cache {
+            sets: 0,
+            ways: 0,
+            lines: Vec::new(),
+            tick: 0,
+        });
         let back = Cache::load(&mut SnapReader::new(&bytes)).unwrap();
         back.check_geometry(&c).unwrap();
         assert!(back.check_geometry(&Cache::new(2048, 2)).is_err());

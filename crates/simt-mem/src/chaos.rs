@@ -275,7 +275,6 @@ simt_snap::snap_struct!(state ChaosEngine { state: u64, stats: ChaosStats });
 mod tests {
     use super::*;
 
-
     #[test]
     fn stream_round_trips_and_seed_is_cross_checked() {
         simt_snap::assert_snap_laws(&ChaosStats::default());
@@ -297,7 +296,10 @@ mod tests {
         assert!(err.to_string().contains("chaos seed mismatch"), "{err}");
         for cut in 0..body.len() {
             let mut c = ChaosEngine::new(ChaosConfig::with_level(42, 3));
-            assert!(c.restore(&mut SnapReader::new(&body[..cut])).is_err(), "prefix {cut}");
+            assert!(
+                c.restore(&mut SnapReader::new(&body[..cut])).is_err(),
+                "prefix {cut}"
+            );
         }
     }
 

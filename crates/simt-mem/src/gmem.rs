@@ -213,7 +213,6 @@ simt_snap::snap_struct!(GlobalMem { next: Addr, data: Vec<u32> } check |m: &Glob
 mod tests {
     use super::*;
 
-
     #[test]
     fn snap_laws_and_cursor_check() {
         use simt_snap::{assert_snap_laws, Snap, SnapReader};

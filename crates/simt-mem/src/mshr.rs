@@ -91,7 +91,9 @@ impl Mshr {
         }
         for (i, (line, _)) in self.entries.iter().enumerate() {
             if self.entries[..i].iter().any(|(l, _)| l == line) {
-                return Err(SnapshotError::malformed(format!("duplicate mshr line {line:#x}")));
+                return Err(SnapshotError::malformed(format!(
+                    "duplicate mshr line {line:#x}"
+                )));
             }
         }
         self.capacity = capacity;
@@ -112,7 +114,11 @@ impl Snap for Mshr {
 
     fn load(r: &mut SnapReader<'_>) -> Result<Mshr, SnapshotError> {
         let entries: Vec<(Addr, Vec<u64>)> = Snap::load(r)?;
-        Ok(Mshr { capacity: entries.len(), entries, spare: Vec::new() })
+        Ok(Mshr {
+            capacity: entries.len(),
+            entries,
+            spare: Vec::new(),
+        })
     }
 }
 
@@ -145,7 +151,11 @@ mod tests {
         let err = decode().restore_capacity(1).unwrap_err();
         assert!(err.to_string().contains("capacity 1"), "{err}");
         let entries = vec![(0x80, vec![1]), (0x80, vec![2])];
-        let mut dup = Mshr { entries, capacity: 2, spare: Vec::new() };
+        let mut dup = Mshr {
+            entries,
+            capacity: 2,
+            spare: Vec::new(),
+        };
         let err = dup.restore_capacity(2).unwrap_err();
         assert!(err.to_string().contains("duplicate mshr line"), "{err}");
     }
@@ -209,7 +219,11 @@ mod tests {
         assert_eq!(fill(&mut m, 0x000), [1, 2]);
         assert_eq!(m.spare.len(), 1);
         let bytes = simt_snap::encode(&m);
-        assert_eq!(bytes, simt_snap::encode(&Mshr::new(2)), "spares are not state");
+        assert_eq!(
+            bytes,
+            simt_snap::encode(&Mshr::new(2)),
+            "spares are not state"
+        );
         m.record(0x080, 3);
         assert_eq!(m.entries[0].1.as_ptr(), list, "the emptied list is reused");
         assert!(m.spare.is_empty());

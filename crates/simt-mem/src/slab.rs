@@ -104,10 +104,10 @@ impl<T> TagSlab<T> {
 
     /// Live `(tag, entry)` pairs in slot order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, (g, occ))| {
-            occ.as_ref()
-                .map(|v| (((*g as u64) << 32) | i as u64, v))
-        })
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (g, occ))| occ.as_ref().map(|v| (((*g as u64) << 32) | i as u64, v)))
     }
 }
 
@@ -258,7 +258,10 @@ impl<V> ProbeMap<V> {
             self.insert(key, default());
         }
         let i = self.find_slot(key).expect("key just inserted");
-        self.slots[i].as_mut().map(|(_, v)| v).expect("slot is live")
+        self.slots[i]
+            .as_mut()
+            .map(|(_, v)| v)
+            .expect("slot is live")
     }
 
     /// Remove `key`, closing the probe chain by backward-shifting any

@@ -67,7 +67,6 @@ mod tests {
     use super::*;
     use simt_snap::Snap;
 
-
     #[test]
     fn snap_laws() {
         simt_snap::assert_snap_laws(&MemStats::default());

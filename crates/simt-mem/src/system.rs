@@ -3,7 +3,7 @@
 
 use crate::wheel::{body_slot, EventWheel};
 use crate::{
-    line_of, Addr, AccessOutcome, Cache, ChaosEngine, ChaosStats, GlobalMem, MemConfig, MemStats,
+    line_of, AccessOutcome, Addr, Cache, ChaosEngine, ChaosStats, GlobalMem, MemConfig, MemStats,
     Mshr, ProbeMap, LINE_BYTES,
 };
 use simt_isa::AtomOp;
@@ -863,9 +863,7 @@ impl MemorySystem {
                     && preq.req.sole
                     && ops.iter().all(|o| o.role == LockRole::Acquire)
                 {
-                    let would_succeed = ops
-                        .iter()
-                        .any(|o| self.gmem.read_u32(o.addr) == o.a);
+                    let would_succeed = ops.iter().any(|o| self.gmem.read_u32(o.addr) == o.a);
                     let intra = ops
                         .iter()
                         .any(|o| self.lock_owners.get(o.addr) == Some(&o.holder));
@@ -1075,8 +1073,19 @@ snap_enum!(ReqKind, "request kind" {
     1 => Store {},
     2 => Atomic { ops: Vec<LaneAtomic> },
 });
-snap_struct!(MemRequest { kind: ReqKind, line: Addr, tag: u64, sync: bool, sole: bool });
-snap_struct!(PartReq { sm: usize, req: MemRequest, l1_fill: bool, retries: u32 });
+snap_struct!(MemRequest {
+    kind: ReqKind,
+    line: Addr,
+    tag: u64,
+    sync: bool,
+    sole: bool
+});
+snap_struct!(PartReq {
+    sm: usize,
+    req: MemRequest,
+    l1_fill: bool,
+    retries: u32
+});
 snap_enum!(Event, "event body" {
     0 => Free {},
     1 => L1Fill { sm: usize, line: Addr },
@@ -1185,7 +1194,10 @@ impl MemorySystem {
         };
         let check_preq = |p: &PartReq| {
             if p.sm >= num_sms {
-                return Err(SnapshotError::malformed(format!("partition request sm {}", p.sm)));
+                return Err(SnapshotError::malformed(format!(
+                    "partition request sm {}",
+                    p.sm
+                )));
             }
             check_req(&p.req)
         };
@@ -1207,7 +1219,10 @@ impl MemorySystem {
         for (p, configured) in fresh.parts.iter().zip(&self.parts) {
             p.cache.check_geometry(&configured.cache)?;
             p.inq.iter().try_for_each(|(_, p)| check_preq(p))?;
-            p.dramq.iter().filter_map(|(_, p)| p.as_ref()).try_for_each(check_preq)?;
+            p.dramq
+                .iter()
+                .filter_map(|(_, p)| p.as_ref())
+                .try_for_each(check_preq)?;
         }
         fresh.parked.values().flatten().try_for_each(check_preq)?;
         for body in &fresh.event_bodies {
@@ -1280,13 +1295,28 @@ mod tests {
         use simt_snap::assert_snap_laws as laws;
         let mut op = LaneAtomic::new(3, 0x80, AtomOp::Cas, 0, 1);
         op.role = LockRole::Acquire;
-        let release = LaneAtomic { role: LockRole::Release, ..LaneAtomic::new(0, 0, AtomOp::Or, 0, 0) };
+        let release = LaneAtomic {
+            role: LockRole::Release,
+            ..LaneAtomic::new(0, 0, AtomOp::Or, 0, 0)
+        };
         let reqs = [
             MemRequest::new(ReqKind::Store, 0, 0),
             MemRequest::new(ReqKind::Load { bypass_l1: true }, 0x100, 1),
-            MemRequest::new(ReqKind::Atomic { ops: vec![op, release] }, 0x80, 9).sync(),
+            MemRequest::new(
+                ReqKind::Atomic {
+                    ops: vec![op, release],
+                },
+                0x80,
+                9,
+            )
+            .sync(),
         ];
-        let preq = |i: usize| PartReq { sm: 1, req: reqs[i].clone(), l1_fill: true, retries: 2 };
+        let preq = |i: usize| PartReq {
+            sm: 1,
+            req: reqs[i].clone(),
+            l1_fill: true,
+            retries: 2,
+        };
         reqs.iter().for_each(|req| drop(laws(req)));
         laws(&preq(0));
         laws(&Event::Free);
@@ -1587,7 +1617,10 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(sink[0].tag, 999, "sink contents are appended to, not cleared");
+        assert_eq!(
+            sink[0].tag, 999,
+            "sink contents are appended to, not cleared"
+        );
         let mut tags: Vec<u64> = sink[1..].iter().map(|c| c.tag).collect();
         tags.sort_unstable();
         assert_eq!(tags, [1, 2, 3, 4], "all requests completed");
@@ -1650,7 +1683,11 @@ mod tests {
         ];
         mem.enqueue(0, MemRequest::new(ReqKind::Atomic { ops }, 0, 9), 0);
         let (_, done) = run_until(&mut mem, 0, 100_000);
-        let seen: Vec<_> = done[0].atomic_results.iter().map(|op| (op.lane, op.old)).collect();
+        let seen: Vec<_> = done[0]
+            .atomic_results
+            .iter()
+            .map(|op| (op.lane, op.old))
+            .collect();
         assert_eq!(seen, [(0, 0), (1, 1)]);
         assert_eq!(mem.gmem().read_u32(0), 1);
         assert_eq!(mem.stats().atomic_transactions, 1);
@@ -1767,33 +1804,63 @@ mod tests {
         // Warp A acquires (success).
         mem.enqueue(
             0,
-            MemRequest::new(ReqKind::Atomic { ops: vec![acquire(1)] }, 0, 1),
+            MemRequest::new(
+                ReqKind::Atomic {
+                    ops: vec![acquire(1)],
+                },
+                0,
+                1,
+            ),
             0,
         );
         let t = run(&mut mem, 0);
         // Warp A retries (intra-warp fail), warp B tries (inter-warp fail).
         mem.enqueue(
             0,
-            MemRequest::new(ReqKind::Atomic { ops: vec![acquire(1)] }, 0, 2),
+            MemRequest::new(
+                ReqKind::Atomic {
+                    ops: vec![acquire(1)],
+                },
+                0,
+                2,
+            ),
             t,
         );
         let t = run(&mut mem, t);
         mem.enqueue(
             0,
-            MemRequest::new(ReqKind::Atomic { ops: vec![acquire(2)] }, 0, 3),
+            MemRequest::new(
+                ReqKind::Atomic {
+                    ops: vec![acquire(2)],
+                },
+                0,
+                3,
+            ),
             t,
         );
         let t = run(&mut mem, t);
         // A releases; B acquires (success).
         mem.enqueue(
             0,
-            MemRequest::new(ReqKind::Atomic { ops: vec![release(1)] }, 0, 4),
+            MemRequest::new(
+                ReqKind::Atomic {
+                    ops: vec![release(1)],
+                },
+                0,
+                4,
+            ),
             t,
         );
         let t = run(&mut mem, t);
         mem.enqueue(
             0,
-            MemRequest::new(ReqKind::Atomic { ops: vec![acquire(2)] }, 0, 5),
+            MemRequest::new(
+                ReqKind::Atomic {
+                    ops: vec![acquire(2)],
+                },
+                0,
+                5,
+            ),
             t,
         );
         run(&mut mem, t);
@@ -1830,7 +1897,11 @@ mod tests {
             now += 1;
         }
         assert_eq!(done, vec![10], "only the winner completes");
-        assert_eq!(mem.parked_requests(), 2, "the losers are parked, not spinning");
+        assert_eq!(
+            mem.parked_requests(),
+            2,
+            "the losers are parked, not spinning"
+        );
         // Release: warp 2 wakes and completes with the lock.
         mem.enqueue(0, release(1, 11), now);
         while done.len() < 3 && now < 100_000 {
@@ -1859,7 +1930,11 @@ mod tests {
         let mut op = LaneAtomic::new(0, 0, AtomOp::Cas, 0, 1);
         op.role = LockRole::Acquire;
         op.holder = 1;
-        mem.enqueue(0, MemRequest::new(ReqKind::Atomic { ops: vec![op] }, 0, 1), 0);
+        mem.enqueue(
+            0,
+            MemRequest::new(ReqKind::Atomic { ops: vec![op] }, 0, 1),
+            0,
+        );
         let mut now = 0;
         while cycle(&mut mem, now).is_empty() && now < 100_000 {
             now += 1;
@@ -1876,7 +1951,10 @@ mod tests {
             now += 1;
         }
         assert_eq!(got[0].tag, 2, "non-sole request completes with a failure");
-        assert_eq!(got[0].atomic_results[0].old, 1, "CAS observed the held lock");
+        assert_eq!(
+            got[0].atomic_results[0].old, 1,
+            "CAS observed the held lock"
+        );
         assert_eq!(mem.parked_requests(), 0);
         assert_eq!(mem.stats().lock_inter_fail, 1);
     }
@@ -1936,7 +2014,9 @@ mod tests {
             mem.gmem_mut().alloc(1024);
             for i in 0..60u64 {
                 let kind = if i % 2 == 0 {
-                    ReqKind::Load { bypass_l1: i % 4 == 0 }
+                    ReqKind::Load {
+                        bypass_l1: i % 4 == 0,
+                    }
                 } else {
                     ReqKind::Atomic {
                         ops: vec![LaneAtomic::new(0, 4, AtomOp::Add, 1, 0)],
@@ -2007,7 +2087,13 @@ mod tests {
                     let tag = 100 + now;
                     mem.enqueue(
                         (now % 2) as usize,
-                        MemRequest::new(ReqKind::Load { bypass_l1: now % 3 == 0 }, now * 8, tag),
+                        MemRequest::new(
+                            ReqKind::Load {
+                                bypass_l1: now % 3 == 0,
+                            },
+                            now * 8,
+                            tag,
+                        ),
                         now,
                     );
                 }
@@ -2017,8 +2103,7 @@ mod tests {
                     op.holder = now;
                     mem.enqueue(
                         0,
-                        MemRequest::new(ReqKind::Atomic { ops: vec![op] }, 512, 1_000 + now)
-                            .sync(),
+                        MemRequest::new(ReqKind::Atomic { ops: vec![op] }, 512, 1_000 + now).sync(),
                         now,
                     );
                 }

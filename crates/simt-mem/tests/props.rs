@@ -161,7 +161,13 @@ fn memory_system_conserves_requests() {
                 0 => ReqKind::Load { bypass_l1: false },
                 1 => ReqKind::Store,
                 _ => ReqKind::Atomic {
-                    ops: vec![simt_mem::LaneAtomic::new(0, addr, simt_isa::AtomOp::Add, 1, 0)],
+                    ops: vec![simt_mem::LaneAtomic::new(
+                        0,
+                        addr,
+                        simt_isa::AtomOp::Add,
+                        1,
+                        0,
+                    )],
                 },
             };
             let sm = rng.range(0, 2) as usize;

@@ -141,7 +141,11 @@ fn tag_slab_snapshot_round_trip() {
 
         // Tag assignment after restore matches the original trajectory.
         for i in 0..8 {
-            assert_eq!(slab.insert(i), restored.insert(i), "seed {seed}: tag divergence");
+            assert_eq!(
+                slab.insert(i),
+                restored.insert(i),
+                "seed {seed}: tag divergence"
+            );
         }
     }
 }

@@ -130,7 +130,11 @@ impl CtaState {
         let warps = (0..num_warps)
             .map(|w| {
                 let lanes = (threads - w * 32).min(32);
-                let mask = if lanes == 32 { u32::MAX } else { (1u32 << lanes) - 1 };
+                let mask = if lanes == 32 {
+                    u32::MAX
+                } else {
+                    (1u32 << lanes) - 1
+                };
                 RefWarp {
                     stack: RefStack::new(mask, 0),
                     at_barrier: false,
@@ -343,7 +347,11 @@ impl Machine<'_> {
         for c in &self.ctas {
             for (w, warp) in c.warps.iter().enumerate() {
                 if !warp.done {
-                    let pc = if warp.stack.is_empty() { 0 } else { warp.stack.pc() };
+                    let pc = if warp.stack.is_empty() {
+                        0
+                    } else {
+                        warp.stack.pc()
+                    };
                     v.push((c.id, w, pc));
                 }
             }
@@ -418,7 +426,11 @@ impl Machine<'_> {
         }
         let idx = (addr / 4) as usize;
         if idx >= self.gmem.image().len() {
-            return Err(self.invariant(c, pc, &format!("global access out of bounds at {addr:#x}")));
+            return Err(self.invariant(
+                c,
+                pc,
+                &format!("global access out of bounds at {addr:#x}"),
+            ));
         }
         Ok(idx)
     }
@@ -470,9 +482,21 @@ impl Machine<'_> {
                 let dst = inst.dst.expect("ALU dst");
                 for lane in bits(exec) {
                     let t = warp_base + lane;
-                    let a = inst.srcs.first().map(|s| self.value(s, c, w, t, lane)).unwrap_or(0);
-                    let b = inst.srcs.get(1).map(|s| self.value(s, c, w, t, lane)).unwrap_or(0);
-                    let cc = inst.srcs.get(2).map(|s| self.value(s, c, w, t, lane)).unwrap_or(0);
+                    let a = inst
+                        .srcs
+                        .first()
+                        .map(|s| self.value(s, c, w, t, lane))
+                        .unwrap_or(0);
+                    let b = inst
+                        .srcs
+                        .get(1)
+                        .map(|s| self.value(s, c, w, t, lane))
+                        .unwrap_or(0);
+                    let cc = inst
+                        .srcs
+                        .get(2)
+                        .map(|s| self.value(s, c, w, t, lane))
+                        .unwrap_or(0);
                     let v = eval_alu(inst.op, a, b, cc);
                     self.set_reg(c, t, dst, v);
                 }
@@ -517,7 +541,9 @@ impl Machine<'_> {
             Op::Bra => {
                 let target = inst.target.expect("resolved branch target");
                 let rpc = self.kernel.reconv[pc];
-                self.ctas[c].warps[w].stack.branch(exec, target, pc + 1, rpc);
+                self.ctas[c].warps[w]
+                    .stack
+                    .branch(exec, target, pc + 1, rpc);
             }
             Op::Exit => {
                 let warp = &mut self.ctas[c].warps[w];
@@ -570,7 +596,11 @@ impl Machine<'_> {
                         Space::Shared => {
                             let slot = (addr / 4) as usize;
                             let v = *self.ctas[c].shared.get(slot).ok_or_else(|| {
-                                self.invariant(c, pc, &format!("ld.shared out of bounds at {addr:#x}"))
+                                self.invariant(
+                                    c,
+                                    pc,
+                                    &format!("ld.shared out of bounds at {addr:#x}"),
+                                )
                             })?;
                             (v, Some(WordKey::Shared(c, slot)))
                         }
@@ -640,7 +670,11 @@ impl Machine<'_> {
                     let addr = self.addr_of(&inst, c, t);
                     self.check_global(c, pc, addr)?;
                     let a = self.value(&inst.srcs[0], c, w, t, lane);
-                    let b = inst.srcs.get(1).map(|s| self.value(s, c, w, t, lane)).unwrap_or(0);
+                    let b = inst
+                        .srcs
+                        .get(1)
+                        .map(|s| self.value(s, c, w, t, lane))
+                        .unwrap_or(0);
                     let old = self.gmem.read_u32(addr);
                     let new = aop.apply(old, a, b);
                     if new != old {

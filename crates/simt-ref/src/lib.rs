@@ -69,5 +69,7 @@ mod interp;
 mod stack;
 
 pub use hb::{HbChecker, RaceKind, RaceObs, WordKey};
-pub use interp::{run_ref, run_ref_traced, RefCta, RefError, RefLaunch, RefOutcome, TracedRun, Writer};
+pub use interp::{
+    run_ref, run_ref_traced, RefCta, RefError, RefLaunch, RefOutcome, TracedRun, Writer,
+};
 pub use stack::RefStack;

@@ -228,7 +228,10 @@ mod tests {
         let mut a: Admission<()> = Admission::new(cfg(2, 16));
         a.offer("t", 1, ()).unwrap();
         a.offer("t", 1, ()).unwrap();
-        assert!(matches!(a.offer("t", 1, ()), Err(Refusal::Overloaded { .. })));
+        assert!(matches!(
+            a.offer("t", 1, ()),
+            Err(Refusal::Overloaded { .. })
+        ));
         let (admitted, _, overload) = a.stats();
         assert_eq!((admitted, overload), (2, 1));
     }
@@ -245,7 +248,10 @@ mod tests {
         // (3 × 50ms) exceeds the 100ms bound.
         a.offer("t", 1, ()).unwrap();
         a.offer("t", 1, ()).unwrap();
-        assert!(matches!(a.offer("t", 1, ()), Err(Refusal::Overloaded { .. })));
+        assert!(matches!(
+            a.offer("t", 1, ()),
+            Err(Refusal::Overloaded { .. })
+        ));
     }
 
     #[test]
@@ -263,6 +269,10 @@ mod tests {
         for _ in 0..64 {
             a.release("t", 400);
         }
-        assert!(a.ewma_service_ms > 300, "ewma {} should approach 400", a.ewma_service_ms);
+        assert!(
+            a.ewma_service_ms > 300,
+            "ewma {} should approach 400",
+            a.ewma_service_ms
+        );
     }
 }

@@ -180,7 +180,11 @@ mod tests {
         let mut c = ResultCache::new(2);
         c.insert(1, "q1".into(), "{\"cycles\":12345}".into());
         assert!(c.corrupt_for_chaos(1));
-        assert_eq!(c.lookup(1, "q1"), Lookup::Corrupt, "checksum must catch the flip");
+        assert_eq!(
+            c.lookup(1, "q1"),
+            Lookup::Corrupt,
+            "checksum must catch the flip"
+        );
         assert_eq!(c.lookup(1, "q1"), Lookup::Miss, "corrupt entry was evicted");
         let (_, _, corruptions, _, _) = c.stats();
         assert_eq!(corruptions, 1);
@@ -195,14 +199,20 @@ mod tests {
         c.insert(7, "victim request".into(), "victim body".into());
         assert_eq!(c.lookup(7, "attacker request"), Lookup::Miss);
         // The victim's entry is untouched and still serves correctly.
-        assert_eq!(c.lookup(7, "victim request"), Lookup::Hit("victim body".into()));
+        assert_eq!(
+            c.lookup(7, "victim request"),
+            Lookup::Hit("victim body".into())
+        );
         let (_, _, _, collisions, _) = c.stats();
         assert_eq!(collisions, 1);
         // Inserting under the colliding key replaces the resident entry;
         // each canon only ever sees its own body.
         c.insert(7, "attacker request".into(), "attacker body".into());
         assert_eq!(c.lookup(7, "victim request"), Lookup::Miss);
-        assert_eq!(c.lookup(7, "attacker request"), Lookup::Hit("attacker body".into()));
+        assert_eq!(
+            c.lookup(7, "attacker request"),
+            Lookup::Hit("attacker body".into())
+        );
     }
 
     #[test]

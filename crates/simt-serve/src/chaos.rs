@@ -95,10 +95,7 @@ impl ServiceChaos {
             return false;
         }
         let x = splitmix64(
-            self.seed
-                ^ salt
-                ^ job.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                ^ ((attempt as u64) << 48),
+            self.seed ^ salt ^ job.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ((attempt as u64) << 48),
         );
         (x % 1_000_000) < ppm as u64
     }

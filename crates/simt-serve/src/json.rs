@@ -98,8 +98,7 @@ impl Json {
 
     /// Look up a key in an object (error when absent).
     pub fn get<'a>(&'a self, key: &str) -> Result<&'a Json, String> {
-        self.opt(key)?
-            .ok_or_else(|| format!("missing key `{key}`"))
+        self.opt(key)?.ok_or_else(|| format!("missing key `{key}`"))
     }
 
     /// Look up a key in an object (`None` when absent or null).
@@ -329,7 +328,12 @@ use simt_core::{HangReport, KernelReport, SimError, SimStats, WarpSnapshot};
 use simt_mem::MemStats;
 
 fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// [`SimStats`] as a JSON object (raw counters plus the derived ratios the
@@ -628,14 +632,22 @@ mod tests {
         let bombs = [
             "[".repeat(500_000),
             "{\"a\":".repeat(500_000),
-            format!("{}1{}", "[".repeat(MAX_PARSE_DEPTH + 1), "]".repeat(MAX_PARSE_DEPTH + 1)),
+            format!(
+                "{}1{}",
+                "[".repeat(MAX_PARSE_DEPTH + 1),
+                "]".repeat(MAX_PARSE_DEPTH + 1)
+            ),
         ];
         for bomb in &bombs {
             let err = Json::parse(bomb).unwrap_err();
             assert!(err.contains("nesting"), "got: {err}");
         }
         // Nesting at the bound still parses.
-        let ok = format!("{}1{}", "[".repeat(MAX_PARSE_DEPTH), "]".repeat(MAX_PARSE_DEPTH));
+        let ok = format!(
+            "{}1{}",
+            "[".repeat(MAX_PARSE_DEPTH),
+            "]".repeat(MAX_PARSE_DEPTH)
+        );
         assert!(Json::parse(&ok).is_ok());
     }
 
@@ -653,7 +665,10 @@ mod tests {
             reason: "too big".into(),
         };
         let j = sim_error_json(&e);
-        assert_eq!(j.get("kind").unwrap().as_str("kind").unwrap(), "launch_too_large");
+        assert_eq!(
+            j.get("kind").unwrap().as_str("kind").unwrap(),
+            "launch_too_large"
+        );
         assert!(j.opt("hang").unwrap().is_none());
     }
 }

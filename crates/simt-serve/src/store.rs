@@ -257,7 +257,10 @@ fn scan(bytes: &[u8]) -> (Vec<StoredEntry>, usize, u64) {
         }
         let crc = u64::from_le_bytes(head[8..16].try_into().unwrap());
         let start = off + RECORD_HEADER;
-        let Some(end) = start.checked_add(len as usize).filter(|&e| e <= bytes.len()) else {
+        let Some(end) = start
+            .checked_add(len as usize)
+            .filter(|&e| e <= bytes.len())
+        else {
             break; // truncated payload: torn tail
         };
         let payload = &bytes[start..end];
@@ -308,10 +311,7 @@ mod tests {
     use crate::chaos::StoreFault;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "bows-store-{tag}-{}",
-            std::process::id()
-        ));
+        let d = std::env::temp_dir().join(format!("bows-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
     }
@@ -327,7 +327,14 @@ mod tests {
         drop(s);
         let (s2, recovered) = DurableStore::open(&dir).unwrap();
         assert_eq!(recovered.len(), 2);
-        assert_eq!(recovered[0], StoredEntry { key: 1, canon: "req-a".into(), body: "body-a".into() });
+        assert_eq!(
+            recovered[0],
+            StoredEntry {
+                key: 1,
+                canon: "req-a".into(),
+                body: "body-a".into()
+            }
+        );
         assert_eq!(recovered[1].key, 2);
         assert_eq!(s2.recovery_stats().truncated_bytes, 0);
         assert_eq!(s2.persisted_entries(), 2);
@@ -359,7 +366,11 @@ mod tests {
     #[test]
     fn short_write_and_bit_flip_degrade_to_truncation() {
         for fault in [StoreFault::Short, StoreFault::BitFlip] {
-            let dir = tmp_dir(if fault == StoreFault::Short { "short" } else { "flip" });
+            let dir = tmp_dir(if fault == StoreFault::Short {
+                "short"
+            } else {
+                "flip"
+            });
             let (mut s, _) = DurableStore::open(&dir).unwrap();
             s.append(1, "a", "keep-me").unwrap();
             s.append_faulty(2, "b", "lose-me", fault).unwrap();

@@ -82,7 +82,10 @@ fn full_http_round_trip() {
     )
     .unwrap();
     assert_eq!(refused.status, 503);
-    assert!(refused.retry_after.is_some(), "sheds must carry Retry-After");
+    assert!(
+        refused.retry_after.is_some(),
+        "sheds must carry Retry-After"
+    );
     assert!(refused.body.contains("draining"));
     let still_cached = client::post(&addr, "/simulate", GOOD_BODY).unwrap();
     assert_eq!(still_cached.status, 200);
@@ -159,7 +162,11 @@ fn racy_kernels_are_rejected_with_a_structured_422() {
             "{}",
             f.name
         );
-        let diags = err.get("diagnostics").unwrap().as_array("diagnostics").unwrap();
+        let diags = err
+            .get("diagnostics")
+            .unwrap()
+            .as_array("diagnostics")
+            .unwrap();
         let mut names: Vec<&str> = diags
             .iter()
             .map(|d| d.get("lint").unwrap().as_str("lint").unwrap())
@@ -195,7 +202,10 @@ fn racy_kernels_are_rejected_with_a_structured_422() {
     let stats = client::get(&addr, "/stats").unwrap();
     let s = Json::parse(&stats.body).unwrap();
     assert_eq!(
-        s.get("lint_rejections").unwrap().as_u64("lint_rejections").unwrap(),
+        s.get("lint_rejections")
+            .unwrap()
+            .as_u64("lint_rejections")
+            .unwrap(),
         rejected
     );
     assert_eq!(s.get("admitted").unwrap().as_u64("admitted").unwrap(), 0);

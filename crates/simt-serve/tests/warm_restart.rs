@@ -90,7 +90,11 @@ fn missing_state_dir_parent_degrades_to_in_memory() {
     let svc = Service::start(cfg(&blocker.join("sub")));
     let req = SimRequest::from_json(VEC_KERNEL_REQ).unwrap();
     let resp = svc.submit(req);
-    assert_eq!(resp.status, 200, "service must still simulate: {}", resp.body);
+    assert_eq!(
+        resp.status, 200,
+        "service must still simulate: {}",
+        resp.body
+    );
     let stats = svc.stats_json().render();
     assert!(stats.contains("\"persisted_entries\":0"), "stats: {stats}");
     assert!(svc.drain(Duration::from_secs(10)));

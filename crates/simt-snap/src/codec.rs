@@ -441,7 +441,10 @@ mod tests {
     fn outer() -> Outer {
         Outer {
             flag: true,
-            inner: Some(Inner { id: 7, tags: vec![1, 2, 3] }),
+            inner: Some(Inner {
+                id: 7,
+                tags: vec![1, 2, 3],
+            }),
             queue: VecDeque::from([(1, 10), (2, 20)]),
             masks: [1, 0, u64::MAX, 4],
             ratio: -0.5,
@@ -468,12 +471,18 @@ mod tests {
         roundtrip([1u16, 2, 3]);
         roundtrip(vec![Some(vec![(1u8, 2u32)]), None]);
         roundtrip(Newtype(3));
-        roundtrip(Inner { id: 0, tags: Vec::new() });
+        roundtrip(Inner {
+            id: 0,
+            tags: Vec::new(),
+        });
         roundtrip(outer());
         roundtrip(Shape::Empty);
         roundtrip(Shape::Dot { at: 4 });
         roundtrip(Shape::Path {
-            points: vec![Inner { id: 1, tags: vec![9] }],
+            points: vec![Inner {
+                id: 1,
+                tags: vec![9],
+            }],
             closed: true,
         });
         roundtrip(Tally { hits: 3, misses: 4 });
@@ -487,7 +496,14 @@ mod tests {
         assert_eq!(encode(&vec![7u8, 8]), [2, 0, 0, 0, 0, 0, 0, 0, 7, 8]);
         assert_eq!(encode(&(1u8, [2u8, 3])), [1, 2, 3]);
         assert_eq!(encode(&Shape::Dot { at: 5 }), [1, 5, 0, 0, 0]);
-        assert_eq!(encode(&Inner { id: 1, tags: vec![] }).len(), 16);
+        assert_eq!(
+            encode(&Inner {
+                id: 1,
+                tags: vec![]
+            })
+            .len(),
+            16
+        );
     }
 
     #[test]
@@ -546,19 +562,41 @@ mod tests {
 
     #[test]
     fn state_form_restores_in_place_and_checks_against_config() {
-        let src = Bounded { cap: 4, items: vec![1, 2, 3], cursor: 99 };
+        let src = Bounded {
+            cap: 4,
+            items: vec![1, 2, 3],
+            cursor: 99,
+        };
         let mut w = SnapWriter::new();
         src.save_fields(&mut w);
         let body = w.into_bytes();
-        let mut dst = Bounded { cap: 4, items: Vec::new(), cursor: 0 };
+        let mut dst = Bounded {
+            cap: 4,
+            items: Vec::new(),
+            cursor: 0,
+        };
         dst.load_fields(&mut SnapReader::new(&body)).unwrap();
-        assert_eq!((dst.cap, &dst.items[..], dst.cursor), (4, &[1, 2, 3][..], 99));
-        let mut small = Bounded { cap: 2, items: Vec::new(), cursor: 0 };
+        assert_eq!(
+            (dst.cap, &dst.items[..], dst.cursor),
+            (4, &[1, 2, 3][..], 99)
+        );
+        let mut small = Bounded {
+            cap: 2,
+            items: Vec::new(),
+            cursor: 0,
+        };
         let err = small.load_fields(&mut SnapReader::new(&body)).unwrap_err();
         assert!(err.to_string().contains("over capacity"), "{err}");
         for cut in 0..body.len() {
-            let mut d = Bounded { cap: 4, items: Vec::new(), cursor: 0 };
-            assert!(d.load_fields(&mut SnapReader::new(&body[..cut])).is_err(), "prefix {cut}");
+            let mut d = Bounded {
+                cap: 4,
+                items: Vec::new(),
+                cursor: 0,
+            };
+            assert!(
+                d.load_fields(&mut SnapReader::new(&body[..cut])).is_err(),
+                "prefix {cut}"
+            );
         }
     }
 
@@ -567,8 +605,15 @@ mod tests {
         let mut a = Tally { hits: 5, misses: 1 };
         a.add(&Tally { hits: 2, misses: 2 });
         assert_eq!(a, Tally { hits: 7, misses: 3 });
-        assert_eq!(a.delta(&Tally { hits: 5, misses: 3 }), Some(Tally { hits: 2, misses: 0 }));
-        assert_eq!(a.delta(&Tally { hits: 8, misses: 0 }), None, "a counter ran backwards");
+        assert_eq!(
+            a.delta(&Tally { hits: 5, misses: 3 }),
+            Some(Tally { hits: 2, misses: 0 })
+        );
+        assert_eq!(
+            a.delta(&Tally { hits: 8, misses: 0 }),
+            None,
+            "a counter ran backwards"
+        );
         let mut w = SnapWriter::new();
         a.save_snap(&mut w);
         let body = w.into_bytes();

@@ -108,7 +108,10 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::BadMagic => write!(f, "not a snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion { found } => {
-                write!(f, "unsupported snapshot version {found} (this build reads {VERSION})")
+                write!(
+                    f,
+                    "unsupported snapshot version {found} (this build reads {VERSION})"
+                )
             }
             SnapshotError::ChecksumMismatch { expected, actual } => write!(
                 f,
@@ -129,7 +132,10 @@ impl SnapshotError {
     }
 
     fn io(what: impl Into<String>, e: &io::Error) -> SnapshotError {
-        SnapshotError::Io { what: what.into(), kind: e.kind() }
+        SnapshotError::Io {
+            what: what.into(),
+            kind: e.kind(),
+        }
     }
 }
 
@@ -252,7 +258,10 @@ impl<'a> SnapReader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
-            return Err(SnapshotError::Truncated { needed: n, have: self.remaining() });
+            return Err(SnapshotError::Truncated {
+                needed: n,
+                have: self.remaining(),
+            });
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -288,7 +297,9 @@ impl<'a> SnapReader<'a> {
     /// Read a little-endian u64.
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
         let s = self.take(8)?;
-        Ok(u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
+        Ok(u64::from_le_bytes([
+            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
+        ]))
     }
 
     /// Read a u64-encoded usize, rejecting values that do not fit.
@@ -326,8 +337,7 @@ impl<'a> SnapReader<'a> {
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, SnapshotError> {
         let b = self.bytes()?;
-        String::from_utf8(b.to_vec())
-            .map_err(|_| SnapshotError::malformed("string is not UTF-8"))
+        String::from_utf8(b.to_vec()).map_err(|_| SnapshotError::malformed("string is not UTF-8"))
     }
 
     /// Read a blob written by [`SnapWriter::nested`]: `f` decodes from a
@@ -359,7 +369,10 @@ pub fn encode_envelope(body: &[u8]) -> Vec<u8> {
 /// version, length mismatch, or checksum mismatch.
 pub fn decode_envelope(data: &[u8]) -> Result<&[u8], SnapshotError> {
     if data.len() < ENVELOPE_BYTES {
-        return Err(SnapshotError::Truncated { needed: ENVELOPE_BYTES, have: data.len() });
+        return Err(SnapshotError::Truncated {
+            needed: ENVELOPE_BYTES,
+            have: data.len(),
+        });
     }
     if data[0..4] != MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -410,7 +423,11 @@ pub fn atomic_write(path: &Path, data: &[u8]) -> Result<(), SnapshotError> {
     let mut tmp: PathBuf = dir.map(Path::to_path_buf).unwrap_or_default();
     // Uniquify with the pid so concurrent writers in the same directory
     // never stomp each other's temp file.
-    tmp.push(format!(".{}.tmp.{}", file_name.to_string_lossy(), std::process::id()));
+    tmp.push(format!(
+        ".{}.tmp.{}",
+        file_name.to_string_lossy(),
+        std::process::id()
+    ));
     let result = (|| {
         let mut f = fs::File::create(&tmp)
             .map_err(|e| SnapshotError::io(format!("create {}", tmp.display()), &e))?;
@@ -420,7 +437,10 @@ pub fn atomic_write(path: &Path, data: &[u8]) -> Result<(), SnapshotError> {
             .map_err(|e| SnapshotError::io(format!("fsync {}", tmp.display()), &e))?;
         drop(f);
         fs::rename(&tmp, path).map_err(|e| {
-            SnapshotError::io(format!("rename {} -> {}", tmp.display(), path.display()), &e)
+            SnapshotError::io(
+                format!("rename {} -> {}", tmp.display(), path.display()),
+                &e,
+            )
         })?;
         if let Some(d) = dir {
             // Make the rename durable. Failure here is reported: the data
@@ -490,7 +510,10 @@ mod tests {
         for n in 0..enc.len() {
             let err = decode_envelope(&enc[..n]).unwrap_err();
             assert!(
-                matches!(err, SnapshotError::Truncated { .. } | SnapshotError::Malformed { .. }),
+                matches!(
+                    err,
+                    SnapshotError::Truncated { .. } | SnapshotError::Malformed { .. }
+                ),
                 "truncation to {n} gave {err}"
             );
         }
@@ -528,7 +551,10 @@ mod tests {
     fn bad_magic_and_version() {
         let mut enc = encode_envelope(b"x");
         enc[0] = b'X';
-        assert!(matches!(decode_envelope(&enc), Err(SnapshotError::BadMagic)));
+        assert!(matches!(
+            decode_envelope(&enc),
+            Err(SnapshotError::BadMagic)
+        ));
         let mut enc2 = encode_envelope(b"x");
         enc2[4] = 99;
         assert!(matches!(

@@ -25,8 +25,8 @@ mod util;
 pub use util::Lcg;
 
 use simt_core::{
-    BasePolicy, DetectorFactory, Gpu, GpuConfig, KernelReport, LaunchSpec, PolicyFactory,
-    SimError, SimStats,
+    BasePolicy, DetectorFactory, Gpu, GpuConfig, KernelReport, LaunchSpec, PolicyFactory, SimError,
+    SimStats,
 };
 use simt_isa::Kernel;
 use simt_mem::{GlobalMem, MemStats};
@@ -260,7 +260,12 @@ pub fn run_workload_captured(
     let mut cycles = 0;
     let mut dynamic_j = 0.0;
     for stage in &prepared.stages {
-        let report = gpu.run(&stage.kernel, &stage.launch, policy_factory, detector_factory)?;
+        let report = gpu.run(
+            &stage.kernel,
+            &stage.launch,
+            policy_factory,
+            detector_factory,
+        )?;
         cycles += report.cycles;
         sim.add(&report.sim);
         mem.add(&report.mem);
@@ -392,11 +397,7 @@ mod tests {
             let mut gpu = Gpu::new(cfg.clone());
             let p = w.prepare(&mut gpu);
             for s in &p.stages {
-                assert!(
-                    s.kernel.true_sibs.is_empty(),
-                    "{} is sync-free",
-                    w.name()
-                );
+                assert!(s.kernel.true_sibs.is_empty(), "{} is sync-free", w.name());
                 assert!(
                     !s.kernel.backward_branches().is_empty(),
                     "{} should contain loops (the DDOS candidate set)",

@@ -38,7 +38,11 @@ impl DistanceSolver {
     }
 
     /// Fully parameterized constructor.
-    pub fn with_params(constraints: usize, rounds: usize, threads_per_cta: usize) -> DistanceSolver {
+    pub fn with_params(
+        constraints: usize,
+        rounds: usize,
+        threads_per_cta: usize,
+    ) -> DistanceSolver {
         DistanceSolver {
             constraints,
             rounds,

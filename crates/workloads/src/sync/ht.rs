@@ -341,10 +341,7 @@ mod tests {
 
     #[test]
     fn ideal_mode_runs_fewer_instructions() {
-        let mk = |mode| {
-            Hashtable::with_params(128, 2, 4, 64)
-                .with_mode(mode)
-        };
+        let mk = |mode| Hashtable::with_params(128, 2, 4, 64).with_mode(mode);
         let cfg = GpuConfig::test_tiny();
         let normal = run_baseline(&cfg, &mk(HtMode::Normal), BasePolicy::Gto).unwrap();
         let ideal = run_baseline(&cfg, &mk(HtMode::IdealNoLock), BasePolicy::Gto).unwrap();

@@ -69,7 +69,10 @@ impl NeedlemanWunsch {
     /// The per-cell cost, computable on both host and device:
     /// `(i * 7 + j * 13) & 0xf`.
     fn cost(&self, i: usize, j: usize) -> u32 {
-        ((i as u32).wrapping_mul(7).wrapping_add((j as u32).wrapping_mul(13))) & 0xf
+        ((i as u32)
+            .wrapping_mul(7)
+            .wrapping_add((j as u32).wrapping_mul(13)))
+            & 0xf
     }
 
     fn kernel(&self) -> Kernel {
@@ -237,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn gto_age_priority_helps_nw(){
+    fn gto_age_priority_helps_nw() {
         // Older warps (lower rows) gate younger ones; both policies must
         // still complete and agree.
         let cfg = GpuConfig::test_tiny();

@@ -195,10 +195,7 @@ mod tests {
     fn kernel_uses_barrier_throttling() {
         let k = TreeBuild::new(Scale::Tiny).kernel();
         assert_eq!(k.true_sibs.len(), 1);
-        assert!(k
-            .insts
-            .iter()
-            .any(|i| i.op == simt_isa::Op::Bar));
+        assert!(k.insts.iter().any(|i| i.op == simt_isa::Op::Bar));
     }
 
     #[test]

@@ -84,7 +84,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         base_cycles as f64 / bows_cycles as f64,
         base_inst as f64 / bows_inst as f64
     );
-    assert_eq!(base_count, threads as u32, "mutual exclusion held (baseline)");
+    assert_eq!(
+        base_count, threads as u32,
+        "mutual exclusion held (baseline)"
+    );
     assert_eq!(bows_count, threads as u32, "mutual exclusion held (BOWS)");
     println!("  counter = {bows_count} (exact under both schedulers)");
     Ok(())

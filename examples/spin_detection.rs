@@ -86,9 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     Some(DelayMode::Fixed(1000)),
                     cfg.gto_rotate_period,
                 ),
-                &move |_k| {
-                    Box::new(Ddos::new(ddos_cfg, warps)) as Box<dyn SpinDetector>
-                },
+                &move |_k| Box::new(Ddos::new(ddos_cfg, warps)) as Box<dyn SpinDetector>,
             )?;
             let verdict: Vec<String> = report
                 .confirmed_sibs

@@ -75,7 +75,12 @@ fn bows_improves_all_baselines_on_hashtable() {
     for base_policy in [BasePolicy::Lrr, BasePolicy::Gto, BasePolicy::Cawa] {
         let base = run_baseline(&cfg, &ht, base_policy).unwrap();
         base.verified.as_ref().unwrap();
-        let bows = run_bows(&cfg, &ht, base_policy, DelayMode::Adaptive(AdaptiveConfig::default()));
+        let bows = run_bows(
+            &cfg,
+            &ht,
+            base_policy,
+            DelayMode::Adaptive(AdaptiveConfig::default()),
+        );
         bows.verified.as_ref().unwrap();
         assert!(
             bows.sim.thread_inst < base.sim.thread_inst,
@@ -99,8 +104,12 @@ fn ddos_exactly_matches_ground_truth_on_both_suites() {
             .as_ref()
             .unwrap_or_else(|e| panic!("{}: {e}", res.name));
         for stage in &res.stages {
-            let detected: Vec<usize> =
-                stage.report.confirmed_sibs.iter().map(|&(pc, _)| pc).collect();
+            let detected: Vec<usize> = stage
+                .report
+                .confirmed_sibs
+                .iter()
+                .map(|&(pc, _)| pc)
+                .collect();
             // TB's barrier throttling keeps contention so low at Tiny
             // scale that its loop rarely enters a stable spinning phase;
             // the paper's TB only spins under sustained contention. Its
@@ -194,7 +203,9 @@ fn blocking_locks_preserve_correctness() {
     // Few locks: the whole lock array fits one line, so parking engages.
     let ht = Hashtable::with_params(256, 2, 8, 128);
     let res = run_baseline(&cfg, &ht, BasePolicy::Gto).unwrap();
-    res.verified.as_ref().expect("hashtable exact under queue locks");
+    res.verified
+        .as_ref()
+        .expect("hashtable exact under queue locks");
     let base_cfg = GpuConfig::test_tiny();
     let base = run_baseline(&base_cfg, &ht, BasePolicy::Gto).unwrap();
     assert!(

@@ -54,9 +54,11 @@ fn contended_hashtable_verifies_under_nack_chaos() {
     for seed in SEEDS {
         let cfg = tiny_with_chaos(seed, 2);
         let ht = Hashtable::with_params(256, 2, 4, 128);
-        let res = run_baseline(&cfg, &ht, BasePolicy::Gto)
+        let res =
+            run_baseline(&cfg, &ht, BasePolicy::Gto).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        res.verified
+            .as_ref()
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        res.verified.as_ref().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
@@ -151,7 +153,9 @@ fn simt_deadlock_yields_classified_hang_report() {
         threads_per_cta: 32,
         params: vec![flag as u32],
     };
-    let err = gpu.run_baseline(&kernel, &launch, BasePolicy::Gto).unwrap_err();
+    let err = gpu
+        .run_baseline(&kernel, &launch, BasePolicy::Gto)
+        .unwrap_err();
     let SimError::Deadlock { cycle, report } = err else {
         panic!("expected a classified deadlock, got {err:?}");
     };
@@ -205,7 +209,9 @@ fn never_released_lock_deadlocks_within_watchdog_window() {
             threads_per_cta: tpc,
             params: vec![lock as u32],
         };
-        let err = gpu.run_baseline(&kernel, &launch, BasePolicy::Gto).unwrap_err();
+        let err = gpu
+            .run_baseline(&kernel, &launch, BasePolicy::Gto)
+            .unwrap_err();
         let SimError::Deadlock { cycle, report } = err else {
             panic!("{ctas}x{tpc}: expected a classified deadlock, got {err:?}");
         };
@@ -340,7 +346,10 @@ fn mistuned_backoff_is_classified_as_backoff_starvation() {
         .find(|w| w.sm == sm && w.warp == warp)
         .expect("the starved warp is in the snapshot");
     assert!(snap.backed_off);
-    assert!(snap.backoff_queue_position.is_some(), "queue position recorded");
+    assert!(
+        snap.backoff_queue_position.is_some(),
+        "queue position recorded"
+    );
     assert!(snap.idle_cycles >= 2_000);
 }
 
@@ -400,7 +409,11 @@ fn chaos_changes_timing_never_architectural_results() {
             .expect("HT declares postconditions");
         for p in posts {
             (p.check)(&run.gmem).unwrap_or_else(|e| {
-                panic!("{} postcondition `{}` @ chaos({seed},{level}): {e}", ht.name(), p.name)
+                panic!(
+                    "{} postcondition `{}` @ chaos({seed},{level}): {e}",
+                    ht.name(),
+                    p.name
+                )
             });
         }
     }
@@ -419,7 +432,12 @@ const WILD: u64 = 0x00f0_0000;
 /// address is parameter 0 (`param1` is parameter 1) until it faults, under
 /// both engines; the error and the buffer afterwards, which the engines
 /// must agree on.
-fn fault_of(src: &str, num_sms: usize, launch: (usize, usize), param1: u32) -> (SimError, Vec<u32>) {
+fn fault_of(
+    src: &str,
+    num_sms: usize,
+    launch: (usize, usize),
+    param1: u32,
+) -> (SimError, Vec<u32>) {
     let kernel = assemble(src).unwrap();
     let under = |engine: Engine| {
         let mut cfg = GpuConfig::test_tiny();
@@ -439,7 +457,11 @@ fn fault_of(src: &str, num_sms: usize, launch: (usize, usize), param1: u32) -> (
         (err, gpu.mem().gmem().read_vec(buf, 64))
     };
     let cycle = under(Engine::Cycle);
-    assert_eq!(under(Engine::Skip), cycle, "the engines disagree on a fault");
+    assert_eq!(
+        under(Engine::Skip),
+        cycle,
+        "the engines disagree on a fault"
+    );
     cycle
 }
 
@@ -491,7 +513,11 @@ fn of_two_sms_faulting_in_one_cycle_the_lower_id_is_reported() {
     assert_eq!(buf[5..], [0; 59], "no later lane, and nothing of SM 1");
 
     let (err, buf) = fault_of(src, 2, (2, 32), 1);
-    assert_eq!(device_fault(&err), (1, 16, addr), "SM 1 stored in that same cycle");
+    assert_eq!(
+        device_fault(&err),
+        (1, 16, addr),
+        "SM 1 stored in that same cycle"
+    );
     assert_eq!(buf[..32], [7; 32]);
     assert_eq!(buf[32..37], [8; 5]);
     assert_eq!(buf[37..], [0; 27]);
@@ -532,7 +558,11 @@ fn of_two_units_faulting_in_one_cycle_unit_0_is_reported() {
     let (err, buf) = fault_of(src, 1, (1, 64), 1);
     let (sm, pc, _) = device_fault(&err);
     assert_eq!((sm, pc), (0, 14));
-    assert_eq!(buf[..5], [0, 1, 2, 3, 4], "unit 0's lanes before the faulting one");
+    assert_eq!(
+        buf[..5],
+        [0, 1, 2, 3, 4],
+        "unit 0's lanes before the faulting one"
+    );
     assert_eq!(buf[5..], [0; 59]);
 
     let (err, buf) = fault_of(src, 1, (1, 64), 0);

@@ -133,8 +133,15 @@ fn check_workload(cfg: &GpuConfig, w: &dyn Workload, bows: bool) {
     let mut snaps = Vec::new();
     let (chk_out, chk_image, _, _) =
         run_stages(cfg, w, bows, Some(snap_stage), every, &mut snaps, None);
-    assert_stages_eq(&format!("checkpointing perturbed: {tag}"), &ref_out, &chk_out);
-    assert_eq!(ref_image, chk_image, "checkpointing perturbed memory: {tag}");
+    assert_stages_eq(
+        &format!("checkpointing perturbed: {tag}"),
+        &ref_out,
+        &chk_out,
+    );
+    assert_eq!(
+        ref_image, chk_image,
+        "checkpointing perturbed memory: {tag}"
+    );
     assert!(!snaps.is_empty(), "no snapshots harvested: {tag}");
 
     // Run 3: resume the longest stage from its middle snapshot.

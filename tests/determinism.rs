@@ -123,7 +123,11 @@ fn figure_group_cycles(engine: Engine, profile: bool) -> [u64; 5] {
     .iter()
     .sum();
 
-    let pascal = suite_cycles(&with(GpuConfig::gtx1080ti()), &sync_suite(Scale::Tiny), &[gto]);
+    let pascal = suite_cycles(
+        &with(GpuConfig::gtx1080ti()),
+        &sync_suite(Scale::Tiny),
+        &[gto],
+    );
 
     [fig2, fig9, fig14, fig16, pascal]
 }
@@ -135,7 +139,11 @@ fn figure_group_cycles(engine: Engine, profile: bool) -> [u64; 5] {
 #[test]
 fn figure_group_cycle_totals_are_pinned() {
     const PINNED: [u64; 5] = [703_492, 504_467, 50_710, 71_131, 194_969];
-    for (engine, profile) in [(Engine::Cycle, false), (Engine::Skip, false), (Engine::Skip, true)] {
+    for (engine, profile) in [
+        (Engine::Cycle, false),
+        (Engine::Skip, false),
+        (Engine::Skip, true),
+    ] {
         assert_eq!(
             figure_group_cycles(engine, profile),
             PINNED,

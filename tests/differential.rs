@@ -28,7 +28,10 @@ fn run(name: &str) -> FixtureOutcome {
 fn clock_skew_diverges_in_memory_with_attribution() {
     let out = run("clock_skew");
     let r = &out.reports[0];
-    let Divergence::Memory { ref_val, writer, .. } = &r.divergence else {
+    let Divergence::Memory {
+        ref_val, writer, ..
+    } = &r.divergence
+    else {
         panic!("want memory divergence, got {r}");
     };
     // The reference's delta is exactly the 6 instructions retired from the
@@ -45,7 +48,13 @@ fn clock_skew_diverges_in_memory_with_attribution() {
 fn smid_zero_in_reference_diverges_per_sm() {
     let out = run("smid");
     let r = &out.reports[0];
-    let Divergence::Memory { addr, ref_val, sim_val, .. } = r.divergence else {
+    let Divergence::Memory {
+        addr,
+        ref_val,
+        sim_val,
+        ..
+    } = r.divergence
+    else {
         panic!("want memory divergence, got {r}");
     };
     // out[0] agrees (CTA 0 runs on SM 0 in both engines); out[1] is the
@@ -60,7 +69,14 @@ fn smid_zero_in_reference_diverges_per_sm() {
 fn clock_in_register_invisible_to_memory_compare() {
     let out = run("clock_reg");
     let r = &out.reports[0];
-    let Divergence::Register { stage, cta, thread, reg, ref_val, sim_val } = r.divergence
+    let Divergence::Register {
+        stage,
+        cta,
+        thread,
+        reg,
+        ref_val,
+        sim_val,
+    } = r.divergence
     else {
         panic!("want register divergence, got {r}");
     };
@@ -104,9 +120,18 @@ fn corpus_subset_agrees_across_schedulers() {
     // matrix.
     let base = cfg();
     let cells = [
-        DifferCell { sched: SchedConfig::baseline(BasePolicy::Gto), chaos: None },
-        DifferCell { sched: SchedConfig::bows_adaptive(BasePolicy::Lrr), chaos: Some((42, 2)) },
-        DifferCell { sched: SchedConfig::baseline(BasePolicy::Cawa), chaos: Some((1, 1)) },
+        DifferCell {
+            sched: SchedConfig::baseline(BasePolicy::Gto),
+            chaos: None,
+        },
+        DifferCell {
+            sched: SchedConfig::bows_adaptive(BasePolicy::Lrr),
+            chaos: Some((42, 2)),
+        },
+        DifferCell {
+            sched: SchedConfig::baseline(BasePolicy::Cawa),
+            chaos: Some((1, 1)),
+        },
     ];
     let mut suite = vec![
         workloads::sync_suite(Scale::Tiny).remove(1),

@@ -10,7 +10,7 @@
 //! harness parallelizes it across threads.
 
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
-use simt_core::{BasePolicy, Engine, GpuConfig, Gpu, HangClass, HangReport, LaunchSpec, SimError};
+use simt_core::{BasePolicy, Engine, Gpu, GpuConfig, HangClass, HangReport, LaunchSpec, SimError};
 use simt_isa::asm::assemble;
 use simt_mem::ChaosConfig;
 use workloads::{rodinia_suite, run_workload_captured, sync_suite, CapturedRun, Scale, Workload};
@@ -40,7 +40,9 @@ impl Cell {
 /// Run one workload under one cell, mirroring `experiments::run`'s
 /// factory wiring (BOWS gets a live DDOS, baselines the static oracle).
 fn captured(cfg: &GpuConfig, w: &dyn Workload, cell: Cell) -> CapturedRun {
-    let bows_mode = cell.bows.then(|| DelayMode::Adaptive(AdaptiveConfig::default()));
+    let bows_mode = cell
+        .bows
+        .then(|| DelayMode::Adaptive(AdaptiveConfig::default()));
     let policy = bows::policy_factory(cell.base, bows_mode, cfg.gto_rotate_period);
     let res = if cell.bows {
         run_workload_captured(
@@ -68,9 +70,18 @@ fn check_cell(base_cfg: &GpuConfig, w: &dyn Workload, cell: Cell) {
     cfg.engine = Engine::Skip;
     let run = captured(&cfg, w, cell);
     let at = format!("{} under {}", w.name(), cell.label());
-    assert_eq!(run.result.cycles, reference.result.cycles, "cycles diverge: {at}");
-    assert_eq!(run.result.sim, reference.result.sim, "SimStats diverge: {at}");
-    assert_eq!(run.result.mem, reference.result.mem, "MemStats diverge: {at}");
+    assert_eq!(
+        run.result.cycles, reference.result.cycles,
+        "cycles diverge: {at}"
+    );
+    assert_eq!(
+        run.result.sim, reference.result.sim,
+        "SimStats diverge: {at}"
+    );
+    assert_eq!(
+        run.result.mem, reference.result.mem,
+        "MemStats diverge: {at}"
+    );
     if let Some(addr) = reference.gmem.first_diff(&run.gmem) {
         panic!(
             "final memory diverges at {addr:#x}: {at} \
@@ -79,7 +90,11 @@ fn check_cell(base_cfg: &GpuConfig, w: &dyn Workload, cell: Cell) {
             run.gmem.read_u32(addr)
         );
     }
-    assert_eq!(reference.gmem.image(), run.gmem.image(), "memory image: {at}");
+    assert_eq!(
+        reference.gmem.image(),
+        run.gmem.image(),
+        "memory image: {at}"
+    );
 }
 
 /// Sweep every workload of `suite` through {BOWS off, adaptive} ×

@@ -71,7 +71,11 @@ fn out_of_range_branch_fails_assembly_with_line() {
 
 #[test]
 fn clean_kernels_lint_clean() {
-    for k in ["kernels/spinlock.s", "kernels/saxpy.s", "kernels/histogram.s"] {
+    for k in [
+        "kernels/spinlock.s",
+        "kernels/saxpy.s",
+        "kernels/histogram.s",
+    ] {
         let out = lint(k);
         assert_eq!(
             out.status.code(),

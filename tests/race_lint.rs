@@ -87,13 +87,21 @@ fn divergent_barrier_race_is_classified() {
 
 #[test]
 fn cross_phase_race_is_classified() {
-    assert_exact("tests/fixtures/race/cross_phase_race.s", 2, &["cross-phase-race"]);
+    assert_exact(
+        "tests/fixtures/race/cross_phase_race.s",
+        2,
+        &["cross-phase-race"],
+    );
 }
 
 /// The shipped kernels are part of the zero-false-positive budget.
 #[test]
 fn shipped_kernels_lint_clean_under_race_analysis() {
-    for k in ["kernels/spinlock.s", "kernels/saxpy.s", "kernels/histogram.s"] {
+    for k in [
+        "kernels/spinlock.s",
+        "kernels/saxpy.s",
+        "kernels/histogram.s",
+    ] {
         assert_exact(k, 0, &[]);
     }
 }
@@ -107,7 +115,12 @@ fn json_payload_is_deterministic_and_witnessed() {
     let b = lint_json("tests/fixtures/race/missing_release.s");
     assert_eq!(a.stdout, b.stdout, "lint output must be byte-stable");
     let stdout = String::from_utf8_lossy(&a.stdout);
-    for key in ["\"witness\"", "\"held-at-exit\"", "\"spin-hold\"", "\"acquire_pc\""] {
+    for key in [
+        "\"witness\"",
+        "\"held-at-exit\"",
+        "\"spin-hold\"",
+        "\"acquire_pc\"",
+    ] {
         assert!(stdout.contains(key), "missing {key} in:\n{stdout}");
     }
     // Severity-major order: no warning may precede an error.

@@ -72,7 +72,8 @@ fn layout_hashes(
 
 fn assert_layout(cell: &str, got: &[u64], want: &[u64]) {
     assert_eq!(
-        got, want,
+        got,
+        want,
         "{cell}: snapshot layout changed (format version {}); got {got:#018x?}",
         bows_sim::snap::VERSION
     );
@@ -85,7 +86,13 @@ fn assert_layout(cell: &str, got: &[u64], want: &[u64]) {
 #[test]
 fn hashtable_under_bows_gto_ddos() {
     let w = named(sync_suite(Scale::Tiny), "HT");
-    let got = layout_hashes(&four_sm_config(), w.as_ref(), BasePolicy::Gto, true, HT_EVERY);
+    let got = layout_hashes(
+        &four_sm_config(),
+        w.as_ref(),
+        BasePolicy::Gto,
+        true,
+        HT_EVERY,
+    );
     assert_layout("HT gto+bows+ddos", &got, HT_BODIES);
 }
 
@@ -105,7 +112,13 @@ fn rodinia_under_cawa_with_chaos() {
 #[test]
 fn spinlock_suite_kernel_under_lrr() {
     let w = named(sync_suite(Scale::Tiny), "ATM");
-    let got = layout_hashes(&GpuConfig::test_tiny(), w.as_ref(), BasePolicy::Lrr, false, ATM_EVERY);
+    let got = layout_hashes(
+        &GpuConfig::test_tiny(),
+        w.as_ref(),
+        BasePolicy::Lrr,
+        false,
+        ATM_EVERY,
+    );
     assert_layout("ATM lrr", &got, ATM_BODIES);
 }
 
