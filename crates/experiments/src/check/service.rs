@@ -124,7 +124,6 @@ impl Drill {
         let child = Command::new(&self.serve_bin)
             .args(["--addr", "127.0.0.1:0", "--workers", "2", "--state-dir"])
             .arg(&self.state_dir)
-            .args(["--checkpoint-every-cycles", "4096"])
             .args(chaos.split_whitespace())
             .stdin(Stdio::null())
             .stdout(Stdio::null())
@@ -751,7 +750,6 @@ fn drive(c: &Check, chaos_on: bool) -> Verdict {
             backoff_cap_ms: 50,
             attempt_deadline_ms: 1_000,
             reap_grace_ms: 200,
-            checkpoint_every_cycles: 0,
         },
         cache_entries: 64,
         chaos,

@@ -1,16 +1,20 @@
 //! Cooperative cancellation for in-flight simulations.
 //!
 //! A [`CancelToken`] is handed to a [`crate::Gpu`] before `run` and
-//! polled at the same forward-progress-scan boundaries the watchdog uses,
-//! so checking costs one relaxed atomic load every couple of thousand
-//! simulated cycles and nothing on the per-cycle hot path. Both consumers
-//! of the hook share it:
+//! polled at the top of the run loop on the forward-progress scan's
+//! boundaries, so checking costs one relaxed atomic load every couple of
+//! thousand simulated cycles and nothing on the per-cycle hot path. A run
+//! with a [`crate::CheckpointCtl`] that is cancelled there first hands its
+//! sink the snapshot of that boundary, where the machine is between
+//! cycles, so the run can be resumed exactly where it stopped. Both
+//! consumers of the hook share it:
 //!
 //! * `bows-run --timeout-wall` arms a token with a wall-clock deadline so
-//!   a wedged run exits with a structured timeout instead of hanging, and
-//! * the `simt-serve` worker pool arms one per request, letting the
-//!   supervisor reap workers that blow their deadline (and letting
-//!   graceful drain abandon queued work) without killing threads.
+//!   a wedged run exits with a structured timeout (naming that snapshot
+//!   when checkpointing is on) instead of hanging, and
+//! * the `simt-serve` worker pool arms one per attempt, letting the
+//!   supervisor reap workers that blow their deadline without killing
+//!   threads; the retry resumes from the cancelled attempt's snapshot.
 //!
 //! Cancellation is *observational only*: a token never changes how the
 //! simulation executes, so runs that complete before the deadline remain

@@ -18,15 +18,14 @@ fn usage() -> ! {
         "usage: bows-serve [--addr HOST:PORT] [--workers N]\n\
          \x20    [--queue-cap N] [--tenant-quota N] [--max-queue-wait-ms N]\n\
          \x20    [--cache-entries N] [--max-retries N] [--attempt-deadline-ms N]\n\
-         \x20    [--state-dir DIR] [--checkpoint-every-cycles N]\n\
-         \x20    [--chaos-seed N] [--chaos-store-torn-ppm N]\n\
+         \x20    [--state-dir DIR] [--chaos-seed N] [--chaos-store-torn-ppm N]\n\
          \x20    [--chaos-store-short-ppm N] [--chaos-store-flip-ppm N]\n\
          \n\
+         --attempt-deadline-ms N cancels an attempt that runs longer than\n\
+         N ms; its retry resumes from the cycle the attempt stopped at.\n\
          --state-dir DIR persists the result cache to an fsync'd append\n\
          log under DIR and replays it on restart (crash-safe: a torn tail\n\
          is truncated, committed entries survive SIGKILL).\n\
-         --checkpoint-every-cycles N checkpoints in-flight simulations so\n\
-         a retried attempt resumes mid-run instead of replaying (0 = off).\n\
          --chaos-store-* arm fault injection on the persistence path.\n\
          \n\
          Routes: POST /simulate, GET /healthz, GET /stats, POST /admin/drain."
@@ -66,9 +65,6 @@ fn main() {
             }
             "--state-dir" => {
                 cfg.state_dir = Some(std::path::PathBuf::from(next(&mut args, "--state-dir")));
-            }
-            "--checkpoint-every-cycles" => {
-                cfg.pool.checkpoint_every_cycles = num!(&mut args, "--checkpoint-every-cycles");
             }
             "--chaos-seed" => chaos.seed = num!(&mut args, "--chaos-seed"),
             "--chaos-store-torn-ppm" => {
