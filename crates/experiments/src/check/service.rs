@@ -453,7 +453,7 @@ fn build_oracle<'a>(items: impl IntoIterator<Item = &'a Item>) -> Oracle {
         let expected = match run_request(&req, None) {
             RunOutcome::Ok(body) => (Expect::Ok, body),
             RunOutcome::SimError(body) => (Expect::SimErr, body),
-            RunOutcome::Cancelled => unreachable!("oracle runs carry no cancel token"),
+            RunOutcome::Cancelled => unreachable!("oracle runs carry no deadline"),
         };
         assert_eq!(expected.0, item.expect, "mix template mis-labeled");
         expected
@@ -588,12 +588,11 @@ fn p99(ms: &mut [u64]) -> u64 {
 }
 
 /// A chaos run injected something: `/stats` counts a caught panic, a
-/// timeout, a reap or a detected cache corruption.
+/// timeout or a detected cache corruption.
 fn faults_injected(stats: &str) -> bool {
     [
         "worker_panics_caught",
         "worker_timeouts",
-        "workers_reaped",
         "cache_corruptions_detected",
     ]
     .iter()
@@ -709,7 +708,7 @@ pub(super) fn serve(c: &mut Check) -> Verdict {
 }
 
 /// The SLO drill with worker panics, worker slowness past the attempt
-/// deadline (forcing reaps) and cache corruption injected.
+/// deadline (forcing timeouts) and cache corruption injected.
 pub(super) fn serve_chaos(c: &mut Check) -> Verdict {
     drive(c, true)
 }
@@ -726,7 +725,7 @@ fn drive(c: &Check, chaos_on: bool) -> Verdict {
             seed,
             worker_panic_ppm: 150_000,
             worker_slow_ppm: 30_000,
-            slow_ms: 1_500, // past deadline + grace: forces reaps
+            slow_ms: 1_500, // past the deadline: forces timeouts
             cache_corrupt_ppm: 100_000,
             store_torn_ppm: 0,
             store_short_ppm: 0,
@@ -746,10 +745,7 @@ fn drive(c: &Check, chaos_on: bool) -> Verdict {
         },
         pool: PoolConfig {
             max_retries: 3,
-            backoff_base_ms: 5,
-            backoff_cap_ms: 50,
             attempt_deadline_ms: 1_000,
-            reap_grace_ms: 200,
         },
         cache_entries: 64,
         chaos,

@@ -121,7 +121,7 @@ fn serve_slos_catch_a_wrong_body_a_bare_shed_and_a_chaos_run_that_injected_nothi
         run
     };
     let faulted = r#"{"worker_panics_caught":1}"#;
-    let quiet = r#"{"worker_panics_caught":0,"workers_reaped":0}"#;
+    let quiet = r#"{"worker_panics_caught":0,"worker_timeouts":0}"#;
     let met = run(&[], faulted).verdict(42, true);
     assert!(met.pass, "{}", met.report);
     assert!(met

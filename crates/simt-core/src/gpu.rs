@@ -1,6 +1,5 @@
 //! GPU top level: CTA dispatch, the main cycle loop, run reports.
 
-use crate::cancel::{CancelCause, CancelToken};
 use crate::detect::{baseline_detector, BranchLog, SpinDetector};
 use crate::pool::SmPool;
 use crate::sched::{BasePolicy, SchedulerPolicy};
@@ -43,7 +42,7 @@ pub struct LaunchSpec {
 /// caller's concern (see `bows-run --checkpoint-every` / `--resume`).
 /// Snapshot boundaries are the tops of run-loop iterations at cycles that
 /// are multiples of `every`, where the machine is between cycles. A run
-/// whose cancel token fires hands the sink the snapshot of the boundary it
+/// whose deadline passes hands the sink the snapshot of the boundary it
 /// stopped at before returning [`SimError::Cancelled`].
 ///
 /// Snapshots are engine-specific only through the config fingerprint
@@ -121,13 +120,11 @@ pub enum SimError {
         /// The fault (address, kind, allocated extent).
         fault: simt_mem::MemFault,
     },
-    /// The run's [`CancelToken`] fired (wall-clock deadline or an explicit
-    /// cancel from a supervisor) before the grid completed.
+    /// The run's wall-clock deadline ([`Gpu::set_deadline`]) passed
+    /// before the grid completed.
     Cancelled {
-        /// Simulated cycle at which cancellation was observed.
+        /// Simulated cycle at which the passed deadline was observed.
         cycle: u64,
-        /// Why the token fired.
-        cause: CancelCause,
     },
     /// A checkpoint snapshot could not be restored: corrupt bytes, or a
     /// snapshot taken under a different configuration, kernel, launch,
@@ -165,8 +162,11 @@ impl fmt::Display for SimError {
             SimError::DeviceFault { sm, pc, fault } => {
                 write!(f, "device memory fault at pc {pc} (sm {sm}): {fault}")
             }
-            SimError::Cancelled { cycle, cause } => {
-                write!(f, "run cancelled at cycle {cycle}: {cause}")
+            SimError::Cancelled { cycle } => {
+                write!(
+                    f,
+                    "run cancelled at cycle {cycle}: wall-clock deadline exceeded"
+                )
             }
             SimError::Snapshot { what } => write!(f, "snapshot error: {what}"),
         }
@@ -335,7 +335,7 @@ pub struct Gpu {
     /// The configuration (Table II preset or custom).
     pub cfg: GpuConfig,
     mem: MemorySystem,
-    cancel: Option<CancelToken>,
+    deadline: Option<Instant>,
 }
 
 impl Gpu {
@@ -346,17 +346,18 @@ impl Gpu {
         Gpu {
             cfg,
             mem,
-            cancel: None,
+            deadline: None,
         }
     }
 
-    /// Arm a cancellation token for subsequent runs. The token is polled
-    /// at the top of the run loop on forward-progress-scan boundaries
-    /// (every [`SCAN_PERIOD`] cycles), so a fired token stops the run
-    /// within microseconds of real time while costing nothing on the
-    /// per-cycle hot path.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
+    /// Set a wall-clock deadline for subsequent runs. It is compared with
+    /// [`Instant::now`] at the top of the run loop on forward-progress-scan
+    /// boundaries (every [`SCAN_PERIOD`] cycles), so a passed deadline
+    /// stops the run within microseconds of real time while costing
+    /// nothing on the per-cycle hot path. The deadline only observes: a
+    /// run that finishes before it is bit-identical to one without it.
+    pub fn set_deadline(&mut self, deadline: Instant) {
+        self.deadline = Some(deadline);
     }
 
     /// Device memory (host-side setup: allocate buffers, write inputs).
@@ -419,9 +420,9 @@ impl Gpu {
     /// `ctl.sink`. With `ctl.resume`, the initial CTA dispatch is replaced
     /// by restoring that body, and the run continues to completion exactly
     /// as the uninterrupted run would have: final stats, memory image, and
-    /// any hang report are bit-identical. A run cancelled through its
-    /// [`CancelToken`] gives `ctl.sink` the snapshot of the cycle it
-    /// stopped at, whatever `ctl.every` is. Checkpointing itself is
+    /// any hang report are bit-identical. A run cancelled by its
+    /// deadline gives `ctl.sink` the snapshot of the cycle it stopped at,
+    /// whatever `ctl.every` is. Checkpointing itself is
     /// observation-free — a checkpointing run and a plain run of the same
     /// kernel produce identical reports (under the Skip engine, boundaries
     /// only add explicit dead cycles that the engine-equivalence invariant
@@ -491,12 +492,12 @@ impl Gpu {
         } else {
             0
         };
-        let Gpu { cfg, mem, cancel } = self;
+        let Gpu { cfg, mem, deadline } = self;
         let mut run = Run {
             rs: RunState::new(launch.grid_ctas, *mem.stats()),
             cfg,
             mem,
-            cancel: cancel.as_ref(),
+            deadline: *deadline,
             pool: SmPool::new(sms),
             lctx: &lctx,
             fingerprint,
@@ -531,7 +532,7 @@ impl Gpu {
 struct Run<'a> {
     cfg: &'a GpuConfig,
     mem: &'a mut MemorySystem,
-    cancel: Option<&'a CancelToken>,
+    deadline: Option<Instant>,
     pool: SmPool,
     lctx: &'a LaunchCtx<'a>,
     rs: RunState,
@@ -576,14 +577,12 @@ impl Run<'_> {
         let mut completions = Vec::new();
         while self.rs.remaining > 0 {
             let now = self.rs.now;
-            // Cooperative cancellation, polled on the forward-progress
-            // scan's cadence (Skip-engine horizons are clamped to
-            // SCAN_PERIOD boundaries, so dead spans cannot outrun it).
-            let cancelled = if now.is_multiple_of(SCAN_PERIOD) && now > 0 {
-                self.cancel.and_then(CancelToken::fired)
-            } else {
-                None
-            };
+            // The wall deadline, read on the forward-progress scan's
+            // cadence (Skip-engine horizons are clamped to SCAN_PERIOD
+            // boundaries, so dead spans cannot outrun it).
+            let cancelled = now.is_multiple_of(SCAN_PERIOD)
+                && now > 0
+                && self.deadline.is_some_and(|d| Instant::now() >= d);
             // Checkpoint boundary: the machine is between cycles, so the
             // snapshot is simply "about to simulate cycle `now`". The
             // SMs' stats are folded into the run accumulator first — a
@@ -591,9 +590,7 @@ impl Run<'_> {
             // cancelled run hands over this boundary's snapshot, so its
             // caller can resume exactly where it stopped.
             if let Some(sink) = &mut sink {
-                if cancelled.is_some()
-                    || (every > 0 && now > start_cycle && now.is_multiple_of(every))
-                {
+                if cancelled || (every > 0 && now > start_cycle && now.is_multiple_of(every)) {
                     let t = self.timer();
                     self.pool.fold_stats(now, &mut self.rs.stats);
                     let body = self.snapshot_body();
@@ -601,8 +598,8 @@ impl Run<'_> {
                     sink(now, &body);
                 }
             }
-            if let Some(cause) = cancelled {
-                return Err(SimError::Cancelled { cycle: now, cause });
+            if cancelled {
+                return Err(SimError::Cancelled { cycle: now });
             }
             // Memory completions first so unblocked warps can issue today.
             let t = self.timer();
@@ -1303,7 +1300,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_stops_a_spin() {
+    fn expired_deadline_stops_a_spin() {
         // Same endless spin as `deadlock_watchdog_fires`, but an
         // already-expired wall deadline stops it at the first progress
         // scan, long before the watchdog would classify it.
@@ -1330,11 +1327,14 @@ mod tests {
             threads_per_cta: 32,
             params: vec![flag as u32],
         };
-        gpu.set_cancel_token(CancelToken::with_deadline(std::time::Duration::ZERO));
+        gpu.set_deadline(Instant::now());
         match gpu.run_baseline(&kernel, &launch, BasePolicy::Gto) {
-            Err(SimError::Cancelled { cycle, cause }) => {
-                assert_eq!(cause, CancelCause::WallDeadline);
-                assert!(cycle < 10_000, "stopped at the first scan, got {cycle}");
+            Err(e @ SimError::Cancelled { .. }) => {
+                assert_eq!(e, SimError::Cancelled { cycle: SCAN_PERIOD });
+                assert_eq!(
+                    e.to_string(),
+                    "run cancelled at cycle 2048: wall-clock deadline exceeded"
+                );
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
@@ -1342,8 +1342,8 @@ mod tests {
 
     #[test]
     fn completed_run_ignores_pending_deadline() {
-        // A run that finishes before any scan boundary is unaffected by an
-        // armed token: cancellation is observational only.
+        // A run that finishes before any scan boundary is unaffected by a
+        // deadline: the deadline is observational only.
         let kernel = vec_add_kernel();
         let mut gpu = Gpu::new(GpuConfig::test_tiny());
         let n = 64u64;
@@ -1355,9 +1355,7 @@ mod tests {
             threads_per_cta: 64,
             params: vec![a as u32, b as u32, out as u32],
         };
-        gpu.set_cancel_token(CancelToken::with_deadline(std::time::Duration::from_secs(
-            3600,
-        )));
+        gpu.set_deadline(Instant::now() + std::time::Duration::from_secs(3600));
         let report = gpu.run_baseline(&kernel, &launch, BasePolicy::Gto).unwrap();
         assert_eq!(report.sim.ctas_completed, 1);
     }
@@ -1587,7 +1585,7 @@ mod tests {
     }
 
     /// A run cancelled at a loop-top boundary hands its sink that
-    /// boundary's snapshot, and only that one; resuming it without a token
+    /// boundary's snapshot, and only that one; resuming it without a deadline
     /// finishes exactly as the uninterrupted run. Without a checkpoint
     /// control the same cancellation encodes nothing.
     #[test]
@@ -1617,11 +1615,11 @@ mod tests {
         let cfg = GpuConfig::test_tiny();
         let rotate = cfg.gto_rotate_period;
         let policy = move || BasePolicy::Gto.build(rotate);
-        let gpu = |cancel: bool| {
+        let gpu = |deadline: Option<Instant>| {
             let mut gpu = Gpu::new(cfg.clone());
             let out = gpu.mem_mut().gmem_mut().alloc(64);
-            if cancel {
-                gpu.set_cancel_token(CancelToken::with_deadline(std::time::Duration::ZERO));
+            if let Some(d) = deadline {
+                gpu.set_deadline(d);
             }
             (gpu, out)
         };
@@ -1635,7 +1633,7 @@ mod tests {
                 .map(|i| gpu.mem().gmem().read_u32(out + i * 4))
                 .collect()
         };
-        let (mut plain, out) = gpu(false);
+        let (mut plain, out) = gpu(None);
         let plain_report = plain
             .run_baseline(&kernel, &launch(out), BasePolicy::Gto)
             .unwrap();
@@ -1643,11 +1641,18 @@ mod tests {
             plain_report.cycles > 2 * SCAN_PERIOD,
             "run too short to cancel"
         );
+        // A deadline that never passes leaves every scan boundary alone.
+        let (mut far, out) = gpu(Some(Instant::now() + std::time::Duration::from_secs(3600)));
+        let far_report = far
+            .run_baseline(&kernel, &launch(out), BasePolicy::Gto)
+            .unwrap();
+        assert_eq!(far_report.cycles, plain_report.cycles);
+        assert_eq!(far_report.sim, plain_report.sim);
         let encoded = || BODIES_ENCODED.with(std::cell::Cell::get);
         let before = encoded();
 
         // No checkpoint control: cancelled at the first boundary, nothing encoded.
-        let (mut bare, out) = gpu(true);
+        let (mut bare, out) = gpu(Some(Instant::now()));
         match bare.run_baseline(&kernel, &launch(out), BasePolicy::Gto) {
             Err(SimError::Cancelled { cycle, .. }) => assert_eq!(cycle, SCAN_PERIOD),
             other => panic!("expected Cancelled, got {other:?}"),
@@ -1657,7 +1662,7 @@ mod tests {
         // With one: exactly one body, the boundary the run stopped at.
         let mut bodies: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut sink = |cycle: u64, body: &[u8]| bodies.push((cycle, body.to_vec()));
-        let (mut ck, out) = gpu(true);
+        let (mut ck, out) = gpu(Some(Instant::now()));
         let ctl = CheckpointCtl {
             every: 0,
             sink: &mut sink,
@@ -1677,9 +1682,9 @@ mod tests {
         assert_eq!(bodies.len(), 1);
         assert_eq!(bodies[0].0, SCAN_PERIOD);
 
-        // Resumed without a token: the uninterrupted run, bit for bit.
+        // Resumed without a deadline: the uninterrupted run, bit for bit.
         let mut nosink = |_: u64, _: &[u8]| {};
-        let (mut res, out) = gpu(false);
+        let (mut res, out) = gpu(None);
         let ctl = CheckpointCtl {
             every: 0,
             sink: &mut nosink,

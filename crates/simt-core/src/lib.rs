@@ -42,7 +42,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod cancel;
 mod config;
 pub mod detect;
 mod energy;
@@ -56,7 +55,6 @@ mod stats;
 mod warp;
 mod watchdog;
 
-pub use cancel::{CancelCause, CancelToken};
 pub use config::{Engine, GpuConfig, Latencies};
 pub use detect::{
     baseline_detector, static_sib_detector, BranchLog, BranchTimeline, NullDetector, SpinDetector,

@@ -13,10 +13,12 @@
 //! * `POST /admin/drain` — stop admitting (graceful drain), then answer
 //!   the caller.
 //!
-//! Concurrency: one handler thread per connection. The admission gates
-//! bound simulation work; the tiny header parser bounds everything else
-//! (16 KiB of headers, 1 MiB of body), so a slow or hostile client costs
-//! one blocked thread, not the service.
+//! Concurrency: one `accept` thread, and one `conn` handler thread per
+//! connection. The admission gates bound simulation work; the tiny header
+//! parser bounds everything else (16 KiB of headers, 1 MiB of body), so a
+//! slow or hostile client costs one blocked thread, not the service. A
+//! connection the OS will not give a thread is dropped, and the accept
+//! loop carries on.
 
 use crate::json::error_body;
 use crate::request::SimRequest;
@@ -31,6 +33,9 @@ pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Largest accepted header block.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 
+/// Starts a connection's handler thread.
+type Spawn = dyn Fn(Box<dyn FnOnce() + Send>) -> std::io::Result<()> + Send;
+
 /// The running HTTP server.
 pub struct HttpServer {
     addr: std::net::SocketAddr,
@@ -44,13 +49,33 @@ impl HttpServer {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or the OS refusing the accept thread.
     pub fn serve(addr: &str, service: Arc<Service>) -> std::io::Result<HttpServer> {
+        HttpServer::serve_with(
+            addr,
+            service,
+            Box::new(|handler| {
+                std::thread::Builder::new()
+                    .name("conn".into())
+                    .spawn(handler)
+                    .map(drop)
+            }),
+        )
+    }
+
+    /// [`HttpServer::serve`], starting each connection's handler with
+    /// `spawn`.
+    fn serve_with(
+        addr: &str,
+        service: Arc<Service>,
+        spawn: Box<Spawn>,
+    ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
-        let accept_thread = std::thread::spawn(move || {
+        let accept = std::thread::Builder::new().name("accept".into());
+        let accept_thread = accept.spawn(move || {
             // Blocking accept: a connection is served the moment it
             // arrives. [`HttpServer::stop`] sets the flag and then makes a
             // throwaway connection, so the flag is checked after every
@@ -61,16 +86,22 @@ impl HttpServer {
                     return;
                 }
                 match accepted {
-                    Ok((stream, _)) => {
+                    Ok((stream, peer)) => {
                         let _ = stream.set_nodelay(true);
                         let svc = Arc::clone(&service);
-                        std::thread::spawn(move || handle_connection(stream, &svc));
+                        // A refused spawn drops the handler and the stream
+                        // it owns, so the client sees its connection close.
+                        if let Err(e) = spawn(Box::new(move || handle_connection(stream, &svc))) {
+                            eprintln!(
+                                "warning: dropped the connection from {peer}: no thread ({e})"
+                            );
+                        }
                     }
                     // E.g. out of file descriptors: back off, don't spin.
                     Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
                 }
             }
-        });
+        })?;
         Ok(HttpServer {
             addr: local,
             stop,
@@ -274,6 +305,34 @@ fn handle_connection(mut stream: TcpStream, service: &Service) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn refused_connection_thread_drops_that_connection_and_keeps_accepting() {
+        let service = Arc::new(Service::start(crate::ServeConfig {
+            workers: 1,
+            ..crate::ServeConfig::default()
+        }));
+        let refused_once = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&refused_once);
+        let server = HttpServer::serve_with(
+            "127.0.0.1:0",
+            service,
+            Box::new(move |handler| {
+                if !flag.swap(true, Ordering::AcqRel) {
+                    return Err(std::io::Error::other("thread limit reached"));
+                }
+                std::thread::Builder::new().spawn(handler).map(drop)
+            }),
+        )
+        .unwrap();
+        let addr = server.addr().to_string();
+        assert!(
+            client::get(&addr, "/healthz").is_err(),
+            "the refused connection must close without a response"
+        );
+        assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
+        server.stop();
+    }
 
     #[test]
     fn read_line_bounded_caps_unterminated_lines() {

@@ -12,9 +12,9 @@
 //! * [`cache`] — a bounded, checksummed LRU over response bodies;
 //! * [`admission`] — bounded priority queues, per-tenant quotas, and
 //!   EWMA-based load shedding with `Retry-After` hints;
-//! * [`pool`] — supervised execution: panic isolation, per-attempt wall
-//!   deadlines (cooperative via [`simt_core::CancelToken`], forcible via
-//!   reaping), and retry with exponential backoff + deterministic jitter;
+//! * [`pool`] — supervised execution on the worker thread: panic
+//!   isolation, a wall deadline per attempt that the simulator reads at
+//!   its forward-progress scans, and immediate retry;
 //! * [`chaos`] — seeded service-level fault injection (worker panics,
 //!   worker slowness, cache corruption) for closed-loop resilience drills;
 //! * [`service`] — the transport-independent core tying those together;

@@ -1,59 +1,41 @@
-//! Supervised execution: per-attempt isolation, deadlines, reaping, and
-//! retry with exponential backoff.
+//! Supervised execution: panic isolation, a wall deadline per attempt,
+//! and retry.
 //!
-//! Each attempt of a job runs on its own thread behind `catch_unwind`, so
-//! a panicking simulation (a simulator bug, or the chaos injector) kills
-//! the *attempt*, never the service. The supervising worker enforces a
-//! wall deadline two ways:
+//! Each attempt of a job runs on the calling worker thread behind
+//! `catch_unwind`, so a panicking simulation (a simulator bug, or the
+//! chaos injector) kills the *attempt*, never the worker. The attempt's
+//! wall deadline is handed to the simulator, which compares it with the
+//! clock at forward-progress scans, so a live-but-slow run exits with
+//! `SimError::Cancelled`, leaving the snapshot of the cycle it stopped at
+//! for the retry to resume from.
 //!
-//! 1. cooperatively — the attempt's [`CancelToken`] is armed with the
-//!    deadline, and the simulator polls it at forward-progress scans, so a
-//!    live-but-slow run exits with `SimError::Cancelled`, leaving the
-//!    snapshot of the cycle it stopped at for the retry to resume from;
-//! 2. forcibly — if the attempt doesn't respond within a grace period
-//!    after the deadline (wedged outside the simulator's poll points), the
-//!    supervisor *abandons* the thread: cancels its token, stops waiting,
-//!    and moves on. The abandoned thread unwinds on its own when it next
-//!    observes the token; its late result is discarded because its result
-//!    channel has no receiver left. This is the "reap" counter.
-//!
-//! Panics, timeouts, and reaps are retried with exponential backoff plus
-//! deterministic jitter, up to a retry budget. Deterministic simulation
-//! failures (deadlock, device fault, cycle limit) are **not** retried —
-//! re-running a bit-exact simulator reproduces them bit-exactly — and are
-//! returned as structured errors instead.
+//! Panics and timeouts are retried at once, up to a retry budget: the
+//! retry runs the same deterministic simulator on the same worker, so
+//! waiting first would free nothing. Deterministic simulation failures
+//! (deadlock, device fault, cycle limit) are **not** retried — re-running
+//! a bit-exact simulator reproduces them bit-exactly — and are returned as
+//! structured errors instead.
 
-use crate::chaos::{splitmix64, ServiceChaos};
-use crate::request::{run_request_resumable, CheckpointSlot, RunOutcome, SimRequest};
-use simt_core::CancelToken;
+use crate::chaos::ServiceChaos;
+use crate::request::{run_request_resumable, RunOutcome, SimRequest};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Supervision knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Retries after the first attempt (total attempts = `max_retries`+1).
     pub max_retries: u32,
-    /// First retry's backoff, milliseconds; doubles per retry.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub backoff_cap_ms: u64,
     /// Per-attempt wall deadline, milliseconds.
     pub attempt_deadline_ms: u64,
-    /// Extra wait past the deadline before abandoning the attempt thread.
-    pub reap_grace_ms: u64,
 }
 
 impl Default for PoolConfig {
     fn default() -> PoolConfig {
         PoolConfig {
             max_retries: 2,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 500,
             attempt_deadline_ms: 10_000,
-            reap_grace_ms: 500,
         }
     }
 }
@@ -63,11 +45,9 @@ impl Default for PoolConfig {
 pub struct PoolCounters {
     /// Attempts that panicked (caught).
     pub panics: AtomicU64,
-    /// Attempts that exited cooperatively on a fired deadline.
+    /// Attempts stopped by their wall deadline.
     pub timeouts: AtomicU64,
-    /// Attempts abandoned past the grace period (forcible reap).
-    pub reaped: AtomicU64,
-    /// Retry sleeps taken.
+    /// Retry attempts started.
     pub retries: AtomicU64,
     /// Retry attempts that resumed from the snapshot a cancelled attempt
     /// left at the cycle it stopped at.
@@ -111,8 +91,8 @@ pub fn install_quiet_panic_hook() {
 
 /// Run one job to a terminal result under the supervision policy.
 ///
-/// `job_id` keys the chaos decision stream and the backoff jitter, so a
-/// fixed (chaos seed, job id) replays the same fault schedule.
+/// `job_id` keys the chaos decision stream, so a fixed (chaos seed, job
+/// id) replays the same fault schedule.
 pub fn execute_supervised(
     req: &SimRequest,
     job_id: u64,
@@ -121,58 +101,39 @@ pub fn execute_supervised(
     counters: &PoolCounters,
 ) -> JobResult {
     let mut last_failure_was_panic = false;
-    // One checkpoint slot for the whole job: a cancelled attempt's
-    // snapshot survives here (the slot is outside the attempt thread), and
-    // the next attempt resumes from it. A panicking attempt leaves none;
-    // chaos panics fire before the run starts, and a simulator panic would
-    // repeat on replay, so nothing is lost by starting over.
-    let slot: Arc<CheckpointSlot> = Arc::new(Mutex::new(None));
+    // One checkpoint slot for the whole job: a cancelled attempt leaves
+    // the snapshot of the cycle it stopped at here, and the next attempt
+    // resumes from it. A panicking attempt leaves none; chaos panics fire
+    // before the run starts, and a simulator panic would repeat on replay,
+    // so nothing is lost by starting over.
+    let mut slot = None;
     for attempt in 0..=cfg.max_retries {
         if attempt > 0 {
             counters.retries.fetch_add(1, Ordering::Relaxed);
-            if slot.lock().unwrap_or_else(|p| p.into_inner()).is_some() {
+            if slot.is_some() {
                 counters.resumed.fetch_add(1, Ordering::Relaxed);
             }
-            std::thread::sleep(Duration::from_millis(backoff_ms(cfg, job_id, attempt)));
         }
-        let deadline = Duration::from_millis(cfg.attempt_deadline_ms);
-        let token = CancelToken::with_deadline(deadline);
-        let (tx, rx) = mpsc::channel();
-        let attempt_token = token.clone();
-        let attempt_req = req.clone();
-        let attempt_chaos = *chaos;
-        let attempt_slot = Arc::clone(&slot);
-        std::thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if attempt_chaos.slow_attempt(job_id, attempt) {
-                    std::thread::sleep(Duration::from_millis(attempt_chaos.slow_ms));
-                }
-                if attempt_chaos.panic_attempt(job_id, attempt) {
-                    panic!("{CHAOS_PANIC_PREFIX}injected worker panic (job {job_id})");
-                }
-                run_request_resumable(&attempt_req, Some(attempt_token), Some(&attempt_slot))
-            }));
-            // A dropped receiver (reaped attempt) makes this send fail;
-            // the late result is deliberately discarded.
-            let _ = tx.send(outcome);
-        });
-        let wait = deadline + Duration::from_millis(cfg.reap_grace_ms);
-        match rx.recv_timeout(wait) {
-            Ok(Ok(RunOutcome::Ok(body))) => return JobResult::Ok(body),
-            Ok(Ok(RunOutcome::SimError(body))) => return JobResult::SimError(body),
-            Ok(Ok(RunOutcome::Cancelled)) => {
+        let deadline = Instant::now() + Duration::from_millis(cfg.attempt_deadline_ms);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if chaos.slow_attempt(job_id, attempt) {
+                std::thread::sleep(Duration::from_millis(chaos.slow_ms));
+            }
+            if chaos.panic_attempt(job_id, attempt) {
+                panic!("{CHAOS_PANIC_PREFIX}injected worker panic (job {job_id})");
+            }
+            run_request_resumable(req, Some(deadline), Some(&mut slot))
+        }));
+        match outcome {
+            Ok(RunOutcome::Ok(body)) => return JobResult::Ok(body),
+            Ok(RunOutcome::SimError(body)) => return JobResult::SimError(body),
+            Ok(RunOutcome::Cancelled) => {
                 counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 last_failure_was_panic = false;
             }
-            Ok(Err(_panic)) => {
+            Err(_panic) => {
                 counters.panics.fetch_add(1, Ordering::Relaxed);
                 last_failure_was_panic = true;
-            }
-            Err(_) => {
-                // Unresponsive past deadline + grace: cancel and abandon.
-                token.cancel();
-                counters.reaped.fetch_add(1, Ordering::Relaxed);
-                last_failure_was_panic = false;
             }
         }
     }
@@ -181,17 +142,6 @@ pub fn execute_supervised(
     } else {
         JobResult::TimedOut
     }
-}
-
-/// Exponential backoff with deterministic jitter: `min(cap, base·2^(a-1))`
-/// plus up to `base` of jitter derived from `(job, attempt)`.
-fn backoff_ms(cfg: &PoolConfig, job_id: u64, attempt: u32) -> u64 {
-    let exp = cfg
-        .backoff_base_ms
-        .saturating_mul(1u64 << (attempt - 1).min(16))
-        .min(cfg.backoff_cap_ms);
-    let jitter = splitmix64(job_id ^ ((attempt as u64) << 32)) % cfg.backoff_base_ms.max(1);
-    exp + jitter
 }
 
 #[cfg(test)]
@@ -208,10 +158,7 @@ mod tests {
     fn pool_cfg() -> PoolConfig {
         PoolConfig {
             max_retries: 2,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 4,
             attempt_deadline_ms: 5_000,
-            reap_grace_ms: 200,
         }
     }
 
@@ -282,9 +229,9 @@ mod tests {
 
     #[test]
     fn slow_attempt_times_out_and_recovers() {
-        // Slowness (100ms) past the attempt deadline (20ms) but inside the
-        // reap grace: the attempt wakes, sees its fired token, and exits
-        // cooperatively; the retry is not slowed and succeeds.
+        // Slowness (100ms) past the attempt deadline (20ms): the attempt
+        // wakes, sees its passed deadline, and exits; the retry is not
+        // slowed and succeeds.
         let chaos = ServiceChaos {
             seed: 11,
             worker_panic_ppm: 0,
@@ -300,42 +247,13 @@ mod tests {
             .unwrap();
         let cfg = PoolConfig {
             attempt_deadline_ms: 20,
-            reap_grace_ms: 5_000,
             ..pool_cfg()
         };
         let counters = PoolCounters::default();
         let r = execute_supervised(&tiny_request(), job, &cfg, &chaos, &counters);
         assert!(matches!(r, JobResult::Ok(_)), "got {r:?}");
         assert_eq!(counters.timeouts.load(Ordering::Relaxed), 1);
-        assert_eq!(counters.reaped.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn wedged_attempt_is_reaped() {
-        // Slowness (300ms) past deadline (10ms) + grace (10ms): the
-        // supervisor abandons the thread and retries.
-        let chaos = ServiceChaos {
-            seed: 11,
-            worker_panic_ppm: 0,
-            worker_slow_ppm: 300_000,
-            slow_ms: 300,
-            cache_corrupt_ppm: 0,
-            store_torn_ppm: 0,
-            store_short_ppm: 0,
-            store_flip_ppm: 0,
-        };
-        let job = (0..10_000)
-            .find(|&j| chaos.slow_attempt(j, 0) && !chaos.slow_attempt(j, 1))
-            .unwrap();
-        let cfg = PoolConfig {
-            attempt_deadline_ms: 10,
-            reap_grace_ms: 10,
-            ..pool_cfg()
-        };
-        let counters = PoolCounters::default();
-        let r = execute_supervised(&tiny_request(), job, &cfg, &chaos, &counters);
-        assert!(matches!(r, JobResult::Ok(_)), "got {r:?}");
-        assert_eq!(counters.reaped.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.retries.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -354,23 +272,5 @@ mod tests {
             other => panic!("expected SimError, got {other:?}"),
         }
         assert_eq!(counters.retries.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn backoff_grows_and_caps() {
-        let cfg = PoolConfig {
-            backoff_base_ms: 10,
-            backoff_cap_ms: 80,
-            ..pool_cfg()
-        };
-        let b1 = backoff_ms(&cfg, 1, 1);
-        let b4 = backoff_ms(&cfg, 1, 4);
-        assert!((10..20).contains(&b1), "base + jitter, got {b1}");
-        assert!((80..90).contains(&b4), "capped + jitter, got {b4}");
-        assert_eq!(
-            backoff_ms(&cfg, 1, 2),
-            backoff_ms(&cfg, 1, 2),
-            "deterministic"
-        );
     }
 }

@@ -9,20 +9,10 @@
 
 use crate::json::{error_body, kernel_report_json, sim_error_json, Json};
 use bows::{AdaptiveConfig, DdosConfig, DelayMode};
-use simt_core::{
-    BasePolicy, CancelToken, CheckpointCtl, Gpu, GpuConfig, KernelReport, LaunchSpec, SimError,
-};
+use simt_core::{BasePolicy, CheckpointCtl, Gpu, GpuConfig, KernelReport, LaunchSpec, SimError};
 use simt_isa::{AsmError, Kernel};
 use simt_mem::ChaosConfig;
-use std::sync::Mutex;
-
-/// Shared slot holding the snapshot a job's cancelled attempt stopped at.
-/// One slot lives for the whole supervised life of a job, across attempts:
-/// an attempt cancelled at its deadline leaves the snapshot of the cycle
-/// it stopped at here, and the retry resumes from it instead of replaying
-/// the simulation from cycle 0. Replacement is atomic under the lock, so
-/// the slot never holds a half-written snapshot.
-pub type CheckpointSlot = Mutex<Option<Vec<u8>>>;
+use std::time::Instant;
 
 /// One kernel parameter slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -323,7 +313,7 @@ pub enum RunOutcome {
     /// Simulation failed deterministically (deadlock, device fault, cycle
     /// limit, bad launch). Retrying is pointless; the rendered error body.
     SimError(String),
-    /// The run's cancel token fired (deadline): retryable.
+    /// The run's wall deadline passed: retryable.
     Cancelled,
 }
 
@@ -331,36 +321,31 @@ pub enum RunOutcome {
 ///
 /// This is the one function both the service workers and the load
 /// generator's expected-result oracle call, so "the service returned the
-/// right bytes" is checkable by construction. The optional `cancel` token
+/// right bytes" is checkable by construction. The optional `deadline`
 /// bounds wall time.
-pub fn run_request(req: &SimRequest, cancel: Option<CancelToken>) -> RunOutcome {
-    run_request_resumable(req, cancel, None)
+pub fn run_request(req: &SimRequest, deadline: Option<Instant>) -> RunOutcome {
+    run_request_resumable(req, deadline, None)
 }
 
-/// [`run_request`], resuming from whatever snapshot `slot` holds and, when
-/// `cancel` stops the run, leaving the snapshot of the cycle it stopped at
-/// in `slot`. The supervised pool passes one slot across all attempts of
-/// a job; a snapshot the simulator rejects on resume (impossible for a
-/// slot the same request filled, but assume damage) is discarded and the
-/// attempt replays from cycle 0 rather than failing the job.
+/// [`run_request`], resuming from the snapshot `slot` holds and, when
+/// `deadline` stops the run, leaving the snapshot of the cycle it stopped
+/// at in `slot`. The supervised pool passes one slot across all attempts
+/// of a job, so a retry resumes where its cancelled predecessor stopped
+/// instead of replaying from cycle 0. The resume snapshot is taken out of
+/// the slot; one the simulator rejects (impossible for a slot the same
+/// request filled, but assume damage) is dropped and the attempt replays
+/// from cycle 0 rather than failing the job.
 pub fn run_request_resumable(
     req: &SimRequest,
-    cancel: Option<CancelToken>,
-    slot: Option<&CheckpointSlot>,
+    deadline: Option<Instant>,
+    mut slot: Option<&mut Option<Vec<u8>>>,
 ) -> RunOutcome {
-    let resume: Option<Vec<u8>> =
-        slot.and_then(|s| s.lock().unwrap_or_else(|p| p.into_inner()).clone());
-    match attempt_once(req, cancel.clone(), slot, resume.as_deref()) {
+    let resume = slot.as_mut().and_then(|s| s.take());
+    match attempt_once(req, deadline, slot.as_deref_mut(), resume.as_deref()) {
         Ok(out) => out,
-        Err(()) => {
-            // The checkpoint was rejected. Forget it (structured
-            // degradation: re-simulate, never fail the request on a
-            // recovery artifact) and run from scratch.
-            if let Some(s) = slot {
-                *s.lock().unwrap_or_else(|p| p.into_inner()) = None;
-            }
-            attempt_once(req, cancel, slot, None).unwrap_or(RunOutcome::Cancelled)
-        }
+        // The checkpoint was rejected: re-simulate, never fail the request
+        // on a recovery artifact.
+        Err(()) => attempt_once(req, deadline, slot, None).unwrap_or(RunOutcome::Cancelled),
     }
 }
 
@@ -368,30 +353,30 @@ pub fn run_request_resumable(
 /// rejected before any simulation happened.
 fn attempt_once(
     req: &SimRequest,
-    cancel: Option<CancelToken>,
-    slot: Option<&CheckpointSlot>,
+    deadline: Option<Instant>,
+    slot: Option<&mut Option<Vec<u8>>>,
     resume: Option<&[u8]>,
 ) -> Result<RunOutcome, ()> {
-    // The simulator polls the token only at forward-progress scans, which a
-    // short kernel never reaches — so honor an already-fired deadline here
+    // The simulator reads the deadline only at forward-progress scans,
+    // which a short kernel never reaches — so honor a passed deadline here
     // (e.g. an attempt delayed past its deadline before it could start).
-    if let Some(c) = &cancel {
-        if c.fired().is_some() {
-            return Ok(RunOutcome::Cancelled);
-        }
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Ok(RunOutcome::Cancelled);
     }
     // Only a cancelled run calls the sink: `every` is 0.
-    let mut sink = |_cycle: u64, body: &[u8]| {
-        if let Some(s) = slot {
-            *s.lock().unwrap_or_else(|p| p.into_inner()) = Some(body.to_vec());
+    let mut sink;
+    let ctl = match slot {
+        Some(s) => {
+            sink = move |_cycle: u64, body: &[u8]| *s = Some(body.to_vec());
+            Some(CheckpointCtl {
+                every: 0,
+                sink: &mut sink,
+                resume,
+            })
         }
+        None => None,
     };
-    let ctl = slot.map(|_| CheckpointCtl {
-        every: 0,
-        sink: &mut sink,
-        resume,
-    });
-    Ok(match launch(req, false, cancel, ctl) {
+    Ok(match launch(req, false, deadline, ctl) {
         Ok(run) => RunOutcome::Ok(kernel_report_json(&run.report, &run.dumps).render()),
         Err(LaunchError::Asm(e)) => RunOutcome::SimError(error_body("asm_error", &e.to_string())),
         Err(LaunchError::Sim(SimError::Snapshot { .. })) if resume.is_some() => return Err(()),
@@ -427,7 +412,7 @@ pub enum LaunchError {
 
 /// Assemble and run `req` on a fresh GPU: allocate and fill its buffers,
 /// build the scheduler and detector it names, run (checkpointing through
-/// `ctl`, bounded by `cancel`) and read the dumps back. The one launch path
+/// `ctl`, bounded by `deadline`) and read the dumps back. The one launch path
 /// of the service workers and `bows-run`, so both report the same bytes.
 /// `profile` turns the host-time profiler on (`bows-run --profile`); it
 /// changes nothing simulated.
@@ -438,7 +423,7 @@ pub enum LaunchError {
 pub fn launch(
     req: &SimRequest,
     profile: bool,
-    cancel: Option<CancelToken>,
+    deadline: Option<Instant>,
     ctl: Option<CheckpointCtl<'_>>,
 ) -> Result<Launched, LaunchError> {
     let kernel = simt_isa::asm::assemble(&req.kernel).map_err(LaunchError::Asm)?;
@@ -446,8 +431,8 @@ pub fn launch(
         profile,
         ..req.gpu_config()
     });
-    if let Some(c) = cancel {
-        gpu.set_cancel_token(c);
+    if let Some(d) = deadline {
+        gpu.set_deadline(d);
     }
     let mut params = Vec::new();
     let mut bases: Vec<Option<u64>> = Vec::new();
@@ -670,23 +655,19 @@ mod tests {
     /// Fill `slot` as a cancelled attempt does: launch `req` under an
     /// expired deadline, so it stops at its first cancellation boundary
     /// and hands over that boundary's snapshot.
-    fn fill_from_cancelled_launch(req: &SimRequest, slot: &CheckpointSlot) {
-        let mut sink = |_: u64, body: &[u8]| *slot.lock().unwrap() = Some(body.to_vec());
+    fn fill_from_cancelled_launch(req: &SimRequest, slot: &mut Option<Vec<u8>>) {
+        let mut sink = |_: u64, body: &[u8]| *slot = Some(body.to_vec());
         let ctl = CheckpointCtl {
             every: 0,
             sink: &mut sink,
             resume: None,
         };
-        let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
-        match launch(req, false, Some(expired), Some(ctl)) {
+        match launch(req, false, Some(Instant::now()), Some(ctl)) {
             Err(LaunchError::Sim(SimError::Cancelled { .. })) => {}
             Err(e) => panic!("expected a cancelled launch, got {e:?}"),
             Ok(_) => panic!("the launch finished before its first boundary"),
         }
-        assert!(
-            slot.lock().unwrap().is_some(),
-            "a cancelled launch left no snapshot"
-        );
+        assert!(slot.is_some(), "a cancelled launch left no snapshot");
     }
 
     #[test]
@@ -696,17 +677,14 @@ mod tests {
 
         // An empty slot arms the checkpoint control, which must not
         // perturb a run that is never cancelled.
-        let slot: CheckpointSlot = Mutex::new(None);
-        let armed = expect_ok(run_request_resumable(&r, None, Some(&slot)));
+        let mut slot = None;
+        let armed = expect_ok(run_request_resumable(&r, None, Some(&mut slot)));
         assert_eq!(fresh, armed, "the checkpoint control perturbed the run");
-        assert!(
-            slot.lock().unwrap().is_none(),
-            "an uncancelled run wrote the slot"
-        );
+        assert!(slot.is_none(), "an uncancelled run wrote the slot");
 
         // Resume from a cancelled launch's snapshot: same bytes out.
-        fill_from_cancelled_launch(&r, &slot);
-        let resumed = expect_ok(run_request_resumable(&r, None, Some(&slot)));
+        fill_from_cancelled_launch(&r, &mut slot);
+        let resumed = expect_ok(run_request_resumable(&r, None, Some(&mut slot)));
         assert_eq!(fresh, resumed, "resumed body must be byte-identical");
     }
 
@@ -716,17 +694,14 @@ mod tests {
         // fingerprint check rejects it, the slot is cleared, and the run
         // replays from cycle 0 — correct bytes, no error surfaced.
         let lock = SimRequest::from_json(&lock_body()).unwrap();
-        let slot: CheckpointSlot = Mutex::new(None);
-        fill_from_cancelled_launch(&lock, &slot);
+        let mut slot = None;
+        fill_from_cancelled_launch(&lock, &mut slot);
 
         let vec = SimRequest::from_json(&sample_body()).unwrap();
         let fresh = expect_ok(run_request(&vec, None));
-        let recovered = expect_ok(run_request_resumable(&vec, None, Some(&slot)));
+        let recovered = expect_ok(run_request_resumable(&vec, None, Some(&mut slot)));
         assert_eq!(fresh, recovered, "degraded run must still be correct");
-        assert!(
-            slot.lock().unwrap().is_none(),
-            "the rejected snapshot must be discarded"
-        );
+        assert!(slot.is_none(), "the rejected snapshot must be discarded");
     }
 
     #[test]
@@ -734,11 +709,11 @@ mod tests {
         // Structurally broken snapshot bytes (not just a mismatched
         // fingerprint) take the same degradation path: discard, replay.
         let vec = SimRequest::from_json(&sample_body()).unwrap();
-        let slot: CheckpointSlot = Mutex::new(Some(vec![0xAB; 64]));
+        let mut slot = Some(vec![0xAB; 64]);
         let fresh = expect_ok(run_request(&vec, None));
-        let recovered = expect_ok(run_request_resumable(&vec, None, Some(&slot)));
+        let recovered = expect_ok(run_request_resumable(&vec, None, Some(&mut slot)));
         assert_eq!(fresh, recovered);
-        assert!(slot.lock().unwrap().is_none());
+        assert!(slot.is_none());
     }
 
     #[test]

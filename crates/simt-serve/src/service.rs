@@ -8,8 +8,8 @@
 //! 2. **admission** — drain, tenant quota, and overload gates refuse with
 //!    a structured [`Refusal`] the HTTP layer maps to 429/503;
 //! 3. **workers** — a fixed pool takes queued jobs highest-priority-first
-//!    and runs each under [`execute_supervised`] (panic isolation,
-//!    deadlines, retry/backoff, reaping).
+//!    and runs each under [`execute_supervised`] on its own thread (panic
+//!    isolation, a wall deadline per attempt, retry).
 //!
 //! The HTTP front end in [`crate::http`] is a thin adapter over this type,
 //! which keeps every behavior here testable in-process.
@@ -156,9 +156,12 @@ impl Service {
             cfg,
         });
         let workers = (0..nworkers)
-            .map(|_| {
+            .map(|i| {
                 let s = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&s))
+                std::thread::Builder::new()
+                    .name(format!("worker-{i}"))
+                    .spawn(move || worker_loop(&s))
+                    .expect("the OS refused a service worker thread at startup")
             })
             .collect();
         Service { shared, workers }
@@ -335,10 +338,6 @@ impl Service {
             (
                 "worker_timeouts".into(),
                 Json::UInt(s.pool_counters.timeouts.load(Ordering::Relaxed)),
-            ),
-            (
-                "workers_reaped".into(),
-                Json::UInt(s.pool_counters.reaped.load(Ordering::Relaxed)),
             ),
             (
                 "retries".into(),
@@ -553,10 +552,7 @@ mod tests {
             },
             pool: PoolConfig {
                 max_retries: 2,
-                backoff_base_ms: 1,
-                backoff_cap_ms: 4,
                 attempt_deadline_ms: 10_000,
-                reap_grace_ms: 200,
             },
             cache_entries: 16,
             chaos,
@@ -613,6 +609,38 @@ mod tests {
     }
 
     #[test]
+    fn panicking_attempts_leave_the_worker_serving() {
+        // Every attempt panics on the one worker thread, which catches
+        // each unwind and so is still there to take the second job.
+        crate::pool::install_quiet_panic_hook();
+        let mut cfg = ServeConfig {
+            workers: 1,
+            chaos: ServiceChaos {
+                seed: 2,
+                worker_panic_ppm: 1_000_000,
+                ..ServiceChaos::off()
+            },
+            ..ServeConfig::default()
+        };
+        cfg.pool.max_retries = 2;
+        let svc = Service::start(cfg);
+        let req = SimRequest::from_json(VEC_KERNEL_REQ).unwrap();
+        for _ in 0..2 {
+            let r = svc.submit(req.clone());
+            assert_eq!(r.status, 500, "body: {}", r.body);
+            assert!(r.body.contains("worker_crash"), "body: {}", r.body);
+        }
+        let panics = svc
+            .stats_json()
+            .get("worker_panics_caught")
+            .unwrap()
+            .as_u64("p")
+            .unwrap();
+        assert_eq!(panics, 2 * 3, "two jobs x (max_retries + 1) attempts");
+        assert!(svc.drain(Duration::from_secs(5)));
+    }
+
+    #[test]
     fn dirty_drain_answers_stranded_queued_jobs() {
         // One worker, every attempt slowed 400ms: occupy the worker, queue
         // a second job behind it, then drain with a zero timeout. The
@@ -627,10 +655,7 @@ mod tests {
             },
             pool: PoolConfig {
                 max_retries: 0,
-                backoff_base_ms: 1,
-                backoff_cap_ms: 4,
                 attempt_deadline_ms: 10_000,
-                reap_grace_ms: 1_000,
             },
             cache_entries: 16,
             state_dir: None,

@@ -411,12 +411,12 @@ fn main() -> ExitCode {
         sink: &mut sink,
         resume: resume_body.as_deref(),
     });
-    let cancel = cli.timeout_wall_s.map(|secs| {
-        simt_core::CancelToken::with_deadline(std::time::Duration::from_secs_f64(secs))
-    });
+    let deadline = cli
+        .timeout_wall_s
+        .map(|secs| std::time::Instant::now() + std::time::Duration::from_secs_f64(secs));
     // The launch path of `simt_serve::run_request`, so `--format json`
     // prints the bytes the service answers the same launch with.
-    let run = match launch(&cli.req, cli.profile, cancel, ctl) {
+    let run = match launch(&cli.req, cli.profile, deadline, ctl) {
         Ok(run) => run,
         Err(LaunchError::Asm(e)) => {
             if cli.format_json {
