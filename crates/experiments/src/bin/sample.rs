@@ -23,7 +23,12 @@
 //! share, each sample charged to [`function`] of its chain (a shared
 //! library's samples to the library), which names what a bucket lumps
 //! together — generic code such as `RawVec` growth inlined into a
-//! simulator function, say.
+//! simulator function, say. A third table charges each sample to its
+//! thread's name (`/proc/<pid>/task/<tid>/comm`), so a service's `accept`,
+//! `conn` and `worker-N` threads read apart. The name is read at a
+//! thread's first two samples and kept from the second: a new thread may
+//! not have named itself yet at its first, and still reads its creator's
+//! name.
 //!
 //! Exit status: 0, or 1 when the command or the sampling fails; 2 without
 //! a command, or on a target other than x86_64 Linux, where there is no
@@ -151,11 +156,20 @@ fn parse_chains(out: &str) -> Vec<Vec<String>> {
 }
 
 /// The bucket table for `counts` (one per label, in [`BUCKETS`] order,
-/// then libc and other), then the function table for `functions`, shares
-/// in percent of `total`.
-fn table(counts: &[(&str, u64)], functions: &[(&str, u64)], total: u64) -> String {
+/// then libc and other), then the function table for `functions` and the
+/// thread table for `threads`, shares in percent of `total`.
+fn table(
+    counts: &[(&str, u64)],
+    functions: &[(&str, u64)],
+    threads: &[(&str, u64)],
+    total: u64,
+) -> String {
     let mut out = format!("samples: {total}\n\n");
-    for (column, rows) in [("bucket", counts), ("function", functions)] {
+    for (column, rows) in [
+        ("bucket", counts),
+        ("function", functions),
+        ("thread", threads),
+    ] {
         out.push_str(&format!("| {column} | share % |\n|---|---|\n"));
         for (label, n) in rows {
             let share = if total == 0 {
@@ -323,6 +337,10 @@ mod sampler {
         let pid = child.id();
         let period = Duration::from_micros(1_000_000 / HZ);
         let mut ips: Vec<u64> = Vec::new();
+        // The name of each live thread, whether it is read for good, and
+        // the samples per name.
+        let mut names: HashMap<c_int, (String, bool)> = HashMap::new();
+        let mut threads: HashMap<String, u64> = HashMap::new();
         let mut maps: Vec<Mapping> = Vec::new();
         let exe = format!("/proc/{pid}/exe");
         let mut exe_path = None;
@@ -345,18 +363,35 @@ mod sampler {
             // its status is taken here rather than from `try_wait`.
             let mut exited = None;
             if let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) {
+                // Names of threads gone since the last round are dropped,
+                // so a reused tid is read afresh.
+                let mut live = HashMap::with_capacity(names.len());
                 for task in tasks.flatten() {
                     let Some(tid) = task.file_name().to_str().and_then(|t| t.parse().ok()) else {
                         continue;
                     };
                     match sample(tid) {
-                        Sample::Ip(ip) => ips.push(ip),
+                        Sample::Ip(ip) => {
+                            ips.push(ip);
+                            let comm = || {
+                                std::fs::read_to_string(format!("/proc/{pid}/task/{tid}/comm"))
+                                    .map_or_else(|_| "??".into(), |c| c.trim_end().to_string())
+                            };
+                            let name = match names.remove(&tid) {
+                                Some((name, true)) => (name, true),
+                                Some((_, false)) => (comm(), true),
+                                None => (comm(), false),
+                            };
+                            *threads.entry(name.0.clone()).or_default() += 1;
+                            live.insert(tid, name);
+                        }
                         Sample::Exited(status) if tid as u32 == pid => {
                             exited = Some(ExitStatus::from_raw(status))
                         }
                         Sample::Exited(_) | Sample::Missed => {}
                     }
                 }
+                names = live;
             }
             if let Some(status) = exited {
                 break status;
@@ -444,7 +479,12 @@ mod sampler {
             .collect();
         Ok((
             status,
-            table(&rows, &top(&functions, TOP), ips.len() as u64),
+            table(
+                &rows,
+                &top(&functions, TOP),
+                &top(&threads, threads.len()),
+                ips.len() as u64,
+            ),
         ))
     }
 }
@@ -546,13 +586,30 @@ mod tests {
     #[test]
     fn the_table_prints_every_row_and_the_count() {
         let rows = [(BUCKETS[0].0, 1), (LIBC, 3), (OTHER, 0)];
-        let t = table(&rows, &[("[libc.so.6]", 3)], 4);
+        let t = table(&rows, &[("[libc.so.6]", 3)], &[("main", 4)], 4);
         assert!(t.starts_with("samples: 4\n"), "{t}");
         assert!(t.contains(&format!("| {} | 25.0 |", BUCKETS[0].0)), "{t}");
         assert!(t.contains(&format!("| {LIBC} | 75.0 |")), "{t}");
         assert!(
             t.contains("| function | share % |\n|---|---|\n| [libc.so.6] | 75.0 |"),
             "{t}"
+        );
+    }
+
+    /// The thread table comes last, one row per thread name, largest share
+    /// first.
+    #[test]
+    fn the_thread_table_follows_the_function_table() {
+        let threads: HashMap<String, u64> = [("conn", 1), ("accept", 1), ("worker-0", 6)]
+            .into_iter()
+            .map(|(f, n)| (f.to_string(), n))
+            .collect();
+        let t = table(&[], &[("main", 8)], &top(&threads, threads.len()), 8);
+        let (functions, threads) = t.split_once("| thread | share % |\n|---|---|\n").unwrap();
+        assert!(functions.contains("| function | share % |"), "{t}");
+        assert_eq!(
+            threads,
+            "| worker-0 | 75.0 |\n| accept | 12.5 |\n| conn | 12.5 |\n\n"
         );
     }
 

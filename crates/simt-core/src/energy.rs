@@ -1,10 +1,14 @@
 //! A GPUWattch-flavoured event-based energy model.
 //!
 //! The paper reports *normalized dynamic energy* from GPUWattch. We account
-//! energy per architectural event with McPAT-flavoured constants; because
-//! BOWS's savings come from executing fewer instructions and moving less
-//! data, normalized results are insensitive to the exact constants (any
-//! positive per-event costs preserve the ratios).
+//! energy per architectural event with McPAT-flavoured constants. BOWS
+//! saves energy by executing fewer instructions and moving less data, but
+//! it cuts each event count by a different factor, so normalized results
+//! depend on the constants within a band, not invariantly: over the sync
+//! suite at Small, GTO against GTO + adaptive BOWS, the gmean saving reads
+//! 1.64x at these constants, 1.61–1.67x with any one constant halved or
+//! doubled, and 1.06x (only L1 or only DRAM costs) to 1.80x (only issue
+//! costs) at the corners.
 
 use crate::SimStats;
 use simt_mem::MemStats;

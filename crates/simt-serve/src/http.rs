@@ -13,28 +13,87 @@
 //! * `POST /admin/drain` — stop admitting (graceful drain), then answer
 //!   the caller.
 //!
-//! Concurrency: one `accept` thread, and one `conn` handler thread per
-//! connection. The admission gates bound simulation work; the tiny header
-//! parser bounds everything else (16 KiB of headers, 1 MiB of body), so a
-//! slow or hostile client costs one blocked thread, not the service. A
-//! connection the OS will not give a thread is dropped, and the accept
-//! loop carries on.
+//! Concurrency: one `accept` thread hands each connection to a `conn`
+//! thread. A `conn` thread that finishes its connection parks for the
+//! next one, so the acceptor starts a thread only when none is parked;
+//! one that finishes while `MAX_IDLE` others are parked exits instead, so
+//! the pool shrinks back after a burst. Each connection still has a thread
+//! to itself while it is served. The admission gates bound simulation
+//! work; the tiny header parser bounds everything else (16 KiB of headers,
+//! 1 MiB of body), so a slow or hostile client costs one blocked thread,
+//! not the service. A connection the OS will not give a thread is dropped,
+//! and the accept loop carries on. [`HttpServer::stop`] ends the accept
+//! loop, which hangs up on the parked threads: they exit and release
+//! their handle on the [`Service`]; a thread still serving a connection
+//! releases it when that connection ends.
 
 use crate::json::error_body;
 use crate::request::SimRequest;
 use crate::service::{Response, Service};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Largest accepted request body.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Largest accepted header block.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 
-/// Starts a connection's handler thread.
+/// Most `conn` threads kept parked between connections.
+const MAX_IDLE: usize = 4;
+
+/// Starts a `conn` thread.
 type Spawn = dyn Fn(Box<dyn FnOnce() + Send>) -> std::io::Result<()> + Send;
+
+/// Where parked `conn` threads wait for their next connection.
+struct Parked {
+    /// Connections handed to parked threads; the accept loop holds the
+    /// only sender.
+    streams: Mutex<mpsc::Receiver<TcpStream>>,
+    /// Parked threads no connection has claimed yet.
+    idle: AtomicUsize,
+}
+
+impl Parked {
+    /// Claim a parked thread for one connection, if one is idle.
+    fn claim(&self) -> bool {
+        self.idle
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+            .is_ok()
+    }
+
+    /// Count the caller as parked, unless `MAX_IDLE` threads already are.
+    fn park(&self) -> bool {
+        self.idle
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < MAX_IDLE).then_some(n + 1)
+            })
+            .is_ok()
+    }
+}
+
+/// A `conn` thread: serve `stream`, then each connection handed over while
+/// parked, until the pool is full or the accept loop is gone.
+fn serve_connections(mut stream: TcpStream, service: &Service, parked: &Parked) {
+    loop {
+        handle_connection(&mut stream, service);
+        // Park before the close, so a client that reads to the end of the
+        // stream finds this thread free for its next connection.
+        let parks = parked.park();
+        drop(stream);
+        if !parks {
+            return;
+        }
+        // Each `park` is matched by one stream sent after a `claim`, or by
+        // the sender's drop, so this `recv` never waits on a stream that
+        // another thread was promised.
+        let Ok(next) = parked.streams.lock().unwrap().recv() else {
+            return; // The accept loop is gone.
+        };
+        stream = next;
+    }
+}
 
 /// The running HTTP server.
 pub struct HttpServer {
@@ -63,8 +122,7 @@ impl HttpServer {
         )
     }
 
-    /// [`HttpServer::serve`], starting each connection's handler with
-    /// `spawn`.
+    /// [`HttpServer::serve`], starting each `conn` thread with `spawn`.
     fn serve_with(
         addr: &str,
         service: Arc<Service>,
@@ -74,7 +132,14 @@ impl HttpServer {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
+        let (handoff, streams) = mpsc::channel();
+        let parked = Arc::new(Parked {
+            streams: Mutex::new(streams),
+            idle: AtomicUsize::new(0),
+        });
         let accept = std::thread::Builder::new().name("accept".into());
+        // Returning drops `handoff`, which wakes every parked thread to
+        // exit.
         let accept_thread = accept.spawn(move || {
             // Blocking accept: a connection is served the moment it
             // arrives. [`HttpServer::stop`] sets the flag and then makes a
@@ -88,10 +153,19 @@ impl HttpServer {
                 match accepted {
                     Ok((stream, peer)) => {
                         let _ = stream.set_nodelay(true);
+                        if parked.claim() {
+                            // `parked` holds the receiver, so this send
+                            // cannot fail.
+                            let _ = handoff.send(stream);
+                            continue;
+                        }
                         let svc = Arc::clone(&service);
+                        let pool = Arc::clone(&parked);
                         // A refused spawn drops the handler and the stream
                         // it owns, so the client sees its connection close.
-                        if let Err(e) = spawn(Box::new(move || handle_connection(stream, &svc))) {
+                        if let Err(e) =
+                            spawn(Box::new(move || serve_connections(stream, &svc, &pool)))
+                        {
                             eprintln!(
                                 "warning: dropped the connection from {peer}: no thread ({e})"
                             );
@@ -114,7 +188,8 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stop accepting; in-flight handlers finish on their own threads.
+    /// Stop accepting and release the parked `conn` threads; in-flight
+    /// connections finish on their own threads.
     pub fn stop(mut self) {
         self.stop.store(true, Ordering::Release);
         // Unblock the acceptor with a throwaway connection.
@@ -218,30 +293,30 @@ fn write_response(
     body: &str,
     extra_headers: &[(&str, String)],
 ) {
-    let mut head = format!(
+    use std::fmt::Write as _;
+    // Head and body in one buffer, so one `write` sends both.
+    let mut out = String::with_capacity(160 + body.len());
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
         status,
         status_text(status),
         body.len()
     );
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    out.push_str("\r\n");
+    out.push_str(body);
+    let _ = stream.write_all(out.as_bytes());
 }
 
-fn handle_connection(mut stream: TcpStream, service: &Service) {
+fn handle_connection(stream: &mut TcpStream, service: &Service) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(30)));
-    let request = match read_request(&mut stream) {
+    let request = match read_request(stream) {
         Ok(r) => r,
         Err(e) => {
-            write_response(&mut stream, 400, &error_body("bad_request", &e), &[]);
+            write_response(stream, 400, &error_body("bad_request", &e), &[]);
             return;
         }
     };
@@ -250,7 +325,7 @@ fn handle_connection(mut stream: TcpStream, service: &Service) {
             let req = match SimRequest::from_json(&request.body) {
                 Ok(r) => r,
                 Err(e) => {
-                    write_response(&mut stream, 400, &error_body("bad_request", &e), &[]);
+                    write_response(stream, 400, &error_body("bad_request", &e), &[]);
                     return;
                 }
             };
@@ -267,37 +342,32 @@ fn handle_connection(mut stream: TcpStream, service: &Service) {
             if let Some(s) = retry_after {
                 headers.push(("Retry-After", s.to_string()));
             }
-            write_response(&mut stream, status, &body, &headers);
+            write_response(stream, status, &body, &headers);
         }
         ("GET", "/healthz") => {
             if service.draining() {
-                write_response(&mut stream, 503, "{\"status\":\"draining\"}", &[]);
+                write_response(stream, 503, "{\"status\":\"draining\"}", &[]);
             } else {
-                write_response(&mut stream, 200, "{\"status\":\"ok\"}", &[]);
+                write_response(stream, 200, "{\"status\":\"ok\"}", &[]);
             }
         }
         ("GET", "/stats") => {
-            write_response(&mut stream, 200, &service.stats_json().render(), &[]);
+            write_response(stream, 200, &service.stats_json().render(), &[]);
         }
         ("POST", "/admin/drain") => {
             service.start_drain();
-            write_response(&mut stream, 200, "{\"status\":\"draining\"}", &[]);
+            write_response(stream, 200, "{\"status\":\"draining\"}", &[]);
         }
         (_, "/simulate" | "/healthz" | "/stats" | "/admin/drain") => {
             write_response(
-                &mut stream,
+                stream,
                 405,
                 &error_body("method_not_allowed", "wrong method for this path"),
                 &[],
             );
         }
         _ => {
-            write_response(
-                &mut stream,
-                404,
-                &error_body("not_found", "no such route"),
-                &[],
-            );
+            write_response(stream, 404, &error_body("not_found", "no such route"), &[]);
         }
     }
 }
@@ -332,6 +402,97 @@ mod tests {
         );
         assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
         server.stop();
+    }
+
+    fn one_worker_service() -> Arc<Service> {
+        Arc::new(Service::start(crate::ServeConfig {
+            workers: 1,
+            ..crate::ServeConfig::default()
+        }))
+    }
+
+    #[test]
+    fn sequential_connections_reuse_parked_threads() {
+        let started = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&started);
+        let server = HttpServer::serve_with(
+            "127.0.0.1:0",
+            one_worker_service(),
+            Box::new(move |handler| {
+                count.fetch_add(1, Ordering::Relaxed);
+                std::thread::Builder::new().spawn(handler).map(drop)
+            }),
+        )
+        .unwrap();
+        for _ in 0..50 {
+            // Read to the close, which comes after the thread has parked.
+            let mut conn = TcpStream::connect(server.addr()).unwrap();
+            conn.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            let mut response = String::new();
+            conn.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+        }
+        server.stop();
+        // Each client waits for the close, which follows the park, so one
+        // thread serves them all.
+        let started = started.load(Ordering::Relaxed);
+        assert_eq!(
+            started, 1,
+            "50 sequential connections started {started} threads"
+        );
+    }
+
+    #[test]
+    fn a_stalled_connection_does_not_hold_up_the_next() {
+        let server = HttpServer::serve("127.0.0.1:0", one_worker_service()).unwrap();
+        let addr = server.addr().to_string();
+        // Warm the pool so the stall lands on a parked thread.
+        assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled.write_all(b"GET /hea").unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let other = addr.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(client::get(&other, "/healthz").map(|r| r.status));
+        });
+        let status = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the second client waited behind the stalled one");
+        assert_eq!(status, Ok(200));
+        drop(stalled);
+        server.stop();
+    }
+
+    #[test]
+    fn stop_releases_every_parked_thread() {
+        let service = one_worker_service();
+        let server = HttpServer::serve("127.0.0.1:0", Arc::clone(&service)).unwrap();
+        let addr = server.addr().to_string();
+        // Two clients at once, so more than one thread parks.
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..10 {
+                        assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        assert!(Arc::strong_count(&service) > 1);
+        server.stop();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while Arc::strong_count(&service) > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} handles on the service outlived stop",
+                Arc::strong_count(&service) - 1
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
     }
 
     #[test]

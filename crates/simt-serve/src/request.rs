@@ -287,7 +287,13 @@ impl SimRequest {
     /// it on every hit; a crafted key collision degrades to a miss, never
     /// to serving another request's body.
     pub fn cache_key(&self) -> u64 {
-        simt_snap::fnv1a(self.canonical().as_bytes())
+        SimRequest::cache_key_of(&self.canonical())
+    }
+
+    /// [`SimRequest::cache_key`] of an encoding already made with
+    /// [`SimRequest::canonical`], so a caller holding both encodes once.
+    pub fn cache_key_of(canon: &str) -> u64 {
+        simt_snap::fnv1a(canon.as_bytes())
     }
 
     /// The effective [`GpuConfig`] after preset + overrides.

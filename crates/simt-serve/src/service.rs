@@ -173,7 +173,7 @@ impl Service {
         let s = &self.shared;
         s.requests.fetch_add(1, Ordering::Relaxed);
         let canon = req.canonical();
-        let key = req.cache_key();
+        let key = SimRequest::cache_key_of(&canon);
         match s.cache.lock().unwrap().lookup(key, &canon) {
             Lookup::Hit(body) => {
                 s.ok_responses.fetch_add(1, Ordering::Relaxed);
@@ -671,6 +671,7 @@ mod tests {
             },
         });
         let req = SimRequest::from_json(VEC_KERNEL_REQ).unwrap();
+        let canon = req.canonical();
         let offer = |id: u64| {
             let (tx, rx) = mpsc::channel();
             svc.shared
@@ -682,8 +683,8 @@ mod tests {
                     1,
                     Job {
                         id,
-                        key: req.cache_key(),
-                        canon: req.canonical(),
+                        key: SimRequest::cache_key_of(&canon),
+                        canon: canon.clone(),
                         req: req.clone(),
                         reply: tx,
                     },

@@ -289,7 +289,8 @@ pub fn run_workload_captured(
             dynamic_j,
             verified,
         },
-        gmem: gpu.mem().gmem().clone(),
+        // The `Gpu` is dropped here anyway: move its memory image out.
+        gmem: std::mem::take(gpu.mem_mut().gmem_mut()),
         equivalence: prepared.equivalence,
     })
 }
