@@ -10,7 +10,10 @@
 //!
 //! `sample` spawns the command and, about 500 times a second, stops each
 //! of its threads with `ptrace` (seize, interrupt, wait, read the
-//! registers, detach), keeping only the instruction pointer.
+//! registers, detach), keeping the instruction pointer and, to tell a
+//! thread blocked in a system call from one on CPU, `orig_rax` and `rax`
+//! ([`blocked_in`]). Only on-CPU samples are charged to the tables below;
+//! off-CPU ones are counted by system call.
 //! When the command exits, every address inside its executable is
 //! symbolised with `addr2line -f -i -C` against that file (a release build
 //! carries debug info), keeping the whole inline chain, so code inlined
@@ -18,8 +21,9 @@
 //! chain is charged to a bucket by [`bucket`] over the const table
 //! [`BUCKETS`]; addresses in shared libraries land under libc or other by
 //! the library's name. The command's stdout is passed through; the table
-//! goes to stdout after it, as markdown, with the sample count on its own
-//! `samples: N` line. A second table follows: the [`TOP`] functions by
+//! goes to stdout after it, as markdown, with the on-CPU sample count on
+//! its own `samples: N` line and the off-CPU one on an `off-cpu samples:
+//! M` line. A second table follows: the [`TOP`] functions by
 //! share, each sample charged to [`function`] of its chain (a shared
 //! library's samples to the library), which names what a bucket lumps
 //! together — generic code such as `RawVec` growth inlined into a
@@ -28,7 +32,8 @@
 //! `conn` and `worker-N` threads read apart. The name is read at a
 //! thread's first two samples and kept from the second: a new thread may
 //! not have named itself yet at its first, and still reads its creator's
-//! name.
+//! name. A last table, `| syscall | samples |`, counts the off-CPU samples
+//! by the system call their thread was blocked in.
 //!
 //! Exit status: 0, or 1 when the command or the sampling fails; 2 without
 //! a command, or on a target other than x86_64 Linux, where there is no
@@ -155,16 +160,56 @@ fn parse_chains(out: &str) -> Vec<Vec<String>> {
     chains
 }
 
+/// `-ERESTARTSYS`, `-ERESTARTNOINTR`, `-ERESTARTNOHAND` and
+/// `-ERESTART_RESTARTBLOCK`: what `rax` holds when a stop interrupted a
+/// blocking system call that the kernel restarts afterwards.
+const RESTART: [i64; 4] = [-512, -513, -514, -516];
+
+/// The system call a thread stopped with these registers was blocked in,
+/// or `None` when it was on CPU. A stop inside a blocking call leaves the
+/// call's number in `orig_rax` (−1 outside a system call) and a restart
+/// code in `rax`.
+fn blocked_in(orig_rax: u64, rax: u64) -> Option<u64> {
+    (orig_rax as i64 >= 0 && RESTART.contains(&(rax as i64))).then_some(orig_rax)
+}
+
+/// x86_64 numbers of the blocking system calls this workspace's programs
+/// wait in; any other is printed as its number.
+const SYSCALLS: &[(u64, &str)] = &[
+    (0, "read"),
+    (7, "poll"),
+    (35, "nanosleep"),
+    (43, "accept"),
+    (45, "recvfrom"),
+    (61, "wait4"),
+    (74, "fsync"),
+    (75, "fdatasync"),
+    (202, "futex"),
+    (230, "clock_nanosleep"),
+    (288, "accept4"),
+];
+
+/// The name of system call `nr`.
+fn syscall_name(nr: u64) -> String {
+    SYSCALLS
+        .iter()
+        .find(|&&(n, _)| n == nr)
+        .map_or_else(|| nr.to_string(), |&(_, name)| name.to_string())
+}
+
 /// The bucket table for `counts` (one per label, in [`BUCKETS`] order,
 /// then libc and other), then the function table for `functions` and the
-/// thread table for `threads`, shares in percent of `total`.
+/// thread table for `threads`, shares in percent of `total` (the on-CPU
+/// samples), then the off-CPU samples by system call.
 fn table(
     counts: &[(&str, u64)],
     functions: &[(&str, u64)],
     threads: &[(&str, u64)],
     total: u64,
+    off_cpu: &[(&str, u64)],
 ) -> String {
-    let mut out = format!("samples: {total}\n\n");
+    let off: u64 = off_cpu.iter().map(|&(_, n)| n).sum();
+    let mut out = format!("samples: {total}\noff-cpu samples: {off}\n\n");
     for (column, rows) in [
         ("bucket", counts),
         ("function", functions),
@@ -180,6 +225,10 @@ fn table(
             out.push_str(&format!("| {label} | {share:.1} |\n"));
         }
         out.push('\n');
+    }
+    out.push_str("| syscall | samples |\n|---|---|\n");
+    for (name, n) in off_cpu {
+        out.push_str(&format!("| {name} | {n} |\n"));
     }
     out
 }
@@ -224,7 +273,10 @@ fn run(command: &[String]) -> ExitCode {
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod sampler {
-    use super::{bucket, function, parse_chains, table, top, BUCKETS, HZ, LIBC, OTHER, TOP};
+    use super::{
+        blocked_in, bucket, function, parse_chains, syscall_name, table, top, BUCKETS, HZ, LIBC,
+        OTHER, TOP,
+    };
     use std::collections::HashMap;
     use std::ffi::{c_int, c_long, c_void};
     use std::io::{Read, Write};
@@ -244,21 +296,25 @@ mod sampler {
     const PTRACE_SEIZE: c_int = 0x4206;
     const PTRACE_INTERRUPT: c_int = 0x4207;
     const WALL: c_int = 0x4000_0000;
-    /// `user_regs_struct`: 27 words, the instruction pointer at 16.
+    /// `user_regs_struct`: 27 words, `rax` at 10, `orig_rax` at 15, the
+    /// instruction pointer at 16.
     const REGS: usize = 27;
+    const RAX: usize = 10;
+    const ORIG_RAX: usize = 15;
     const RIP: usize = 16;
 
     /// What stopping one thread found.
     enum Sample {
-        /// The thread's instruction pointer.
-        Ip(u64),
+        /// The thread's instruction pointer, and the system call it was
+        /// blocked in, if any.
+        Stopped { ip: u64, blocked: Option<u64> },
         /// The wait reaped the thread's exit, with this wait status.
         Exited(c_int),
         /// The thread is gone or cannot be traced.
         Missed,
     }
 
-    /// Stop thread `tid`, read its instruction pointer, let it go.
+    /// Stop thread `tid`, read its registers, let it go.
     fn sample(tid: c_int) -> Sample {
         let null = std::ptr::null_mut::<c_void>();
         // SAFETY: plain ptrace/waitpid calls on a thread of our own child;
@@ -288,7 +344,10 @@ mod sampler {
             );
             ptrace(PTRACE_DETACH, tid, null, null);
             if read == 0 {
-                Sample::Ip(regs[RIP])
+                Sample::Stopped {
+                    ip: regs[RIP],
+                    blocked: blocked_in(regs[ORIG_RAX], regs[RAX]),
+                }
             } else {
                 Sample::Missed
             }
@@ -341,6 +400,7 @@ mod sampler {
         // the samples per name.
         let mut names: HashMap<c_int, (String, bool)> = HashMap::new();
         let mut threads: HashMap<String, u64> = HashMap::new();
+        let mut off_cpu: HashMap<String, u64> = HashMap::new();
         let mut maps: Vec<Mapping> = Vec::new();
         let exe = format!("/proc/{pid}/exe");
         let mut exe_path = None;
@@ -371,8 +431,7 @@ mod sampler {
                         continue;
                     };
                     match sample(tid) {
-                        Sample::Ip(ip) => {
-                            ips.push(ip);
+                        Sample::Stopped { ip, blocked } => {
                             let comm = || {
                                 std::fs::read_to_string(format!("/proc/{pid}/task/{tid}/comm"))
                                     .map_or_else(|_| "??".into(), |c| c.trim_end().to_string())
@@ -382,7 +441,13 @@ mod sampler {
                                 Some((_, false)) => (comm(), true),
                                 None => (comm(), false),
                             };
-                            *threads.entry(name.0.clone()).or_default() += 1;
+                            match blocked {
+                                Some(nr) => *off_cpu.entry(syscall_name(nr)).or_default() += 1,
+                                None => {
+                                    ips.push(ip);
+                                    *threads.entry(name.0.clone()).or_default() += 1;
+                                }
+                            }
                             live.insert(tid, name);
                         }
                         Sample::Exited(status) if tid as u32 == pid => {
@@ -484,6 +549,7 @@ mod sampler {
                 &top(&functions, TOP),
                 &top(&threads, threads.len()),
                 ips.len() as u64,
+                &top(&off_cpu, off_cpu.len()),
             ),
         ))
     }
@@ -586,8 +652,8 @@ mod tests {
     #[test]
     fn the_table_prints_every_row_and_the_count() {
         let rows = [(BUCKETS[0].0, 1), (LIBC, 3), (OTHER, 0)];
-        let t = table(&rows, &[("[libc.so.6]", 3)], &[("main", 4)], 4);
-        assert!(t.starts_with("samples: 4\n"), "{t}");
+        let t = table(&rows, &[("[libc.so.6]", 3)], &[("main", 4)], 4, &[]);
+        assert!(t.starts_with("samples: 4\noff-cpu samples: 0\n"), "{t}");
         assert!(t.contains(&format!("| {} | 25.0 |", BUCKETS[0].0)), "{t}");
         assert!(t.contains(&format!("| {LIBC} | 75.0 |")), "{t}");
         assert!(
@@ -604,12 +670,47 @@ mod tests {
             .into_iter()
             .map(|(f, n)| (f.to_string(), n))
             .collect();
-        let t = table(&[], &[("main", 8)], &top(&threads, threads.len()), 8);
+        let t = table(&[], &[("main", 8)], &top(&threads, threads.len()), 8, &[]);
         let (functions, threads) = t.split_once("| thread | share % |\n|---|---|\n").unwrap();
         assert!(functions.contains("| function | share % |"), "{t}");
         assert_eq!(
             threads,
-            "| worker-0 | 75.0 |\n| accept | 12.5 |\n| conn | 12.5 |\n\n"
+            "| worker-0 | 75.0 |\n| accept | 12.5 |\n| conn | 12.5 |\n\n\
+             | syscall | samples |\n|---|---|\n"
+        );
+    }
+
+    /// A thread is off CPU when it stopped inside a system call the kernel
+    /// will restart: `orig_rax` names the call and `rax` holds an
+    /// `-ERESTART…` code. A stop in user code reads `orig_rax` −1; a call
+    /// that has returned leaves its result in `rax`.
+    #[test]
+    fn blocked_threads_are_told_from_running_ones() {
+        let neg = |n: i64| n as u64;
+        for code in [-512, -513, -514, -516] {
+            assert_eq!(blocked_in(202, neg(code)), Some(202), "{code}");
+        }
+        assert_eq!(blocked_in(0, neg(-512)), Some(0), "read is call 0");
+        assert_eq!(blocked_in(neg(-1), neg(-512)), None, "user code");
+        assert_eq!(blocked_in(neg(-1), 0x5555_0000), None, "user code");
+        for rax in [0, 7, neg(-4), neg(-11), neg(-515), neg(-517)] {
+            assert_eq!(blocked_in(202, rax), None, "{}", rax as i64);
+        }
+        assert_eq!(syscall_name(202), "futex");
+        assert_eq!(syscall_name(999), "999");
+    }
+
+    /// The off-CPU count and its table come with every report; the shares
+    /// above it are over the on-CPU samples alone.
+    #[test]
+    fn off_cpu_samples_are_counted_apart() {
+        let rows = [(BUCKETS[0].0, 2), (OTHER, 2)];
+        let t = table(&rows, &[], &[], 4, &[("futex", 5), ("accept4", 1)]);
+        assert!(t.starts_with("samples: 4\noff-cpu samples: 6\n\n"), "{t}");
+        assert!(t.contains(&format!("| {} | 50.0 |", BUCKETS[0].0)), "{t}");
+        assert!(
+            t.ends_with("| syscall | samples |\n|---|---|\n| futex | 5 |\n| accept4 | 1 |\n"),
+            "{t}"
         );
     }
 

@@ -98,10 +98,11 @@ pub struct GpuConfig {
     /// [`crate::KernelReport::final_state`]. Used by the differential
     /// oracle; off by default so measurement runs pay nothing for it.
     pub capture_final_state: bool,
-    /// Collect wall-clock phase timings (fetch/issue/execute/mem-cycle/
-    /// skip-horizon) into [`crate::KernelReport::profile`]. Purely
-    /// observational: never touches simulated state, excluded from the
-    /// snapshot fingerprint, and when off the run loop takes no timestamps.
+    /// Report the run's host wall time and its SM-cycle counts in
+    /// [`crate::KernelReport::profile`]. The clock is read at the run's
+    /// start and end only, never inside the loop. Purely observational:
+    /// never touches simulated state, excluded from the snapshot
+    /// fingerprint.
     pub profile: bool,
     /// Main-loop time-advance strategy (see [`Engine`]).
     pub engine: Engine,

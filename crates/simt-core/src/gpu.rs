@@ -175,46 +175,26 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Wall-clock breakdown of where *host* time went during a run, collected
-/// only when [`GpuConfig::profile`] is set. The `_ns` figures are
-/// nanoseconds.
-///
-/// SM-side phases (`fetch`/`issue`/`execute`) are summed over SMs; the
-/// run loop's own (`mem_cycle`/`skip_horizon`) and `total` are timed
-/// around it. All of it is wall time on the one thread that runs the loop.
+/// What [`GpuConfig::profile`] reports about a run: its host wall time,
+/// stamped once at the start and once at the end, and three counts every
+/// SM keeps on every cycle anyway. Nothing inside the run loop reads the
+/// clock for it; `sample` is the tool for shares of host time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileReport {
-    /// Writeback wheel drain, CTA retirement, and reclassifying the warps
-    /// an event touched since the last cycle — fence clearing and
-    /// eligibility for those alone (the front of every SM cycle).
+    /// Always 0. Declared only because `benchmark/` still reads it.
     pub fetch_ns: u64,
-    /// Scheduler-unit arbitration and end-of-cycle policy bookkeeping,
-    /// excluding the nested execute time.
+    /// Always 0. Declared only because `benchmark/` still reads it.
     pub issue_ns: u64,
-    /// Instruction execution proper (decoded-dispatch, operand reads,
-    /// register writes, global-memory accesses and their submission).
+    /// Always 0. Declared only because `benchmark/` still reads it.
     pub execute_ns: u64,
-    /// Memory-system cycling plus completion delivery to SMs.
+    /// Always 0. Declared only because `benchmark/` still reads it.
     pub mem_cycle_ns: u64,
-    /// Always 0: global-memory work is submitted at issue, inside
-    /// `execute_ns`. Declared only because `benchmark/` still reads it.
+    /// Always 0. Declared only because `benchmark/` still reads it.
     pub merge_ns: u64,
-    /// Skip-engine horizon computation for clock jumps. (A sleeping SM's
-    /// bulk accrual runs where it wakes or is settled: in `other`, under
-    /// the pool walk, a watchdog scan or a checkpoint.)
+    /// Always 0. Declared only because `benchmark/` still reads it.
     pub skip_horizon_ns: u64,
-    /// The whole run loop, launch to grid completion.
+    /// Host nanoseconds of the whole run, launch to grid completion.
     pub total_ns: u64,
-    /// Every `SmPool::cycle` round, SM phases included; part of `other`
-    /// (see [`ProfileReport::other_breakdown`]), like the next three.
-    pub pool_ns: u64,
-    /// CTA dispatch: the initial one and every refill.
-    pub dispatch_ns: u64,
-    /// Forward-progress scans, with the settle that precedes each.
-    pub watchdog_ns: u64,
-    /// Checkpoints: the statistics fold and the encoding of the body (not
-    /// the caller's sink).
-    pub checkpoint_ns: u64,
     /// [`Sm::cycle`] calls, summed over SMs. A count, not nanoseconds.
     pub sm_cycles_run: u64,
     /// Simulated cycles SMs with work slept through instead (accrued in
@@ -225,55 +205,15 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// `(label, nanoseconds)` rows in display order — the five phases.
-    pub fn phases(&self) -> [(&'static str, u64); 5] {
-        [
-            ("fetch", self.fetch_ns),
-            ("issue", self.issue_ns),
-            ("execute", self.execute_ns),
-            ("mem-cycle", self.mem_cycle_ns),
-            ("skip-horizon", self.skip_horizon_ns),
-        ]
-    }
-
-    /// Run-loop wall time not attributed to any phase (watchdog scans,
-    /// checkpoint serialization, dispatch refills, loop overhead).
+    /// `total_ns`: no phase is timed. Declared only because `benchmark/`
+    /// still calls it.
     pub fn other_ns(&self) -> u64 {
-        let attributed: u64 = self.phases().iter().map(|&(_, ns)| ns).sum();
-        self.total_ns.saturating_sub(attributed)
-    }
-
-    /// What [`ProfileReport::other_ns`] is made of, as `(label,
-    /// nanoseconds)` rows: the pool walk (the rounds' wall time minus the
-    /// SM phases inside them: waking, settling and putting SMs to sleep),
-    /// CTA dispatch, watchdog scans, checkpoints, and the rest of the run
-    /// loop.
-    pub fn other_breakdown(&self) -> [(&'static str, u64); 5] {
-        let sm_phases = self.fetch_ns + self.issue_ns + self.execute_ns;
-        let pool_walk = self.pool_ns.saturating_sub(sm_phases);
-        let timed = pool_walk + self.dispatch_ns + self.watchdog_ns + self.checkpoint_ns;
-        [
-            ("pool-walk", pool_walk),
-            ("dispatch", self.dispatch_ns),
-            ("watchdog", self.watchdog_ns),
-            ("checkpoint", self.checkpoint_ns),
-            ("loop", self.other_ns().saturating_sub(timed)),
-        ]
+        self.total_ns
     }
 
     /// Fold another report into this one (multi-kernel aggregation).
     pub fn add(&mut self, o: &ProfileReport) {
-        self.fetch_ns += o.fetch_ns;
-        self.issue_ns += o.issue_ns;
-        self.execute_ns += o.execute_ns;
-        self.mem_cycle_ns += o.mem_cycle_ns;
-        self.merge_ns += o.merge_ns;
-        self.skip_horizon_ns += o.skip_horizon_ns;
         self.total_ns += o.total_ns;
-        self.pool_ns += o.pool_ns;
-        self.dispatch_ns += o.dispatch_ns;
-        self.watchdog_ns += o.watchdog_ns;
-        self.checkpoint_ns += o.checkpoint_ns;
         self.sm_cycles_run += o.sm_cycles_run;
         self.sm_cycles_slept += o.sm_cycles_slept;
         self.warps_classified += o.warps_classified;
@@ -321,9 +261,8 @@ pub struct KernelReport {
     /// populated when [`GpuConfig::capture_final_state`] is set; `None`
     /// otherwise, so measurement runs carry no capture cost.
     pub final_state: Option<Vec<crate::warp::CtaState>>,
-    /// Host wall-clock phase breakdown. Only populated when
-    /// [`GpuConfig::profile`] is set; `None` otherwise, so measurement runs
-    /// take no timestamps.
+    /// Host wall time and SM-cycle counts. Only populated when
+    /// [`GpuConfig::profile`] is set; `None` otherwise.
     pub profile: Option<ProfileReport>,
 }
 
@@ -504,7 +443,6 @@ impl Gpu {
             scheduler,
             detector,
             started: cfg.profile.then(Instant::now),
-            prof: ProfileReport::default(),
         };
         if let Some(body) = ctl.as_ref().and_then(|c| c.resume) {
             // Resume replaces the initial dispatch wholesale: warp
@@ -542,26 +480,11 @@ struct Run<'a> {
     scheduler: String,
     /// Detector name.
     detector: String,
-    /// The run loop's phase timers. `profile` is false by default and
-    /// [`Run::timer`] makes the off path a single untaken branch per
-    /// phase — no timestamps, no accumulation.
+    /// When the run started, if [`GpuConfig::profile`] is set.
     started: Option<Instant>,
-    prof: ProfileReport,
-}
-
-/// Close a phase opened by [`Run::timer`].
-fn lap(t: Option<Instant>, acc: &mut u64) {
-    if let Some(t) = t {
-        *acc += t.elapsed().as_nanos() as u64;
-    }
 }
 
 impl Run<'_> {
-    /// Open a profiled phase (`None` unless profiling).
-    fn timer(&self) -> Option<Instant> {
-        self.started.map(|_| Instant::now())
-    }
-
     /// The run loop: one iteration per simulated cycle, until the grid
     /// retires. `Engine::Cycle` is this loop with SM sleep, and so the
     /// clock jump, off.
@@ -591,27 +514,20 @@ impl Run<'_> {
             // caller can resume exactly where it stopped.
             if let Some(sink) = &mut sink {
                 if cancelled || (every > 0 && now > start_cycle && now.is_multiple_of(every)) {
-                    let t = self.timer();
                     self.pool.fold_stats(now, &mut self.rs.stats);
-                    let body = self.snapshot_body();
-                    lap(t, &mut self.prof.checkpoint_ns);
-                    sink(now, &body);
+                    sink(now, &self.snapshot_body());
                 }
             }
             if cancelled {
                 return Err(SimError::Cancelled { cycle: now });
             }
             // Memory completions first so unblocked warps can issue today.
-            let t = self.timer();
             self.mem.cycle_into(now, &mut completions);
             for c in completions.drain(..) {
                 self.pool.sms[c.sm].on_mem_complete(&c)?;
                 self.mem.recycle(c.atomic_results);
             }
-            lap(t, &mut self.prof.mem_cycle_ns);
-            let t = self.timer();
             let round = self.pool.cycle(now, skip, self.lctx, self.mem)?;
-            lap(t, &mut self.prof.pool_ns);
             if round.finished > 0 {
                 self.rs.remaining -= round.finished as usize;
                 // Refill SMs that just freed resources.
@@ -625,10 +541,7 @@ impl Run<'_> {
                 return Err(self.hang(HangClass::GlobalDeadlock));
             }
             if now.is_multiple_of(SCAN_PERIOD) && now > 0 && self.rs.remaining > 0 {
-                let t = self.timer();
-                let hung = self.scan_progress();
-                lap(t, &mut self.prof.watchdog_ns);
-                if let Some(class) = hung {
+                if let Some(class) = self.scan_progress() {
                     return Err(self.hang(class));
                 }
             }
@@ -638,9 +551,7 @@ impl Run<'_> {
             // any other when they wake or are settled.
             let mut next = now + 1;
             if let Some(sm_ready) = round.ready {
-                let t = self.timer();
                 next = next.max(self.skip_horizon(sm_ready, every));
-                lap(t, &mut self.prof.skip_horizon_ns);
             }
             self.rs.now = next;
             if self.cfg.max_cycles > 0 && next >= self.cfg.max_cycles {
@@ -652,11 +563,9 @@ impl Run<'_> {
 
     /// Launch pending CTAs onto the SMs that fit them ([`SmPool::dispatch`]).
     fn dispatch_pending(&mut self) {
-        let t = self.timer();
         let rs = &mut self.rs;
         self.pool
             .dispatch(&mut rs.pending, self.lctx, &mut rs.age_counter);
-        lap(t, &mut self.prof.dispatch_ns);
     }
 
     /// Periodic forward-progress scan: catches hangs where warps keep
@@ -777,7 +686,6 @@ impl Run<'_> {
             EnergyModel::default().evaluate(&sim, &mem, self.cfg.num_sms, self.cfg.core_clock_mhz);
         let mut branch_log = BranchLog::default();
         let mut confirmed_sibs: Vec<(usize, u64)> = Vec::new();
-        let mut sm_prof = SmProf::default();
         for sm in &self.pool.sms {
             branch_log.merge(&sm.branch_log);
             for (pc, cycle) in sm.detector.confirmed_sibs() {
@@ -786,12 +694,6 @@ impl Run<'_> {
                     None => confirmed_sibs.push((pc, cycle)),
                 }
             }
-            sm_prof.fetch_ns += sm.prof.fetch_ns;
-            sm_prof.issue_ns += sm.prof.issue_ns;
-            sm_prof.execute_ns += sm.prof.execute_ns;
-            sm_prof.cycles_run += sm.prof.cycles_run;
-            sm_prof.cycles_slept += sm.prof.cycles_slept;
-            sm_prof.warps_classified += sm.prof.warps_classified;
         }
         confirmed_sibs.sort_unstable();
         let final_state = self.cfg.capture_final_state.then(|| {
@@ -804,17 +706,16 @@ impl Run<'_> {
             ctas.sort_by_key(|c| c.cta_id);
             ctas
         });
-        let profile = self.started.map(|start| ProfileReport {
-            fetch_ns: sm_prof.fetch_ns,
-            // The SM's issue timer brackets the whole scheduler loop;
-            // carve the nested execute time out so phases don't overlap.
-            issue_ns: sm_prof.issue_ns.saturating_sub(sm_prof.execute_ns),
-            execute_ns: sm_prof.execute_ns,
-            total_ns: start.elapsed().as_nanos() as u64,
-            sm_cycles_run: sm_prof.cycles_run,
-            sm_cycles_slept: sm_prof.cycles_slept,
-            warps_classified: sm_prof.warps_classified,
-            ..self.prof
+        let profile = self.started.map(|start| {
+            let sum =
+                |count: fn(&SmProf) -> u64| self.pool.sms.iter().map(|sm| count(&sm.prof)).sum();
+            ProfileReport {
+                total_ns: start.elapsed().as_nanos() as u64,
+                sm_cycles_run: sum(|p| p.cycles_run),
+                sm_cycles_slept: sum(|p| p.cycles_slept),
+                warps_classified: sum(|p| p.warps_classified),
+                ..ProfileReport::default()
+            }
         });
         KernelReport {
             cycles,
@@ -1010,8 +911,9 @@ impl RunState {
 fn snapshot_fingerprint(cfg: &GpuConfig, kernel: &Kernel, launch: &LaunchSpec) -> u64 {
     let mut c = cfg.clone();
     c.sm_threads = 0;
-    // Profiling is observational (wall-clock timers only), so a profiled
-    // run and a plain run share a snapshot identity.
+    // Profiling is observational (the run's wall time and counts kept
+    // anyway), so a profiled run and a plain run share a snapshot
+    // identity.
     c.profile = false;
     // The kernel must be encoded canonically — its `labels` map has
     // process- and instance-dependent iteration order, so `{kernel:?}`

@@ -91,20 +91,12 @@ pub struct SnapLimits {
     pub now: u64,
 }
 
-/// Host-side accounting for one SM: wall-clock phase accumulators,
-/// populated only when [`GpuConfig::profile`] is set, and the three
-/// counts, which are always kept. `issue_ns` brackets the whole scheduler
-/// loop *including* nested execute time; the GPU-level aggregation carves
-/// execute back out (see [`crate::ProfileReport`]).
+/// Host-side counts for one SM, kept on every cycle whether or not
+/// [`GpuConfig::profile`] is set (one add each; never serialized, never
+/// consulted by simulation logic). [`crate::ProfileReport`] sums them over
+/// SMs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SmProf {
-    /// Writeback drain + CTA retirement + reclassifying the warps an event
-    /// touched since the last cycle.
-    pub fetch_ns: u64,
-    /// Scheduler-unit issue loop + end-of-cycle bookkeeping (incl. execute).
-    pub issue_ns: u64,
-    /// Instruction execution proper.
-    pub execute_ns: u64,
     /// Calls to [`Sm::cycle`].
     pub cycles_run: u64,
     /// Simulated cycles accrued in bulk while the SM slept instead.
@@ -324,11 +316,7 @@ pub struct Sm {
     /// Snapshots of retired CTAs, in retirement order (drained by the GPU
     /// loop into [`crate::KernelReport::final_state`]).
     pub captured: Vec<crate::warp::CtaState>,
-    /// Collect per-phase wall time into [`Sm::prof`] (observational only;
-    /// never serialized, never consulted by simulation logic).
-    profile: bool,
-    /// Phase accumulators (all zero unless profiling is on) and cycle
-    /// counts.
+    /// Cycle counts (see [`SmProf`]).
     pub prof: SmProf,
     /// The last cycle's stall tally, part of it kept running (see
     /// [`StallTally`]).
@@ -415,7 +403,6 @@ impl Sm {
             atom_groups: Vec::new(),
             capture_state: cfg.capture_final_state,
             captured: Vec::new(),
-            profile: cfg.profile,
             prof: SmProf::default(),
             tally: StallTally::default(),
             idled_by_choice: false,
@@ -689,9 +676,6 @@ impl Sm {
         let mut result = SmCycle::default();
         self.idled_by_choice = false;
         self.prof.cycles_run += 1;
-        // Phase timer: `profile` is off by default, making this a single
-        // untaken branch — the hot path takes no timestamps.
-        let t0 = self.profile.then(std::time::Instant::now);
         // Catch the live set up with any launches since the last cycle.
         // (A retirement in step 2 below leaves it one cycle stale — a
         // harmless superset, since every consumer re-checks the warp's
@@ -744,12 +728,6 @@ impl Sm {
         }
         #[cfg(debug_assertions)]
         self.assert_rescan_agrees(now, lctx);
-        // Phase boundary: everything above is "fetch", the rest "issue".
-        let t_issue = t0.map(|t0| {
-            let t = std::time::Instant::now();
-            self.prof.fetch_ns += (t - t0).as_nanos() as u64;
-            t
-        });
         // 4. Issue per scheduler unit, from the unit's share of the ready
         // set minus the policy's veto, which is asked every cycle the unit
         // has a ready warp — a BOWS delay expires with no event on the
@@ -782,14 +760,7 @@ impl Sm {
             debug_assert!(eligible.contains(w), "policy picked ineligible warp");
             stats.issued_cycles += 1;
             stats.stall_arbitration += (eligible.len() - 1) as u64;
-            let outcome = if self.profile {
-                let t = std::time::Instant::now();
-                let o = self.execute(w, now, lctx, mem, stats)?;
-                self.prof.execute_ns += t.elapsed().as_nanos() as u64;
-                o
-            } else {
-                self.execute(w, now, lctx, mem, stats)?
-            };
+            let outcome = self.execute(w, now, lctx, mem, stats)?;
             result.issued += 1;
             self.marked.insert(w);
             self.issued_scratch[u] = Some(w);
@@ -858,9 +829,6 @@ impl Sm {
             self.tally.backed_off += backed_off.len() as u64;
         }
         self.tally.post(1, stats);
-        if let Some(t) = t_issue {
-            self.prof.issue_ns += t.elapsed().as_nanos() as u64;
-        }
         Ok(result)
     }
 

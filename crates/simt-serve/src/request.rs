@@ -420,8 +420,8 @@ pub enum LaunchError {
 /// build the scheduler and detector it names, run (checkpointing through
 /// `ctl`, bounded by `deadline`) and read the dumps back. The one launch path
 /// of the service workers and `bows-run`, so both report the same bytes.
-/// `profile` turns the host-time profiler on (`bows-run --profile`); it
-/// changes nothing simulated.
+/// `profile` reports the run's host wall time and SM-cycle counts
+/// (`bows-run --profile`); it changes nothing simulated.
 ///
 /// # Errors
 ///

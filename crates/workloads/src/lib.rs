@@ -315,7 +315,7 @@ pub fn reference_plan(cfg: &GpuConfig, workload: &dyn Workload) -> RefPlan {
     let mut gpu = Gpu::new(cfg.clone());
     let prepared = workload.prepare(&mut gpu);
     RefPlan {
-        initial_gmem: gpu.mem().gmem().clone(),
+        initial_gmem: std::mem::take(gpu.mem_mut().gmem_mut()),
         stages: prepared.stages,
         equivalence: prepared.equivalence,
     }

@@ -54,11 +54,9 @@ fn usage() -> ! {
          taken under; resuming with a mismatched kernel or config exits\n\
          2 with a clear error.\n\
          \n\
-         --profile collects a host wall-clock breakdown of the run loop\n\
-         (fetch/issue/execute/mem-cycle/skip-horizon, and what the\n\
-         remaining `other` is made of), the share of SM-cycles the skip\n\
-         engine slept through and the warps classified per SM-cycle run,\n\
-         printed after the run report; with --format json the breakdown is\n\
+         --profile prints the run's host wall time, the share of SM-cycles\n\
+         the skip engine slept through and the warps classified per\n\
+         SM-cycle run, after the run report; with --format json they are\n\
          one JSON object on a second line. Purely observational: simulated\n\
          results are bit-identical with and without it.\n\
          \n\
@@ -346,22 +344,17 @@ fn read_snapshot(path: &str) -> Result<Vec<u8>, String> {
         .map_err(|e| format!("{path}: {e}"))
 }
 
-/// `--profile --format json`: the phase breakdown as one JSON object.
+/// `--profile --format json`: the run's wall time and counts as one JSON
+/// object.
 fn profile_json(p: &simt_core::ProfileReport) -> Json {
-    let mut fields: Vec<(String, Json)> = p
-        .phases()
-        .iter()
-        .map(|&(name, ns)| (format!("{name}_ns"), Json::UInt(ns)))
-        .collect();
-    fields.push(("other_ns".into(), Json::UInt(p.other_ns())));
-    for (name, ns) in p.other_breakdown() {
-        fields.push((format!("other_{name}_ns"), Json::UInt(ns)));
-    }
-    fields.push(("total_ns".into(), Json::UInt(p.total_ns)));
-    fields.push(("sm_cycles_run".into(), Json::UInt(p.sm_cycles_run)));
-    fields.push(("sm_cycles_slept".into(), Json::UInt(p.sm_cycles_slept)));
-    fields.push(("warps_classified".into(), Json::UInt(p.warps_classified)));
-    Json::Obj(vec![("profile".into(), Json::Obj(fields))])
+    let fields = [
+        ("total_ns", p.total_ns),
+        ("sm_cycles_run", p.sm_cycles_run),
+        ("sm_cycles_slept", p.sm_cycles_slept),
+        ("warps_classified", p.warps_classified),
+    ];
+    let fields = fields.map(|(k, v)| (k.to_string(), Json::UInt(v)));
+    Json::Obj(vec![("profile".into(), Json::Obj(fields.into()))])
 }
 
 fn main() -> ExitCode {
@@ -496,35 +489,6 @@ fn main() -> ExitCode {
         "energy      : {:.3} mJ dynamic",
         report.energy.dynamic_j() * 1e3
     );
-    if let Some(p) = &report.profile {
-        let ms = |ns: u64| ns as f64 / 1e6;
-        let pct = |ns: u64| 100.0 * ns as f64 / (p.total_ns.max(1)) as f64;
-        println!(
-            "profile     : {:.2} ms host wall, {:.0} cycles/sec",
-            ms(p.total_ns),
-            report.cycles as f64 / (p.total_ns as f64 / 1e9).max(1e-9)
-        );
-        for (name, ns) in p.phases() {
-            println!("  {name:<12}: {:>10.3} ms ({:>4.1}%)", ms(ns), pct(ns));
-        }
-        println!(
-            "  {:<12}: {:>10.3} ms ({:>4.1}%)",
-            "other",
-            ms(p.other_ns()),
-            pct(p.other_ns())
-        );
-        for (name, ns) in p.other_breakdown() {
-            println!("    {name:<10}: {:>10.3} ms ({:>4.1}%)", ms(ns), pct(ns));
-        }
-        println!(
-            "  {:<12}: {} run, {} slept ({:.1}% slept), {:.2} classified per SM-cycle",
-            "sm-cycles",
-            p.sm_cycles_run,
-            p.sm_cycles_slept,
-            100.0 * p.slept_share(),
-            p.classified_per_cycle()
-        );
-    }
     if gpu.cfg.mem.chaos.enabled() {
         let c = gpu.mem().chaos_stats();
         println!(
@@ -546,6 +510,22 @@ fn main() -> ExitCode {
     }
     for (slot, vals) in &dumps {
         println!("param[{slot}][0..{}] = {vals:?}", vals.len());
+    }
+    // Host time last: everything above is the simulated run.
+    if let Some(p) = &report.profile {
+        println!(
+            "profile     : {:.2} ms host wall, {:.0} cycles/sec",
+            p.total_ns as f64 / 1e6,
+            report.cycles as f64 / (p.total_ns as f64 / 1e9).max(1e-9)
+        );
+        println!(
+            "  {:<12}: {} run, {} slept ({:.1}% slept), {:.2} classified per SM-cycle",
+            "sm-cycles",
+            p.sm_cycles_run,
+            p.sm_cycles_slept,
+            100.0 * p.slept_share(),
+            p.classified_per_cycle()
+        );
     }
     ExitCode::SUCCESS
 }

@@ -4,7 +4,7 @@
 //! returns for the same launch, under the documented exit status.
 
 use simt_serve::json::json_string;
-use simt_serve::{run_request, RunOutcome, SimRequest};
+use simt_serve::{run_request, Json, RunOutcome, SimRequest};
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -12,11 +12,16 @@ const KERNEL: &str = "kernels/spinlock.s";
 
 /// `bows-run kernels/spinlock.s <args> --format json`, in the repo root.
 fn bows_run(args: &[&str]) -> Output {
+    bows_run_as("json", args)
+}
+
+/// `bows-run kernels/spinlock.s <args> --format <format>`, in the repo root.
+fn bows_run_as(format: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bows-run"))
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .arg(KERNEL)
         .args(args)
-        .args(["--format", "json"])
+        .args(["--format", format])
         .output()
         .expect("spawn bows-run")
 }
@@ -185,4 +190,55 @@ fn cancelled_run_names_its_snapshot_and_resumes_from_it() {
     let plain = stdout_at(&bows_run(&LAUNCH), 0);
     let resumed = bows_run(&[&LAUNCH[..], &["--resume", snap.to_str().unwrap()]].concat());
     assert_eq!(stdout_at(&resumed, 0), plain);
+}
+
+/// `--profile` reports the run's host wall time and three SM-cycle counts,
+/// after the run, and changes nothing simulated: 15 CTAs on the 15 SMs of
+/// a gtx480, most of whose SM-cycles are slept.
+#[test]
+fn profile_reports_wall_time_and_sm_cycle_counts_only() {
+    let launch = [
+        "--ctas", "15", "--tpc", "128", "--param", "buf:1", "--param", "buf:1", "--gpu", "gtx480",
+    ];
+    let profiled = [&launch[..], &["--profile"]].concat();
+    let plain = stdout_at(&bows_run(&launch), 0);
+    let both = stdout_at(&bows_run(&profiled), 0);
+    let (report, profile) = both.split_once('\n').expect("two lines");
+    assert_eq!(format!("{report}\n"), plain, "--profile perturbed the run");
+    let profile = Json::parse(profile.strip_suffix('\n').expect("one line")).unwrap();
+    let Json::Obj(top) = &profile else {
+        panic!("{profile:?}")
+    };
+    assert_eq!(top.len(), 1, "{profile:?}");
+    let counts = profile.get("profile").unwrap();
+    let Json::Obj(fields) = counts else {
+        panic!("{profile:?}")
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "total_ns",
+            "sm_cycles_run",
+            "sm_cycles_slept",
+            "warps_classified"
+        ]
+    );
+    let count = |k: &str| counts.get(k).and_then(|v| v.as_u64(k)).unwrap();
+    let report = Json::parse(report).unwrap();
+    let cycles = report
+        .get("cycles")
+        .and_then(|v| v.as_u64("cycles"))
+        .unwrap();
+    assert!(count("sm_cycles_run") > 0);
+    assert!(count("sm_cycles_run") + count("sm_cycles_slept") <= cycles * 15);
+
+    let human = stdout_at(&bows_run_as("human", &profiled), 0);
+    let mut tail = human.lines().rev();
+    let (last, wall) = (tail.next().unwrap(), tail.next().unwrap());
+    assert!(last.starts_with("  sm-cycles   : "), "{human}");
+    assert!(
+        wall.starts_with("profile     : ") && wall.ends_with(" cycles/sec"),
+        "{human}"
+    );
 }

@@ -134,7 +134,7 @@ fn figure_group_cycles(engine: Engine, profile: bool) -> [u64; 5] {
 
 /// The simulator is deterministic, so the five figure-group totals move
 /// only when simulated behaviour moves: any drift fails, under either
-/// engine and with the phase profiler on (it must observe, not perturb).
+/// engine and with `profile` on (it must observe, not perturb).
 /// A change that means to move them updates the constants and says why.
 #[test]
 fn figure_group_cycle_totals_are_pinned() {
